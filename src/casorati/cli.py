@@ -27,18 +27,18 @@ from .idqm import (
     two_path_compare_idqm,
 )
 from .oqm import build_harmonic_model, degree_census, two_path_compare
-from .poly import Poly, RationalFn
+from .poly import RationalFn
 from .rdqm import (
     build_meixner_model,
     darboux_chain_replay,
+    seed_set,
     sign_conjecture_check,
-    solve_seed_at_energy,
     spectrum_check,
     two_path_compare_rdqm,
 )
 from .report import CheckReport, sort_reports, summarize
 from .sampling import SamplerConfig, random_poly, trial_rng
-from .scalars import rational
+from .scalars import format_rational, rational
 
 SCHEMA_VERSION = 1
 
@@ -133,7 +133,6 @@ def apply_config_file(args: argparse.Namespace) -> None:
     if not getattr(args, "config", None):
         return
     file_values = read_config_file(args.config)
-    parser_defaults = build_parser()
     for key, value in file_values.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
@@ -219,20 +218,27 @@ def run_rdqm(args, csv_path=None) -> list[CheckReport]:
     dv = parse_rational_list(args.dv)
     de = parse_int_list(args.de)
     levels = parse_int_list(args.n) if isinstance(args.n, str) else [args.n]
+    compare_up_to = min(40, args.window // 2)
     model = build_meixner_model(beta, c, n_max=args.n_max, x_max=args.window,
                                 precision_bits=args.precision_bits)
     reports = []
     for n in levels:
         reports.append(two_path_compare_rdqm(model, dv, de, n, tolerance,
-                                             compare_up_to=min(40, args.window // 2)))
-    seeds = ([solve_seed_at_energy(model, e) for e in dv]
-             + [model.eigen(k) for k in de])
-    energies = list(dv) + [model.eigen_energy(k) for k in de]
+                                             compare_up_to=compare_up_to))
+    seeds, energies = seed_set(model, dv, de)
     for n in levels:
         for rep in darboux_chain_replay(model.b_grid, model.d_grid, seeds, energies,
                                         model.eigen(n), tolerance, args.precision_bits):
             rep.params["n"] = n
             reports.append(rep)
+    # Every witness carries the whole run configuration, so it replays alone.
+    stamp = {"beta": format_rational(beta), "c": format_rational(c), "n_max": args.n_max,
+             "window": args.window, "precision_bits": args.precision_bits,
+             "tolerance": args.tolerance, "compare_up_to": compare_up_to,
+             "dv_energies": [str(e) for e in dv], "de_labels": de}
+    for rep in reports:
+        if rep.witness is not None:
+            rep.witness["inputs"].update(stamp, n=rep.params["n"])
     sign_ok = sign_conjecture_check(seeds, energies)
     reports.append(CheckReport(identity_id="rdqm.sign-conjecture", passed=True,
                                lhs="sgn W_C[seeds]", rhs="epsilon_D",
@@ -289,6 +295,11 @@ def emit(args, reports: list[CheckReport], started: float, config_echo: dict) ->
     for rep in reports:
         if not rep.passed:
             print(f"FAIL {rep.identity_id} {rep.params}", file=sys.stderr)
+    return exit_status(summary)
+
+
+def exit_status(summary: dict) -> int:
+    """1 if any check failed, else 3 if any was inconclusive, else 0."""
     if summary["failed"]:
         return 1
     if summary["inconclusive"]:
@@ -303,37 +314,12 @@ def config_echo_from(args) -> dict:
 
 
 def run_replay(args) -> int:
+    """Re-run the check of a witness file; exit as ``emit`` would for it."""
     with open(args.replay) as fh:
         witness = json.load(fh)
-    identity_id = witness.get("identityId", "")
-    if identity_id.startswith(("wronskian.", "cas-imag.", "cas-real.")):
-        report = replay_witness(witness)
-    elif identity_id == "oqm.two-path":
-        inputs = witness["inputs"]
-        model = build_harmonic_model(max(inputs["d_e"] + [inputs["n"]]) + 2,
-                                     max(inputs["d_v"] + [0]) + 1)
-        report = two_path_compare(model, inputs["d_v"], inputs["d_e"], inputs["n"])
-    elif identity_id == "idqm.two-path":
-        inputs = witness["inputs"]
-        v = RationalFn(Poly.deserialize(inputs["v_num"]), Poly.deserialize(inputs["v_den"]))
-        report = two_path_compare_idqm(
-            v, [Poly.deserialize(d) for d in inputs["dv"]],
-            [Poly.deserialize(d) for d in inputs["de"]],
-            Poly.deserialize(inputs["v_state"]), rational(inputs["gamma"]))
-    elif identity_id == "rdqm.two-path":
-        inputs = witness["inputs"]
-        model = build_meixner_model(rational(args.beta), rational(args.c),
-                                    n_max=args.n_max, x_max=args.window,
-                                    precision_bits=args.precision_bits)
-        report = two_path_compare_rdqm(model,
-                                       [rational(e) for e in inputs["dv_energies"]],
-                                       inputs["de_labels"], inputs["n"],
-                                       mpmath.mpf(args.tolerance))
-    else:
-        print(f"cannot replay witness kind: {identity_id}", file=sys.stderr)
-        return 2
+    report = replay_witness(witness)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    return 0 if report.passed else 1
+    return exit_status(summarize([report]))
 
 
 def main(argv=None) -> int:

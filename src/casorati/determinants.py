@@ -25,10 +25,6 @@ class DeterminantBudgetError(RuntimeError):
     """A single determinant exceeded the coefficient bit-size budget."""
 
 
-class LinearDependenceError(ValueError):
-    """Seed functions were linearly dependent (identically zero determinant)."""
-
-
 def _check_budget(p: Poly) -> None:
     if p.max_coeff_bits() > COEFF_BIT_BUDGET:
         raise DeterminantBudgetError(
@@ -104,33 +100,6 @@ def cofactor_det(matrix: Sequence[Sequence], zero=None, one=None):
         return total
 
     return minor_det(tuple(range(n)), tuple(range(n)))
-
-
-def det_exact_scalar(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Fraction-free determinant for exact scalar entries."""
-    n = len(matrix)
-    if n == 0:
-        return Fraction(1)
-    rows = [list(map(Fraction, row)) for row in matrix]
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            for r in range(k + 1, n):
-                if rows[r][k] != 0:
-                    rows[k], rows[r] = rows[r], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot = rows[k][k]
-        for i in range(k + 1, n):
-            lead = rows[i][k]
-            for j in range(k + 1, n):
-                rows[i][j] = (pivot * rows[i][j] - lead * rows[k][j]) / prev
-            rows[i][k] = Fraction(0)
-        prev = pivot
-    return sign * rows[n - 1][n - 1]
 
 
 def det_float_scalar(matrix) -> object:
@@ -242,11 +211,6 @@ def casoratian_imag(fs: Sequence[Poly], gamma) -> Poly:
     return det * i_power((n * (n - 1)) // 2)
 
 
-def casoratian_imag_at(fs: Sequence[Poly], gamma, delta: GaussianRational) -> Poly:
-    """W_gamma[fs](x + delta) as a polynomial in x."""
-    return casoratian_imag(fs, gamma).shift(delta)
-
-
 # ---------------------------------------------------------------------------
 # Real-shift Casoratian
 # ---------------------------------------------------------------------------
@@ -262,7 +226,10 @@ def casoratian_real(fs: Sequence[Poly]) -> Poly:
 
 
 def casoratian_real_grid(fs: Sequence[GridFn]) -> GridFn:
-    """Grid-backend W_C: result lives on the window shrunk by n - 1."""
+    """Grid-backend W_C: result lives on the window shrunk by n - 1.
+
+    Exact (Fraction) grids go through the fraction-free kernel as constant
+    polynomials; big-float grids through pivoted LU."""
     n = len(fs)
     if n == 0:
         raise ValueError("casoratian_real_grid needs at least one function; "
@@ -273,9 +240,9 @@ def casoratian_real_grid(fs: Sequence[GridFn]) -> GridFn:
         raise WindowError(
             f"window too small for a {n}-function Casoratian: need x_max >= {n - 1}")
     exact = all(isinstance(f(0), Fraction) for f in fs)
-    det = det_exact_scalar if exact else det_float_scalar
     values = []
     for x in range(out_max + 1):
         matrix = [[fs[k](x + j) for k in range(n)] for j in range(n)]
-        values.append(det(matrix))
+        values.append(fraction_free_det(matrix).coefficient(0).re if exact
+                      else det_float_scalar(matrix))
     return GridFn(values)

@@ -8,7 +8,7 @@ padding, so shrinking windows surface loudly.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import mpmath
 
@@ -46,21 +46,10 @@ class GridFn:
     def __iter__(self):
         return iter(self.values)
 
-    def with_energy(self, energy) -> "GridFn":
-        return GridFn(self.values, energy)
-
     def truncated(self, x_max: int) -> "GridFn":
         if x_max > self.x_max:
             raise WindowError(f"cannot extend window to {x_max} (have {self.x_max})")
         return GridFn(self.values[:x_max + 1], self.energy)
-
-    def shifted_view(self, delta: int) -> "GridFn":
-        """g with g(x) = self(x + delta); window shrinks by delta."""
-        if delta < 0:
-            raise WindowError("negative shift would need values left of 0")
-        if delta > self.x_max:
-            raise WindowError(f"shift {delta} exceeds window {self.x_max}")
-        return GridFn(self.values[delta:], self.energy)
 
     # -- pointwise arithmetic on the common window -----------------------------
 
@@ -85,20 +74,10 @@ class GridFn:
     def __neg__(self) -> "GridFn":
         return GridFn([-a for a in self.values], self.energy)
 
-    def map(self, fn: Callable) -> "GridFn":
-        return GridFn([fn(v) for v in self.values], self.energy)
-
-    def sup_norm(self):
-        return max(abs(v) for v in self.values)
-
     def __repr__(self) -> str:
         head = ", ".join(str(v) for v in self.values[:4])
         tail = ", ..." if len(self.values) > 4 else ""
         return f"GridFn([{head}{tail}], x_max={self.x_max}, energy={self.energy})"
-
-
-def sample_callable(fn: Callable[[int], object], x_max: int, energy=None) -> GridFn:
-    return GridFn([fn(x) for x in range(x_max + 1)], energy)
 
 
 def sample_poly_exact(poly, x_max: int, energy=None) -> GridFn:

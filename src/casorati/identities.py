@@ -1,19 +1,31 @@
-"""Executable checkers for the determinant identities.
+"""Executable checkers for the determinant identities, and the check registry.
 
 Each checker compares two independently computed exact objects and returns a
 CheckReport; quotient and square-root identities are verified in
 cross-multiplied / squared polynomial form so that every comparison stays
-inside exact arithmetic.  ``run_identity_suite`` drives seeded random sweeps
-over all checkers; every failure carries a witness that replays via
-``replay_witness``.
+inside exact arithmetic.
+
+``CHECKS`` maps every check id that can emit a witness to its registry row:
+how a seeded trial draws its inputs, how inputs are encoded into a witness,
+and how a witness is decoded and re-run.  The 18 identity rows come from two
+tables, ``FAMILIES`` (element drawer, element codec, whether gamma is drawn)
+and ``KINDS`` (the shape's argument names); witness keys are the checkers'
+parameter names.  The lab rows (oqm, idqm, rdqm) decode witnesses that their
+lab modules write.  ``run_identity_suite`` drives seeded sweeps over the
+identity rows, and ``replay_witness`` is the one replay entry point.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
+import mpmath
+
+from . import idqm, oqm, rdqm
 from .determinants import (
     casoratian_imag,
     casoratian_real,
@@ -22,7 +34,7 @@ from .determinants import (
     wronskian_over_base,
     wronskian_poly,
 )
-from .poly import ExpPoly, Poly, poly_products_equal
+from .poly import ExpPoly, Poly, RationalFn, poly_products_equal
 from .report import CheckReport, sort_reports
 from .sampling import (
     SamplerConfig,
@@ -40,11 +52,13 @@ def _gr_imag(value: Fraction) -> GaussianRational:
     return GaussianRational(0, value)
 
 
-def _report(identity_id, passed, lhs, rhs, params, witness_inputs,
+def _report(identity_id, passed, lhs, rhs, params, inputs,
             inconclusive=False, note="") -> CheckReport:
+    """A checker's report; ``inputs`` (its arguments by parameter name) are
+    encoded into a witness when the check fails or is inconclusive."""
     witness = None
     if not passed or inconclusive:
-        witness = {"identityId": identity_id, "inputs": witness_inputs}
+        witness = {"identityId": identity_id, "inputs": CHECKS[identity_id].encode(inputs)}
     return CheckReport(identity_id=identity_id, params=params, lhs=str(lhs),
                        rhs=str(rhs), passed=passed, witness=witness,
                        inconclusive=inconclusive, note=note)
@@ -84,8 +98,7 @@ def check_wronskian_quotient(f: ExpPoly, g: ExpPoly) -> CheckReport:
     lhs = f.derivative() * g - f * g.derivative()
     rhs = wronskian([g, f])
     return _report("wronskian.quotient", lhs == rhs, lhs, rhs,
-                   {"deg_f": f.p.degree, "deg_g": g.p.degree},
-                   {"f": f.serialize(), "g": g.serialize()})
+                   {"deg_f": f.p.degree, "deg_g": g.p.degree}, dict(f=f, g=g))
 
 
 def check_wronskian_one_reduction(fs: Sequence[ExpPoly]) -> CheckReport:
@@ -93,8 +106,7 @@ def check_wronskian_one_reduction(fs: Sequence[ExpPoly]) -> CheckReport:
     lhs = wronskian([ExpPoly.one()] + list(fs))
     rhs = wronskian([f.derivative() for f in fs])
     return _report("wronskian.one-reduction", lhs == rhs, lhs, rhs,
-                   {"n": len(fs), "degrees": [f.p.degree for f in fs]},
-                   {"fs": [f.serialize() for f in fs]})
+                   {"n": len(fs), "degrees": [f.p.degree for f in fs]}, dict(fs=fs))
 
 
 def check_wronskian_gauge(fs: Sequence[ExpPoly], g: ExpPoly) -> CheckReport:
@@ -104,7 +116,7 @@ def check_wronskian_gauge(fs: Sequence[ExpPoly], g: ExpPoly) -> CheckReport:
     rhs = (g ** n) * wronskian(fs)
     return _report("wronskian.gauge", lhs == rhs, lhs, rhs,
                    {"n": n, "degrees": [f.p.degree for f in fs], "deg_g": g.p.degree},
-                   {"fs": [f.serialize() for f in fs], "g": g.serialize()})
+                   dict(fs=fs, g=g))
 
 
 def check_wronskian_nesting(fs: Sequence[ExpPoly], g: ExpPoly) -> CheckReport:
@@ -117,7 +129,7 @@ def check_wronskian_nesting(fs: Sequence[ExpPoly], g: ExpPoly) -> CheckReport:
         rhs = wronskian([wronskian([g, f]) for f in fs])
     return _report("wronskian.nesting", lhs == rhs, lhs, rhs,
                    {"n": n, "degrees": [f.p.degree for f in fs], "deg_g": g.p.degree},
-                   {"fs": [f.serialize() for f in fs], "g": g.serialize()})
+                   dict(fs=fs, g=g))
 
 
 def check_wronskian_theorem(fs: Sequence[ExpPoly], us: Sequence[ExpPoly]) -> CheckReport:
@@ -131,8 +143,7 @@ def check_wronskian_theorem(fs: Sequence[ExpPoly], us: Sequence[ExpPoly]) -> Che
     return _report("wronskian.theorem", lhs == rhs, lhs, rhs,
                    {"n": len(fs), "m": m,
                     "degrees": [f.p.degree for f in list(fs) + list(us)]},
-                   {"fs": [f.serialize() for f in fs],
-                    "us": [u.serialize() for u in us]})
+                   dict(fs=fs, us=us))
 
 
 def check_wronskian_corollary(fs: Sequence[ExpPoly], us: Sequence[ExpPoly],
@@ -169,9 +180,7 @@ def check_wronskian_corollary(fs: Sequence[ExpPoly], us: Sequence[ExpPoly],
                    "cross-multiplied quotient LHS", "cross-multiplied quotient RHS",
                    {"l": len(fs), "m": m,
                     "degrees": [f.p.degree for f in list(fs) + list(us) + [v]]},
-                   {"fs": [f.serialize() for f in fs],
-                    "us": [u.serialize() for u in us], "v": v.serialize()},
-                   note="" if ok1 else "corollary-form failed")
+                   dict(fs=fs, us=us, v=v), note="" if ok1 else "corollary-form failed")
 
 
 def two_column_identity_wronskian(fs, g, h) -> tuple[ExpPoly, ExpPoly]:
@@ -198,7 +207,7 @@ def check_cas_imag_quotient(f: Poly, g: Poly, gamma) -> CheckReport:
     rhs = casoratian_imag([g, f], gamma)
     return _report("cas-imag.quotient", lhs == rhs, lhs, rhs,
                    {"deg_f": f.degree, "deg_g": g.degree, "gamma": format_rational(gamma)},
-                   {"f": f.serialize(), "g": g.serialize(), "gamma": format_rational(gamma)})
+                   dict(f=f, g=g, gamma=gamma))
 
 
 def check_cas_imag_one_reduction(fs: Sequence[Poly], gamma) -> CheckReport:
@@ -210,7 +219,7 @@ def check_cas_imag_one_reduction(fs: Sequence[Poly], gamma) -> CheckReport:
     return _report("cas-imag.one-reduction", lhs == rhs, lhs, rhs,
                    {"n": n, "degrees": [f.degree for f in fs],
                     "gamma": format_rational(gamma)},
-                   {"fs": [f.serialize() for f in fs], "gamma": format_rational(gamma)})
+                   dict(fs=fs, gamma=gamma))
 
 
 def check_cas_imag_gauge(fs: Sequence[Poly], g: Poly, gamma) -> CheckReport:
@@ -224,8 +233,7 @@ def check_cas_imag_gauge(fs: Sequence[Poly], g: Poly, gamma) -> CheckReport:
     return _report("cas-imag.gauge", lhs == rhs, lhs, rhs,
                    {"n": n, "degrees": [f.degree for f in fs], "deg_g": g.degree,
                     "gamma": format_rational(gamma)},
-                   {"fs": [f.serialize() for f in fs], "g": g.serialize(),
-                    "gamma": format_rational(gamma)})
+                   dict(fs=fs, g=g, gamma=gamma))
 
 
 def check_cas_imag_nesting(fs: Sequence[Poly], g: Poly, gamma) -> CheckReport:
@@ -244,8 +252,7 @@ def check_cas_imag_nesting(fs: Sequence[Poly], g: Poly, gamma) -> CheckReport:
     return _report("cas-imag.nesting", lhs == rhs, lhs, rhs,
                    {"n": n, "degrees": [f.degree for f in fs], "deg_g": g.degree,
                     "gamma": format_rational(gamma)},
-                   {"fs": [f.serialize() for f in fs], "g": g.serialize(),
-                    "gamma": format_rational(gamma)})
+                   dict(fs=fs, g=g, gamma=gamma))
 
 
 def check_cas_imag_theorem(fs: Sequence[Poly], us: Sequence[Poly], gamma) -> CheckReport:
@@ -262,9 +269,7 @@ def check_cas_imag_theorem(fs: Sequence[Poly], us: Sequence[Poly], gamma) -> Che
     return _report("cas-imag.theorem", lhs == rhs, lhs, rhs,
                    {"n": len(fs), "m": m, "gamma": format_rational(gamma),
                     "degrees": [f.degree for f in list(fs) + list(us)]},
-                   {"fs": [f.serialize() for f in fs],
-                    "us": [u.serialize() for u in us],
-                    "gamma": format_rational(gamma)})
+                   dict(fs=fs, us=us, gamma=gamma))
 
 
 def check_cas_imag_corollary(fs: Sequence[Poly], us: Sequence[Poly], gamma) -> CheckReport:
@@ -289,9 +294,7 @@ def check_cas_imag_corollary(fs: Sequence[Poly], us: Sequence[Poly], gamma) -> C
                    "A^2 P (cross-multiplied)", "C^2 B (cross-multiplied)",
                    {"l": len(fs), "m": m, "gamma": format_rational(gamma),
                     "degrees": [f.degree for f in list(fs) + list(us)]},
-                   {"fs": [f.serialize() for f in fs],
-                    "us": [u.serialize() for u in us],
-                    "gamma": format_rational(gamma)})
+                   dict(fs=fs, us=us, gamma=gamma))
 
 
 def two_column_identity_cas_imag(fs, g, h, gamma) -> tuple[Poly, Poly]:
@@ -319,7 +322,7 @@ def check_sum_formula(j_max: int) -> CheckReport:
                                  "expected": format_rational(expected)})
     return _report("cas-imag.sum-formula", not failures,
                    "binomial sums", "factorial deltas",
-                   {"j_max": j_max, "failures": failures}, {"j_max": j_max})
+                   {"j_max": j_max, "failures": failures}, dict(j_max=j_max))
 
 
 def check_classical_limit(fs: Sequence[Poly], gamma0, halvings: int) -> CheckReport:
@@ -368,9 +371,7 @@ def check_classical_limit(fs: Sequence[Poly], gamma0, halvings: int) -> CheckRep
         params["violation"] = worst
     return _report("cas-imag.classical-limit", ok,
                    "scaled Casoratian errors", "first-order-or-faster decay",
-                   params,
-                   {"fs": [f.serialize() for f in fs],
-                    "gamma0": format_rational(gamma0), "halvings": halvings})
+                   params, dict(fs=fs, gamma0=gamma0, halvings=halvings))
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +387,7 @@ def check_cas_real_quotient(f: Poly, g: Poly) -> CheckReport:
     lhs = f.shift(1) * g - f * g.shift(1)
     rhs = casoratian_real([g, f])
     return _report("cas-real.quotient", lhs == rhs, lhs, rhs,
-                   {"deg_f": f.degree, "deg_g": g.degree},
-                   {"f": f.serialize(), "g": g.serialize()})
+                   {"deg_f": f.degree, "deg_g": g.degree}, dict(f=f, g=g))
 
 
 def check_cas_real_one_reduction(fs: Sequence[Poly]) -> CheckReport:
@@ -395,8 +395,7 @@ def check_cas_real_one_reduction(fs: Sequence[Poly]) -> CheckReport:
     lhs = casoratian_real([Poly.one()] + list(fs))
     rhs = casoratian_real([_d_real(f) for f in fs])
     return _report("cas-real.one-reduction", lhs == rhs, lhs, rhs,
-                   {"n": len(fs), "degrees": [f.degree for f in fs]},
-                   {"fs": [f.serialize() for f in fs]})
+                   {"n": len(fs), "degrees": [f.degree for f in fs]}, dict(fs=fs))
 
 
 def check_cas_real_gauge(fs: Sequence[Poly], g: Poly) -> CheckReport:
@@ -408,7 +407,7 @@ def check_cas_real_gauge(fs: Sequence[Poly], g: Poly) -> CheckReport:
         rhs = rhs * g.shift(j - 1)
     return _report("cas-real.gauge", lhs == rhs, lhs, rhs,
                    {"n": n, "degrees": [f.degree for f in fs], "deg_g": g.degree},
-                   {"fs": [f.serialize() for f in fs], "g": g.serialize()})
+                   dict(fs=fs, g=g))
 
 
 def check_cas_real_nesting(fs: Sequence[Poly], g: Poly) -> CheckReport:
@@ -423,7 +422,7 @@ def check_cas_real_nesting(fs: Sequence[Poly], g: Poly) -> CheckReport:
         rhs = g * casoratian_real([casoratian_real([g, f]) for f in fs])
     return _report("cas-real.nesting", lhs == rhs, lhs, rhs,
                    {"n": n, "degrees": [f.degree for f in fs], "deg_g": g.degree},
-                   {"fs": [f.serialize() for f in fs], "g": g.serialize()})
+                   dict(fs=fs, g=g))
 
 
 def check_cas_real_theorem(fs: Sequence[Poly], us: Sequence[Poly]) -> CheckReport:
@@ -439,8 +438,7 @@ def check_cas_real_theorem(fs: Sequence[Poly], us: Sequence[Poly]) -> CheckRepor
     return _report("cas-real.theorem", lhs == rhs, lhs, rhs,
                    {"n": len(fs), "m": m,
                     "degrees": [f.degree for f in list(fs) + list(us)]},
-                   {"fs": [f.serialize() for f in fs],
-                    "us": [u.serialize() for u in us]})
+                   dict(fs=fs, us=us))
 
 
 def _real_sign_at(p: Poly, x: int) -> int:
@@ -546,16 +544,12 @@ def check_cas_real_corollary(fs: Sequence[Poly], us: Sequence[Poly],
                 note = "sign sample skipped (W_C[f] not sign-definite)"
 
     passed = ok_squared and ok_signed
-    witness_inputs = {"fs": [f.serialize() for f in fs],
-                      "us": [u.serialize() for u in us]}
-    if v is not None:
-        witness_inputs["v"] = v.serialize()
     return _report("cas-real.corollary", passed,
                    "squared/4th-power cross-multiplied LHS",
                    "squared/4th-power cross-multiplied RHS",
                    {"l": len(fs), "m": m,
                     "degrees": [f.degree for f in list(fs) + list(us)]},
-                   witness_inputs, inconclusive=inconclusive, note=note)
+                   dict(fs=fs, us=us, v=v), inconclusive=inconclusive, note=note)
 
 
 def two_column_identity_cas_real(fs, g, h) -> tuple[Poly, Poly]:
@@ -571,106 +565,214 @@ def two_column_identity_cas_real(fs, g, h) -> tuple[Poly, Poly]:
 
 
 # ---------------------------------------------------------------------------
-# Suite runner / replay
+# Check registry: how each check id is drawn, encoded and replayed
 # ---------------------------------------------------------------------------
 
-def _sample_wronskian(rng, cfg, which) -> CheckReport:
-    n = rng.randint(*cfg.n_range)
-    m = rng.randint(*cfg.m_range)
-    fs = [random_exp_poly(rng, cfg.max_degree, cfg.coefficient_bound, nonzero=(i == 0))
-          for i in range(n)]
-    g = random_exp_poly(rng, cfg.max_degree, cfg.coefficient_bound, nonzero=True)
-    us = [random_exp_poly(rng, cfg.max_degree, cfg.coefficient_bound) for _ in range(m)]
-    if which == "quotient":
-        f = random_exp_poly(rng, cfg.max_degree, cfg.coefficient_bound)
-        return check_wronskian_quotient(f, g)
-    if which == "one-reduction":
-        return check_wronskian_one_reduction(fs)
-    if which == "gauge":
-        return check_wronskian_gauge(fs, g)
-    if which == "nesting":
-        return check_wronskian_nesting(fs, g)
-    if which == "theorem":
-        return check_wronskian_theorem(fs, us)
-    if which == "corollary":
-        v = random_exp_poly(rng, cfg.max_degree, cfg.coefficient_bound)
-        return check_wronskian_corollary(fs, us, v)
-    raise ValueError(which)
+@dataclass(frozen=True)
+class Family:
+    """How the inputs of one determinant family are drawn and encoded."""
+
+    draw: Callable      # element drawer: random_exp_poly or random_poly
+    element: type       # element codec: ExpPoly or Poly (serialize / deserialize)
+    gamma: bool         # whether a shift gamma is drawn
 
 
-def _sample_cas_imag(rng, cfg, which) -> CheckReport:
-    n = rng.randint(*cfg.n_range)
-    m = rng.randint(*cfg.m_range)
-    gamma = random_gamma(rng)
-    fs = [random_poly(rng, cfg.max_degree, cfg.coefficient_bound, nonzero=(i == 0))
-          for i in range(n)]
-    g = random_poly(rng, cfg.max_degree, cfg.coefficient_bound, nonzero=True)
-    us = [random_poly(rng, cfg.max_degree, cfg.coefficient_bound) for _ in range(m)]
-    if which == "quotient":
-        f = random_poly(rng, cfg.max_degree, cfg.coefficient_bound)
-        return check_cas_imag_quotient(f, g, gamma)
-    if which == "one-reduction":
-        return check_cas_imag_one_reduction(fs, gamma)
-    if which == "gauge":
-        return check_cas_imag_gauge(fs, g, gamma)
-    if which == "nesting":
-        return check_cas_imag_nesting(fs, g, gamma)
-    if which == "theorem":
-        return check_cas_imag_theorem(fs, us, gamma)
-    if which == "corollary":
-        return check_cas_imag_corollary(fs, us, gamma)
-    raise ValueError(which)
+FAMILIES = {
+    "wronskian": Family(random_exp_poly, ExpPoly, gamma=False),
+    "cas-imag": Family(random_poly, Poly, gamma=True),
+    "cas-real": Family(random_poly, Poly, gamma=False),
+}
+
+# The element arguments of each identity shape, in checker call order.
+KINDS = {
+    "quotient": ("f", "g"),
+    "one-reduction": ("fs",),
+    "gauge": ("fs", "g"),
+    "nesting": ("fs", "g"),
+    "theorem": ("fs", "us"),
+    "corollary": ("fs", "us", "v"),
+}
 
 
-def _sample_cas_real(rng, cfg, which) -> CheckReport:
-    n = rng.randint(*cfg.n_range)
-    m = rng.randint(*cfg.m_range)
-    fs = [random_poly(rng, cfg.max_degree, cfg.coefficient_bound, nonzero=(i == 0))
-          for i in range(n)]
-    g = random_poly(rng, cfg.max_degree, cfg.coefficient_bound, nonzero=True)
-    us = [random_poly(rng, cfg.max_degree, cfg.coefficient_bound) for _ in range(m)]
-    if which == "quotient":
-        f = random_poly(rng, cfg.max_degree, cfg.coefficient_bound)
-        return check_cas_real_quotient(f, g)
-    if which == "one-reduction":
-        return check_cas_real_one_reduction(fs)
-    if which == "gauge":
-        return check_cas_real_gauge(fs, g)
-    if which == "nesting":
-        return check_cas_real_nesting(fs, g)
-    if which == "theorem":
-        return check_cas_real_theorem(fs, us)
-    if which == "corollary":
-        v = random_poly(rng, cfg.max_degree, cfg.coefficient_bound)
-        return check_cas_real_corollary(fs, us, v)
-    raise ValueError(which)
+@dataclass(frozen=True)
+class Check:
+    """Registry row of one check id.  Lab rows only replay: their lab
+    modules write their witnesses and their CLI runners draw their inputs."""
+
+    replay: Callable[[dict], CheckReport]         # witness inputs -> report
+    run: Callable[[dict], CheckReport] | None = None  # checker inputs -> report
+    encode: Callable[[dict], dict] | None = None  # checker inputs -> witness inputs
+    draw: Callable | None = None                  # (rng, config) -> checker inputs
 
 
-_FAMILY_SAMPLERS: dict[str, Callable] = {}
-for _kind in ("quotient", "one-reduction", "gauge", "nesting", "theorem", "corollary"):
-    _FAMILY_SAMPLERS[f"wronskian.{_kind}"] = (
-        lambda rng, cfg, k=_kind: _sample_wronskian(rng, cfg, k))
-    _FAMILY_SAMPLERS[f"cas-imag.{_kind}"] = (
-        lambda rng, cfg, k=_kind: _sample_cas_imag(rng, cfg, k))
-    _FAMILY_SAMPLERS[f"cas-real.{_kind}"] = (
-        lambda rng, cfg, k=_kind: _sample_cas_real(rng, cfg, k))
+def _codecs(element: type) -> dict[str, tuple[Callable, Callable]]:
+    """Witness key -> (encode, decode) for the inputs of this module's checkers."""
+    one = (element.serialize, element.deserialize)
+    many = (lambda xs: [x.serialize() for x in xs],
+            lambda ds: [element.deserialize(d) for d in ds])
+    number = (format_rational, rational)
+    count = (int, int)
+    return {"f": one, "g": one, "v": one, "fs": many, "us": many,
+            "gamma": number, "gamma0": number, "halvings": count, "j_max": count}
 
-IDENTITY_IDS = tuple(sorted(_FAMILY_SAMPLERS))
+
+def _checker_row(checker: str, element: type = Poly, draw: Callable | None = None) -> Check:
+    """Row of a checker in this module; its witness keys are its parameter names."""
+    codecs = _codecs(element)
+
+    def run(inputs: dict) -> CheckReport:
+        # Looked up at call time, so a patched checker is the one that runs.
+        return globals()[checker](**inputs)
+
+    def encode(inputs: dict) -> dict:
+        return {key: codecs[key][0](value) for key, value in inputs.items()
+                if value is not None}
+
+    def replay(data: dict) -> CheckReport:
+        try:
+            inputs = {key: codecs[key][1](value) for key, value in data.items()}
+            inspect.signature(globals()[checker]).bind(**inputs)
+        except TypeError as exc:
+            raise ValueError(f"malformed witness inputs: {exc}") from None
+        return run(inputs)
+
+    return Check(replay, run, encode, draw)
+
+
+def _family_draw(family: Family, args: tuple[str, ...]) -> Callable:
+    """Seeded draw in a fixed order: n, m, gamma (if drawn), fs (the first
+    nonzero), g (nonzero), us, then f or v when the shape takes one."""
+    def draw(rng, cfg: SamplerConfig) -> dict:
+        def element(nonzero=False):
+            return family.draw(rng, cfg.max_degree, cfg.coefficient_bound, nonzero)
+        n = rng.randint(*cfg.n_range)
+        m = rng.randint(*cfg.m_range)
+        drawn = {"gamma": random_gamma(rng)} if family.gamma else {}
+        drawn["fs"] = [element(i == 0) for i in range(n)]
+        drawn["g"] = element(nonzero=True)
+        drawn["us"] = [element() for _ in range(m)]
+        for last in ("f", "v"):
+            if last in args:
+                drawn[last] = element()
+        return {key: drawn[key] for key in args + ("gamma",) * family.gamma}
+    return draw
+
+
+def _shape_args(family: str, kind: str) -> tuple[str, ...]:
+    # The imaginary-shift corollary has no two-path ratio, hence no v.
+    return KINDS[kind][:2] if (family, kind) == ("cas-imag", "corollary") else KINDS[kind]
+
+
+def _draw_classical_limit(rng, cfg: SamplerConfig) -> dict:
+    fs = [random_poly(rng, 3, cfg.coefficient_bound, nonzero=True) for _ in range(3)]
+    return dict(fs=fs, gamma0=Fraction(1), halvings=4)
+
+
+def _polys(data) -> list[Poly]:
+    return [Poly.deserialize(d) for d in data]
+
+
+def _potential(d: dict) -> RationalFn:
+    return RationalFn(Poly.deserialize(d["v_num"]), Poly.deserialize(d["v_den"]))
+
+
+def _replay_oqm_two_path(d: dict) -> CheckReport:
+    model = oqm.build_harmonic_model(max(d["d_e"] + [d["n"]]) + 2, max(d["d_v"] + [0]) + 1)
+    return oqm.two_path_compare(model, d["d_v"], d["d_e"], d["n"])
+
+
+def _replay_idqm_two_path(d: dict) -> CheckReport:
+    return idqm.two_path_compare_idqm(_potential(d), _polys(d["dv"]), _polys(d["de"]),
+                                      Poly.deserialize(d["v_state"]), rational(d["gamma"]),
+                                      Poly.deserialize(d["mu"]))
+
+
+def _replay_idqm_prefactor(d: dict) -> CheckReport:
+    return idqm.check_prefactor_gg(_potential(d), rational(d["gamma"]), d["l"], d["m"])
+
+
+def _replay_idqm_potential(d: dict) -> CheckReport:
+    return idqm.check_potential_product_identity(_potential(d), _polys(d["seeds"]),
+                                                 rational(d["gamma"]), d["m"],
+                                                 Poly.deserialize(d["mu"]))
+
+
+def _meixner_model(d: dict) -> rdqm.RdqmModel:
+    return rdqm.build_meixner_model(d["beta"], d["c"], n_max=d["n_max"], x_max=d["window"],
+                                    precision_bits=d["precision_bits"])
+
+
+def _replay_rdqm_two_path(d: dict) -> CheckReport:
+    return rdqm.two_path_compare_rdqm(_meixner_model(d), d["dv_energies"], d["de_labels"],
+                                      d["n"], mpmath.mpf(d["tolerance"]),
+                                      compare_up_to=d["compare_up_to"])
+
+
+def _replay_rdqm_step(d: dict) -> CheckReport:
+    model = _meixner_model(d)
+    seeds, energies = rdqm.seed_set(model, d["dv_energies"], d["de_labels"])
+    report = rdqm.darboux_step_replay(model.b_grid, model.d_grid, seeds, energies, d["s"],
+                                      model.eigen(d["n"]), mpmath.mpf(d["tolerance"]),
+                                      model.precision_bits)
+    report.params["n"] = d["n"]
+    return report
+
+
+CHECKS: dict[str, Check] = {
+    f"{family}.{kind}": _checker_row(
+        f"check_{family}_{kind}".replace("-", "_"), row.element,
+        _family_draw(row, _shape_args(family, kind)))
+    for family, row in FAMILIES.items() for kind in KINDS
+}
+CHECKS.update({
+    "cas-imag.classical-limit": _checker_row("check_classical_limit", Poly, _draw_classical_limit),
+    "cas-imag.sum-formula": _checker_row("check_sum_formula"),
+    "oqm.two-path": Check(_replay_oqm_two_path),
+    "idqm.two-path": Check(_replay_idqm_two_path),
+    "idqm.prefactor-gg": Check(_replay_idqm_prefactor),
+    "idqm.potential-product": Check(_replay_idqm_potential),
+    "rdqm.two-path": Check(_replay_rdqm_two_path),
+    "rdqm.step-replay": Check(_replay_rdqm_step),
+})
+
+IDENTITY_IDS = tuple(sorted(f"{family}.{kind}" for family in FAMILIES for kind in KINDS))
+
+
+def replay_witness(witness) -> CheckReport:
+    """Re-run the check a witness records: registry lookup, decode, call.
+
+    A witness that is not an object with ``identityId`` and ``inputs``, names
+    no registered check or lacks an input raises ValueError.
+    """
+    if not (isinstance(witness, dict) and "identityId" in witness
+            and isinstance(witness.get("inputs"), dict)):
+        raise ValueError("a witness is a JSON object with identityId and inputs")
+    check = CHECKS.get(witness["identityId"])
+    if check is None:
+        raise ValueError(f"cannot replay witness kind: {witness['identityId']}")
+    try:
+        return check.replay(witness["inputs"])
+    except KeyError as exc:
+        raise ValueError(f"witness inputs lack or misname {exc}") from None
+
+
+def draw_trial(identity_id: str, config: SamplerConfig, trial: int) -> tuple[dict, CheckReport]:
+    """Inputs and report of one seeded trial; degenerate draws (zero Wronskian
+    denominators) are redrawn from the same stream a bounded number of times."""
+    check = CHECKS[identity_id]
+    rng = trial_rng(config, identity_id, trial)
+    for _ in range(20):
+        inputs = check.draw(rng, config)
+        try:
+            return inputs, check.run(inputs)
+        except ZeroDivisionError:
+            continue
+    raise RuntimeError(f"could not draw a nondegenerate instance for {identity_id}")
 
 
 def run_single_trial(identity_id: str, config: SamplerConfig, trial: int) -> CheckReport:
-    """One seeded trial; degenerate draws (zero Wronskian denominators) are
-    redrawn from the same stream a bounded number of times."""
-    rng = trial_rng(config, identity_id, trial)
-    sampler = _FAMILY_SAMPLERS[identity_id]
-    for _ in range(20):
-        try:
-            report = sampler(rng, config)
-            break
-        except ZeroDivisionError:
-            continue
-    else:
-        raise RuntimeError(f"could not draw a nondegenerate instance for {identity_id}")
+    """One seeded trial, tagged with its trial index and seed."""
+    report = draw_trial(identity_id, config, trial)[1]
     report.params["trial"] = trial
     report.params["seed"] = f"{config.master_seed}:{identity_id}:{trial}"
     return report
@@ -687,71 +789,7 @@ def run_identity_suite(config: SamplerConfig,
     if include_extras:
         reports.append(check_sum_formula(10))
         for trial in range(min(config.trials, 50)):
-            rng = trial_rng(config, "cas-imag.classical-limit", trial)
-            fs = [random_poly(rng, 3, config.coefficient_bound, nonzero=True)
-                  for _ in range(3)]
-            rep = check_classical_limit(fs, Fraction(1), 4)
+            rep = draw_trial("cas-imag.classical-limit", config, trial)[1]
             rep.params["trial"] = trial
             reports.append(rep)
     return sort_reports(reports)
-
-
-def replay_witness(witness: dict) -> CheckReport:
-    """Re-run the single check recorded in a witness dict."""
-    identity_id = witness["identityId"]
-    inputs = witness["inputs"]
-    family, kind = identity_id.split(".", 1)
-
-    if family == "wronskian":
-        des = ExpPoly.deserialize
-        if kind == "quotient":
-            return check_wronskian_quotient(des(inputs["f"]), des(inputs["g"]))
-        fs = [des(d) for d in inputs.get("fs", [])]
-        if kind == "one-reduction":
-            return check_wronskian_one_reduction(fs)
-        if kind == "gauge":
-            return check_wronskian_gauge(fs, des(inputs["g"]))
-        if kind == "nesting":
-            return check_wronskian_nesting(fs, des(inputs["g"]))
-        if kind == "theorem":
-            return check_wronskian_theorem(fs, [des(d) for d in inputs["us"]])
-        if kind == "corollary":
-            return check_wronskian_corollary(fs, [des(d) for d in inputs["us"]],
-                                             des(inputs["v"]))
-    if family == "cas-imag":
-        if kind == "sum-formula":
-            return check_sum_formula(inputs["j_max"])
-        fs = [Poly.deserialize(d) for d in inputs.get("fs", [])]
-        if kind == "classical-limit":
-            return check_classical_limit(fs, inputs["gamma0"], inputs["halvings"])
-        gamma = rational(inputs["gamma"])
-        if kind == "quotient":
-            return check_cas_imag_quotient(Poly.deserialize(inputs["f"]),
-                                           Poly.deserialize(inputs["g"]), gamma)
-        if kind == "one-reduction":
-            return check_cas_imag_one_reduction(fs, gamma)
-        if kind == "gauge":
-            return check_cas_imag_gauge(fs, Poly.deserialize(inputs["g"]), gamma)
-        if kind == "nesting":
-            return check_cas_imag_nesting(fs, Poly.deserialize(inputs["g"]), gamma)
-        if kind == "theorem":
-            return check_cas_imag_theorem(fs, [Poly.deserialize(d) for d in inputs["us"]], gamma)
-        if kind == "corollary":
-            return check_cas_imag_corollary(fs, [Poly.deserialize(d) for d in inputs["us"]], gamma)
-    if family == "cas-real":
-        fs = [Poly.deserialize(d) for d in inputs.get("fs", [])]
-        if kind == "quotient":
-            return check_cas_real_quotient(Poly.deserialize(inputs["f"]),
-                                           Poly.deserialize(inputs["g"]))
-        if kind == "one-reduction":
-            return check_cas_real_one_reduction(fs)
-        if kind == "gauge":
-            return check_cas_real_gauge(fs, Poly.deserialize(inputs["g"]))
-        if kind == "nesting":
-            return check_cas_real_nesting(fs, Poly.deserialize(inputs["g"]))
-        if kind == "theorem":
-            return check_cas_real_theorem(fs, [Poly.deserialize(d) for d in inputs["us"]])
-        if kind == "corollary":
-            v = Poly.deserialize(inputs["v"]) if "v" in inputs else None
-            return check_cas_real_corollary(fs, [Poly.deserialize(d) for d in inputs["us"]], v)
-    raise ValueError(f"unknown witness identity: {identity_id}")

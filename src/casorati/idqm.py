@@ -47,8 +47,7 @@ class RadicalRationalFn:
     """cof(x) * sqrt(rad(x)) with rational cof, rad.
 
     Multiplication combines cofactors and radicands; squaring produces a
-    plain RationalFn.  Equality is equality of squares plus sign agreement
-    at a designated real sample point.
+    plain RationalFn.
     """
 
     __slots__ = ("cof", "rad")
@@ -76,15 +75,6 @@ class RadicalRationalFn:
     def shift(self, delta) -> "RadicalRationalFn":
         return RadicalRationalFn(self.cof.shift(delta), self.rad.shift(delta))
 
-    def equals(self, other: "RadicalRationalFn", sample) -> bool:
-        if self.square() != other.square():
-            return False
-        mine = self.sign_at(sample)
-        theirs = other.sign_at(sample)
-        if mine is None or theirs is None:
-            raise InconclusiveSignError(f"radicand not positive at sample {sample}")
-        return mine == theirs
-
     def sign_at(self, sample):
         """Sign of the value at a real sample, or None if the radicand is
         not strictly positive (or anything fails to be real)."""
@@ -99,10 +89,6 @@ class RadicalRationalFn:
 
     def __repr__(self) -> str:
         return f"RadicalRationalFn(cof={self.cof!r}, rad={self.rad!r})"
-
-
-class InconclusiveSignError(RuntimeError):
-    """No admissible sample point fixed the sign; distinct from inequality."""
 
 
 def deformed_potential_vd(v: RationalFn, seeds: Sequence[Poly], gamma,
@@ -365,6 +351,7 @@ def two_path_compare_idqm(v: RationalFn, dv_seeds: Sequence[Poly],
     inconclusive outcome, not a failure.
     """
     gamma = rational(gamma)
+    mu_state = Poly.one() if mu_state is None else mu_state
     path_one = one_shot_idqm(v, list(dv_seeds) + list(de_seeds), v_state, gamma)
     path_two = staged_idqm(v, dv_seeds, de_seeds, v_state, gamma, mu_state)
     exact = path_one.equals_pow8(path_two)
@@ -399,6 +386,7 @@ def two_path_compare_idqm(v: RationalFn, dv_seeds: Sequence[Poly],
                               "dv": [s.serialize() for s in dv_seeds],
                               "de": [s.serialize() for s in de_seeds],
                               "v_state": v_state.serialize(),
+                              "mu": mu_state.serialize(),
                               "gamma": format_rational(gamma)}}
     return CheckReport(
         identity_id="idqm.two-path", passed=passed,

@@ -23,6 +23,7 @@ from .scalars import (
     GaussianRational,
     as_gaussian,
     format_gaussian,
+    format_rational,
     mpf_from_rational,
     parse_gaussian,
     rational,
@@ -75,10 +76,6 @@ class Poly:
     @staticmethod
     def constant(c) -> "Poly":
         return Poly([c])
-
-    @staticmethod
-    def monomial(degree: int, coeff=1) -> "Poly":
-        return Poly([0] * degree + [coeff])
 
     # -- structure ------------------------------------------------------------
 
@@ -317,11 +314,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-def _int_cleared(p: Poly) -> tuple[list[int], list[int], int]:
-    """Coefficients scaled to Gaussian integers plus the common denominator."""
-    return p._int_form()
-
-
 def _eval_gauss_int(re: list[int], im: list[int], x: int) -> tuple[int, int]:
     a = b = 0
     for cr, ci in zip(reversed(re), reversed(im)):
@@ -350,7 +342,7 @@ def poly_products_equal(lhs: Sequence[tuple["Poly", int]],
             if p.is_zero():
                 return None, None, None
             deg += p.degree * e
-            re, im, d = _int_cleared(p)
+            re, im, d = p._int_form()
             factors.append((re, im, e))
             den *= d ** e
         return deg, factors, den
@@ -611,7 +603,6 @@ class ExpPoly:
         return f"({self.p}) * exp(({format_pair(self.a, self.b)})/2)"
 
     def serialize(self) -> dict:
-        from .scalars import format_rational
         return {"p": self.p.serialize(),
                 "a": format_rational(self.a),
                 "b": format_rational(self.b)}
@@ -622,7 +613,6 @@ class ExpPoly:
 
 
 def format_pair(a: Fraction, b: Fraction) -> str:
-    from .scalars import format_rational
     return f"{format_rational(a)}*x^2 + {format_rational(b)}*x"
 
 

@@ -38,10 +38,6 @@ class NegativeRadicandError(ArithmeticError):
     """A real square root met a negative argument (sign premise violated)."""
 
 
-class SignAssumptionError(ArithmeticError):
-    """sgn W_C at x = 0, 1 disagreed, so the square-root rule has no anchor."""
-
-
 def _sign(value) -> int:
     if value > 0:
         return 1
@@ -113,8 +109,8 @@ def build_meixner_model(beta, c, n_max: int, x_max: int,
     b_fn = RationalFn(Poly([beta * c, c]), Poly.constant(1 - c))
     d_fn = RationalFn(x, Poly.constant(1 - c))
     with working_precision(precision_bits):
-        b_grid = GridFn([mpf_from_rational(_rational_at(b_fn, k)) for k in range(x_max + 1)])
-        d_grid = GridFn([mpf_from_rational(_rational_at(d_fn, k)) for k in range(x_max + 1)])
+        b_grid = GridFn([mpf_from_rational(_real_at(b_fn, k)) for k in range(x_max + 1)])
+        d_grid = GridFn([mpf_from_rational(_real_at(d_fn, k)) for k in range(x_max + 1)])
         # ground factor phi_0(x) = sqrt(c^x (beta)_x / x!)
         radicands = [Fraction(1)]
         for k in range(1, x_max + 1):
@@ -127,7 +123,7 @@ def build_meixner_model(beta, c, n_max: int, x_max: int,
         for n in range(n_max + 1):
             p_n = meixner_polynomial(n, beta, c)
             polys.append(p_n)
-            values = [ground(k) * mpf_from_rational(_poly_at(p_n, k)) for k in range(x_max + 1)]
+            values = [ground(k) * mpf_from_rational(_real_at(p_n, k)) for k in range(x_max + 1)]
             phi_n = GridFn(values, energy=Fraction(n))
             res = _relative_residual(b_grid, d_grid, phi_n, mpmath.mpf(n))
             if res > tolerance:
@@ -143,15 +139,8 @@ def build_meixner_model(beta, c, n_max: int, x_max: int,
                      precision_bits=precision_bits)
 
 
-def _rational_at(fn: RationalFn, k: int) -> Fraction:
+def _real_at(fn: Poly | RationalFn, k: int) -> Fraction:
     value = fn(k)
-    if not value.is_real():
-        raise ValueError("expected a real value")
-    return value.re
-
-
-def _poly_at(p: Poly, k: int) -> Fraction:
-    value = p(k)
     if not value.is_real():
         raise ValueError("expected a real value")
     return value.re
@@ -225,6 +214,13 @@ def solve_seed_at_energy(model: RdqmModel, e_tilde) -> GridFn:
         return grid
 
 
+def seed_set(model: RdqmModel, dv_energies: Sequence, de_labels: Sequence[int]):
+    """Seeds in pipeline order (virtual first, then eigenstates) and their energies."""
+    dv = [rational(e) for e in dv_energies]
+    return ([solve_seed_at_energy(model, e) for e in dv] + [model.eigen(k) for k in de_labels],
+            dv + [model.eigen_energy(k) for k in de_labels])
+
+
 def check_definite_sign(psi: GridFn) -> bool:
     signs = {_sign(v) for v in psi.values}
     return len(signs) == 1 and 0 not in signs
@@ -234,13 +230,9 @@ def check_definite_sign(psi: GridFn) -> bool:
 # Deformations
 # ---------------------------------------------------------------------------
 
-def _ones_grid(x_max: int) -> GridFn:
-    return GridFn([mpmath.mpf(1)] * (x_max + 1))
-
-
 def _casoratian(seeds: Sequence[GridFn], x_max: int) -> GridFn:
     if not seeds:
-        return _ones_grid(x_max)
+        return GridFn([mpmath.mpf(1)] * (x_max + 1))
     return casoratian_real_grid(seeds)
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -13,8 +12,8 @@ class CheckReport:
 
     ``passed`` is True iff both sides agreed as reduced exact objects (or
     within the stated tolerance for big-float pipelines).  ``witness`` holds
-    the serialized inputs whenever the check failed, sufficient to replay the
-    exact failure.  ``inconclusive`` flags sign-sample or truncation
+    the serialized inputs whenever the check failed or was inconclusive,
+    sufficient to replay the exact outcome.  ``inconclusive`` flags sign-sample or truncation
     -sensitivity outcomes that are neither pass nor fail.
     """
 
@@ -43,19 +42,6 @@ class CheckReport:
             out["note"] = self.note
         return out
 
-    @staticmethod
-    def from_dict(data: dict) -> "CheckReport":
-        return CheckReport(
-            identity_id=data["identityId"],
-            params=data.get("params", {}),
-            lhs=data.get("lhs", ""),
-            rhs=data.get("rhs", ""),
-            passed=data["pass"],
-            witness=data.get("witness"),
-            inconclusive=data.get("inconclusive", False),
-            note=data.get("note", ""),
-        )
-
 
 def summarize(reports: list[CheckReport]) -> dict:
     failed = sum(1 for r in reports if not r.passed)
@@ -71,10 +57,3 @@ def summarize(reports: list[CheckReport]) -> dict:
 def sort_reports(reports: list[CheckReport]) -> list[CheckReport]:
     """Canonical thread-count-independent ordering."""
     return sorted(reports, key=lambda r: (r.identity_id, r.params.get("trial", -1)))
-
-
-def dump_witness(report: CheckReport, path: str) -> None:
-    if report.witness is None:
-        raise ValueError("report has no witness to dump")
-    with open(path, "w") as fh:
-        json.dump(report.witness, fh, indent=2, sort_keys=True)

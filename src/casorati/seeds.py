@@ -2,8 +2,8 @@
 
 An IndexSet is the ordered pair of label lists (virtual seeds first, then
 eigenstate seeds), with their energies.  It owns the derived quantities:
-M = M_v + M_e, the first surviving level mu = min{n : n not deleted}, the
-pairwise-energy sign factor, and the Krein-Adler admissibility test.
+the first surviving level mu = min{n : n not deleted} and the pairwise-energy
+sign factor.  The Krein-Adler admissibility test is a plain function.
 """
 
 from __future__ import annotations
@@ -66,18 +66,6 @@ class IndexSet:
             raise ValueError("one energy per eigenstate label required")
 
     @property
-    def m_v(self) -> int:
-        return len(self.d_v)
-
-    @property
-    def m_e(self) -> int:
-        return len(self.d_e)
-
-    @property
-    def m_total(self) -> int:
-        return self.m_v + self.m_e
-
-    @property
     def mu(self) -> int:
         """Smallest level not deleted by the eigenstate seeds."""
         deleted = set(self.d_e)
@@ -93,16 +81,8 @@ class IndexSet:
     def epsilon(self) -> int:
         return sign_factor(self.energies())
 
-    def epsilon_v(self) -> int:
-        return sign_factor(self.v_energies)
-
-    def epsilon_e(self) -> int:
-        return sign_factor(self.e_energies)
-
-    def krein_adler(self) -> bool:
-        return krein_adler_check(self.d_e)
-
     def sign_identity_holds(self) -> bool:
         """epsilon_D == (-1)^{l m} epsilon_{D_v} epsilon_{D_e} for this ordering."""
-        lm = self.m_v * self.m_e
-        return self.epsilon() == (-1) ** lm * self.epsilon_v() * self.epsilon_e()
+        lm = len(self.d_v) * len(self.d_e)
+        return (self.epsilon()
+                == (-1) ** lm * sign_factor(self.v_energies) * sign_factor(self.e_energies))

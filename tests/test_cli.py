@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -132,3 +133,77 @@ def test_parse_helpers(tmp_path):
     cfg.write_text("not a pair\n")
     with pytest.raises(ValueError):
         read_config_file(str(cfg))
+
+
+# sha256 of each report without its timestamp and wall_clock_seconds fields,
+# recorded from the code before the check registry; refactors must keep them.
+PINNED_REPORTS = [
+    (["identities", "--trials", "5", "--seed", "42"],
+     "c1b50219fb26f0d44ac4f8b11e91b3675e6696789d6a66b450a4b63dd81e7185"),
+    (["oqm", "--dv", "0", "--de", "1,2", "--n", "0"],
+     "334d7eaa81a837e1cc895b873d90d4b2a5089aed6e323c528fa6926d6f0428a0"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_REPORTS)
+def test_report_bytes_pinned(tmp_path, argv, digest):
+    out = tmp_path / "report.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    for key in ("timestamp", "wall_clock_seconds"):
+        payload.pop(key)
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def replay_check(tmp_path, capsys, command, check):
+    """Replay a report check's witness through the CLI: (exit code, report)."""
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(check["witness"]))
+    capsys.readouterr()
+    code = main([command, "--replay", str(path)])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_replay_idqm_inconclusive_witness_exits_3(tmp_path, capsys):
+    out = tmp_path / "idqm.json"
+    assert main(["idqm", "--trials", "24", "--gamma", "1/2", "--out", str(out)]) == 3
+    check = next(c for c in json.loads(out.read_text())["checks"]
+                 if c["identityId"] == "idqm.two-path" and c["params"]["trial"] == 23)
+    assert check["inconclusive"] and "mu" in check["witness"]["inputs"]
+    code, replayed = replay_check(tmp_path, capsys, "idqm", check)
+    assert code == 3
+    for key in ("pass", "inconclusive", "lhs", "rhs", "note"):
+        assert replayed[key] == check[key]
+
+
+def test_replay_rdqm_witness_carries_its_config(tmp_path, capsys):
+    out = tmp_path / "rdqm.json"
+    assert main(["rdqm", "--beta", "3", "--tolerance", "1e-76", "--dv=-0.6,-1.7",
+                 "--de=1,2", "--n", "0", "--window", "60", "--truncation", "40",
+                 "--out", str(out)]) == 1
+    check = next(c for c in json.loads(out.read_text())["checks"]
+                 if c["identityId"] == "rdqm.two-path")
+    inputs = check["witness"]["inputs"]
+    assert (inputs["beta"], inputs["tolerance"], inputs["window"],
+            inputs["compare_up_to"]) == ("3", "1e-76", 60, 30)
+    # the rdqm flags keep their defaults (beta 2, tolerance 1e-25) on replay
+    code, replayed = replay_check(tmp_path, capsys, "rdqm", check)
+    assert code == 1
+    for key in ("pass", "lhs", "rhs", "params"):
+        assert replayed[key] == check[key]
+
+
+@pytest.mark.parametrize("text", [
+    "[1, 2]",
+    '{"inputs": {}}',
+    '{"identityId": "cas-real.theorem"}',
+    '{"identityId": "cas-real.unknown", "inputs": {}}',
+    '{"identityId": "cas-real.theorem", "inputs": {"fs": []}}',
+    '{"identityId": "rdqm.two-path", "inputs": {"n": 0}}',
+])
+def test_replay_malformed_witness_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "witness.json"
+    path.write_text(text)
+    assert main(["identities", "--replay", str(path)]) == 2
+    assert capsys.readouterr().err.count("\n") == 1

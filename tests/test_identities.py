@@ -1,8 +1,9 @@
+import json
 from fractions import Fraction
-
 
 from casorati.determinants import casoratian_imag, casoratian_real, wronskian
 from casorati.identities import (
+    CHECKS,
     IDENTITY_IDS,
     check_cas_imag_corollary,
     check_cas_imag_gauge,
@@ -24,6 +25,7 @@ from casorati.identities import (
     check_wronskian_one_reduction,
     check_wronskian_quotient,
     check_wronskian_theorem,
+    draw_trial,
     replay_witness,
     run_identity_suite,
     run_single_trial,
@@ -169,8 +171,11 @@ def test_replay_covers_all_identity_kinds():
     cfg = SamplerConfig(trials=1, master_seed=77)
     for identity_id in IDENTITY_IDS:
         report = run_single_trial(identity_id, cfg, 0)
-        assert report.passed, identity_id
-        # force a witness by re-running through the replay path
-        if report.witness is not None:
-            replayed = replay_witness(report.witness)
-            assert replayed.passed == report.passed
+        assert report.passed and report.witness is None, identity_id
+        # passing reports carry no witness: encode the trial's inputs into one
+        inputs, drawn = draw_trial(identity_id, cfg, 0)
+        assert (drawn.lhs, drawn.rhs) == (report.lhs, report.rhs)
+        witness = {"identityId": identity_id, "inputs": CHECKS[identity_id].encode(inputs)}
+        replayed = replay_witness(json.loads(json.dumps(witness)))
+        assert (replayed.passed, replayed.lhs, replayed.rhs, replayed.note) == \
+               (report.passed, report.lhs, report.rhs, report.note), identity_id

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -120,3 +121,28 @@ def test_poly_products_equal():
     assert not poly_products_equal([(x, 1)], [(x + 1, 1)])
     assert poly_products_equal([(Poly.zero(), 1), (x, 5)], [(x - 1, 2), (Poly.zero(), 1)])
     assert not poly_products_equal([(Poly.zero(), 1)], [(x, 1)])
+
+
+rationals = st.fractions(max_denominator=10 ** 12)
+gaussian_polys = st.lists(st.builds(GaussianRational, rationals, rationals),
+                          max_size=7).map(Poly)
+
+
+@given(gaussian_polys)
+def test_poly_serialize_round_trip(p):
+    data = json.loads(json.dumps(p.serialize()))
+    assert Poly.deserialize(data) == p
+
+
+@given(gaussian_polys, rationals, rationals)
+def test_exp_poly_serialize_round_trip(p, a, b):
+    f = ExpPoly(p, a, b)
+    back = ExpPoly.deserialize(json.loads(json.dumps(f.serialize())))
+    assert (back.p, back.a, back.b) == (f.p, f.a, f.b)
+
+
+def test_zero_poly_round_trip():
+    assert Poly.zero().serialize() == []
+    assert Poly.deserialize([]) == Poly.zero()
+    zero = ExpPoly.deserialize(ExpPoly(Poly.zero(), -1, 1).serialize())
+    assert zero.p.is_zero() and zero.pair == (-1, 1)

@@ -1,0 +1,128 @@
+"""The check registry: every check id encodes its inputs into a witness that
+replays, on its own, to the same report."""
+
+import json
+
+import pytest
+
+import casorati.identities as identities_mod
+import casorati.idqm as idqm_mod
+import casorati.oqm as oqm_mod
+from casorati.cli import main
+from casorati.identities import (
+    CHECKS,
+    IDENTITY_IDS,
+    draw_trial,
+    replay_witness,
+    run_single_trial,
+)
+from casorati.poly import Poly, RationalFn
+from casorati.sampling import SamplerConfig
+
+COMPARED = ("pass", "inconclusive", "lhs", "rhs", "note")
+
+
+def untagged(params):
+    return {k: v for k, v in params.items() if k not in ("trial", "seed")}
+
+
+def assert_same(got: dict, want: dict):
+    """Same verdict, sides, note and params, apart from the trial tags."""
+    for key in COMPARED:
+        assert got.get(key) == want.get(key), key
+    assert untagged(got["params"]) == untagged(want["params"])
+
+
+def assert_same_report(replayed, original):
+    assert_same(replayed.to_dict(), original.to_dict())
+
+
+def replay_json(witness):
+    """Replay a witness as it reads back from a file."""
+    return replay_witness(json.loads(json.dumps(witness)))
+
+
+def test_registry_covers_every_witness_kind():
+    assert set(IDENTITY_IDS) < set(CHECKS)
+    assert set(CHECKS) - set(IDENTITY_IDS) == {
+        "cas-imag.classical-limit", "cas-imag.sum-formula", "oqm.two-path",
+        "idqm.two-path", "idqm.prefactor-gg", "idqm.potential-product",
+        "rdqm.two-path", "rdqm.step-replay"}
+
+
+@pytest.mark.parametrize("master_seed", [1, 2, 3])
+@pytest.mark.parametrize("identity_id", [*IDENTITY_IDS, "cas-imag.classical-limit"])
+def test_seeded_draw_replays_from_its_witness(identity_id, master_seed):
+    config = SamplerConfig(trials=1, master_seed=master_seed, max_degree=3)
+    inputs, report = draw_trial(identity_id, config, 0)
+    witness = {"identityId": identity_id, "inputs": CHECKS[identity_id].encode(inputs)}
+    assert_same_report(replay_json(witness), report)
+
+
+def test_checkers_are_looked_up_at_call_time(monkeypatch):
+    """Sweeps and replays call the checker bound in the module now, so a
+    wrapped checker (as a tracer installs) sees every call."""
+    calls = []
+    original = identities_mod.check_cas_real_theorem
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(identities_mod, "check_cas_real_theorem", counted)
+    inputs, _ = draw_trial("cas-real.theorem", SamplerConfig(trials=1), 0)
+    run_single_trial("cas-real.theorem", SamplerConfig(trials=1), 0)
+    replay_witness({"identityId": "cas-real.theorem",
+                    "inputs": CHECKS["cas-real.theorem"].encode(inputs)})
+    assert len(calls) == 3
+
+
+def test_sum_formula_replays_from_its_witness():
+    report = CHECKS["cas-imag.sum-formula"].run({"j_max": 6})
+    witness = {"identityId": "cas-imag.sum-formula",
+               "inputs": CHECKS["cas-imag.sum-formula"].encode({"j_max": 6})}
+    assert_same_report(replay_json(witness), report)
+
+
+@pytest.fixture(scope="module")
+def lab_witnessed_checks(tmp_path_factory):
+    """Checks with a witness from CLI runs of the idqm and rdqm labs."""
+    out = tmp_path_factory.mktemp("labs") / "report.json"
+    checks = []
+    runs = [(["idqm", "--trials", "24", "--gamma", "1/2"], 3),
+            (["rdqm", "--beta", "3", "--tolerance", "1e-76", "--dv=-0.6,-1.7",
+              "--de=1,2", "--n", "0", "--window", "60", "--truncation", "40"], 1),
+            (["rdqm", "--de=1,2", "--n", "0", "--window", "40", "--truncation", "30",
+              "--precision-bits", "128", "--tolerance", "1e-20"], 1)]
+    for argv, code in runs:
+        assert main([*argv, "--out", str(out)]) == code
+        checks += [c for c in json.loads(out.read_text())["checks"] if "witness" in c]
+    return checks
+
+
+@pytest.mark.parametrize("identity_id", ["idqm.two-path", "rdqm.two-path", "rdqm.step-replay"])
+def test_lab_witnesses_replay(identity_id, lab_witnessed_checks):
+    checks = [c for c in lab_witnessed_checks if c["identityId"] == identity_id]
+    assert checks
+    for check in checks:
+        assert_same(replay_json(check["witness"]).to_dict(), check)
+
+
+def test_lab_checks_that_never_fail_still_replay(monkeypatch):
+    """A corrupted helper makes each check fail; its witness then replays,
+    under the same corruption, to the same failure."""
+    x = Poly.x()
+    v = RationalFn(x * x + 2, x + 3)
+    staged = oqm_mod.staged_eigenfunction
+    monkeypatch.setattr(oqm_mod, "staged_eigenfunction", lambda *a: staged(*a) * 2)
+    points = idqm_mod.imag_shift_points
+    monkeypatch.setattr(idqm_mod, "imag_shift_points", lambda n, g: points(n + 1, g))
+    vd = idqm_mod.deformed_potential_vd
+    monkeypatch.setattr(idqm_mod, "deformed_potential_vd", lambda *a: vd(*a) * 2)
+    model = oqm_mod.build_harmonic_model(4, 2)
+    reports = [oqm_mod.two_path_compare(model, [0], [1, 2], 0),
+               idqm_mod.check_prefactor_gg(v, 1, 1, 2),
+               idqm_mod.check_potential_product_identity(v, [x + 1], 1, 1, x - 2)]
+    for report in reports:
+        assert not report.passed and report.witness is not None
+        assert_same_report(replay_json(report.witness), report)
