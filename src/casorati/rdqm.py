@@ -23,7 +23,7 @@ from .determinants import casoratian_real_grid
 from .gridfn import GridFn, WindowError
 from .poly import Poly, RationalFn
 from .report import CheckReport
-from .scalars import mpf_from_rational, rational, working_precision
+from .scalars import format_rational, mpf_from_rational, rational, working_precision
 from .seeds import IndexSet, krein_adler_check, sign_factor
 from .tridiag import lowest_eigenvalues
 
@@ -511,7 +511,12 @@ def two_path_compare_rdqm(model: RdqmModel, dv_energies: Sequence,
                     "stage1_positivity": stage1_positivity},
             witness=None if passed else {
                 "identityId": "rdqm.two-path",
-                "inputs": {"dv_energies": [str(e) for e in dv_energies],
+                "inputs": {"beta": format_rational(model.beta),
+                           "c": format_rational(model.c), "n_max": model.n_max,
+                           "window": model.x_max,
+                           "precision_bits": model.precision_bits,
+                           "tolerance": str(tolerance), "compare_up_to": compare_up_to,
+                           "dv_energies": [str(e) for e in dv_energies],
                            "de_labels": list(de_labels), "n": n}})
 
 
@@ -520,7 +525,8 @@ def spectrum_check(model: RdqmModel, dv_energies: Sequence, de_labels: Sequence[
                    sensitivity_threshold) -> dict:
     """Lowest k eigenvalues of the truncated deformed Hamiltonian.
 
-    Bisection via Sturm counts; the deformed spectrum must sit at the
+    Sturm counts isolate each eigenvalue and bracketed Newton polishes it
+    (tridiag.lowest_eigenvalues); the deformed spectrum must sit at the
     surviving original levels (the constant term in the deformed Hamiltonian
     realigns it).  Truncation sensitivity compares against the largest
     usable second truncation (2N when the window allows).

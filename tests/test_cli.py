@@ -136,12 +136,17 @@ def test_parse_helpers(tmp_path):
 
 
 # sha256 of each report without its timestamp and wall_clock_seconds fields,
-# recorded from the code before the check registry; refactors must keep them.
+# recorded from the code before the check registry (identities, oqm) and
+# before the Newton-polished spectrum (rdqm); refactors must keep them.
 PINNED_REPORTS = [
     (["identities", "--trials", "5", "--seed", "42"],
      "c1b50219fb26f0d44ac4f8b11e91b3675e6696789d6a66b450a4b63dd81e7185"),
     (["oqm", "--dv", "0", "--de", "1,2", "--n", "0"],
      "334d7eaa81a837e1cc895b873d90d4b2a5089aed6e323c528fa6926d6f0428a0"),
+    (["rdqm", "--dv=-0.6,-1.7", "--de=1,2", "--n", "0,3"],
+     "9950bd354711edd9bfb62d614f27fafc0a8539155b13af810e146bf70bffc16c"),
+    (["rdqm", "--dv=-0.6", "--n", "0"],
+     "71ca634ff480301fc45241f731bcb858925c8ee1ab7d9ab990562410d3be1caa"),
 ]
 
 

@@ -27,6 +27,7 @@ from casorati.rdqm import (
 )
 from casorati.scalars import working_precision
 from casorati.seeds import IndexSet, sign_factor
+import casorati.tridiag as tridiag_mod
 from casorati.tridiag import lowest_eigenvalues
 
 BITS = 192
@@ -237,6 +238,127 @@ def test_spectrum_against_scipy_oracle(model):
     theirs = scipy_linalg.eigh_tridiagonal(diag, off, eigvals_only=True)
     for a, b in zip(mine, sorted(theirs)[:4]):
         assert abs(float(a) - b) < 1e-8
+
+
+def bisection_eigenvalues(diag, off, k, tol=None):
+    """Reference: each of the k smallest eigenvalues bisected on its own from
+    the Gershgorin interval down to tol, one full Sturm count per step."""
+    n = len(diag)
+    if tol is None:
+        tol = mpmath.mpf(2) ** (-(mpmath.mp.prec * 3) // 4)
+
+    def count(t):
+        below = 0
+        d = diag[0] - t
+        tiny = mpmath.mpf(2) ** (-mpmath.mp.prec) * (1 + abs(t))
+        if d == 0:
+            d = -tiny
+        if d < 0:
+            below += 1
+        for i in range(1, n):
+            d = diag[i] - t - off[i - 1] * off[i - 1] / d
+            if d == 0:
+                d = -tiny
+            if d < 0:
+                below += 1
+        return below
+
+    lo = hi = diag[0]
+    for i in range(n):
+        radius = (abs(off[i - 1]) if i > 0 else 0) + (abs(off[i]) if i < n - 1 else 0)
+        lo = min(lo, diag[i] - radius)
+        hi = max(hi, diag[i] + radius)
+    values = []
+    for j in range(1, k + 1):
+        a, b = lo, hi
+        while b - a > tol * (1 + abs(a) + abs(b)):
+            mid = (a + b) / 2
+            if count(mid) >= j:
+                b = mid
+            else:
+                a = mid
+        values.append((a + b) / 2)
+    return values
+
+
+def assert_matches_bisection(diag, off, k):
+    """Within tol (1 + 2|lambda|) of the reference; in fact equal, since the
+    polish only spares counts the reference's bisection steps would make."""
+    tol = mpmath.mpf(2) ** (-(mpmath.mp.prec * 3) // 4)
+    mine = lowest_eigenvalues(diag, off, k)
+    reference = bisection_eigenvalues(diag, off, k)
+    assert len(mine) == k
+    for got, want in zip(mine, reference):
+        assert abs(got - want) <= tol * (1 + 2 * abs(want))
+    assert mine == reference
+    return mine
+
+
+@pytest.fixture(scope="module")
+def deformed_truncation():
+    """The 60-row truncation of the deformed Meixner Hamiltonian that
+    acceptance criterion 6 checks: seeds at -3/5 and -17/10, levels 1 and 2
+    deleted, 256 bits."""
+    bits = 256
+    big = build_meixner_model(Fraction(2), Fraction(1, 3), n_max=8, x_max=80,
+                              precision_bits=bits)
+    seeds = ([solve_seed_at_energy(big, e) for e in (Fraction(-3, 5), Fraction(-17, 10))]
+             + [big.eigen(1), big.eigen(2)])
+    with working_precision(bits):
+        b_d, d_d, _ = deformed_potentials_bd(big.b_grid, big.d_grid, seeds,
+                                             big.eigen(0), bits)
+        diag = [b_d(x) + d_d(x) for x in range(60)]
+        off = [-mpmath.sqrt(b_d(x) * d_d(x + 1)) for x in range(59)]
+    return bits, diag, off
+
+
+def test_eigenvalues_deformed_meixner_match_bisection(deformed_truncation):
+    bits, diag, off = deformed_truncation
+    with working_precision(bits):
+        assert_matches_bisection(diag, off, 5)
+
+
+def test_eigenvalues_take_few_sturm_counts(deformed_truncation, monkeypatch):
+    """Isolation plus Newton needs a few counts per eigenvalue, where
+    bisecting each one from the Gershgorin interval takes about 1000."""
+    bits, diag, off = deformed_truncation
+    calls = []
+    count_below = tridiag_mod.count_below
+
+    def counted(*args):
+        calls.append(args)
+        return count_below(*args)
+
+    monkeypatch.setattr(tridiag_mod, "count_below", counted)
+    with working_precision(bits):
+        values = lowest_eigenvalues(diag, off, 5)
+    assert len(calls) <= 120
+    assert [int(mpmath.nint(v)) for v in values] == [0, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("bits", [53, 128])
+def test_eigenvalues_wilkinson_close_pairs(bits):
+    """W21+: its upper eigenvalues come in pairs about 1e-14 apart, which
+    128 bits separates and 53 bits cannot; k = n."""
+    diag = [mpmath.mpf(abs(10 - i)) for i in range(21)]
+    off = [mpmath.mpf(1)] * 20
+    with working_precision(bits):
+        values = assert_matches_bisection(diag, off, 21)
+    assert abs(values[-1] - values[-2]) < mpmath.mpf(10) ** -13
+
+
+def test_eigenvalues_reducible_repeated():
+    """off = 0 with repeated integer diagonal entries: the Gershgorin
+    interval is [0, 4], so bisection midpoints land on entries and hit the
+    d == 0 guard, and a repeated eigenvalue never sits alone in a bracket,
+    so it is bisected down to tol; k = n."""
+    diag = [mpmath.mpf(v) for v in (4, 1, 2, 1, 3, 3, 0, 2)]
+    off = [mpmath.mpf(0)] * 7
+    with working_precision(128):
+        values = assert_matches_bisection(diag, off, 8)
+        tol = mpmath.mpf(2) ** -96
+        for got, want in zip(values, [0, 1, 1, 2, 2, 3, 3, 4]):
+            assert abs(got - want) <= tol * (1 + 2 * want)
 
 
 def test_factorization_consistency(model):

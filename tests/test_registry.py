@@ -2,12 +2,15 @@
 replays, on its own, to the same report."""
 
 import json
+from fractions import Fraction
 
+import mpmath
 import pytest
 
 import casorati.identities as identities_mod
 import casorati.idqm as idqm_mod
 import casorati.oqm as oqm_mod
+import casorati.rdqm as rdqm_mod
 from casorati.cli import main
 from casorati.identities import (
     CHECKS,
@@ -126,3 +129,19 @@ def test_lab_checks_that_never_fail_still_replay(monkeypatch):
     for report in reports:
         assert not report.passed and report.witness is not None
         assert_same_report(replay_json(report.witness), report)
+
+
+def test_rdqm_two_path_library_witness_replays(monkeypatch):
+    """Acceptance criterion 8's epsilon-parity control calls
+    two_path_compare_rdqm as a library function; its witness carries the
+    model and tolerance, so it replays, under the same corruption, to the
+    same failure."""
+    true_sign = rdqm_mod.sign_factor
+    monkeypatch.setattr(rdqm_mod, "sign_factor", lambda energies: -true_sign(energies))
+    model = rdqm_mod.build_meixner_model(Fraction(2), Fraction(1, 3), n_max=8, x_max=80,
+                                         precision_bits=256)
+    report = rdqm_mod.two_path_compare_rdqm(model, [Fraction(-3, 5), Fraction(-17, 10)],
+                                            [1, 2], 0, mpmath.mpf(10) ** -25,
+                                            compare_up_to=30)
+    assert not report.passed and report.witness is not None
+    assert_same_report(replay_json(report.witness), report)
