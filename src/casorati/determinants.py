@@ -83,23 +83,29 @@ def cofactor_det(matrix: Sequence[Sequence], zero=None, one=None):
         return Poly.one() if one is None else one
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
+    return _minor_det(matrix, tuple(range(n)), tuple(range(n)))
 
-    def minor_det(rows: tuple[int, ...], cols: tuple[int, ...]):
-        if len(rows) == 1:
-            return matrix[rows[0]][cols[0]]
-        total = None
-        r = rows[0]
-        rest = rows[1:]
-        for idx, c in enumerate(cols):
-            entry = matrix[r][c]
-            sub_cols = cols[:idx] + cols[idx + 1:]
-            term = entry * minor_det(rest, sub_cols)
-            if idx % 2 == 1:
-                term = -term
-            total = term if total is None else total + term
-        return total
 
-    return minor_det(tuple(range(n)), tuple(range(n)))
+def _minor_det(matrix, rows: tuple[int, ...], cols: tuple[int, ...]):
+    """First-row cofactor expansion of the minor on ``rows`` x ``cols``.
+
+    A module function rather than a recursive closure: the closure would
+    refer to itself through its cell, and that cycle would keep the matrix
+    alive until the cyclic garbage collector next runs.
+    """
+    if len(rows) == 1:
+        return matrix[rows[0]][cols[0]]
+    total = None
+    r = rows[0]
+    rest = rows[1:]
+    for idx, c in enumerate(cols):
+        entry = matrix[r][c]
+        sub_cols = cols[:idx] + cols[idx + 1:]
+        term = entry * _minor_det(matrix, rest, sub_cols)
+        if idx % 2 == 1:
+            term = -term
+        total = term if total is None else total + term
+    return total
 
 
 def det_float_scalar(matrix) -> object:

@@ -459,8 +459,9 @@ def check_cas_real_corollary(fs: Sequence[Poly], us: Sequence[Poly],
       P = prod_{j=1}^m W_C[f](x+j-1) W_C[f](x+j).
 
     Signed variant (the epsilon-weighted ratio identity): verified to the 4th
-    power exactly (epsilon^4 == 1 drops out), then sign-checked numerically at
-    sample points where W_C[f] has a definite sign on every argument used.
+    power exactly (epsilon^4 == 1 drops out), then sign-checked exactly at the
+    first sample point where W_C[f] has a definite sign on every argument used
+    and every radical is real: sgn a_v(x0) == epsilon^m sgn c_v(x0).
     """
     m = len(us)
     w0 = casoratian_real(fs)
@@ -480,8 +481,6 @@ def check_cas_real_corollary(fs: Sequence[Poly], us: Sequence[Poly],
         g_v = casoratian_real(list(fs) + [v])
         a_v = casoratian_real(list(fs) + list(us) + [v])
         c_v = casoratian_real(gs + [g_v])
-        qn = w0 * w0.shift(m + 1)
-        qd = w0.shift(1) * w0.shift(m)
         lhs4 = ([(a_v, 4), (w0.shift(1), 1), (w0.shift(m), 1), (c, 2), (c.shift(1), 2)]
                 + [(q, 2) for q in p_parts] + [(w2.shift(m), 2)])
         rhs4 = ([(w0, 1), (w0.shift(m + 1), 1), (c_v, 4), (a, 2), (a.shift(1), 2)]
@@ -499,40 +498,18 @@ def check_cas_real_corollary(fs: Sequence[Poly], us: Sequence[Poly],
                 vals = {
                     "a_v": a_v(x0), "a0": a(x0), "a1": a(x0 + 1),
                     "c_v": c_v(x0), "c0": c(x0), "c1": c(x0 + 1),
-                    "qn": qn(x0), "qd": qd(x0),
                 }
                 if any(not z.is_real() for z in vals.values()):
                     continue
-                f_vals = {k: float(z.re) for k, z in vals.items()}
-                if (f_vals["a0"] * f_vals["a1"] <= 0 or f_vals["c0"] * f_vals["c1"] <= 0
-                        or f_vals["qn"] * f_vals["qd"] <= 0 or f_vals["qd"] == 0):
+                sgn = {k: (z.re > 0) - (z.re < 0) for k, z in vals.items()}
+                if sgn["a0"] * sgn["a1"] <= 0 or sgn["c0"] * sgn["c1"] <= 0:
                     continue
-                w2_vals = []
-                for j in range(1, m + 2):
-                    w2v = w2.shift(j - 1)(x0)
-                    if not w2v.is_real() or w2v.re <= 0:
-                        break
-                    w2_vals.append(float(w2v.re))
-                if len(w2_vals) != m + 1:
-                    continue
-                n_rad = math.prod(w2_vals)            # (prod_{j=1}^{m+1} w_j)^2
-                p_m = math.prod(w2_vals[:m])          # (prod_{j=1}^m w(x+j-1))^2
-                p_m1 = 1.0
-                for j in range(1, m + 1):
-                    w2v = w2.shift(j)(x0)
-                    p_m1 *= float(w2v.re)             # (prod_{j=1}^m w(x+j))^2
-                if p_m1 <= 0:
-                    continue
-                lhs_val = f_vals["a_v"] / math.sqrt(f_vals["a0"] * f_vals["a1"])
-                rhs_val = (eps ** m
-                           * (f_vals["qn"] / f_vals["qd"]) ** 0.25
-                           * f_vals["c_v"] * (p_m * p_m1) ** 0.25
-                           / (math.sqrt(n_rad) * math.sqrt(f_vals["c0"] * f_vals["c1"])))
+                # The w_signs premise makes w2(x0+j) (j = 0..m), qn(x0) =
+                # w0(x0) w0(x0+m+1) and qd(x0) = w0(x0+1) w0(x0+m) positive,
+                # so every radical is real.  The 4th-power identity holds, so
+                # |lhs| == |rhs| exactly: the signs decide.
                 sign_checked = True
-                signs_agree = (lhs_val * rhs_val > 0
-                               or (lhs_val == 0 and rhs_val == 0))
-                close = abs(lhs_val - rhs_val) <= 1e-6 * max(abs(lhs_val), abs(rhs_val), 1e-12)
-                if signs_agree and close:
+                if sgn["a_v"] == eps ** m * sgn["c_v"]:
                     note = f"signs compared at x={x0}"
                 else:
                     ok_signed = False

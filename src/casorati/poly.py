@@ -1,6 +1,13 @@
 """Polynomials over Gaussian rationals, reduced quotients, and exp-prefactor forms.
 
-``Poly`` is dense, coefficient index = degree, trailing zeros stripped.
+``Poly`` stores a polynomial in integer form: two Gaussian-integer coefficient
+vectors ``re`` and ``im`` (index = degree) over one common denominator
+``den > 0``, kept canonical (gcd(den, re, im) = 1, no trailing zero term, the
+zero polynomial has ``den == 1``).  Every operation works on Python ints and
+normalizes once; exact division is pseudo-division.  ``GaussianRational``
+coefficients appear only at the boundary: the ``coeffs`` view, built on each
+read (printing, serialization, big-float evaluation), ``leading()`` and
+``coefficient(k)``.
 ``RationalFn`` is a quotient of two Polys; arithmetic keeps the pair
 unreduced (equality cross-multiplies), ``reduce()``/``canonical()`` produce
 the gcd-reduced monic-denominator representative on demand.
@@ -13,6 +20,7 @@ deformed eigenfunctions and Wronskians of quotients.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 import mpmath
@@ -29,35 +37,92 @@ from .scalars import (
     rational,
 )
 
+_set = object.__setattr__
+
+
+def _parts(value) -> tuple[int, int, int]:
+    """A scalar as (re, im, den): Gaussian integer over a positive denominator."""
+    if isinstance(value, int):
+        return value, 0, 1
+    if isinstance(value, Fraction):
+        return value.numerator, 0, value.denominator
+    z = as_gaussian(value)
+    a, b = z.re, z.im
+    den = lcm(a.denominator, b.denominator)
+    return a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den
+
+
+def _gaussian(re: int, im: int, den: int) -> GaussianRational:
+    return GaussianRational(Fraction(re, den), Fraction(im, den))
+
+
+def _raw(re: list, im: list, den: int) -> "Poly":
+    """Wrap vectors that are already canonical; the Poly takes them over."""
+    p = object.__new__(Poly)
+    _set(p, "re", re)
+    _set(p, "im", im)
+    _set(p, "den", den)
+    return p
+
+
+def _canonical(re: list, im: list, den: int) -> "Poly":
+    """The Poly (re + i*im)/den for den > 0, brought to canonical form."""
+    n = len(re)
+    while n and not re[n - 1] and not im[n - 1]:
+        n -= 1
+    if not n:
+        return _P_ZERO
+    del re[n:], im[n:]
+    g = gcd(den, *re, *im)
+    if g != 1:
+        re = [r // g for r in re]
+        im = [m // g for m in im]
+        den //= g
+    return _raw(re, im, den)
+
+
+def _taylor_shift(re: list, im: list, ur: int, ui: int) -> None:
+    """In place: the integer vector re + i*im becomes its Taylor shift by ur + i*ui."""
+    n = len(re) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            a, b = re[j + 1], im[j + 1]
+            re[j] += ur * a - ui * b
+            im[j] += ur * b + ui * a
+
 
 class Poly:
-    """Dense polynomial with GaussianRational coefficients."""
+    """Dense polynomial (re + i*im)/den over the Gaussian rationals.
 
-    __slots__ = ("coeffs", "_icache")
+    ``re`` and ``im`` are equal-length lists of ints indexed by degree and
+    ``den`` is a positive int; none of them changes after construction.  The
+    form is canonical, so ``==`` and ``hash`` compare the integers directly.
+    ``coeffs`` builds the list of ``GaussianRational`` coefficients on each
+    read.
 
-    def __init__(self, coeffs: Iterable = ()):
-        cs = [as_gaussian(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "_icache", None)
+    The vectors are lists, not tuples, because CPython keeps freed tuples of
+    up to 20 items on per-length free lists that only a full garbage
+    collection empties.  This arithmetic allocates so few tracked objects
+    that full collections are rare, and tuple storage held a few MB of extra
+    peak memory in long runs.
+    """
+
+    __slots__ = ("re", "im", "den")
+
+    def __new__(cls, coeffs: Iterable = ()):
+        parts = [_parts(c) for c in coeffs]
+        den = lcm(*[d for _, _, d in parts])
+        return _canonical([r * (den // d) for r, _, d in parts],
+                          [m * (den // d) for _, m, d in parts], den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
-    def _int_form(self) -> tuple[list[int], list[int], int]:
-        """Denominator-cleared coefficients (re ints, im ints, common den)."""
-        cached = self._icache
-        if cached is None:
-            import math as _math
-            den = 1
-            for c in self.coeffs:
-                den = _math.lcm(den, c.re.denominator, c.im.denominator)
-            re = [int(c.re * den) for c in self.coeffs]
-            im = [int(c.im * den) for c in self.coeffs]
-            cached = (re, im, den)
-            object.__setattr__(self, "_icache", cached)
-        return cached
+    @property
+    def coeffs(self) -> list[GaussianRational]:
+        """The coefficients as GaussianRationals, low degree first."""
+        den = self.den
+        return [_gaussian(r, m, den) for r, m in zip(self.re, self.im)]
 
     # -- constructors ---------------------------------------------------------
 
@@ -82,65 +147,74 @@ class Poly:
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.re) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.re
 
     def is_real(self) -> bool:
-        return all(c.is_real() for c in self.coeffs)
+        return not any(self.im)
 
     def leading(self) -> GaussianRational:
-        if not self.coeffs:
+        if not self.re:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return _gaussian(self.re[-1], self.im[-1], self.den)
 
     def coefficient(self, k: int) -> GaussianRational:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.re):
+            return _gaussian(self.re[k], self.im[k], self.den)
         return GR_ZERO
 
     # -- arithmetic -------------------------------------------------------------
 
+    def _combine(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign*other over the lcm of the two denominators."""
+        d1, d2 = self.den, other.den
+        den = lcm(d1, d2)
+        s1, s2 = den // d1, sign * (den // d2)
+        re1, im1, re2, im2 = self.re, self.im, other.re, other.im
+        if len(re1) < len(re2):
+            re1, im1, re2, im2, s1, s2 = re2, im2, re1, im1, s2, s1
+        re = [s1 * r for r in re1]
+        im = [s1 * m for m in im1]
+        for k, (r, m) in enumerate(zip(re2, im2)):
+            re[k] += s2 * r
+            im[k] += s2 * m
+        return _canonical(re, im, den)
+
     def __add__(self, other) -> "Poly":
         if not isinstance(other, (Poly, int, Fraction, GaussianRational)):
             return NotImplemented
-        other = as_poly(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] = out[k] + c
-        return Poly(out)
+        return self._combine(as_poly(other), 1)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Poly":
         if not isinstance(other, (Poly, int, Fraction, GaussianRational)):
             return NotImplemented
-        return self + (-as_poly(other))
+        return self._combine(as_poly(other), -1)
 
     def __rsub__(self, other) -> "Poly":
         return as_poly(other) + (-self)
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        if not self.re:
+            return self
+        return _raw([-r for r in self.re], [-m for m in self.im], self.den)
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction, GaussianRational)):
-            z = as_gaussian(other)
-            if z.is_zero():
+            zr, zi, zd = _parts(other)
+            if not self.re or (zr == 0 and zi == 0):
                 return _P_ZERO
-            return Poly([c * z for c in self.coeffs])
+            return _canonical([r * zr - m * zi for r, m in zip(self.re, self.im)],
+                              [r * zi + m * zr for r, m in zip(self.re, self.im)],
+                              self.den * zd)
         if not isinstance(other, Poly):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
+        re1, im1, re2, im2 = self.re, self.im, other.re, other.im
+        if not re1 or not re2:
             return _P_ZERO
-        # Convolve in denominator-cleared Gaussian-integer form: one Fraction
-        # normalization per output coefficient instead of one per product.
-        re1, im1, d1 = self._int_form()
-        re2, im2, d2 = other._int_form()
         size = len(re1) + len(re2) - 1
         out_re = [0] * size
         out_im = [0] * size
@@ -148,18 +222,16 @@ class Poly:
             for i, (ra, ia) in enumerate(zip(re1, im1)):
                 if ra == 0 and ia == 0:
                     continue
-                for j, (rb, ib) in enumerate(zip(re2, im2)):
-                    out_re[i + j] += ra * rb - ia * ib
-                    out_im[i + j] += ra * ib + ia * rb
+                for j, (rb, ib) in enumerate(zip(re2, im2), i):
+                    out_re[j] += ra * rb - ia * ib
+                    out_im[j] += ra * ib + ia * rb
         else:
             for i, ra in enumerate(re1):
                 if ra == 0:
                     continue
-                for j, rb in enumerate(re2):
-                    out_re[i + j] += ra * rb
-        den = d1 * d2
-        return Poly([GaussianRational(Fraction(r, den), Fraction(m, den))
-                     for r, m in zip(out_re, out_im)])
+                for j, rb in enumerate(re2, i):
+                    out_re[j] += ra * rb
+        return _canonical(out_re, out_im, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -176,22 +248,53 @@ class Poly:
         return result
 
     def __divmod__(self, other) -> tuple["Poly", "Poly"]:
-        den = as_poly(other)
-        if den.is_zero():
+        """Quotient and remainder by pseudo-division over the Gaussian integers.
+
+        With lc the divisor's leading coefficient, g = gcd(Re lc, Im lc),
+        c = conj(lc)/g and the positive integer N = c*lc, each step
+        multiplies the remainder (and the quotient) by N and subtracts
+        t*c*x^k*B, t being the remainder's leading coefficient.  After s
+        steps both carry the factor N^s, divided out by one normalization.
+        """
+        divisor = as_poly(other)
+        if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        num = list(self.coeffs)
-        dlead = den.leading()
-        dd = den.degree
-        q = [GR_ZERO] * max(len(num) - dd, 0)
-        while len(num) - 1 >= dd and num:
-            k = len(num) - 1 - dd
-            factor = num[-1] / dlead
-            q[k] = factor
-            for j, c in enumerate(den.coeffs):
-                num[k + j] = num[k + j] - factor * c
-            while num and num[-1].is_zero():
-                num.pop()
-        return Poly(q), Poly(num)
+        dd = divisor.degree
+        if len(self.re) <= dd:
+            return _P_ZERO, self
+        br, bi = divisor.re, divisor.im
+        lr, li = br[-1], bi[-1]
+        g = gcd(lr, li)
+        cr, ci = lr // g, -li // g
+        norm = cr * lr - ci * li
+        rr, ri = list(self.re), list(self.im)
+        qr = [0] * (len(rr) - dd)
+        qi = [0] * len(qr)
+        scale = 1
+        for top in range(len(rr) - 1, dd - 1, -1):
+            tr, ti = rr.pop(), ri.pop()
+            if tr == 0 and ti == 0:
+                continue
+            k = top - dd
+            fr, fi = tr * cr - ti * ci, tr * ci + ti * cr
+            if norm != 1:
+                scale *= norm
+                rr = [norm * r for r in rr]
+                ri = [norm * m for m in ri]
+                for j in range(k + 1, len(qr)):
+                    qr[j] *= norm
+                    qi[j] *= norm
+            qr[k], qi[k] = fr, fi
+            for j in range(dd):
+                b_r, b_i = br[j], bi[j]
+                rr[k + j] -= fr * b_r - fi * b_i
+                ri[k + j] -= fr * b_i + fi * b_r
+        # self = A/da, divisor = B/db:  A*scale = Q*B + R, so the quotient is
+        # Q*db/(scale*da) and the remainder R/(scale*da).
+        db = divisor.den
+        den = scale * self.den
+        return (_canonical([q * db for q in qr], [q * db for q in qi], den),
+                _canonical(rr, ri, den))
 
     def exact_div(self, other: "Poly") -> "Poly":
         q, r = divmod(self, other)
@@ -202,32 +305,45 @@ class Poly:
     # -- calculus / substitution -------------------------------------------------
 
     def derivative(self) -> "Poly":
-        return Poly([c * k for k, c in enumerate(self.coeffs)][1:])
+        return _canonical([k * r for k, r in enumerate(self.re)][1:],
+                          [k * m for k, m in enumerate(self.im)][1:], self.den)
 
     def shift(self, delta) -> "Poly":
-        """p(x + delta), exact, via Horner in (x + delta)."""
-        d = as_gaussian(delta)
-        if d.is_zero():
+        """p(x + delta), exact.
+
+        With delta = u/d (u a Gaussian integer): scale c_k by d^(n-k), Taylor
+        shift by u, scale term j by d^j, and multiply the denominator by d^n.
+        """
+        ur, ui, d = _parts(delta)
+        if (ur == 0 and ui == 0) or not self.re:
             return self
-        out: list[GaussianRational] = []
-        for c in reversed(self.coeffs):
-            # out <- out*(x+delta) + c
-            nxt = [GR_ZERO] * (len(out) + 1)
-            for k, o in enumerate(out):
-                nxt[k + 1] = nxt[k + 1] + o
-                nxt[k] = nxt[k] + o * d
-            nxt[0] = nxt[0] + c
-            out = nxt
-        while out and out[-1].is_zero():
-            out.pop()
-        return Poly(out)
+        re, im = list(self.re), list(self.im)
+        n = len(re) - 1
+        if d != 1:
+            for k in range(n):
+                w = d ** (n - k)
+                re[k] *= w
+                im[k] *= w
+        _taylor_shift(re, im, ur, ui)
+        if d != 1:
+            for j in range(1, n + 1):
+                w = d ** j
+                re[j] *= w
+                im[j] *= w
+        return _canonical(re, im, self.den * d ** n)
 
     def __call__(self, x) -> GaussianRational:
-        acc = GR_ZERO
-        z = as_gaussian(x)
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
+        """p(x) by integer Horner: with x = (xr + i*xi)/xd and n the degree,
+        den * xd^n * p(x) = sum_k (r_k + i*m_k) (xr + i*xi)^k xd^(n-k)."""
+        if not self.re:
+            return GR_ZERO
+        xr, xi, xd = _parts(x)
+        ar = ai = 0
+        w = 1
+        for r, m in zip(reversed(self.re), reversed(self.im)):
+            ar, ai = ar * xr - ai * xi + r * w, ar * xi + ai * xr + m * w
+            w *= xd
+        return _gaussian(ar, ai, self.den * w // xd)
 
     def eval_mpf(self, x) -> mpmath.mpc:
         acc = mpmath.mpc(0)
@@ -237,19 +353,24 @@ class Poly:
 
     def conjugate_coeffs(self) -> "Poly":
         """The *-operation: conjugate every coefficient."""
-        return Poly([c.conjugate() for c in self.coeffs])
+        return _raw(self.re, [-m for m in self.im], self.den)
 
     def monic(self) -> "Poly":
+        """p/lead: multiply by conj(lead), over the denominator |lead|^2."""
         if self.is_zero():
             return self
-        lead = self.leading()
-        return Poly([c / lead for c in self.coeffs])
+        lr, li = self.re[-1], self.im[-1]
+        return _canonical([r * lr + m * li for r, m in zip(self.re, self.im)],
+                          [m * lr - r * li for r, m in zip(self.re, self.im)],
+                          lr * lr + li * li)
 
     def max_coeff_bits(self) -> int:
+        """Largest bit length of a reduced numerator or denominator of a coefficient."""
+        den = self.den
         bits = 0
-        for c in self.coeffs:
-            for q in (c.re, c.im):
-                bits = max(bits, q.numerator.bit_length(), q.denominator.bit_length())
+        for q in self.re + self.im:
+            g = gcd(q, den)
+            bits = max(bits, (q // g).bit_length(), (den // g).bit_length())
         return bits
 
     # -- comparison / serialization ----------------------------------------------
@@ -258,11 +379,11 @@ class Poly:
         if isinstance(other, (int, Fraction, GaussianRational)):
             other = Poly([other])
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self.den == other.den and self.re == other.re and self.im == other.im
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((tuple(self.re), tuple(self.im), self.den))
 
     def __repr__(self) -> str:
         return f"Poly([{', '.join(str(c) for c in self.coeffs)}])"
@@ -271,8 +392,9 @@ class Poly:
         if self.is_zero():
             return "0"
         parts = []
+        coeffs = self.coeffs
         for k in range(self.degree, -1, -1):
-            c = self.coefficient(k)
+            c = coeffs[k]
             if c.is_zero():
                 continue
             term = f"({c})" if not c.is_real() or c.re < 0 else str(c)
@@ -292,7 +414,7 @@ class Poly:
         return Poly([parse_gaussian(t) for t in data])
 
 
-_P_ZERO = Poly(())
+_P_ZERO = _raw([], [], 1)
 _P_ONE = Poly((1,))
 _P_X = Poly((0, 1))
 
@@ -314,7 +436,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-def _eval_gauss_int(re: list[int], im: list[int], x: int) -> tuple[int, int]:
+def _eval_gauss_int(re: Sequence[int], im: Sequence[int], x: int) -> tuple[int, int]:
     a = b = 0
     for cr, ci in zip(reversed(re), reversed(im)):
         a = a * x + cr
@@ -342,9 +464,8 @@ def poly_products_equal(lhs: Sequence[tuple["Poly", int]],
             if p.is_zero():
                 return None, None, None
             deg += p.degree * e
-            re, im, d = p._int_form()
-            factors.append((re, im, e))
-            den *= d ** e
+            factors.append((p.re, p.im, e))
+            den *= p.den ** e
         return deg, factors, den
 
     deg_l, fac_l, den_l = prepare(lhs)

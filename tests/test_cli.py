@@ -147,6 +147,8 @@ PINNED_REPORTS = [
      "9950bd354711edd9bfb62d614f27fafc0a8539155b13af810e146bf70bffc16c"),
     (["rdqm", "--dv=-0.6", "--n", "0"],
      "71ca634ff480301fc45241f731bcb858925c8ee1ab7d9ab990562410d3be1caa"),
+    (["identities", "--trials", "200", "--seed", "42"],
+     "54e19fd263c479842a44f4ae9fba3fcad05edc01b6f0492da51e29a445ba367a"),
 ]
 
 

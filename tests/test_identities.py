@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from casorati.determinants import casoratian_imag, casoratian_real, wronskian
 from casorati.identities import (
     CHECKS,
@@ -80,6 +82,20 @@ def test_corollary_hand_cases():
     assert check_cas_imag_corollary([x + 2], [Poly.one(), x * x], Fraction(1)).passed
     rep = check_cas_real_corollary([x + 2], [Poly.one(), x * x], x ** 3)
     assert rep.passed and "sign" in rep.note  # sign sample conclusive here
+
+
+@pytest.mark.parametrize("scale", [1, 10 ** 40, 10 ** 120])
+@pytest.mark.parametrize("eps", [1, -1])
+@pytest.mark.parametrize("m", [1, 2])
+def test_cas_real_corollary_sign_is_exact_at_any_size(scale, eps, m):
+    """The signed verdict compares exact signs: values of 10**120-sized
+    coefficients once overflowed a float, and at 10**40 the float ratio
+    misread as a sign disagreement.  eps = -1 with odd m exercises eps**m."""
+    b = scale
+    us = [Poly([b, 3 * b, 0, b]), Poly([1, b, b, 0, b])][:m]
+    rep = check_cas_real_corollary([Poly([eps * b, 0, eps * b])], us, Poly([2 * b, b, 1, 0, b]))
+    assert rep.passed and not rep.inconclusive
+    assert rep.note == "signs compared at x=0"
 
 
 def test_m2_specializations_match_theorem_byte_identically():

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from casorati.poly import (
     poly_products_equal,
     rational_reduce,
 )
-from casorati.scalars import GaussianRational, working_precision
+from casorati.scalars import GR_ZERO, GaussianRational, as_gaussian, working_precision
 
 x = Poly.x()
 
@@ -146,3 +147,215 @@ def test_zero_poly_round_trip():
     assert Poly.deserialize([]) == Poly.zero()
     zero = ExpPoly.deserialize(ExpPoly(Poly.zero(), -1, 1).serialize())
     assert zero.p.is_zero() and zero.pair == (-1, 1)
+
+
+# ---------------------------------------------------------------------------
+# Reference arithmetic: one GaussianRational per coefficient, as Poly computed
+# before it moved to integer form.  The property tests below require the
+# integer form to agree with it coefficient for coefficient.
+# ---------------------------------------------------------------------------
+
+class RefPoly:
+    def __init__(self, coeffs=()):
+        cs = [as_gaussian(c) for c in coeffs]
+        while cs and cs[-1].is_zero():
+            cs.pop()
+        self.coeffs = cs
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for k, c in enumerate(b):
+            out[k] = out[k] + c
+        return RefPoly(out)
+
+    def __neg__(self):
+        return RefPoly([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, RefPoly):
+            return RefPoly([c * other for c in self.coeffs])
+        out = [GR_ZERO] * max(len(self.coeffs) + len(other.coeffs) - 1, 0)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] = out[i + j] + a * b
+        return RefPoly(out)
+
+    def __divmod__(self, den):
+        num = list(self.coeffs)
+        dlead = den.coeffs[-1]
+        dd = len(den.coeffs) - 1
+        q = [GR_ZERO] * max(len(num) - dd, 0)
+        while len(num) - 1 >= dd and num:
+            k = len(num) - 1 - dd
+            factor = num[-1] / dlead
+            q[k] = factor
+            for j, c in enumerate(den.coeffs):
+                num[k + j] = num[k + j] - factor * c
+            while num and num[-1].is_zero():
+                num.pop()
+        return RefPoly(q), RefPoly(num)
+
+    def derivative(self):
+        return RefPoly([c * k for k, c in enumerate(self.coeffs)][1:])
+
+    def shift(self, delta):
+        out = []
+        for c in reversed(self.coeffs):
+            nxt = [GR_ZERO] * (len(out) + 1)
+            for k, o in enumerate(out):
+                nxt[k + 1] = nxt[k + 1] + o
+                nxt[k] = nxt[k] + o * delta
+            nxt[0] = nxt[0] + c
+            out = nxt
+        return RefPoly(out)
+
+    def __call__(self, z):
+        acc = GR_ZERO
+        for c in reversed(self.coeffs):
+            acc = acc * z + c
+        return acc
+
+    def conjugate_coeffs(self):
+        return RefPoly([c.conjugate() for c in self.coeffs])
+
+    def monic(self):
+        lead = self.coeffs[-1]
+        return RefPoly([c / lead for c in self.coeffs])
+
+    def max_coeff_bits(self):
+        bits = 0
+        for c in self.coeffs:
+            for q in (c.re, c.im):
+                bits = max(bits, q.numerator.bit_length(), q.denominator.bit_length())
+        return bits
+
+
+def assert_canonical(p):
+    assert len(p.re) == len(p.im) and p.den > 0
+    assert math.gcd(p.den, *p.re, *p.im) == 1
+    if p.re:
+        assert p.re[-1] or p.im[-1]
+    else:
+        assert p.den == 1
+
+
+def assert_matches(p, ref):
+    assert_canonical(p)
+    assert p.coeffs == ref.coeffs
+
+
+# Coefficients: zero, small, and large with mismatched denominators; a third
+# of the draws are purely imaginary.
+DENOMINATORS = (1, 2, 3, 7, 9, 2 ** 64, 3 ** 40, 10 ** 12 + 39)
+parts = st.one_of(st.just(Fraction(0)),
+                  st.fractions(min_value=-9, max_value=9, max_denominator=9),
+                  st.builds(Fraction, st.integers(-10 ** 20, 10 ** 20),
+                            st.sampled_from(DENOMINATORS)))
+gaussians = st.one_of(st.builds(GaussianRational, parts, parts),
+                      st.builds(lambda b: GaussianRational(0, b), parts))
+coeff_lists = st.lists(gaussians, max_size=6)
+nonzero = gaussians.filter(lambda z: not z.is_zero())
+# Leading coefficients of divisors: units, Gaussian integers, general values.
+leads = st.one_of(st.sampled_from([GaussianRational(1), GaussianRational(-1),
+                                   GaussianRational(0, 1), GaussianRational(0, -1)]),
+                  st.builds(GaussianRational, st.integers(-60, 60), st.integers(-60, 60))
+                  .filter(lambda z: not z.is_zero()),
+                  nonzero)
+divisors = st.builds(lambda low, lead: low + [lead], st.lists(gaussians, max_size=4), leads)
+
+
+@given(coeff_lists, coeff_lists)
+@settings(max_examples=80)
+def test_ring_ops_match_reference(a, b):
+    p, q, rp, rq = Poly(a), Poly(b), RefPoly(a), RefPoly(b)
+    assert_matches(p, rp)
+    assert_matches(p + q, rp + rq)
+    assert_matches(p - q, rp - rq)
+    assert_matches(-p, -rp)
+    assert_matches(p * q, rp * rq)
+
+
+@given(coeff_lists, gaussians)
+@settings(max_examples=60)
+def test_scalar_mul_matches_reference(a, z):
+    assert_matches(Poly(a) * z, RefPoly(a) * z)
+
+
+@given(st.lists(gaussians, max_size=9), divisors)
+@settings(max_examples=80)
+def test_divmod_matches_reference(a, b):
+    q, r = divmod(Poly(a), Poly(b))
+    rq, rr = divmod(RefPoly(a), RefPoly(b))
+    assert_matches(q, rq)
+    assert_matches(r, rr)
+
+
+@given(coeff_lists, divisors)
+@settings(max_examples=40)
+def test_exact_division_matches_reference(a, b):
+    product = Poly(a) * Poly(b)
+    q, r = divmod(product, Poly(b))
+    assert r.is_zero() and q == Poly(a)
+    assert_matches(product.exact_div(Poly(b)), divmod(RefPoly(a) * RefPoly(b), RefPoly(b))[0])
+
+
+@given(coeff_lists, gaussians)
+@settings(max_examples=60)
+def test_shift_matches_reference(a, delta):
+    assert_matches(Poly(a).shift(delta), RefPoly(a).shift(delta))
+
+
+@given(coeff_lists)
+@settings(max_examples=60)
+def test_unary_ops_match_reference(a):
+    p, ref = Poly(a), RefPoly(a)
+    assert_matches(p.derivative(), ref.derivative())
+    assert_matches(p.conjugate_coeffs(), ref.conjugate_coeffs())
+    if not p.is_zero():
+        assert_matches(p.monic(), ref.monic())
+        assert p.leading() == ref.coeffs[-1]
+    for k in range(-1, len(a) + 1):
+        assert p.coefficient(k) == (ref.coeffs[k] if 0 <= k < len(ref.coeffs) else 0)
+
+
+@given(coeff_lists, st.one_of(gaussians, st.integers(-9, 9)))
+@settings(max_examples=60)
+def test_evaluation_and_bits_match_reference(a, z):
+    p, ref = Poly(a), RefPoly(a)
+    assert p(z) == ref(as_gaussian(z))
+    assert p.max_coeff_bits() == ref.max_coeff_bits()
+
+
+@given(coeff_lists, coeff_lists, nonzero)
+@settings(max_examples=60)
+def test_equal_polys_hash_equal(a, b, z):
+    p, q = Poly(a), Poly(b)
+    for same in ((p + q) - q, (p * z) * (GaussianRational(1) / z), Poly(a + [0, 0]),
+                 Poly.deserialize(p.serialize())):
+        assert_canonical(same)
+        assert same == p and hash(same) == hash(p)
+
+
+@pytest.mark.parametrize("im_den", [7, 7 ** 150])
+def test_big_float_evaluation_uses_reduced_coefficients(im_den):
+    """eval_mpf converts each coefficient's reduced fraction, so its digits do
+    not depend on the common denominator.  With im_den = 7**150, converting
+    r/den over the common denominator rounds differently at 53 and 256 bits."""
+    terms = [GaussianRational(Fraction(1, 3)),
+             GaussianRational(Fraction(5, 2 ** 300), Fraction(1, im_den))]
+    p = Poly(terms)
+    assert p.den == 3 * im_den * 2 ** 300
+    for bits in (53, 256):
+        with working_precision(bits):
+            for x0 in (mpmath.mpf(1) / 3, mpmath.mpc("0.7", "-1.25")):
+                horner = mpmath.mpc(0)
+                for c in reversed(terms):
+                    horner = horner * x0 + c.to_mpc()
+                value = p.eval_mpf(x0)
+                assert (value.real, value.imag) == (horner.real, horner.imag)
