@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -129,10 +130,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser.  argparse objects form reference cycles, so
+    a parser per call would leave garbage for the cyclic collector."""
+    return build_parser()
+
+
 def apply_config_file(args: argparse.Namespace) -> None:
     if not getattr(args, "config", None):
         return
     file_values = read_config_file(args.config)
+    defaults = _parser().parse_args([args.command])
     for key, value in file_values.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
@@ -140,17 +149,11 @@ def apply_config_file(args: argparse.Namespace) -> None:
         # flags override the file: only adopt the file value when the flag
         # still holds its default
         current = getattr(args, attr)
-        default = _flag_default(args.command, attr)
-        if current == default:
+        if current == getattr(defaults, attr, None):
             if isinstance(current, int) and not isinstance(current, bool):
                 setattr(args, attr, int(value))
             else:
                 setattr(args, attr, value)
-
-
-def _flag_default(command: str, attr: str):
-    probe = build_parser().parse_args([command])
-    return getattr(probe, attr, None)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +231,8 @@ def run_rdqm(args, csv_path=None) -> list[CheckReport]:
     seeds, energies = seed_set(model, dv, de)
     for n in levels:
         for rep in darboux_chain_replay(model.b_grid, model.d_grid, seeds, energies,
-                                        model.eigen(n), tolerance, args.precision_bits):
+                                        model.eigen(n), tolerance, args.precision_bits,
+                                        model.memo):
             rep.params["n"] = n
             reports.append(rep)
     # Every witness carries the whole run configuration, so it replays alone.
@@ -239,7 +243,7 @@ def run_rdqm(args, csv_path=None) -> list[CheckReport]:
     for rep in reports:
         if rep.witness is not None:
             rep.witness["inputs"].update(stamp, n=rep.params["n"])
-    sign_ok = sign_conjecture_check(seeds, energies)
+    sign_ok = sign_conjecture_check(seeds, energies, model.memo)
     reports.append(CheckReport(identity_id="rdqm.sign-conjecture", passed=True,
                                lhs="sgn W_C[seeds]", rhs="epsilon_D",
                                params={"holds_on_window": sign_ok},
@@ -323,7 +327,7 @@ def run_replay(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -343,18 +347,18 @@ def main(argv=None) -> int:
             reports = run_rdqm(args, csv_path=args.csv)
         elif args.command == "all":
             reports = []
-            id_args = build_parser().parse_args(["identities", "--trials", str(args.trials),
-                                                 "--seed", str(args.seed)])
+            id_args = parser.parse_args(["identities", "--trials", str(args.trials),
+                                         "--seed", str(args.seed)])
             reports += run_identities(id_args)
-            oqm_args = build_parser().parse_args(["oqm", "--dv", "0", "--de", "1,2",
-                                                  "--n", "0", "--seed", str(args.seed)])
+            oqm_args = parser.parse_args(["oqm", "--dv", "0", "--de", "1,2",
+                                          "--n", "0", "--seed", str(args.seed)])
             reports += run_oqm(oqm_args)
-            idqm_args = build_parser().parse_args(["idqm", "--trials", "25",
-                                                   "--seed", str(args.seed)])
+            idqm_args = parser.parse_args(["idqm", "--trials", "25",
+                                           "--seed", str(args.seed)])
             reports += run_idqm(idqm_args)
-            rdqm_args = build_parser().parse_args(["rdqm", "--dv=-0.6,-1.7",
-                                                   "--de", "1,2", "--n", "0,3",
-                                                   "--seed", str(args.seed)])
+            rdqm_args = parser.parse_args(["rdqm", "--dv=-0.6,-1.7",
+                                           "--de", "1,2", "--n", "0,3",
+                                           "--seed", str(args.seed)])
             reports += run_rdqm(rdqm_args)
         else:  # pragma: no cover
             raise ValueError(f"unknown command {args.command}")

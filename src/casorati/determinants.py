@@ -13,6 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+import mpmath
+from mpmath.libmp import fzero, mpf_abs, mpf_div, mpf_gt, mpf_mul, mpf_mul_int, mpf_neg, mpf_sub
+
 from .gridfn import GridFn, WindowError
 from .poly import ExpPoly, Poly, as_poly
 from .scalars import GaussianRational, i_power, rational
@@ -26,7 +29,12 @@ class DeterminantBudgetError(RuntimeError):
 
 
 def _check_budget(p: Poly) -> None:
-    if p.max_coeff_bits() > COEFF_BIT_BUDGET:
+    """Raise once an entry's reduced coefficients pass COEFF_BIT_BUDGET bits.
+
+    The bit lengths of the stored integers bound ``max_coeff_bits`` without
+    a gcd, so the exact size is computed only when that bound is over."""
+    bound = max(max(map(int.bit_length, p.re + p.im), default=0), p.den.bit_length())
+    if bound > COEFF_BIT_BUDGET and p.max_coeff_bits() > COEFF_BIT_BUDGET:
         raise DeterminantBudgetError(
             f"coefficient size exceeded {COEFF_BIT_BUDGET} bits")
 
@@ -109,27 +117,42 @@ def _minor_det(matrix, rows: tuple[int, ...], cols: tuple[int, ...]):
 
 
 def det_float_scalar(matrix) -> object:
-    """LU determinant with partial pivoting for big-float entries."""
+    """LU determinant with partial pivoting for big-float (mpf) entries.
+
+    The elimination runs on the raw ``_mpf_`` tuples with the
+    ``mpmath.libmp`` calls that mpf's operators make, at the working
+    precision and rounding read once, so every value is bit for bit the
+    operator result.  The pivot is the first row of largest |entry| in its
+    column (as ``max(..., key=abs)`` picks it); a zero pivot column gives 0.
+    """
     n = len(matrix)
     if n == 0:
         return 1
-    rows = [list(row) for row in matrix]
+    prec, rnd = mpmath.mp._prec_rounding
+    rows = [[x._mpf_ for x in row] for row in matrix]
     det = None
-    sign = 1
+    negate = False
     for k in range(n):
-        pivot_row = max(range(k, n), key=lambda r: abs(rows[r][k]))
-        if rows[pivot_row][k] == 0:
-            return rows[0][0] * 0
+        pivot_row = k
+        largest = mpf_abs(rows[k][k], prec, rnd)
+        for r in range(k + 1, n):
+            size = mpf_abs(rows[r][k], prec, rnd)
+            if mpf_gt(size, largest):
+                pivot_row, largest = r, size
+        if rows[pivot_row][k] == fzero:
+            return mpmath.mp.make_mpf(mpf_mul_int(rows[0][0], 0, prec, rnd))
         if pivot_row != k:
             rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-            sign = -sign
-        pivot = rows[k][k]
-        det = pivot if det is None else det * pivot
+            negate = not negate
+        row_k = rows[k]
+        pivot = row_k[k]
+        det = pivot if det is None else mpf_mul(det, pivot, prec, rnd)
         for i in range(k + 1, n):
-            factor = rows[i][k] / pivot
+            row_i = rows[i]
+            factor = mpf_div(row_i[k], pivot, prec, rnd)
             for j in range(k + 1, n):
-                rows[i][j] = rows[i][j] - factor * rows[k][j]
-    return det if sign > 0 else -det
+                row_i[j] = mpf_sub(row_i[j], mpf_mul(factor, row_k[j], prec, rnd), prec, rnd)
+    return mpmath.mp.make_mpf(mpf_neg(det, prec, rnd) if negate else det)
 
 
 # ---------------------------------------------------------------------------

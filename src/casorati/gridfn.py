@@ -47,8 +47,12 @@ class GridFn:
         return iter(self.values)
 
     def truncated(self, x_max: int) -> "GridFn":
+        """The values on {0, ..., x_max}; ``self`` itself when that is the
+        whole window, so callers that key on identity see the same grid."""
         if x_max > self.x_max:
             raise WindowError(f"cannot extend window to {x_max} (have {self.x_max})")
+        if x_max == self.x_max:
+            return self
         return GridFn(self.values[:x_max + 1], self.energy)
 
     # -- pointwise arithmetic on the common window -----------------------------

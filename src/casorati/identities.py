@@ -690,7 +690,7 @@ def _replay_rdqm_step(d: dict) -> CheckReport:
     seeds, energies = rdqm.seed_set(model, d["dv_energies"], d["de_labels"])
     report = rdqm.darboux_step_replay(model.b_grid, model.d_grid, seeds, energies, d["s"],
                                       model.eigen(d["n"]), mpmath.mpf(d["tolerance"]),
-                                      model.precision_bits)
+                                      model.precision_bits, model.memo)
     report.params["n"] = d["n"]
     return report
 

@@ -8,12 +8,16 @@ working precision a model parameter (default 256 bits).  Admissibility
 facts that the source treats as numerically supported conjectures
 (positivity of the deformed potentials, sign-definiteness of the seed
 Casoratians) are checked per instance and reported, never assumed.
+
+One run computes each big-float quantity once: the checks of a run take
+their virtual seeds, seed Casoratians and the first stage of the staged
+path from the model's ``RunMemo``, which is freed with the model.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -64,9 +68,45 @@ def meixner_polynomial(n: int, beta: Fraction, c: Fraction) -> Poly:
     return out
 
 
+class RunMemo:
+    """Big-float results that the checks of one rdQM run share, each
+    computed once.
+
+    ``casoratian`` keys W_C[columns] by the working precision and the column
+    grids themselves: GridFn is immutable and compares by identity, and a key
+    holds its grids, so no id is reused while the memo lives.  ``once`` keys
+    any other result by a tuple of plain values.  A memo lives on its
+    RdqmModel and is freed with it; nothing is kept at module level.
+    """
+
+    def __init__(self):
+        self._entries = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def once(self, key: tuple, compute, *args):
+        """compute(*args), computed on the first call with this key only."""
+        if key not in self._entries:
+            self._entries[key] = compute(*args)
+        return self._entries[key]
+
+    def casoratian(self, columns: Sequence[GridFn]) -> GridFn:
+        """casoratian_real_grid(columns) at the working precision."""
+        return self.once(("W_C", mpmath.mp.prec, *columns),
+                         casoratian_real_grid, list(columns))
+
+
 @dataclass(frozen=True)
 class RdqmModel:
-    """Semi-infinite Meixner lattice model, truncated to {0, ..., x_max}."""
+    """Semi-infinite Meixner lattice model, truncated to {0, ..., x_max}.
+
+    ``off_roots[x]`` is sqrt(B(x)D(x+1)), the negated off-diagonal of H.
+    ``memo`` holds the run's shared results: each virtual seed
+    (``seed``), each grid Casoratian and the first stage of the staged
+    path.  The CLI and the witness replays build one model per run, so the
+    memo lives exactly as long as the run.
+    """
 
     beta: Fraction
     c: Fraction
@@ -80,6 +120,8 @@ class RdqmModel:
     d_grid: GridFn
     x_max: int
     precision_bits: int
+    off_roots: tuple
+    memo: RunMemo = field(default_factory=RunMemo, init=False, compare=False, repr=False)
 
     @property
     def n_max(self) -> int:
@@ -90,6 +132,11 @@ class RdqmModel:
 
     def eigen_energy(self, n: int) -> Fraction:
         return self.energies[n]
+
+    def seed(self, e_tilde) -> GridFn:
+        """The virtual seed at the rational energy e_tilde, solved once."""
+        e_tilde = rational(e_tilde)
+        return self.memo.once(("seed", e_tilde), solve_seed_at_energy, self, e_tilde)
 
 
 def build_meixner_model(beta, c, n_max: int, x_max: int,
@@ -111,6 +158,13 @@ def build_meixner_model(beta, c, n_max: int, x_max: int,
     with working_precision(precision_bits):
         b_grid = GridFn([mpf_from_rational(_real_at(b_fn, k)) for k in range(x_max + 1)])
         d_grid = GridFn([mpf_from_rational(_real_at(d_fn, k)) for k in range(x_max + 1)])
+        off_roots = []
+        for x_pt in range(x_max):
+            value = b_grid(x_pt) * d_grid(x_pt + 1)
+            if value <= 0:
+                raise SingularDeformationError(
+                    f"off-diagonal sqrt(B({x_pt})D({x_pt + 1})) vanishes")
+            off_roots.append(mpmath.sqrt(value))
         # ground factor phi_0(x) = sqrt(c^x (beta)_x / x!)
         radicands = [Fraction(1)]
         for k in range(1, x_max + 1):
@@ -125,7 +179,8 @@ def build_meixner_model(beta, c, n_max: int, x_max: int,
             polys.append(p_n)
             values = [ground(k) * mpf_from_rational(_real_at(p_n, k)) for k in range(x_max + 1)]
             phi_n = GridFn(values, energy=Fraction(n))
-            res = _relative_residual(b_grid, d_grid, phi_n, mpmath.mpf(n))
+            res = _relative_residual(b_grid, d_grid, phi_n, mpmath.mpf(n),
+                                     roots=off_roots)
             if res > tolerance:
                 raise ArithmeticError(f"eigenpair {n} residual {res} above 1e-{precision_bits // 4}")
             energies.append(Fraction(n))
@@ -136,7 +191,7 @@ def build_meixner_model(beta, c, n_max: int, x_max: int,
                      energies=tuple(energies), eigenfunctions=tuple(eigenfunctions),
                      polynomials=tuple(polys), ground=ground,
                      b_grid=b_grid, d_grid=d_grid, x_max=x_max,
-                     precision_bits=precision_bits)
+                     precision_bits=precision_bits, off_roots=tuple(off_roots))
 
 
 def _real_at(fn: Poly | RationalFn, k: int) -> Fraction:
@@ -151,27 +206,31 @@ def _real_at(fn: Poly | RationalFn, k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def apply_hamiltonian(b_grid: GridFn, d_grid: GridFn, psi: GridFn,
-                      energy_shift=0) -> GridFn:
+                      energy_shift=0, roots: Sequence | None = None) -> GridFn:
     """(H psi)(x) on the interior window {0, ..., x_max - 1}.
 
     H = -sqrt(B(x)D(x+1)) e^+ - sqrt(B(x-1)D(x)) e^- + (B + D) + shift;
-    the down term vanishes at x = 0 because D(0) = 0.
+    the down term vanishes at x = 0 because D(0) = 0.  ``roots[x]`` may
+    supply sqrt(B(x)D(x+1)) (a model's ``off_roots``); otherwise each is
+    computed once here.
     """
     n = min(psi.x_max, b_grid.x_max, d_grid.x_max)
+    if roots is None:
+        roots = [mpmath.sqrt(b_grid(x_pt) * d_grid(x_pt + 1)) for x_pt in range(n)]
     values = []
     for x_pt in range(n):
-        up = -mpmath.sqrt(b_grid(x_pt) * d_grid(x_pt + 1)) * psi(x_pt + 1)
+        up = -roots[x_pt] * psi(x_pt + 1)
         diag = (b_grid(x_pt) + d_grid(x_pt) + energy_shift) * psi(x_pt)
         total = up + diag
         if x_pt >= 1:
-            total -= mpmath.sqrt(b_grid(x_pt - 1) * d_grid(x_pt)) * psi(x_pt - 1)
+            total -= roots[x_pt - 1] * psi(x_pt - 1)
         values.append(total)
     return GridFn(values)
 
 
 def _relative_residual(b_grid: GridFn, d_grid: GridFn, psi: GridFn,
-                       energy, energy_shift=0) -> mpmath.mpf:
-    h_psi = apply_hamiltonian(b_grid, d_grid, psi, energy_shift)
+                       energy, energy_shift=0, roots: Sequence | None = None) -> mpmath.mpf:
+    h_psi = apply_hamiltonian(b_grid, d_grid, psi, energy_shift, roots)
     top = max(abs(h_psi(x) - energy * psi(x)) for x in range(h_psi.x_max + 1))
     bottom = max(abs(v) for v in psi.values[:h_psi.x_max + 1])
     return top / bottom
@@ -179,36 +238,31 @@ def _relative_residual(b_grid: GridFn, d_grid: GridFn, psi: GridFn,
 
 def residual(model: RdqmModel, psi: GridFn, energy) -> mpmath.mpf:
     with working_precision(model.precision_bits):
-        return _relative_residual(model.b_grid, model.d_grid, psi, energy)
+        return _relative_residual(model.b_grid, model.d_grid, psi, energy,
+                                  roots=model.off_roots)
 
 
 def solve_seed_at_energy(model: RdqmModel, e_tilde) -> GridFn:
     """Unique grid solution of (H - E)psi = 0 with psi(0) = 1, E < 0.
 
     Row 0 fixes psi(1) because D(0) = 0; the upward three-term recurrence
-    does the rest.  The residual is re-verified before returning.
+    does the rest.  The residual is re-verified before returning.  A run
+    asks ``model.seed`` instead, which solves each energy once.
     """
     with working_precision(model.precision_bits):
         energy = (mpf_from_rational(rational(e_tilde))
                   if isinstance(e_tilde, (int, str, Fraction)) else mpmath.mpf(e_tilde))
         if energy >= 0:
             raise ValueError("seed energy must be negative (virtual-candidate range)")
-        b, d = model.b_grid, model.d_grid
-        off = []
-        for x_pt in range(model.x_max):
-            value = b(x_pt) * d(x_pt + 1)
-            if value <= 0:
-                raise SingularDeformationError(
-                    f"off-diagonal sqrt(B({x_pt})D({x_pt + 1})) vanishes")
-            off.append(mpmath.sqrt(value))
+        b, d, off = model.b_grid, model.d_grid, model.off_roots
         psi = [mpmath.mpf(1), (b(0) - energy) / off[0]]
         for x_pt in range(1, model.x_max):
             nxt = ((b(x_pt) + d(x_pt) - energy) * psi[x_pt]
-                   - (mpmath.sqrt(b(x_pt - 1) * d(x_pt)) * psi[x_pt - 1])) / off[x_pt]
+                   - (off[x_pt - 1] * psi[x_pt - 1])) / off[x_pt]
             psi.append(nxt)
         grid = GridFn(psi, energy=energy)
         tolerance = mpmath.mpf(10) ** (-(model.precision_bits // 4))
-        res = _relative_residual(b, d, grid, energy)
+        res = _relative_residual(b, d, grid, energy, roots=off)
         if res > tolerance:
             raise ArithmeticError(f"seed residual {res} above tolerance")
         return grid
@@ -217,7 +271,7 @@ def solve_seed_at_energy(model: RdqmModel, e_tilde) -> GridFn:
 def seed_set(model: RdqmModel, dv_energies: Sequence, de_labels: Sequence[int]):
     """Seeds in pipeline order (virtual first, then eigenstates) and their energies."""
     dv = [rational(e) for e in dv_energies]
-    return ([solve_seed_at_energy(model, e) for e in dv] + [model.eigen(k) for k in de_labels],
+    return ([model.seed(e) for e in dv] + [model.eigen(k) for k in de_labels],
             dv + [model.eigen_energy(k) for k in de_labels])
 
 
@@ -230,10 +284,12 @@ def check_definite_sign(psi: GridFn) -> bool:
 # Deformations
 # ---------------------------------------------------------------------------
 
-def _casoratian(seeds: Sequence[GridFn], x_max: int) -> GridFn:
-    if not seeds:
+def _casoratian(columns: Sequence[GridFn], x_max: int, memo: RunMemo | None) -> GridFn:
+    """W_C[columns] through the run's memo (a fresh one when the caller has
+    none); the constant 1 on {0, ..., x_max} for no columns."""
+    if not columns:
         return GridFn([mpmath.mpf(1)] * (x_max + 1))
-    return casoratian_real_grid(seeds)
+    return (RunMemo() if memo is None else memo).casoratian(columns)
 
 
 def _require_nonzero(grid: GridFn, what: str) -> None:
@@ -244,7 +300,8 @@ def _require_nonzero(grid: GridFn, what: str) -> None:
 
 def deformed_potentials_bd(b_grid: GridFn, d_grid: GridFn,
                            seeds: Sequence[GridFn], mu_state: GridFn,
-                           precision_bits: int = DEFAULT_PRECISION_BITS):
+                           precision_bits: int = DEFAULT_PRECISION_BITS,
+                           memo: RunMemo | None = None):
     """Deformed potential pair (B_D, D_D) plus a positivity report.
 
     B_D(x) = sqrt(B(x+M)D(x+M+1)) W_C[s](x)/W_C[s](x+1) W_C[s,mu](x+1)/W_C[s,mu](x)
@@ -255,8 +312,8 @@ def deformed_potentials_bd(b_grid: GridFn, d_grid: GridFn,
         m_count = len(seeds)
         x_max = min(b_grid.x_max, d_grid.x_max, mu_state.x_max,
                     *(s.x_max for s in seeds)) if seeds else min(b_grid.x_max, d_grid.x_max, mu_state.x_max)
-        wc = _casoratian(seeds, x_max)
-        wc_mu = _casoratian(list(seeds) + [mu_state], x_max)
+        wc = _casoratian(seeds, x_max, memo)
+        wc_mu = _casoratian(list(seeds) + [mu_state], x_max, memo)
         _require_nonzero(wc, f"W_C[{m_count} seeds]")
         _require_nonzero(wc_mu, f"W_C[{m_count} seeds, mu]")
         out_max = x_max - m_count - 1
@@ -290,7 +347,8 @@ def deformed_potentials_bd(b_grid: GridFn, d_grid: GridFn,
 
 def deformed_eigenfunctions(b_grid: GridFn, d_grid: GridFn,
                             seeds: Sequence[GridFn], seed_energies: Sequence,
-                            phi: GridFn, precision_bits: int = DEFAULT_PRECISION_BITS) -> GridFn:
+                            phi: GridFn, precision_bits: int = DEFAULT_PRECISION_BITS,
+                            memo: RunMemo | None = None) -> GridFn:
     """phi_{D n} = (-1)^M eps_D (prod B D)^{1/4} W_C[seeds, phi] / sqrt(W_C W_C(+1)).
 
     The square root is real: a negative radicand (sign premise violated on
@@ -302,8 +360,8 @@ def deformed_eigenfunctions(b_grid: GridFn, d_grid: GridFn,
             return phi
         epsilon = sign_factor(list(seed_energies))
         x_max = min(phi.x_max, b_grid.x_max, d_grid.x_max, *(s.x_max for s in seeds))
-        wc = _casoratian(seeds, x_max)
-        wc_n = casoratian_real_grid(list(seeds) + [phi.truncated(x_max)])
+        wc = _casoratian(seeds, x_max, memo)
+        wc_n = _casoratian(list(seeds) + [phi.truncated(x_max)], x_max, memo)
         out_max = min(wc_n.x_max, wc.x_max - 1, x_max - m_count)
         if out_max < 0:
             raise WindowError("window too small for the deformed eigenfunction")
@@ -323,12 +381,13 @@ def deformed_eigenfunctions(b_grid: GridFn, d_grid: GridFn,
         return GridFn(values, energy=phi.energy)
 
 
-def sign_conjecture_check(seeds: Sequence[GridFn], seed_energies: Sequence) -> bool:
+def sign_conjecture_check(seeds: Sequence[GridFn], seed_energies: Sequence,
+                          memo: RunMemo | None = None) -> bool:
     """sgn W_C[seeds](x) == eps everywhere on the window."""
     if not seeds:
         return True
     epsilon = sign_factor(list(seed_energies))
-    wc = casoratian_real_grid(list(seeds))
+    wc = _casoratian(seeds, 0, memo)
     return all(_sign(v) == epsilon for v in wc.values)
 
 
@@ -339,7 +398,8 @@ def sign_conjecture_check(seeds: Sequence[GridFn], seed_energies: Sequence) -> b
 def darboux_step_replay(b_grid: GridFn, d_grid: GridFn,
                         seeds: Sequence[GridFn], seed_energies: Sequence,
                         s: int, phi: GridFn, tolerance,
-                        precision_bits: int = DEFAULT_PRECISION_BITS) -> CheckReport:
+                        precision_bits: int = DEFAULT_PRECISION_BITS,
+                        memo: RunMemo | None = None) -> CheckReport:
     """Apply one intermediate Darboux step in tracked-radical form.
 
     The level-s state is the closed form split into sign * plain * radical;
@@ -358,11 +418,11 @@ def darboux_step_replay(b_grid: GridFn, d_grid: GridFn,
         raise ValueError("need 0 <= s < number of seeds")
     with working_precision(precision_bits):
         x_max = min(phi.x_max, b_grid.x_max, d_grid.x_max, *(sd.x_max for sd in seeds))
-        w_s = _casoratian(list(seeds[:s]), x_max)
-        w_s1 = _casoratian(list(seeds[:s + 1]), x_max)
-        wn_s = casoratian_real_grid(list(seeds[:s]) + [phi.truncated(x_max)]) \
-            if s else phi.truncated(x_max)
-        wn_s1 = casoratian_real_grid(list(seeds[:s + 1]) + [phi.truncated(x_max)])
+        phi = phi.truncated(x_max)
+        w_s = _casoratian(seeds[:s], x_max, memo)
+        w_s1 = _casoratian(seeds[:s + 1], x_max, memo)
+        wn_s = _casoratian([*seeds[:s], phi], x_max, memo) if s else phi
+        wn_s1 = _casoratian([*seeds[:s + 1], phi], x_max, memo)
         eps_s = sign_factor(list(seed_energies[:s]))
         eps_s1 = sign_factor(list(seed_energies[:s + 1]))
 
@@ -421,11 +481,13 @@ def darboux_step_replay(b_grid: GridFn, d_grid: GridFn,
 def darboux_chain_replay(b_grid: GridFn, d_grid: GridFn,
                          seeds: Sequence[GridFn], seed_energies: Sequence,
                          phi: GridFn, tolerance,
-                         precision_bits: int = DEFAULT_PRECISION_BITS) -> list[CheckReport]:
+                         precision_bits: int = DEFAULT_PRECISION_BITS,
+                         memo: RunMemo | None = None) -> list[CheckReport]:
     """Replay every step 0..M-1; the final step lands on the closed form
-    with the full sign factor."""
+    with the full sign factor.  The steps share one memo."""
+    memo = RunMemo() if memo is None else memo
     return [darboux_step_replay(b_grid, d_grid, seeds, seed_energies, s, phi,
-                                tolerance, precision_bits)
+                                tolerance, precision_bits, memo)
             for s in range(len(seeds))]
 
 
@@ -446,6 +508,21 @@ def sign_identity_sweep(v_energies: Sequence, e_energies: Sequence) -> bool:
     return True
 
 
+def _first_stage(model: RdqmModel, seeds_v: list, dv_energies: list,
+                 de_labels: Sequence[int]) -> tuple:
+    """Stage 1 of the staged path, the same for every compared level: the
+    potentials the virtual seeds deform to, their positivity report, and
+    the deleted eigenstates deformed by the virtual seeds."""
+    mu_stage1 = model.eigen(0)   # no eigenstates deleted yet at stage 1
+    b_dv, d_dv, positivity = deformed_potentials_bd(
+        model.b_grid, model.d_grid, seeds_v, mu_stage1, model.precision_bits, model.memo)
+    stage2_seeds = [deformed_eigenfunctions(model.b_grid, model.d_grid, seeds_v,
+                                            dv_energies, model.eigen(k),
+                                            model.precision_bits, model.memo)
+                    for k in de_labels]
+    return b_dv, d_dv, positivity, stage2_seeds
+
+
 def two_path_compare_rdqm(model: RdqmModel, dv_energies: Sequence,
                           de_labels: Sequence[int], n: int, tolerance,
                           compare_up_to: int | None = None) -> CheckReport:
@@ -460,7 +537,7 @@ def two_path_compare_rdqm(model: RdqmModel, dv_energies: Sequence,
     if any(dv_energies[i] <= dv_energies[i + 1] for i in range(len(dv_energies) - 1)):
         raise ValueError("virtual seed energies must be strictly decreasing")
     with working_precision(model.precision_bits):
-        seeds_v = [solve_seed_at_energy(model, e) for e in dv_energies]
+        seeds_v = [model.seed(e) for e in dv_energies]
         seeds_e = [model.eigen(k) for k in de_labels]
         e_energies = [model.eigen_energy(k) for k in de_labels]
         index_set = IndexSet(d_v=tuple(f"v{i}" for i in range(len(dv_energies))),
@@ -471,20 +548,16 @@ def two_path_compare_rdqm(model: RdqmModel, dv_energies: Sequence,
         one_shot = deformed_eigenfunctions(
             model.b_grid, model.d_grid, seeds_v + seeds_e,
             list(dv_energies) + list(e_energies), model.eigen(n),
-            model.precision_bits)
+            model.precision_bits, model.memo)
 
-        mu_stage1 = model.eigen(0)   # no eigenstates deleted yet at stage 1
-        b_dv, d_dv, stage1_positivity = deformed_potentials_bd(
-            model.b_grid, model.d_grid, seeds_v, mu_stage1, model.precision_bits)
-        stage2_seeds = [deformed_eigenfunctions(model.b_grid, model.d_grid, seeds_v,
-                                                dv_energies, model.eigen(k),
-                                                model.precision_bits)
-                        for k in de_labels]
+        b_dv, d_dv, stage1_positivity, stage2_seeds = model.memo.once(
+            ("stage 1", tuple(dv_energies), tuple(de_labels)),
+            _first_stage, model, seeds_v, dv_energies, de_labels)
         stage2_phi = deformed_eigenfunctions(model.b_grid, model.d_grid, seeds_v,
                                              dv_energies, model.eigen(n),
-                                             model.precision_bits)
+                                             model.precision_bits, model.memo)
         staged = deformed_eigenfunctions(b_dv, d_dv, stage2_seeds, e_energies,
-                                         stage2_phi, model.precision_bits)
+                                         stage2_phi, model.precision_bits, model.memo)
 
         limit = min(one_shot.x_max, staged.x_max)
         if compare_up_to is not None:
@@ -508,7 +581,7 @@ def two_path_compare_rdqm(model: RdqmModel, dv_energies: Sequence,
                     "sign_identity_all_orderings": sign_ok,
                     "epsilon": index_set.epsilon(),
                     "krein_adler": krein_adler_check(de_labels),
-                    "stage1_positivity": stage1_positivity},
+                    "stage1_positivity": dict(stage1_positivity)},
             witness=None if passed else {
                 "identityId": "rdqm.two-path",
                 "inputs": {"beta": format_rational(model.beta),
@@ -533,32 +606,31 @@ def spectrum_check(model: RdqmModel, dv_energies: Sequence, de_labels: Sequence[
     """
     dv_energies = [rational(e) for e in dv_energies]
     with working_precision(model.precision_bits):
-        seeds = ([solve_seed_at_energy(model, e) for e in dv_energies]
+        seeds = ([model.seed(e) for e in dv_energies]
                  + [model.eigen(kk) for kk in de_labels])
         deleted = set(de_labels)
         mu = 0
         while mu in deleted:
             mu += 1
         b_d, d_d, positivity = deformed_potentials_bd(
-            model.b_grid, model.d_grid, seeds, model.eigen(mu), model.precision_bits)
+            model.b_grid, model.d_grid, seeds, model.eigen(mu), model.precision_bits,
+            model.memo)
         e_mu = mpmath.mpf(mu)
-
-        def truncated_eigs(size: int) -> list:
-            diag = [b_d(x) + d_d(x) + e_mu for x in range(size)]
-            off = []
-            for x_pt in range(size - 1):
-                radicand = b_d(x_pt) * d_d(x_pt + 1)
-                if radicand < 0:
-                    raise NegativeRadicandError(f"B_D D_D < 0 at x = {x_pt}")
-                off.append(-mpmath.sqrt(radicand))
-            return lowest_eigenvalues(diag, off, k)
 
         max_usable = b_d.x_max + 1
         if n_trunc > max_usable:
             raise WindowError(f"truncation {n_trunc} exceeds usable window {max_usable}")
-        primary = truncated_eigs(n_trunc)
+        # Both truncations are leading blocks of the second, larger one.
         second_size = min(2 * n_trunc, max_usable)
-        secondary = truncated_eigs(second_size)
+        diag = [b_d(x) + d_d(x) + e_mu for x in range(second_size)]
+        off = []
+        for x_pt in range(second_size - 1):
+            radicand = b_d(x_pt) * d_d(x_pt + 1)
+            if radicand < 0:
+                raise NegativeRadicandError(f"B_D D_D < 0 at x = {x_pt}")
+            off.append(-mpmath.sqrt(radicand))
+        primary = lowest_eigenvalues(diag[:n_trunc], off[:n_trunc - 1], k)
+        secondary = lowest_eigenvalues(diag, off, k)
         sensitivity = max(abs(a - b) for a, b in zip(primary, secondary))
 
         survivors = [e for e in range(model.n_max + 1) if e not in deleted][:k]

@@ -68,24 +68,34 @@ class GaussianRational:
 
     # -- arithmetic ---------------------------------------------------------
 
+    # An operand that as_gaussian cannot coerce gets NotImplemented, so the
+    # other type's reflected method (e.g. Poly.__radd__) has its turn.
+
     def __add__(self, other) -> "GaussianRational":
-        other = as_gaussian(other)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         return GaussianRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "GaussianRational":
-        other = as_gaussian(other)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         return GaussianRational(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other) -> "GaussianRational":
-        return as_gaussian(other).__sub__(self)
+        other = _operand(other)
+        return NotImplemented if other is None else other.__sub__(self)
 
     def __neg__(self) -> "GaussianRational":
         return GaussianRational(-self.re, -self.im)
 
     def __mul__(self, other) -> "GaussianRational":
-        other = as_gaussian(other)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         a, b, c, d = self.re, self.im, other.re, other.im
         if b.numerator == 0 and d.numerator == 0:
             return GaussianRational(a * c, _F0)
@@ -94,7 +104,9 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "GaussianRational":
-        other = as_gaussian(other)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero GaussianRational")
         a, b, c, d = self.re, self.im, other.re, other.im
@@ -104,7 +116,8 @@ class GaussianRational:
         return GaussianRational((a * c + b * d) / norm, (b * c - a * d) / norm)
 
     def __rtruediv__(self, other) -> "GaussianRational":
-        return as_gaussian(other).__truediv__(self)
+        other = _operand(other)
+        return NotImplemented if other is None else other.__truediv__(self)
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
@@ -159,6 +172,14 @@ def as_gaussian(value) -> GaussianRational:
     if isinstance(value, str):
         return GaussianRational(rational(value))
     raise TypeError(f"cannot coerce {value!r} to GaussianRational")
+
+
+def _operand(value) -> GaussianRational | None:
+    """as_gaussian(value), or None where it would raise TypeError."""
+    try:
+        return as_gaussian(value)
+    except TypeError:
+        return None
 
 
 def i_power(k: int) -> GaussianRational:

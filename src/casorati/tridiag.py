@@ -19,31 +19,64 @@ from __future__ import annotations
 from typing import Sequence
 
 import mpmath
+from mpmath.libmp import (
+    fone,
+    from_int,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_mul,
+    mpf_neg,
+    mpf_pow_int,
+    mpf_rdiv_int,
+    mpf_sub,
+)
 
 
 def count_below(diag: Sequence, off_sq: Sequence, t) -> tuple:
     """(number of eigenvalues strictly below t, p'(t)/p(t)), where off_sq
-    holds the squared off-diagonal entries and p(t) = det(T - t)."""
+    holds the squared off-diagonal entries and p(t) = det(T - t).
+
+    The entries and t are mpf.  The recurrence runs on their raw ``_mpf_``
+    tuples with the ``mpmath.libmp`` calls that mpf's operators make, at the
+    working precision and rounding read once, so every value is bit for bit
+    the operator result; a d_i that is exactly 0 becomes
+    -2^-prec (1 + |t|), and the sign of d_i is read from its tuple.
+    """
+    prec, rnd = mpmath.mp._prec_rounding
+    t = t._mpf_
+    neg_tiny = None
     count = 0
-    d = diag[0] - t
-    tiny = mpmath.mpf(2) ** (-mpmath.mp.prec) * (1 + abs(t))
-    if d == 0:
-        d = -tiny
-    if d < 0:
+    d = mpf_sub(diag[0]._mpf_, t, prec, rnd)
+    if d == fzero:
+        neg_tiny = _neg_tiny(t, prec, rnd)
+        d = neg_tiny
+    if d[0]:
         count += 1
-    r = -1 / d                                # d_i'(t) / d_i(t)
+    r = mpf_rdiv_int(-1, d, prec, rnd)        # d_i'(t) / d_i(t)
     ratio = r
     for i in range(1, len(diag)):
-        q = off_sq[i - 1] / d
-        slope = q * r - 1                     # d_i' = -1 + q d_{i-1}' / d_{i-1}
-        d = diag[i] - t - q
-        if d == 0:
-            d = -tiny
-        if d < 0:
+        q = mpf_div(off_sq[i - 1]._mpf_, d, prec, rnd)
+        # d_i' = -1 + q d_{i-1}' / d_{i-1}
+        slope = mpf_sub(mpf_mul(q, r, prec, rnd), fone, prec, rnd)
+        d = mpf_sub(mpf_sub(diag[i]._mpf_, t, prec, rnd), q, prec, rnd)
+        if d == fzero:
+            if neg_tiny is None:
+                neg_tiny = _neg_tiny(t, prec, rnd)
+            d = neg_tiny
+        if d[0]:
             count += 1
-        r = slope / d
-        ratio += r
-    return count, ratio
+        r = mpf_div(slope, d, prec, rnd)
+        ratio = mpf_add(ratio, r, prec, rnd)
+    return count, mpmath.mp.make_mpf(ratio)
+
+
+def _neg_tiny(t: tuple, prec: int, rnd: str) -> tuple:
+    """-(2^-prec * (1 + |t|)) as the mpf operators compute it."""
+    scale = mpf_pow_int(from_int(2, prec, rnd), -prec, prec, rnd)
+    return mpf_neg(mpf_mul(scale, mpf_add(mpf_abs(t, prec, rnd), fone, prec, rnd),
+                           prec, rnd), prec, rnd)
 
 
 def lowest_eigenvalues(diag: Sequence, off: Sequence, k: int,

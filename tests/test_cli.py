@@ -163,6 +163,22 @@ def test_report_bytes_pinned(tmp_path, argv, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_main_twice_in_one_process_same_digest(tmp_path):
+    """The process's one parser serves every call; the reports stay equal."""
+    from casorati import cli
+    argv, digest = PINNED_REPORTS[1]
+    digests = []
+    for name in ("a.json", "b.json"):
+        assert main([*argv, "--out", str(tmp_path / name)]) == 0
+        payload = json.loads((tmp_path / name).read_text())
+        for key in ("timestamp", "wall_clock_seconds"):
+            payload.pop(key)
+        text = json.dumps(payload, indent=2, sort_keys=True)
+        digests.append(hashlib.sha256(text.encode()).hexdigest())
+    assert digests == [digest, digest]
+    assert cli._parser() is cli._parser()
+
+
 def replay_check(tmp_path, capsys, command, check):
     """Replay a report check's witness through the CLI: (exit code, report)."""
     path = tmp_path / "witness.json"

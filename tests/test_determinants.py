@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import casorati.determinants as det_mod
 from casorati.determinants import (
@@ -10,6 +12,7 @@ from casorati.determinants import (
     casoratian_real,
     casoratian_real_grid,
     cofactor_det,
+    det_float_scalar,
     fraction_free_det,
     wronskian,
     wronskian_over_base,
@@ -17,6 +20,7 @@ from casorati.determinants import (
 from casorati.gridfn import GridFn, WindowError, sample_poly_exact
 from casorati.poly import ExpPoly, Poly
 from casorati.sampling import random_poly
+from casorati.scalars import working_precision
 
 x = Poly.x()
 
@@ -57,6 +61,26 @@ def test_budget_guard():
             fraction_free_det(matrix)
     finally:
         det_mod.COEFF_BIT_BUDGET = old
+
+
+def test_budget_exact_size_decides(monkeypatch):
+    """The gcd-free bound only screens: an entry whose stored integers pass
+    the budget but whose reduced coefficients do not is accepted."""
+    # (1/2) + 2^20 x is stored over den 2 as re = [1, 2^21]: the bound reads
+    # 22 bits, the reduced coefficients 1/2 and 2^20 need 21.
+    entry = Poly([Fraction(1, 2), 2 ** 20])
+    assert (entry.re, entry.den) == ([1, 2 ** 21], 2) and entry.max_coeff_bits() == 21
+    monkeypatch.setattr(det_mod, "COEFF_BIT_BUDGET", 21)
+    det_mod._check_budget(entry)
+    monkeypatch.setattr(det_mod, "COEFF_BIT_BUDGET", 20)
+    with pytest.raises(DeterminantBudgetError):
+        det_mod._check_budget(entry)
+    # through Bareiss: the eliminated entry is `entry` itself, then 2^40 x^2 - 1
+    monkeypatch.setattr(det_mod, "COEFF_BIT_BUDGET", 21)
+    assert fraction_free_det([[Poly.one(), Poly.zero()], [Poly.zero(), entry]]) == entry
+    big = Poly([0, 2 ** 20])
+    with pytest.raises(DeterminantBudgetError):
+        fraction_free_det([[big, Poly.one()], [Poly.one(), big]])
 
 
 def test_wronskian_examples():
@@ -155,3 +179,87 @@ def test_wronskian_over_base_matches_direct_ratio():
               - n2 * (n1.derivative() * base - n1 * base.derivative()))
     assert power == 3
     assert det == direct
+
+
+# ---------------------------------------------------------------------------
+# det_float_scalar against the operator-based LU it replaces
+# ---------------------------------------------------------------------------
+
+def det_float_reference(matrix):
+    """LU with partial pivoting written with mpf operators."""
+    n = len(matrix)
+    if n == 0:
+        return 1
+    rows = [list(row) for row in matrix]
+    det = None
+    sign = 1
+    for k in range(n):
+        pivot_row = max(range(k, n), key=lambda r: abs(rows[r][k]))
+        if rows[pivot_row][k] == 0:
+            return rows[0][0] * 0
+        if pivot_row != k:
+            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+            sign = -sign
+        pivot = rows[k][k]
+        det = pivot if det is None else det * pivot
+        for i in range(k + 1, n):
+            factor = rows[i][k] / pivot
+            for j in range(k + 1, n):
+                rows[i][j] = rows[i][j] - factor * rows[k][j]
+    return det if sign > 0 else -det
+
+
+# Small integers tie pivot magnitudes (|2| = |-2|) and cancel exactly; the
+# ratios and thirds need rounding at every precision.
+float_entries = st.one_of(
+    st.sampled_from([0, 1, -1, 2, -2, 3]),
+    st.tuples(st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6)),
+    st.tuples(st.integers(-50, 50), st.just(3)))
+
+
+@st.composite
+def float_matrices(draw):
+    """(entry bits, working bits, matrix spec): an n x n spec of entries,
+    with a zero column or a repeated row drawn at times."""
+    n = draw(st.integers(1, 5))
+    spec = [[draw(float_entries) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(["plain", "zero column", "repeated row"]))
+    if shape == "zero column":
+        col = draw(st.integers(0, n - 1))
+        for row in spec:
+            row[col] = 0
+    elif shape == "repeated row" and n > 1:
+        spec[n - 1] = list(spec[0])
+    return draw(st.sampled_from([53, 128, 256])), draw(st.sampled_from([53, 128, 256])), spec
+
+
+def _mpf_entry(value):
+    if isinstance(value, tuple):
+        return mpmath.mpf(value[0]) / value[1]
+    return mpmath.mpf(value)
+
+
+@given(float_matrices())
+@settings(max_examples=150, deadline=None)
+@example((128, 128, [[0, 1, 2], [0, 3, 1], [0, -1, 1]]))
+@example((256, 53, [[1, 2, 3], [2, (1, 3), 1], [1, 2, 3]]))
+@example((53, 53, [[3, (2, 3), (1, 3)], [-3, -2, -1], [(5, 7), -1, (-1, 3)]]))
+def test_det_float_scalar_matches_operator_lu(drawn):
+    """Same _mpf_ tuple as the operator LU, for entries made at one
+    precision and eliminated at another.  In the last example rows 0 and 1
+    tie at |3|; taking the later one as pivot rounds the result differently."""
+    entry_bits, bits, spec = drawn
+    with working_precision(entry_bits):
+        matrix = [[_mpf_entry(v) for v in row] for row in spec]
+    with working_precision(bits):
+        got = det_float_scalar(matrix)
+        want = det_float_reference(matrix)
+    assert isinstance(got, mpmath.mpf)
+    assert got._mpf_ == want._mpf_
+
+
+def test_det_float_scalar_zero_column_and_empty():
+    with working_precision(128):
+        zero = [[mpmath.mpf(1), mpmath.mpf(0)], [mpmath.mpf(2), mpmath.mpf(0)]]
+        assert det_float_scalar(zero) == 0 and isinstance(det_float_scalar(zero), mpmath.mpf)
+        assert det_float_scalar([]) == 1

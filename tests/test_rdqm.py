@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from casorati.determinants import casoratian_real_grid
 from casorati.gridfn import GridFn, WindowError
@@ -434,3 +435,162 @@ def test_deformed_potentials_seed_order_invariant(model):
             assert abs(d_a(x_pt) - d_b(x_pt)) <= mpmath.mpf(10) ** -40 * (1 + abs(d_a(x_pt)))
     assert sign_factor([Fraction(-3, 5), Fraction(-17, 10)]) == 1
     assert sign_factor([Fraction(-17, 10), Fraction(-3, 5)]) == -1
+
+
+# ---------------------------------------------------------------------------
+# count_below against the operator-based Sturm recurrence it replaces
+# ---------------------------------------------------------------------------
+
+def count_below_reference(diag, off_sq, t):
+    """The Sturm count and p'/p written with mpf operators."""
+    count = 0
+    d = diag[0] - t
+    tiny = mpmath.mpf(2) ** (-mpmath.mp.prec) * (1 + abs(t))
+    if d == 0:
+        d = -tiny
+    if d < 0:
+        count += 1
+    r = -1 / d
+    ratio = r
+    for i in range(1, len(diag)):
+        q = off_sq[i - 1] / d
+        slope = q * r - 1
+        d = diag[i] - t - q
+        if d == 0:
+            d = -tiny
+        if d < 0:
+            count += 1
+        r = slope / d
+        ratio += r
+    return count, ratio
+
+
+# Small integers and halves make d_i == 0 frequent (t on a diagonal entry,
+# or a_i - t = b_{i-1}^2 / d_{i-1} exactly); ratios need rounding.
+sturm_values = st.one_of(
+    st.sampled_from([0, 1, -1, 2, 3, (1, 2), (-3, 2)]),
+    st.tuples(st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6)))
+
+
+def _mpf_value(value):
+    if isinstance(value, tuple):
+        return mpmath.mpf(value[0]) / value[1]
+    return mpmath.mpf(value)
+
+
+@st.composite
+def sturm_problems(draw):
+    n = draw(st.integers(1, 8))
+    diag = [draw(sturm_values) for _ in range(n)]
+    off_sq = [draw(st.one_of(st.sampled_from([0, 1, (1, 4)]), sturm_values))
+              for _ in range(n - 1)]
+    t = draw(st.one_of(st.sampled_from(diag), sturm_values))
+    return draw(st.sampled_from([53, 128, 256])), diag, off_sq, t
+
+
+@given(sturm_problems())
+@settings(max_examples=200, deadline=None)
+@example((53, [0, 3, 2], [1, 2], 0))          # d_0 == 0 at once
+@example((128, [2, 1], [2], 0))               # d_1 = 1 - 0 - 2/2 == 0
+@example((256, [1, 1, 1], [0, 0], 1))         # every d_i == 0
+def test_count_below_matches_operator_recurrence(drawn):
+    bits, diag, off_sq, t = drawn
+    with working_precision(bits):
+        diag = [_mpf_value(v) for v in diag]
+        off_sq = [abs(_mpf_value(v)) for v in off_sq]
+        t = _mpf_value(t)
+        count, ratio = tridiag_mod.count_below(diag, off_sq, t)
+        want_count, want_ratio = count_below_reference(diag, off_sq, t)
+    assert count == want_count
+    assert isinstance(ratio, mpmath.mpf)
+    assert ratio._mpf_ == want_ratio._mpf_
+
+
+# ---------------------------------------------------------------------------
+# One rdQM run computes each seed and each grid Casoratian once
+# ---------------------------------------------------------------------------
+
+RDQM_ARGV = ["rdqm", "--dv=-0.6,-1.7", "--de=1,2", "--n", "0,3"]
+
+
+def test_rdqm_run_computes_each_casoratian_once(monkeypatch, tmp_path):
+    """Calls of casoratian_real_grid <= distinct (precision, column values)
+    sets, and each virtual seed is solved once."""
+    from casorati import cli
+    import casorati.rdqm as rdqm_mod
+    grid_calls, seed_calls = [], []
+    grid, solve = rdqm_mod.casoratian_real_grid, rdqm_mod.solve_seed_at_energy
+
+    def counted_grid(columns):
+        grid_calls.append((mpmath.mp.prec, tuple(tuple(f.values) for f in columns)))
+        return grid(columns)
+
+    def counted_solve(model, e_tilde):
+        seed_calls.append(e_tilde)
+        return solve(model, e_tilde)
+
+    monkeypatch.setattr(rdqm_mod, "casoratian_real_grid", counted_grid)
+    monkeypatch.setattr(rdqm_mod, "solve_seed_at_energy", counted_solve)
+    assert cli.main([*RDQM_ARGV, "--out", str(tmp_path / "r.json")]) == 0
+    assert len(grid_calls) == len(set(grid_calls))
+    assert sorted(seed_calls) == [Fraction(-17, 10), Fraction(-3, 5)]
+
+
+def test_memo_keys_on_precision():
+    """The same model grids at two precisions get two entries."""
+    small = build_meixner_model(Fraction(2), Fraction(1, 3), n_max=2, x_max=12,
+                                precision_bits=128)
+    columns = [small.eigen(0), small.eigen(1)]
+    with working_precision(64):
+        low = small.memo.casoratian(columns)
+        assert small.memo.casoratian(columns) is low
+    with working_precision(128):
+        high = small.memo.casoratian(columns)
+        assert high.values == casoratian_real_grid(columns).values
+    assert len(small.memo) == 2 and high is not low
+    assert high.values != low.values
+
+
+def test_memo_freed_with_its_model(monkeypatch, tmp_path):
+    """Reference counting alone frees a run's model and memo, and the run
+    leaves no module-level container of the package larger."""
+    import gc
+    import sys
+    import weakref
+
+    from casorati import cli
+
+    built = []
+
+    def build(*args, **kwargs):
+        model = build_meixner_model(*args, **kwargs)
+        built.append((weakref.ref(model), weakref.ref(model.memo)))
+        return model
+
+    def container_sizes():
+        return {(name, attr): len(value)
+                for name, module in sys.modules.items()
+                if name == "casorati" or name.startswith("casorati.")
+                for attr, value in vars(module).items()
+                if isinstance(value, (dict, list, set, tuple))}
+
+    monkeypatch.setattr(cli, "build_meixner_model", build)
+    argv = ["rdqm", "--dv=-0.6", "--n", "0", "--window", "40", "--truncation", "20",
+            "--out", str(tmp_path / "r.json")]
+    cli.main(argv)                      # warm-up: imports and the parser
+    before = container_sizes()
+    gc.disable()
+    try:
+        cli.main(argv)
+        model_ref, memo_ref = built[-1]
+        assert model_ref() is None and memo_ref() is None
+    finally:
+        gc.enable()
+    assert container_sizes() == before
+
+
+def test_truncated_keeps_identity_on_full_window():
+    grid = GridFn([mpmath.mpf(1), mpmath.mpf(2), mpmath.mpf(3)], energy=Fraction(1))
+    assert grid.truncated(2) is grid
+    short = grid.truncated(1)
+    assert short.values == grid.values[:2] and short.energy == grid.energy

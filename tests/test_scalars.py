@@ -67,3 +67,18 @@ def test_rational_parsing():
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         GR_ONE / GaussianRational(0, 0)
+
+
+def test_other_operand_types_get_their_turn():
+    """An operand as_gaussian cannot coerce gets NotImplemented, so Poly's
+    reflected methods answer, as they do for Fraction."""
+    from casorati.poly import Poly
+
+    x = Poly.x()
+    assert GaussianRational(0, 1) * x == Poly([0, GR_I])
+    assert GaussianRational(1) + x == Fraction(1) + x == Poly([1, 1])
+    assert GaussianRational(1) - x == Poly([1, -1])
+    with pytest.raises(TypeError):
+        GaussianRational(1) + object()
+    with pytest.raises(TypeError):
+        object() / GaussianRational(1)
