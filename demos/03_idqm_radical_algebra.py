@@ -1,9 +1,10 @@
 """Imaginary-shift deformation algebra in radical-tracked form.
 
 Square roots of the shifted potential products never get evaluated: they
-ride along as tracked factors with exponents in (1/8)Z.  Comparisons happen
-on the 8th power (a plain rational-function identity, zero tolerance) plus a
-sign check at a real sample point where every tracked radicand is positive.
+ride along as the factors of a PowerProduct, with exponents in (1/8)Z.
+Comparisons happen on a power that clears them (a plain rational-function
+identity, zero tolerance) plus a sign check at a real sample point where
+every tracked radicand is positive.
 """
 
 from fractions import Fraction
@@ -29,11 +30,12 @@ print("star(x + 2) == x + 2 (real V):", star(V) == V)
 
 # ---------------------------------------------------------------------------
 # The deformed potential function: a rational cofactor times the square
-# root of a shifted V V* product.
+# root of a shifted V V* product, the factors cof^1 and rad^(1/2).
 # ---------------------------------------------------------------------------
 vd = deformed_potential_vd(V, [x * x], gamma, Poly.one())
-print("V_D cofactor:", vd.cof.reduce())
-print("V_D radicand:", vd.rad.reduce())
+(cof, _), (rad, _) = vd.factors
+print("V_D cofactor:", cof.reduce())
+print("V_D radicand:", rad.reduce())
 
 # ---------------------------------------------------------------------------
 # The two prefactor-collapse identities that make the staged route close.

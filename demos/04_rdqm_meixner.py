@@ -37,11 +37,8 @@ print("seed sign-definiteness:", [check_definite_sign(s) for s in seeds])
 # seed sets violate the admissibility condition (that is the point), yet the
 # closed form is reached with the correct emergent sign at every step.
 # ---------------------------------------------------------------------------
-energies = dv + [model.eigen_energy(1), model.eigen_energy(2)]
-chain_seeds = seeds + [model.eigen(1), model.eigen(2)]
 tol = mpmath.mpf(10) ** -25
-for rep in darboux_chain_replay(model.b_grid, model.d_grid, chain_seeds, energies,
-                                model.eigen(0), tol, 256):
+for rep in darboux_chain_replay(model, dv, [1, 2], 0, tol):
     print(f"  step s={rep.params['s']}: pass={rep.passed} "
           f"deviation={rep.params['max_relative_deviation']} "
           f"emergent sign={rep.params['sigma_s1']}")

@@ -32,14 +32,13 @@ from .poly import RationalFn
 from .rdqm import (
     build_meixner_model,
     darboux_chain_replay,
-    seed_set,
     sign_conjecture_check,
     spectrum_check,
     two_path_compare_rdqm,
 )
 from .report import CheckReport, sort_reports, summarize
 from .sampling import SamplerConfig, random_poly, trial_rng
-from .scalars import format_rational, rational
+from .scalars import rational
 
 SCHEMA_VERSION = 1
 
@@ -215,35 +214,20 @@ def run_idqm(args) -> list[CheckReport]:
 
 
 def run_rdqm(args, csv_path=None) -> list[CheckReport]:
-    beta = rational(args.beta)
-    c = rational(args.c)
-    tolerance = mpmath.mpf(args.tolerance)
     dv = parse_rational_list(args.dv)
     de = parse_int_list(args.de)
     levels = parse_int_list(args.n) if isinstance(args.n, str) else [args.n]
     compare_up_to = min(40, args.window // 2)
-    model = build_meixner_model(beta, c, n_max=args.n_max, x_max=args.window,
-                                precision_bits=args.precision_bits)
+    mpmath.mpf(args.tolerance)   # a malformed tolerance fails before any work
+    model = build_meixner_model(rational(args.beta), rational(args.c), n_max=args.n_max,
+                                x_max=args.window, precision_bits=args.precision_bits)
     reports = []
     for n in levels:
-        reports.append(two_path_compare_rdqm(model, dv, de, n, tolerance,
+        reports.append(two_path_compare_rdqm(model, dv, de, n, args.tolerance,
                                              compare_up_to=compare_up_to))
-    seeds, energies = seed_set(model, dv, de)
     for n in levels:
-        for rep in darboux_chain_replay(model.b_grid, model.d_grid, seeds, energies,
-                                        model.eigen(n), tolerance, args.precision_bits,
-                                        model.memo):
-            rep.params["n"] = n
-            reports.append(rep)
-    # Every witness carries the whole run configuration, so it replays alone.
-    stamp = {"beta": format_rational(beta), "c": format_rational(c), "n_max": args.n_max,
-             "window": args.window, "precision_bits": args.precision_bits,
-             "tolerance": args.tolerance, "compare_up_to": compare_up_to,
-             "dv_energies": [str(e) for e in dv], "de_labels": de}
-    for rep in reports:
-        if rep.witness is not None:
-            rep.witness["inputs"].update(stamp, n=rep.params["n"])
-    sign_ok = sign_conjecture_check(seeds, energies, model.memo)
+        reports += darboux_chain_replay(model, dv, de, n, args.tolerance, compare_up_to)
+    sign_ok = sign_conjecture_check(model, dv, de)
     reports.append(CheckReport(identity_id="rdqm.sign-conjecture", passed=True,
                                lhs="sgn W_C[seeds]", rhs="epsilon_D",
                                params={"holds_on_window": sign_ok},

@@ -3,9 +3,10 @@ Casoratians, over exact polynomial entries (plus a grid backend for the
 real-shift family).
 
 The workhorse is fraction-free (Bareiss) elimination with exact division and
-sign-tracked row interchanges for zero pivots; ``cofactor_det`` is the
-independent expansion kept as the cross-check oracle.  Empty input returns 1
-for all three families.
+sign-tracked row interchanges for zero pivots.  ``cofactor_det`` is the
+independent expansion: the cross-check oracle for Bareiss, and the evaluator
+of ``wronskian_over_base``'s ExpPoly matrices, which have no exact division.
+Empty input returns 1 for all three families.
 """
 
 from __future__ import annotations
@@ -80,15 +81,16 @@ def fraction_free_det(matrix: Sequence[Sequence[Poly]]) -> Poly:
     return result if sign > 0 else -result
 
 
-def cofactor_det(matrix: Sequence[Sequence], zero=None, one=None):
+def cofactor_det(matrix: Sequence[Sequence]):
     """Determinant by first-row cofactor expansion (generic ring elements).
 
-    Exponential in n; kept as the independent oracle and as the evaluator for
-    entries without exact division (e.g. ExpRatio).
+    Exponential in n.  It evaluates ``wronskian_over_base``'s ExpPoly
+    matrices, where Bareiss has no exact division, and is the independent
+    oracle for ``fraction_free_det``.
     """
     n = len(matrix)
     if n == 0:
-        return Poly.one() if one is None else one
+        return Poly.one()
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
     return _minor_det(matrix, tuple(range(n)), tuple(range(n)))

@@ -84,17 +84,6 @@ class GridFn:
         return f"GridFn([{head}{tail}], x_max={self.x_max}, energy={self.energy})"
 
 
-def sample_poly_exact(poly, x_max: int, energy=None) -> GridFn:
-    """Exact-rational sampling of a real-rational polynomial."""
-    vals = []
-    for x in range(x_max + 1):
-        v = poly(x)
-        if not v.is_real():
-            raise ValueError("exact grid sampling needs real polynomial values")
-        vals.append(v.re)
-    return GridFn(vals, energy)
-
-
 def grid_csv_rows(name: str, grid: GridFn, precision_bits: int | None = None):
     """Rows for CSV export: header then (x, value) pairs."""
     header = [f"x", f"{name}"]

@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-import mpmath
-
 from . import idqm, oqm, rdqm
 from .determinants import (
     casoratian_imag,
@@ -681,18 +679,13 @@ def _meixner_model(d: dict) -> rdqm.RdqmModel:
 
 def _replay_rdqm_two_path(d: dict) -> CheckReport:
     return rdqm.two_path_compare_rdqm(_meixner_model(d), d["dv_energies"], d["de_labels"],
-                                      d["n"], mpmath.mpf(d["tolerance"]),
-                                      compare_up_to=d["compare_up_to"])
+                                      d["n"], d["tolerance"], compare_up_to=d["compare_up_to"])
 
 
 def _replay_rdqm_step(d: dict) -> CheckReport:
-    model = _meixner_model(d)
-    seeds, energies = rdqm.seed_set(model, d["dv_energies"], d["de_labels"])
-    report = rdqm.darboux_step_replay(model.b_grid, model.d_grid, seeds, energies, d["s"],
-                                      model.eigen(d["n"]), mpmath.mpf(d["tolerance"]),
-                                      model.precision_bits, model.memo)
-    report.params["n"] = d["n"]
-    return report
+    return rdqm.darboux_step_replay(_meixner_model(d), d["dv_energies"], d["de_labels"],
+                                    d["n"], d["s"], d["tolerance"],
+                                    compare_up_to=d["compare_up_to"])
 
 
 CHECKS: dict[str, Check] = {

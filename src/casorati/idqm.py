@@ -3,9 +3,12 @@
 The pure-imaginary-shift system is verified at the level its equalities are
 actually provable with exact arithmetic: polynomial stand-ins for the
 wavefunctions and a rational potential function V.  Square roots never get
-evaluated; they ride along as tracked factors with exponents in (1/8)Z, and
-every comparison is performed on the 8th power (an exact rational-function
-identity) plus a sign check at admissible real sample points, where all
+evaluated.  They ride along as the factors of one container, PowerProduct,
+with exponents in (1/8)Z: a deformed potential is cof * rad^(1/2), a deformed
+eigenfunction a longer product.  Every comparison is made on a power that
+clears the radicals (the square for the potential product, the 8th power for
+the eigenfunctions; an exact rational-function identity), plus, for the
+eigenfunctions, a sign check at admissible real sample points, where all
 tracked radicands are strictly positive.
 """
 
@@ -15,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .determinants import casoratian_imag, imag_shift_points
-from .poly import Poly, RationalFn, as_rational_fn, poly_products_equal
+from .poly import Poly, RationalFn, as_rational_fn
 from .report import CheckReport
 from .scalars import GaussianRational, format_rational, rational
 
@@ -43,57 +46,93 @@ def vv_product(v: RationalFn, gamma, total, j_lo: int, j_hi: int) -> RationalFn:
     return out
 
 
-class RadicalRationalFn:
-    """cof(x) * sqrt(rad(x)) with rational cof, rad.
+class PowerProduct:
+    """Product of RationalFn factors raised to exponents in (1/8)Z.
 
-    Multiplication combines cofactors and radicands; squaring produces a
-    plain RationalFn.
+    The one radical-tracking container of the imaginary-shift lab: a deformed
+    potential is cof^1 * rad^(1/2), a deformed eigenfunction a product of
+    V-product and Casoratian factors.  The k-th power is a plain rational
+    function once every exponent times k is an integer; it is compared
+    exactly, and the sign at a real sample point is the product of
+    integer-exponent factor signs once every fractional-exponent radicand
+    checks out strictly positive there.
     """
 
-    __slots__ = ("cof", "rad")
+    __slots__ = ("factors",)
 
-    def __init__(self, cof, rad=None):
-        object.__setattr__(self, "cof", as_rational_fn(cof))
-        object.__setattr__(self, "rad", RationalFn.one() if rad is None else as_rational_fn(rad))
+    def __init__(self, factors: Sequence[tuple[RationalFn, Fraction]] = ()):
+        object.__setattr__(self, "factors", tuple(factors))
 
     def __setattr__(self, name, value):
-        raise AttributeError("RadicalRationalFn is immutable")
+        raise AttributeError("PowerProduct is immutable")
 
-    def __mul__(self, other) -> "RadicalRationalFn":
-        if isinstance(other, RadicalRationalFn):
-            return RadicalRationalFn(self.cof * other.cof, self.rad * other.rad)
-        return RadicalRationalFn(self.cof * other, self.rad)
+    def times(self, fn, exponent) -> "PowerProduct":
+        exponent = rational(exponent)
+        if (exponent * 8).denominator != 1:
+            raise ValueError("exponents must be multiples of 1/8")
+        return PowerProduct(self.factors + ((as_rational_fn(fn), exponent),))
 
-    __rmul__ = __mul__
+    def shift(self, delta) -> "PowerProduct":
+        return PowerProduct((fn.shift(delta), e) for fn, e in self.factors)
 
-    def square(self) -> RationalFn:
-        return self.cof * self.cof * self.rad
+    def star(self) -> "PowerProduct":
+        """The *-operation on every factor (exponents are real)."""
+        return PowerProduct((fn.star(), e) for fn, e in self.factors)
 
-    def star(self) -> "RadicalRationalFn":
-        return RadicalRationalFn(self.cof.star(), self.rad.star())
+    def power(self, k: int) -> tuple[Poly, Poly]:
+        """Numerator and denominator of the k-th power; ValueError if some
+        exponent times k is not an integer."""
+        num = den = Poly.one()
+        for fn, exponent in self.factors:
+            ek = exponent * k
+            if ek.denominator != 1:
+                raise ValueError(f"exponent {exponent} times {k} is not an integer")
+            top, bottom = (fn.num, fn.den) if ek > 0 else (fn.den, fn.num)
+            num = num * top ** abs(int(ek))
+            den = den * bottom ** abs(int(ek))
+        return num, den
 
-    def shift(self, delta) -> "RadicalRationalFn":
-        return RadicalRationalFn(self.cof.shift(delta), self.rad.shift(delta))
+    def equals_power(self, other: "PowerProduct", k: int) -> bool:
+        """Exact equality of the k-th powers, cross-multiplied.  A factor
+        that vanishes identically under a negative exponent leaves a zero
+        denominator, which the cross-multiplication compares like any other
+        polynomial."""
+        num, den = self.power(k)
+        other_num, other_den = other.power(k)
+        return num * other_den == other_num * den
 
-    def sign_at(self, sample):
-        """Sign of the value at a real sample, or None if the radicand is
-        not strictly positive (or anything fails to be real)."""
-        try:
-            rad_val = self.rad(sample)
-            cof_val = self.cof(sample)
-        except ZeroDivisionError:
-            return None
-        if not rad_val.is_real() or not cof_val.is_real() or rad_val.re <= 0:
-            return None
-        return (cof_val.re > 0) - (cof_val.re < 0)
+    def sign_at(self, sample) -> int | None:
+        """Sign at a real sample; None when it cannot be fixed there.
 
-    def __repr__(self) -> str:
-        return f"RadicalRationalFn(cof={self.cof!r}, rad={self.rad!r})"
+        Fractional-exponent factors are conjugate-symmetric real units by
+        construction (products over conjugate-paired shifts), so each is
+        nonnegative at real arguments; the sign is well defined once every
+        one is strictly positive (the radicand positivity premise) and every
+        integer-exponent factor is real and nonzero.
+        """
+        sign = 1
+        for fn, exponent in self.factors:
+            try:
+                value = fn(sample)
+            except ZeroDivisionError:
+                return None
+            if not value.is_real():
+                return None
+            if exponent.denominator == 1:
+                if value.re == 0:
+                    return None
+                if value.re < 0 and int(exponent) % 2 == 1:
+                    sign = -sign
+            else:
+                if value.re <= 0:
+                    return None
+        return sign
 
 
 def deformed_potential_vd(v: RationalFn, seeds: Sequence[Poly], gamma,
-                          mu_state: Poly) -> RadicalRationalFn:
-    """The deformed potential function of the imaginary-shift system.
+                          mu_state: Poly) -> PowerProduct:
+    """The deformed potential function of the imaginary-shift system,
+    cof * rad^(1/2):
 
     rad  = V(x - i M gamma/2) V*(x - i (M+2) gamma/2)
     cof  = [W_g[seeds](x + i g/2) / W_g[seeds](x - i g/2)]
@@ -109,7 +148,22 @@ def deformed_potential_vd(v: RationalFn, seeds: Sequence[Poly], gamma,
            * v.star().shift(_im(-(m_total + 2) * gamma * HALF)))
     cof = (RationalFn(w.shift(_im(gamma * HALF)), w.shift(_im(-gamma * HALF)))
            * RationalFn(w_mu.shift(_im(-gamma)), w_mu))
-    return RadicalRationalFn(cof, rad)
+    return PowerProduct().times(cof, 1).times(rad, HALF)
+
+
+def conjugate_pair_product(v_dv: PowerProduct, m: int, gamma) -> PowerProduct:
+    """prod_{j=0}^{m-1} V_Dv(x+i(m/2-j)g) V_Dv*(x-i(m/2-j)g), multiplied
+    factor by factor: each factor is a conjugate-symmetric product with real
+    coefficients, |...|^2-shaped at real points."""
+    v_dv_star = v_dv.star()
+    out = PowerProduct()
+    for j in range(m):
+        delta = (Fraction(m, 2) - j) * gamma
+        plus = v_dv.shift(_im(delta))
+        minus = v_dv_star.shift(_im(-delta))
+        for (fn_plus, exponent), (fn_minus, _) in zip(plus.factors, minus.factors):
+            out = out.times(fn_plus * fn_minus, exponent)
+    return out
 
 
 def check_prefactor_gg(v: RationalFn, gamma, l: int, m: int) -> CheckReport:
@@ -157,20 +211,15 @@ def check_potential_product_identity(v: RationalFn, seeds: Sequence[Poly], gamma
         raise ValueError("need m >= 1")
     l = len(seeds)
     mu_state = Poly.one() if mu_state is None else mu_state
-    v_dv = deformed_potential_vd(v, seeds, gamma, mu_state)
-    v_dv_star = v_dv.star()
-    lhs = RadicalRationalFn(RationalFn.one())
-    for j in range(m):
-        delta = (Fraction(m, 2) - j) * gamma
-        lhs = lhs * v_dv.shift(_im(delta)) * v_dv_star.shift(_im(-delta))
+    lhs = conjugate_pair_product(deformed_potential_vd(v, seeds, gamma, mu_state), m, gamma)
 
     w = casoratian_imag(seeds, gamma)
     four_point = (RationalFn(w.shift(_im(-(m + 1) * gamma * HALF)), w.shift(_im(-(m - 1) * gamma * HALF)))
                   * RationalFn(w.shift(_im((m + 1) * gamma * HALF)), w.shift(_im((m - 1) * gamma * HALF))))
-    rhs = RadicalRationalFn(four_point,
-                            vv_product(v, gamma, l + m, 0, m - 1)
-                            * vv_product(v, gamma, l + m, l, l + m - 1))
-    passed = lhs.square() == rhs.square()
+    rhs = (PowerProduct().times(four_point, 1)
+           .times(vv_product(v, gamma, l + m, 0, m - 1)
+                  * vv_product(v, gamma, l + m, l, l + m - 1), HALF))
+    passed = lhs.equals_power(rhs, 2)
     return CheckReport(
         identity_id="idqm.potential-product", passed=passed,
         lhs="squared staged-potential product", rhs="squared V-product times Casoratian ratio",
@@ -181,82 +230,6 @@ def check_potential_product_identity(v: RationalFn, seeds: Sequence[Poly], gamma
                        "seeds": [s.serialize() for s in seeds],
                        "mu": mu_state.serialize(),
                        "gamma": format_rational(gamma), "m": m}})
-
-
-class PowerProduct:
-    """Product of RationalFn factors raised to exponents in (1/8)Z.
-
-    The container for deformed eigenfunctions in radical-tracked form: the
-    8th power is a plain rational function (compared exactly, without
-    expansion), and the sign at a real sample point is the product of
-    integer-exponent factor signs once every fractional-exponent radicand
-    checks out strictly positive there.
-    """
-
-    __slots__ = ("factors",)
-
-    def __init__(self, factors: Sequence[tuple[RationalFn, Fraction]] = ()):
-        object.__setattr__(self, "factors", tuple(factors))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PowerProduct is immutable")
-
-    def times(self, fn, exponent) -> "PowerProduct":
-        exponent = rational(exponent)
-        if (exponent * 8).denominator != 1:
-            raise ValueError("exponents must be multiples of 1/8")
-        return PowerProduct(self.factors + ((as_rational_fn(fn), exponent),))
-
-    def __mul__(self, other: "PowerProduct") -> "PowerProduct":
-        return PowerProduct(self.factors + other.factors)
-
-    def eighth_power_factors(self) -> tuple[list, list]:
-        """(numerator, denominator) Poly factor lists of the 8th power."""
-        nums: list[tuple[Poly, int]] = []
-        dens: list[tuple[Poly, int]] = []
-        for fn, exponent in self.factors:
-            e8 = int(exponent * 8)
-            if e8 == 0:
-                continue
-            if e8 > 0:
-                nums.append((fn.num, e8))
-                dens.append((fn.den, e8))
-            else:
-                nums.append((fn.den, -e8))
-                dens.append((fn.num, -e8))
-        return nums, dens
-
-    def equals_pow8(self, other: "PowerProduct") -> bool:
-        ln, ld = self.eighth_power_factors()
-        rn, rd = other.eighth_power_factors()
-        return poly_products_equal(ln + rd, rn + ld)
-
-    def sign_at(self, sample) -> int | None:
-        """Sign at a real sample; None when it cannot be fixed there.
-
-        Fractional-exponent factors are conjugate-symmetric real units by
-        construction (products over conjugate-paired shifts), so each is
-        nonnegative at real arguments; the sign is well defined once every
-        one is strictly positive (the radicand positivity premise) and every
-        integer-exponent factor is real and nonzero.
-        """
-        sign = 1
-        for fn, exponent in self.factors:
-            try:
-                value = fn(sample)
-            except ZeroDivisionError:
-                return None
-            if not value.is_real():
-                return None
-            if exponent.denominator == 1:
-                if value.re == 0:
-                    return None
-                if value.re < 0 and int(exponent) % 2 == 1:
-                    sign = -sign
-            else:
-                if value.re <= 0:
-                    return None
-        return sign
 
 
 DEFAULT_SAMPLES = (Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2),
@@ -306,13 +279,8 @@ def staged_idqm(v: RationalFn, dv_seeds: Sequence[Poly], de_seeds: Sequence[Poly
     # prefactor: (prod_j V_Dv(x+i(m/2-j)g) V_Dv*(x-i(m/2-j)g))^{1/4}
     v_dv = deformed_potential_vd(v, dv_seeds, gamma,
                                  Poly.one() if mu_state is None else mu_state)
-    v_dv_star = v_dv.star()
-    for j in range(m):
-        delta = (Fraction(m, 2) - j) * gamma
-        plus = v_dv.shift(_im(delta))
-        minus = v_dv_star.shift(_im(-delta))
-        out = out.times(plus.cof * minus.cof, Fraction(1, 4))
-        out = out.times(plus.rad * minus.rad, Fraction(1, 8))
+    for fn, exponent in conjugate_pair_product(v_dv, m, gamma).factors:
+        out = out.times(fn, exponent / 4)
     # second-stage numerator Casoratian: rows factor (G/w)(x_j^{(m+1)})
     g4_rows = RationalFn.one()
     w2_rows = RationalFn.one()
@@ -354,7 +322,7 @@ def two_path_compare_idqm(v: RationalFn, dv_seeds: Sequence[Poly],
     mu_state = Poly.one() if mu_state is None else mu_state
     path_one = one_shot_idqm(v, list(dv_seeds) + list(de_seeds), v_state, gamma)
     path_two = staged_idqm(v, dv_seeds, de_seeds, v_state, gamma, mu_state)
-    exact = path_one.equals_pow8(path_two)
+    exact = path_one.equals_power(path_two, 8)
     sign_note = ""
     inconclusive = False
     signs_agree = True

@@ -6,7 +6,7 @@ vectors ``re`` and ``im`` (index = degree) over one common denominator
 zero polynomial has ``den == 1``).  Every operation works on Python ints and
 normalizes once; exact division is pseudo-division.  ``GaussianRational``
 coefficients appear only at the boundary: the ``coeffs`` view, built on each
-read (printing, serialization, big-float evaluation), ``leading()`` and
+read (printing, serialization), ``leading()`` and
 ``coefficient(k)``.
 ``RationalFn`` is a quotient of two Polys; arithmetic keeps the pair
 unreduced (equality cross-multiplies), ``reduce()``/``canonical()`` produce
@@ -23,8 +23,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-import mpmath
-
 from .scalars import (
     GR_ONE,
     GR_ZERO,
@@ -32,7 +30,6 @@ from .scalars import (
     as_gaussian,
     format_gaussian,
     format_rational,
-    mpf_from_rational,
     parse_gaussian,
     rational,
 )
@@ -344,12 +341,6 @@ class Poly:
             ar, ai = ar * xr - ai * xi + r * w, ar * xi + ai * xr + m * w
             w *= xd
         return _gaussian(ar, ai, self.den * w // xd)
-
-    def eval_mpf(self, x) -> mpmath.mpc:
-        acc = mpmath.mpc(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c.to_mpc()
-        return acc
 
     def conjugate_coeffs(self) -> "Poly":
         """The *-operation: conjugate every coefficient."""
@@ -709,11 +700,6 @@ class ExpPoly:
 
     def __hash__(self):
         return hash((self.p, self.a, self.b))
-
-    def eval_mpf(self, x) -> mpmath.mpc:
-        xf = mpmath.mpf(x) if not isinstance(x, (mpmath.mpf, mpmath.mpc)) else x
-        expo = (mpf_from_rational(self.a) * xf * xf + mpf_from_rational(self.b) * xf) / 2
-        return self.p.eval_mpf(xf) * mpmath.exp(expo)
 
     def __repr__(self) -> str:
         return f"ExpPoly({self.p!r}, a={self.a}, b={self.b})"

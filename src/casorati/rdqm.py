@@ -9,9 +9,13 @@ facts that the source treats as numerically supported conjectures
 (positivity of the deformed potentials, sign-definiteness of the seed
 Casoratians) are checked per instance and reported, never assumed.
 
-One run computes each big-float quantity once: the checks of a run take
-their virtual seeds, seed Casoratians and the first stage of the staged
-path from the model's ``RunMemo``, which is freed with the model.
+Each check takes the model, the virtual seed energies and the deleted
+eigenstate labels, and writes its whole witness: its own inputs and the
+run's model and comparison settings, so that a witness from the CLI or from
+a library call replays alone.  One run computes each big-float quantity
+once: the checks of a run take their virtual seeds, seed Casoratians and the
+first stage of the staged path from the model's ``RunMemo``, at the model's
+working precision, and the memo is freed with the model.
 """
 
 from __future__ import annotations
@@ -27,11 +31,15 @@ from .determinants import casoratian_real_grid
 from .gridfn import GridFn, WindowError
 from .poly import Poly, RationalFn
 from .report import CheckReport
-from .scalars import format_rational, mpf_from_rational, rational, working_precision
+from .scalars import (
+    DEFAULT_PRECISION_BITS,
+    format_rational,
+    mpf_from_rational,
+    rational,
+    working_precision,
+)
 from .seeds import IndexSet, krein_adler_check, sign_factor
 from .tridiag import lowest_eigenvalues
-
-DEFAULT_PRECISION_BITS = 256
 
 
 class SingularDeformationError(ArithmeticError):
@@ -284,12 +292,12 @@ def check_definite_sign(psi: GridFn) -> bool:
 # Deformations
 # ---------------------------------------------------------------------------
 
-def _casoratian(columns: Sequence[GridFn], x_max: int, memo: RunMemo | None) -> GridFn:
-    """W_C[columns] through the run's memo (a fresh one when the caller has
-    none); the constant 1 on {0, ..., x_max} for no columns."""
+def _casoratian(columns: Sequence[GridFn], x_max: int, memo: RunMemo) -> GridFn:
+    """W_C[columns] through the run's memo; the constant 1 on
+    {0, ..., x_max} for no columns."""
     if not columns:
         return GridFn([mpmath.mpf(1)] * (x_max + 1))
-    return (RunMemo() if memo is None else memo).casoratian(columns)
+    return memo.casoratian(columns)
 
 
 def _require_nonzero(grid: GridFn, what: str) -> None:
@@ -300,8 +308,7 @@ def _require_nonzero(grid: GridFn, what: str) -> None:
 
 def deformed_potentials_bd(b_grid: GridFn, d_grid: GridFn,
                            seeds: Sequence[GridFn], mu_state: GridFn,
-                           precision_bits: int = DEFAULT_PRECISION_BITS,
-                           memo: RunMemo | None = None):
+                           precision_bits: int, memo: RunMemo):
     """Deformed potential pair (B_D, D_D) plus a positivity report.
 
     B_D(x) = sqrt(B(x+M)D(x+M+1)) W_C[s](x)/W_C[s](x+1) W_C[s,mu](x+1)/W_C[s,mu](x)
@@ -347,8 +354,7 @@ def deformed_potentials_bd(b_grid: GridFn, d_grid: GridFn,
 
 def deformed_eigenfunctions(b_grid: GridFn, d_grid: GridFn,
                             seeds: Sequence[GridFn], seed_energies: Sequence,
-                            phi: GridFn, precision_bits: int = DEFAULT_PRECISION_BITS,
-                            memo: RunMemo | None = None) -> GridFn:
+                            phi: GridFn, precision_bits: int, memo: RunMemo) -> GridFn:
     """phi_{D n} = (-1)^M eps_D (prod B D)^{1/4} W_C[seeds, phi] / sqrt(W_C W_C(+1)).
 
     The square root is real: a negative radicand (sign premise violated on
@@ -381,50 +387,77 @@ def deformed_eigenfunctions(b_grid: GridFn, d_grid: GridFn,
         return GridFn(values, energy=phi.energy)
 
 
-def sign_conjecture_check(seeds: Sequence[GridFn], seed_energies: Sequence,
-                          memo: RunMemo | None = None) -> bool:
-    """sgn W_C[seeds](x) == eps everywhere on the window."""
+def sign_conjecture_check(model: RdqmModel, dv_energies: Sequence,
+                          de_labels: Sequence[int]) -> bool:
+    """sgn W_C[seeds](x) == eps everywhere on the window, at the model's
+    working precision."""
+    seeds, energies = seed_set(model, dv_energies, de_labels)
     if not seeds:
         return True
-    epsilon = sign_factor(list(seed_energies))
-    wc = _casoratian(seeds, 0, memo)
+    epsilon = sign_factor(energies)
+    with working_precision(model.precision_bits):
+        wc = _casoratian(seeds, 0, model.memo)
     return all(_sign(v) == epsilon for v in wc.values)
+
+
+def _witness(identity_id: str, inputs: dict, model: RdqmModel, dv_energies: Sequence,
+             de_labels: Sequence[int], n: int, tolerance, compare_up_to) -> dict:
+    """The witness of an rdQM check: its own inputs, then the model and the
+    comparison settings of the run, so that it replays alone.  A tolerance
+    given as text is recorded as that text."""
+    return {"identityId": identity_id,
+            "inputs": {**inputs, "beta": format_rational(model.beta),
+                       "c": format_rational(model.c), "n_max": model.n_max,
+                       "window": model.x_max, "precision_bits": model.precision_bits,
+                       "tolerance": tolerance if isinstance(tolerance, str) else str(tolerance),
+                       "compare_up_to": compare_up_to,
+                       "dv_energies": [str(rational(e)) for e in dv_energies],
+                       "de_labels": list(de_labels), "n": n}}
 
 
 # ---------------------------------------------------------------------------
 # Mechanized one-step replay of the square-root-rule derivation
 # ---------------------------------------------------------------------------
 
-def darboux_step_replay(b_grid: GridFn, d_grid: GridFn,
-                        seeds: Sequence[GridFn], seed_energies: Sequence,
-                        s: int, phi: GridFn, tolerance,
-                        precision_bits: int = DEFAULT_PRECISION_BITS,
-                        memo: RunMemo | None = None) -> CheckReport:
-    """Apply one intermediate Darboux step in tracked-radical form.
+def darboux_step_replay(model: RdqmModel, dv_energies: Sequence, de_labels: Sequence[int],
+                        n: int, s: int, tolerance,
+                        compare_up_to: int | None = None) -> CheckReport:
+    """Apply intermediate Darboux step s, in tracked-radical form, to level n.
 
-    The level-s state is the closed form split into sign * plain * radical;
-    no square root is ever evaluated (intermediate radicands may be
-    negative when the running seed set violates the admissibility
-    condition).  The step (i) merges the half-integer exponents of the two
-    summands, whose quarter-power multisets must coincide structurally,
-    (ii) externalizes the integer powers by sqrt(f(x)^2) = sgn f(0) * f(x)
-    anchored at x = 0, 1, and (iii) collapses the resulting bracket with the
-    two-column Casoratian identity.  The outcome must be the closed form at
-    level s+1, including the emergent sign:
+    The seeds are the virtual seeds at ``dv_energies`` followed by the
+    eigenstates ``de_labels``.  The level-s state is the closed form split
+    into sign * plain * radical; no square root is ever evaluated
+    (intermediate radicands may be negative when the running seed set
+    violates the admissibility condition).  The step (i) merges the
+    half-integer exponents of the two summands, whose quarter-power
+    multisets must coincide structurally, (ii) externalizes the integer
+    powers by sqrt(f(x)^2) = sgn f(0) * f(x) anchored at x = 0, 1, and (iii)
+    collapses the resulting bracket with the two-column Casoratian identity.
+    The outcome must be the closed form at level s+1, including the emergent
+    sign:
         sgn-rule signs:  (-1) * sigma_s * sigma_{s+1}  joining (-1)^s eps_s
         closed form:     (-1)^{s+1} eps_{s+1}.
+    ``tolerance`` (text or a number) is converted at mpmath's ambient
+    precision; ``compare_up_to`` is not used by the step and is recorded in
+    the witness with the rest of the run's settings.
     """
+    seeds, seed_energies = seed_set(model, dv_energies, de_labels)
     if not 0 <= s < len(seeds):
         raise ValueError("need 0 <= s < number of seeds")
-    with working_precision(precision_bits):
-        x_max = min(phi.x_max, b_grid.x_max, d_grid.x_max, *(sd.x_max for sd in seeds))
+    bound = mpmath.mpf(tolerance)
+    run = (model, dv_energies, de_labels, n, tolerance, compare_up_to)
+    memo = model.memo
+    with working_precision(model.precision_bits):
+        phi = model.eigen(n)
+        x_max = min(phi.x_max, model.b_grid.x_max, model.d_grid.x_max,
+                    *(sd.x_max for sd in seeds))
         phi = phi.truncated(x_max)
         w_s = _casoratian(seeds[:s], x_max, memo)
         w_s1 = _casoratian(seeds[:s + 1], x_max, memo)
         wn_s = _casoratian([*seeds[:s], phi], x_max, memo) if s else phi
         wn_s1 = _casoratian([*seeds[:s + 1], phi], x_max, memo)
-        eps_s = sign_factor(list(seed_energies[:s]))
-        eps_s1 = sign_factor(list(seed_energies[:s + 1]))
+        eps_s = sign_factor(seed_energies[:s])
+        eps_s1 = sign_factor(seed_energies[:s + 1])
 
         # Square-root-rule anchors: sgn W_C at x = 0 and x = 1 must agree
         # for the running and the extended seed set (the stated assumption).
@@ -434,11 +467,10 @@ def darboux_step_replay(b_grid: GridFn, d_grid: GridFn,
             if sig0 == 0 or sig0 != sig1:
                 return CheckReport(
                     identity_id="rdqm.step-replay", passed=False,
-                    params={"s": s, "assumption_violated": f"level {name}"},
+                    params={"s": s, "assumption_violated": f"level {name}", "n": n},
                     lhs="", rhs="", inconclusive=True,
                     note="sgn W_C anchor at x=0,1 undefined or inconsistent",
-                    witness={"identityId": "rdqm.step-replay",
-                             "inputs": {"s": s, "violated": name}})
+                    witness=_witness("rdqm.step-replay", {"s": s, "violated": name}, *run))
             sigmas[name] = sig0
         sigma_s, sigma_s1 = sigmas["s"], sigmas["s1"]
 
@@ -464,7 +496,7 @@ def darboux_step_replay(b_grid: GridFn, d_grid: GridFn,
             norm = max(norm, abs(target))
         rel_dev = deviation / norm if norm > 0 else deviation
         emergent_ok = sigma_s * sigma_s1 * eps_s == eps_s1
-        passed = bool(merged_ok and emergent_ok and rel_dev <= tolerance)
+        passed = bool(merged_ok and emergent_ok and rel_dev <= bound)
         return CheckReport(
             identity_id="rdqm.step-replay", passed=passed,
             lhs="tracked-radical step application (sign * plain part)",
@@ -473,22 +505,18 @@ def darboux_step_replay(b_grid: GridFn, d_grid: GridFn,
                     "quarter_merge_ok": bool(merged_ok),
                     "sigma_s": sigma_s, "sigma_s1": sigma_s1,
                     "emergent_sign_ok": bool(emergent_ok),
-                    "eps_next_combinatorial": eps_s1},
-            witness=None if passed else {"identityId": "rdqm.step-replay",
-                                         "inputs": {"s": s}})
+                    "eps_next_combinatorial": eps_s1, "n": n},
+            witness=None if passed else _witness("rdqm.step-replay", {"s": s}, *run))
 
 
-def darboux_chain_replay(b_grid: GridFn, d_grid: GridFn,
-                         seeds: Sequence[GridFn], seed_energies: Sequence,
-                         phi: GridFn, tolerance,
-                         precision_bits: int = DEFAULT_PRECISION_BITS,
-                         memo: RunMemo | None = None) -> list[CheckReport]:
-    """Replay every step 0..M-1; the final step lands on the closed form
-    with the full sign factor.  The steps share one memo."""
-    memo = RunMemo() if memo is None else memo
-    return [darboux_step_replay(b_grid, d_grid, seeds, seed_energies, s, phi,
-                                tolerance, precision_bits, memo)
-            for s in range(len(seeds))]
+def darboux_chain_replay(model: RdqmModel, dv_energies: Sequence, de_labels: Sequence[int],
+                         n: int, tolerance,
+                         compare_up_to: int | None = None) -> list[CheckReport]:
+    """Replay every step 0..M-1 on level n; the final step lands on the
+    closed form with the full sign factor."""
+    return [darboux_step_replay(model, dv_energies, de_labels, n, s, tolerance,
+                                compare_up_to)
+            for s in range(len(dv_energies) + len(de_labels))]
 
 
 # ---------------------------------------------------------------------------
@@ -530,12 +558,15 @@ def two_path_compare_rdqm(model: RdqmModel, dv_energies: Sequence,
 
     Both grids carry their stated prefactors and signs; the comparison is a
     max relative deviation on the window, with the exact sign included.
+    ``tolerance`` (text or a number) is converted at mpmath's ambient
+    precision.
     """
     if n in de_labels:
         raise ValueError(f"level {n} is deleted by the eigenstate seeds")
     dv_energies = [rational(e) for e in dv_energies]
     if any(dv_energies[i] <= dv_energies[i + 1] for i in range(len(dv_energies) - 1)):
         raise ValueError("virtual seed energies must be strictly decreasing")
+    bound = mpmath.mpf(tolerance)
     with working_precision(model.precision_bits):
         seeds_v = [model.seed(e) for e in dv_energies]
         seeds_e = [model.eigen(k) for k in de_labels]
@@ -568,7 +599,7 @@ def two_path_compare_rdqm(model: RdqmModel, dv_energies: Sequence,
             deviation = max(deviation, abs(one_shot(x_pt) - staged(x_pt)))
         rel_dev = deviation / norm if norm > 0 else deviation
         sign_ok = sign_identity_sweep(dv_energies, e_energies)
-        passed = bool(rel_dev <= tolerance and sign_ok
+        passed = bool(rel_dev <= bound and sign_ok
                       and index_set.sign_identity_holds())
         return CheckReport(
             identity_id="rdqm.two-path", passed=passed,
@@ -582,15 +613,9 @@ def two_path_compare_rdqm(model: RdqmModel, dv_energies: Sequence,
                     "epsilon": index_set.epsilon(),
                     "krein_adler": krein_adler_check(de_labels),
                     "stage1_positivity": dict(stage1_positivity)},
-            witness=None if passed else {
-                "identityId": "rdqm.two-path",
-                "inputs": {"beta": format_rational(model.beta),
-                           "c": format_rational(model.c), "n_max": model.n_max,
-                           "window": model.x_max,
-                           "precision_bits": model.precision_bits,
-                           "tolerance": str(tolerance), "compare_up_to": compare_up_to,
-                           "dv_energies": [str(e) for e in dv_energies],
-                           "de_labels": list(de_labels), "n": n}})
+            witness=None if passed else _witness(
+                "rdqm.two-path", {}, model, dv_energies, de_labels, n, tolerance,
+                compare_up_to))
 
 
 def spectrum_check(model: RdqmModel, dv_energies: Sequence, de_labels: Sequence[int],
@@ -648,46 +673,3 @@ def spectrum_check(model: RdqmModel, dv_energies: Sequence, de_labels: Sequence[
             "sensitivity": mpmath.nstr(sensitivity, 8),
             "positivity": positivity,
         }
-
-
-# ---------------------------------------------------------------------------
-# Factorized form (for consistency tests)
-# ---------------------------------------------------------------------------
-
-def dense_hamiltonian(b_grid: GridFn, d_grid: GridFn, size: int,
-                      energy_shift=0) -> list[list]:
-    out = [[mpmath.mpf(0)] * size for _ in range(size)]
-    for x_pt in range(size):
-        out[x_pt][x_pt] = b_grid(x_pt) + d_grid(x_pt) + energy_shift
-        if x_pt + 1 < size:
-            off = -mpmath.sqrt(b_grid(x_pt) * d_grid(x_pt + 1))
-            out[x_pt][x_pt + 1] = off
-            out[x_pt + 1][x_pt] = off
-    return out
-
-
-def factorization_pair(b_grid: GridFn, d_grid: GridFn, size: int):
-    """Forward-difference factor and its transpose on the truncation.
-
-    A = sqrt(B(x)) - e^+ sqrt(D(x)): (A psi)(x) = sqrt(B(x))psi(x) - sqrt(D(x+1))psi(x+1).
-    """
-    a = [[mpmath.mpf(0)] * size for _ in range(size)]
-    at = [[mpmath.mpf(0)] * size for _ in range(size)]
-    for x_pt in range(size):
-        root_b = mpmath.sqrt(b_grid(x_pt))
-        a[x_pt][x_pt] = root_b
-        at[x_pt][x_pt] = root_b
-        if x_pt + 1 < size:
-            root_d = mpmath.sqrt(d_grid(x_pt + 1))
-            a[x_pt][x_pt + 1] = -root_d
-            at[x_pt + 1][x_pt] = -root_d
-    return a, at
-
-
-def shift_matrices(size: int):
-    """e^+ and e^- on the truncation: (e^+-)_{x,y} = delta_{x+-1, y}."""
-    up = [[mpmath.mpf(1) if y == x + 1 else mpmath.mpf(0) for y in range(size)]
-          for x in range(size)]
-    down = [[mpmath.mpf(1) if y == x - 1 else mpmath.mpf(0) for y in range(size)]
-            for x in range(size)]
-    return up, down

@@ -150,14 +150,6 @@ class GaussianRational:
         sign = "+" if self.im > 0 else "-"
         return f"{format_rational(self.re)}{sign}{format_rational(abs(self.im))}*i"
 
-    # -- numeric bridge -----------------------------------------------------
-
-    def to_mpc(self) -> mpmath.mpc:
-        """Evaluate at the current mpmath working precision."""
-        re = mpmath.mpf(self.re.numerator) / self.re.denominator
-        im = mpmath.mpf(self.im.numerator) / self.im.denominator
-        return mpmath.mpc(re, im)
-
 
 GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)

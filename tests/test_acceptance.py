@@ -44,7 +44,6 @@ from casorati.rdqm import (
     build_meixner_model,
     darboux_chain_replay,
     residual,
-    solve_seed_at_energy,
     spectrum_check,
     two_path_compare_rdqm,
 )
@@ -166,12 +165,9 @@ def test_criterion_6_rdqm_pipeline(meixner_acceptance):
     part_d = (spectrum["matched"] and not spectrum["inconclusive"]
               and spectrum["expected"] == ["0", "3", "4", "5", "6"])
 
-    seeds = [solve_seed_at_energy(model, e) for e in dv] + [model.eigen(k) for k in de]
-    energies = list(dv) + [model.eigen_energy(k) for k in de]
     part_e = True
     for n in (0, 3):
-        chain = darboux_chain_replay(model.b_grid, model.d_grid, seeds, energies,
-                                     model.eigen(n), tol, 256)
+        chain = darboux_chain_replay(model, dv, de, n, tol)
         part_e &= all(r.passed for r in chain)
 
     elapsed = time.monotonic() - started

@@ -17,7 +17,7 @@ from casorati.determinants import (
     wronskian,
     wronskian_over_base,
 )
-from casorati.gridfn import GridFn, WindowError, sample_poly_exact
+from casorati.gridfn import GridFn, WindowError
 from casorati.poly import ExpPoly, Poly
 from casorati.sampling import random_poly
 from casorati.scalars import working_precision
@@ -148,6 +148,13 @@ def test_reality_of_imag_casoratian():
         fs = [random_poly(rng, 4, 9) for _ in range(n)]
         out = casoratian_imag(fs, Fraction(1, 2))
         assert out.is_real()
+
+
+def sample_poly_exact(poly: Poly, x_max: int) -> GridFn:
+    """The exact rational values of a real polynomial on {0, ..., x_max}."""
+    values = [poly(x_pt) for x_pt in range(x_max + 1)]
+    assert all(v.is_real() for v in values)
+    return GridFn([v.re for v in values])
 
 
 def test_grid_matches_polynomial_backend():

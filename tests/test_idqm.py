@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+import casorati.idqm as idqm_mod
 from casorati.idqm import (
+    HALF,
     PowerProduct,
-    RadicalRationalFn,
     check_potential_product_identity,
     check_prefactor_gg,
     deformed_potential_vd,
@@ -41,24 +42,52 @@ def test_vv_product_is_star_invariant():
 
 def test_deformed_potential_vd_m0(model_v=RationalFn(x + 2)):
     vd = deformed_potential_vd(model_v, [], Fraction(1), Poly.one())
-    assert vd.cof == RationalFn.one()
-    assert vd.rad == model_v * star(model_v).shift(GaussianRational(0, -1))
+    (cof, cof_exponent), (rad, rad_exponent) = vd.factors
+    assert (cof_exponent, rad_exponent) == (1, HALF)
+    assert cof == RationalFn.one()
+    assert rad == model_v * star(model_v).shift(GaussianRational(0, -1))
 
 
 def test_deformed_potential_vd_trivial_v():
     vd = deformed_potential_vd(RationalFn(Poly.one()), [x * x], Fraction(1), Poly.one())
-    assert vd.rad == RationalFn.one()
+    (cof, _), (rad, _) = vd.factors
+    assert rad == RationalFn.one()
     # pure Casoratian ratio survives
-    assert vd.cof != RationalFn.one()
+    assert cof != RationalFn.one()
 
 
-def test_radical_rational_fn_algebra():
-    a = RadicalRationalFn(RationalFn(x), RationalFn(x + 1))
-    b = RadicalRationalFn(RationalFn(2), RationalFn(x + 1))
-    prod = a * b
-    assert prod.square() == RationalFn(4 * x * x) * RationalFn((x + 1) ** 2)
+def test_power_product_shift_and_star():
+    i = GaussianRational(0, 1)
+    a = PowerProduct().times(RationalFn(x + i, x - 2), 1).times(RationalFn(x + 1), HALF)
+    shifted = a.shift(i)
+    assert [e for _, e in shifted.factors] == [1, HALF]
+    assert [fn for fn, _ in shifted.factors] == [RationalFn(x + 2 * i, x + i - 2),
+                                                 RationalFn(x + 1 + i)]
+    starred = a.star()
+    assert [e for _, e in starred.factors] == [1, HALF]
+    assert [fn for fn, _ in starred.factors] == [RationalFn(x - i, x - 2), RationalFn(x + 1)]
+    assert [fn for fn, _ in starred.star().factors] == [fn for fn, _ in a.factors]
+    # shift and star commute up to the conjugated shift
+    assert ([fn for fn, _ in a.shift(i).star().factors]
+            == [fn for fn, _ in a.star().shift(-i).factors])
+
+
+def test_power_product_powers_and_sign():
+    a = PowerProduct().times(RationalFn(x), 1).times(RationalFn(x + 1), HALF)
+    assert a.power(2) == (x * x * (x + 1), Poly.one())
+    assert a.times(2, 1).times(RationalFn(x + 1), HALF).equals_power(
+        PowerProduct().times(4 * x * x * (x + 1) ** 2, HALF), 2)
+    assert a.equals_power(PowerProduct().times(RationalFn(x * x * (x + 1)), HALF), 2)
+    assert not a.equals_power(PowerProduct().times(RationalFn(-x * x * (x + 1)), HALF), 2)
+    assert PowerProduct().times(RationalFn(x + 1, x), Fraction(-3, 8)).power(8) == (
+        x ** 3, (x + 1) ** 3)
+    with pytest.raises(ValueError):
+        a.power(1)            # (x + 1)^(1/2) is no rational function
     assert a.sign_at(Fraction(1)) == 1
+    assert a.sign_at(Fraction(-1, 2)) == -1
     assert a.sign_at(Fraction(-3)) is None   # radicand negative there
+    assert a.sign_at(Fraction(-1)) is None   # radicand zero there
+    assert a.sign_at(Fraction(0)) is None    # integer-exponent factor zero there
 
 
 def test_prefactor_gg_cases():
@@ -89,6 +118,17 @@ def test_potential_product_cases():
         except ZeroDivisionError:
             continue
         done += 1
+
+
+def test_potential_product_compares_squares(monkeypatch):
+    """Negating one of the two V-products under the square root negates the
+    squared right side only: the squares differ, while their 8th powers
+    would agree."""
+    vv = idqm_mod.vv_product
+    monkeypatch.setattr(idqm_mod, "vv_product",
+                        lambda v, g, total, lo, hi: (-1) ** (lo == 0) * vv(v, g, total, lo, hi))
+    report = check_potential_product_identity(RationalFn(x + 1), [x * x], Fraction(1), 1)
+    assert not report.passed and report.witness is not None
 
 
 def test_two_path_trivial_cases():
@@ -138,7 +178,7 @@ def test_star_compatibility_real_values():
     real points."""
     v = RationalFn(x * x + 1, x + 2)
     vd = deformed_potential_vd(v, [x + 1], Fraction(1), Poly.one())
-    square = vd.square()
+    square = RationalFn(*vd.power(2))
     for sample in (Fraction(0), Fraction(1), Fraction(5, 2)):
         value = (square * square.star())(sample)
         assert value.is_real()

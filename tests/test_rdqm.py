@@ -8,18 +8,16 @@ from casorati.determinants import casoratian_real_grid
 from casorati.gridfn import GridFn, WindowError
 from casorati.rdqm import (
     NegativeRadicandError,
+    RunMemo,
     apply_hamiltonian,
     build_meixner_model,
     darboux_chain_replay,
     darboux_step_replay,
     deformed_eigenfunctions,
     deformed_potentials_bd,
-    dense_hamiltonian,
     check_definite_sign,
-    factorization_pair,
     meixner_polynomial,
     residual,
-    shift_matrices,
     sign_conjecture_check,
     sign_identity_sweep,
     solve_seed_at_energy,
@@ -107,12 +105,13 @@ def test_sign_factor_examples():
 def test_deformed_potentials_trivial_and_single(model):
     with working_precision(BITS):
         b0, d0, pos = deformed_potentials_bd(model.b_grid, model.d_grid, [],
-                                             model.eigen(0), BITS)
+                                             model.eigen(0), BITS, model.memo)
         for x_pt in range(0, 20):
             assert abs(b0(x_pt) - model.b_grid(x_pt)) < mpmath.mpf(10) ** -40
             assert abs(d0(x_pt) - model.d_grid(x_pt)) < mpmath.mpf(10) ** -40
         b1, d1, pos1 = deformed_potentials_bd(model.b_grid, model.d_grid,
-                                              [model.eigen(0)], model.eigen(1), BITS)
+                                              [model.eigen(0)], model.eigen(1), BITS,
+                                              model.memo)
         assert d1(0) == 0
         assert pos1["b_positive"] and pos1["d_positive_interior"]
 
@@ -120,65 +119,52 @@ def test_deformed_potentials_trivial_and_single(model):
 def test_deformed_eigenfunction_residual(model):
     with working_precision(BITS):
         b1, d1, _ = deformed_potentials_bd(model.b_grid, model.d_grid,
-                                           [model.eigen(0)], model.eigen(1), BITS)
+                                           [model.eigen(0)], model.eigen(1), BITS,
+                                           model.memo)
         phi = deformed_eigenfunctions(model.b_grid, model.d_grid,
                                       [model.eigen(0)], [Fraction(0)],
-                                      model.eigen(1), BITS)
+                                      model.eigen(1), BITS, model.memo)
         h_phi = apply_hamiltonian(b1, d1, phi, energy_shift=mpmath.mpf(1))
         res = max(abs(h_phi(x) - phi(x)) for x in range(h_phi.x_max + 1))
         res /= max(abs(v) for v in phi.values[:h_phi.x_max + 1])
         assert res < mpmath.mpf(10) ** -40
         # M = 0 returns phi unchanged
         assert deformed_eigenfunctions(model.b_grid, model.d_grid, [], [],
-                                       model.eigen(2), BITS) is model.eigen(2)
+                                       model.eigen(2), BITS, model.memo) is model.eigen(2)
 
 
 def test_sign_conjecture_and_negative_radicand(model):
     seeds = [solve_seed_at_energy(model, Fraction(-3, 5)),
              solve_seed_at_energy(model, Fraction(-17, 10))]
-    assert sign_conjecture_check(seeds, [Fraction(-3, 5), Fraction(-17, 10)])
+    assert sign_conjecture_check(model, [Fraction(-3, 5), Fraction(-17, 10)], [])
     # an intermediate seed set violating admissibility trips the real-root guard
     with working_precision(BITS):
         bad = [seeds[0], seeds[1], model.eigen(1)]
         with pytest.raises(NegativeRadicandError):
             deformed_eigenfunctions(model.b_grid, model.d_grid, bad,
                                     [Fraction(-3, 5), Fraction(-17, 10), Fraction(1)],
-                                    model.eigen(0), BITS)
+                                    model.eigen(0), BITS, model.memo)
 
 
 def test_step_replay_first_step(model):
-    seed = solve_seed_at_energy(model, Fraction(-3, 5))
-    report = darboux_step_replay(model.b_grid, model.d_grid, [seed],
-                                 [Fraction(-3, 5)], 0, model.eigen(0), TOL, BITS)
+    report = darboux_step_replay(model, [Fraction(-3, 5)], [], 0, 0, TOL)
     assert report.passed and report.params["eps_next_combinatorial"] == 1
 
 
 def test_step_replay_out_of_order_sign(model):
-    s_low = solve_seed_at_energy(model, Fraction(-17, 10))
-    s_high = solve_seed_at_energy(model, Fraction(-3, 5))
-    report = darboux_step_replay(model.b_grid, model.d_grid, [s_low, s_high],
-                                 [Fraction(-17, 10), Fraction(-3, 5)], 1,
-                                 model.eigen(0), TOL, BITS)
+    report = darboux_step_replay(model, [Fraction(-17, 10), Fraction(-3, 5)], [], 0, 1, TOL)
     assert report.passed
     assert report.params["sigma_s1"] == -1 == report.params["eps_next_combinatorial"]
 
 
 def test_step_replay_anchor_violation_reported(model):
-    report = darboux_step_replay(model.b_grid, model.d_grid,
-                                 [model.eigen(1), model.eigen(2)],
-                                 [Fraction(1), Fraction(2)], 1,
-                                 model.eigen(0), TOL, BITS)
+    report = darboux_step_replay(model, [], [1, 2], 0, 1, TOL)
     assert not report.passed and report.inconclusive
     assert "anchor" in report.note
 
 
 def test_full_chain_replay(model):
-    seeds = [solve_seed_at_energy(model, Fraction(-3, 5)),
-             solve_seed_at_energy(model, Fraction(-17, 10)),
-             model.eigen(1), model.eigen(2)]
-    energies = [Fraction(-3, 5), Fraction(-17, 10), Fraction(1), Fraction(2)]
-    reports = darboux_chain_replay(model.b_grid, model.d_grid, seeds, energies,
-                                   model.eigen(0), TOL, BITS)
+    reports = darboux_chain_replay(model, [Fraction(-3, 5), Fraction(-17, 10)], [1, 2], 0, TOL)
     assert len(reports) == 4 and all(r.passed for r in reports)
     assert reports[-1].params["eps_next_combinatorial"] == -1
 
@@ -307,7 +293,7 @@ def deformed_truncation():
              + [big.eigen(1), big.eigen(2)])
     with working_precision(bits):
         b_d, d_d, _ = deformed_potentials_bd(big.b_grid, big.d_grid, seeds,
-                                             big.eigen(0), bits)
+                                             big.eigen(0), bits, big.memo)
         diag = [b_d(x) + d_d(x) for x in range(60)]
         off = [-mpmath.sqrt(b_d(x) * d_d(x + 1)) for x in range(59)]
     return bits, diag, off
@@ -362,6 +348,44 @@ def test_eigenvalues_reducible_repeated():
             assert abs(got - want) <= tol * (1 + 2 * want)
 
 
+def dense_hamiltonian(b_grid: GridFn, d_grid: GridFn, size: int) -> list[list]:
+    out = [[mpmath.mpf(0)] * size for _ in range(size)]
+    for x_pt in range(size):
+        out[x_pt][x_pt] = b_grid(x_pt) + d_grid(x_pt)
+        if x_pt + 1 < size:
+            off = -mpmath.sqrt(b_grid(x_pt) * d_grid(x_pt + 1))
+            out[x_pt][x_pt + 1] = off
+            out[x_pt + 1][x_pt] = off
+    return out
+
+
+def factorization_pair(b_grid: GridFn, d_grid: GridFn, size: int):
+    """Forward-difference factor and its transpose on the truncation.
+
+    A = sqrt(B(x)) - e^+ sqrt(D(x)): (A psi)(x) = sqrt(B(x))psi(x) - sqrt(D(x+1))psi(x+1).
+    """
+    a = [[mpmath.mpf(0)] * size for _ in range(size)]
+    at = [[mpmath.mpf(0)] * size for _ in range(size)]
+    for x_pt in range(size):
+        root_b = mpmath.sqrt(b_grid(x_pt))
+        a[x_pt][x_pt] = root_b
+        at[x_pt][x_pt] = root_b
+        if x_pt + 1 < size:
+            root_d = mpmath.sqrt(d_grid(x_pt + 1))
+            a[x_pt][x_pt + 1] = -root_d
+            at[x_pt + 1][x_pt] = -root_d
+    return a, at
+
+
+def shift_matrices(size: int):
+    """e^+ and e^- on the truncation: (e^+-)_{x,y} = delta_{x+-1, y}."""
+    up = [[mpmath.mpf(1) if y == x + 1 else mpmath.mpf(0) for y in range(size)]
+          for x in range(size)]
+    down = [[mpmath.mpf(1) if y == x - 1 else mpmath.mpf(0) for y in range(size)]
+            for x in range(size)]
+    return up, down
+
+
 def test_factorization_consistency(model):
     """A^T A reproduces the tri-diagonal matrix entrywise."""
     with working_precision(BITS):
@@ -398,7 +422,7 @@ def test_window_errors(model):
     tiny = GridFn([mpmath.mpf(1), mpmath.mpf(2)])
     other = GridFn([mpmath.mpf(1), mpmath.mpf(1)])
     with pytest.raises(WindowError):
-        deformed_potentials_bd(tiny, tiny, [tiny], other, BITS)
+        deformed_potentials_bd(tiny, tiny, [tiny], other, BITS, RunMemo())
 
 
 def test_model_parameter_validation():
@@ -417,7 +441,7 @@ def test_singular_deformation_names_location(model):
         # phi_1 vanishes at x = 1, so the 1-seed Casoratian is zero there
         with pytest.raises(SingularDeformationError, match="x = 1"):
             deformed_potentials_bd(model.b_grid, model.d_grid,
-                                   [model.eigen(1)], model.eigen(0), BITS)
+                                   [model.eigen(1)], model.eigen(0), BITS, model.memo)
 
 
 def test_deformed_potentials_seed_order_invariant(model):
@@ -427,9 +451,9 @@ def test_deformed_potentials_seed_order_invariant(model):
     s2 = solve_seed_at_energy(model, Fraction(-17, 10))
     with working_precision(BITS):
         b_a, d_a, _ = deformed_potentials_bd(model.b_grid, model.d_grid,
-                                             [s1, s2], model.eigen(0), BITS)
+                                             [s1, s2], model.eigen(0), BITS, model.memo)
         b_b, d_b, _ = deformed_potentials_bd(model.b_grid, model.d_grid,
-                                             [s2, s1], model.eigen(0), BITS)
+                                             [s2, s1], model.eigen(0), BITS, model.memo)
         for x_pt in range(min(b_a.x_max, b_b.x_max) + 1):
             assert abs(b_a(x_pt) - b_b(x_pt)) <= mpmath.mpf(10) ** -40 * (1 + abs(b_a(x_pt)))
             assert abs(d_a(x_pt) - d_b(x_pt)) <= mpmath.mpf(10) ** -40 * (1 + abs(d_a(x_pt)))
@@ -513,9 +537,9 @@ def test_count_below_matches_operator_recurrence(drawn):
 RDQM_ARGV = ["rdqm", "--dv=-0.6,-1.7", "--de=1,2", "--n", "0,3"]
 
 
-def test_rdqm_run_computes_each_casoratian_once(monkeypatch, tmp_path):
-    """Calls of casoratian_real_grid <= distinct (precision, column values)
-    sets, and each virtual seed is solved once."""
+def counted_rdqm_run(monkeypatch, tmp_path, argv):
+    """Run ``casorati`` on argv, recording each casoratian_real_grid call as
+    (working precision, column values) and each seed solve by its energy."""
     from casorati import cli
     import casorati.rdqm as rdqm_mod
     grid_calls, seed_calls = [], []
@@ -531,9 +555,24 @@ def test_rdqm_run_computes_each_casoratian_once(monkeypatch, tmp_path):
 
     monkeypatch.setattr(rdqm_mod, "casoratian_real_grid", counted_grid)
     monkeypatch.setattr(rdqm_mod, "solve_seed_at_energy", counted_solve)
-    assert cli.main([*RDQM_ARGV, "--out", str(tmp_path / "r.json")]) == 0
+    assert cli.main([*argv, "--out", str(tmp_path / "r.json")]) == 0
+    return grid_calls, seed_calls
+
+
+def test_rdqm_run_computes_each_casoratian_once(monkeypatch, tmp_path):
+    """Calls of casoratian_real_grid <= distinct (precision, column values)
+    sets, and each virtual seed is solved once."""
+    grid_calls, seed_calls = counted_rdqm_run(monkeypatch, tmp_path, RDQM_ARGV)
     assert len(grid_calls) == len(set(grid_calls))
     assert sorted(seed_calls) == [Fraction(-17, 10), Fraction(-3, 5)]
+
+
+def test_rdqm_run_casoratians_at_model_precision(monkeypatch, tmp_path):
+    """Every grid Casoratian of a run, the sign-conjecture check's included,
+    runs at the model's working precision, never at mpmath's ambient one."""
+    grid_calls, _ = counted_rdqm_run(monkeypatch, tmp_path,
+                                     [*RDQM_ARGV, "--precision-bits", "192"])
+    assert grid_calls and {prec for prec, _ in grid_calls} == {192}
 
 
 def test_memo_keys_on_precision():

@@ -121,7 +121,7 @@ def test_lab_checks_that_never_fail_still_replay(monkeypatch):
     points = idqm_mod.imag_shift_points
     monkeypatch.setattr(idqm_mod, "imag_shift_points", lambda n, g: points(n + 1, g))
     vd = idqm_mod.deformed_potential_vd
-    monkeypatch.setattr(idqm_mod, "deformed_potential_vd", lambda *a: vd(*a) * 2)
+    monkeypatch.setattr(idqm_mod, "deformed_potential_vd", lambda *a: vd(*a).times(2, 1))
     model = oqm_mod.build_harmonic_model(4, 2)
     reports = [oqm_mod.two_path_compare(model, [0], [1, 2], 0),
                idqm_mod.check_prefactor_gg(v, 1, 1, 2),
@@ -145,3 +145,33 @@ def test_rdqm_two_path_library_witness_replays(monkeypatch):
                                             compare_up_to=30)
     assert not report.passed and report.witness is not None
     assert_same_report(replay_json(report.witness), report)
+
+
+STEP_MODEL = dict(beta=Fraction(2), c=Fraction(1, 3), n_max=8, x_max=80, precision_bits=256)
+
+
+@pytest.mark.parametrize("dv,flip_parity", [
+    (["-0.6", "-1.7"], True),     # every step fails
+    ([], False),                  # the anchor assumption is violated
+])
+def test_rdqm_step_replay_library_witness(monkeypatch, tmp_path, dv, flip_parity):
+    """darboux_step_replay called as a library function writes the witness the
+    CLI writes for the same run, and it replays to the same report.  The
+    first case flips the parity of the sign factor (a corruption under which
+    every step fails); the second violates the sgn W_C anchor assumption."""
+    if flip_parity:
+        true_sign = rdqm_mod.sign_factor
+        monkeypatch.setattr(rdqm_mod, "sign_factor",
+                            lambda energies: true_sign(energies) * (-1) ** len(energies))
+    argv = ["rdqm", "--dv=" + ",".join(dv), "--de=1,2", "--n", "0"]
+    out = tmp_path / "report.json"
+    assert main([*argv, "--out", str(out)]) == 1
+    cli_steps = {c["params"]["s"]: c for c in json.loads(out.read_text())["checks"]
+                 if c["identityId"] == "rdqm.step-replay" and "witness" in c}
+    assert sorted(cli_steps) == (list(range(4)) if flip_parity else [0, 1])
+    model = rdqm_mod.build_meixner_model(**STEP_MODEL)
+    for s, check in cli_steps.items():
+        report = rdqm_mod.darboux_step_replay(model, dv, [1, 2], 0, s, "1e-25",
+                                              compare_up_to=40)
+        assert report.witness == check["witness"]
+        assert replay_json(report.witness).to_dict() == report.to_dict()
