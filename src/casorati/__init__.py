@@ -23,7 +23,7 @@ from .poly import ExpPoly, ExpRatio, Poly, RationalFn, rational_reduce
 from .report import CheckReport
 from .sampling import SamplerConfig
 from .scalars import GaussianRational, rational, working_precision
-from .seeds import IndexSet, krein_adler_check, sign_factor
+from .seeds import krein_adler_check, sign_factor
 
 __all__ = [
     "__version__",
@@ -33,5 +33,5 @@ __all__ = [
     "wronskian", "wronskian_over_base", "casoratian_imag",
     "casoratian_real", "casoratian_real_grid",
     "CheckReport", "SamplerConfig",
-    "IndexSet", "krein_adler_check", "sign_factor",
+    "krein_adler_check", "sign_factor",
 ]

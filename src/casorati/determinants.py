@@ -236,8 +236,7 @@ def casoratian_imag(fs: Sequence[Poly], gamma) -> Poly:
     n = len(fs)
     if n == 0:
         return Poly.one()
-    deltas = imag_shift_points(n, g)
-    matrix = [[fs[k].shift(deltas[j]) for k in range(n)] for j in range(n)]
+    matrix = [[f.shift(delta) for f in fs] for delta in imag_shift_points(n, g)]
     det = fraction_free_det(matrix)
     return det * i_power((n * (n - 1)) // 2)
 
@@ -246,13 +245,18 @@ def casoratian_imag(fs: Sequence[Poly], gamma) -> Poly:
 # Real-shift Casoratian
 # ---------------------------------------------------------------------------
 
+def real_shift_points(n: int) -> range:
+    """The n row arguments x_j = x + j - 1, j = 1..n, as offsets from x."""
+    return range(n)
+
+
 def casoratian_real(fs: Sequence[Poly]) -> Poly:
     """W_C[f_1, ..., f_n]: det f_k(x + j - 1); W_C[.] = 1."""
     fs = [as_poly(f) for f in fs]
     n = len(fs)
     if n == 0:
         return Poly.one()
-    matrix = [[fs[k].shift(j) for k in range(n)] for j in range(n)]
+    matrix = [[f.shift(delta) for f in fs] for delta in real_shift_points(n)]
     return fraction_free_det(matrix)
 
 

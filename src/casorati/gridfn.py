@@ -1,8 +1,8 @@
 """Functions on the integer window {0, ..., x_max}.
 
-Values are either exact Fractions or mpmath floats; arithmetic is pointwise
-and window-aware.  Any access beyond the stored window raises instead of
-padding, so shrinking windows surface loudly.
+Values are either exact Fractions or mpmath floats.  Any access beyond the
+stored window raises instead of padding, so shrinking windows surface
+loudly.
 """
 
 from __future__ import annotations
@@ -35,16 +35,10 @@ class GridFn:
     def x_max(self) -> int:
         return len(self.values) - 1
 
-    def __len__(self) -> int:
-        return len(self.values)
-
     def __call__(self, x: int):
         if not 0 <= x <= self.x_max:
             raise WindowError(f"x={x} outside window [0, {self.x_max}]")
         return self.values[x]
-
-    def __iter__(self):
-        return iter(self.values)
 
     def truncated(self, x_max: int) -> "GridFn":
         """The values on {0, ..., x_max}; ``self`` itself when that is the
@@ -54,29 +48,6 @@ class GridFn:
         if x_max == self.x_max:
             return self
         return GridFn(self.values[:x_max + 1], self.energy)
-
-    # -- pointwise arithmetic on the common window -----------------------------
-
-    def _zip(self, other, op) -> "GridFn":
-        if isinstance(other, GridFn):
-            n = min(len(self.values), len(other.values))
-            return GridFn([op(a, b) for a, b in zip(self.values[:n], other.values[:n])])
-        return GridFn([op(a, other) for a in self.values])
-
-    def __add__(self, other) -> "GridFn":
-        return self._zip(other, lambda a, b: a + b)
-
-    def __sub__(self, other) -> "GridFn":
-        return self._zip(other, lambda a, b: a - b)
-
-    def __mul__(self, other) -> "GridFn":
-        return self._zip(other, lambda a, b: a * b)
-
-    def __truediv__(self, other) -> "GridFn":
-        return self._zip(other, lambda a, b: a / b)
-
-    def __neg__(self) -> "GridFn":
-        return GridFn([-a for a in self.values], self.energy)
 
     def __repr__(self) -> str:
         head = ", ".join(str(v) for v in self.values[:4])

@@ -5,14 +5,21 @@ CheckReport; quotient and square-root identities are verified in
 cross-multiplied / squared polynomial form so that every comparison stays
 inside exact arithmetic.
 
+The three families share one structure, so quotient, one-reduction, gauge,
+nesting and theorem are written once each (``check_quotient`` ...
+``check_theorem``, each taking a family name) over the algebra a
+``FAMILIES`` row holds: the determinant, the one-reduction operator D and
+its unit, and the row points with evaluation at a point.  The corollaries
+stay per family; the two Casoratian ones share the squared form.
+
 ``CHECKS`` maps every check id that can emit a witness to its registry row:
 how a seeded trial draws its inputs, how inputs are encoded into a witness,
 and how a witness is decoded and re-run.  The 18 identity rows come from two
-tables, ``FAMILIES`` (element drawer, element codec, whether gamma is drawn)
-and ``KINDS`` (the shape's argument names); witness keys are the checkers'
-parameter names.  The lab rows (oqm, idqm, rdqm) decode witnesses that their
-lab modules write.  ``run_identity_suite`` drives seeded sweeps over the
-identity rows, and ``replay_witness`` is the one replay entry point.
+tables, ``FAMILIES`` (algebra, element drawer, element codec, whether gamma
+is drawn) and ``KINDS`` (the shape's argument names); witness keys are the
+checkers' parameter names.  The lab rows (oqm, idqm, rdqm) decode witnesses
+that their lab modules write.  ``run_identity_suite`` drives seeded sweeps
+over the identity rows, and ``replay_witness`` is the one replay entry point.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from .determinants import (
     casoratian_imag,
     casoratian_real,
     imag_shift_points,
+    real_shift_points,
     wronskian,
     wronskian_over_base,
     wronskian_poly,
@@ -64,85 +72,183 @@ def _report(identity_id, passed, lhs, rhs, params, inputs,
 
 def _exp_products_equal(lhs: Sequence[tuple[ExpPoly, int]],
                         rhs: Sequence[tuple[ExpPoly, int]]) -> bool:
-    """prod f_i^{e_i} == prod g_j^{f_j} for ExpPoly factors, exactly."""
-    def split(side):
-        a = Fraction(0)
-        b = Fraction(0)
-        zero = False
-        factors = []
+    """prod f_i^{e_i} == prod g_j^{f_j} for ExpPoly factors, exactly: both
+    products expanded (a zero product equals any zero product, whatever its
+    exponent pair)."""
+    def expand(side):
+        out = ExpPoly.one()
         for f, e in side:
-            if f.is_zero():
-                zero = True
-            a += f.a * e
-            b += f.b * e
-            factors.append((f.p, e))
-        return (a, b), zero, factors
-
-    pair_l, zero_l, fac_l = split(lhs)
-    pair_r, zero_r, fac_r = split(rhs)
-    if not zero_l and not zero_r and pair_l != pair_r:
-        return False
-    return poly_products_equal(fac_l, fac_r)
+            out = out * f ** e
+        return out
+    return expand(lhs) == expand(rhs)
 
 
 # ---------------------------------------------------------------------------
-# Wronskian family (differential)
+# The family table: each determinant family's algebra
 # ---------------------------------------------------------------------------
 
-def check_wronskian_quotient(f: ExpPoly, g: ExpPoly) -> CheckReport:
-    """(f/g)' * g^2 == W[g, f], cross-multiplied as f'g - fg'."""
-    if g.is_zero():
-        raise ZeroDivisionError("quotient identity needs nonzero g")
-    lhs = f.derivative() * g - f * g.derivative()
-    rhs = wronskian([g, f])
-    return _report("wronskian.quotient", lhs == rhs, lhs, rhs,
-                   {"deg_f": f.p.degree, "deg_g": g.p.degree}, dict(f=f, g=g))
+def _d_imag(f: Poly, gamma: Fraction) -> Poly:
+    """Df(x) = f(x - i gamma/2) - f(x + i gamma/2)."""
+    return f.shift(_gr_imag(-gamma * HALF)) - f.shift(_gr_imag(gamma * HALF))
 
 
-def check_wronskian_one_reduction(fs: Sequence[ExpPoly]) -> CheckReport:
-    """W[1, f_1, ..., f_n] == W[f_1', ..., f_n']."""
-    lhs = wronskian([ExpPoly.one()] + list(fs))
-    rhs = wronskian([f.derivative() for f in fs])
-    return _report("wronskian.one-reduction", lhs == rhs, lhs, rhs,
-                   {"n": len(fs), "degrees": [f.p.degree for f in fs]}, dict(fs=fs))
+@dataclass(frozen=True)
+class Family:
+    """One determinant family: how its inputs are drawn and encoded, and the
+    algebra the shape checkers are written in.
+
+    Row points are offsets from x.  The Wronskian is the gamma -> 0 limit of
+    the imaginary-shift family: every row point collapses onto x, where
+    evaluation is the identity.  The callables look up the determinant
+    functions by module global at call time, so a patched one is the one
+    that runs.
+    """
+
+    draw: Callable            # element drawer: random_exp_poly or random_poly
+    element: type             # element codec: ExpPoly or Poly (serialize / deserialize)
+    gamma: bool               # whether a shift gamma is drawn
+    det: Callable             # (fs, gamma) -> W[f_1, ..., f_n]
+    reduce: Callable          # (f, gamma) -> Df in W[1, f..] == c_n W[Df..]
+    unit: Callable            # n -> c_n
+    points: Callable          # (n, gamma) -> the n row points x_1..x_n
+    at: Callable              # (f, point) -> f evaluated at the point
+    theorem_points: Callable  # (m, gamma) -> the m - 1 points of the theorem's W[f] factors
+    # The nesting identity is stated with the factor g(x_1^{(n+1)}) that
+    # both sides share cancelled (g^{n-1} W[g, f..] == W[W[g, f_i]..]).
+    nesting_cancels_g: bool = False
 
 
-def check_wronskian_gauge(fs: Sequence[ExpPoly], g: ExpPoly) -> CheckReport:
-    """W[g f_1, ..., g f_n] == g^n W[f_1, ..., f_n]."""
+def _shift(f: Poly, point) -> Poly:
+    return f.shift(point)
+
+
+FAMILIES = {
+    "wronskian": Family(
+        random_exp_poly, ExpPoly, gamma=False,
+        det=lambda fs, gamma: wronskian(fs),
+        reduce=lambda f, gamma: f.derivative(),
+        unit=lambda n: 1,
+        points=lambda n, gamma: [0] * n,
+        at=lambda f, point: f,
+        theorem_points=lambda m, gamma: [0] * (m - 1),
+        nesting_cancels_g=True),
+    "cas-imag": Family(
+        random_poly, Poly, gamma=True,
+        det=lambda fs, gamma: casoratian_imag(fs, gamma),
+        reduce=_d_imag,
+        unit=i_power,
+        points=imag_shift_points,
+        at=_shift,
+        theorem_points=lambda m, gamma: imag_shift_points(m - 1, gamma)),
+    "cas-real": Family(
+        random_poly, Poly, gamma=False,
+        det=lambda fs, gamma: casoratian_real(fs),
+        reduce=lambda f, gamma: f.shift(1) - f,
+        unit=lambda n: 1,
+        points=lambda n, gamma: real_shift_points(n),
+        at=_shift,
+        theorem_points=lambda m, gamma: range(1, m)),
+}
+
+
+def _family(family: str, gamma) -> tuple[Family, Fraction | None]:
+    """The family's row, and gamma as a Fraction (None for the families
+    without a shift); a gamma that the family does not take is rejected."""
+    row = FAMILIES[family]
+    if row.gamma != (gamma is not None):
+        raise ValueError(f"{family} {'needs a' if row.gamma else 'takes no'} gamma")
+    return row, rational(gamma) if row.gamma else None
+
+
+def _shape_report(family: str, kind: str, passed: bool, lhs, rhs, params: dict,
+                  inputs: dict, gamma) -> CheckReport:
+    if gamma is not None:
+        params["gamma"] = format_rational(gamma)
+    return _report(f"{family}.{kind}", passed, lhs, rhs, params, dict(inputs, gamma=gamma))
+
+
+# ---------------------------------------------------------------------------
+# The five shape checkers, one per identity shape of all three families
+# ---------------------------------------------------------------------------
+
+def check_quotient(family: str, f, g, gamma=None) -> CheckReport:
+    """c_1 ((Df) g(x_1) - f(x_1) (Dg)) == W[g, f], x_1 the first of the two
+    row points: the quotient identity (f/g)' g^2 == W[g, f] cross-multiplied."""
+    row, gamma = _family(family, gamma)
+    x_1 = row.points(2, gamma)[0]
+    lhs = (row.reduce(f, gamma) * row.at(g, x_1)
+           - row.at(f, x_1) * row.reduce(g, gamma)) * row.unit(1)
+    rhs = row.det([g, f], gamma)
+    return _shape_report(family, "quotient", lhs == rhs, lhs, rhs,
+                         {"deg_f": f.degree, "deg_g": g.degree}, dict(f=f, g=g), gamma)
+
+
+def check_one_reduction(family: str, fs: Sequence, gamma=None) -> CheckReport:
+    """W[1, f_1, ..., f_n] == c_n W[Df_1, ..., Df_n]."""
+    row, gamma = _family(family, gamma)
     n = len(fs)
-    lhs = wronskian([g * f for f in fs])
-    rhs = (g ** n) * wronskian(fs)
-    return _report("wronskian.gauge", lhs == rhs, lhs, rhs,
-                   {"n": n, "degrees": [f.p.degree for f in fs], "deg_g": g.p.degree},
-                   dict(fs=fs, g=g))
+    lhs = row.det([row.element.one()] + list(fs), gamma)
+    rhs = row.det([row.reduce(f, gamma) for f in fs], gamma) * row.unit(n)
+    return _shape_report(family, "one-reduction", lhs == rhs, lhs, rhs,
+                         {"n": n, "degrees": [f.degree for f in fs]}, dict(fs=fs), gamma)
 
 
-def check_wronskian_nesting(fs: Sequence[ExpPoly], g: ExpPoly) -> CheckReport:
-    """g^{n-1} W[g, f_1, ..., f_n] == W[W[g,f_1], ..., W[g,f_n]]."""
+def check_gauge(family: str, fs: Sequence, g, gamma=None) -> CheckReport:
+    """W[g f_1, ..., g f_n] == prod_j g(x_j) W[f_1, ..., f_n]."""
+    row, gamma = _family(family, gamma)
+    n = len(fs)
+    lhs = row.det([g * f for f in fs], gamma)
+    rhs = row.det(fs, gamma)
+    for point in row.points(n, gamma):
+        rhs = rhs * row.at(g, point)
+    return _shape_report(family, "gauge", lhs == rhs, lhs, rhs,
+                         {"n": n, "degrees": [f.degree for f in fs], "deg_g": g.degree},
+                         dict(fs=fs, g=g), gamma)
+
+
+def check_nesting(family: str, fs: Sequence, g, gamma=None) -> CheckReport:
+    """prod_{j=1}^n g(x_j^{(n+1)}) W[g, f..] == g(x_1^{(n+1)}) W[W[g,f_1], ..., W[g,f_n]],
+    with g(x_1^{(n+1)}) cancelled where the family states it so; W[g] == g at n = 0."""
+    row, gamma = _family(family, gamma)
     n = len(fs)
     if n == 0:
-        lhs, rhs = wronskian([g]), g
+        lhs, rhs = row.det([g], gamma), g
     else:
-        lhs = (g ** (n - 1)) * wronskian([g] + list(fs))
-        rhs = wronskian([wronskian([g, f]) for f in fs])
-    return _report("wronskian.nesting", lhs == rhs, lhs, rhs,
-                   {"n": n, "degrees": [f.p.degree for f in fs], "deg_g": g.p.degree},
-                   dict(fs=fs, g=g))
+        points = row.points(n + 1, gamma)
+        lhs = row.det([g] + list(fs), gamma)
+        rhs = row.det([row.det([g, f], gamma) for f in fs], gamma)
+        if row.nesting_cancels_g:
+            points = points[1:n]
+        else:
+            rhs = row.at(g, points[0]) * rhs
+            points = points[:n]
+        for point in points:
+            lhs = lhs * row.at(g, point)
+    return _shape_report(family, "nesting", lhs == rhs, lhs, rhs,
+                         {"n": n, "degrees": [f.degree for f in fs], "deg_g": g.degree},
+                         dict(fs=fs, g=g), gamma)
 
 
-def check_wronskian_theorem(fs: Sequence[ExpPoly], us: Sequence[ExpPoly]) -> CheckReport:
-    """(W[f])^{m-1} W[f, u_1..u_m] == W[W[f,u_1], ..., W[f,u_m]]."""
+def check_theorem(family: str, fs: Sequence, us: Sequence, gamma=None) -> CheckReport:
+    """prod_{j=1}^{m-1} W[f](y_j) W[f, u_1..u_m] == W[W[f,u_1], ..., W[f,u_m]]."""
+    row, gamma = _family(family, gamma)
     m = len(us)
     if m < 1:
         raise ValueError("theorem needs m >= 1")
-    w0 = wronskian(fs)
-    lhs = (w0 ** (m - 1)) * wronskian(list(fs) + list(us))
-    rhs = wronskian([wronskian(list(fs) + [u]) for u in us])
-    return _report("wronskian.theorem", lhs == rhs, lhs, rhs,
-                   {"n": len(fs), "m": m,
-                    "degrees": [f.p.degree for f in list(fs) + list(us)]},
-                   dict(fs=fs, us=us))
+    w0 = row.det(fs, gamma)
+    lhs = row.det(list(fs) + list(us), gamma)
+    for point in row.theorem_points(m, gamma):
+        lhs = lhs * row.at(w0, point)
+    rhs = row.det([row.det(list(fs) + [u], gamma) for u in us], gamma)
+    return _shape_report(family, "theorem", lhs == rhs, lhs, rhs,
+                         {"n": len(fs), "m": m,
+                          "degrees": [f.degree for f in list(fs) + list(us)]},
+                         dict(fs=fs, us=us), gamma)
 
+
+# ---------------------------------------------------------------------------
+# The corollaries, per family
+# ---------------------------------------------------------------------------
 
 def check_wronskian_corollary(fs: Sequence[ExpPoly], us: Sequence[ExpPoly],
                               v: ExpPoly) -> CheckReport:
@@ -181,118 +287,128 @@ def check_wronskian_corollary(fs: Sequence[ExpPoly], us: Sequence[ExpPoly],
                    dict(fs=fs, us=us, v=v), note="" if ok1 else "corollary-form failed")
 
 
+def _squared_corollary(family: str, fs: Sequence[Poly], us: Sequence[Poly], gamma):
+    """Square-root-free corollary of a Casoratian theorem: A^2 P == C^2 B with
+
+    A = W[f, u..](x),  C = W[W[f,u_1], ..., W[f,u_m]](x),
+    B = W[f] at the first and last of the m+1 row points,
+    P = prod_{j=1}^m w^2(x_j^{(m)}),  w^2(y) = prod_p W[f](y + p) over the two row points p.
+
+    Returns the verdict and (W[f], A, [W[f,u_j]], C, w^2, the factors of P).
+    """
+    row = FAMILIES[family]
+    w0 = row.det(fs, gamma)
+    a = row.det(list(fs) + list(us), gamma)
+    gs = [row.det(list(fs) + [u], gamma) for u in us]
+    c = row.det(gs, gamma)
+    p_1, p_2 = row.points(2, gamma)
+    w2 = row.at(w0, p_1) * row.at(w0, p_2)
+    p_parts = [row.at(w2, point) for point in row.points(len(us), gamma)]
+    ends = row.points(len(us) + 1, gamma)
+    passed = poly_products_equal(
+        [(a, 2)] + [(q, 1) for q in p_parts],
+        [(c, 2), (row.at(w0, ends[0]), 1), (row.at(w0, ends[-1]), 1)])
+    return passed, (w0, a, gs, c, w2, p_parts)
+
+
+def check_cas_imag_corollary(fs: Sequence[Poly], us: Sequence[Poly], gamma) -> CheckReport:
+    """The squared corollary A^2 P == C^2 B of the imaginary-shift theorem."""
+    gamma = rational(gamma)
+    passed = _squared_corollary("cas-imag", fs, us, gamma)[0]
+    return _report("cas-imag.corollary", passed,
+                   "A^2 P (cross-multiplied)", "C^2 B (cross-multiplied)",
+                   {"l": len(fs), "m": len(us), "gamma": format_rational(gamma),
+                    "degrees": [f.degree for f in list(fs) + list(us)]},
+                   dict(fs=fs, us=us, gamma=gamma))
+
+
+def _real_sign_at(p: Poly, x: int) -> int:
+    v = p(x)
+    if not v.is_real():
+        return 0
+    return (v.re > 0) - (v.re < 0)
+
+
+def check_cas_real_corollary(fs: Sequence[Poly], us: Sequence[Poly],
+                             v: Poly | None = None,
+                             sample_range: range = range(0, 7)) -> CheckReport:
+    """Squared corollary, plus the signed two-path ratio when v is given.
+
+    Squared corollary: A^2 P == C^2 B with B = W_C[f](x) W_C[f](x+m) and
+    P = prod_{j=1}^m W_C[f](x+j-1) W_C[f](x+j) (see _squared_corollary).
+
+    Signed variant (the epsilon-weighted ratio identity): verified to the 4th
+    power exactly (epsilon^4 == 1 drops out), then sign-checked exactly at the
+    first sample point where W_C[f] has a definite sign on every argument used
+    and every radical is real: sgn a_v(x0) == epsilon^m sgn c_v(x0).
+    """
+    m = len(us)
+    ok_squared, (w0, a, gs, c, w2, p_parts) = _squared_corollary("cas-real", fs, us, None)
+
+    ok_signed = True
+    inconclusive = False
+    note = ""
+    if v is not None:
+        g_v = casoratian_real(list(fs) + [v])
+        a_v = casoratian_real(list(fs) + list(us) + [v])
+        c_v = casoratian_real(gs + [g_v])
+        lhs4 = ([(a_v, 4), (w0.shift(1), 1), (w0.shift(m), 1), (c, 2), (c.shift(1), 2)]
+                + [(q, 2) for q in p_parts] + [(w2.shift(m), 2)])
+        rhs4 = ([(w0, 1), (w0.shift(m + 1), 1), (c_v, 4), (a, 2), (a.shift(1), 2)]
+                + [(q, 1) for q in p_parts] + [(q.shift(1), 1) for q in p_parts])
+        ok_signed = poly_products_equal(lhs4, rhs4)
+        note = "" if ok_signed else "signed 4th-power identity failed"
+
+        if ok_signed:
+            sign_checked = False
+            for x0 in sample_range:
+                w_signs = {_real_sign_at(w0, x0 + k) for k in range(m + 2)}
+                if len(w_signs) != 1 or 0 in w_signs:
+                    continue  # premise: definite sign on every used argument
+                eps = w_signs.pop()
+                vals = {
+                    "a_v": a_v(x0), "a0": a(x0), "a1": a(x0 + 1),
+                    "c_v": c_v(x0), "c0": c(x0), "c1": c(x0 + 1),
+                }
+                if any(not z.is_real() for z in vals.values()):
+                    continue
+                sgn = {k: (z.re > 0) - (z.re < 0) for k, z in vals.items()}
+                if sgn["a0"] * sgn["a1"] <= 0 or sgn["c0"] * sgn["c1"] <= 0:
+                    continue
+                # The w_signs premise makes w2(x0+j) (j = 0..m), qn(x0) =
+                # w0(x0) w0(x0+m+1) and qd(x0) = w0(x0+1) w0(x0+m) positive,
+                # so every radical is real.  The 4th-power identity holds, so
+                # |lhs| == |rhs| exactly: the signs decide.
+                sign_checked = True
+                if sgn["a_v"] == eps ** m * sgn["c_v"]:
+                    note = f"signs compared at x={x0}"
+                else:
+                    ok_signed = False
+                    note = f"sign disagreement at x={x0}"
+                break
+            if not sign_checked and ok_signed:
+                # The squared and 4th-power identities already passed; the
+                # auxiliary sign sample simply had no sign-definite window.
+                note = "sign sample skipped (W_C[f] not sign-definite)"
+
+    passed = ok_squared and ok_signed
+    return _report("cas-real.corollary", passed,
+                   "squared/4th-power cross-multiplied LHS",
+                   "squared/4th-power cross-multiplied RHS",
+                   {"l": len(fs), "m": m,
+                    "degrees": [f.degree for f in list(fs) + list(us)]},
+                   dict(fs=fs, us=us, v=v), inconclusive=inconclusive, note=note)
+
+
+# ---------------------------------------------------------------------------
+# The two-column identities (the m = 2 rows of the three theorems)
+# ---------------------------------------------------------------------------
+
 def two_column_identity_wronskian(fs, g, h) -> tuple[ExpPoly, ExpPoly]:
     """Direct both sides of W[W[f..,g], W[f..,h]] == W[f..] W[f..,g,h]."""
     lhs = wronskian([wronskian(list(fs) + [g]), wronskian(list(fs) + [h])])
     rhs = wronskian(fs) * wronskian(list(fs) + [g, h])
     return lhs, rhs
-
-
-# ---------------------------------------------------------------------------
-# Imaginary-shift Casoratian family
-# ---------------------------------------------------------------------------
-
-def _d_imag(f: Poly, gamma: Fraction) -> Poly:
-    """Df(x) = f(x - i gamma/2) - f(x + i gamma/2)."""
-    return f.shift(_gr_imag(-gamma * HALF)) - f.shift(_gr_imag(gamma * HALF))
-
-
-def check_cas_imag_quotient(f: Poly, g: Poly, gamma) -> CheckReport:
-    """i [f(x-ig/2) g(x+ig/2) - f(x+ig/2) g(x-ig/2)] == W_g[g, f]."""
-    gamma = rational(gamma)
-    minus, plus = _gr_imag(-gamma * HALF), _gr_imag(gamma * HALF)
-    lhs = (f.shift(minus) * g.shift(plus) - f.shift(plus) * g.shift(minus)) * i_power(1)
-    rhs = casoratian_imag([g, f], gamma)
-    return _report("cas-imag.quotient", lhs == rhs, lhs, rhs,
-                   {"deg_f": f.degree, "deg_g": g.degree, "gamma": format_rational(gamma)},
-                   dict(f=f, g=g, gamma=gamma))
-
-
-def check_cas_imag_one_reduction(fs: Sequence[Poly], gamma) -> CheckReport:
-    """W_g[1, f_1..f_n] == i^n W_g[Df_1, ..., Df_n]."""
-    gamma = rational(gamma)
-    n = len(fs)
-    lhs = casoratian_imag([Poly.one()] + list(fs), gamma)
-    rhs = casoratian_imag([_d_imag(f, gamma) for f in fs], gamma) * i_power(n)
-    return _report("cas-imag.one-reduction", lhs == rhs, lhs, rhs,
-                   {"n": n, "degrees": [f.degree for f in fs],
-                    "gamma": format_rational(gamma)},
-                   dict(fs=fs, gamma=gamma))
-
-
-def check_cas_imag_gauge(fs: Sequence[Poly], g: Poly, gamma) -> CheckReport:
-    """W_g[g f_1, ..., g f_n] == prod_j g(x_j^{(n)}) W_g[f_1, ..., f_n]."""
-    gamma = rational(gamma)
-    n = len(fs)
-    lhs = casoratian_imag([g * f for f in fs], gamma)
-    rhs = casoratian_imag(fs, gamma)
-    for delta in imag_shift_points(n, gamma):
-        rhs = rhs * g.shift(delta)
-    return _report("cas-imag.gauge", lhs == rhs, lhs, rhs,
-                   {"n": n, "degrees": [f.degree for f in fs], "deg_g": g.degree,
-                    "gamma": format_rational(gamma)},
-                   dict(fs=fs, g=g, gamma=gamma))
-
-
-def check_cas_imag_nesting(fs: Sequence[Poly], g: Poly, gamma) -> CheckReport:
-    """prod_{j=1}^n g(x_j^{(n+1)}) W_g[g, f..] == g(x_1^{(n+1)}) W_g[W_g[g,f_1], ...]."""
-    gamma = rational(gamma)
-    n = len(fs)
-    if n == 0:
-        lhs, rhs = casoratian_imag([g], gamma), g
-    else:
-        points = imag_shift_points(n + 1, gamma)
-        lhs = casoratian_imag([g] + list(fs), gamma)
-        for delta in points[:n]:
-            lhs = lhs * g.shift(delta)
-        rhs = g.shift(points[0]) * casoratian_imag(
-            [casoratian_imag([g, f], gamma) for f in fs], gamma)
-    return _report("cas-imag.nesting", lhs == rhs, lhs, rhs,
-                   {"n": n, "degrees": [f.degree for f in fs], "deg_g": g.degree,
-                    "gamma": format_rational(gamma)},
-                   dict(fs=fs, g=g, gamma=gamma))
-
-
-def check_cas_imag_theorem(fs: Sequence[Poly], us: Sequence[Poly], gamma) -> CheckReport:
-    """prod_j W_g[f](x_j^{(m-1)}) W_g[f, u..] == W_g[W_g[f,u_1], ..., W_g[f,u_m]]."""
-    gamma = rational(gamma)
-    m = len(us)
-    if m < 1:
-        raise ValueError("theorem needs m >= 1")
-    w0 = casoratian_imag(fs, gamma)
-    lhs = casoratian_imag(list(fs) + list(us), gamma)
-    for delta in imag_shift_points(m - 1, gamma):
-        lhs = lhs * w0.shift(delta)
-    rhs = casoratian_imag([casoratian_imag(list(fs) + [u], gamma) for u in us], gamma)
-    return _report("cas-imag.theorem", lhs == rhs, lhs, rhs,
-                   {"n": len(fs), "m": m, "gamma": format_rational(gamma),
-                    "degrees": [f.degree for f in list(fs) + list(us)]},
-                   dict(fs=fs, us=us, gamma=gamma))
-
-
-def check_cas_imag_corollary(fs: Sequence[Poly], us: Sequence[Poly], gamma) -> CheckReport:
-    """Square-root-free corollary: A^2 P == C^2 B with
-
-    A = W_g[f, u..](x)
-    B = W_g[f](x - i m g/2) W_g[f](x + i m g/2)
-    C = W_g[W_g[f,u_1], ..., W_g[f,u_m]](x)
-    P = prod_{j=1}^m w^2(x_j^{(m)}),  w^2(y) = W_g[f](y-ig/2) W_g[f](y+ig/2).
-    """
-    gamma = rational(gamma)
-    m = len(us)
-    w0 = casoratian_imag(fs, gamma)
-    a = casoratian_imag(list(fs) + list(us), gamma)
-    b_parts = [w0.shift(_gr_imag(-gamma * m * HALF)), w0.shift(_gr_imag(gamma * m * HALF))]
-    c = casoratian_imag([casoratian_imag(list(fs) + [u], gamma) for u in us], gamma)
-    w2 = w0.shift(_gr_imag(-gamma * HALF)) * w0.shift(_gr_imag(gamma * HALF))
-    p_parts = [w2.shift(delta) for delta in imag_shift_points(m, gamma)]
-    passed = poly_products_equal([(a, 2)] + [(q, 1) for q in p_parts],
-                                 [(c, 2)] + [(q, 1) for q in b_parts])
-    return _report("cas-imag.corollary", passed,
-                   "A^2 P (cross-multiplied)", "C^2 B (cross-multiplied)",
-                   {"l": len(fs), "m": m, "gamma": format_rational(gamma),
-                    "degrees": [f.degree for f in list(fs) + list(us)]},
-                   dict(fs=fs, us=us, gamma=gamma))
 
 
 def two_column_identity_cas_imag(fs, g, h, gamma) -> tuple[Poly, Poly]:
@@ -303,6 +419,22 @@ def two_column_identity_cas_imag(fs, g, h, gamma) -> tuple[Poly, Poly]:
     rhs = casoratian_imag(fs, gamma) * casoratian_imag(list(fs) + [g, h], gamma)
     return lhs, rhs
 
+
+def two_column_identity_cas_real(fs, g, h) -> tuple[Poly, Poly]:
+    """Direct both sides of W_C[W_C[f..,g], W_C[f..,h]](x) == W_C[f..](x+1) W_C[f..,g,h](x).
+
+    The x+1 shift on the first right-hand factor is the real-shift family's
+    distinctive feature.
+    """
+    lhs = casoratian_real([casoratian_real(list(fs) + [g]),
+                           casoratian_real(list(fs) + [h])])
+    rhs = casoratian_real(fs).shift(1) * casoratian_real(list(fs) + [g, h])
+    return lhs, rhs
+
+
+# ---------------------------------------------------------------------------
+# The imaginary-shift extras: sum formula and classical limit
+# ---------------------------------------------------------------------------
 
 def check_sum_formula(j_max: int) -> CheckReport:
     """sum_r (-1)^r C(j-1, r) (r - (j-1)/2)^s == (-1)^{j-1} (j-1)! delta_{s,j-1}."""
@@ -373,190 +505,8 @@ def check_classical_limit(fs: Sequence[Poly], gamma0, halvings: int) -> CheckRep
 
 
 # ---------------------------------------------------------------------------
-# Real-shift Casoratian family
-# ---------------------------------------------------------------------------
-
-def _d_real(f: Poly) -> Poly:
-    return f.shift(1) - f
-
-
-def check_cas_real_quotient(f: Poly, g: Poly) -> CheckReport:
-    """f(x+1) g(x) - f(x) g(x+1) == W_C[g, f]."""
-    lhs = f.shift(1) * g - f * g.shift(1)
-    rhs = casoratian_real([g, f])
-    return _report("cas-real.quotient", lhs == rhs, lhs, rhs,
-                   {"deg_f": f.degree, "deg_g": g.degree}, dict(f=f, g=g))
-
-
-def check_cas_real_one_reduction(fs: Sequence[Poly]) -> CheckReport:
-    """W_C[1, f_1..f_n] == W_C[Df_1, ..., Df_n] with Df = f(x+1) - f(x)."""
-    lhs = casoratian_real([Poly.one()] + list(fs))
-    rhs = casoratian_real([_d_real(f) for f in fs])
-    return _report("cas-real.one-reduction", lhs == rhs, lhs, rhs,
-                   {"n": len(fs), "degrees": [f.degree for f in fs]}, dict(fs=fs))
-
-
-def check_cas_real_gauge(fs: Sequence[Poly], g: Poly) -> CheckReport:
-    """W_C[g f_1, ..., g f_n] == prod_j g(x+j-1) W_C[f_1, ..., f_n]."""
-    n = len(fs)
-    lhs = casoratian_real([g * f for f in fs])
-    rhs = casoratian_real(fs)
-    for j in range(1, n + 1):
-        rhs = rhs * g.shift(j - 1)
-    return _report("cas-real.gauge", lhs == rhs, lhs, rhs,
-                   {"n": n, "degrees": [f.degree for f in fs], "deg_g": g.degree},
-                   dict(fs=fs, g=g))
-
-
-def check_cas_real_nesting(fs: Sequence[Poly], g: Poly) -> CheckReport:
-    """prod_j g(x+j-1) W_C[g, f..] == g(x) W_C[W_C[g,f_1], ..., W_C[g,f_n]]."""
-    n = len(fs)
-    if n == 0:
-        lhs, rhs = casoratian_real([g]), g
-    else:
-        lhs = casoratian_real([g] + list(fs))
-        for j in range(1, n + 1):
-            lhs = lhs * g.shift(j - 1)
-        rhs = g * casoratian_real([casoratian_real([g, f]) for f in fs])
-    return _report("cas-real.nesting", lhs == rhs, lhs, rhs,
-                   {"n": n, "degrees": [f.degree for f in fs], "deg_g": g.degree},
-                   dict(fs=fs, g=g))
-
-
-def check_cas_real_theorem(fs: Sequence[Poly], us: Sequence[Poly]) -> CheckReport:
-    """prod_{j=1}^{m-1} W_C[f](x+j) W_C[f, u..] == W_C[W_C[f,u_1], ..., W_C[f,u_m]]."""
-    m = len(us)
-    if m < 1:
-        raise ValueError("theorem needs m >= 1")
-    w0 = casoratian_real(fs)
-    lhs = casoratian_real(list(fs) + list(us))
-    for j in range(1, m):
-        lhs = lhs * w0.shift(j)
-    rhs = casoratian_real([casoratian_real(list(fs) + [u]) for u in us])
-    return _report("cas-real.theorem", lhs == rhs, lhs, rhs,
-                   {"n": len(fs), "m": m,
-                    "degrees": [f.degree for f in list(fs) + list(us)]},
-                   dict(fs=fs, us=us))
-
-
-def _real_sign_at(p: Poly, x: int) -> int:
-    v = p(x)
-    if not v.is_real():
-        return 0
-    return (v.re > 0) - (v.re < 0)
-
-
-def check_cas_real_corollary(fs: Sequence[Poly], us: Sequence[Poly],
-                             v: Poly | None = None,
-                             sample_range: range = range(0, 7)) -> CheckReport:
-    """Squared corollary, plus the signed two-path ratio when v is given.
-
-    Squared corollary: A^2 P == C^2 B with
-      A = W_C[f, u..](x), B = W_C[f](x) W_C[f](x+m),
-      C = W_C[W_C[f,u_1], ..., W_C[f,u_m]](x),
-      P = prod_{j=1}^m W_C[f](x+j-1) W_C[f](x+j).
-
-    Signed variant (the epsilon-weighted ratio identity): verified to the 4th
-    power exactly (epsilon^4 == 1 drops out), then sign-checked exactly at the
-    first sample point where W_C[f] has a definite sign on every argument used
-    and every radical is real: sgn a_v(x0) == epsilon^m sgn c_v(x0).
-    """
-    m = len(us)
-    w0 = casoratian_real(fs)
-    a = casoratian_real(list(fs) + list(us))
-    gs = [casoratian_real(list(fs) + [u]) for u in us]
-    c = casoratian_real(gs)
-    w2 = w0 * w0.shift(1)
-    p_parts = [w2.shift(j - 1) for j in range(1, m + 1)]
-    ok_squared = poly_products_equal(
-        [(a, 2)] + [(q, 1) for q in p_parts],
-        [(c, 2), (w0, 1), (w0.shift(m), 1)])
-
-    ok_signed = True
-    inconclusive = False
-    note = ""
-    if v is not None:
-        g_v = casoratian_real(list(fs) + [v])
-        a_v = casoratian_real(list(fs) + list(us) + [v])
-        c_v = casoratian_real(gs + [g_v])
-        lhs4 = ([(a_v, 4), (w0.shift(1), 1), (w0.shift(m), 1), (c, 2), (c.shift(1), 2)]
-                + [(q, 2) for q in p_parts] + [(w2.shift(m), 2)])
-        rhs4 = ([(w0, 1), (w0.shift(m + 1), 1), (c_v, 4), (a, 2), (a.shift(1), 2)]
-                + [(q, 1) for q in p_parts] + [(q.shift(1), 1) for q in p_parts])
-        ok_signed = poly_products_equal(lhs4, rhs4)
-        note = "" if ok_signed else "signed 4th-power identity failed"
-
-        if ok_signed:
-            sign_checked = False
-            for x0 in sample_range:
-                w_signs = {_real_sign_at(w0, x0 + k) for k in range(m + 2)}
-                if len(w_signs) != 1 or 0 in w_signs:
-                    continue  # premise: definite sign on every used argument
-                eps = w_signs.pop()
-                vals = {
-                    "a_v": a_v(x0), "a0": a(x0), "a1": a(x0 + 1),
-                    "c_v": c_v(x0), "c0": c(x0), "c1": c(x0 + 1),
-                }
-                if any(not z.is_real() for z in vals.values()):
-                    continue
-                sgn = {k: (z.re > 0) - (z.re < 0) for k, z in vals.items()}
-                if sgn["a0"] * sgn["a1"] <= 0 or sgn["c0"] * sgn["c1"] <= 0:
-                    continue
-                # The w_signs premise makes w2(x0+j) (j = 0..m), qn(x0) =
-                # w0(x0) w0(x0+m+1) and qd(x0) = w0(x0+1) w0(x0+m) positive,
-                # so every radical is real.  The 4th-power identity holds, so
-                # |lhs| == |rhs| exactly: the signs decide.
-                sign_checked = True
-                if sgn["a_v"] == eps ** m * sgn["c_v"]:
-                    note = f"signs compared at x={x0}"
-                else:
-                    ok_signed = False
-                    note = f"sign disagreement at x={x0}"
-                break
-            if not sign_checked and ok_signed:
-                # The squared and 4th-power identities already passed; the
-                # auxiliary sign sample simply had no sign-definite window.
-                note = "sign sample skipped (W_C[f] not sign-definite)"
-
-    passed = ok_squared and ok_signed
-    return _report("cas-real.corollary", passed,
-                   "squared/4th-power cross-multiplied LHS",
-                   "squared/4th-power cross-multiplied RHS",
-                   {"l": len(fs), "m": m,
-                    "degrees": [f.degree for f in list(fs) + list(us)]},
-                   dict(fs=fs, us=us, v=v), inconclusive=inconclusive, note=note)
-
-
-def two_column_identity_cas_real(fs, g, h) -> tuple[Poly, Poly]:
-    """Direct both sides of W_C[W_C[f..,g], W_C[f..,h]](x) == W_C[f..](x+1) W_C[f..,g,h](x).
-
-    The x+1 shift on the first right-hand factor is the real-shift family's
-    distinctive feature.
-    """
-    lhs = casoratian_real([casoratian_real(list(fs) + [g]),
-                           casoratian_real(list(fs) + [h])])
-    rhs = casoratian_real(fs).shift(1) * casoratian_real(list(fs) + [g, h])
-    return lhs, rhs
-
-
-# ---------------------------------------------------------------------------
 # Check registry: how each check id is drawn, encoded and replayed
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Family:
-    """How the inputs of one determinant family are drawn and encoded."""
-
-    draw: Callable      # element drawer: random_exp_poly or random_poly
-    element: type       # element codec: ExpPoly or Poly (serialize / deserialize)
-    gamma: bool         # whether a shift gamma is drawn
-
-
-FAMILIES = {
-    "wronskian": Family(random_exp_poly, ExpPoly, gamma=False),
-    "cas-imag": Family(random_poly, Poly, gamma=True),
-    "cas-real": Family(random_poly, Poly, gamma=False),
-}
 
 # The element arguments of each identity shape, in checker call order.
 KINDS = {
@@ -591,13 +541,16 @@ def _codecs(element: type) -> dict[str, tuple[Callable, Callable]]:
             "gamma": number, "gamma0": number, "halvings": count, "j_max": count}
 
 
-def _checker_row(checker: str, element: type = Poly, draw: Callable | None = None) -> Check:
-    """Row of a checker in this module; its witness keys are its parameter names."""
+def _checker_row(checker: str, element: type = Poly, draw: Callable | None = None,
+                 family: str | None = None) -> Check:
+    """Row of a checker in this module; its witness keys are its parameter
+    names.  A shape checker's row passes it the family name first."""
     codecs = _codecs(element)
+    bound = (family,) if family else ()
 
     def run(inputs: dict) -> CheckReport:
         # Looked up at call time, so a patched checker is the one that runs.
-        return globals()[checker](**inputs)
+        return globals()[checker](*bound, **inputs)
 
     def encode(inputs: dict) -> dict:
         return {key: codecs[key][0](value) for key, value in inputs.items()
@@ -606,7 +559,7 @@ def _checker_row(checker: str, element: type = Poly, draw: Callable | None = Non
     def replay(data: dict) -> CheckReport:
         try:
             inputs = {key: codecs[key][1](value) for key, value in data.items()}
-            inspect.signature(globals()[checker]).bind(**inputs)
+            inspect.signature(globals()[checker]).bind(*bound, **inputs)
         except TypeError as exc:
             raise ValueError(f"malformed witness inputs: {exc}") from None
         return run(inputs)
@@ -688,11 +641,17 @@ def _replay_rdqm_step(d: dict) -> CheckReport:
                                     compare_up_to=d["compare_up_to"])
 
 
+def _identity_row(family: str, kind: str) -> Check:
+    """A shape checker bound to the family, or the family's own corollary."""
+    row = FAMILIES[family]
+    draw = _family_draw(row, _shape_args(family, kind))
+    if kind == "corollary":
+        return _checker_row(f"check_{family}_corollary".replace("-", "_"), row.element, draw)
+    return _checker_row(f"check_{kind}".replace("-", "_"), row.element, draw, family)
+
+
 CHECKS: dict[str, Check] = {
-    f"{family}.{kind}": _checker_row(
-        f"check_{family}_{kind}".replace("-", "_"), row.element,
-        _family_draw(row, _shape_args(family, kind)))
-    for family, row in FAMILIES.items() for kind in KINDS
+    f"{family}.{kind}": _identity_row(family, kind) for family in FAMILIES for kind in KINDS
 }
 CHECKS.update({
     "cas-imag.classical-limit": _checker_row("check_classical_limit", Poly, _draw_classical_limit),

@@ -166,6 +166,12 @@ def conjugate_pair_product(v_dv: PowerProduct, m: int, gamma) -> PowerProduct:
     return out
 
 
+def _require_nonzero_potential(v: RationalFn) -> None:
+    """Every tracked radicand is a V-product, so V = 0 is inadmissible."""
+    if v.is_zero():
+        raise ValueError("V vanishes identically")
+
+
 def check_prefactor_gg(v: RationalFn, gamma, l: int, m: int) -> CheckReport:
     """Prefactor collapse for the staged route, verified to the 8th power.
 
@@ -176,6 +182,7 @@ def check_prefactor_gg(v: RationalFn, gamma, l: int, m: int) -> CheckReport:
     gamma = rational(gamma)
     if l < 0 or m < 1:
         raise ValueError("need l >= 0 and m >= 1")
+    _require_nonzero_potential(v)
     g4 = vv_product(v, gamma, l, 0, l - 1)
     lhs8 = RationalFn.one()
     for delta in imag_shift_points(m + 1, gamma):
@@ -209,6 +216,7 @@ def check_potential_product_identity(v: RationalFn, seeds: Sequence[Poly], gamma
     gamma = rational(gamma)
     if m < 1:
         raise ValueError("need m >= 1")
+    _require_nonzero_potential(v)
     l = len(seeds)
     mu_state = Poly.one() if mu_state is None else mu_state
     lhs = conjugate_pair_product(deformed_potential_vd(v, seeds, gamma, mu_state), m, gamma)
@@ -319,6 +327,7 @@ def two_path_compare_idqm(v: RationalFn, dv_seeds: Sequence[Poly],
     inconclusive outcome, not a failure.
     """
     gamma = rational(gamma)
+    _require_nonzero_potential(v)
     mu_state = Poly.one() if mu_state is None else mu_state
     path_one = one_shot_idqm(v, list(dv_seeds) + list(de_seeds), v_state, gamma)
     path_two = staged_idqm(v, dv_seeds, de_seeds, v_state, gamma, mu_state)

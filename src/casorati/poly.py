@@ -427,63 +427,18 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-def _eval_gauss_int(re: Sequence[int], im: Sequence[int], x: int) -> tuple[int, int]:
-    a = b = 0
-    for cr, ci in zip(reversed(re), reversed(im)):
-        a = a * x + cr
-        b = b * x + ci
-    return a, b
-
-
 def poly_products_equal(lhs: Sequence[tuple["Poly", int]],
                         rhs: Sequence[tuple["Poly", int]]) -> bool:
-    """Exact equality of prod p_i^{e_i} == prod q_j^{f_j} without expanding.
-
-    Both sides are evaluated (denominator-cleared, pure Gaussian-integer
-    arithmetic) at degree+1 integer points; polynomials of degree <= D that
-    agree at D+1 points are identical.
-    """
-    def prepare(side):
-        deg = 0
-        factors = []
-        den = 1
+    """Exact equality of prod p_i^{e_i} == prod q_j^{f_j}: both products
+    expanded and compared."""
+    def expand(side):
+        out = _P_ONE
         for p, e in side:
-            if e == 0:
-                continue
             if e < 0:
                 raise ValueError("negative exponent in product comparison")
-            if p.is_zero():
-                return None, None, None
-            deg += p.degree * e
-            factors.append((p.re, p.im, e))
-            den *= p.den ** e
-        return deg, factors, den
-
-    deg_l, fac_l, den_l = prepare(lhs)
-    deg_r, fac_r, den_r = prepare(rhs)
-    if fac_l is None and fac_r is None:
-        return True
-
-    def value(factors, x):
-        va, vb = 1, 0
-        for re, im, e in factors:
-            a, b = _eval_gauss_int(re, im, x)
-            for _ in range(e):
-                va, vb = va * a - vb * b, va * b + vb * a
-        return va, vb
-
-    if fac_l is None or fac_r is None:
-        deg = deg_r if fac_l is None else deg_l
-        factors = fac_r if fac_l is None else fac_l
-        return all(value(factors, x) == (0, 0) for x in range(deg + 1))
-
-    bound = max(deg_l, deg_r)
-    for x in range(bound + 1):
-        la, lb = value(fac_l, x)
-        ra, rb = value(fac_r, x)
-        if (la * den_r, lb * den_r) != (ra * den_l, rb * den_l):
-            return False
-    return True
+            out = out * p ** e
+        return out
+    return expand(lhs) == expand(rhs)
 
 
 class RationalFn:
@@ -631,7 +586,7 @@ def rational_reduce(num: Poly, den: Poly) -> RationalFn:
 class ExpPoly:
     """p(x) * exp((a*x^2 + b*x)/2) with rational a, b.
 
-    Differentiation maps p -> p' + (a*x + b)*p with (a, b) unchanged;
+    Differentiation maps p -> p' + (a*x + b/2)*p with (a, b) unchanged;
     products add the exponent pairs.
     """
 
@@ -651,6 +606,10 @@ class ExpPoly:
 
     def is_zero(self) -> bool:
         return self.p.is_zero()
+
+    @property
+    def degree(self) -> int:
+        return self.p.degree
 
     @property
     def pair(self) -> tuple[Fraction, Fraction]:

@@ -90,11 +90,11 @@ def test_config_file_with_flag_override(tmp_path):
 
 def test_replay_reproduces_failure(tmp_path):
     """A witness from a corrupted instance replays to the same failure."""
-    from casorati.identities import check_cas_real_theorem, replay_witness
+    from casorati.identities import check_theorem, replay_witness
     from casorati.poly import Poly
     
     x = Poly.x()
-    good = check_cas_real_theorem([x], [Poly.one(), x * x])
+    good = check_theorem("cas-real", [x], [Poly.one(), x * x])
     assert good.passed
     # build a witness whose recorded inputs cannot satisfy the identity by
     # swapping lhs/rhs roles: fabricate one via the corrupted-expression route
@@ -224,9 +224,24 @@ def test_replay_rdqm_witness_carries_its_config(tmp_path, capsys):
     '{"identityId": "cas-real.unknown", "inputs": {}}',
     '{"identityId": "cas-real.theorem", "inputs": {"fs": []}}',
     '{"identityId": "rdqm.two-path", "inputs": {"n": 0}}',
+    '{"identityId": "cas-imag.theorem", "inputs": {"fs": ["1"], "us": ["0", "1"]}}',
+    '{"identityId": "cas-real.theorem", "inputs": {"fs": ["1"], "us": ["0", "1"], "gamma": "1"}}',
+    '{"identityId": "idqm.prefactor-gg", "inputs": {"v_num": [], "v_den": ["1"],'
+    ' "gamma": "1", "l": 1, "m": 1}}',
+    '{"identityId": "idqm.potential-product", "inputs": {"v_num": [], "v_den": ["1"],'
+    ' "seeds": [["0", "1"]], "mu": ["1"], "gamma": "1", "m": 1}}',
+    '{"identityId": "idqm.two-path", "inputs": {"v_num": [], "v_den": ["1"],'
+    ' "dv": [["0", "1"]], "de": [["1", "1"]], "v_state": ["0", "0", "1"], "mu": ["1"],'
+    ' "gamma": "1"}}',
 ])
 def test_replay_malformed_witness_exit_2(tmp_path, capsys, text):
     path = tmp_path / "witness.json"
     path.write_text(text)
     assert main(["identities", "--replay", str(path)]) == 2
     assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_rdqm_duplicate_eigenstate_labels_exit_2(capsys):
+    assert main(["rdqm", "--de=1,1", "--n", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: eigenstate labels must be mutually distinct\n")

@@ -3,30 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from casorati.determinants import casoratian_imag, casoratian_real, wronskian
+from casorati.determinants import casoratian_imag, casoratian_real, imag_shift_points, wronskian
 from casorati.identities import (
     CHECKS,
     IDENTITY_IDS,
     check_cas_imag_corollary,
-    check_cas_imag_gauge,
-    check_cas_imag_nesting,
-    check_cas_imag_one_reduction,
-    check_cas_imag_quotient,
-    check_cas_imag_theorem,
     check_cas_real_corollary,
-    check_cas_real_gauge,
-    check_cas_real_nesting,
-    check_cas_real_one_reduction,
-    check_cas_real_quotient,
-    check_cas_real_theorem,
     check_classical_limit,
+    check_gauge,
+    check_nesting,
+    check_one_reduction,
+    check_quotient,
     check_sum_formula,
+    check_theorem,
     check_wronskian_corollary,
-    check_wronskian_gauge,
-    check_wronskian_nesting,
-    check_wronskian_one_reduction,
-    check_wronskian_quotient,
-    check_wronskian_theorem,
     draw_trial,
     replay_witness,
     run_identity_suite,
@@ -42,38 +32,104 @@ x = Poly.x()
 E = ExpPoly
 
 
+# One table of hand cases per identity shape: (family, checker arguments, gamma).
+QUOTIENT_CASES = [
+    ("wronskian", (E(x * x), E(x)), None),
+    ("wronskian", (E(x, a=-1), E(x, a=-1)), None),      # f = g: both sides 0
+    ("cas-imag", (x * x, x + 1), Fraction(1)),
+    ("cas-real", (x * x, x + 1), None),
+]
+
+ONE_REDUCTION_CASES = [
+    ("wronskian", ([E(x)],), None),                     # W[1,x] = 1 = W[1]
+    ("wronskian", ([E(x), E(x * x)],), None),           # both sides 2
+    ("cas-imag", ([x, x * x],), Fraction(1, 2)),
+    ("cas-real", ([x, x ** 3],), None),
+]
+
+# A unit g reduces gauge and nesting to trivial identities.
+UNIT_G_CASES = [
+    ("wronskian", ([E(x), E(x * x)], E(Poly.one())), None),
+    ("cas-imag", ([x, x * x], Poly.one()), Fraction(1)),
+    ("cas-real", ([x, x * x], Poly.one()), None),
+]
+
+THEOREM_CASES = [
+    ("wronskian", ([E(x)], [E(Poly.one()), E(x * x)]), None),   # both sides -2x
+    ("wronskian", ([], [E(x), E(x * x)]), None),                # n = 0 trivial
+    ("cas-imag", ([], [x]), Fraction(1)),
+    ("cas-imag", ([x], [Poly.one(), x * x]), Fraction(1)),
+    ("cas-real", ([], [x]), None),
+    ("cas-real", ([x], [Poly.one(), x * x]), None),
+]
+
+
+def assert_table_passes(checker, cases):
+    assert {family for family, _, _ in cases} == {"wronskian", "cas-imag", "cas-real"}
+    for family, args, gamma in cases:
+        assert checker(family, *args, gamma=gamma).passed, (family, args)
+
+
 def test_quotient_hand_cases():
-    assert check_wronskian_quotient(E(x * x), E(x)).passed
-    assert check_wronskian_quotient(E(x, a=-1), E(x, a=-1)).passed  # f = g: both sides 0
-    assert check_cas_imag_quotient(x * x, x + 1, Fraction(1)).passed
-    assert check_cas_real_quotient(x * x, x + 1).passed
+    assert_table_passes(check_quotient, QUOTIENT_CASES)
 
 
 def test_one_reduction_hand_cases():
-    assert check_wronskian_one_reduction([E(x)]).passed             # W[1,x] = 1 = W[1]
-    assert check_wronskian_one_reduction([E(x), E(x * x)]).passed   # both sides 2
-    assert check_cas_imag_one_reduction([x, x * x], Fraction(1, 2)).passed
-    assert check_cas_real_one_reduction([x, x ** 3]).passed
+    assert_table_passes(check_one_reduction, ONE_REDUCTION_CASES)
 
 
 def test_gauge_and_nesting_reduce_to_trivial_for_unit_g():
-    fs = [x, x * x]
-    assert check_cas_imag_gauge(fs, Poly.one(), Fraction(1)).passed
-    assert check_cas_real_gauge(fs, Poly.one()).passed
-    assert check_wronskian_gauge([E(f) for f in fs], E(Poly.one())).passed
-    assert check_cas_imag_nesting(fs, Poly.one(), Fraction(1)).passed
-    assert check_cas_real_nesting(fs, Poly.one()).passed
-    assert check_wronskian_nesting([E(f) for f in fs], E(Poly.one())).passed
+    assert_table_passes(check_gauge, UNIT_G_CASES)
+    assert_table_passes(check_nesting, UNIT_G_CASES)
 
 
 def test_theorem_hand_cases():
-    r = check_wronskian_theorem([E(x)], [E(Poly.one()), E(x * x)])
-    assert r.passed  # both sides -2x
-    assert check_wronskian_theorem([], [E(x), E(x * x)]).passed     # n = 0 trivial
-    assert check_cas_imag_theorem([], [x], Fraction(1)).passed
-    assert check_cas_imag_theorem([x], [Poly.one(), x * x], Fraction(1)).passed
-    assert check_cas_real_theorem([], [x]).passed
-    assert check_cas_real_theorem([x], [Poly.one(), x * x]).passed
+    assert_table_passes(check_theorem, THEOREM_CASES)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_nesting_sides_keep_each_family_form(n):
+    """The Wronskian states nesting with g(x_1) cancelled, g^{n-1} W[g, f..]
+    == W[W[g, f_i]..]; the Casoratians keep it on both sides; n = 0 compares
+    W[g] with g in every family."""
+    fs = [x + 1, x ** 3 - x][:n]
+    g = x * x + 2
+    gamma = Fraction(1, 2)
+    fe, ge = [E(f, a=-1) for f in fs], E(g, a=-1)
+    if n == 0:
+        expected = {"wronskian": (wronskian([ge]), ge),
+                    "cas-imag": (casoratian_imag([g], gamma), g),
+                    "cas-real": (casoratian_real([g]), g)}
+    else:
+        points = imag_shift_points(n + 1, gamma)
+        imag_lhs = casoratian_imag([g] + fs, gamma)
+        for delta in points[:n]:
+            imag_lhs = imag_lhs * g.shift(delta)
+        real_lhs = casoratian_real([g] + fs)
+        for j in range(n):
+            real_lhs = real_lhs * g.shift(j)
+        expected = {
+            "wronskian": ((ge ** (n - 1)) * wronskian([ge] + fe),
+                          wronskian([wronskian([ge, f]) for f in fe])),
+            "cas-imag": (imag_lhs, g.shift(points[0]) * casoratian_imag(
+                [casoratian_imag([g, f], gamma) for f in fs], gamma)),
+            "cas-real": (real_lhs, g * casoratian_real([casoratian_real([g, f]) for f in fs])),
+        }
+    args = {"wronskian": (fe, ge, None), "cas-imag": (fs, g, gamma), "cas-real": (fs, g, None)}
+    for family, sides in expected.items():
+        report = check_nesting(family, *args[family])
+        assert report.passed, family
+        assert (report.lhs, report.rhs) == tuple(map(str, sides)), family
+
+
+@pytest.mark.parametrize("family,args,gamma", [
+    ("cas-imag", ([x], [x * x]), None),
+    ("cas-real", ([x], [x * x]), Fraction(1)),
+    ("wronskian", ([E(x)], [E(x * x)]), Fraction(1)),
+])
+def test_shape_checker_rejects_a_gamma_the_family_does_not_take(family, args, gamma):
+    with pytest.raises(ValueError, match="gamma"):
+        check_theorem(family, *args, gamma=gamma)
 
 
 def test_corollary_hand_cases():
@@ -160,13 +216,13 @@ def test_corrupted_instance_fails_with_replayable_witness():
     witness that replays to the same failure."""
     fs = [x, x * x]
     us = [x + 1, x ** 3]
-    good = check_cas_imag_theorem(fs, us, Fraction(1))
+    good = check_theorem("cas-imag", fs, us, Fraction(1))
     assert good.passed and good.witness is None
     corrupted = [x + Poly.constant(Fraction(1, 7)), x * x]
     # corrupt one coefficient of f_1 only on the LHS pairing by checking a
     # mismatched instance: theorem inputs themselves are consistent, so
     # build the failure by comparing against a tampered us list instead
-    bad = check_cas_imag_theorem(corrupted, us, Fraction(1))
+    bad = check_theorem("cas-imag", corrupted, us, Fraction(1))
     assert bad.passed  # still a valid instance: identity holds for any inputs
 
     # a genuine failure needs a corrupted EXPRESSION, which the negative

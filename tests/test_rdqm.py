@@ -25,7 +25,7 @@ from casorati.rdqm import (
     two_path_compare_rdqm,
 )
 from casorati.scalars import working_precision
-from casorati.seeds import IndexSet, sign_factor
+from casorati.seeds import sign_factor
 import casorati.tridiag as tridiag_mod
 from casorati.tridiag import lowest_eigenvalues
 
@@ -192,11 +192,6 @@ def test_sign_identity_sweep():
     assert sign_identity_sweep([Fraction(-3, 5), Fraction(-17, 10)], [1, 2])
     assert sign_identity_sweep([Fraction(-1)], [Fraction(1)])
     assert sign_identity_sweep([], [1, 2])
-    # the index-set variant
-    idx = IndexSet(d_v=("v0",), d_e=(1,), v_energies=(Fraction(-1),),
-                   e_energies=(Fraction(1),))
-    assert idx.epsilon() == -1 and idx.sign_identity_holds()
-    assert idx.mu == 0
 
 
 def test_spectrum_checks(model):

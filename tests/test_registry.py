@@ -66,18 +66,32 @@ def test_checkers_are_looked_up_at_call_time(monkeypatch):
     """Sweeps and replays call the checker bound in the module now, so a
     wrapped checker (as a tracer installs) sees every call."""
     calls = []
-    original = identities_mod.check_cas_real_theorem
+    original = identities_mod.check_theorem
 
     def counted(*args, **kwargs):
-        calls.append(kwargs)
+        calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(identities_mod, "check_cas_real_theorem", counted)
+    monkeypatch.setattr(identities_mod, "check_theorem", counted)
     inputs, _ = draw_trial("cas-real.theorem", SamplerConfig(trials=1), 0)
     run_single_trial("cas-real.theorem", SamplerConfig(trials=1), 0)
     replay_witness({"identityId": "cas-real.theorem",
                     "inputs": CHECKS["cas-real.theorem"].encode(inputs)})
-    assert len(calls) == 3
+    assert calls == [("cas-real",)] * 3
+
+
+def test_every_checker_is_reachable(monkeypatch):
+    """Every check_* function runs from a CHECKS row or from the suite
+    runner itself, so a tracer that wraps each check_* by name sees them all."""
+    called = set()
+    for name, fn in list(vars(identities_mod).items()):
+        if name.startswith("check_") and callable(fn):
+            def wrapper(*args, _name=name, _fn=fn, **kwargs):
+                called.add(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(identities_mod, name, wrapper)
+    identities_mod.run_identity_suite(SamplerConfig(trials=1, master_seed=3))
+    assert called == {name for name in vars(identities_mod) if name.startswith("check_")}
 
 
 def test_sum_formula_replays_from_its_witness():
