@@ -12,9 +12,7 @@ from casorati.identities import (
     check_classical_limit,
     check_sum_formula,
     run_identity_suite,
-    two_column_identity_cas_imag,
-    two_column_identity_cas_real,
-    two_column_identity_wronskian,
+    two_column_identity,
 )
 from casorati.sampling import SamplerConfig
 
@@ -37,10 +35,10 @@ print("W_C[x, x^2]        =", casoratian_real([x, x * x]))
 fs = [x, x * x + 1]
 g, h = x + 2, x ** 3
 for name, (lhs, rhs) in [
-    ("differential ", two_column_identity_wronskian([ExpPoly(f, a=-1) for f in fs],
-                                                    ExpPoly(g, a=-1), ExpPoly(h, a=-1))),
-    ("imag shift   ", two_column_identity_cas_imag(fs, g, h, Fraction(1, 2))),
-    ("real shift   ", two_column_identity_cas_real(fs, g, h)),
+    ("differential ", two_column_identity("wronskian", [ExpPoly(f, a=-1) for f in fs],
+                                          ExpPoly(g, a=-1), ExpPoly(h, a=-1))),
+    ("imag shift   ", two_column_identity("cas-imag", fs, g, h, Fraction(1, 2))),
+    ("real shift   ", two_column_identity("cas-real", fs, g, h)),
 ]:
     print(f"two-column {name}: lhs == rhs -> {lhs == rhs}")
 

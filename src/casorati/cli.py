@@ -219,6 +219,10 @@ def run_rdqm(args, csv_path=None) -> list[CheckReport]:
     levels = parse_int_list(args.n) if isinstance(args.n, str) else [args.n]
     compare_up_to = min(40, args.window // 2)
     mpmath.mpf(args.tolerance)   # a malformed tolerance fails before any work
+    for flag, labels in (("--n level", levels), ("--de label", de)):
+        for label in labels:
+            if not 0 <= label <= args.n_max:
+                raise ValueError(f"{flag} {label} is outside 0..{args.n_max} (--n-max)")
     model = build_meixner_model(rational(args.beta), rational(args.c), n_max=args.n_max,
                                 x_max=args.window, precision_bits=args.precision_bits)
     reports = []

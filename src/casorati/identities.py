@@ -9,7 +9,8 @@ The three families share one structure, so quotient, one-reduction, gauge,
 nesting and theorem are written once each (``check_quotient`` ...
 ``check_theorem``, each taking a family name) over the algebra a
 ``FAMILIES`` row holds: the determinant, the one-reduction operator D and
-its unit, and the row points with evaluation at a point.  The corollaries
+its unit, and the row points with evaluation at a point; so are the direct
+sides of the theorem at m = 2 (``two_column_identity``).  The corollaries
 stay per family; the two Casoratian ones share the squared form.
 
 ``CHECKS`` maps every check id that can emit a witness to its registry row:
@@ -404,31 +405,15 @@ def check_cas_real_corollary(fs: Sequence[Poly], us: Sequence[Poly],
 # The two-column identities (the m = 2 rows of the three theorems)
 # ---------------------------------------------------------------------------
 
-def two_column_identity_wronskian(fs, g, h) -> tuple[ExpPoly, ExpPoly]:
-    """Direct both sides of W[W[f..,g], W[f..,h]] == W[f..] W[f..,g,h]."""
-    lhs = wronskian([wronskian(list(fs) + [g]), wronskian(list(fs) + [h])])
-    rhs = wronskian(fs) * wronskian(list(fs) + [g, h])
-    return lhs, rhs
-
-
-def two_column_identity_cas_imag(fs, g, h, gamma) -> tuple[Poly, Poly]:
-    """Direct both sides of W_g[W_g[f..,g], W_g[f..,h]] == W_g[f..] W_g[f..,g,h]."""
-    gamma = rational(gamma)
-    lhs = casoratian_imag([casoratian_imag(list(fs) + [g], gamma),
-                           casoratian_imag(list(fs) + [h], gamma)], gamma)
-    rhs = casoratian_imag(fs, gamma) * casoratian_imag(list(fs) + [g, h], gamma)
-    return lhs, rhs
-
-
-def two_column_identity_cas_real(fs, g, h) -> tuple[Poly, Poly]:
-    """Direct both sides of W_C[W_C[f..,g], W_C[f..,h]](x) == W_C[f..](x+1) W_C[f..,g,h](x).
-
-    The x+1 shift on the first right-hand factor is the real-shift family's
-    distinctive feature.
-    """
-    lhs = casoratian_real([casoratian_real(list(fs) + [g]),
-                           casoratian_real(list(fs) + [h])])
-    rhs = casoratian_real(fs).shift(1) * casoratian_real(list(fs) + [g, h])
+def two_column_identity(family: str, fs, g, h, gamma=None) -> tuple:
+    """Direct both sides of D[D[f..,g], D[f..,h]] == D[f..](y_1) D[f..,g,h],
+    the theorem at m = 2, with y_1 the family's one theorem point: x for the
+    Wronskian and the imaginary shift, x+1 for the real shift, which is the
+    lattice family's distinctive feature."""
+    row, gamma = _family(family, gamma)
+    (point,) = row.theorem_points(2, gamma)
+    lhs = row.det([row.det(list(fs) + [g], gamma), row.det(list(fs) + [h], gamma)], gamma)
+    rhs = row.at(row.det(fs, gamma), point) * row.det(list(fs) + [g, h], gamma)
     return lhs, rhs
 
 

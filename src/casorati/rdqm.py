@@ -26,6 +26,8 @@ from fractions import Fraction
 from typing import Sequence
 
 import mpmath
+from mpmath.libmp import (
+    from_int, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_neg, mpf_sub)
 
 from .determinants import casoratian_real_grid
 from .gridfn import GridFn, WindowError
@@ -220,28 +222,57 @@ def apply_hamiltonian(b_grid: GridFn, d_grid: GridFn, psi: GridFn,
     H = -sqrt(B(x)D(x+1)) e^+ - sqrt(B(x-1)D(x)) e^- + (B + D) + shift;
     the down term vanishes at x = 0 because D(0) = 0.  ``roots[x]`` may
     supply sqrt(B(x)D(x+1)) (a model's ``off_roots``); otherwise each is
-    computed once here.
+    computed once here.  The rows run on raw ``_mpf_`` tuples with the
+    ``mpmath.libmp`` calls that the mpf operator form of H makes, so every
+    value is bit for bit the operator result.
     """
+    prec, rnd = mpmath.mp._prec_rounding
+    make_mpf = mpmath.mp.make_mpf
     n = min(psi.x_max, b_grid.x_max, d_grid.x_max)
     if roots is None:
         roots = [mpmath.sqrt(b_grid(x_pt) * d_grid(x_pt + 1)) for x_pt in range(n)]
+    shift = _raw(energy_shift)
+    b_vals, d_vals, psi_vals = b_grid.values, d_grid.values, psi.values
     values = []
     for x_pt in range(n):
-        up = -roots[x_pt] * psi(x_pt + 1)
-        diag = (b_grid(x_pt) + d_grid(x_pt) + energy_shift) * psi(x_pt)
-        total = up + diag
+        up = mpf_mul(mpf_neg(roots[x_pt]._mpf_, prec, rnd), psi_vals[x_pt + 1]._mpf_,
+                     prec, rnd)
+        level = mpf_add(b_vals[x_pt]._mpf_, d_vals[x_pt]._mpf_, prec, rnd)
+        if shift != fzero:     # adding 0 to a rounded sum returns it unchanged
+            level = mpf_add(level, shift, prec, rnd)
+        total = mpf_add(up, mpf_mul(level, psi_vals[x_pt]._mpf_, prec, rnd), prec, rnd)
         if x_pt >= 1:
-            total -= roots[x_pt - 1] * psi(x_pt - 1)
-        values.append(total)
+            total = mpf_sub(total, mpf_mul(roots[x_pt - 1]._mpf_, psi_vals[x_pt - 1]._mpf_,
+                                           prec, rnd), prec, rnd)
+        values.append(make_mpf(total))
     return GridFn(values)
+
+
+def _raw(value) -> tuple:
+    """The ``_mpf_`` tuple that mpf's operators use for an operand."""
+    if isinstance(value, int):
+        return from_int(value)
+    return getattr(value, "_mpf_", None) or mpmath.mpf(value)._mpf_
 
 
 def _relative_residual(b_grid: GridFn, d_grid: GridFn, psi: GridFn,
                        energy, energy_shift=0, roots: Sequence | None = None) -> mpmath.mpf:
+    """max |H psi - E psi| / max |psi| over the interior window; the residual
+    gate of every model build and seed solve, on raw tuples."""
+    prec, rnd = mpmath.mp._prec_rounding
     h_psi = apply_hamiltonian(b_grid, d_grid, psi, energy_shift, roots)
-    top = max(abs(h_psi(x) - energy * psi(x)) for x in range(h_psi.x_max + 1))
-    bottom = max(abs(v) for v in psi.values[:h_psi.x_max + 1])
-    return top / bottom
+    energy = _raw(energy)
+    top = bottom = fzero
+    for h_value, psi_value in zip(h_psi.values, psi.values):
+        psi_value = psi_value._mpf_
+        gap = mpf_abs(mpf_sub(h_value._mpf_, mpf_mul(energy, psi_value, prec, rnd), prec, rnd),
+                      prec, rnd)
+        if mpf_gt(gap, top):
+            top = gap
+        size = mpf_abs(psi_value, prec, rnd)
+        if mpf_gt(size, bottom):
+            bottom = size
+    return mpmath.mp.make_mpf(mpf_div(top, bottom, prec, rnd))
 
 
 def residual(model: RdqmModel, psi: GridFn, energy) -> mpmath.mpf:

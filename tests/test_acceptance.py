@@ -20,9 +20,7 @@ from casorati.identities import (
     replay_witness,
     run_identity_suite,
     run_single_trial,
-    two_column_identity_cas_imag,
-    two_column_identity_cas_real,
-    two_column_identity_wronskian,
+    two_column_identity,
 )
 from casorati.idqm import (
     check_potential_product_identity,
@@ -80,13 +78,13 @@ def test_criterion_2_m2_specializations():
         n = rng.randint(0, 3)
         fs = [random_poly(rng, 4, 9, nonzero=(i == 0)) for i in range(n)]
         g, h = random_poly(rng, 4, 9), random_poly(rng, 4, 9)
-        lhs, rhs = two_column_identity_wronskian(
-            [ExpPoly(f, a=-1) for f in fs], ExpPoly(g, a=-1), ExpPoly(h, a=-1))
+        lhs, rhs = two_column_identity(
+            "wronskian", [ExpPoly(f, a=-1) for f in fs], ExpPoly(g, a=-1), ExpPoly(h, a=-1))
         ok &= lhs == rhs
         gamma = rng.choice([Fraction(1), Fraction(1, 2), Fraction(2)])
-        lhs, rhs = two_column_identity_cas_imag(fs, g, h, gamma)
+        lhs, rhs = two_column_identity("cas-imag", fs, g, h, gamma)
         ok &= lhs == rhs
-        lhs, rhs = two_column_identity_cas_real(fs, g, h)
+        lhs, rhs = two_column_identity("cas-real", fs, g, h)
         ok &= lhs == rhs
         # the x+1 shift is load-bearing wherever it is observable
         w0 = casoratian_real(fs)
@@ -244,7 +242,7 @@ def test_criterion_8_negative_controls(monkeypatch, meixner_acceptance):
         w0 = casoratian_real(fs)
         if w0 != w0.shift(1) and not casoratian_real(fs + [g, h]).is_zero():
             break
-    lhs, _ = two_column_identity_cas_real(fs, g, h)
+    lhs, _ = two_column_identity("cas-real", fs, g, h)
     unshifted = casoratian_real(fs) * casoratian_real(fs + [g, h])
     shift_report = CheckReport(
         identity_id="cas-real.two-column-shift",
@@ -254,8 +252,8 @@ def test_criterion_8_negative_controls(monkeypatch, meixner_acceptance):
                  "inputs": {"fs": [f.serialize() for f in fs],
                             "g": g.serialize(), "h": h.serialize()}})
     replay_fs = [Poly.deserialize(d) for d in shift_report.witness["inputs"]["fs"]]
-    replay_lhs, _ = two_column_identity_cas_real(
-        replay_fs, Poly.deserialize(shift_report.witness["inputs"]["g"]),
+    replay_lhs, _ = two_column_identity(
+        "cas-real", replay_fs, Poly.deserialize(shift_report.witness["inputs"]["g"]),
         Poly.deserialize(shift_report.witness["inputs"]["h"]))
     replay_unshifted = (casoratian_real(replay_fs)
                         * casoratian_real(replay_fs

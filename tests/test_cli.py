@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from casorati import cli
 from casorati.cli import main, parse_rational_list, read_config_file
 
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
@@ -245,3 +246,21 @@ def test_rdqm_duplicate_eigenstate_labels_exit_2(capsys):
     assert main(["rdqm", "--de=1,1", "--n", "0"]) == 2
     assert capsys.readouterr().err == (
         "configuration error: eigenstate labels must be mutually distinct\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--dv=-0.6", "--n", "99"], "--n level 99 is outside 0..8 (--n-max)"),
+    (["--dv=-0.6", "--n", "0,9"], "--n level 9 is outside 0..8 (--n-max)"),
+    (["--dv=-0.6", "--n=-1"], "--n level -1 is outside 0..8 (--n-max)"),
+    (["--de=9,10", "--n", "0"], "--de label 9 is outside 0..8 (--n-max)"),
+    (["--de=-1", "--n", "0"], "--de label -1 is outside 0..8 (--n-max)"),
+    (["--de=4,5", "--n", "0", "--n-max", "4"], "--de label 5 is outside 0..4 (--n-max)"),
+])
+def test_rdqm_level_outside_model_exit_2(monkeypatch, capsys, argv, message):
+    """Rejected as a configuration error before the model is built."""
+    def no_model(*args, **kwargs):
+        raise AssertionError("model built for an invalid configuration")
+
+    monkeypatch.setattr(cli, "build_meixner_model", no_model)
+    assert main(["rdqm", *argv]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"

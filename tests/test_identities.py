@@ -21,9 +21,7 @@ from casorati.identities import (
     replay_witness,
     run_identity_suite,
     run_single_trial,
-    two_column_identity_cas_imag,
-    two_column_identity_cas_real,
-    two_column_identity_wronskian,
+    two_column_identity,
 )
 from casorati.poly import ExpPoly, Poly
 from casorati.sampling import SamplerConfig
@@ -158,7 +156,8 @@ def test_m2_specializations_match_theorem_byte_identically():
     """The two-column identities are the m = 2 rows of the theorems."""
     fs = [x, x * x + 1]
     g, h = x + 2, x ** 3
-    lhs, rhs = two_column_identity_wronskian([E(f, a=-1) for f in fs], E(g, a=-1), E(h, a=-1))
+    lhs, rhs = two_column_identity("wronskian", [E(f, a=-1) for f in fs], E(g, a=-1),
+                                   E(h, a=-1))
     assert lhs == rhs
     # byte-identical to the theorem's m=2 sides
     w0 = wronskian([E(f, a=-1) for f in fs])
@@ -168,11 +167,11 @@ def test_m2_specializations_match_theorem_byte_identically():
     assert str(rhs) == str(theorem_lhs)
 
     for gamma in (Fraction(1), Fraction(1, 2), Fraction(2)):
-        lhs, rhs = two_column_identity_cas_imag(fs, g, h, gamma)
+        lhs, rhs = two_column_identity("cas-imag", fs, g, h, gamma)
         assert lhs == rhs
         assert str(rhs) == str(casoratian_imag(fs, gamma) * casoratian_imag(fs + [g, h], gamma))
 
-    lhs, rhs = two_column_identity_cas_real(fs, g, h)
+    lhs, rhs = two_column_identity("cas-real", fs, g, h)
     assert lhs == rhs
     # the distinctive x+1 shift on the right factor
     assert str(rhs) == str(casoratian_real(fs).shift(1) * casoratian_real(fs + [g, h]))
@@ -182,7 +181,7 @@ def test_m2_real_shift_is_load_bearing():
     """Replacing the x+1 shift by no shift must break the identity."""
     fs = [x, x * x + 1]
     g, h = x + 2, x ** 3
-    lhs, _ = two_column_identity_cas_real(fs, g, h)
+    lhs, _ = two_column_identity("cas-real", fs, g, h)
     wrong = casoratian_real(fs) * casoratian_real(fs + [g, h])
     assert lhs != wrong
 

@@ -9,6 +9,7 @@ from casorati.gridfn import GridFn, WindowError
 from casorati.rdqm import (
     NegativeRadicandError,
     RunMemo,
+    _relative_residual,
     apply_hamiltonian,
     build_meixner_model,
     darboux_chain_replay,
@@ -114,6 +115,41 @@ def test_deformed_potentials_trivial_and_single(model):
                                               model.memo)
         assert d1(0) == 0
         assert pos1["b_positive"] and pos1["d_positive_interior"]
+
+
+def apply_hamiltonian_reference(b_grid, d_grid, psi, energy_shift=0, roots=None):
+    """H psi written with mpf operators."""
+    n = min(psi.x_max, b_grid.x_max, d_grid.x_max)
+    if roots is None:
+        roots = [mpmath.sqrt(b_grid(x) * d_grid(x + 1)) for x in range(n)]
+    values = []
+    for x in range(n):
+        total = -roots[x] * psi(x + 1) + (b_grid(x) + d_grid(x) + energy_shift) * psi(x)
+        if x >= 1:
+            total -= roots[x - 1] * psi(x - 1)
+        values.append(total)
+    return values
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256])
+def test_hamiltonian_and_residual_match_operator_form(bits):
+    """The raw-tuple H psi and residual gate are bit for bit the operator
+    forms: int and mpf energies, a zero and a nonzero shift, roots given
+    and computed, a model made at another precision."""
+    made = build_meixner_model(Fraction(2), Fraction(1, 3), n_max=4, x_max=30,
+                               precision_bits=192)
+    with working_precision(bits):
+        b, d = made.b_grid, made.d_grid
+        seed = solve_seed_at_energy(made, Fraction(-3, 5))
+        for psi, energy in [(made.eigen(n), n) for n in range(5)] + [(seed, seed.energy)]:
+            for shift, roots in [(0, made.off_roots), (mpmath.mpf(1) / 3, None)]:
+                got = apply_hamiltonian(b, d, psi, shift, roots)
+                want = apply_hamiltonian_reference(b, d, psi, shift, roots)
+                assert [v._mpf_ for v in got.values] == [v._mpf_ for v in want]
+                top = max(abs(h - energy * psi(x)) for x, h in enumerate(want))
+                bottom = max(abs(v) for v in psi.values[:len(want)])
+                res = _relative_residual(b, d, psi, energy, shift, roots)
+                assert res._mpf_ == (top / bottom)._mpf_
 
 
 def test_deformed_eigenfunction_residual(model):
@@ -263,12 +299,13 @@ def bisection_eigenvalues(diag, off, k, tol=None):
     return values
 
 
-def assert_matches_bisection(diag, off, k):
+def assert_matches_bisection(diag, off, k, tol=None):
     """Within tol (1 + 2|lambda|) of the reference; in fact equal, since the
     polish only spares counts the reference's bisection steps would make."""
-    tol = mpmath.mpf(2) ** (-(mpmath.mp.prec * 3) // 4)
-    mine = lowest_eigenvalues(diag, off, k)
-    reference = bisection_eigenvalues(diag, off, k)
+    if tol is None:
+        tol = mpmath.mpf(2) ** (-(mpmath.mp.prec * 3) // 4)
+    mine = lowest_eigenvalues(diag, off, k, tol)
+    reference = bisection_eigenvalues(diag, off, k, tol)
     assert len(mine) == k
     for got, want in zip(mine, reference):
         assert abs(got - want) <= tol * (1 + 2 * abs(want))
@@ -301,20 +338,22 @@ def test_eigenvalues_deformed_meixner_match_bisection(deformed_truncation):
 
 
 def test_eigenvalues_take_few_sturm_counts(deformed_truncation, monkeypatch):
-    """Isolation plus Newton needs a few counts per eigenvalue, where
-    bisecting each one from the Gershgorin interval takes about 1000."""
+    """Isolation plus Newton from a binary64 start needs a few counts per
+    eigenvalue, where bisecting each one from the Gershgorin interval takes
+    about 1000; only the Newton steps compute p'/p."""
     bits, diag, off = deformed_truncation
     calls = []
     count_below = tridiag_mod.count_below
 
-    def counted(*args):
-        calls.append(args)
-        return count_below(*args)
+    def counted(diag, off_sq, t, with_ratio=True):
+        calls.append(with_ratio)
+        return count_below(diag, off_sq, t, with_ratio)
 
     monkeypatch.setattr(tridiag_mod, "count_below", counted)
     with working_precision(bits):
         values = lowest_eigenvalues(diag, off, 5)
-    assert len(calls) <= 120
+    assert len(calls) <= 40
+    assert sum(calls) <= 15
     assert [int(mpmath.nint(v)) for v in values] == [0, 3, 4, 5, 6]
 
 
@@ -341,6 +380,66 @@ def test_eigenvalues_reducible_repeated():
         tol = mpmath.mpf(2) ** -96
         for got, want in zip(values, [0, 1, 1, 2, 2, 3, 3, 4]):
             assert abs(got - want) <= tol * (1 + 2 * want)
+
+
+# Entries: small integers and fractions, optionally moved by 2^-70, which
+# binary64 rounds away; the whole matrix is scaled by 2^scale, where 2^1100
+# overflows float() to inf and 2^-1100 underflows it to 0, so the binary64
+# start is useless and the polish must start from the middle.
+tridiag_entries = st.tuples(st.integers(-9, 9), st.integers(1, 8), st.sampled_from([0, 0, 1, -1]))
+
+
+@st.composite
+def tridiagonal_problems(draw):
+    """(bits, diag, off, scale, k): a random symmetric tridiagonal, or two
+    copies of one joined by a zero off-diagonal (every eigenvalue doubled)."""
+    bits = draw(st.sampled_from([53, 128, 256]))
+    twice = draw(st.booleans())
+    size = draw(st.integers(1, 6) if twice else st.integers(2, 12))
+    diag = [draw(tridiag_entries) for _ in range(size)]
+    off = [draw(st.one_of(st.just((0, 1, 0)), tridiag_entries)) for _ in range(size - 1)]
+    if twice:
+        diag, off = diag + diag, off + [(0, 1, 0)] + off
+    scale = draw(st.sampled_from([0, 0, 0, 1100, -1100]))
+    return bits, diag, off, scale, draw(st.integers(1, min(len(diag), 4)))
+
+
+def _tridiag_entry(entry, scale):
+    num, den, fine = entry
+    return mpmath.ldexp(mpmath.mpf(num) / den + fine * mpmath.mpf(2) ** -70, scale)
+
+
+@given(tridiagonal_problems())
+@settings(max_examples=100, deadline=None)
+@example((128, [(1, 1, 1), (3, 1, 0), (5, 1, -1)], [(1, 4, 0), (1, 2, 1)], 0, 3))
+@example((256, [(2, 1, 0)] * 4, [(0, 1, 0)] * 3, 0, 4))          # one eigenvalue, 4 times
+@example((53, [(1, 1, 0), (2, 1, 0), (1, 1, 0), (2, 1, 0)],
+          [(1, 1, 0), (0, 1, 0), (1, 1, 0)], 1100, 4))             # float() gives inf
+@example((128, [(1, 1, 0), (-3, 2, 0), (7, 3, 0)], [(1, 3, 0), (2, 1, 0)], -1100, 3))
+def test_eigenvalues_match_bisection_on_random_tridiagonals(drawn):
+    bits, diag, off, scale, k = drawn
+    with working_precision(bits):
+        diag = [_tridiag_entry(v, scale) for v in diag]
+        off = [_tridiag_entry(v, scale) for v in off]
+        # the default tol is absolute near 0; scaled down with the matrix so
+        # that the 2^-1100 problems are bisected and polished too
+        tol = mpmath.mpf(2) ** (-(bits * 3) // 4 + min(scale, 0))
+        assert_matches_bisection(diag, off, k, tol)
+
+
+def test_binary64_start_decides_no_value(deformed_truncation, monkeypatch):
+    """A binary64 sweep that lies (counts taken 2^-20 relative to the right,
+    or every count wrong) only moves the Newton start: the values stay those
+    of plain bisection, since only big-float counts enter the brackets."""
+    bits, diag, off = deformed_truncation
+    float_count = tridiag_mod._float_count
+    liars = [lambda d, o, t: float_count(d, o, t + 2.0 ** -20 * (1 + abs(t))),
+             lambda d, o, t: (len(d) - float_count(d, o, t)[0], 1.0)]
+    with working_precision(bits):
+        reference = bisection_eigenvalues(diag[:24], off[:23], 3)
+        for liar in liars:
+            monkeypatch.setattr(tridiag_mod, "_float_count", liar)
+            assert lowest_eigenvalues(diag[:24], off[:23], 3) == reference
 
 
 def dense_hamiltonian(b_grid: GridFn, d_grid: GridFn, size: int) -> list[list]:
@@ -520,7 +619,9 @@ def test_count_below_matches_operator_recurrence(drawn):
         t = _mpf_value(t)
         count, ratio = tridiag_mod.count_below(diag, off_sq, t)
         want_count, want_ratio = count_below_reference(diag, off_sq, t)
+        count_only = tridiag_mod.count_below(diag, off_sq, t, with_ratio=False)
     assert count == want_count
+    assert count_only == (want_count, None)
     assert isinstance(ratio, mpmath.mpf)
     assert ratio._mpf_ == want_ratio._mpf_
 
