@@ -169,6 +169,10 @@ def run_identities(args) -> list[CheckReport]:
 def run_oqm(args) -> list[CheckReport]:
     d_v = parse_int_list(args.dv)
     d_e = parse_int_list(args.de)
+    for flag, labels in (("--n level", [args.n]), ("--dv label", d_v), ("--de label", d_e)):
+        for label in labels:
+            if label < 0:
+                raise ValueError(f"{flag} {label} is negative")
     model = build_harmonic_model(max([args.n_max, args.n + 1, *(e + 1 for e in d_e)] or [1]),
                                  max([args.v_max, *(v + 1 for v in d_v)] or [1]))
     reports = [two_path_compare(model, d_v, d_e, args.n)]

@@ -6,7 +6,9 @@ The workhorse is fraction-free (Bareiss) elimination with exact division and
 sign-tracked row interchanges for zero pivots.  ``cofactor_det`` is the
 independent expansion: the cross-check oracle for Bareiss, and the evaluator
 of ``wronskian_over_base``'s ExpPoly matrices, which have no exact division.
-Empty input returns 1 for all three families.
+``wronskian_operator`` takes the minors of a seed set once and applies
+f -> W[seeds, f] by their cofactors.  Empty input returns 1 for all three
+families.
 """
 
 from __future__ import annotations
@@ -183,6 +185,61 @@ def wronskian(fs: Sequence[ExpPoly]) -> ExpPoly:
         columns.append(col)
     matrix = [[columns[k][j] for k in range(n)] for j in range(n)]
     return ExpPoly(fraction_free_det(matrix), a_total, b_total)
+
+
+class WronskianOperator:
+    """The Darboux-Crum operator f -> W[seeds, f] of a fixed seed set.
+
+    W[seeds, f] expanded along its last column is sum_j c_j * D_f^j p_f
+    times exp of the summed exponent pairs, where D_f is f's drift
+    derivative and c_j the signed k x k minors of the seeds' derivative
+    columns (rows 0..k, row j dropped).  ``seed_wronskian`` is W[seeds]:
+    the minor that drops row k, with the seeds' summed pair.
+    """
+
+    __slots__ = ("cofactors", "seed_wronskian")
+
+    def __init__(self, cofactors: Sequence[Poly], seed_wronskian: ExpPoly):
+        self.cofactors = tuple(cofactors)
+        self.seed_wronskian = seed_wronskian
+
+    def __call__(self, f: ExpPoly) -> ExpPoly:
+        drift = Poly([f.b / 2, f.a])
+        term = f.p
+        total = self.cofactors[0] * term
+        for c in self.cofactors[1:]:
+            term = term.derivative() + drift * term
+            total = total + c * term
+        base = self.seed_wronskian
+        return ExpPoly(total, base.a + f.a, base.b + f.b)
+
+
+def wronskian_operator(seeds: Sequence[ExpPoly]) -> WronskianOperator:
+    """W[seeds, .] from the k + 1 size-k minors of the seeds' derivative
+    columns, each taken once by ``fraction_free_det``.
+
+    The minor that drops the last row is exactly ``wronskian(seeds)``'s
+    determinant, so W[seeds] comes with the operator at no extra cost.  No
+    seeds give the identity, with W[] = 1.
+    """
+    k = len(seeds)
+    if k == 0:
+        return WronskianOperator([Poly.one()], ExpPoly.one())
+    a_total = sum((s.a for s in seeds), rational(0))
+    b_total = sum((s.b for s in seeds), rational(0))
+    columns = []
+    for s in seeds:
+        col = [s.p]
+        drift = Poly([s.b / 2, s.a])
+        for _ in range(k):
+            col.append(col[-1].derivative() + drift * col[-1])
+        columns.append(col)
+    rows = [[col[j] for col in columns] for j in range(k + 1)]
+    cofactors = []
+    for j in range(k + 1):
+        minor = fraction_free_det(rows[:j] + rows[j + 1:])
+        cofactors.append(minor if (k + j) % 2 == 0 else -minor)
+    return WronskianOperator(cofactors, ExpPoly(cofactors[k], a_total, b_total))
 
 
 def wronskian_poly(fs: Sequence[Poly]) -> Poly:

@@ -10,15 +10,18 @@ every verification applies explicitly.
 Deformations delete or preserve levels depending on the seed mix; the module
 verifies the deformed equation exactly and compares the one-shot deformation
 against the staged (virtual-first) deformation, which must agree exactly.
+Every W[seeds, f] is the seeds' Darboux-Crum operator applied to f, and the
+model's memo holds each operator, the staged path's first stage and each
+level's reduced quotients, so one run computes each Wronskian once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .determinants import wronskian, wronskian_over_base
+from .determinants import WronskianOperator, wronskian, wronskian_operator, wronskian_over_base
 from .poly import ExpPoly, ExpRatio, Poly, RationalFn, rational_reduce
 from .report import CheckReport
 from .scalars import rational
@@ -55,13 +58,39 @@ def modified_hermite_polynomials(v_max: int) -> list[Poly]:
 
 def verify_schrodinger(potential: Poly | RationalFn, phi: ExpPoly | ExpRatio,
                        energy) -> bool:
-    """Exact check of -phi'' + potential*phi == energy*phi."""
+    """Exact check of -phi'' + potential*phi == energy*phi.
+
+    An ExpPoly state under a Poly potential stays in ExpPoly/Poly
+    arithmetic; RationalFn/ExpRatio arithmetic serves rational inputs."""
     energy = rational(energy)
+    if isinstance(phi, ExpPoly) and isinstance(potential, Poly):
+        second = phi.derivative().derivative()
+        return (phi * (potential - Poly.constant(energy)) - second).is_zero()
     if isinstance(phi, ExpPoly):
         phi = ExpRatio.from_exp_polys(phi, ExpPoly.one())
     second = phi.derivative().derivative()
     residual = (-1) * second + (potential - RationalFn(Poly.constant(energy))) * phi
     return residual.is_zero()
+
+
+class OqmMemo:
+    """Exact results that the checks of one oQM run share, each computed once.
+
+    Keys are tuples of plain values and immutable ExpPolys: the Darboux-Crum
+    operator of a seed tuple, the first stage of the staged path for
+    (d_v, d_e), and the reduced one-shot and staged quotient of each level.
+    A memo lives on its OqmModel and is freed with it; nothing is kept at
+    module level.
+    """
+
+    def __init__(self):
+        self._entries = {}
+
+    def once(self, key: tuple, compute, *args):
+        """compute(*args), computed on the first call with this key only."""
+        if key not in self._entries:
+            self._entries[key] = compute(*args)
+        return self._entries[key]
 
 
 @dataclass(frozen=True)
@@ -72,6 +101,7 @@ class OqmModel:
     energy_offset: Fraction            # raw ground energy; stored levels are shifted
     levels: tuple                      # (E_n shifted, phi_n: ExpPoly)
     aux: tuple                         # (E_v shifted (negative), psi_v: ExpPoly)
+    memo: OqmMemo = field(default_factory=OqmMemo, init=False, compare=False, repr=False)
 
     def eigen(self, n: int) -> ExpPoly:
         return self.levels[n][1]
@@ -91,6 +121,11 @@ class OqmModel:
     def seed_list(self, d_v: Sequence[int], d_e: Sequence[int]) -> list[ExpPoly]:
         """Seeds in pipeline order: virtual labels first, then eigenstate labels."""
         return [self.aux_state(v) for v in d_v] + [self.eigen(e) for e in d_e]
+
+    def operator(self, seeds: Sequence[ExpPoly]) -> WronskianOperator:
+        """The Darboux-Crum operator W[seeds, .], built once per seed tuple."""
+        seeds = tuple(seeds)
+        return self.memo.once(("operator", seeds), wronskian_operator, seeds)
 
 
 def build_harmonic_model(n_max: int, v_max: int) -> OqmModel:
@@ -140,15 +175,33 @@ def deformed_potential(model: OqmModel, seeds: Sequence[ExpPoly]) -> RationalFn:
 
 def deformed_eigenfunction(model: OqmModel, seeds: Sequence[ExpPoly],
                            n: int) -> ExpRatio:
-    """phi_{D n} = W[seeds, phi_n] / W[seeds]; exact, verified by the caller."""
+    """phi_{D n} = W[seeds, phi_n] / W[seeds], reduced; exact, verified by
+    the caller.  The numerator is the seeds' Darboux-Crum operator applied
+    to phi_n, and each level is computed once per model."""
     phi_n = model.eigen(n)
     if any(s == phi_n for s in seeds):
         raise StateDeletedError(f"level {n} is deleted by the seed set")
-    den = wronskian(seeds)
+    op = model.operator(seeds)
+    den = op.seed_wronskian
     if den.is_zero():
         raise SeedDependenceError("seed Wronskian vanishes identically")
-    num = wronskian(list(seeds) + [phi_n])
-    return ExpRatio.from_exp_polys(num, den)
+    return model.memo.once(("one-shot", tuple(seeds), n),
+                           lambda: ExpRatio.from_exp_polys(op(phi_n), den).reduce())
+
+
+def _first_stage(model: OqmModel, d_v: tuple, d_e: tuple):
+    """The n-independent half of the staged path: the virtual-seed operator,
+    its base W[virtual seeds], the intermediate eigenstate numerators and
+    their Wronskian over that base."""
+    virtual = model.operator(model.seed_list(d_v, ()))
+    base = virtual.seed_wronskian
+    if base.is_zero():
+        raise SeedDependenceError("virtual-seed Wronskian vanishes identically")
+    nums_e = [virtual(model.eigen(e)) for e in d_e]
+    bot, k_bot = wronskian_over_base(nums_e, base)
+    if bot.is_zero():
+        raise SeedDependenceError("intermediate eigenstate Wronskian vanishes")
+    return virtual, nums_e, bot, k_bot
 
 
 def staged_eigenfunction(model: OqmModel, d_v: Sequence[int], d_e: Sequence[int],
@@ -156,20 +209,19 @@ def staged_eigenfunction(model: OqmModel, d_v: Sequence[int], d_e: Sequence[int]
     """Two-step route: deform by the virtual seeds, then delete eigenstates of
     the intermediate system.  Intermediate levels are quotients over the
     common base W[virtual seeds]; the outer Wronskian collapses onto a single
-    base power."""
+    base power.  Returns the reduced quotient, computed once per model."""
     if n in d_e:
         raise StateDeletedError(f"level {n} is deleted by the seed set")
-    base = wronskian([model.aux_state(v) for v in d_v])
-    if base.is_zero():
-        raise SeedDependenceError("virtual-seed Wronskian vanishes identically")
-    dv_seeds = [model.aux_state(v) for v in d_v]
-    nums_e = [wronskian(dv_seeds + [model.eigen(e)]) for e in d_e]
-    num_n = wronskian(dv_seeds + [model.eigen(n)])
-    top, k_top = wronskian_over_base(nums_e + [num_n], base)
-    bot, k_bot = wronskian_over_base(nums_e, base)
-    if bot.is_zero():
-        raise SeedDependenceError("intermediate eigenstate Wronskian vanishes")
-    return ExpRatio.from_exp_polys(top, bot * (base ** (k_top - k_bot)))
+    d_v, d_e = tuple(d_v), tuple(d_e)
+    virtual, nums_e, bot, k_bot = model.memo.once(("stage", d_v, d_e),
+                                                  _first_stage, model, d_v, d_e)
+
+    def level():
+        base = virtual.seed_wronskian
+        top, k_top = wronskian_over_base(nums_e + [virtual(model.eigen(n))], base)
+        return ExpRatio.from_exp_polys(top, bot * (base ** (k_top - k_bot))).reduce()
+
+    return model.memo.once(("staged", d_v, d_e, n), level)
 
 
 def _denominator_real_root_probe(den: Poly, span: int = 5, steps: int = 40) -> bool:
@@ -190,10 +242,13 @@ def _denominator_real_root_probe(den: Poly, span: int = 5, steps: int = 40) -> b
 
 def two_path_compare(model: OqmModel, d_v: Sequence[int], d_e: Sequence[int],
                      n: int) -> CheckReport:
-    """One-shot versus staged deformation; exact equality of reduced quotients."""
-    seeds = model.seed_list(d_v, d_e)
-    one_shot = deformed_eigenfunction(model, seeds, n).reduce()
-    staged = staged_eigenfunction(model, d_v, d_e, n).reduce()
+    """One-shot versus staged deformation; exact equality of reduced quotients.
+
+    Both quotients come reduced from their own path: the one-shot one from
+    the operator of all seeds, the staged one from the virtual-seed operator
+    and ``wronskian_over_base``."""
+    one_shot = deformed_eigenfunction(model, model.seed_list(d_v, d_e), n)
+    staged = staged_eigenfunction(model, d_v, d_e, n)
     same = (one_shot.pair == staged.pair
             and one_shot.q.num == staged.q.num
             and one_shot.q.den == staged.q.den)
@@ -225,7 +280,8 @@ def degree_census(model: OqmModel, d_v: Sequence[int], d_e: Sequence[int],
     plus the seed-Wronskian polynomial degree (an n-independent constant), so
     both construction paths census identically.
     """
-    anchor = wronskian(model.seed_list(d_v, d_e))
+    seeds = model.seed_list(d_v, d_e)
+    anchor = model.operator(seeds).seed_wronskian
     if anchor.is_zero():
         raise SeedDependenceError("seed Wronskian vanishes identically")
     k_anchor = anchor.p.degree
@@ -234,9 +290,8 @@ def degree_census(model: OqmModel, d_v: Sequence[int], d_e: Sequence[int],
         if n in d_e:
             continue
         ratio = (staged_eigenfunction(model, d_v, d_e, n) if staged
-                 else deformed_eigenfunction(model, model.seed_list(d_v, d_e), n))
-        reduced = ratio.reduce()
-        degrees.append(reduced.q.num.degree - reduced.q.den.degree + k_anchor)
+                 else deformed_eigenfunction(model, seeds, n))
+        degrees.append(ratio.q.num.degree - ratio.q.den.degree + k_anchor)
     observed = sorted(set(degrees))
     top = observed[-1] if observed else -1
     missing = tuple(sorted(set(range(top + 1)) - set(observed)))

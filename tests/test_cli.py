@@ -150,6 +150,24 @@ PINNED_REPORTS = [
      "71ca634ff480301fc45241f731bcb858925c8ee1ab7d9ab990562410d3be1caa"),
     (["identities", "--trials", "200", "--seed", "42"],
      "54e19fd263c479842a44f4ae9fba3fcad05edc01b6f0492da51e29a445ba367a"),
+    # recorded from the code before the Darboux-Crum operator and the oqm
+    # run memo: deeper seed sets, a case-2 census, n above --n-max
+    (["oqm", "--dv", "0,1,2", "--de", "2,3", "--n", "5"],
+     "a254e318a3e450ee7fa0240594ca5eea23e039fd1dd1b80204c92f717b9f1aa9"),
+    (["oqm", "--dv", "0,1,2,3", "--n", "4"],
+     "0e1e320f883cb54f80a39c10839c1c2953e181fd5c8f62cb6708d815ae39bd89"),
+    (["oqm", "--de", "1", "--n", "0"],
+     "555a12ef9cd57a58386d5cf295d353f0bd60d9def86e6190615a4da70567667c"),
+    (["oqm", "--de", "1,2", "--n", "7"],
+     "f0bf0ccea9577a99d2f1d7bef3d0971f1ffb80672974fb1339ac0e0fb746c1b5"),
+    (["oqm", "--dv", "3", "--n", "0"],
+     "dee2057d888fc94c3b56e06de313f650f55d4bab5c41c2df8271f3d1193c6036"),
+]
+
+# Runs that end in a configuration error: (argv, stderr), all exit 2.
+PINNED_ERRORS = [
+    (["oqm", "--dv", "0,0"], "configuration error: seed Wronskian vanishes identically\n"),
+    (["oqm", "--de=1", "--n", "1"], "configuration error: level 1 is deleted by the seed set\n"),
 ]
 
 
@@ -162,6 +180,14 @@ def test_report_bytes_pinned(tmp_path, argv, digest):
         payload.pop(key)
     text = json.dumps(payload, indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,stderr", PINNED_ERRORS)
+def test_error_runs_pinned(tmp_path, capsys, argv, stderr):
+    out = tmp_path / "report.json"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == stderr
+    assert not out.exists()
 
 
 def test_main_twice_in_one_process_same_digest(tmp_path):
@@ -263,4 +289,22 @@ def test_rdqm_level_outside_model_exit_2(monkeypatch, capsys, argv, message):
 
     monkeypatch.setattr(cli, "build_meixner_model", no_model)
     assert main(["rdqm", *argv]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--n=-1"], "--n level -1 is negative"),
+    (["--dv=-1"], "--dv label -1 is negative"),
+    (["--dv=0,-2", "--n", "1"], "--dv label -2 is negative"),
+    (["--de=-1"], "--de label -1 is negative"),
+    (["--de=1,-3", "--n", "0"], "--de label -3 is negative"),
+])
+def test_oqm_negative_label_exit_2(monkeypatch, capsys, argv, message):
+    """Rejected as a configuration error before the model is built; Python's
+    negative indexing would otherwise run the top level or aux state."""
+    def no_model(*args, **kwargs):
+        raise AssertionError("model built for an invalid configuration")
+
+    monkeypatch.setattr(cli, "build_harmonic_model", no_model)
+    assert main(["oqm", *argv]) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"

@@ -15,12 +15,13 @@ from casorati.determinants import (
     det_float_scalar,
     fraction_free_det,
     wronskian,
+    wronskian_operator,
     wronskian_over_base,
 )
 from casorati.gridfn import GridFn, WindowError
 from casorati.poly import ExpPoly, Poly
 from casorati.sampling import random_poly
-from casorati.scalars import working_precision
+from casorati.scalars import GaussianRational, working_precision
 
 x = Poly.x()
 
@@ -124,6 +125,42 @@ def test_antisymmetry(family):
             base = casoratian_real(fs)
             swapped = casoratian_real([fs[1], fs[0], fs[2]])
         assert swapped == -base
+
+
+gaussian_coeffs = st.builds(GaussianRational,
+                            st.fractions(min_value=-4, max_value=4, max_denominator=3),
+                            st.fractions(min_value=-4, max_value=4, max_denominator=3))
+exp_pairs = st.tuples(st.sampled_from([0, 1, -1, Fraction(1, 2)]),
+                      st.fractions(min_value=-2, max_value=2, max_denominator=2))
+exp_polys = st.builds(lambda coeffs, pair: ExpPoly(Poly(coeffs), *pair),
+                      st.lists(gaussian_coeffs, min_size=1, max_size=3), exp_pairs)
+
+
+@st.composite
+def operator_instances(draw):
+    """(seeds, f): k = 0..5 seeds with mixed exponent pairs; f is at times
+    one of the seeds."""
+    seeds = draw(st.lists(exp_polys, max_size=5))
+    if seeds and draw(st.booleans()):
+        return seeds, draw(st.sampled_from(seeds))
+    return seeds, draw(exp_polys)
+
+
+@given(operator_instances())
+@settings(max_examples=100, deadline=None)
+@example(([], ExpPoly(x + 1, -1, 2)))
+@example(([ExpPoly(x, 1), ExpPoly(x * x - 1, -1)], ExpPoly(x, 1)))
+def test_wronskian_operator_matches_wronskian(drawn):
+    """W[seeds, .] applied to f is W[seeds, f], pair included, and the
+    operator's seed Wronskian is W[seeds]; a seed gives 0."""
+    seeds, f = drawn
+    op = wronskian_operator(seeds)
+    got, want = op(f), wronskian([*seeds, f])
+    assert (got.p, got.pair) == (want.p, want.pair)
+    base = wronskian(seeds)
+    assert (op.seed_wronskian.p, op.seed_wronskian.pair) == (base.p, base.pair)
+    if f in seeds:
+        assert got.is_zero()
 
 
 def test_linearity_in_slot():

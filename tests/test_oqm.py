@@ -1,8 +1,14 @@
 import itertools
+import json
+from fractions import Fraction
 
 import pytest
 
-from casorati.determinants import wronskian
+import casorati.determinants as det_mod
+import casorati.oqm as oqm_mod
+from casorati.cli import main
+from casorati.determinants import WronskianOperator, wronskian
+from casorati.identities import replay_witness
 from casorati.oqm import (
     OqmModel,
     SeedDependenceError,
@@ -15,7 +21,7 @@ from casorati.oqm import (
     two_path_compare,
     verify_schrodinger,
 )
-from casorati.poly import ExpPoly, Poly, RationalFn
+from casorati.poly import ExpPoly, ExpRatio, Poly, RationalFn
 from casorati.seeds import krein_adler_check
 
 x = Poly.x()
@@ -138,3 +144,64 @@ def test_staged_deletion_guard(model):
 def test_regularity_probe_reported(model):
     report = two_path_compare(model, (0,), (1, 2), 0)
     assert "denominator_sign_change" in report.params
+
+
+def test_verify_schrodinger_poly_path_matches_ratio_path(model):
+    """The ExpPoly/Poly check of a model state agrees with the ExpRatio
+    check, at the state's raw energy and at wrong ones."""
+    states = ([(phi, model.raw_energy(e)) for e, phi in model.levels]
+              + [(psi, model.raw_energy(e)) for e, psi in model.aux])
+    as_ratio = RationalFn(model.potential)
+    for phi, energy in states:
+        for trial in (energy, energy + 2, energy - Fraction(1, 3)):
+            fast = verify_schrodinger(model.potential, phi, trial)
+            slow = verify_schrodinger(as_ratio, ExpRatio.from_exp_polys(phi, ExpPoly.one()), trial)
+            assert fast == slow == (trial == energy), (phi, trial)
+
+
+def counted_oqm_run(monkeypatch, tmp_path):
+    """`oqm --dv 0,1 --de 1,2 --n 0` through the CLI, recording the size of
+    each Bareiss determinant: (exit code, sizes, report)."""
+    sizes = []
+    bareiss = det_mod.fraction_free_det
+
+    def counted(matrix):
+        sizes.append(len(matrix))
+        return bareiss(matrix)
+
+    monkeypatch.setattr(det_mod, "fraction_free_det", counted)
+    out = tmp_path / "oqm.json"
+    code = main(["oqm", "--dv", "0,1", "--de", "1,2", "--n", "0", "--out", str(out)])
+    return code, sizes, json.loads(out.read_text())
+
+
+def test_oqm_run_takes_few_bareiss_calls(monkeypatch, tmp_path):
+    """Each Wronskian of a run is computed once: the k + 1 minors of the
+    four-seed operator and of the two-virtual-seed operator, where one
+    Bareiss determinant per Wronskian and per level took 38, six at size 5."""
+    code, sizes, _ = counted_oqm_run(monkeypatch, tmp_path)
+    assert code == 0
+    assert len(sizes) <= 10
+    assert max(sizes) <= 4
+
+
+def test_flipped_operator_cofactor_fails_and_replays(monkeypatch, tmp_path):
+    """Negative control: one cofactor of each operator with sign flipped
+    fails the run, and the two-path witness replays to the same failure."""
+    operator = oqm_mod.wronskian_operator
+
+    def flipped(seeds):
+        op = operator(seeds)
+        if len(op.cofactors) == 1:
+            return op
+        return WronskianOperator((-op.cofactors[0],) + op.cofactors[1:], op.seed_wronskian)
+
+    monkeypatch.setattr(oqm_mod, "wronskian_operator", flipped)
+    code, _, payload = counted_oqm_run(monkeypatch, tmp_path)
+    assert code == 1
+    checks = {c["identityId"]: c for c in payload["checks"]}
+    two_path = checks["oqm.two-path"]
+    assert not two_path["pass"]
+    replayed = replay_witness(two_path["witness"]).to_dict()
+    for key in ("pass", "lhs", "rhs", "params"):
+        assert replayed[key] == two_path[key]
