@@ -2,8 +2,14 @@
 Casoratians, over exact polynomial entries (plus a grid backend for the
 real-shift family).
 
-The workhorse is fraction-free (Bareiss) elimination with exact division and
-sign-tracked row interchanges for zero pivots.  ``cofactor_det`` is the
+The workhorse is fraction-free (Bareiss) elimination as an integer kernel:
+each row is cleared of its denominators once (scaled by the lcm L_r), the
+elimination runs on Gaussian-integer coefficient lists (real ones when no
+entry has an imaginary part), every division by the previous pivot is an
+exact integer division from the top, zero pivots are cured by sign-tracked
+row interchanges, and the result is the last entry over prod L_r.  Each new
+entry is screened against ``COEFF_BIT_BUDGET`` by the bit lengths of its
+integers and of its row-scale product.  ``cofactor_det`` is the
 independent expansion: the cross-check oracle for Bareiss, and the evaluator
 of ``wronskian_over_base``'s ExpPoly matrices, which have no exact division.
 ``wronskian_operator`` takes the minors of a seed set once and applies
@@ -14,13 +20,15 @@ families.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import lcm
 from typing import Sequence
 
 import mpmath
 from mpmath.libmp import fzero, mpf_abs, mpf_div, mpf_gt, mpf_mul, mpf_mul_int, mpf_neg, mpf_sub
 
 from .gridfn import GridFn, WindowError
-from .poly import ExpPoly, Poly, as_poly
+from .poly import ExpPoly, Poly, _canonical, as_poly
 from .scalars import GaussianRational, i_power, rational
 
 # Abort knob for runaway exact computations; see DeterminantBudgetError.
@@ -42,12 +50,132 @@ def _check_budget(p: Poly) -> None:
             f"coefficient size exceeded {COEFF_BIT_BUDGET} bits")
 
 
+def _entry_poly(entry: tuple, den: int) -> Poly:
+    """The Poly entry/den of a kernel entry: ``(re,)`` or ``(re, im)``."""
+    re = entry[0]
+    im = entry[1] if len(entry) == 2 else [0] * len(re)
+    return _canonical(list(re), list(im), den)
+
+
+def _scaled(values: list, m: int) -> list:
+    """values * m; the list itself when m == 1 (the kernel never writes to it)."""
+    return values if m == 1 else [v * m for v in values]
+
+
+def _real_quotient(num: list, d: list | None) -> list:
+    """num/d over Z[x], from the top by integer divmod by d's leading
+    coefficient; ``num`` is consumed, and returned trimmed for d None (the
+    pivot 1 before step 0).  Raises unless d divides num in Z[x]."""
+    while num and not num[-1]:
+        num.pop()
+    if d is None:
+        return num
+    dd = len(d) - 1
+    lc = d[-1]
+    low = d[:-1]
+    q = [0] * (len(num) - dd)
+    for k in range(len(q) - 1, -1, -1):
+        t = num[k + dd]
+        if t:
+            c, r = divmod(t, lc)
+            if r:
+                raise ValueError("division is not exact")
+            q[k] = c
+            for j, dj in enumerate(low, k):
+                num[j] -= c * dj
+    if any(num[:dd]):
+        raise ValueError("division is not exact")
+    return q
+
+
+def _gaussian_quotient(nr: list, ni: list, d: tuple | None) -> tuple[list, list]:
+    """(nr + i*ni)/d over Z[i][x] for d = (dr, di); the numerator is
+    consumed, and returned trimmed for d None (the pivot 1 before step 0).
+
+    Each quotient coefficient is t/lc for the remainder's top coefficient t:
+    t/lc by integer divmod for a real lc, else t*conj(lc) over |lc|^2.
+    Raises unless d divides the numerator in Z[i][x]."""
+    while nr and not nr[-1] and not ni[-1]:
+        nr.pop()
+        ni.pop()
+    if d is None:
+        return nr, ni
+    dr, di = d
+    dd = len(dr) - 1
+    lr, li = dr[-1], di[-1]
+    norm = lr * lr + li * li
+    low = list(zip(dr[:-1], di[:-1]))
+    qr = [0] * (len(nr) - dd)
+    qi = [0] * len(qr)
+    for k in range(len(qr) - 1, -1, -1):
+        tr, ti = nr[k + dd], ni[k + dd]
+        if not tr and not ti:
+            continue
+        if li:
+            a, r1 = divmod(tr * lr + ti * li, norm)
+            b, r2 = divmod(ti * lr - tr * li, norm)
+        else:
+            a, r1 = divmod(tr, lr)
+            b, r2 = divmod(ti, lr)
+        if r1 or r2:
+            raise ValueError("division is not exact")
+        qr[k], qi[k] = a, b
+        for j, (er, ei) in enumerate(low, k):
+            nr[j] -= a * er - b * ei
+            ni[j] -= a * ei + b * er
+    if any(nr[:dd]) or any(ni[:dd]):
+        raise ValueError("division is not exact")
+    return qr, qi
+
+
+def _real_update(pivot: tuple, a: tuple, lead: tuple, b: tuple, prev) -> tuple:
+    """(pivot*a - lead*b) / prev on ``(re,)`` entries; prev None at step 0."""
+    (pv,), (av,), (lv,), (bv,) = pivot, a, lead, b
+    out = [0] * (max(len(pv) + len(av), len(lv) + len(bv)) - 1)
+    for i, c in enumerate(pv):
+        if c:
+            for j, e in enumerate(av, i):
+                out[j] += c * e
+    for i, c in enumerate(lv):
+        if c:
+            for j, e in enumerate(bv, i):
+                out[j] -= c * e
+    return (_real_quotient(out, prev and prev[0]),)
+
+
+def _gaussian_update(pivot: tuple, a: tuple, lead: tuple, b: tuple, prev) -> tuple:
+    """(pivot*a - lead*b) / prev on ``(re, im)`` entries; prev None at step 0."""
+    size = max(len(pivot[0]) + len(a[0]), len(lead[0]) + len(b[0])) - 1
+    out_re = [0] * size
+    out_im = [0] * size
+    for (xr, xi), (yr, yi), s in ((pivot, a, 1), (lead, b, -1)):
+        for i, (cr, ci) in enumerate(zip(xr, xi)):
+            if cr or ci:
+                cr, ci = s * cr, s * ci
+                for j, (er, ei) in enumerate(zip(yr, yi), i):
+                    out_re[j] += cr * er - ci * ei
+                    out_im[j] += cr * ei + ci * er
+    return _gaussian_quotient(out_re, out_im, prev)
+
+
 def fraction_free_det(matrix: Sequence[Sequence[Poly]]) -> Poly:
     """Exact determinant of a square Poly matrix by Bareiss elimination.
 
-    Division by the previous pivot is exact (Sylvester identity); zero pivots
-    are cured by row interchange, and an unsalvageable pivot column means the
-    determinant is zero.
+    Row r is multiplied by L_r, the lcm of its entries' denominators, so the
+    elimination runs on Gaussian-integer coefficient lists (real ones only,
+    when no entry has an imaginary part) and the result is the final entry
+    over prod L_r.  Every entry is then a minor of the integer matrix, so
+    each division by the previous pivot is exact in Z[i][x] (Sylvester's
+    identity) and is done by integer divmod from the top; at step 0 the
+    previous pivot is 1 and nothing is divided.  A zero pivot is cured by
+    the first row below with a nonzero entry in its column (a sign flip);
+    when there is none, the determinant is zero.
+
+    The integer entry of row i after step k is the entry of the unscaled
+    elimination times the scales of rows 0..k and i.  The bit lengths of its
+    integers and of that scale product bound its reduced size; only when
+    this screen is over COEFF_BIT_BUDGET is the entry built as a Poly and
+    checked exactly, so the budget raises where it did on Poly entries.
     """
     n = len(matrix)
     if n == 0:
@@ -57,29 +185,43 @@ def fraction_free_det(matrix: Sequence[Sequence[Poly]]) -> Poly:
         raise ValueError("matrix is not square")
     if n == 1:
         return rows[0][0]
+    scales = [lcm(*[e.den for e in row]) for row in rows]
+    if any(any(e.im) for row in rows for e in row):
+        update = _gaussian_update
+        ints = [[(_scaled(e.re, s // e.den), _scaled(e.im, s // e.den)) for e in row]
+                for row, s in zip(rows, scales)]
+    else:
+        update = _real_update
+        ints = [[(_scaled(e.re, s // e.den),) for e in row] for row, s in zip(rows, scales)]
+    budget = COEFF_BIT_BUDGET
     sign = 1
-    prev = Poly.one()
+    prev = None
+    pivot_scale = 1
     for k in range(n - 1):
-        if rows[k][k].is_zero():
+        if not ints[k][k][0]:
             for r in range(k + 1, n):
-                if not rows[r][k].is_zero():
-                    rows[k], rows[r] = rows[r], rows[k]
+                if ints[r][k][0]:
+                    ints[k], ints[r] = ints[r], ints[k]
+                    scales[k], scales[r] = scales[r], scales[k]
                     sign = -sign
                     break
             else:
                 return Poly.zero()
-        pivot = rows[k][k]
+        row_k = ints[k]
+        pivot = row_k[k]
+        pivot_scale *= scales[k]
         for i in range(k + 1, n):
-            row_i = rows[i]
-            row_k = rows[k]
+            row_i = ints[i]
             lead = row_i[k]
+            den = pivot_scale * scales[i]
+            den_over = den.bit_length() > budget
             for j in range(k + 1, n):
-                num = pivot * row_i[j] - lead * row_k[j]
-                row_i[j] = num.exact_div(prev)
-                _check_budget(row_i[j])
-            row_i[k] = Poly.zero()
+                entry = update(pivot, row_i[j], lead, row_k[j], prev)
+                if den_over or max(map(int.bit_length, chain(*entry)), default=0) > budget:
+                    _check_budget(_entry_poly(entry, den))
+                row_i[j] = entry
         prev = pivot
-    result = rows[n - 1][n - 1]
+    result = _entry_poly(ints[n - 1][n - 1], pivot_scale * scales[n - 1])
     return result if sign > 0 else -result
 
 

@@ -442,9 +442,12 @@ def poly_products_equal(lhs: Sequence[tuple["Poly", int]],
 
 
 class RationalFn:
-    """Quotient of two Polys; den != 0.  Reduction is lazy (see reduce())."""
+    """Quotient of two Polys; den != 0.  Reduction is lazy (see reduce()).
 
-    __slots__ = ("num", "den")
+    ``reduced`` is set only on what ``reduce()`` returns, which reduces to
+    itself, so reducing it again (as printing does) is skipped."""
+
+    __slots__ = ("num", "den", "reduced")
 
     def __init__(self, num, den=_P_ONE):
         num = as_poly(num)
@@ -455,6 +458,7 @@ class RationalFn:
             den = _P_ONE
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "reduced", False)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFn is immutable")
@@ -472,17 +476,20 @@ class RationalFn:
 
     def reduce(self) -> "RationalFn":
         """Gcd-reduced representative with monic denominator."""
-        if self.num.is_zero():
-            return RationalFn(_P_ZERO)
-        g = poly_gcd(self.num, self.den)
+        if self.reduced:
+            return self
         num, den = self.num, self.den
-        if g.degree > 0:
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-        lead = den.leading()
-        num = num * (GR_ONE / lead)
-        den = den * (GR_ONE / lead)
-        return RationalFn(num, den)
+        if not num.is_zero():
+            g = poly_gcd(num, den)
+            if g.degree > 0:
+                num = num.exact_div(g)
+                den = den.exact_div(g)
+            lead = den.leading()
+            num = num * (GR_ONE / lead)
+            den = den * (GR_ONE / lead)
+        out = RationalFn(num, den)
+        object.__setattr__(out, "reduced", True)
+        return out
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -52,6 +52,87 @@ def test_fraction_free_zero_pivots():
     assert fraction_free_det(singular).is_zero()
 
 
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def bareiss_matrices(draw):
+    """n = 1..6 matrices of Gaussian-rational (at times real) polynomials,
+    each row over its own extra denominator, and at times with a zero
+    leading pivot that needs a row swap, two equal rows, or a zero column."""
+    n = draw(st.integers(1, 6))
+    imag = st.just(Fraction(0)) if draw(st.booleans()) else small_fractions
+    coeffs = st.builds(GaussianRational, small_fractions, imag)
+    max_len = 3 if n <= 4 else 2
+    matrix = []
+    for _ in range(n):
+        row_den = draw(st.integers(1, 12))
+        matrix.append([Poly(draw(st.lists(coeffs, max_size=max_len))) * Fraction(1, row_den)
+                       for _ in range(n)])
+    shape = draw(st.sampled_from(["plain", "zero pivot", "equal rows", "zero column"]))
+    if shape == "zero pivot" and n > 1:
+        matrix[0][0] = Poly.zero()
+        if matrix[n - 1][0].is_zero():
+            matrix[n - 1][0] = x + Fraction(1, 3)
+    elif shape == "equal rows" and n > 1:
+        matrix[n - 1] = list(matrix[0])
+    elif shape == "zero column":
+        col = draw(st.integers(0, n - 1))
+        for row in matrix:
+            row[col] = Poly.zero()
+    return matrix
+
+
+@given(bareiss_matrices())
+@settings(max_examples=100, deadline=None)
+@example([[Poly.one(), Poly.one(), Poly.zero()],          # zero pivot at step 1
+          [Poly.one(), Poly.one(), x * Fraction(1, 2)],
+          [Poly.zero(), Poly.constant(Fraction(1, 3)), x + 1]])
+@example([[Poly([GaussianRational(0, Fraction(1, 2)), GaussianRational(1, 1)]), x * Fraction(1, 3)],
+          [x * x * Fraction(1, 5), Poly([GaussianRational(Fraction(2, 7), -1), 0, GaussianRational(0, 3)])]])
+def test_fraction_free_matches_cofactor_property(matrix):
+    assert fraction_free_det(matrix) == cofactor_det(matrix)
+
+
+@pytest.mark.parametrize("num, d, q", [([-1, 0, 1], [1, 1], [-1, 1]),
+                                       ([6, -9], [3], [2, -3]),
+                                       ([0, 0, 4], [0, 2], [0, 2])])
+def test_real_quotient_exact(num, d, q):
+    assert det_mod._real_quotient(list(num), d) == q
+
+
+@pytest.mark.parametrize("num, d", [([1, 0, 1], [1, 1]),     # polynomial remainder 2
+                                    ([1, 2], [2]),           # coefficient 1/2
+                                    ([3], [2, 1]),           # lower degree
+                                    ([0, 3], [0, 2])])
+def test_real_quotient_rejects_inexact(num, d):
+    with pytest.raises(ValueError, match="division is not exact"):
+        det_mod._real_quotient(list(num), d)
+
+
+gi = GaussianRational
+
+
+@pytest.mark.parametrize("q, d", [(x + gi(0, 1), x - gi(2, -3)),
+                                  (gi(3, -1) * x * x - 2, gi(1, 2) * x + 3),
+                                  (gi(0, 2) * x + gi(-1, 1), 2 * x + gi(0, 1)),
+                                  (Poly([gi(4, 1)]), Poly([gi(-2, 5)]))])
+def test_gaussian_quotient_exact(q, d):
+    num = q * d
+    got = det_mod._gaussian_quotient(list(num.re), list(num.im), (d.re, d.im))
+    assert got == (q.re, q.im)
+
+
+@pytest.mark.parametrize("num, d", [((x + gi(0, 1)) * (x - 2) + 1, x - 2),
+                                    (gi(1, 1) * x, 2 * x),           # real lc, 1/2 + i/2
+                                    (x, gi(1, 1) * x),               # (1 - i)/2
+                                    (Poly([gi(3, 0)]), Poly([gi(1, 2)])),
+                                    (Poly([gi(0, 1)]), x + 1)])
+def test_gaussian_quotient_rejects_inexact(num, d):
+    with pytest.raises(ValueError, match="division is not exact"):
+        det_mod._gaussian_quotient(list(num.re), list(num.im), (d.re, d.im))
+
+
 def test_budget_guard():
     old = det_mod.COEFF_BIT_BUDGET
     det_mod.COEFF_BIT_BUDGET = 8
@@ -82,6 +163,16 @@ def test_budget_exact_size_decides(monkeypatch):
     big = Poly([0, 2 ** 20])
     with pytest.raises(DeterminantBudgetError):
         fraction_free_det([[big, Poly.one()], [Poly.one(), big]])
+    # Rows cleared over 3 * 2^30 and 5: the eliminated entry is stored as
+    # 3 * 2^30 * (x^2 - k) over 15 * 2^30, past the screen at 8 bits.  Its
+    # reduced form (x^2 - 1)/5 fits and is accepted; (x^2 - 2^9)/5 does not.
+    monkeypatch.setattr(det_mod, "COEFF_BIT_BUDGET", 8)
+    top = [x * Fraction(1, 3), Fraction(1, 2 ** 30)]
+    fits = [[*top], [Poly.constant(Fraction(2 ** 30, 5)), x * Fraction(3, 5)]]
+    assert fraction_free_det(fits) == (x * x - 1) * Fraction(1, 5)
+    over = [[*top], [Poly.constant(Fraction(2 ** 39, 5)), x * Fraction(3, 5)]]
+    with pytest.raises(DeterminantBudgetError):
+        fraction_free_det(over)
 
 
 def test_wronskian_examples():

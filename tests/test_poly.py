@@ -131,6 +131,21 @@ def test_rational_fn_lazy_equality():
     assert (a - b).is_zero()
 
 
+def test_reduced_rational_fn_prints_without_a_gcd(monkeypatch):
+    """reduce() marks its result, so reducing or printing it again takes no
+    gcd; the text is that of the unreduced quotient."""
+    import casorati.poly as poly_mod
+
+    for q in (RationalFn(2 * x * x - 2, 4 * x - 4), RationalFn(x + 1, 3 * x * x + 1),
+              RationalFn(Poly.zero(), x), RationalFn(Poly([Fraction(1, 2), 1]))):
+        text, r = str(q), q.reduce()
+        assert not q.reduced and r.reduced
+        with monkeypatch.context() as m:
+            m.setattr(poly_mod, "poly_gcd", None)
+            assert r.reduce() is r and str(r) == text
+        assert not (r + 1).reduced and str(r + 1) == str(q + 1)
+
+
 def test_poly_products_equal():
     lhs = [(x + 1, 2), ((x + 1) * (x - 3), 1)]
     rhs = [((x + 1) ** 3, 1), (x - 3, 1)]
