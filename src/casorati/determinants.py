@@ -40,12 +40,11 @@ class DeterminantBudgetError(RuntimeError):
 
 
 def _check_budget(p: Poly) -> None:
-    """Raise once an entry's reduced coefficients pass COEFF_BIT_BUDGET bits.
+    """Raise when an entry's reduced coefficients pass COEFF_BIT_BUDGET bits.
 
-    The bit lengths of the stored integers bound ``max_coeff_bits`` without
-    a gcd, so the exact size is computed only when that bound is over."""
-    bound = max(max(map(int.bit_length, p.re + p.im), default=0), p.den.bit_length())
-    if bound > COEFF_BIT_BUDGET and p.max_coeff_bits() > COEFF_BIT_BUDGET:
+    This takes a gcd, so the kernel calls it only for an entry past its
+    gcd-free screen (see ``fraction_free_det``)."""
+    if p.max_coeff_bits() > COEFF_BIT_BUDGET:
         raise DeterminantBudgetError(
             f"coefficient size exceeded {COEFF_BIT_BUDGET} bits")
 

@@ -175,6 +175,20 @@ def test_budget_exact_size_decides(monkeypatch):
         fraction_free_det(over)
 
 
+@pytest.mark.parametrize("unit", [Poly.one(), Poly.constant(GaussianRational(0, 1))])
+def test_budget_screen_reads_row_scales(monkeypatch, unit):
+    """An eliminated entry with one-bit integers is still checked when its
+    row-scale product is past the budget: c/2^9 needs 10 bits, c/2^7 fits 8."""
+    monkeypatch.setattr(det_mod, "COEFF_BIT_BUDGET", 8)
+    for power, fits in ((7, True), (9, False)):
+        matrix = [[unit, Poly.zero()], [Poly.zero(), unit * Fraction(1, 2 ** power)]]
+        if fits:
+            assert fraction_free_det(matrix) == unit * unit * Fraction(1, 2 ** power)
+        else:
+            with pytest.raises(DeterminantBudgetError):
+                fraction_free_det(matrix)
+
+
 def test_wronskian_examples():
     assert wronskian([]) == ExpPoly.one()
     assert wronskian([ExpPoly(Poly.one()), ExpPoly(x)]).p == Poly.one()
