@@ -2,26 +2,20 @@
 Casoratians, over exact polynomial entries (plus a grid backend for the
 real-shift family).
 
-The workhorse is fraction-free (Bareiss) elimination as an integer kernel:
-each row is cleared of its denominators once (scaled by the lcm L_r), the
-elimination runs on Gaussian-integer coefficient lists (real ones when no
-entry has an imaginary part), every division by the previous pivot is an
-exact integer division from the top, zero pivots are cured by sign-tracked
-row interchanges, and the result is the last entry over prod L_r.  Each new
-entry is screened against ``COEFF_BIT_BUDGET`` by the bit lengths of its
-integers and of its row-scale product.  ``cofactor_det`` is the
-independent expansion: the cross-check oracle for Bareiss, and the evaluator
-of ``wronskian_over_base``'s ExpPoly matrices, which have no exact division.
-``wronskian_operator`` takes the minors of a seed set once and applies
-f -> W[seeds, f] by their cofactors.  Empty input returns 1 for all three
-families.
+Every exact determinant is Bareiss elimination on packed big integers
+(``fraction_free_det``): rows are cleared of denominators once, each entry is
+packed once as its value at x = 2^width (Kronecker substitution), and each
+exact division is certified.  Wronskian columns (``_drift_column``) are built
+on Poly, over a common base too, so the exponent pairs factor out; the
+Darboux-Crum operators take the minors of their fixed columns once and apply
+f -> W[fixed, f] by cofactors.  ``cofactor_det`` is the test oracle only.
+Empty input returns 1 for all three families.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
-from math import lcm
+from math import lcm, prod
 from typing import Sequence
 
 import mpmath
@@ -39,6 +33,24 @@ class DeterminantBudgetError(RuntimeError):
     """A single determinant exceeded the coefficient bit-size budget."""
 
 
+class RunMemo:
+    """Results that the checks of one lab run share, each computed once, by
+    keys of plain values and immutable objects.  A memo lives on its model
+    and is freed with it; nothing is kept at module level."""
+
+    def __init__(self):
+        self._entries = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def once(self, key: tuple, compute, *args):
+        """compute(*args), computed on the first call with this key only."""
+        if key not in self._entries:
+            self._entries[key] = compute(*args)
+        return self._entries[key]
+
+
 def _check_budget(p: Poly) -> None:
     """Raise when an entry's reduced coefficients pass COEFF_BIT_BUDGET bits.
 
@@ -49,132 +61,93 @@ def _check_budget(p: Poly) -> None:
             f"coefficient size exceeded {COEFF_BIT_BUDGET} bits")
 
 
-def _entry_poly(entry: tuple, den: int) -> Poly:
-    """The Poly entry/den of a kernel entry: ``(re,)`` or ``(re, im)``."""
-    re = entry[0]
-    im = entry[1] if len(entry) == 2 else [0] * len(re)
-    return _canonical(list(re), list(im), den)
+class _Packing:
+    """Kronecker substitution x = 2^width for the entries of one determinant.
 
+    An entry is a Gaussian-integer polynomial with at most ``length``
+    coefficients, each below ``bound`` in size, packed as its value at
+    2^width with balanced digits: an int, or an (re, im) pair of ints.  A
+    quotient is certified by a zero remainder and a digit bound: at most
+    ``length`` digits, each in [-2^s, 2^s) with s = bitlen(bound), tested
+    by one add and one mask.  Then numerator - quotient * divisor has
+    digits below 12 * length * 4^s < 2^width, and a nonzero polynomial
+    vanishing at 2^width has a digit of at least 2^width, so the integer
+    division is the division in Z[i][x].
+    """
 
-def _scaled(values: list, m: int) -> list:
-    """values * m; the list itself when m == 1 (the kernel never writes to it)."""
-    return values if m == 1 else [v * m for v in values]
+    __slots__ = ("width", "offset", "high")
 
+    def __init__(self, bound: int, length: int):
+        s = bound.bit_length()
+        self.width = width = (12 * length << 2 * s).bit_length()
+        ones = ((1 << width * length) - 1) // ((1 << width) - 1)
+        self.offset = ones << s
+        self.high = ~(((2 << s) - 1) * ones)
 
-def _real_quotient(num: list, d: list | None) -> list:
-    """num/d over Z[x], from the top by integer divmod by d's leading
-    coefficient; ``num`` is consumed, and returned trimmed for d None (the
-    pivot 1 before step 0).  Raises unless d divides num in Z[x]."""
-    while num and not num[-1]:
-        num.pop()
-    if d is None:
-        return num
-    dd = len(d) - 1
-    lc = d[-1]
-    low = d[:-1]
-    q = [0] * (len(num) - dd)
-    for k in range(len(q) - 1, -1, -1):
-        t = num[k + dd]
-        if t:
-            c, r = divmod(t, lc)
-            if r:
-                raise ValueError("division is not exact")
-            q[k] = c
-            for j, dj in enumerate(low, k):
-                num[j] -= c * dj
-    if any(num[:dd]):
-        raise ValueError("division is not exact")
-    return q
+    def pack(self, values: list) -> int:
+        """The coefficient list ``values`` evaluated at 2^width."""
+        packed = 0
+        for v in reversed(values):
+            packed = (packed << self.width) + v
+        return packed
 
+    def digits(self, entry) -> tuple[list, list]:
+        """The balanced base-2^width digits, low first, of a packed entry (an
+        int, or an (re, im) pair): its re and im coefficients, equal length."""
+        width = self.width
+        half, mask = 1 << (width - 1), (1 << width) - 1
+        parts = []
+        for packed in (entry, 0) if isinstance(entry, int) else entry:
+            digits = []
+            while packed:
+                d = packed & mask
+                packed >>= width
+                if d >= half:
+                    d -= mask + 1
+                    packed += 1
+                digits.append(d)
+            parts.append(digits)
+        re, im = parts
+        size = max(len(re), len(im))
+        return re + [0] * (size - len(re)), im + [0] * (size - len(im))
 
-def _gaussian_quotient(nr: list, ni: list, d: tuple | None) -> tuple[list, list]:
-    """(nr + i*ni)/d over Z[i][x] for d = (dr, di); the numerator is
-    consumed, and returned trimmed for d None (the pivot 1 before step 0).
-
-    Each quotient coefficient is t/lc for the remainder's top coefficient t:
-    t/lc by integer divmod for a real lc, else t*conj(lc) over |lc|^2.
-    Raises unless d divides the numerator in Z[i][x]."""
-    while nr and not nr[-1] and not ni[-1]:
-        nr.pop()
-        ni.pop()
-    if d is None:
-        return nr, ni
-    dr, di = d
-    dd = len(dr) - 1
-    lr, li = dr[-1], di[-1]
-    norm = lr * lr + li * li
-    low = list(zip(dr[:-1], di[:-1]))
-    qr = [0] * (len(nr) - dd)
-    qi = [0] * len(qr)
-    for k in range(len(qr) - 1, -1, -1):
-        tr, ti = nr[k + dd], ni[k + dd]
-        if not tr and not ti:
-            continue
-        if li:
-            a, r1 = divmod(tr * lr + ti * li, norm)
-            b, r2 = divmod(ti * lr - tr * li, norm)
-        else:
-            a, r1 = divmod(tr, lr)
-            b, r2 = divmod(ti, lr)
-        if r1 or r2:
+    def quotient(self, num: int, den: int) -> int:
+        """num / den for packed real entries; raises unless certified."""
+        q, r = divmod(num, den)
+        if r or (q + self.offset) & self.high:
             raise ValueError("division is not exact")
-        qr[k], qi[k] = a, b
-        for j, (er, ei) in enumerate(low, k):
-            nr[j] -= a * er - b * ei
-            ni[j] -= a * ei + b * er
-    if any(nr[:dd]) or any(ni[:dd]):
-        raise ValueError("division is not exact")
-    return qr, qi
+        return q
 
-
-def _real_update(pivot: tuple, a: tuple, lead: tuple, b: tuple, prev) -> tuple:
-    """(pivot*a - lead*b) / prev on ``(re,)`` entries; prev None at step 0."""
-    (pv,), (av,), (lv,), (bv,) = pivot, a, lead, b
-    out = [0] * (max(len(pv) + len(av), len(lv) + len(bv)) - 1)
-    for i, c in enumerate(pv):
-        if c:
-            for j, e in enumerate(av, i):
-                out[j] += c * e
-    for i, c in enumerate(lv):
-        if c:
-            for j, e in enumerate(bv, i):
-                out[j] -= c * e
-    return (_real_quotient(out, prev and prev[0]),)
-
-
-def _gaussian_update(pivot: tuple, a: tuple, lead: tuple, b: tuple, prev) -> tuple:
-    """(pivot*a - lead*b) / prev on ``(re, im)`` entries; prev None at step 0."""
-    size = max(len(pivot[0]) + len(a[0]), len(lead[0]) + len(b[0])) - 1
-    out_re = [0] * size
-    out_im = [0] * size
-    for (xr, xi), (yr, yi), s in ((pivot, a, 1), (lead, b, -1)):
-        for i, (cr, ci) in enumerate(zip(xr, xi)):
-            if cr or ci:
-                cr, ci = s * cr, s * ci
-                for j, (er, ei) in enumerate(zip(yr, yi), i):
-                    out_re[j] += cr * er - ci * ei
-                    out_im[j] += cr * ei + ci * er
-    return _gaussian_quotient(out_re, out_im, prev)
+    def gaussian_quotient(self, nr: int, ni: int, dr: int, di: int, norm: int) -> tuple:
+        """(nr + i ni) / (dr + i di), with norm = dr^2 + di^2: the numerator
+        times the conjugate over the norm; raises unless certified."""
+        qr, r1 = divmod(nr * dr + ni * di, norm)
+        qi, r2 = divmod(ni * dr - nr * di, norm)
+        offset, high = self.offset, self.high
+        if r1 or r2 or (qr + offset) & high or (qi + offset) & high:
+            raise ValueError("division is not exact")
+        return qr, qi
 
 
 def fraction_free_det(matrix: Sequence[Sequence[Poly]]) -> Poly:
     """Exact determinant of a square Poly matrix by Bareiss elimination.
 
-    Row r is multiplied by L_r, the lcm of its entries' denominators, so the
-    elimination runs on Gaussian-integer coefficient lists (real ones only,
-    when no entry has an imaginary part) and the result is the final entry
-    over prod L_r.  Every entry is then a minor of the integer matrix, so
-    each division by the previous pivot is exact in Z[i][x] (Sylvester's
-    identity) and is done by integer divmod from the top; at step 0 the
-    previous pivot is 1 and nothing is divided.  A zero pivot is cured by
-    the first row below with a nonzero entry in its column (a sign flip);
-    when there is none, the determinant is zero.
+    Row r is scaled by L_r, the lcm of its denominators, and the result is
+    the last entry over prod L_r.  Every entry is then a minor, so its
+    coefficients are below B = prod_r max(1, sum_c |a_rc|_1) (|.|_1 sums
+    |re| + |im| over them) and its degree is at most the sum of the rows'.
+    The entries are packed once (``_Packing``), the updates
+    (pivot*a - lead*b) / prev run on ints, or (re, im) pairs when an entry
+    is not real (a Gaussian division multiplies by conj(prev) over its
+    norm), and only the last entry is unpacked.  Each division is exact by
+    Sylvester's identity and certified, else ``ValueError``.  A zero pivot
+    is cured by the first row below with a nonzero entry in its column (a
+    sign flip); when there is none, the determinant is zero.
 
-    The integer entry of row i after step k is the entry of the unscaled
-    elimination times the scales of rows 0..k and i.  The bit lengths of its
-    integers and of that scale product bound its reduced size; only when
-    this screen is over COEFF_BIT_BUDGET is the entry built as a Poly and
-    checked exactly, so the budget raises where it did on Poly entries.
+    When bitlen(B) and bitlen(prod L_r) are within COEFF_BIT_BUDGET, no
+    entry can pass it.  Otherwise each new entry is unpacked and screened
+    by the bit lengths of its integers and of its row-scale product, and an
+    entry past the screen is checked exactly, as on Poly entries.
     """
     n = len(matrix)
     if n == 0:
@@ -185,21 +158,26 @@ def fraction_free_det(matrix: Sequence[Sequence[Poly]]) -> Poly:
     if n == 1:
         return rows[0][0]
     scales = [lcm(*[e.den for e in row]) for row in rows]
-    if any(any(e.im) for row in rows for e in row):
-        update = _gaussian_update
-        ints = [[(_scaled(e.re, s // e.den), _scaled(e.im, s // e.den)) for e in row]
-                for row, s in zip(rows, scales)]
-    else:
-        update = _real_update
-        ints = [[(_scaled(e.re, s // e.den),) for e in row] for row, s in zip(rows, scales)]
+    gaussian = any(any(e.im) for row in rows for e in row)
+    bound = length = 1
+    for row, s in zip(rows, scales):
+        bound *= max(1, sum([sum(map(abs, e.re + e.im if gaussian else e.re)) * (s // e.den)
+                             for e in row]))
+        length += max(1, *[len(e.re) for e in row]) - 1
+    packing = _Packing(bound, length)
+    pack = packing.pack
+    ints = [[(pack(e.re) * (s // e.den), pack(e.im) * (s // e.den)) if gaussian
+             else pack(e.re) * (s // e.den) for e in row] for row, s in zip(rows, scales)]
+    zero = (0, 0) if gaussian else 0
     budget = COEFF_BIT_BUDGET
+    screen = bound.bit_length() > budget or prod(scales).bit_length() > budget
     sign = 1
     prev = None
     pivot_scale = 1
     for k in range(n - 1):
-        if not ints[k][k][0]:
+        if ints[k][k] == zero:
             for r in range(k + 1, n):
-                if ints[r][k][0]:
+                if ints[r][k] != zero:
                     ints[k], ints[r] = ints[r], ints[k]
                     scales[k], scales[r] = scales[r], scales[k]
                     sign = -sign
@@ -209,27 +187,45 @@ def fraction_free_det(matrix: Sequence[Sequence[Poly]]) -> Poly:
         row_k = ints[k]
         pivot = row_k[k]
         pivot_scale *= scales[k]
+        if gaussian:
+            pr, pi = pivot
+            if prev is not None:
+                dr, di = prev
+                norm = dr * dr + di * di
         for i in range(k + 1, n):
             row_i = ints[i]
-            lead = row_i[k]
-            den = pivot_scale * scales[i]
-            den_over = den.bit_length() > budget
-            for j in range(k + 1, n):
-                entry = update(pivot, row_i[j], lead, row_k[j], prev)
-                if den_over or max(map(int.bit_length, chain(*entry)), default=0) > budget:
-                    _check_budget(_entry_poly(entry, den))
-                row_i[j] = entry
+            if gaussian:
+                lr, li = row_i[k]
+                for j in range(k + 1, n):
+                    (ar, ai), (br, bi) = row_i[j], row_k[j]
+                    nr = pr * ar - pi * ai - lr * br + li * bi
+                    ni = pr * ai + pi * ar - lr * bi - li * br
+                    row_i[j] = ((nr, ni) if prev is None
+                                else packing.gaussian_quotient(nr, ni, dr, di, norm))
+            else:
+                lead = row_i[k]
+                for j in range(k + 1, n):
+                    num = pivot * row_i[j] - lead * row_k[j]
+                    row_i[j] = num if prev is None else packing.quotient(num, prev)
+            if screen:
+                den = pivot_scale * scales[i]
+                den_over = den.bit_length() > budget
+                for entry in row_i[k + 1:]:
+                    re, im = packing.digits(entry)
+                    if den_over or max(map(int.bit_length, re + im), default=0) > budget:
+                        _check_budget(_canonical(re, im, den))
         prev = pivot
-    result = _entry_poly(ints[n - 1][n - 1], pivot_scale * scales[n - 1])
+    result = _canonical(*packing.digits(ints[n - 1][n - 1]), pivot_scale * scales[n - 1])
     return result if sign > 0 else -result
 
 
 def cofactor_det(matrix: Sequence[Sequence]):
     """Determinant by first-row cofactor expansion (generic ring elements).
 
-    Exponential in n.  It evaluates ``wronskian_over_base``'s ExpPoly
-    matrices, where Bareiss has no exact division, and is the independent
-    oracle for ``fraction_free_det``.
+    Exponential in n, and called by nothing in the package: it is the
+    independent oracle that the tests hold ``fraction_free_det`` and the
+    over-base Wronskian to, and the benchmark's tracer still wraps it by
+    name.
     """
     n = len(matrix)
     if n == 0:
@@ -304,83 +300,107 @@ def det_float_scalar(matrix) -> object:
 # Wronskian
 # ---------------------------------------------------------------------------
 
-def wronskian(fs: Sequence[ExpPoly]) -> ExpPoly:
-    """W[f_1, ..., f_n]: determinant of successive derivatives; W[.] = 1.
+def _drift_column(f: ExpPoly, length: int, base: ExpPoly | None = None,
+                  power: int = 0) -> list[Poly]:
+    """The polynomial parts of the first ``length`` rows of f's column.
 
-    Each column's exponential prefactor factors out of the determinant by
-    multilinearity, leaving the fraction-free determinant of polynomial
-    parts under the drift derivative p -> p' + (a*x + b/2)*p.
-    """
-    fs = [f if isinstance(f, ExpPoly) else ExpPoly(f) for f in fs]
+    Row j + 1 is the drift derivative P' + (a*x + b/2)*P of row j, with
+    (a, b) the pair of row j.  Over a base B*exp(.) the rows are those of
+    the quotient f / base^power: row j is the numerator of its j-th
+    derivative over base^(power + j), and carries f's pair plus j times the
+    base's, so with G the polynomial part of base' the quotient rule gives
+    P_{j+1} = P_j'*B + P_j*(drift_j*B - (power + j)*G)."""
+    col = [f.p]
+    if base is None:
+        drift = Poly([f.b / 2, f.a])
+        for _ in range(length - 1):
+            col.append(col[-1].derivative() + drift * col[-1])
+        return col
+    b_part, g_part = base.p, base.derivative().p
+    for j in range(length - 1):
+        drift = Poly([(f.b + j * base.b) / 2, f.a + j * base.a])
+        p = col[-1]
+        col.append(p.derivative() * b_part + p * (drift * b_part - (power + j) * g_part))
+    return col
+
+
+def _pair(fs: Sequence[ExpPoly], base: ExpPoly | None, times: int) -> tuple:
+    """The summed exponent pairs of fs, plus ``times`` times the base's."""
+    a = sum((f.a for f in fs), rational(0))
+    b = sum((f.b for f in fs), rational(0))
+    return (a, b) if base is None else (a + times * base.a, b + times * base.b)
+
+
+def _column_det(fs: Sequence[ExpPoly], base: ExpPoly | None = None, power: int = 0) -> ExpPoly:
+    """The determinant of the columns of fs: row j's exponential prefactor
+    factors out, leaving one fraction-free determinant of Poly parts."""
     n = len(fs)
     if n == 0:
         return ExpPoly.one()
-    a_total = sum((f.a for f in fs), rational(0))
-    b_total = sum((f.b for f in fs), rational(0))
-    columns = []
-    for f in fs:
-        col = [f.p]
-        drift = Poly([f.b / 2, f.a])
-        for _ in range(n - 1):
-            col.append(col[-1].derivative() + drift * col[-1])
-        columns.append(col)
-    matrix = [[columns[k][j] for k in range(n)] for j in range(n)]
-    return ExpPoly(fraction_free_det(matrix), a_total, b_total)
+    columns = [_drift_column(f, n, base, power) for f in fs]
+    det = fraction_free_det([[col[j] for col in columns] for j in range(n)])
+    return ExpPoly(det, *_pair(fs, base, n * (n - 1) // 2))
+
+
+def wronskian(fs: Sequence[ExpPoly]) -> ExpPoly:
+    """W[f_1, ..., f_n]: determinant of successive derivatives; W[.] = 1."""
+    return _column_det([f if isinstance(f, ExpPoly) else ExpPoly(f) for f in fs])
 
 
 class WronskianOperator:
     """The Darboux-Crum operator f -> W[seeds, f] of a fixed seed set.
 
-    W[seeds, f] expanded along its last column is sum_j c_j * D_f^j p_f
-    times exp of the summed exponent pairs, where D_f is f's drift
-    derivative and c_j the signed k x k minors of the seeds' derivative
+    W[seeds, f] expanded along its last column is sum_j c_j * P_j times
+    exp of the summed exponent pairs, where P_j are the rows of f's column
+    (``_drift_column``) and c_j the signed k x k minors of the seeds'
     columns (rows 0..k, row j dropped).  ``seed_wronskian`` is W[seeds]:
-    the minor that drops row k, with the seeds' summed pair.
+    the minor that drops row k, with the seeds' pair.  Over a base, the
+    seeds and f are quotients over base^power (``over_base_operator``).
     """
 
-    __slots__ = ("cofactors", "seed_wronskian")
+    __slots__ = ("cofactors", "seed_wronskian", "base", "power")
 
-    def __init__(self, cofactors: Sequence[Poly], seed_wronskian: ExpPoly):
+    def __init__(self, cofactors: Sequence[Poly], seed_wronskian: ExpPoly,
+                 base: ExpPoly | None = None, power: int = 0):
         self.cofactors = tuple(cofactors)
         self.seed_wronskian = seed_wronskian
+        self.base = base
+        self.power = power
 
     def __call__(self, f: ExpPoly) -> ExpPoly:
-        drift = Poly([f.b / 2, f.a])
-        term = f.p
-        total = self.cofactors[0] * term
-        for c in self.cofactors[1:]:
-            term = term.derivative() + drift * term
-            total = total + c * term
-        base = self.seed_wronskian
-        return ExpPoly(total, base.a + f.a, base.b + f.b)
+        k = len(self.cofactors) - 1
+        col = _drift_column(f, k + 1, self.base, self.power)
+        total = self.cofactors[0] * col[0]
+        for c, p in zip(self.cofactors[1:], col[1:]):
+            total = total + c * p
+        return ExpPoly(total, *_pair([self.seed_wronskian, f], self.base, k))
 
 
 def wronskian_operator(seeds: Sequence[ExpPoly]) -> WronskianOperator:
-    """W[seeds, .] from the k + 1 size-k minors of the seeds' derivative
-    columns, each taken once by ``fraction_free_det``.
+    """W[seeds, .] from the k + 1 size-k minors of the seeds' columns, each
+    taken once by ``fraction_free_det``.
 
     The minor that drops the last row is exactly ``wronskian(seeds)``'s
     determinant, so W[seeds] comes with the operator at no extra cost.  No
     seeds give the identity, with W[] = 1.
     """
+    return _operator(seeds)
+
+
+def _operator(seeds: Sequence[ExpPoly], base: ExpPoly | None = None,
+              power: int = 0) -> WronskianOperator:
+    """The operator of ``wronskian_operator``, or of ``over_base_operator``."""
     k = len(seeds)
     if k == 0:
-        return WronskianOperator([Poly.one()], ExpPoly.one())
-    a_total = sum((s.a for s in seeds), rational(0))
-    b_total = sum((s.b for s in seeds), rational(0))
-    columns = []
-    for s in seeds:
-        col = [s.p]
-        drift = Poly([s.b / 2, s.a])
-        for _ in range(k):
-            col.append(col[-1].derivative() + drift * col[-1])
-        columns.append(col)
+        return WronskianOperator([Poly.one()], ExpPoly.one(), base, power)
+    columns = [_drift_column(s, k + 1, base, power) for s in seeds]
     rows = [[col[j] for col in columns] for j in range(k + 1)]
     cofactors = []
     for j in range(k + 1):
         minor = fraction_free_det(rows[:j] + rows[j + 1:])
         cofactors.append(minor if (k + j) % 2 == 0 else -minor)
-    return WronskianOperator(cofactors, ExpPoly(cofactors[k], a_total, b_total))
+    seed_wronskian = ExpPoly(cofactors[k], *_pair(seeds, base, k * (k - 1) // 2))
+    return WronskianOperator(cofactors, seed_wronskian, base, power)
 
 
 def wronskian_poly(fs: Sequence[Poly]) -> Poly:
@@ -388,31 +408,37 @@ def wronskian_poly(fs: Sequence[Poly]) -> Poly:
     return wronskian([ExpPoly(f) for f in fs]).p
 
 
+def over_base_power(m: int, power: int = 1) -> int:
+    """K = m*power + m(m-1)/2: the base power under the Wronskian of m
+    quotients over base^power (row j is over base^(power + j))."""
+    return m * power + m * (m - 1) // 2
+
+
 def wronskian_over_base(nums: Sequence[ExpPoly], base: ExpPoly,
                         power: int = 1) -> tuple[ExpPoly, int]:
-    """Wronskian of m quotients num_j / base^power sharing one base.
+    """Wronskian of m quotients num_j / base^power sharing one base, as
+    (numerator, K) over base^K.
 
     d/dx (n / base^k) = (n' base - k n base') / base^{k+1} stays in the
-    class, so row j carries the uniform power ``power + j`` and the whole
-    determinant collapses onto (numerator, K) with
-    K = m*power + m(m-1)/2; the numerator is a cofactor determinant of
-    ExpPoly entries (additions combine same-row-set terms, so exponent
-    pairs always match).
+    class, so row j carries the uniform power ``power + j`` and entry (j, c)
+    the pair of num_c plus j times the base's: the pairs factor out, and the
+    numerator is one fraction-free determinant.
     """
     m = len(nums)
     if m == 0:
         return ExpPoly.one(), 0
     if base.is_zero():
         raise ZeroDivisionError("wronskian_over_base with zero base")
-    base_d = base.derivative()
-    rows = [list(nums)]
-    k = power
-    for _ in range(m - 1):
-        rows.append([n.derivative() * base - k * (n * base_d) for n in rows[-1]])
-        k += 1
-    det = cofactor_det(rows)
-    big_k = m * power + (m * (m - 1)) // 2
-    return det, big_k
+    return _column_det(nums, base, power), over_base_power(m, power)
+
+
+def over_base_operator(nums: Sequence[ExpPoly], base: ExpPoly,
+                       power: int = 1) -> WronskianOperator:
+    """f -> the numerator of W[nums/base^power, f/base^power] over
+    base^K(m + 1); its seed part is ``wronskian_over_base(nums, ...)[0]``."""
+    if base.is_zero():
+        raise ZeroDivisionError("wronskian_over_base with zero base")
+    return _operator(nums, base, power)
 
 
 # ---------------------------------------------------------------------------

@@ -36,9 +36,11 @@ from .determinants import (
     casoratian_imag,
     casoratian_real,
     imag_shift_points,
+    over_base_operator,
+    over_base_power,
     real_shift_points,
     wronskian,
-    wronskian_over_base,
+    wronskian_operator,
     wronskian_poly,
 )
 from .poly import ExpPoly, Poly, RationalFn, poly_products_equal
@@ -256,18 +258,22 @@ def check_wronskian_corollary(fs: Sequence[ExpPoly], us: Sequence[ExpPoly],
     """Quotient form of the theorem, plus the derived two-path ratio.
 
     Both are verified cross-multiplied, with the ratio Wronskians computed
-    over the common base W[f..]:
+    over the common base W[f..] by one over-base operator, whose columns
+    W[f, u] come from the operator W[f, .]; the left sides are direct
+    Wronskians, so the two sides share no determinant:
       W[f,u..]/W[f] == W[W[f,u_1]/W[f], ..., W[f,u_m]/W[f]]
       W[f,u..,v]/W[f,u..] == W[ratios, ratio_v] / W[ratios]
     """
-    w0 = wronskian(fs)
+    ops = wronskian_operator(fs)
+    w0 = ops.seed_wronskian
     if w0.is_zero():
         raise ZeroDivisionError("corollary needs linearly independent f's")
     m = len(us)
-    nums = [wronskian(list(fs) + [u]) for u in us]
-    num_v = wronskian(list(fs) + [v])
+    nums = [ops(u) for u in us]
+    num_v = ops(v)
 
-    rhs_num, k1 = wronskian_over_base(nums, w0)
+    outer = over_base_operator(nums, w0)
+    rhs_num, k1 = outer.seed_wronskian, over_base_power(m)
     lhs_num = wronskian(list(fs) + list(us))
     # lhs_num/w0 == rhs_num/w0^k1
     ok1 = _exp_products_equal([(lhs_num, 1), (w0, k1 - 1)], [(rhs_num, 1)])
@@ -275,7 +281,7 @@ def check_wronskian_corollary(fs: Sequence[ExpPoly], us: Sequence[ExpPoly],
     w_all = lhs_num
     if w_all.is_zero() or rhs_num.is_zero():
         raise ZeroDivisionError("two-path ratio needs nonzero Wronskians")
-    rhs2_num, k2 = wronskian_over_base(nums + [num_v], w0)
+    rhs2_num, k2 = outer(num_v), over_base_power(m + 1)
     # W[f,u..,v]/W[f,u..] == (rhs2_num/w0^k2) / (rhs_num/w0^k1)
     lhs2_num = wronskian(list(fs) + list(us) + [v])
     ok2 = _exp_products_equal([(lhs2_num, 1), (rhs_num, 1), (w0, k2 - k1)],

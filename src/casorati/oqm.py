@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .determinants import WronskianOperator, wronskian, wronskian_operator, wronskian_over_base
+from .determinants import (
+    RunMemo, WronskianOperator, over_base_operator, wronskian, wronskian_operator)
 from .poly import ExpPoly, ExpRatio, Poly, RationalFn, rational_reduce
 from .report import CheckReport
 from .scalars import rational
@@ -73,26 +74,6 @@ def verify_schrodinger(potential: Poly | RationalFn, phi: ExpPoly | ExpRatio,
     return residual.is_zero()
 
 
-class OqmMemo:
-    """Exact results that the checks of one oQM run share, each computed once.
-
-    Keys are tuples of plain values and immutable ExpPolys: the Darboux-Crum
-    operator of a seed tuple, the first stage of the staged path for
-    (d_v, d_e), and the reduced one-shot and staged quotient of each level.
-    A memo lives on its OqmModel and is freed with it; nothing is kept at
-    module level.
-    """
-
-    def __init__(self):
-        self._entries = {}
-
-    def once(self, key: tuple, compute, *args):
-        """compute(*args), computed on the first call with this key only."""
-        if key not in self._entries:
-            self._entries[key] = compute(*args)
-        return self._entries[key]
-
-
 @dataclass(frozen=True)
 class OqmModel:
     """Harmonic model: potential x^2, shifted spectra, exact wavefunctions."""
@@ -101,7 +82,7 @@ class OqmModel:
     energy_offset: Fraction            # raw ground energy; stored levels are shifted
     levels: tuple                      # (E_n shifted, phi_n: ExpPoly)
     aux: tuple                         # (E_v shifted (negative), psi_v: ExpPoly)
-    memo: OqmMemo = field(default_factory=OqmMemo, init=False, compare=False, repr=False)
+    memo: RunMemo = field(default_factory=RunMemo, init=False, compare=False, repr=False)
 
     def eigen(self, n: int) -> ExpPoly:
         return self.levels[n][1]
@@ -191,17 +172,16 @@ def deformed_eigenfunction(model: OqmModel, seeds: Sequence[ExpPoly],
 
 def _first_stage(model: OqmModel, d_v: tuple, d_e: tuple):
     """The n-independent half of the staged path: the virtual-seed operator,
-    its base W[virtual seeds], the intermediate eigenstate numerators and
-    their Wronskian over that base."""
+    and the operator over its base W[virtual seeds] of the intermediate
+    eigenstate numerators, whose seed part is their Wronskian over it."""
     virtual = model.operator(model.seed_list(d_v, ()))
     base = virtual.seed_wronskian
     if base.is_zero():
         raise SeedDependenceError("virtual-seed Wronskian vanishes identically")
-    nums_e = [virtual(model.eigen(e)) for e in d_e]
-    bot, k_bot = wronskian_over_base(nums_e, base)
-    if bot.is_zero():
+    outer = over_base_operator([virtual(model.eigen(e)) for e in d_e], base)
+    if outer.seed_wronskian.is_zero():
         raise SeedDependenceError("intermediate eigenstate Wronskian vanishes")
-    return virtual, nums_e, bot, k_bot
+    return virtual, outer
 
 
 def staged_eigenfunction(model: OqmModel, d_v: Sequence[int], d_e: Sequence[int],
@@ -209,17 +189,18 @@ def staged_eigenfunction(model: OqmModel, d_v: Sequence[int], d_e: Sequence[int]
     """Two-step route: deform by the virtual seeds, then delete eigenstates of
     the intermediate system.  Intermediate levels are quotients over the
     common base W[virtual seeds]; the outer Wronskian collapses onto a single
-    base power.  Returns the reduced quotient, computed once per model."""
+    base power, and each level is one application of the operator over that
+    base.  Returns the reduced quotient, computed once per model."""
     if n in d_e:
         raise StateDeletedError(f"level {n} is deleted by the seed set")
     d_v, d_e = tuple(d_v), tuple(d_e)
-    virtual, nums_e, bot, k_bot = model.memo.once(("stage", d_v, d_e),
-                                                  _first_stage, model, d_v, d_e)
+    virtual, outer = model.memo.once(("stage", d_v, d_e), _first_stage, model, d_v, d_e)
 
     def level():
-        base = virtual.seed_wronskian
-        top, k_top = wronskian_over_base(nums_e + [virtual(model.eigen(n))], base)
-        return ExpRatio.from_exp_polys(top, bot * (base ** (k_top - k_bot))).reduce()
+        # top over base^K(m + 1), the seed part over base^K(m): K differs by 1 + m
+        top = outer(virtual(model.eigen(n)))
+        den = outer.seed_wronskian * (outer.base ** (1 + len(d_e)))
+        return ExpRatio.from_exp_polys(top, den).reduce()
 
     return model.memo.once(("staged", d_v, d_e, n), level)
 
@@ -246,7 +227,7 @@ def two_path_compare(model: OqmModel, d_v: Sequence[int], d_e: Sequence[int],
 
     Both quotients come reduced from their own path: the one-shot one from
     the operator of all seeds, the staged one from the virtual-seed operator
-    and ``wronskian_over_base``."""
+    and the operator over its base."""
     one_shot = deformed_eigenfunction(model, model.seed_list(d_v, d_e), n)
     staged = staged_eigenfunction(model, d_v, d_e, n)
     same = (one_shot.pair == staged.pair

@@ -29,6 +29,7 @@ import mpmath
 from mpmath.libmp import (
     from_int, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_neg, mpf_sub)
 
+from . import determinants
 from .determinants import casoratian_real_grid
 from .gridfn import GridFn, WindowError
 from .poly import Poly, RationalFn
@@ -78,28 +79,13 @@ def meixner_polynomial(n: int, beta: Fraction, c: Fraction) -> Poly:
     return out
 
 
-class RunMemo:
-    """Big-float results that the checks of one rdQM run share, each
-    computed once.
+class RunMemo(determinants.RunMemo):
+    """The run memo with the big-float grid Casoratian on top.
 
     ``casoratian`` keys W_C[columns] by the working precision and the column
     grids themselves: GridFn is immutable and compares by identity, and a key
-    holds its grids, so no id is reused while the memo lives.  ``once`` keys
-    any other result by a tuple of plain values.  A memo lives on its
-    RdqmModel and is freed with it; nothing is kept at module level.
+    holds its grids, so no id is reused while the memo lives.
     """
-
-    def __init__(self):
-        self._entries = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def once(self, key: tuple, compute, *args):
-        """compute(*args), computed on the first call with this key only."""
-        if key not in self._entries:
-            self._entries[key] = compute(*args)
-        return self._entries[key]
 
     def casoratian(self, columns: Sequence[GridFn]) -> GridFn:
         """casoratian_real_grid(columns) at the working precision."""

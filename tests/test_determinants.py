@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import casorati.determinants as det_mod
 from casorati.determinants import (
@@ -14,6 +14,8 @@ from casorati.determinants import (
     cofactor_det,
     det_float_scalar,
     fraction_free_det,
+    over_base_operator,
+    over_base_power,
     wronskian,
     wronskian_operator,
     wronskian_over_base,
@@ -59,14 +61,18 @@ small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 def bareiss_matrices(draw):
     """n = 1..6 matrices of Gaussian-rational (at times real) polynomials,
     each row over its own extra denominator, and at times with a zero
-    leading pivot that needs a row swap, two equal rows, or a zero column."""
-    n = draw(st.integers(1, 6))
-    imag = st.just(Fraction(0)) if draw(st.booleans()) else small_fractions
-    coeffs = st.builds(GaussianRational, small_fractions, imag)
-    max_len = 3 if n <= 4 else 2
+    leading pivot that needs a row swap, two equal rows, or a zero column.
+    A quarter are "wide": n = 1..5, integer or Gaussian-integer entries of
+    up to 8 coefficients as large as 2^64, of mixed signs."""
+    wide = draw(st.integers(0, 3)) == 0
+    n = draw(st.integers(1, 5 if wide else 6))
+    part = st.integers(-2 ** 64, 2 ** 64) if wide else small_fractions
+    imag = st.just(Fraction(0)) if draw(st.booleans()) else part
+    coeffs = st.builds(GaussianRational, part, imag)
+    max_len = 8 if wide else 3 if n <= 4 else 2
     matrix = []
     for _ in range(n):
-        row_den = draw(st.integers(1, 12))
+        row_den = 1 if wide else draw(st.integers(1, 12))
         matrix.append([Poly(draw(st.lists(coeffs, max_size=max_len))) * Fraction(1, row_den)
                        for _ in range(n)])
     shape = draw(st.sampled_from(["plain", "zero pivot", "equal rows", "zero column"]))
@@ -90,15 +96,28 @@ def bareiss_matrices(draw):
           [Poly.zero(), Poly.constant(Fraction(1, 3)), x + 1]])
 @example([[Poly([GaussianRational(0, Fraction(1, 2)), GaussianRational(1, 1)]), x * Fraction(1, 3)],
           [x * x * Fraction(1, 5), Poly([GaussianRational(Fraction(2, 7), -1), 0, GaussianRational(0, 3)])]])
+@example([[Poly([2 ** 64, -2 ** 64, 2 ** 64]), Poly.zero()],   # |det|_1 is the bound B
+          [Poly.zero(), Poly([-2 ** 64, 0, 0, 2 ** 64])]])
 def test_fraction_free_matches_cofactor_property(matrix):
     assert fraction_free_det(matrix) == cofactor_det(matrix)
+
+
+def packing_for(*polys):
+    """A packing whose digit bound and length hold every given Poly (each
+    over denominator 1), as the kernel sizes one for its entries."""
+    bound = max(sum(map(abs, p.re + p.im)) for p in polys)
+    return det_mod._Packing(bound, max(len(p.re) for p in polys))
 
 
 @pytest.mark.parametrize("num, d, q", [([-1, 0, 1], [1, 1], [-1, 1]),
                                        ([6, -9], [3], [2, -3]),
                                        ([0, 0, 4], [0, 2], [0, 2])])
 def test_real_quotient_exact(num, d, q):
-    assert det_mod._real_quotient(list(num), d) == q
+    """The packed real division unpacks to the quotient in Z[x]."""
+    num, d, q = Poly(num), Poly(d), Poly(q)
+    packing = packing_for(num, d, q)
+    got = packing.quotient(packing.pack(num.re), packing.pack(d.re))
+    assert packing.digits(got) == (q.re, q.im)
 
 
 @pytest.mark.parametrize("num, d", [([1, 0, 1], [1, 1]),     # polynomial remainder 2
@@ -106,11 +125,21 @@ def test_real_quotient_exact(num, d, q):
                                     ([3], [2, 1]),           # lower degree
                                     ([0, 3], [0, 2])])
 def test_real_quotient_rejects_inexact(num, d):
+    num, d = Poly(num), Poly(d)
+    packing = packing_for(num, d)
     with pytest.raises(ValueError, match="division is not exact"):
-        det_mod._real_quotient(list(num), d)
+        packing.quotient(packing.pack(num.re), packing.pack(d.re))
 
 
 gi = GaussianRational
+
+
+def gaussian_quotient(packing, num, d):
+    """num / d by the packed Gaussian division, unpacked."""
+    dr, di = packing.pack(d.re), packing.pack(d.im)
+    got = packing.gaussian_quotient(packing.pack(num.re), packing.pack(num.im),
+                                    dr, di, dr * dr + di * di)
+    return packing.digits(got)
 
 
 @pytest.mark.parametrize("q, d", [(x + gi(0, 1), x - gi(2, -3)),
@@ -118,9 +147,9 @@ gi = GaussianRational
                                   (gi(0, 2) * x + gi(-1, 1), 2 * x + gi(0, 1)),
                                   (Poly([gi(4, 1)]), Poly([gi(-2, 5)]))])
 def test_gaussian_quotient_exact(q, d):
+    """The packed Gaussian division unpacks to the quotient in Z[i][x]."""
     num = q * d
-    got = det_mod._gaussian_quotient(list(num.re), list(num.im), (d.re, d.im))
-    assert got == (q.re, q.im)
+    assert gaussian_quotient(packing_for(num, d, q), num, d) == (q.re, q.im)
 
 
 @pytest.mark.parametrize("num, d", [((x + gi(0, 1)) * (x - 2) + 1, x - 2),
@@ -130,7 +159,43 @@ def test_gaussian_quotient_exact(q, d):
                                     (Poly([gi(0, 1)]), x + 1)])
 def test_gaussian_quotient_rejects_inexact(num, d):
     with pytest.raises(ValueError, match="division is not exact"):
-        det_mod._gaussian_quotient(list(num.re), list(num.im), (d.re, d.im))
+        gaussian_quotient(packing_for(num, d), num, d)
+
+
+@pytest.mark.parametrize("num, d", [(x, Poly.constant(2)),
+                                    (gi(1, 1) * x + 2, Poly.constant(gi(0, 2))),
+                                    (x * x - 4 * x, Poly.constant(4))])
+def test_packed_quotient_digit_bound_alone_rejects(num, d):
+    """x / 2 is not in Z[x], yet 2^w / 2 = 2^(w-1) is an exact integer
+    division: the remainder test passes, and only the digit bound on the
+    quotient (a digit 2^(w-1), past 2^s) rejects it."""
+    packing = packing_for(num, d)
+    dr, di = packing.pack(d.re), packing.pack(d.im)
+    nr, ni = packing.pack(num.re), packing.pack(num.im)
+    norm = dr * dr + di * di
+    assert (nr * dr + ni * di) % norm == 0 and (ni * dr - nr * di) % norm == 0
+    with pytest.raises(ValueError, match="division is not exact"):
+        if num.is_real() and d.is_real():
+            packing.quotient(nr, dr)
+        else:
+            packing.gaussian_quotient(nr, ni, dr, di, norm)
+
+
+@pytest.mark.parametrize("bound, length", [(1, 1), (9, 3), (2 ** 64, 8), (3 ** 50, 30)])
+def test_slot_width_leaves_no_false_quotient(bound, length):
+    """Why the width is what it is.  A false quotient q of N by d leaves
+    N - q*d nonzero with value 0 at 2^width, so with a coefficient of at
+    least 2^width.  The cheapest, N = 2^width - x + q*d with q = -2^s and
+    d = 2, passes both tests of the certificate: only the width keeps such
+    an N out of the kernel's reach.  Entries have at most ``length`` digits,
+    each below 2^s (s = bitlen(bound)), so pivot*a - lead*b has digits
+    below 8 * length * 4^s and q*prev below 4 * length * 4^s: the width
+    must pass their sum."""
+    packing = det_mod._Packing(bound, length)
+    s, width = bound.bit_length(), packing.width
+    q, d = -(1 << s), 2
+    assert packing.quotient(packing.pack([(1 << width) + q * d, -1]), d) == q
+    assert 2 ** width > 12 * length * 4 ** s
 
 
 def test_budget_guard():
@@ -265,6 +330,55 @@ def test_wronskian_operator_matches_wronskian(drawn):
     base = wronskian(seeds)
     assert (op.seed_wronskian.p, op.seed_wronskian.pair) == (base.p, base.pair)
     if f in seeds:
+        assert got.is_zero()
+
+
+@st.composite
+def over_base_instances(draw):
+    """(nums, base, power, f): m = 0..3 fixed numerators over a nonzero
+    base at power 1..2, with mixed exponent pairs; f is at times one of
+    the fixed numerators."""
+    nums = draw(st.lists(exp_polys, max_size=3))
+    base = draw(exp_polys)
+    assume(not base.is_zero())
+    power = draw(st.integers(1, 2))
+    if nums and draw(st.booleans()):
+        return nums, base, power, draw(st.sampled_from(nums))
+    return nums, base, power, draw(exp_polys)
+
+
+def over_base_matrix(nums, base, power):
+    """The ExpPoly matrix of W[nums/base^power] cleared of its base powers:
+    row j + 1 is row_j' * base - (power + j) * row_j * base'."""
+    rows = [list(nums)]
+    for j in range(len(nums) - 1):
+        rows.append([n.derivative() * base - (power + j) * (n * base.derivative())
+                     for n in rows[-1]])
+    return rows
+
+
+@given(over_base_instances())
+@settings(max_examples=100, deadline=None)
+@example(([], ExpPoly(x + 1, 1), 2, ExpPoly(x * x, -1, 1)))
+@example(([ExpPoly(x, 1), ExpPoly(x * x - 1, -1)], ExpPoly(x + 2, Fraction(1, 2), 1), 1,
+          ExpPoly(x * x - 1, -1)))
+def test_over_base_operator_matches_cofactor_oracle(drawn):
+    """The operator over a base, applied to f, is the cofactor expansion of
+    the ExpPoly matrix of [nums, f], pair included; its seed part and
+    ``wronskian_over_base`` are that of nums.  A column equal to a fixed
+    one gives zero."""
+    nums, base, power, f = drawn
+    op = over_base_operator(nums, base, power)
+    got, want = op(f), cofactor_det(over_base_matrix([*nums, f], base, power))
+    assert (got.p, got.pair) == (want.p, want.pair)
+    direct, k = wronskian_over_base(nums, base, power)
+    if nums:
+        want = cofactor_det(over_base_matrix(nums, base, power))
+    else:
+        want = ExpPoly.one()
+    assert (op.seed_wronskian.p, op.seed_wronskian.pair) == (want.p, want.pair)
+    assert (direct.p, direct.pair, k) == (want.p, want.pair, over_base_power(len(nums), power))
+    if f in nums:
         assert got.is_zero()
 
 

@@ -161,27 +161,32 @@ def test_verify_schrodinger_poly_path_matches_ratio_path(model):
 
 def counted_oqm_run(monkeypatch, tmp_path):
     """`oqm --dv 0,1 --de 1,2 --n 0` through the CLI, recording the size of
-    each Bareiss determinant: (exit code, sizes, report)."""
-    sizes = []
-    bareiss = det_mod.fraction_free_det
+    each exact determinant, Bareiss and cofactor: (exit code, Bareiss
+    sizes, cofactor sizes, report)."""
+    sizes = {"fraction_free_det": [], "cofactor_det": []}
+    for name, calls in sizes.items():
+        routine = getattr(det_mod, name)
 
-    def counted(matrix):
-        sizes.append(len(matrix))
-        return bareiss(matrix)
+        def counted(matrix, routine=routine, calls=calls):
+            calls.append(len(matrix))
+            return routine(matrix)
 
-    monkeypatch.setattr(det_mod, "fraction_free_det", counted)
+        monkeypatch.setattr(det_mod, name, counted)
     out = tmp_path / "oqm.json"
     code = main(["oqm", "--dv", "0,1", "--de", "1,2", "--n", "0", "--out", str(out)])
-    return code, sizes, json.loads(out.read_text())
+    return code, sizes["fraction_free_det"], sizes["cofactor_det"], json.loads(out.read_text())
 
 
 def test_oqm_run_takes_few_bareiss_calls(monkeypatch, tmp_path):
-    """Each Wronskian of a run is computed once: the k + 1 minors of the
-    four-seed operator and of the two-virtual-seed operator, where one
-    Bareiss determinant per Wronskian and per level took 38, six at size 5."""
-    code, sizes, _ = counted_oqm_run(monkeypatch, tmp_path)
+    """Each Wronskian of a run is computed once, and all of them by Bareiss:
+    the k + 1 minors of the four-seed operator, of the two-virtual-seed
+    operator and of the operator over its base.  One Bareiss determinant per
+    Wronskian and per level took 38, six at size 5; the over-base Wronskians
+    took 6 cofactor expansions besides 8 Bareiss calls."""
+    code, sizes, cofactor_sizes, _ = counted_oqm_run(monkeypatch, tmp_path)
     assert code == 0
-    assert len(sizes) <= 10
+    assert cofactor_sizes == []
+    assert len(sizes) + len(cofactor_sizes) <= 11
     assert max(sizes) <= 4
 
 
@@ -197,7 +202,7 @@ def test_flipped_operator_cofactor_fails_and_replays(monkeypatch, tmp_path):
         return WronskianOperator((-op.cofactors[0],) + op.cofactors[1:], op.seed_wronskian)
 
     monkeypatch.setattr(oqm_mod, "wronskian_operator", flipped)
-    code, _, payload = counted_oqm_run(monkeypatch, tmp_path)
+    code, _, _, payload = counted_oqm_run(monkeypatch, tmp_path)
     assert code == 1
     checks = {c["identityId"]: c for c in payload["checks"]}
     two_path = checks["oqm.two-path"]
