@@ -16,7 +16,6 @@ from .determinants import (
     cofactor_det,
     fraction_free_det,
     wronskian,
-    wronskian_over_base,
 )
 from .gridfn import GridFn
 from .poly import ExpPoly, ExpRatio, Poly, RationalFn, rational_reduce
@@ -30,7 +29,7 @@ __all__ = [
     "Poly", "RationalFn", "ExpPoly", "ExpRatio", "GridFn",
     "GaussianRational", "rational", "rational_reduce", "working_precision",
     "fraction_free_det", "cofactor_det",
-    "wronskian", "wronskian_over_base", "casoratian_imag",
+    "wronskian", "casoratian_imag",
     "casoratian_real", "casoratian_real_grid",
     "CheckReport", "SamplerConfig",
     "krein_adler_check", "sign_factor",

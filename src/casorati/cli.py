@@ -12,7 +12,6 @@ import argparse
 import csv
 import functools
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -38,7 +37,7 @@ from .rdqm import (
 )
 from .report import CheckReport, sort_reports, summarize
 from .sampling import SamplerConfig, random_poly, trial_rng
-from .scalars import rational
+from .scalars import DEFAULT_PRECISION_BITS, rational
 
 SCHEMA_VERSION = 1
 
@@ -117,8 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rdqm.add_argument("--window", type=int, default=80)
     p_rdqm.add_argument("--truncation", type=int, default=60)
     p_rdqm.add_argument("--eigen-count", type=int, default=5)
-    p_rdqm.add_argument("--precision-bits", type=int,
-                        default=int(os.environ.get("CASORATI_PRECISION_BITS", 256)))
+    p_rdqm.add_argument("--precision-bits", type=int, default=DEFAULT_PRECISION_BITS)
     p_rdqm.add_argument("--tolerance", default="1e-25")
     p_rdqm.add_argument("--csv", help="write spectra/grids as CSV here")
 

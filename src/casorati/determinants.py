@@ -6,10 +6,11 @@ Every exact determinant is Bareiss elimination on packed big integers
 (``fraction_free_det``): rows are cleared of denominators once, each entry is
 packed once as its value at x = 2^width (Kronecker substitution), and each
 exact division is certified.  Wronskian columns (``_drift_column``) are built
-on Poly, over a common base too, so the exponent pairs factor out; the
-Darboux-Crum operators take the minors of their fixed columns once and apply
-f -> W[fixed, f] by cofactors.  ``cofactor_det`` is the test oracle only.
-Empty input returns 1 for all three families.
+on Poly, so the exponent pairs factor out.  The Darboux-Crum operators take
+the minors of their fixed columns once and apply f -> W[fixed, f] by
+cofactors; a Wronskian of quotients over a common base is the seed part of
+``over_base_operator``.  ``cofactor_det`` is the test oracle only.  Empty
+input returns 1 for all three families.
 """
 
 from __future__ import annotations
@@ -331,20 +332,18 @@ def _pair(fs: Sequence[ExpPoly], base: ExpPoly | None, times: int) -> tuple:
     return (a, b) if base is None else (a + times * base.a, b + times * base.b)
 
 
-def _column_det(fs: Sequence[ExpPoly], base: ExpPoly | None = None, power: int = 0) -> ExpPoly:
-    """The determinant of the columns of fs: row j's exponential prefactor
-    factors out, leaving one fraction-free determinant of Poly parts."""
+def wronskian(fs: Sequence[ExpPoly]) -> ExpPoly:
+    """W[f_1, ..., f_n]: determinant of successive derivatives; W[.] = 1.
+
+    Row j's exponential prefactor factors out, leaving one fraction-free
+    determinant of the columns' Poly parts."""
+    fs = [f if isinstance(f, ExpPoly) else ExpPoly(f) for f in fs]
     n = len(fs)
     if n == 0:
         return ExpPoly.one()
-    columns = [_drift_column(f, n, base, power) for f in fs]
+    columns = [_drift_column(f, n) for f in fs]
     det = fraction_free_det([[col[j] for col in columns] for j in range(n)])
-    return ExpPoly(det, *_pair(fs, base, n * (n - 1) // 2))
-
-
-def wronskian(fs: Sequence[ExpPoly]) -> ExpPoly:
-    """W[f_1, ..., f_n]: determinant of successive derivatives; W[.] = 1."""
-    return _column_det([f if isinstance(f, ExpPoly) else ExpPoly(f) for f in fs])
+    return ExpPoly(det, *_pair(fs, None, 0))
 
 
 class WronskianOperator:
@@ -414,30 +413,13 @@ def over_base_power(m: int, power: int = 1) -> int:
     return m * power + m * (m - 1) // 2
 
 
-def wronskian_over_base(nums: Sequence[ExpPoly], base: ExpPoly,
-                        power: int = 1) -> tuple[ExpPoly, int]:
-    """Wronskian of m quotients num_j / base^power sharing one base, as
-    (numerator, K) over base^K.
-
-    d/dx (n / base^k) = (n' base - k n base') / base^{k+1} stays in the
-    class, so row j carries the uniform power ``power + j`` and entry (j, c)
-    the pair of num_c plus j times the base's: the pairs factor out, and the
-    numerator is one fraction-free determinant.
-    """
-    m = len(nums)
-    if m == 0:
-        return ExpPoly.one(), 0
-    if base.is_zero():
-        raise ZeroDivisionError("wronskian_over_base with zero base")
-    return _column_det(nums, base, power), over_base_power(m, power)
-
-
 def over_base_operator(nums: Sequence[ExpPoly], base: ExpPoly,
                        power: int = 1) -> WronskianOperator:
     """f -> the numerator of W[nums/base^power, f/base^power] over
-    base^K(m + 1); its seed part is ``wronskian_over_base(nums, ...)[0]``."""
+    base^K(m + 1); its seed part is the numerator of W[nums/base^power]
+    over base^K(m), with K = ``over_base_power``."""
     if base.is_zero():
-        raise ZeroDivisionError("wronskian_over_base with zero base")
+        raise ZeroDivisionError("over_base_operator with zero base")
     return _operator(nums, base, power)
 
 

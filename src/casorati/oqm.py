@@ -61,16 +61,14 @@ def verify_schrodinger(potential: Poly | RationalFn, phi: ExpPoly | ExpRatio,
                        energy) -> bool:
     """Exact check of -phi'' + potential*phi == energy*phi.
 
-    An ExpPoly state under a Poly potential stays in ExpPoly/Poly
-    arithmetic; RationalFn/ExpRatio arithmetic serves rational inputs."""
-    energy = rational(energy)
-    if isinstance(phi, ExpPoly) and isinstance(potential, Poly):
-        second = phi.derivative().derivative()
-        return (phi * (potential - Poly.constant(energy)) - second).is_zero()
-    if isinstance(phi, ExpPoly):
-        phi = ExpRatio.from_exp_polys(phi, ExpPoly.one())
-    second = phi.derivative().derivative()
-    residual = (-1) * second + (potential - RationalFn(Poly.constant(energy))) * phi
+    With phi = q * exp((a*x^2 + b*x)/2), q a Poly or a RationalFn, and
+    w = a*x + b/2, phi'' = (q'' + 2w*q' + (w^2 + a)*q) * exp(.), so the
+    check is q'' + 2w*q' + (w^2 + a + energy - potential)*q == 0."""
+    q = phi.p if isinstance(phi, ExpPoly) else phi.q
+    w = Poly([phi.b / 2, phi.a])
+    dq = q.derivative()
+    residual = (dq.derivative() + 2 * w * dq
+                + (w * w + Poly.constant(phi.a + rational(energy)) - potential) * q)
     return residual.is_zero()
 
 

@@ -13,8 +13,8 @@ unreduced (equality cross-multiplies), ``reduce()``/``canonical()`` produce
 the gcd-reduced monic-denominator representative on demand.
 ``ExpPoly`` is p(x) * exp((a*x^2 + b*x)/2) with rational a, b; the class is
 closed under differentiation and products.  ``ExpRatio`` is a quotient
-q(x) * exp((a*x^2 + b*x)/2) with q a RationalFn; it is the value class for
-deformed eigenfunctions and Wronskians of quotients.
+q(x) * exp((a*x^2 + b*x)/2) with q a RationalFn: the value of a deformed
+eigenfunction, with no arithmetic of its own.
 """
 
 from __future__ import annotations
@@ -692,9 +692,9 @@ def format_pair(a: Fraction, b: Fraction) -> str:
 class ExpRatio:
     """q(x) * exp((a*x^2 + b*x)/2) with q a RationalFn.
 
-    The differential-field element used for deformed eigenfunctions and for
-    Wronskians of quotients.  Sums require matching exponent pairs; products
-    and quotients add/subtract them.
+    The value of a deformed eigenfunction: a quotient of two ExpPolys,
+    reduced on demand, compared by its parts and printed.  It has no
+    arithmetic; ``oqm.verify_schrodinger`` works on q and the pair.
     """
 
     __slots__ = ("q", "a", "b")
@@ -716,58 +716,6 @@ class ExpRatio:
     @property
     def pair(self) -> tuple[Fraction, Fraction]:
         return (self.a, self.b)
-
-    def is_zero(self) -> bool:
-        return self.q.is_zero()
-
-    def derivative(self) -> "ExpRatio":
-        drift = RationalFn(Poly([self.b / 2, self.a]))
-        return ExpRatio(self.q.derivative() + drift * self.q, self.a, self.b)
-
-    def __mul__(self, other) -> "ExpRatio":
-        if isinstance(other, (int, Fraction, GaussianRational, Poly, RationalFn)):
-            return ExpRatio(self.q * other, self.a, self.b)
-        if isinstance(other, ExpRatio):
-            return ExpRatio(self.q * other.q, self.a + other.a, self.b + other.b)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "ExpRatio":
-        if isinstance(other, (int, Fraction, GaussianRational, Poly, RationalFn)):
-            return ExpRatio(self.q / other, self.a, self.b)
-        if isinstance(other, ExpRatio):
-            if other.is_zero():
-                raise ZeroDivisionError("division by zero ExpRatio")
-            return ExpRatio(self.q / other.q, self.a - other.a, self.b - other.b)
-        return NotImplemented
-
-    def __neg__(self) -> "ExpRatio":
-        return ExpRatio(-self.q, self.a, self.b)
-
-    def __add__(self, other) -> "ExpRatio":
-        if not isinstance(other, ExpRatio):
-            return NotImplemented
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self.pair != other.pair:
-            raise ValueError("cannot add ExpRatio with different exponent pairs")
-        return ExpRatio(self.q + other.q, self.a, self.b)
-
-    def __sub__(self, other) -> "ExpRatio":
-        return self + (-other)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ExpRatio):
-            if self.is_zero() and other.is_zero():
-                return True
-            return self.pair == other.pair and self.q == other.q
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.q, self.a, self.b))
 
     def reduce(self) -> "ExpRatio":
         return ExpRatio(self.q.reduce(), self.a, self.b)

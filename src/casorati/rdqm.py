@@ -29,8 +29,7 @@ import mpmath
 from mpmath.libmp import (
     from_int, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_neg, mpf_sub)
 
-from . import determinants
-from .determinants import casoratian_real_grid
+from .determinants import RunMemo, casoratian_real_grid
 from .gridfn import GridFn, WindowError
 from .poly import Poly, RationalFn
 from .report import CheckReport
@@ -77,20 +76,6 @@ def meixner_polynomial(n: int, beta: Fraction, c: Fraction) -> Poly:
         coeff = coeff * Fraction(-n + k) / (beta + k) / (k + 1) * z
         falling = falling * Poly([k, -1])     # next factor (-x + k)
     return out
-
-
-class RunMemo(determinants.RunMemo):
-    """The run memo with the big-float grid Casoratian on top.
-
-    ``casoratian`` keys W_C[columns] by the working precision and the column
-    grids themselves: GridFn is immutable and compares by identity, and a key
-    holds its grids, so no id is reused while the memo lives.
-    """
-
-    def casoratian(self, columns: Sequence[GridFn]) -> GridFn:
-        """casoratian_real_grid(columns) at the working precision."""
-        return self.once(("W_C", mpmath.mp.prec, *columns),
-                         casoratian_real_grid, list(columns))
 
 
 @dataclass(frozen=True)
@@ -310,11 +295,15 @@ def check_definite_sign(psi: GridFn) -> bool:
 # ---------------------------------------------------------------------------
 
 def _casoratian(columns: Sequence[GridFn], x_max: int, memo: RunMemo) -> GridFn:
-    """W_C[columns] through the run's memo; the constant 1 on
-    {0, ..., x_max} for no columns."""
+    """W_C[columns] at the working precision, once per run; the constant 1
+    on {0, ..., x_max} for no columns.
+
+    The memo key is the precision and the column grids themselves: GridFn
+    is immutable and compares by identity, and a key holds its grids, so no
+    id is reused while the memo lives."""
     if not columns:
         return GridFn([mpmath.mpf(1)] * (x_max + 1))
-    return memo.casoratian(columns)
+    return memo.once(("W_C", mpmath.mp.prec, *columns), casoratian_real_grid, list(columns))
 
 
 def _require_nonzero(grid: GridFn, what: str) -> None:
@@ -334,8 +323,7 @@ def deformed_potentials_bd(b_grid: GridFn, d_grid: GridFn,
     """
     with working_precision(precision_bits):
         m_count = len(seeds)
-        x_max = min(b_grid.x_max, d_grid.x_max, mu_state.x_max,
-                    *(s.x_max for s in seeds)) if seeds else min(b_grid.x_max, d_grid.x_max, mu_state.x_max)
+        x_max = min(b_grid.x_max, d_grid.x_max, mu_state.x_max, *(s.x_max for s in seeds))
         wc = _casoratian(seeds, x_max, memo)
         wc_mu = _casoratian(list(seeds) + [mu_state], x_max, memo)
         _require_nonzero(wc, f"W_C[{m_count} seeds]")
@@ -587,13 +575,11 @@ def two_path_compare_rdqm(model: RdqmModel, dv_energies: Sequence,
         raise ValueError("virtual seed energies must be strictly decreasing")
     bound = mpmath.mpf(tolerance)
     with working_precision(model.precision_bits):
-        seeds_v = [model.seed(e) for e in dv_energies]
-        seeds_e = [model.eigen(k) for k in de_labels]
-        e_energies = [model.eigen_energy(k) for k in de_labels]
+        seeds, energies = seed_set(model, dv_energies, de_labels)
+        seeds_v, e_energies = seeds[:len(dv_energies)], energies[len(dv_energies):]
 
         one_shot = deformed_eigenfunctions(
-            model.b_grid, model.d_grid, seeds_v + seeds_e,
-            list(dv_energies) + list(e_energies), model.eigen(n),
+            model.b_grid, model.d_grid, seeds, energies, model.eigen(n),
             model.precision_bits, model.memo)
 
         b_dv, d_dv, stage1_positivity, stage2_seeds = model.memo.once(
@@ -643,10 +629,8 @@ def spectrum_check(model: RdqmModel, dv_energies: Sequence, de_labels: Sequence[
     realigns it).  Truncation sensitivity compares against the largest
     usable second truncation (2N when the window allows).
     """
-    dv_energies = [rational(e) for e in dv_energies]
     with working_precision(model.precision_bits):
-        seeds = ([model.seed(e) for e in dv_energies]
-                 + [model.eigen(kk) for kk in de_labels])
+        seeds, _ = seed_set(model, dv_energies, de_labels)
         deleted = set(de_labels)
         mu = 0
         while mu in deleted:

@@ -111,17 +111,21 @@ def test_replay_reproduces_failure(tmp_path):
     assert code == 0
 
 
-def test_env_var_precision_default(tmp_path):
-    env = dict(ENV)
-    env["CASORATI_PRECISION_BITS"] = "192"
-    proc = run_cli(["rdqm", "--dv", "", "--de", "", "--n", "0", "--window", "30",
-                    "--truncation", "20", "--n-max", "4",
-                    "--tolerance", "1e-15", "--out", str(tmp_path / "env.json")], env=env)
+def test_config_file_precision(tmp_path):
+    """The config file's precision-bits sets the rdQM working precision; the
+    flag beats it."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("precision-bits = 192\n")
+    argv = ["rdqm", "--config", str(cfg), "--dv", "", "--de", "", "--n", "0",
+            "--window", "30", "--truncation", "20", "--n-max", "4", "--tolerance", "1e-15"]
+    out = tmp_path / "cfg.json"
     # 3 is legitimate here: the small window flags truncation sensitivity
-    assert proc.returncode in (0, 3), proc.stderr
-    payload = json.loads((tmp_path / "env.json").read_text())
+    assert main([*argv, "--out", str(out)]) in (0, 3)
+    payload = json.loads(out.read_text())
     assert payload["config"]["precision_bits"] == 192
     assert payload["summary"]["failed"] == 0
+    assert main([*argv, "--precision-bits", "128", "--out", str(out)]) in (0, 3)
+    assert json.loads(out.read_text())["config"]["precision_bits"] == 128
 
 
 def test_parse_helpers(tmp_path):

@@ -18,7 +18,6 @@ from casorati.determinants import (
     over_base_power,
     wronskian,
     wronskian_operator,
-    wronskian_over_base,
 )
 from casorati.gridfn import GridFn, WindowError
 from casorati.poly import ExpPoly, Poly
@@ -364,20 +363,20 @@ def over_base_matrix(nums, base, power):
           ExpPoly(x * x - 1, -1)))
 def test_over_base_operator_matches_cofactor_oracle(drawn):
     """The operator over a base, applied to f, is the cofactor expansion of
-    the ExpPoly matrix of [nums, f], pair included; its seed part and
-    ``wronskian_over_base`` are that of nums.  A column equal to a fixed
-    one gives zero."""
+    the ExpPoly matrix of [nums, f], pair included; its seed part is that
+    of nums, over the base power ``over_base_power`` gives.  A column equal
+    to a fixed one gives zero."""
     nums, base, power, f = drawn
     op = over_base_operator(nums, base, power)
     got, want = op(f), cofactor_det(over_base_matrix([*nums, f], base, power))
     assert (got.p, got.pair) == (want.p, want.pair)
-    direct, k = wronskian_over_base(nums, base, power)
     if nums:
         want = cofactor_det(over_base_matrix(nums, base, power))
     else:
         want = ExpPoly.one()
     assert (op.seed_wronskian.p, op.seed_wronskian.pair) == (want.p, want.pair)
-    assert (direct.p, direct.pair, k) == (want.p, want.pair, over_base_power(len(nums), power))
+    # row j of the oracle matrix is cleared of base^(power + j)
+    assert over_base_power(len(nums), power) == sum(power + j for j in range(len(nums)))
     if f in nums:
         assert got.is_zero()
 
@@ -431,11 +430,12 @@ def test_grid_window_underflow():
 
 
 def test_wronskian_over_base_matches_direct_ratio():
-    """W[n1/b, n2/b] computed generically equals the collapsed form."""
+    """W[n1/b, n2/b] computed generically equals the seed part of the
+    operator over b, over b^3."""
     rng = random.Random(23)
     base = ExpPoly(random_poly(rng, 2, 5, nonzero=True), a=1)
     nums = [ExpPoly(random_poly(rng, 3, 5, nonzero=True), a=-1) for _ in range(2)]
-    det, power = wronskian_over_base(nums, base)
+    det, power = over_base_operator(nums, base).seed_wronskian, over_base_power(len(nums))
     # oracle: 2x2 quotient-rule determinant cleared over base^3
     n1, n2 = nums
     direct = (n1 * (n2.derivative() * base - n2 * base.derivative())

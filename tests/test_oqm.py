@@ -147,8 +147,9 @@ def test_regularity_probe_reported(model):
 
 
 def test_verify_schrodinger_poly_path_matches_ratio_path(model):
-    """The ExpPoly/Poly check of a model state agrees with the ExpRatio
-    check, at the state's raw energy and at wrong ones."""
+    """A model state checked as an ExpPoly under the Poly potential and as
+    an ExpRatio under the RationalFn potential gets the same verdict, at
+    the state's raw energy and at wrong ones."""
     states = ([(phi, model.raw_energy(e)) for e, phi in model.levels]
               + [(psi, model.raw_energy(e)) for e, psi in model.aux])
     as_ratio = RationalFn(model.potential)
@@ -157,6 +158,21 @@ def test_verify_schrodinger_poly_path_matches_ratio_path(model):
             fast = verify_schrodinger(model.potential, phi, trial)
             slow = verify_schrodinger(as_ratio, ExpRatio.from_exp_polys(phi, ExpPoly.one()), trial)
             assert fast == slow == (trial == energy), (phi, trial)
+
+
+@pytest.mark.parametrize("d_v", [(), (0,), (1,), (0, 1)])
+def test_verify_schrodinger_rejects_wrong_energy_on_deformed_levels(model, d_v):
+    """Acceptance criterion 5's deformed levels solve the deformed equation
+    at their raw energy and at no wrong one (E + 2, E - 1/3): a negative
+    control of the rational-part check."""
+    seeds = model.seed_list(d_v, (1, 2))
+    u_d = deformed_potential(model, seeds)
+    for n in (0, 3, 4):
+        phi = deformed_eigenfunction(model, seeds, n)
+        energy = model.raw_energy(model.eigen_energy(n))
+        assert verify_schrodinger(u_d, phi, energy), n
+        assert not verify_schrodinger(u_d, phi, energy + 2), n
+        assert not verify_schrodinger(u_d, phi, energy - Fraction(1, 3)), n
 
 
 def counted_oqm_run(monkeypatch, tmp_path):

@@ -117,10 +117,9 @@ def test_exp_ratio_arithmetic():
     den = ExpPoly(x + 1, a=1)
     r = ExpRatio.from_exp_polys(num, den)
     assert r.pair == (Fraction(-2), Fraction(0))
-    d = r.derivative()
-    assert d.pair == r.pair
-    with pytest.raises(ValueError):
-        r + ExpRatio(RationalFn(x), a=Fraction(1))
+    assert r.q == RationalFn(x * x, x + 1)
+    with pytest.raises(ZeroDivisionError):
+        ExpRatio.from_exp_polys(num, ExpPoly(Poly.zero(), a=1))
 
 
 def test_rational_fn_lazy_equality():

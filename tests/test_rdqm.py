@@ -4,11 +4,11 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from casorati.determinants import casoratian_real_grid
+from casorati.determinants import RunMemo, casoratian_real_grid
 from casorati.gridfn import GridFn, WindowError
 from casorati.rdqm import (
     NegativeRadicandError,
-    RunMemo,
+    _casoratian,
     _relative_residual,
     apply_hamiltonian,
     build_meixner_model,
@@ -677,10 +677,10 @@ def test_memo_keys_on_precision():
                                 precision_bits=128)
     columns = [small.eigen(0), small.eigen(1)]
     with working_precision(64):
-        low = small.memo.casoratian(columns)
-        assert small.memo.casoratian(columns) is low
+        low = _casoratian(columns, small.x_max, small.memo)
+        assert _casoratian(columns, small.x_max, small.memo) is low
     with working_precision(128):
-        high = small.memo.casoratian(columns)
+        high = _casoratian(columns, small.x_max, small.memo)
         assert high.values == casoratian_real_grid(columns).values
     assert len(small.memo) == 2 and high is not low
     assert high.values != low.values

@@ -19,7 +19,7 @@ from casorati.identities import (
     replay_witness,
     run_single_trial,
 )
-from casorati.poly import Poly, RationalFn
+from casorati.poly import ExpRatio, Poly, RationalFn
 from casorati.sampling import SamplerConfig
 
 COMPARED = ("pass", "inconclusive", "lhs", "rhs", "note")
@@ -131,7 +131,12 @@ def test_lab_checks_that_never_fail_still_replay(monkeypatch):
     x = Poly.x()
     v = RationalFn(x * x + 2, x + 3)
     staged = oqm_mod.staged_eigenfunction
-    monkeypatch.setattr(oqm_mod, "staged_eigenfunction", lambda *a: staged(*a) * 2)
+
+    def doubled(*a):
+        phi = staged(*a)
+        return ExpRatio(phi.q * 2, *phi.pair)
+
+    monkeypatch.setattr(oqm_mod, "staged_eigenfunction", doubled)
     points = idqm_mod.imag_shift_points
     monkeypatch.setattr(idqm_mod, "imag_shift_points", lambda n, g: points(n + 1, g))
     vd = idqm_mod.deformed_potential_vd
