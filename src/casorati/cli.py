@@ -9,12 +9,14 @@ from their configuration alone; the JSON report echoes it.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
+import io
 import json
 import sys
 import time
-from fractions import Fraction
+from typing import Callable
 
 import mpmath
 
@@ -42,18 +44,12 @@ from .scalars import DEFAULT_PRECISION_BITS, rational
 SCHEMA_VERSION = 1
 
 
-def parse_rational_list(text: str) -> list[Fraction]:
+def parse_list(text: str, convert: Callable) -> list:
+    """A comma-separated list, e.g. "0,1" or "-0.6,-1.7", each part converted."""
     text = text.strip().strip('"')
     if not text:
         return []
-    return [rational(part.strip()) for part in text.split(",")]
-
-
-def parse_int_list(text: str) -> list[int]:
-    text = text.strip().strip('"')
-    if not text:
-        return []
-    return [int(part.strip()) for part in text.split(",")]
+    return [convert(part.strip()) for part in text.split(",")]
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -71,7 +67,10 @@ def read_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults: dict[str, str] | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser; ``defaults`` (flag dest -> text, as in a config
+    file) replace the subcommands' defaults, and argparse converts each by
+    its flag's type."""
     parser = argparse.ArgumentParser(
         prog="casorati",
         description="Exact determinant-identity suites and Darboux pipelines")
@@ -124,6 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_all)
     p_all.add_argument("--trials", type=int, default=200)
 
+    for subparser in sub.choices.values():
+        subparser.set_defaults(**(defaults or {}))
     return parser
 
 
@@ -134,23 +135,24 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def apply_config_file(args: argparse.Namespace) -> None:
-    if not getattr(args, "config", None):
-        return
-    file_values = read_config_file(args.config)
-    defaults = _parser().parse_args([args.command])
-    for key, value in file_values.items():
+def apply_config_file(argv, args: argparse.Namespace) -> argparse.Namespace:
+    """``args`` re-parsed from ``argv`` with the config file's values as the
+    subcommand's defaults, so that an explicit flag always beats the file.
+    The parser is a fresh one: the process's parser keeps its own defaults."""
+    if not args.config:
+        return args
+    defaults = {}
+    for key, value in read_config_file(args.config).items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr == "command" or not hasattr(args, attr):
             raise ValueError(f"unknown config key: {key}")
-        # flags override the file: only adopt the file value when the flag
-        # still holds its default
-        current = getattr(args, attr)
-        if current == getattr(defaults, attr, None):
-            if isinstance(current, int) and not isinstance(current, bool):
-                setattr(args, attr, int(value))
-            else:
-                setattr(args, attr, value)
+        defaults[attr] = value
+    with contextlib.redirect_stderr(io.StringIO()) as usage:
+        try:
+            return build_parser(defaults).parse_args(argv)
+        except SystemExit:
+            pass
+    raise ValueError(f"{args.config}: {usage.getvalue().rsplit('error: ', 1)[-1].strip()}")
 
 
 # ---------------------------------------------------------------------------
@@ -165,14 +167,14 @@ def run_identities(args) -> list[CheckReport]:
 
 
 def run_oqm(args) -> list[CheckReport]:
-    d_v = parse_int_list(args.dv)
-    d_e = parse_int_list(args.de)
+    d_v = parse_list(args.dv, int)
+    d_e = parse_list(args.de, int)
     for flag, labels in (("--n level", [args.n]), ("--dv label", d_v), ("--de label", d_e)):
         for label in labels:
             if label < 0:
                 raise ValueError(f"{flag} {label} is negative")
-    model = build_harmonic_model(max([args.n_max, args.n + 1, *(e + 1 for e in d_e)] or [1]),
-                                 max([args.v_max, *(v + 1 for v in d_v)] or [1]))
+    model = build_harmonic_model(max([args.n_max, args.n + 1, *(e + 1 for e in d_e)]),
+                                 max([args.v_max, *(v + 1 for v in d_v)]))
     reports = [two_path_compare(model, d_v, d_e, args.n)]
     census_one = degree_census(model, d_v, d_e, args.n_max)
     census_two = degree_census(model, d_v, d_e, args.n_max, staged=True)
@@ -215,10 +217,10 @@ def run_idqm(args) -> list[CheckReport]:
     return reports
 
 
-def run_rdqm(args, csv_path=None) -> list[CheckReport]:
-    dv = parse_rational_list(args.dv)
-    de = parse_int_list(args.de)
-    levels = parse_int_list(args.n) if isinstance(args.n, str) else [args.n]
+def run_rdqm(args) -> list[CheckReport]:
+    dv = parse_list(args.dv, rational)
+    de = parse_list(args.de, int)
+    levels = parse_list(args.n, int)
     compare_up_to = min(40, args.window // 2)
     mpmath.mpf(args.tolerance)   # a malformed tolerance fails before any work
     for flag, labels in (("--n level", levels), ("--de label", de)):
@@ -249,8 +251,8 @@ def run_rdqm(args, csv_path=None) -> list[CheckReport]:
                                          "second_truncation", "positivity")},
         inconclusive=spectrum["inconclusive"],
         note="truncation-sensitive" if spectrum["inconclusive"] else ""))
-    if csv_path:
-        with open(csv_path, "w", newline="") as fh:
+    if args.csv:
+        with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow([f"spectrum (bits={args.precision_bits})"])
             writer.writerow(["index", "eigenvalue"])
@@ -260,6 +262,18 @@ def run_rdqm(args, csv_path=None) -> list[CheckReport]:
                 writer.writerow([])
                 for row in grid_csv_rows(label, grid, args.precision_bits):
                     writer.writerow(row)
+    return reports
+
+
+def run_all(args) -> list[CheckReport]:
+    """Every suite at the settings below, with the run's seed."""
+    reports = []
+    for argv in (["identities", "--trials", str(args.trials)],
+                 ["oqm", "--dv", "0", "--de", "1,2", "--n", "0"],
+                 ["idqm", "--trials", "25"],
+                 ["rdqm", "--dv=-0.6,-1.7", "--de", "1,2", "--n", "0,3"]):
+        suite_args = _parser().parse_args([*argv, "--seed", str(args.seed)])
+        reports += globals()[f"run_{suite_args.command}"](suite_args)
     return reports
 
 
@@ -317,41 +331,17 @@ def run_replay(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     started = time.time()
     try:
-        apply_config_file(args)
-        if getattr(args, "replay", None):
+        args = apply_config_file(argv, args)
+        if args.replay:
             return run_replay(args)
-        if args.command == "identities":
-            reports = run_identities(args)
-        elif args.command == "oqm":
-            reports = run_oqm(args)
-        elif args.command == "idqm":
-            reports = run_idqm(args)
-        elif args.command == "rdqm":
-            reports = run_rdqm(args, csv_path=args.csv)
-        elif args.command == "all":
-            reports = []
-            id_args = parser.parse_args(["identities", "--trials", str(args.trials),
-                                         "--seed", str(args.seed)])
-            reports += run_identities(id_args)
-            oqm_args = parser.parse_args(["oqm", "--dv", "0", "--de", "1,2",
-                                          "--n", "0", "--seed", str(args.seed)])
-            reports += run_oqm(oqm_args)
-            idqm_args = parser.parse_args(["idqm", "--trials", "25",
-                                           "--seed", str(args.seed)])
-            reports += run_idqm(idqm_args)
-            rdqm_args = parser.parse_args(["rdqm", "--dv=-0.6,-1.7",
-                                           "--de", "1,2", "--n", "0,3",
-                                           "--seed", str(args.seed)])
-            reports += run_rdqm(rdqm_args)
-        else:  # pragma: no cover
-            raise ValueError(f"unknown command {args.command}")
+        # run_<command> is looked up at call time, so a patched runner runs
+        reports = globals()[f"run_{args.command}"](args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

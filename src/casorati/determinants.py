@@ -402,11 +402,6 @@ def _operator(seeds: Sequence[ExpPoly], base: ExpPoly | None = None,
     return WronskianOperator(cofactors, seed_wronskian, base, power)
 
 
-def wronskian_poly(fs: Sequence[Poly]) -> Poly:
-    """Plain polynomial Wronskian (the gamma -> 0 target of the limit check)."""
-    return wronskian([ExpPoly(f) for f in fs]).p
-
-
 def over_base_power(m: int, power: int = 1) -> int:
     """K = m*power + m(m-1)/2: the base power under the Wronskian of m
     quotients over base^power (row j is over base^(power + j))."""

@@ -41,7 +41,6 @@ from .determinants import (
     real_shift_points,
     wronskian,
     wronskian_operator,
-    wronskian_poly,
 )
 from .poly import ExpPoly, Poly, RationalFn, poly_products_equal
 from .report import CheckReport, sort_reports
@@ -52,13 +51,9 @@ from .sampling import (
     random_poly,
     trial_rng,
 )
-from .scalars import GaussianRational, format_rational, i_power, rational
+from .scalars import format_rational, i_power, imaginary, rational
 
 HALF = Fraction(1, 2)
-
-
-def _gr_imag(value: Fraction) -> GaussianRational:
-    return GaussianRational(0, value)
 
 
 def _report(identity_id, passed, lhs, rhs, params, inputs,
@@ -92,7 +87,7 @@ def _exp_products_equal(lhs: Sequence[tuple[ExpPoly, int]],
 
 def _d_imag(f: Poly, gamma: Fraction) -> Poly:
     """Df(x) = f(x - i gamma/2) - f(x + i gamma/2)."""
-    return f.shift(_gr_imag(-gamma * HALF)) - f.shift(_gr_imag(gamma * HALF))
+    return f.shift(imaginary(-gamma * HALF)) - f.shift(imaginary(gamma * HALF))
 
 
 @dataclass(frozen=True)
@@ -121,10 +116,6 @@ class Family:
     nesting_cancels_g: bool = False
 
 
-def _shift(f: Poly, point) -> Poly:
-    return f.shift(point)
-
-
 FAMILIES = {
     "wronskian": Family(
         random_exp_poly, ExpPoly, gamma=False,
@@ -141,7 +132,7 @@ FAMILIES = {
         reduce=_d_imag,
         unit=i_power,
         points=imag_shift_points,
-        at=_shift,
+        at=lambda f, point: f.shift(point),
         theorem_points=lambda m, gamma: imag_shift_points(m - 1, gamma)),
     "cas-real": Family(
         random_poly, Poly, gamma=False,
@@ -149,7 +140,7 @@ FAMILIES = {
         reduce=lambda f, gamma: f.shift(1) - f,
         unit=lambda n: 1,
         points=lambda n, gamma: real_shift_points(n),
-        at=_shift,
+        at=lambda f, point: f.shift(point),
         theorem_points=lambda m, gamma: range(1, m)),
 }
 
@@ -457,7 +448,7 @@ def check_classical_limit(fs: Sequence[Poly], gamma0, halvings: int) -> CheckRep
     if gamma0 <= 0:
         raise ValueError("gamma0 must be positive")
     n = len(fs)
-    target = wronskian_poly(fs)
+    target = wronskian([ExpPoly(f) for f in fs]).p
     scale_power = (n * (n - 1)) // 2
     errors: list[list[Fraction]] = []
     gamma = gamma0
@@ -698,12 +689,10 @@ def run_single_trial(identity_id: str, config: SamplerConfig, trial: int) -> Che
     return report
 
 
-def run_identity_suite(config: SamplerConfig,
-                       identity_ids: Sequence[str] = IDENTITY_IDS,
-                       include_extras: bool = True) -> list[CheckReport]:
+def run_identity_suite(config: SamplerConfig, include_extras: bool = True) -> list[CheckReport]:
     """All checkers, config.trials seeded trials each, canonically ordered."""
     reports = []
-    for identity_id in identity_ids:
+    for identity_id in IDENTITY_IDS:
         for trial in range(config.trials):
             reports.append(run_single_trial(identity_id, config, trial))
     if include_extras:

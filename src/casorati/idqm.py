@@ -20,13 +20,16 @@ from typing import Sequence
 from .determinants import casoratian_imag, imag_shift_points
 from .poly import Poly, RationalFn, as_rational_fn
 from .report import CheckReport
-from .scalars import GaussianRational, format_rational, rational
+from .scalars import format_rational, imaginary, rational
 
 HALF = Fraction(1, 2)
 
 
-def _im(value) -> GaussianRational:
-    return GaussianRational(0, rational(value))
+def _witness(identity_id: str, v: RationalFn, gamma: Fraction, **inputs) -> dict:
+    """The witness of an idQM check: V, gamma and the check's other inputs."""
+    return {"identityId": identity_id,
+            "inputs": {"v_num": v.num.serialize(), "v_den": v.den.serialize(),
+                       "gamma": format_rational(gamma), **inputs}}
 
 
 def star(fn: RationalFn | Poly) -> RationalFn:
@@ -42,7 +45,7 @@ def vv_product(v: RationalFn, gamma, total, j_lo: int, j_hi: int) -> RationalFn:
     v_star = v.star()
     for j in range(j_lo, j_hi + 1):
         delta = (total * HALF - j) * gamma
-        out = out * v.shift(_im(delta)) * v_star.shift(_im(-delta))
+        out = out * v.shift(imaginary(delta)) * v_star.shift(imaginary(-delta))
     return out
 
 
@@ -144,10 +147,10 @@ def deformed_potential_vd(v: RationalFn, seeds: Sequence[Poly], gamma,
     w_mu = casoratian_imag(list(seeds) + [mu_state], gamma)
     if w.is_zero() or w_mu.is_zero():
         raise ZeroDivisionError("seed Casoratian vanishes identically")
-    rad = (v.shift(_im(-m_total * gamma * HALF))
-           * v.star().shift(_im(-(m_total + 2) * gamma * HALF)))
-    cof = (RationalFn(w.shift(_im(gamma * HALF)), w.shift(_im(-gamma * HALF)))
-           * RationalFn(w_mu.shift(_im(-gamma)), w_mu))
+    rad = (v.shift(imaginary(-m_total * gamma * HALF))
+           * v.star().shift(imaginary(-(m_total + 2) * gamma * HALF)))
+    cof = (RationalFn(w.shift(imaginary(gamma * HALF)), w.shift(imaginary(-gamma * HALF)))
+           * RationalFn(w_mu.shift(imaginary(-gamma)), w_mu))
     return PowerProduct().times(cof, 1).times(rad, HALF)
 
 
@@ -159,8 +162,8 @@ def conjugate_pair_product(v_dv: PowerProduct, m: int, gamma) -> PowerProduct:
     out = PowerProduct()
     for j in range(m):
         delta = (Fraction(m, 2) - j) * gamma
-        plus = v_dv.shift(_im(delta))
-        minus = v_dv_star.shift(_im(-delta))
+        plus = v_dv.shift(imaginary(delta))
+        minus = v_dv_star.shift(imaginary(-delta))
         for (fn_plus, exponent), (fn_minus, _) in zip(plus.factors, minus.factors):
             out = out.times(fn_plus * fn_minus, exponent)
     return out
@@ -189,8 +192,8 @@ def check_prefactor_gg(v: RationalFn, gamma, l: int, m: int) -> CheckReport:
         shifted = g4.shift(delta)
         lhs8 = lhs8 * shifted * shifted
     for delta in imag_shift_points(m, gamma):
-        lhs8 = lhs8 / (g4.shift(delta + _im(-gamma * HALF))
-                       * g4.shift(delta + _im(gamma * HALF)))
+        lhs8 = lhs8 / (g4.shift(delta + imaginary(-gamma * HALF))
+                       * g4.shift(delta + imaginary(gamma * HALF)))
     rhs8 = (vv_product(v, gamma, l + m, 0, l - 1)
             * vv_product(v, gamma, l + m, m, l + m - 1))
     passed = lhs8 == rhs8
@@ -199,10 +202,7 @@ def check_prefactor_gg(v: RationalFn, gamma, l: int, m: int) -> CheckReport:
         lhs="G-product to the 8th power", rhs="V-product to the 8th power",
         params={"l": l, "m": m, "gamma": format_rational(gamma),
                 "deg_v": v.reduce().num.degree},
-        witness=None if passed else {
-            "identityId": "idqm.prefactor-gg",
-            "inputs": {"v_num": v.num.serialize(), "v_den": v.den.serialize(),
-                       "gamma": format_rational(gamma), "l": l, "m": m}})
+        witness=None if passed else _witness("idqm.prefactor-gg", v, gamma, l=l, m=m))
 
 
 def check_potential_product_identity(v: RationalFn, seeds: Sequence[Poly], gamma,
@@ -222,8 +222,8 @@ def check_potential_product_identity(v: RationalFn, seeds: Sequence[Poly], gamma
     lhs = conjugate_pair_product(deformed_potential_vd(v, seeds, gamma, mu_state), m, gamma)
 
     w = casoratian_imag(seeds, gamma)
-    four_point = (RationalFn(w.shift(_im(-(m + 1) * gamma * HALF)), w.shift(_im(-(m - 1) * gamma * HALF)))
-                  * RationalFn(w.shift(_im((m + 1) * gamma * HALF)), w.shift(_im((m - 1) * gamma * HALF))))
+    shifted = [w.shift(imaginary(k * gamma * HALF)) for k in (-(m + 1), -(m - 1), m + 1, m - 1)]
+    four_point = RationalFn(*shifted[:2]) * RationalFn(*shifted[2:])
     rhs = (PowerProduct().times(four_point, 1)
            .times(vv_product(v, gamma, l + m, 0, m - 1)
                   * vv_product(v, gamma, l + m, l, l + m - 1), HALF))
@@ -232,12 +232,9 @@ def check_potential_product_identity(v: RationalFn, seeds: Sequence[Poly], gamma
         identity_id="idqm.potential-product", passed=passed,
         lhs="squared staged-potential product", rhs="squared V-product times Casoratian ratio",
         params={"l": l, "m": m, "gamma": format_rational(gamma)},
-        witness=None if passed else {
-            "identityId": "idqm.potential-product",
-            "inputs": {"v_num": v.num.serialize(), "v_den": v.den.serialize(),
-                       "seeds": [s.serialize() for s in seeds],
-                       "mu": mu_state.serialize(),
-                       "gamma": format_rational(gamma), "m": m}})
+        witness=None if passed else _witness(
+            "idqm.potential-product", v, gamma, seeds=[s.serialize() for s in seeds],
+            mu=mu_state.serialize(), m=m))
 
 
 DEFAULT_SAMPLES = (Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2),
@@ -257,7 +254,7 @@ def one_shot_idqm(v: RationalFn, seeds: Sequence[Poly], v_state: Poly,
     return (PowerProduct()
             .times(vv_product(v, gamma, m_total, 0, m_total - 1), Fraction(1, 4))
             .times(RationalFn(w_v), 1)
-            .times(RationalFn(w.shift(_im(-gamma * HALF)) * w.shift(_im(gamma * HALF))),
+            .times(RationalFn(w.shift(imaginary(-gamma * HALF)) * w.shift(imaginary(gamma * HALF))),
                    Fraction(-1, 2)))
 
 
@@ -277,7 +274,7 @@ def staged_idqm(v: RationalFn, dv_seeds: Sequence[Poly], de_seeds: Sequence[Poly
     w0 = casoratian_imag(dv_seeds, gamma)
     if w0.is_zero():
         raise ZeroDivisionError("virtual-seed Casoratian vanishes identically")
-    w2 = RationalFn(w0.shift(_im(-gamma * HALF)) * w0.shift(_im(gamma * HALF)))
+    w2 = RationalFn(w0.shift(imaginary(-gamma * HALF)) * w0.shift(imaginary(gamma * HALF)))
     inner = [casoratian_imag(list(dv_seeds) + [u], gamma) for u in de_seeds]
     inner_v = casoratian_imag(list(dv_seeds) + [v_state], gamma)
 
@@ -302,12 +299,12 @@ def staged_idqm(v: RationalFn, dv_seeds: Sequence[Poly], de_seeds: Sequence[Poly
     den_det = casoratian_imag(inner, gamma)
     if den_det.is_zero():
         raise ZeroDivisionError("intermediate Casoratian vanishes identically")
-    out = out.times(RationalFn(den_det.shift(_im(-gamma * HALF))
-                               * den_det.shift(_im(gamma * HALF))),
+    out = out.times(RationalFn(den_det.shift(imaginary(-gamma * HALF))
+                               * den_det.shift(imaginary(gamma * HALF))),
                     Fraction(-1, 2))
     g4_cols = RationalFn.one()
     w2_cols = RationalFn.one()
-    for y_off in (_im(-gamma * HALF), _im(gamma * HALF)):
+    for y_off in (imaginary(-gamma * HALF), imaginary(gamma * HALF)):
         for delta in imag_shift_points(m, gamma):
             g4_cols = g4_cols * g4.shift(delta + y_off)
             w2_cols = w2_cols * w2.shift(delta + y_off)
@@ -317,8 +314,7 @@ def staged_idqm(v: RationalFn, dv_seeds: Sequence[Poly], de_seeds: Sequence[Poly
 
 def two_path_compare_idqm(v: RationalFn, dv_seeds: Sequence[Poly],
                           de_seeds: Sequence[Poly], v_state: Poly, gamma,
-                          mu_state: Poly | None = None,
-                          samples: Sequence = DEFAULT_SAMPLES) -> CheckReport:
+                          mu_state: Poly | None = None) -> CheckReport:
     """One-shot versus staged eigenfunction in radical-tracked form.
 
     Passes iff the 8th powers agree exactly (zero tolerance) and the signs
@@ -341,7 +337,7 @@ def two_path_compare_idqm(v: RationalFn, dv_seeds: Sequence[Poly],
         # real sample (virtual-state Casoratians are sign-definite in the
         # physical setting), in addition to every tracked radicand.
         w_first = casoratian_imag(dv_seeds, gamma)
-        for sample in samples:
+        for sample in DEFAULT_SAMPLES:
             anchor = w_first(sample)
             if not anchor.is_real() or anchor.re <= 0:
                 continue
@@ -358,13 +354,10 @@ def two_path_compare_idqm(v: RationalFn, dv_seeds: Sequence[Poly],
     passed = exact and signs_agree
     witness = None
     if not passed or inconclusive:
-        witness = {"identityId": "idqm.two-path",
-                   "inputs": {"v_num": v.num.serialize(), "v_den": v.den.serialize(),
-                              "dv": [s.serialize() for s in dv_seeds],
-                              "de": [s.serialize() for s in de_seeds],
-                              "v_state": v_state.serialize(),
-                              "mu": mu_state.serialize(),
-                              "gamma": format_rational(gamma)}}
+        witness = _witness("idqm.two-path", v, gamma,
+                           dv=[s.serialize() for s in dv_seeds],
+                           de=[s.serialize() for s in de_seeds],
+                           v_state=v_state.serialize(), mu=mu_state.serialize())
     return CheckReport(
         identity_id="idqm.two-path", passed=passed,
         lhs="one-shot radical-tracked eigenfunction (8th power)",

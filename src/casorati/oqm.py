@@ -37,24 +37,14 @@ class SeedDependenceError(ValueError):
     """Seed Wronskian vanished identically (linearly dependent seeds)."""
 
 
-def hermite_polynomials(n_max: int) -> list[Poly]:
-    """H_0..H_{n_max} by the three-term recurrence H_{n+1} = 2x H_n - 2n H_{n-1}."""
-    polys = [Poly.one()]
-    if n_max >= 1:
-        polys.append(Poly([0, 2]))
+def hermite_polynomials(n_max: int, sign: int) -> list[Poly]:
+    """p_0..p_{n_max} by p_{n+1} = 2x p_n + sign*2n p_{n-1}: the Hermite
+    polynomials H_n for sign -1, their positive-coefficient companions q_v
+    for sign +1."""
+    polys = [Poly.one(), Poly([0, 2])]
     for n in range(1, n_max):
-        polys.append(Poly([0, 2]) * polys[n] - (2 * n) * polys[n - 1])
+        polys.append(Poly([0, 2]) * polys[n] + (sign * 2 * n) * polys[n - 1])
     return polys[:n_max + 1]
-
-
-def modified_hermite_polynomials(v_max: int) -> list[Poly]:
-    """Positive-coefficient companions: q_{v+1} = 2x q_v + 2v q_{v-1}."""
-    polys = [Poly.one()]
-    if v_max >= 1:
-        polys.append(Poly([0, 2]))
-    for v in range(1, v_max):
-        polys.append(Poly([0, 2]) * polys[v] + (2 * v) * polys[v - 1])
-    return polys[:v_max + 1]
 
 
 def verify_schrodinger(potential: Poly | RationalFn, phi: ExpPoly | ExpRatio,
@@ -118,14 +108,14 @@ def build_harmonic_model(n_max: int, v_max: int) -> OqmModel:
     potential = Poly([0, 0, 1])
     offset = Fraction(1)  # raw ground energy of -d^2/dx^2 + x^2
     levels = []
-    for n, h in enumerate(hermite_polynomials(n_max)):
+    for n, h in enumerate(hermite_polynomials(n_max, -1)):
         energy = Fraction(2 * n)
         phi = ExpPoly(h, a=Fraction(-1))
         if not verify_schrodinger(potential, phi, energy + offset):
             raise ArithmeticError(f"eigenstate {n} failed the load-time check")
         levels.append((energy, phi))
     aux = []
-    for v, q in enumerate(modified_hermite_polynomials(v_max)):
+    for v, q in enumerate(hermite_polynomials(v_max, 1)):
         energy = Fraction(-2 * v - 2)
         psi = ExpPoly(q, a=Fraction(1))
         if not verify_schrodinger(potential, psi, energy + offset):

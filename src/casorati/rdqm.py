@@ -31,7 +31,7 @@ from mpmath.libmp import (
 
 from .determinants import RunMemo, casoratian_real_grid
 from .gridfn import GridFn, WindowError
-from .poly import Poly, RationalFn
+from .poly import Poly
 from .report import CheckReport
 from .scalars import (
     DEFAULT_PRECISION_BITS,
@@ -91,8 +91,6 @@ class RdqmModel:
 
     beta: Fraction
     c: Fraction
-    b_fn: RationalFn
-    d_fn: RationalFn
     energies: tuple
     eigenfunctions: tuple          # GridFn, phi_n(0) = 1
     polynomials: tuple             # exact Poly parts
@@ -133,12 +131,9 @@ def build_meixner_model(beta, c, n_max: int, x_max: int,
         raise ValueError("need beta > 0")
     if not 0 < c < 1:
         raise ValueError("need 0 < c < 1")
-    x = Poly.x()
-    b_fn = RationalFn(Poly([beta * c, c]), Poly.constant(1 - c))
-    d_fn = RationalFn(x, Poly.constant(1 - c))
     with working_precision(precision_bits):
-        b_grid = GridFn([mpf_from_rational(_real_at(b_fn, k)) for k in range(x_max + 1)])
-        d_grid = GridFn([mpf_from_rational(_real_at(d_fn, k)) for k in range(x_max + 1)])
+        b_grid = GridFn([mpf_from_rational(c * (k + beta) / (1 - c)) for k in range(x_max + 1)])
+        d_grid = GridFn([mpf_from_rational(k / (1 - c)) for k in range(x_max + 1)])
         off_roots = []
         for x_pt in range(x_max):
             value = b_grid(x_pt) * d_grid(x_pt + 1)
@@ -160,22 +155,20 @@ def build_meixner_model(beta, c, n_max: int, x_max: int,
             polys.append(p_n)
             values = [ground(k) * mpf_from_rational(_real_at(p_n, k)) for k in range(x_max + 1)]
             phi_n = GridFn(values, energy=Fraction(n))
-            res = _relative_residual(b_grid, d_grid, phi_n, mpmath.mpf(n),
-                                     roots=off_roots)
+            res = _relative_residual(b_grid, d_grid, phi_n, mpmath.mpf(n), off_roots)
             if res > tolerance:
                 raise ArithmeticError(f"eigenpair {n} residual {res} above 1e-{precision_bits // 4}")
             energies.append(Fraction(n))
             eigenfunctions.append(phi_n)
     if not all(phi(0) == 1 for phi in eigenfunctions):
         raise ArithmeticError("eigenfunction normalization phi_n(0) = 1 failed")
-    return RdqmModel(beta=beta, c=c, b_fn=b_fn, d_fn=d_fn,
-                     energies=tuple(energies), eigenfunctions=tuple(eigenfunctions),
+    return RdqmModel(beta=beta, c=c, energies=tuple(energies), eigenfunctions=tuple(eigenfunctions),
                      polynomials=tuple(polys), ground=ground,
                      b_grid=b_grid, d_grid=d_grid, x_max=x_max,
                      precision_bits=precision_bits, off_roots=tuple(off_roots))
 
 
-def _real_at(fn: Poly | RationalFn, k: int) -> Fraction:
+def _real_at(fn: Poly, k: int) -> Fraction:
     value = fn(k)
     if not value.is_real():
         raise ValueError("expected a real value")
@@ -187,30 +180,24 @@ def _real_at(fn: Poly | RationalFn, k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def apply_hamiltonian(b_grid: GridFn, d_grid: GridFn, psi: GridFn,
-                      energy_shift=0, roots: Sequence | None = None) -> GridFn:
+                      roots: Sequence) -> GridFn:
     """(H psi)(x) on the interior window {0, ..., x_max - 1}.
 
-    H = -sqrt(B(x)D(x+1)) e^+ - sqrt(B(x-1)D(x)) e^- + (B + D) + shift;
-    the down term vanishes at x = 0 because D(0) = 0.  ``roots[x]`` may
-    supply sqrt(B(x)D(x+1)) (a model's ``off_roots``); otherwise each is
-    computed once here.  The rows run on raw ``_mpf_`` tuples with the
-    ``mpmath.libmp`` calls that the mpf operator form of H makes, so every
-    value is bit for bit the operator result.
+    H = -sqrt(B(x)D(x+1)) e^+ - sqrt(B(x-1)D(x)) e^- + (B + D), with
+    ``roots[x]`` = sqrt(B(x)D(x+1)) (a model's ``off_roots``); the down term
+    vanishes at x = 0 because D(0) = 0.  The rows run on raw ``_mpf_``
+    tuples with the ``mpmath.libmp`` calls that the mpf operator form of H
+    makes, so every value is bit for bit the operator result.
     """
     prec, rnd = mpmath.mp._prec_rounding
     make_mpf = mpmath.mp.make_mpf
     n = min(psi.x_max, b_grid.x_max, d_grid.x_max)
-    if roots is None:
-        roots = [mpmath.sqrt(b_grid(x_pt) * d_grid(x_pt + 1)) for x_pt in range(n)]
-    shift = _raw(energy_shift)
     b_vals, d_vals, psi_vals = b_grid.values, d_grid.values, psi.values
     values = []
     for x_pt in range(n):
         up = mpf_mul(mpf_neg(roots[x_pt]._mpf_, prec, rnd), psi_vals[x_pt + 1]._mpf_,
                      prec, rnd)
         level = mpf_add(b_vals[x_pt]._mpf_, d_vals[x_pt]._mpf_, prec, rnd)
-        if shift != fzero:     # adding 0 to a rounded sum returns it unchanged
-            level = mpf_add(level, shift, prec, rnd)
         total = mpf_add(up, mpf_mul(level, psi_vals[x_pt]._mpf_, prec, rnd), prec, rnd)
         if x_pt >= 1:
             total = mpf_sub(total, mpf_mul(roots[x_pt - 1]._mpf_, psi_vals[x_pt - 1]._mpf_,
@@ -227,11 +214,11 @@ def _raw(value) -> tuple:
 
 
 def _relative_residual(b_grid: GridFn, d_grid: GridFn, psi: GridFn,
-                       energy, energy_shift=0, roots: Sequence | None = None) -> mpmath.mpf:
+                       energy, roots: Sequence) -> mpmath.mpf:
     """max |H psi - E psi| / max |psi| over the interior window; the residual
     gate of every model build and seed solve, on raw tuples."""
     prec, rnd = mpmath.mp._prec_rounding
-    h_psi = apply_hamiltonian(b_grid, d_grid, psi, energy_shift, roots)
+    h_psi = apply_hamiltonian(b_grid, d_grid, psi, roots)
     energy = _raw(energy)
     top = bottom = fzero
     for h_value, psi_value in zip(h_psi.values, psi.values):
@@ -248,8 +235,7 @@ def _relative_residual(b_grid: GridFn, d_grid: GridFn, psi: GridFn,
 
 def residual(model: RdqmModel, psi: GridFn, energy) -> mpmath.mpf:
     with working_precision(model.precision_bits):
-        return _relative_residual(model.b_grid, model.d_grid, psi, energy,
-                                  roots=model.off_roots)
+        return _relative_residual(model.b_grid, model.d_grid, psi, energy, model.off_roots)
 
 
 def solve_seed_at_energy(model: RdqmModel, e_tilde) -> GridFn:
@@ -260,8 +246,7 @@ def solve_seed_at_energy(model: RdqmModel, e_tilde) -> GridFn:
     asks ``model.seed`` instead, which solves each energy once.
     """
     with working_precision(model.precision_bits):
-        energy = (mpf_from_rational(rational(e_tilde))
-                  if isinstance(e_tilde, (int, str, Fraction)) else mpmath.mpf(e_tilde))
+        energy = mpf_from_rational(rational(e_tilde))
         if energy >= 0:
             raise ValueError("seed energy must be negative (virtual-candidate range)")
         b, d, off = model.b_grid, model.d_grid, model.off_roots
@@ -272,7 +257,7 @@ def solve_seed_at_energy(model: RdqmModel, e_tilde) -> GridFn:
             psi.append(nxt)
         grid = GridFn(psi, energy=energy)
         tolerance = mpmath.mpf(10) ** (-(model.precision_bits // 4))
-        res = _relative_residual(b, d, grid, energy, roots=off)
+        res = _relative_residual(b, d, grid, energy, off)
         if res > tolerance:
             raise ArithmeticError(f"seed residual {res} above tolerance")
         return grid
@@ -283,6 +268,16 @@ def seed_set(model: RdqmModel, dv_energies: Sequence, de_labels: Sequence[int]):
     dv = [rational(e) for e in dv_energies]
     return ([model.seed(e) for e in dv] + [model.eigen(k) for k in de_labels],
             dv + [model.eigen_energy(k) for k in de_labels])
+
+
+def _relative_deviation(reference: Sequence, other: Sequence) -> mpmath.mpf:
+    """max |reference - other| / max |reference|, or the deviation alone
+    when the reference vanishes."""
+    deviation = norm = mpmath.mpf(0)
+    for ref, value in zip(reference, other):
+        deviation = max(deviation, abs(ref - value))
+        norm = max(norm, abs(ref))
+    return deviation / norm if norm > 0 else deviation
 
 
 def check_definite_sign(psi: GridFn) -> bool:
@@ -491,15 +486,12 @@ def darboux_step_replay(model: RdqmModel, dv_energies: Sequence, de_labels: Sequ
         out_max = min(wn_s.x_max - 1, w_s1.x_max - 1, wn_s1.x_max, w_s.x_max - 1,
                       x_max - s - 1)
         replay_sign = -sigma_s * sigma_s1          # joins (-1)^s eps_s
-        deviation = mpmath.mpf(0)
-        norm = mpmath.mpf(0)
+        targets, advanced = [], []
         for x_pt in range(out_max + 1):
             bracket = (w_s1(x_pt) * wn_s(x_pt + 1) - w_s1(x_pt + 1) * wn_s(x_pt))
-            advanced = ((-1) ** s * eps_s) * replay_sign * bracket / w_s(x_pt + 1)
-            target = ((-1) ** (s + 1) * eps_s1) * wn_s1(x_pt)
-            deviation = max(deviation, abs(advanced - target))
-            norm = max(norm, abs(target))
-        rel_dev = deviation / norm if norm > 0 else deviation
+            advanced.append(((-1) ** s * eps_s) * replay_sign * bracket / w_s(x_pt + 1))
+            targets.append(((-1) ** (s + 1) * eps_s1) * wn_s1(x_pt))
+        rel_dev = _relative_deviation(targets, advanced)
         emergent_ok = sigma_s * sigma_s1 * eps_s == eps_s1
         passed = bool(merged_ok and emergent_ok and rel_dev <= bound)
         return CheckReport(
@@ -594,11 +586,7 @@ def two_path_compare_rdqm(model: RdqmModel, dv_energies: Sequence,
         limit = min(one_shot.x_max, staged.x_max)
         if compare_up_to is not None:
             limit = min(limit, compare_up_to)
-        deviation = mpmath.mpf(0)
-        norm = max(abs(one_shot(x)) for x in range(limit + 1))
-        for x_pt in range(limit + 1):
-            deviation = max(deviation, abs(one_shot(x_pt) - staged(x_pt)))
-        rel_dev = deviation / norm if norm > 0 else deviation
+        rel_dev = _relative_deviation(one_shot.values[:limit + 1], staged.values[:limit + 1])
         sign_ok = sign_identity_sweep(dv_energies, e_energies)
         passed = bool(rel_dev <= bound and sign_ok)
         return CheckReport(

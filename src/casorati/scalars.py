@@ -17,7 +17,6 @@ import mpmath
 DEFAULT_PRECISION_BITS = 256
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 RationalLike = Union[int, str, Fraction]
 
@@ -172,6 +171,11 @@ def _operand(value) -> GaussianRational | None:
         return as_gaussian(value)
     except TypeError:
         return None
+
+
+def imaginary(value: RationalLike) -> GaussianRational:
+    """The pure imaginary number value*i."""
+    return GaussianRational(_F0, value)
 
 
 def i_power(k: int) -> GaussianRational:

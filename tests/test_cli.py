@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from casorati import cli
-from casorati.cli import main, parse_rational_list, read_config_file
+from casorati.cli import main, parse_list, read_config_file
+from casorati.scalars import rational
 
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
 
@@ -89,6 +90,70 @@ def test_config_file_with_flag_override(tmp_path):
     assert json.loads(out.read_text())["config"]["trials"] == 2
 
 
+@pytest.fixture
+def identities_runs(monkeypatch):
+    """The args of each run_identities call; the runner runs no suite."""
+    seen = []
+    monkeypatch.setattr(cli, "run_identities", lambda args: seen.append(args) or [])
+    return seen
+
+
+def test_config_file_explicit_flag_equal_to_default_wins(tmp_path, identities_runs):
+    """A flag given on the command line beats the file even when it equals
+    the flag's default; the file fills in the flags not given."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("trials = 3\nmax-degree = 4\n")
+    out = str(tmp_path / "r.json")
+    assert main(["identities", "--config", str(cfg), "--trials", "200", "--out", out]) == 0
+    assert [(args.trials, args.max_degree) for args in identities_runs] == [(200, 4)]
+
+
+def test_config_file_values_do_not_outlive_their_run(tmp_path, identities_runs):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("trials = 3\n")
+    out = str(tmp_path / "r.json")
+    assert main(["identities", "--config", str(cfg), "--out", out]) == 0
+    assert main(["identities", "--out", out]) == 0
+    assert [args.trials for args in identities_runs] == [3, 200]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("nonsense = 1\n", "unknown config key: nonsense"),
+    ("beta = 2\n", "unknown config key: beta"),
+    ("command = oqm\n", "unknown config key: command"),
+    ("trials = abc\n", "{cfg}: argument --trials: invalid int value: 'abc'"),
+    ("max-degree = 1.5\n", "{cfg}: argument --max-degree: invalid int value: '1.5'"),
+])
+def test_config_file_errors_exit_2(tmp_path, identities_runs, capsys, text, message):
+    """An unknown key or a value the flag's type rejects is one
+    configuration-error line and exit 2, before any suite runs."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main(["identities", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message.format(cfg=cfg)}\n"
+    assert identities_runs == []
+
+
+def test_runners_are_looked_up_at_call_time(tmp_path, monkeypatch):
+    """main calls the run_<command> bound in the module now, for a
+    subcommand and under "all", so a wrapped runner (as the benchmark's
+    tracer installs) sees every call."""
+    calls = []
+    original = cli.run_oqm
+
+    def counted(args):
+        calls.append((args.dv, args.de, args.n, args.seed))
+        return original(args)
+
+    monkeypatch.setattr(cli, "run_oqm", counted)
+    for name in ("identities", "idqm", "rdqm"):
+        monkeypatch.setattr(cli, f"run_{name}", lambda args: [])
+    out = str(tmp_path / "r.json")
+    assert main(["oqm", "--de", "1", "--out", out]) == 0
+    assert main(["all", "--seed", "5", "--out", out]) == 0
+    assert calls == [("", "1", 0, 42), ("0", "1,2", 0, 5)]
+
+
 def test_replay_reproduces_failure(tmp_path):
     """A witness from a corrupted instance replays to the same failure."""
     from casorati.identities import check_theorem, replay_witness
@@ -130,8 +195,12 @@ def test_config_file_precision(tmp_path):
 
 def test_parse_helpers(tmp_path):
     from fractions import Fraction
-    assert parse_rational_list("-0.6,-1.7") == [Fraction(-3, 5), Fraction(-17, 10)]
-    assert parse_rational_list("") == []
+    assert parse_list("-0.6,-1.7", rational) == [Fraction(-3, 5), Fraction(-17, 10)]
+    assert parse_list("", rational) == []
+    assert parse_list('"0, 2"', int) == [0, 2]
+    with pytest.raises(ValueError):
+        parse_list("1,1.5", int)
+    assert main(["oqm", "--de", "1.5"]) == 2
     cfg = tmp_path / "c.cfg"
     cfg.write_text("beta = 5/2\n")
     assert read_config_file(str(cfg)) == {"beta": "5/2"}
@@ -168,6 +237,15 @@ PINNED_REPORTS = [
      "dee2057d888fc94c3b56e06de313f650f55d4bab5c41c2df8271f3d1193c6036"),
 ]
 
+# Runs whose reports carry witnesses: (argv, exit code, witnesses, sha256 as
+# above), recorded before the idQM and rdQM witness writers were folded.
+PINNED_WITNESS_REPORTS = [
+    (["idqm", "--trials", "30", "--gamma", "1/2"], 3, 8,
+     "49266d0fdfb9035331e25fa07eaf162c2a9a1231a0408cd9104488940abf232e"),
+    (["rdqm", "--de=1,2", "--n", "0"], 1, 2,
+     "5f98852cae819a15b9ed61bb37aadda42029cf686a72ba90970a78bbad0241d1"),
+]
+
 # Runs that end in a configuration error: (argv, stderr), all exit 2.
 PINNED_ERRORS = [
     (["oqm", "--dv", "0,0"], "configuration error: seed Wronskian vanishes identically\n"),
@@ -175,15 +253,28 @@ PINNED_ERRORS = [
 ]
 
 
-@pytest.mark.parametrize("argv,digest", PINNED_REPORTS)
-def test_report_bytes_pinned(tmp_path, argv, digest):
+def pinned_run(tmp_path, argv) -> tuple[int, dict, str]:
+    """Exit code, report and digest of a run, the digest taken without the
+    report's timestamp and wall_clock_seconds."""
     out = tmp_path / "report.json"
-    assert main([*argv, "--out", str(out)]) == 0
+    code = main([*argv, "--out", str(out)])
     payload = json.loads(out.read_text())
     for key in ("timestamp", "wall_clock_seconds"):
         payload.pop(key)
     text = json.dumps(payload, indent=2, sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    return code, payload, hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_REPORTS)
+def test_report_bytes_pinned(tmp_path, argv, digest):
+    assert pinned_run(tmp_path, argv)[::2] == (0, digest)
+
+
+@pytest.mark.parametrize("argv,code,witnesses,digest", PINNED_WITNESS_REPORTS)
+def test_witness_report_bytes_pinned(tmp_path, argv, code, witnesses, digest):
+    got_code, payload, got_digest = pinned_run(tmp_path, argv)
+    assert (got_code, got_digest) == (code, digest)
+    assert sum("witness" in check for check in payload["checks"]) == witnesses
 
 
 @pytest.mark.parametrize("argv,stderr", PINNED_ERRORS)
@@ -196,17 +287,8 @@ def test_error_runs_pinned(tmp_path, capsys, argv, stderr):
 
 def test_main_twice_in_one_process_same_digest(tmp_path):
     """The process's one parser serves every call; the reports stay equal."""
-    from casorati import cli
     argv, digest = PINNED_REPORTS[1]
-    digests = []
-    for name in ("a.json", "b.json"):
-        assert main([*argv, "--out", str(tmp_path / name)]) == 0
-        payload = json.loads((tmp_path / name).read_text())
-        for key in ("timestamp", "wall_clock_seconds"):
-            payload.pop(key)
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        digests.append(hashlib.sha256(text.encode()).hexdigest())
-    assert digests == [digest, digest]
+    assert [pinned_run(tmp_path, argv)[::2] for _ in range(2)] == [(0, digest)] * 2
     assert cli._parser() is cli._parser()
 
 

@@ -67,6 +67,12 @@ def test_seed_positive_energy_rejected(model):
         solve_seed_at_energy(model, Fraction(1, 2))
 
 
+def test_seed_energy_must_be_rational(model):
+    """A seed energy is exact; a float is not coerced."""
+    with pytest.raises(TypeError):
+        solve_seed_at_energy(model, -0.6)
+
+
 def test_seed_reproduces_eigenfunction_up_to_normalization(model):
     """Marching the recurrence at E = E_n recovers phi_n (cross-check)."""
     with working_precision(BITS):
@@ -134,22 +140,20 @@ def apply_hamiltonian_reference(b_grid, d_grid, psi, energy_shift=0, roots=None)
 @pytest.mark.parametrize("bits", [53, 128, 256])
 def test_hamiltonian_and_residual_match_operator_form(bits):
     """The raw-tuple H psi and residual gate are bit for bit the operator
-    forms: int and mpf energies, a zero and a nonzero shift, roots given
-    and computed, a model made at another precision."""
+    forms: int and mpf energies, a model made at another precision."""
     made = build_meixner_model(Fraction(2), Fraction(1, 3), n_max=4, x_max=30,
                                precision_bits=192)
     with working_precision(bits):
-        b, d = made.b_grid, made.d_grid
+        b, d, roots = made.b_grid, made.d_grid, made.off_roots
         seed = solve_seed_at_energy(made, Fraction(-3, 5))
         for psi, energy in [(made.eigen(n), n) for n in range(5)] + [(seed, seed.energy)]:
-            for shift, roots in [(0, made.off_roots), (mpmath.mpf(1) / 3, None)]:
-                got = apply_hamiltonian(b, d, psi, shift, roots)
-                want = apply_hamiltonian_reference(b, d, psi, shift, roots)
-                assert [v._mpf_ for v in got.values] == [v._mpf_ for v in want]
-                top = max(abs(h - energy * psi(x)) for x, h in enumerate(want))
-                bottom = max(abs(v) for v in psi.values[:len(want)])
-                res = _relative_residual(b, d, psi, energy, shift, roots)
-                assert res._mpf_ == (top / bottom)._mpf_
+            got = apply_hamiltonian(b, d, psi, roots)
+            want = apply_hamiltonian_reference(b, d, psi, roots=roots)
+            assert [v._mpf_ for v in got.values] == [v._mpf_ for v in want]
+            top = max(abs(h - energy * psi(x)) for x, h in enumerate(want))
+            bottom = max(abs(v) for v in psi.values[:len(want)])
+            res = _relative_residual(b, d, psi, energy, roots)
+            assert res._mpf_ == (top / bottom)._mpf_
 
 
 def test_deformed_eigenfunction_residual(model):
@@ -160,9 +164,9 @@ def test_deformed_eigenfunction_residual(model):
         phi = deformed_eigenfunctions(model.b_grid, model.d_grid,
                                       [model.eigen(0)], [Fraction(0)],
                                       model.eigen(1), BITS, model.memo)
-        h_phi = apply_hamiltonian(b1, d1, phi, energy_shift=mpmath.mpf(1))
-        res = max(abs(h_phi(x) - phi(x)) for x in range(h_phi.x_max + 1))
-        res /= max(abs(v) for v in phi.values[:h_phi.x_max + 1])
+        h_phi = apply_hamiltonian_reference(b1, d1, phi, energy_shift=mpmath.mpf(1))
+        res = max(abs(h - phi(x)) for x, h in enumerate(h_phi))
+        res /= max(abs(v) for v in phi.values[:len(h_phi)])
         assert res < mpmath.mpf(10) ** -40
         # M = 0 returns phi unchanged
         assert deformed_eigenfunctions(model.b_grid, model.d_grid, [], [],
