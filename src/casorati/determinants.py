@@ -8,9 +8,9 @@ packed once as its value at x = 2^width (Kronecker substitution), and each
 exact division is certified.  Wronskian columns (``_drift_column``) are built
 on Poly, so the exponent pairs factor out.  The Darboux-Crum operators take
 the minors of their fixed columns once and apply f -> W[fixed, f] by
-cofactors; a Wronskian of quotients over a common base is the seed part of
-``over_base_operator``.  ``cofactor_det`` is the test oracle only.  Empty
-input returns 1 for all three families.
+cofactors, over a base in ``over_base_operator``, whose seed part is the
+Wronskian of quotients over it.  Both shift Casoratians are one body, and
+``cofactor_det`` is the test oracle only.  Empty input gives 1 everywhere.
 """
 
 from __future__ import annotations
@@ -225,34 +225,22 @@ def cofactor_det(matrix: Sequence[Sequence]):
 
     Exponential in n, and called by nothing in the package: it is the
     independent oracle that the tests hold ``fraction_free_det`` and the
-    over-base Wronskian to, and the benchmark's tracer still wraps it by
-    name.
+    over-base operator to, and the benchmark's tracer still wraps it by
+    name.  It recurses on its first-row minors as a module function: a
+    recursive closure would refer to itself through its cell, and that
+    cycle would keep the matrix alive until the cyclic collector next runs.
     """
     n = len(matrix)
     if n == 0:
         return Poly.one()
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
-    return _minor_det(matrix, tuple(range(n)), tuple(range(n)))
-
-
-def _minor_det(matrix, rows: tuple[int, ...], cols: tuple[int, ...]):
-    """First-row cofactor expansion of the minor on ``rows`` x ``cols``.
-
-    A module function rather than a recursive closure: the closure would
-    refer to itself through its cell, and that cycle would keep the matrix
-    alive until the cyclic garbage collector next runs.
-    """
-    if len(rows) == 1:
-        return matrix[rows[0]][cols[0]]
+    if n == 1:
+        return matrix[0][0]
     total = None
-    r = rows[0]
-    rest = rows[1:]
-    for idx, c in enumerate(cols):
-        entry = matrix[r][c]
-        sub_cols = cols[:idx] + cols[idx + 1:]
-        term = entry * _minor_det(matrix, rest, sub_cols)
-        if idx % 2 == 1:
+    for c, entry in enumerate(matrix[0]):
+        term = entry * cofactor_det([row[:c] + row[c + 1:] for row in matrix[1:]])
+        if c % 2 == 1:
             term = -term
         total = term if total is None else total + term
     return total
@@ -301,16 +289,15 @@ def det_float_scalar(matrix) -> object:
 # Wronskian
 # ---------------------------------------------------------------------------
 
-def _drift_column(f: ExpPoly, length: int, base: ExpPoly | None = None,
-                  power: int = 0) -> list[Poly]:
+def _drift_column(f: ExpPoly, length: int, base: ExpPoly | None = None) -> list[Poly]:
     """The polynomial parts of the first ``length`` rows of f's column.
 
     Row j + 1 is the drift derivative P' + (a*x + b/2)*P of row j, with
     (a, b) the pair of row j.  Over a base B*exp(.) the rows are those of
-    the quotient f / base^power: row j is the numerator of its j-th
-    derivative over base^(power + j), and carries f's pair plus j times the
-    base's, so with G the polynomial part of base' the quotient rule gives
-    P_{j+1} = P_j'*B + P_j*(drift_j*B - (power + j)*G)."""
+    the quotient f / base: row j is the numerator of its j-th derivative
+    over base^(1 + j), and carries f's pair plus j times the base's, so with
+    G the polynomial part of base' the quotient rule gives
+    P_{j+1} = P_j'*B + P_j*(drift_j*B - (1 + j)*G)."""
     col = [f.p]
     if base is None:
         drift = Poly([f.b / 2, f.a])
@@ -321,7 +308,7 @@ def _drift_column(f: ExpPoly, length: int, base: ExpPoly | None = None,
     for j in range(length - 1):
         drift = Poly([(f.b + j * base.b) / 2, f.a + j * base.a])
         p = col[-1]
-        col.append(p.derivative() * b_part + p * (drift * b_part - (power + j) * g_part))
+        col.append(p.derivative() * b_part + p * (drift * b_part - (1 + j) * g_part))
     return col
 
 
@@ -354,68 +341,62 @@ class WronskianOperator:
     (``_drift_column``) and c_j the signed k x k minors of the seeds'
     columns (rows 0..k, row j dropped).  ``seed_wronskian`` is W[seeds]:
     the minor that drops row k, with the seeds' pair.  Over a base, the
-    seeds and f are quotients over base^power (``over_base_operator``).
+    seeds and f are quotients over the base (``over_base_operator``).
     """
 
-    __slots__ = ("cofactors", "seed_wronskian", "base", "power")
+    __slots__ = ("cofactors", "seed_wronskian", "base")
 
     def __init__(self, cofactors: Sequence[Poly], seed_wronskian: ExpPoly,
-                 base: ExpPoly | None = None, power: int = 0):
+                 base: ExpPoly | None = None):
         self.cofactors = tuple(cofactors)
         self.seed_wronskian = seed_wronskian
         self.base = base
-        self.power = power
 
     def __call__(self, f: ExpPoly) -> ExpPoly:
         k = len(self.cofactors) - 1
-        col = _drift_column(f, k + 1, self.base, self.power)
+        col = _drift_column(f, k + 1, self.base)
         total = self.cofactors[0] * col[0]
         for c, p in zip(self.cofactors[1:], col[1:]):
             total = total + c * p
         return ExpPoly(total, *_pair([self.seed_wronskian, f], self.base, k))
 
 
-def wronskian_operator(seeds: Sequence[ExpPoly]) -> WronskianOperator:
+def wronskian_operator(seeds: Sequence[ExpPoly],
+                       base: ExpPoly | None = None) -> WronskianOperator:
     """W[seeds, .] from the k + 1 size-k minors of the seeds' columns, each
-    taken once by ``fraction_free_det``.
+    taken once by ``fraction_free_det``; over a base, the operator of the
+    quotients over it (``over_base_operator``, which checks the base).
 
     The minor that drops the last row is exactly ``wronskian(seeds)``'s
     determinant, so W[seeds] comes with the operator at no extra cost.  No
     seeds give the identity, with W[] = 1.
     """
-    return _operator(seeds)
-
-
-def _operator(seeds: Sequence[ExpPoly], base: ExpPoly | None = None,
-              power: int = 0) -> WronskianOperator:
-    """The operator of ``wronskian_operator``, or of ``over_base_operator``."""
     k = len(seeds)
     if k == 0:
-        return WronskianOperator([Poly.one()], ExpPoly.one(), base, power)
-    columns = [_drift_column(s, k + 1, base, power) for s in seeds]
+        return WronskianOperator([Poly.one()], ExpPoly.one(), base)
+    columns = [_drift_column(s, k + 1, base) for s in seeds]
     rows = [[col[j] for col in columns] for j in range(k + 1)]
     cofactors = []
     for j in range(k + 1):
         minor = fraction_free_det(rows[:j] + rows[j + 1:])
         cofactors.append(minor if (k + j) % 2 == 0 else -minor)
     seed_wronskian = ExpPoly(cofactors[k], *_pair(seeds, base, k * (k - 1) // 2))
-    return WronskianOperator(cofactors, seed_wronskian, base, power)
+    return WronskianOperator(cofactors, seed_wronskian, base)
 
 
-def over_base_power(m: int, power: int = 1) -> int:
-    """K = m*power + m(m-1)/2: the base power under the Wronskian of m
-    quotients over base^power (row j is over base^(power + j))."""
-    return m * power + m * (m - 1) // 2
+def over_base_power(m: int) -> int:
+    """K = m(m+1)/2: the base power under the Wronskian of m quotients over
+    the base (row j is over base^(1 + j))."""
+    return m * (m + 1) // 2
 
 
-def over_base_operator(nums: Sequence[ExpPoly], base: ExpPoly,
-                       power: int = 1) -> WronskianOperator:
-    """f -> the numerator of W[nums/base^power, f/base^power] over
-    base^K(m + 1); its seed part is the numerator of W[nums/base^power]
-    over base^K(m), with K = ``over_base_power``."""
+def over_base_operator(nums: Sequence[ExpPoly], base: ExpPoly) -> WronskianOperator:
+    """f -> the numerator of W[nums/base, f/base] over base^K(m + 1); its
+    seed part is the numerator of W[nums/base] over base^K(m), with
+    K = ``over_base_power``."""
     if base.is_zero():
         raise ZeroDivisionError("over_base_operator with zero base")
-    return _operator(nums, base, power)
+    return wronskian_operator(nums, base)
 
 
 # ---------------------------------------------------------------------------
@@ -428,18 +409,19 @@ def imag_shift_points(n: int, gamma: Fraction) -> list[GaussianRational]:
     return [GaussianRational(0, (Fraction(n + 1, 2) - j) * g) for j in range(1, n + 1)]
 
 
+def _shifted_det(fs: Sequence[Poly], points: Sequence) -> Poly:
+    """det f_k(x + point_j), with rows j over the points; 1 for no fs."""
+    fs = [as_poly(f) for f in fs]
+    return fraction_free_det([[f.shift(delta) for f in fs] for delta in points])
+
+
 def casoratian_imag(fs: Sequence[Poly], gamma) -> Poly:
     """W_gamma[f_1, ..., f_n]: i^{n(n-1)/2} det f_k(x + i((n+1)/2 - j) gamma)."""
     g = rational(gamma)
     if g == 0:
         raise ValueError("casoratian_imag needs nonzero gamma")
-    fs = [as_poly(f) for f in fs]
     n = len(fs)
-    if n == 0:
-        return Poly.one()
-    matrix = [[f.shift(delta) for f in fs] for delta in imag_shift_points(n, g)]
-    det = fraction_free_det(matrix)
-    return det * i_power((n * (n - 1)) // 2)
+    return _shifted_det(fs, imag_shift_points(n, g)) * i_power((n * (n - 1)) // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -453,12 +435,7 @@ def real_shift_points(n: int) -> range:
 
 def casoratian_real(fs: Sequence[Poly]) -> Poly:
     """W_C[f_1, ..., f_n]: det f_k(x + j - 1); W_C[.] = 1."""
-    fs = [as_poly(f) for f in fs]
-    n = len(fs)
-    if n == 0:
-        return Poly.one()
-    matrix = [[f.shift(delta) for f in fs] for delta in real_shift_points(n)]
-    return fraction_free_det(matrix)
+    return _shifted_det(fs, real_shift_points(len(fs)))
 
 
 def casoratian_real_grid(fs: Sequence[GridFn]) -> GridFn:

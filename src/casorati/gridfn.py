@@ -18,13 +18,12 @@ class WindowError(ValueError):
 
 
 class GridFn:
-    """Values on {0, ..., x_max} with an optional energy tag."""
+    """Values on {0, ..., x_max}; an rdQM seed's energy travels beside it."""
 
-    __slots__ = ("values", "energy")
+    __slots__ = ("values",)
 
-    def __init__(self, values: Sequence, energy=None):
+    def __init__(self, values: Sequence):
         object.__setattr__(self, "values", tuple(values))
-        object.__setattr__(self, "energy", energy)
         if not self.values:
             raise WindowError("GridFn needs at least one point")
 
@@ -47,12 +46,12 @@ class GridFn:
             raise WindowError(f"cannot extend window to {x_max} (have {self.x_max})")
         if x_max == self.x_max:
             return self
-        return GridFn(self.values[:x_max + 1], self.energy)
+        return GridFn(self.values[:x_max + 1])
 
     def __repr__(self) -> str:
         head = ", ".join(str(v) for v in self.values[:4])
         tail = ", ..." if len(self.values) > 4 else ""
-        return f"GridFn([{head}{tail}], x_max={self.x_max}, energy={self.energy})"
+        return f"GridFn([{head}{tail}], x_max={self.x_max})"
 
 
 def grid_csv_rows(name: str, grid: GridFn, precision_bits: int | None = None):

@@ -68,19 +68,6 @@ def _report(identity_id, passed, lhs, rhs, params, inputs,
                        inconclusive=inconclusive, note=note)
 
 
-def _exp_products_equal(lhs: Sequence[tuple[ExpPoly, int]],
-                        rhs: Sequence[tuple[ExpPoly, int]]) -> bool:
-    """prod f_i^{e_i} == prod g_j^{f_j} for ExpPoly factors, exactly: both
-    products expanded (a zero product equals any zero product, whatever its
-    exponent pair)."""
-    def expand(side):
-        out = ExpPoly.one()
-        for f, e in side:
-            out = out * f ** e
-        return out
-    return expand(lhs) == expand(rhs)
-
-
 # ---------------------------------------------------------------------------
 # The family table: each determinant family's algebra
 # ---------------------------------------------------------------------------
@@ -267,7 +254,7 @@ def check_wronskian_corollary(fs: Sequence[ExpPoly], us: Sequence[ExpPoly],
     rhs_num, k1 = outer.seed_wronskian, over_base_power(m)
     lhs_num = wronskian(list(fs) + list(us))
     # lhs_num/w0 == rhs_num/w0^k1
-    ok1 = _exp_products_equal([(lhs_num, 1), (w0, k1 - 1)], [(rhs_num, 1)])
+    ok1 = poly_products_equal([(lhs_num, 1), (w0, k1 - 1)], [(rhs_num, 1)])
 
     w_all = lhs_num
     if w_all.is_zero() or rhs_num.is_zero():
@@ -275,7 +262,7 @@ def check_wronskian_corollary(fs: Sequence[ExpPoly], us: Sequence[ExpPoly],
     rhs2_num, k2 = outer(num_v), over_base_power(m + 1)
     # W[f,u..,v]/W[f,u..] == (rhs2_num/w0^k2) / (rhs_num/w0^k1)
     lhs2_num = wronskian(list(fs) + list(us) + [v])
-    ok2 = _exp_products_equal([(lhs2_num, 1), (rhs_num, 1), (w0, k2 - k1)],
+    ok2 = poly_products_equal([(lhs2_num, 1), (rhs_num, 1), (w0, k2 - k1)],
                               [(w_all, 1), (rhs2_num, 1)])
 
     return _report("wronskian.corollary", ok1 and ok2,
@@ -328,8 +315,7 @@ def _real_sign_at(p: Poly, x: int) -> int:
 
 
 def check_cas_real_corollary(fs: Sequence[Poly], us: Sequence[Poly],
-                             v: Poly | None = None,
-                             sample_range: range = range(0, 7)) -> CheckReport:
+                             v: Poly | None = None) -> CheckReport:
     """Squared corollary, plus the signed two-path ratio when v is given.
 
     Squared corollary: A^2 P == C^2 B with B = W_C[f](x) W_C[f](x+m) and
@@ -359,7 +345,7 @@ def check_cas_real_corollary(fs: Sequence[Poly], us: Sequence[Poly],
 
         if ok_signed:
             sign_checked = False
-            for x0 in sample_range:
+            for x0 in range(7):
                 w_signs = {_real_sign_at(w0, x0 + k) for k in range(m + 2)}
                 if len(w_signs) != 1 or 0 in w_signs:
                     continue  # premise: definite sign on every used argument

@@ -28,7 +28,6 @@ from .scalars import (
     GR_ZERO,
     GaussianRational,
     as_gaussian,
-    format_gaussian,
     format_rational,
     parse_gaussian,
     rational,
@@ -398,7 +397,7 @@ class Poly:
         return " + ".join(parts)
 
     def serialize(self) -> list[str]:
-        return [format_gaussian(c) for c in self.coeffs]
+        return [str(c) for c in self.coeffs]
 
     @staticmethod
     def deserialize(data: Sequence[str]) -> "Poly":
@@ -427,10 +426,11 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-def poly_products_equal(lhs: Sequence[tuple["Poly", int]],
-                        rhs: Sequence[tuple["Poly", int]]) -> bool:
+def poly_products_equal(lhs: Sequence[tuple[Poly | ExpPoly, int]],
+                        rhs: Sequence[tuple[Poly | ExpPoly, int]]) -> bool:
     """Exact equality of prod p_i^{e_i} == prod q_j^{f_j}: both products
-    expanded and compared."""
+    expanded and compared.  ExpPoly factors add their exponent pairs, and a
+    zero product equals any zero product, whatever its pair."""
     def expand(side):
         out = _P_ONE
         for p, e in side:

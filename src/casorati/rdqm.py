@@ -27,7 +27,7 @@ from typing import Sequence
 
 import mpmath
 from mpmath.libmp import (
-    from_int, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_neg, mpf_sub)
+    fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_neg, mpf_sub)
 
 from .determinants import RunMemo, casoratian_real_grid
 from .gridfn import GridFn, WindowError
@@ -93,7 +93,6 @@ class RdqmModel:
     c: Fraction
     energies: tuple
     eigenfunctions: tuple          # GridFn, phi_n(0) = 1
-    polynomials: tuple             # exact Poly parts
     ground: GridFn
     b_grid: GridFn
     d_grid: GridFn
@@ -149,12 +148,10 @@ def build_meixner_model(beta, c, n_max: int, x_max: int,
         tolerance = mpmath.mpf(10) ** (-(precision_bits // 4))
         energies = []
         eigenfunctions = []
-        polys = []
         for n in range(n_max + 1):
             p_n = meixner_polynomial(n, beta, c)
-            polys.append(p_n)
             values = [ground(k) * mpf_from_rational(_real_at(p_n, k)) for k in range(x_max + 1)]
-            phi_n = GridFn(values, energy=Fraction(n))
+            phi_n = GridFn(values)
             res = _relative_residual(b_grid, d_grid, phi_n, mpmath.mpf(n), off_roots)
             if res > tolerance:
                 raise ArithmeticError(f"eigenpair {n} residual {res} above 1e-{precision_bits // 4}")
@@ -163,7 +160,7 @@ def build_meixner_model(beta, c, n_max: int, x_max: int,
     if not all(phi(0) == 1 for phi in eigenfunctions):
         raise ArithmeticError("eigenfunction normalization phi_n(0) = 1 failed")
     return RdqmModel(beta=beta, c=c, energies=tuple(energies), eigenfunctions=tuple(eigenfunctions),
-                     polynomials=tuple(polys), ground=ground,
+                     ground=ground,
                      b_grid=b_grid, d_grid=d_grid, x_max=x_max,
                      precision_bits=precision_bits, off_roots=tuple(off_roots))
 
@@ -206,20 +203,13 @@ def apply_hamiltonian(b_grid: GridFn, d_grid: GridFn, psi: GridFn,
     return GridFn(values)
 
 
-def _raw(value) -> tuple:
-    """The ``_mpf_`` tuple that mpf's operators use for an operand."""
-    if isinstance(value, int):
-        return from_int(value)
-    return getattr(value, "_mpf_", None) or mpmath.mpf(value)._mpf_
-
-
 def _relative_residual(b_grid: GridFn, d_grid: GridFn, psi: GridFn,
                        energy, roots: Sequence) -> mpmath.mpf:
     """max |H psi - E psi| / max |psi| over the interior window; the residual
     gate of every model build and seed solve, on raw tuples."""
     prec, rnd = mpmath.mp._prec_rounding
     h_psi = apply_hamiltonian(b_grid, d_grid, psi, roots)
-    energy = _raw(energy)
+    energy = getattr(energy, "_mpf_", None) or mpmath.mpf(energy)._mpf_
     top = bottom = fzero
     for h_value, psi_value in zip(h_psi.values, psi.values):
         psi_value = psi_value._mpf_
@@ -255,7 +245,7 @@ def solve_seed_at_energy(model: RdqmModel, e_tilde) -> GridFn:
             nxt = ((b(x_pt) + d(x_pt) - energy) * psi[x_pt]
                    - (off[x_pt - 1] * psi[x_pt - 1])) / off[x_pt]
             psi.append(nxt)
-        grid = GridFn(psi, energy=energy)
+        grid = GridFn(psi)
         tolerance = mpmath.mpf(10) ** (-(model.precision_bits // 4))
         res = _relative_residual(b, d, grid, energy, off)
         if res > tolerance:
@@ -384,7 +374,7 @@ def deformed_eigenfunctions(b_grid: GridFn, d_grid: GridFn,
                     f"W_C(x)W_C(x+1) not positive at x = {x_pt} (sign premise violated)")
             values.append((-1) ** m_count * epsilon * mpmath.root(quarters, 4)
                           * wc_n(x_pt) / mpmath.sqrt(w_pair))
-        return GridFn(values, energy=phi.energy)
+        return GridFn(values)
 
 
 def sign_conjecture_check(model: RdqmModel, dv_energies: Sequence,

@@ -21,10 +21,8 @@ _F0 = Fraction(0)
 RationalLike = Union[int, str, Fraction]
 
 
-def rational(value: RationalLike, den: int | None = None) -> Fraction:
+def rational(value: RationalLike) -> Fraction:
     """Coerce ints, Fractions or "p/q" strings to an exact Fraction."""
-    if den is not None:
-        return Fraction(value, den)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -183,12 +181,8 @@ def i_power(k: int) -> GaussianRational:
     return (GR_ONE, GR_I, -GR_ONE, -GR_I)[k % 4]
 
 
-def format_gaussian(z: GaussianRational) -> str:
-    return str(z)
-
-
 def parse_gaussian(text: str) -> GaussianRational:
-    """Inverse of :func:`format_gaussian` for witness round-trips."""
+    """Inverse of ``str`` on a GaussianRational, for witness round-trips."""
     s = text.strip().replace(" ", "")
     if s.endswith("*i"):
         body = s[:-2]

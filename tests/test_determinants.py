@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -51,6 +52,26 @@ def test_fraction_free_zero_pivots():
     assert fraction_free_det(matrix) == cofactor_det(matrix)
     singular = [[Poly.zero(), Poly.zero()], [x, x]]
     assert fraction_free_det(singular).is_zero()
+
+
+def test_cofactor_oracle_closed_forms():
+    """The oracle itself, on closed forms: an integer Vandermonde matrix is
+    prod_{i<j} (x_j - x_i), and a matrix with a Gaussian entry its value
+    expanded by hand, (1+i)*5 - 2*1 + (-1)*(1/2) = 5/2 + 5i."""
+    xs = [2, -1, 3, 5]
+    vandermonde = [[v ** k for k in range(4)] for v in xs]
+    assert cofactor_det(vandermonde) == math.prod(
+        xs[j] - xs[i] for i in range(4) for j in range(i + 1, 4))
+    gaussian = [[GaussianRational(1, 1), 2, -1],
+                [Fraction(1, 2), 3, 1],
+                [0, 1, 2]]
+    assert cofactor_det(gaussian) == GaussianRational(Fraction(5, 2), 5)
+
+
+def test_cofactor_oracle_empty_and_non_square():
+    assert cofactor_det([]) == Poly.one()
+    with pytest.raises(ValueError, match="not square"):
+        cofactor_det([[1, 2, 3], [4, 5, 6]])
 
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -334,49 +355,47 @@ def test_wronskian_operator_matches_wronskian(drawn):
 
 @st.composite
 def over_base_instances(draw):
-    """(nums, base, power, f): m = 0..3 fixed numerators over a nonzero
-    base at power 1..2, with mixed exponent pairs; f is at times one of
-    the fixed numerators."""
+    """(nums, base, f): m = 0..3 fixed numerators over a nonzero base, with
+    mixed exponent pairs; f is at times one of the fixed numerators."""
     nums = draw(st.lists(exp_polys, max_size=3))
     base = draw(exp_polys)
     assume(not base.is_zero())
-    power = draw(st.integers(1, 2))
     if nums and draw(st.booleans()):
-        return nums, base, power, draw(st.sampled_from(nums))
-    return nums, base, power, draw(exp_polys)
+        return nums, base, draw(st.sampled_from(nums))
+    return nums, base, draw(exp_polys)
 
 
-def over_base_matrix(nums, base, power):
-    """The ExpPoly matrix of W[nums/base^power] cleared of its base powers:
-    row j + 1 is row_j' * base - (power + j) * row_j * base'."""
+def over_base_matrix(nums, base):
+    """The ExpPoly matrix of W[nums/base] cleared of its base powers:
+    row j + 1 is row_j' * base - (1 + j) * row_j * base'."""
     rows = [list(nums)]
     for j in range(len(nums) - 1):
-        rows.append([n.derivative() * base - (power + j) * (n * base.derivative())
+        rows.append([n.derivative() * base - (1 + j) * (n * base.derivative())
                      for n in rows[-1]])
     return rows
 
 
 @given(over_base_instances())
 @settings(max_examples=100, deadline=None)
-@example(([], ExpPoly(x + 1, 1), 2, ExpPoly(x * x, -1, 1)))
-@example(([ExpPoly(x, 1), ExpPoly(x * x - 1, -1)], ExpPoly(x + 2, Fraction(1, 2), 1), 1,
+@example(([], ExpPoly(x + 1, 1), ExpPoly(x * x, -1, 1)))
+@example(([ExpPoly(x, 1), ExpPoly(x * x - 1, -1)], ExpPoly(x + 2, Fraction(1, 2), 1),
           ExpPoly(x * x - 1, -1)))
 def test_over_base_operator_matches_cofactor_oracle(drawn):
     """The operator over a base, applied to f, is the cofactor expansion of
     the ExpPoly matrix of [nums, f], pair included; its seed part is that
     of nums, over the base power ``over_base_power`` gives.  A column equal
     to a fixed one gives zero."""
-    nums, base, power, f = drawn
-    op = over_base_operator(nums, base, power)
-    got, want = op(f), cofactor_det(over_base_matrix([*nums, f], base, power))
+    nums, base, f = drawn
+    op = over_base_operator(nums, base)
+    got, want = op(f), cofactor_det(over_base_matrix([*nums, f], base))
     assert (got.p, got.pair) == (want.p, want.pair)
     if nums:
-        want = cofactor_det(over_base_matrix(nums, base, power))
+        want = cofactor_det(over_base_matrix(nums, base))
     else:
         want = ExpPoly.one()
     assert (op.seed_wronskian.p, op.seed_wronskian.pair) == (want.p, want.pair)
-    # row j of the oracle matrix is cleared of base^(power + j)
-    assert over_base_power(len(nums), power) == sum(power + j for j in range(len(nums)))
+    # row j of the oracle matrix is cleared of base^(1 + j)
+    assert over_base_power(len(nums)) == sum(1 + j for j in range(len(nums)))
     if f in nums:
         assert got.is_zero()
 

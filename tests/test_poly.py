@@ -152,6 +152,14 @@ def test_poly_products_equal():
     assert not poly_products_equal([(x, 1)], [(x + 1, 1)])
     assert poly_products_equal([(Poly.zero(), 1), (x, 5)], [(x - 1, 2), (Poly.zero(), 1)])
     assert not poly_products_equal([(Poly.zero(), 1)], [(x, 1)])
+    # ExpPoly factors: the exponent pairs add up, and must agree unless the
+    # products are zero
+    lhs = [(ExpPoly(x + 1, 1), 2), (ExpPoly(x, -1, 2), 1), (x - 3, 1)]
+    product = (x + 1) ** 2 * x * (x - 3)
+    assert poly_products_equal(lhs, [(ExpPoly(product, 1, 2), 1)])
+    assert not poly_products_equal(lhs, [(ExpPoly(product, 1, 0), 1)])
+    assert poly_products_equal([(ExpPoly(Poly.zero(), 1), 1), (ExpPoly(x, 0, 2), 1)],
+                               [(ExpPoly(x - 1, -1, 1), 2), (ExpPoly(Poly.zero()), 1)])
 
 
 rationals = st.fractions(max_denominator=10 ** 12)

@@ -25,7 +25,7 @@ from casorati.rdqm import (
     spectrum_check,
     two_path_compare_rdqm,
 )
-from casorati.scalars import working_precision
+from casorati.scalars import mpf_from_rational, working_precision
 from casorati.seeds import sign_factor
 import casorati.tridiag as tridiag_mod
 from casorati.tridiag import lowest_eigenvalues
@@ -143,10 +143,12 @@ def test_hamiltonian_and_residual_match_operator_form(bits):
     forms: int and mpf energies, a model made at another precision."""
     made = build_meixner_model(Fraction(2), Fraction(1, 3), n_max=4, x_max=30,
                                precision_bits=192)
+    with working_precision(192):
+        seed_energy = mpf_from_rational(Fraction(-3, 5))
     with working_precision(bits):
         b, d, roots = made.b_grid, made.d_grid, made.off_roots
         seed = solve_seed_at_energy(made, Fraction(-3, 5))
-        for psi, energy in [(made.eigen(n), n) for n in range(5)] + [(seed, seed.energy)]:
+        for psi, energy in [(made.eigen(n), n) for n in range(5)] + [(seed, seed_energy)]:
             got = apply_hamiltonian(b, d, psi, roots)
             want = apply_hamiltonian_reference(b, d, psi, roots=roots)
             assert [v._mpf_ for v in got.values] == [v._mpf_ for v in want]
@@ -729,7 +731,7 @@ def test_memo_freed_with_its_model(monkeypatch, tmp_path):
 
 
 def test_truncated_keeps_identity_on_full_window():
-    grid = GridFn([mpmath.mpf(1), mpmath.mpf(2), mpmath.mpf(3)], energy=Fraction(1))
+    grid = GridFn([mpmath.mpf(1), mpmath.mpf(2), mpmath.mpf(3)])
     assert grid.truncated(2) is grid
     short = grid.truncated(1)
-    assert short.values == grid.values[:2] and short.energy == grid.energy
+    assert short.values == grid.values[:2]
