@@ -2,7 +2,8 @@
 
 Subcommands: identities | oqm | idqm | rdqm | all.  Runs are reproducible
 from their configuration alone; the JSON report echoes it.  Exit codes:
-0 every check passed, 1 at least one failure, 2 configuration error,
+0 every check passed, 1 at least one failure, 2 configuration error (an
+rdQM residual gate missed or a sign premise violated among them),
 3 inconclusive-only issues (sign samples, truncation sensitivity).
 """
 
@@ -31,6 +32,9 @@ from .idqm import (
 from .oqm import build_harmonic_model, degree_census, two_path_compare
 from .poly import RationalFn
 from .rdqm import (
+    NegativeRadicandError,
+    ResidualGateError,
+    SingularDeformationError,
     build_meixner_model,
     darboux_chain_replay,
     sign_conjecture_check,
@@ -229,6 +233,8 @@ def run_rdqm(args) -> list[CheckReport]:
                 raise ValueError(f"{flag} {label} is outside 0..{args.n_max} (--n-max)")
     model = build_meixner_model(rational(args.beta), rational(args.c), n_max=args.n_max,
                                 x_max=args.window, precision_bits=args.precision_bits)
+    for energy in dv:       # a seed that misses its residual gate fails before any check
+        model.seed(energy)
     reports = []
     for n in levels:
         reports.append(two_path_compare_rdqm(model, dv, de, n, args.tolerance,
@@ -342,7 +348,8 @@ def main(argv=None) -> int:
             return run_replay(args)
         # run_<command> is looked up at call time, so a patched runner runs
         reports = globals()[f"run_{args.command}"](args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, ResidualGateError,
+            NegativeRadicandError, SingularDeformationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     return emit(args, reports, started, config_echo_from(args))

@@ -52,6 +52,11 @@ class NegativeRadicandError(ArithmeticError):
     """A real square root met a negative argument (sign premise violated)."""
 
 
+class ResidualGateError(ArithmeticError):
+    """A model eigenpair or a seed missed its residual gate: the working
+    precision is too low for the window."""
+
+
 def _sign(value) -> int:
     if value > 0:
         return 1
@@ -154,7 +159,8 @@ def build_meixner_model(beta, c, n_max: int, x_max: int,
             phi_n = GridFn(values)
             res = _relative_residual(b_grid, d_grid, phi_n, mpmath.mpf(n), off_roots)
             if res > tolerance:
-                raise ArithmeticError(f"eigenpair {n} residual {res} above 1e-{precision_bits // 4}")
+                raise ResidualGateError(
+                    f"eigenpair {n} residual {res} above 1e-{precision_bits // 4}")
             energies.append(Fraction(n))
             eigenfunctions.append(phi_n)
     if not all(phi(0) == 1 for phi in eigenfunctions):
@@ -249,7 +255,7 @@ def solve_seed_at_energy(model: RdqmModel, e_tilde) -> GridFn:
         tolerance = mpmath.mpf(10) ** (-(model.precision_bits // 4))
         res = _relative_residual(b, d, grid, energy, off)
         if res > tolerance:
-            raise ArithmeticError(f"seed residual {res} above tolerance")
+            raise ResidualGateError(f"seed residual {res} above tolerance")
         return grid
 
 
@@ -601,7 +607,8 @@ def spectrum_check(model: RdqmModel, dv_energies: Sequence, de_labels: Sequence[
                    sensitivity_threshold) -> dict:
     """Lowest k eigenvalues of the truncated deformed Hamiltonian.
 
-    Sturm counts isolate each eigenvalue and bracketed Newton polishes it
+    Each eigenvalue is plain Sturm bisection, with about two big-float
+    counts placed either side of it by binary64 and fixed-point Newton hints
     (tridiag.lowest_eigenvalues); the deformed spectrum must sit at the
     surviving original levels (the constant term in the deformed Hamiltonian
     realigns it).  Truncation sensitivity compares against the largest

@@ -1,30 +1,30 @@
-"""Lowest eigenvalues of symmetric tridiagonal matrices: Sturm counts with
-shared brackets, isolation, then a bracketed Newton polish from a binary64
-start.
+"""Lowest eigenvalues of symmetric tridiagonal matrices: plain bisection on
+Sturm counts, with the counts placed by hints that cost no big-float work.
 
 Works at the caller's mpmath precision.  The negative count of the standard
 Sturm-sequence recurrence d_1 = a_1 - t, d_i = a_i - t - b_{i-1}^2 / d_{i-1}
-equals the number of eigenvalues below t.  Each eigenvalue is bisected from
-the Gershgorin interval down to tol, but every count tightens the brackets
-of all wanted eigenvalues at once (Barth-Martin-Wilkinson; LAPACK dstebz),
-and a bisection step whose midpoint lies outside the current bracket is
-decided by the bracket without a count.  Once an eigenvalue sits alone in
-its bracket, Newton's method on p(t) = det(T - t), whose p'/p = sum d_i'/d_i
-comes from the same recurrence, homes in on it, and one count either side
-of the root shrinks the bracket below tol, so the rest of the bisection
-needs no counts.  The values returned are those of plain bisection.
+equals the number of eigenvalues below t, and the computed count is
+monotone in t (Kahan).  Each eigenvalue is bisected from the Gershgorin
+interval down to tol.  Every big-float count tightens the brackets of all
+wanted eigenvalues at once (Barth-Martin-Wilkinson; LAPACK dstebz), and a
+bisection step whose midpoint lies outside the current bracket is decided
+by the bracket without a count, so the values returned are those of plain
+bisection, bit for bit.
 
-The Newton polish starts where a safeguarded Newton-bisection in binary64,
-run on float copies of the entries inside the isolating bracket, ends; so
-the full-precision Newton needs two or three steps instead of about eight.
-The float iterate only chooses where full-precision counts are taken: it is
-used when it lies strictly inside the big-float bracket (else the midpoint
-is), a float count tightens only the float bracket, and every bracket end
-and every returned digit comes from big-float counts.  Only Newton steps
-need p'/p; bisection and straddle counts are count-only sweeps.  The
-bisection replay, the bracket updates and the Newton arithmetic run on raw
-``_mpf_`` tuples with the ``mpmath.libmp`` calls that mpf's operators make,
-so every value is bit for bit the operator result.
+The hints choose where the big-float counts go.  Binary64 counts on shared
+brackets isolate each eigenvalue, a safeguarded binary64 Newton-bisection
+polishes it, and a few Newton sweeps in fixed point on Python ints take it
+below delta = tol (1 + |t|) / 1024.  Two big-float counts at hint -+ delta
+then read j and j + 1 for eigenvalue j (0-based), and the bisection that
+follows seldom needs another count.  When they do not (binary64 cannot split a close pair,
+or the entries are not finite in binary64), the bisection counts at every
+midpoint inside the bracket: slower, never wrong.  No hint enters a bracket
+or a digit.
+
+The bisection replay runs on exact ints at a scale 2^-E taken from the
+inputs and refined whenever a midpoint needs it: (a + b) is rounded to the
+working precision nearest-even, as ``mpf_add`` rounds it, and halved.  Only
+the last steps of ``wide`` and the counts themselves use ``mpmath.libmp``.
 """
 
 from __future__ import annotations
@@ -34,82 +34,55 @@ from typing import Sequence
 
 import mpmath
 from mpmath.libmp import (
-    finf,
     fone,
     from_float,
     from_int,
-    ftwo,
+    from_man_exp,
     fzero,
     mpf_abs,
     mpf_add,
     mpf_div,
-    mpf_ge,
     mpf_gt,
-    mpf_le,
-    mpf_lt,
     mpf_mul,
     mpf_neg,
     mpf_pow_int,
-    mpf_rdiv_int,
     mpf_sub,
     to_float,
 )
 
-_FOUR = from_int(4)
-_1024 = from_int(1024)
 _FLOAT_STOP = 2.0 ** -50       # binary64 Newton stops on a step below this (1 + |t|)
-_FLOAT_STEPS = 64              # at most this many binary64 counts per eigenvalue
+_FLOAT_STEPS = 64              # at most this many binary64 Newton-bisection steps per eigenvalue
+_NEWTON_SWEEPS = 8             # at most this many fixed-point Newton sweeps per eigenvalue
+_GUARD_BITS = 32               # fixed-point resolution below tol
+_REFINE_BITS = 64              # the replay's scale grows by this much when it must
 
 
-def count_below(diag: Sequence, off_sq: Sequence, t, with_ratio: bool = True) -> tuple:
-    """(number of eigenvalues strictly below t, p'(t)/p(t)), where off_sq
-    holds the squared off-diagonal entries and p(t) = det(T - t).
+def count_below(diag: Sequence, off_sq: Sequence, t) -> int:
+    """The number of eigenvalues strictly below t, where off_sq holds the
+    squared off-diagonal entries.
 
     The entries and t are mpf.  The recurrence runs on their raw ``_mpf_``
     tuples with the ``mpmath.libmp`` calls that mpf's operators make, at the
     working precision and rounding read once, so every value is bit for bit
     the operator result; a d_i that is exactly 0 becomes
-    -2^-prec (1 + |t|), and the sign of d_i is read from its tuple.  With
-    ``with_ratio=False`` the sweep is count-only: it skips the derivative
-    recurrence (4 of the 7 libmp calls per row) and returns (count, None).
+    -2^-prec (1 + |t|), and the sign of d_i is read from its tuple.
     """
     prec, rnd = mpmath.mp._prec_rounding
     t = t._mpf_
     neg_tiny = None
     count = 0
     d = mpf_sub(diag[0]._mpf_, t, prec, rnd)
-    if d == fzero:
-        neg_tiny = _neg_tiny(t, prec, rnd)
-        d = neg_tiny
-    if d[0]:
-        count += 1
-    if not with_ratio:
-        for i in range(1, len(diag)):
+    for i in range(len(diag)):
+        if i:
             d = mpf_sub(mpf_sub(diag[i]._mpf_, t, prec, rnd),
                         mpf_div(off_sq[i - 1]._mpf_, d, prec, rnd), prec, rnd)
-            if d == fzero:
-                if neg_tiny is None:
-                    neg_tiny = _neg_tiny(t, prec, rnd)
-                d = neg_tiny
-            if d[0]:
-                count += 1
-        return count, None
-    r = mpf_rdiv_int(-1, d, prec, rnd)        # d_i'(t) / d_i(t)
-    ratio = r
-    for i in range(1, len(diag)):
-        q = mpf_div(off_sq[i - 1]._mpf_, d, prec, rnd)
-        # d_i' = -1 + q d_{i-1}' / d_{i-1}
-        slope = mpf_sub(mpf_mul(q, r, prec, rnd), fone, prec, rnd)
-        d = mpf_sub(mpf_sub(diag[i]._mpf_, t, prec, rnd), q, prec, rnd)
         if d == fzero:
             if neg_tiny is None:
                 neg_tiny = _neg_tiny(t, prec, rnd)
             d = neg_tiny
         if d[0]:
             count += 1
-        r = mpf_div(slope, d, prec, rnd)
-        ratio = mpf_add(ratio, r, prec, rnd)
-    return count, mpmath.mp.make_mpf(ratio)
+    return count
 
 
 def _neg_tiny(t: tuple, prec: int, rnd: str) -> tuple:
@@ -119,9 +92,33 @@ def _neg_tiny(t: tuple, prec: int, rnd: str) -> tuple:
                            prec, rnd), prec, rnd)
 
 
+def _rounded(x: int, prec: int) -> int:
+    """x rounded to prec significant bits, to nearest with ties to even; at
+    any fixed scale this is how ``mpf_add`` rounds an exact sum."""
+    drop = abs(x).bit_length() - prec
+    if drop <= 0:
+        return x
+    m = abs(x)
+    q, r = m >> drop, m & ((1 << drop) - 1)
+    half = 1 << (drop - 1)
+    if r > half or (r == half and q & 1):
+        q += 1
+    return q << drop if x > 0 else -(q << drop)
+
+
+def _fixed(x: tuple, scale: int) -> int:
+    """The raw mpf x as an int at scale 2^-scale: exact when x lies on that
+    grid, else rounded toward zero."""
+    sign, man, exp, _ = x
+    shift = exp + scale
+    man = man << shift if shift >= 0 else man >> -shift
+    return -man if sign else man
+
+
 def _float_count(diag: list, off_sq: list, t: float) -> tuple:
-    """count_below in binary64 on float entries; a zero d_i becomes
-    -2^-53 (1 + |t|).  Overflow gives inf or nan, never an exception."""
+    """(count, p'(t)/p(t)) in binary64 on float entries, p(t) = det(T - t);
+    a zero d_i becomes -2^-53 (1 + |t|).  Overflow gives inf or nan, never
+    an exception."""
     tiny = -(1.0 + abs(t)) * 2.0 ** -53
     d = diag[0] - t
     if d == 0.0:
@@ -142,42 +139,89 @@ def _float_count(diag: list, off_sq: list, t: float) -> tuple:
     return count, ratio
 
 
-def _binary64_start(diag: list, off_sq: list, j: int, lower: tuple, upper: tuple):
-    """The end of a safeguarded Newton-bisection in binary64 for eigenvalue
-    j, from its isolating bracket [lower, upper); as a raw mpf, or None
-    when the bracket is not finite in binary64 or the end is not strictly
-    inside it.
+def _binary64_starts(diag: list, off_sq: list, k: int, lo: float, hi: float) -> list:
+    """A binary64 estimate of each of the k lowest eigenvalues, or None where
+    binary64 cannot isolate it.  Counts on shared brackets isolate
+    eigenvalue j, unless its bracket stops splitting first; a safeguarded
+    Newton-bisection from the middle of that bracket then stops on a step
+    below 2^-50 (1 + |t|)."""
+    lower, low_count = [lo] * k, [0] * k
+    upper, up_count = [hi] * k, [len(diag)] * k
+    starts = []
+    for j in range(k):
+        while low_count[j] != j or up_count[j] != j + 1:
+            t = 0.5 * lower[j] + 0.5 * upper[j]
+            if not lower[j] < t < upper[j]:
+                break
+            count = _float_count(diag, off_sq, t)[0]
+            for i in range(min(count, k)):
+                if t < upper[i]:
+                    upper[i], up_count[i] = t, count
+            for i in range(count, k):
+                if t > lower[i]:
+                    lower[i], low_count[i] = t, count
+        if low_count[j] != j or up_count[j] != j + 1:
+            starts.append(None)
+            continue
+        a, b = lower[j], upper[j]
+        t = 0.5 * a + 0.5 * b
+        for _ in range(_FLOAT_STEPS):
+            count, ratio = _float_count(diag, off_sq, t)
+            if count > j:
+                b = t
+            else:
+                a = t
+            nxt = t - 1.0 / ratio if ratio else math.inf
+            if not a < nxt < b:
+                nxt = 0.5 * a + 0.5 * b
+            done = abs(nxt - t) <= _FLOAT_STOP * (1.0 + abs(t))
+            t = nxt
+            if done:
+                break
+        starts.append(t)
+    return starts
 
-    A float count tightens only the float bracket, and the iteration stops
-    on a step below 2^-50 (1 + |t|), so nothing here decides a count."""
-    lo, hi = to_float(lower), to_float(upper)
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        return None
-    t = 0.5 * lo + 0.5 * hi
-    for _ in range(_FLOAT_STEPS):
-        count, ratio = _float_count(diag, off_sq, t)
-        if count > j:
-            hi = t
-        else:
-            lo = t
-        nxt = t - 1.0 / ratio if ratio else math.inf
-        if not lo < nxt < hi:
-            nxt = 0.5 * lo + 0.5 * hi
-        done = abs(nxt - t) <= _FLOAT_STOP * (1.0 + abs(t))
-        t = nxt
-        if done:
+
+def _newton_step(diag: list, off_sq: list, t: int, scale: int):
+    """-p(t)/p'(t) for p(t) = det(T - t), in fixed point: every int x stands
+    for x 2^-scale, and p'/p = sum d_i'/d_i comes from the Sturm recurrence
+    (a zero d_i becomes -2^-scale); None when p'/p is 0."""
+    one = 1 << scale
+    d = diag[0] - t or -1
+    r = -(one << scale) // d                  # d_i'(t) / d_i(t)
+    ratio = r
+    for i in range(1, len(diag)):
+        q = (off_sq[i - 1] << scale) // d
+        slope = ((q * r) >> scale) - one      # d_i' = -1 + q d_{i-1}' / d_{i-1}
+        d = diag[i] - t - q or -1
+        r = (slope << scale) // d
+        ratio += r
+    return -(one << scale) // ratio if ratio else None
+
+
+def _newton_hint(diag: list, off_sq: list, t: int, scale: int, tol: int) -> tuple:
+    """(hint, delta) in fixed point: Newton from t until, under quadratic
+    convergence, the hint is off by at most a quarter of delta =
+    tol (1 + |t|) / 1024, or the sweeps run out."""
+    prev = None
+    for _ in range(_NEWTON_SWEEPS):
+        delta = (tol * ((1 << scale) + abs(t))) >> (scale + 10)
+        step = _newton_step(diag, off_sq, t, scale)
+        if step is None:
             break
-    start = from_float(t)
-    if mpf_lt(lower, start) and mpf_lt(start, upper):
-        return start
-    return None
+        t += step
+        # The new iterate is off by about C step^2, with C ~ |step| / prev^2.
+        if prev is not None and 4 * abs(step) ** 3 <= delta * prev * prev:
+            break
+        prev = step
+    return t, delta
 
 
 def lowest_eigenvalues(diag: Sequence, off: Sequence, k: int,
                        tol=None) -> list:
     """The k smallest eigenvalues, each bisected to tol (default ~quarter
-    of the working precision); shared brackets and the Newton polish spare
-    most of the Sturm counts that bisection would make."""
+    of the working precision); shared brackets and counts placed by the
+    hints spare all but about two Sturm counts per eigenvalue."""
     n = len(diag)
     if len(off) != n - 1:
         raise ValueError("off-diagonal length must be n - 1")
@@ -196,96 +240,78 @@ def lowest_eigenvalues(diag: Sequence, off: Sequence, k: int,
     make_mpf = mpmath.mp.make_mpf
     tol, lo, hi = tol._mpf_, lo._mpf_, hi._mpf_
     tol_mag = tol[2] + tol[3]                 # |tol| < 2^tol_mag
+    starts = [None] * k
     float_diag = [to_float(a._mpf_) for a in diag]
     float_off_sq = [to_float(b._mpf_) for b in off_sq]
-    if not all(map(math.isfinite, float_diag + float_off_sq)):
-        float_diag = None
-    # Eigenvalue j (0-based) lies in [lower[j], upper[j]); the counts at the
-    # ends are kept, so j is isolated once they are j and j + 1.
-    lower, low_count = [lo] * k, [0] * k
-    upper, up_count = [hi] * k, [n] * k
+    float_lo, float_hi = to_float(lo), to_float(hi)
+    if all(map(math.isfinite, float_diag + float_off_sq + [float_lo, float_hi])):
+        starts = _binary64_starts(float_diag, float_off_sq, k, float_lo, float_hi)
+    # The Newton sweeps work at a fixed scale 2^-fine, well below tol; the
+    # replay's scale starts there (or at the Gershgorin ends' grid) and only
+    # grows, so hints and bracket ends carry over by a left shift.
+    fine = max(_GUARD_BITS - tol_mag, 0)
+    fixed_diag = [_fixed(a._mpf_, fine) for a in diag]
+    fixed_off_sq = [_fixed(b._mpf_, fine) for b in off_sq]
+    fixed_tol = _fixed(tol, fine)
+    scale = max(fine, -lo[2], -hi[2])
+    lo, hi = _fixed(lo, scale), _fixed(hi, scale)
+    # Eigenvalue j (0-based) lies in [lower[j], upper[j]): each end is a
+    # Gershgorin bound or a point whose big-float count was at most j,
+    # respectively at least j + 1.
+    lower, upper = [lo] * k, [hi] * k
+
+    def mpf_at(x):
+        return from_man_exp(x, -scale)
 
     def wide(a, b):
-        """b - a > tol (1 + |a| + |b|)."""
-        width = mpf_sub(b, a, prec, rnd)
-        sign, man, exp, bc = width
+        """b - a > tol (1 + |a| + |b|), as the mpf operators round it."""
+        width = b - a
         # The rounded right side is at most 2^(tol_mag + 2 + max(1, mag a,
-        # mag b)), with mag x = exp + bc of x, and a positive width is at
-        # least 2^(exp + bc - 1); so all but the last few steps of a
-        # bisection are decided without computing it.
-        if not sign and man and exp + bc >= tol_mag + 4 + max(1, a[2] + a[3], b[2] + b[3]):
+        # mag b)), and a positive width is at least 2^(mag width - 1), where
+        # mag x = exp + bc of the mpf x is x's bit length less the scale; so
+        # all but the last few steps of a bisection skip libmp.
+        if width > 0 and width.bit_length() >= tol_mag + 4 + max(
+                1 + scale, abs(a).bit_length(), abs(b).bit_length()):
             return True
+        a, b = mpf_at(a), mpf_at(b)
         bound = mpf_add(mpf_add(mpf_abs(a, prec, rnd), fone, prec, rnd),
                         mpf_abs(b, prec, rnd), prec, rnd)
-        return mpf_gt(width, mpf_mul(tol, bound, prec, rnd))
+        return mpf_gt(mpf_sub(b, a, prec, rnd), mpf_mul(tol, bound, prec, rnd))
 
-    def middle(a, b):
-        """(a + b) / 2."""
-        return mpf_div(mpf_add(a, b, prec, rnd), ftwo, prec, rnd)
+    def sturm(t):
+        """Count at t, recorded in every bracket."""
+        count = count_below(diag, off_sq, make_mpf(mpf_at(t)))
+        for i in range(min(count, k)):
+            if t < upper[i]:
+                upper[i] = t
+        for i in range(count, k):
+            if t > lower[i]:
+                lower[i] = t
 
-    def sturm(t, with_ratio=False):
-        """Count at t, recorded in every bracket; returns p'/p at t (raw)
-        when asked for."""
-        count, ratio = count_below(diag, off_sq, make_mpf(t), with_ratio)
-        for j in range(min(count, k)):
-            if mpf_lt(t, upper[j]):
-                upper[j], up_count[j] = t, count
-        for j in range(count, k):
-            if mpf_gt(t, lower[j]):
-                lower[j], low_count[j] = t, count
-        return ratio._mpf_ if with_ratio else None
-
-    def polish(j):
-        """Newton from the binary64 start (or the middle) of j's isolating
-        bracket, a bisection step whenever Newton would leave it; then a
-        count either side."""
-        t = None
-        if float_diag is not None:
-            t = _binary64_start(float_diag, float_off_sq, j, lower[j], upper[j])
-        if t is None:
-            t = middle(lower[j], upper[j])
-        prev = None                           # the last Newton step
-        while wide(lower[j], upper[j]):
-            ratio = sturm(t, with_ratio=True)
-            step = mpf_rdiv_int(-1, ratio, prec, rnd) if ratio != fzero else finf
-            nxt = mpf_add(t, step, prec, rnd)
-            if not (mpf_lt(lower[j], nxt) and mpf_lt(nxt, upper[j])):
-                t = middle(lower[j], upper[j])
-                prev = None
-                continue
-            t = nxt
-            # Under quadratic convergence the new iterate is off by about
-            # C step^2, with C ~ |step| / prev^2.  Once that is a quarter of
-            # delta, counts at t -+ delta straddle the root; delta far below
-            # tol means the bisection that follows seldom needs a count.
-            delta = mpf_div(mpf_mul(tol, mpf_add(mpf_abs(t, prec, rnd), fone, prec, rnd),
-                                    prec, rnd), _1024, prec, rnd)
-            if prev is not None and mpf_le(
-                    mpf_pow_int(mpf_abs(step, prec, rnd), 3, prec, rnd),
-                    mpf_div(mpf_mul(delta, mpf_pow_int(prev, 2, prec, rnd), prec, rnd),
-                            _FOUR, prec, rnd)):
-                sturm(mpf_sub(t, delta, prec, rnd))
-                sturm(mpf_add(t, delta, prec, rnd))
-                return
-            prev = step
-
-    # Plain bisection of each eigenvalue.  The computed count is monotone in
-    # t (Kahan), so a midpoint outside j's bracket has the count the
-    # bracket end beyond it shows; only a midpoint inside needs a count.
     values = []
     for j in range(k):
-        polished = False
+        if starts[j] is not None:
+            hint, delta = _newton_hint(fixed_diag, fixed_off_sq,
+                                       _fixed(from_float(starts[j]), fine), fine, fixed_tol)
+            sturm(_rounded((hint - delta) << (scale - fine), prec))
+            sturm(_rounded((hint + delta) << (scale - fine), prec))
+        # Plain bisection.  A midpoint outside j's bracket has the count the
+        # bracket end beyond it shows; only a midpoint inside needs a count.
         a, b = lo, hi
         while wide(a, b):
-            if not polished and low_count[j] == j and up_count[j] == j + 1:
-                polish(j)
-                polished = True
-            mid = middle(a, b)
-            if mpf_lt(lower[j], mid) and mpf_lt(mid, upper[j]):
+            total = _rounded(a + b, prec)
+            if total & 1:                     # (a + b) / 2 is off the grid: refine it
+                scale += _REFINE_BITS
+                a, b, lo, hi = (x << _REFINE_BITS for x in (a, b, lo, hi))
+                lower[:] = [x << _REFINE_BITS for x in lower]
+                upper[:] = [x << _REFINE_BITS for x in upper]
+                total <<= _REFINE_BITS
+            mid = total >> 1
+            if lower[j] < mid < upper[j]:
                 sturm(mid)
-            if mpf_ge(mid, upper[j]):
+            if mid >= upper[j]:
                 b = mid
             else:
                 a = mid
-        values.append(make_mpf(middle(a, b)))
+        values.append(make_mpf(from_man_exp(_rounded(a + b, prec), -scale - 1)))
     return values

@@ -250,6 +250,13 @@ PINNED_WITNESS_REPORTS = [
 PINNED_ERRORS = [
     (["oqm", "--dv", "0,0"], "configuration error: seed Wronskian vanishes identically\n"),
     (["oqm", "--de=1", "--n", "1"], "configuration error: level 1 is deleted by the seed set\n"),
+    # residual gates of the model build and of the seed solve, and the sign premise
+    (["rdqm", "--dv=-0.6", "--n", "0", "--precision-bits", "8"],
+     "configuration error: eigenpair 1 residual 0.02 above 1e-2\n"),
+    (["rdqm", "--dv=-0.6", "--n", "0", "--precision-bits", "40"],
+     "configuration error: seed residual 1.9227119016e-10 above tolerance\n"),
+    (["rdqm", "--de=1", "--n", "0"], "configuration error: W_C(x)W_C(x+1) not positive "
+     "at x = 0 (sign premise violated)\n"),
 ]
 
 

@@ -3,7 +3,7 @@
 from pathlib import Path
 
 # Lines of src/casorati/*.py, as `wc -l` counts them.
-LINE_BUDGET = 4278
+LINE_BUDGET = 4318
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "casorati"
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from mpmath.libmp import from_man_exp, ftwo, mpf_add, mpf_div, mpf_neg, round_nearest
 from hypothesis import example, given, settings, strategies as st
 
 from casorati.determinants import RunMemo, casoratian_real_grid
@@ -307,7 +308,8 @@ def bisection_eigenvalues(diag, off, k, tol=None):
 
 def assert_matches_bisection(diag, off, k, tol=None):
     """Within tol (1 + 2|lambda|) of the reference; in fact equal, since the
-    polish only spares counts the reference's bisection steps would make."""
+    hints only place counts, and the brackets they tighten only spare counts
+    the reference's bisection steps would make."""
     if tol is None:
         tol = mpmath.mpf(2) ** (-(mpmath.mp.prec * 3) // 4)
     mine = lowest_eigenvalues(diag, off, k, tol)
@@ -344,29 +346,31 @@ def test_eigenvalues_deformed_meixner_match_bisection(deformed_truncation):
 
 
 def test_eigenvalues_take_few_sturm_counts(deformed_truncation, monkeypatch):
-    """Isolation plus Newton from a binary64 start needs a few counts per
-    eigenvalue, where bisecting each one from the Gershgorin interval takes
-    about 1000; only the Newton steps compute p'/p."""
+    """Hints from binary64 and fixed-point Newton put two big-float counts
+    either side of each eigenvalue, where bisecting each one from the
+    Gershgorin interval takes about 1000 counts; the rest of the bisection
+    needs at most a stray count."""
     bits, diag, off = deformed_truncation
-    calls = []
+    counts = []
     count_below = tridiag_mod.count_below
 
-    def counted(diag, off_sq, t, with_ratio=True):
-        calls.append(with_ratio)
-        return count_below(diag, off_sq, t, with_ratio)
+    def counted(diag, off_sq, t):
+        counts.append(count_below(diag, off_sq, t))
+        return counts[-1]
 
     monkeypatch.setattr(tridiag_mod, "count_below", counted)
     with working_precision(bits):
         values = lowest_eigenvalues(diag, off, 5)
-    assert len(calls) <= 40
-    assert sum(calls) <= 15
+    assert len(counts) <= 2 * 5 + 2
+    assert all(type(count) is int for count in counts)
     assert [int(mpmath.nint(v)) for v in values] == [0, 3, 4, 5, 6]
 
 
-@pytest.mark.parametrize("bits", [53, 128])
+@pytest.mark.parametrize("bits", [53, 128, 256])
 def test_eigenvalues_wilkinson_close_pairs(bits):
     """W21+: its upper eigenvalues come in pairs about 1e-14 apart, which
-    128 bits separates and 53 bits cannot; k = n."""
+    128 bits separates and 53 bits cannot; k = n.  The pairs are about 40
+    binary64 ulps apart, so the hints isolate them at every precision."""
     diag = [mpmath.mpf(abs(10 - i)) for i in range(21)]
     off = [mpmath.mpf(1)] * 20
     with working_precision(bits):
@@ -390,8 +394,8 @@ def test_eigenvalues_reducible_repeated():
 
 # Entries: small integers and fractions, optionally moved by 2^-70, which
 # binary64 rounds away; the whole matrix is scaled by 2^scale, where 2^1100
-# overflows float() to inf and 2^-1100 underflows it to 0, so the binary64
-# start is useless and the polish must start from the middle.
+# overflows float() to inf and 2^-1100 underflows it to 0, so binary64
+# gives no hints and every eigenvalue is bisected with counts.
 tridiag_entries = st.tuples(st.integers(-9, 9), st.integers(1, 8), st.sampled_from([0, 0, 1, -1]))
 
 
@@ -399,7 +403,7 @@ tridiag_entries = st.tuples(st.integers(-9, 9), st.integers(1, 8), st.sampled_fr
 def tridiagonal_problems(draw):
     """(bits, diag, off, scale, k): a random symmetric tridiagonal, or two
     copies of one joined by a zero off-diagonal (every eigenvalue doubled)."""
-    bits = draw(st.sampled_from([53, 128, 256]))
+    bits = draw(st.sampled_from([53, 128, 256, 512]))
     twice = draw(st.booleans())
     size = draw(st.integers(1, 6) if twice else st.integers(2, 12))
     diag = [draw(tridiag_entries) for _ in range(size)]
@@ -428,15 +432,15 @@ def test_eigenvalues_match_bisection_on_random_tridiagonals(drawn):
         diag = [_tridiag_entry(v, scale) for v in diag]
         off = [_tridiag_entry(v, scale) for v in off]
         # the default tol is absolute near 0; scaled down with the matrix so
-        # that the 2^-1100 problems are bisected and polished too
+        # that the 2^-1100 problems are bisected too
         tol = mpmath.mpf(2) ** (-(bits * 3) // 4 + min(scale, 0))
         assert_matches_bisection(diag, off, k, tol)
 
 
 def test_binary64_start_decides_no_value(deformed_truncation, monkeypatch):
     """A binary64 sweep that lies (counts taken 2^-20 relative to the right,
-    or every count wrong) only moves the Newton start: the values stay those
-    of plain bisection, since only big-float counts enter the brackets."""
+    or every count wrong) only moves the hints: the values stay those of
+    plain bisection, since only big-float counts enter the brackets."""
     bits, diag, off = deformed_truncation
     float_count = tridiag_mod._float_count
     liars = [lambda d, o, t: float_count(d, o, t + 2.0 ** -20 * (1 + abs(t))),
@@ -446,6 +450,58 @@ def test_binary64_start_decides_no_value(deformed_truncation, monkeypatch):
         for liar in liars:
             monkeypatch.setattr(tridiag_mod, "_float_count", liar)
             assert lowest_eigenvalues(diag[:24], off[:23], 3) == reference
+
+
+def test_fixed_point_newton_decides_no_value(deformed_truncation, monkeypatch):
+    """A fixed-point Newton sweep that lies (its step moved by 2^-20, no
+    step at all, or a step of 2^40) only moves the hints: the values stay
+    those of plain bisection."""
+    bits, diag, off = deformed_truncation
+    newton_step = tridiag_mod._newton_step
+    liars = [lambda d, o, t, scale: newton_step(d, o, t, scale) + (1 << scale >> 20),
+             lambda d, o, t, scale: None,
+             lambda d, o, t, scale: 1 << (scale + 40)]
+    with working_precision(bits):
+        reference = bisection_eigenvalues(diag[:24], off[:23], 3)
+        for liar in liars:
+            monkeypatch.setattr(tridiag_mod, "_newton_step", liar)
+            assert lowest_eigenvalues(diag[:24], off[:23], 3) == reference
+
+
+# Raw mpf operands of the replay's midpoint: prec-bit mantissas; sums that
+# tie (b is half an ulp of a, with either sign), that are exactly 0 (b = -a)
+# or that take mpf_add's sticky shortcut (exponents more than 100 apart).
+@st.composite
+def midpoint_operands(draw):
+    prec = draw(st.sampled_from([53, 128, 256, 512]))
+    man = draw(st.integers(1, (1 << prec) - 1))
+    exp = draw(st.integers(-300, 300))
+    a = from_man_exp(draw(st.sampled_from([man, -man])), exp)
+    kind = draw(st.sampled_from(["any", "tie", "zero", "gap"]))
+    if kind == "zero":
+        return prec, a, mpf_neg(a)
+    if kind == "tie":
+        a = from_man_exp((man | 1 | 1 << (prec - 1)) * draw(st.sampled_from([1, -1])), exp)
+        return prec, a, from_man_exp(draw(st.sampled_from([1, -1])), exp - 1)
+    other = draw(st.integers(-(1 << prec) + 1, (1 << prec) - 1))
+    gap = draw(st.integers(101, 400) if kind == "gap" else st.integers(-60, 60))
+    return prec, a, from_man_exp(other, exp - gap - draw(st.integers(0, prec)))
+
+
+@given(midpoint_operands())
+@settings(max_examples=300, deadline=None)
+def test_replay_midpoint_matches_libmp(drawn):
+    """The replay's (a + b) / 2 on exact ints, rounded by _rounded, is
+    mpf_div(mpf_add(a, b)) bit for bit."""
+    prec, a, b = drawn
+    scale = -min(a[2], b[2])
+
+    def fixed(x):
+        sign, man, exp, _ = x
+        return (-man if sign else man) << (exp + scale)
+
+    got = from_man_exp(tridiag_mod._rounded(fixed(a) + fixed(b), prec), -scale - 1)
+    assert got == mpf_div(mpf_add(a, b, prec, round_nearest), ftwo, prec, round_nearest)
 
 
 def dense_hamiltonian(b_grid: GridFn, d_grid: GridFn, size: int) -> list[list]:
@@ -566,7 +622,7 @@ def test_deformed_potentials_seed_order_invariant(model):
 # ---------------------------------------------------------------------------
 
 def count_below_reference(diag, off_sq, t):
-    """The Sturm count and p'/p written with mpf operators."""
+    """The Sturm count written with mpf operators."""
     count = 0
     d = diag[0] - t
     tiny = mpmath.mpf(2) ** (-mpmath.mp.prec) * (1 + abs(t))
@@ -574,19 +630,13 @@ def count_below_reference(diag, off_sq, t):
         d = -tiny
     if d < 0:
         count += 1
-    r = -1 / d
-    ratio = r
     for i in range(1, len(diag)):
-        q = off_sq[i - 1] / d
-        slope = q * r - 1
-        d = diag[i] - t - q
+        d = diag[i] - t - off_sq[i - 1] / d
         if d == 0:
             d = -tiny
         if d < 0:
             count += 1
-        r = slope / d
-        ratio += r
-    return count, ratio
+    return count
 
 
 # Small integers and halves make d_i == 0 frequent (t on a diagonal entry,
@@ -623,13 +673,7 @@ def test_count_below_matches_operator_recurrence(drawn):
         diag = [_mpf_value(v) for v in diag]
         off_sq = [abs(_mpf_value(v)) for v in off_sq]
         t = _mpf_value(t)
-        count, ratio = tridiag_mod.count_below(diag, off_sq, t)
-        want_count, want_ratio = count_below_reference(diag, off_sq, t)
-        count_only = tridiag_mod.count_below(diag, off_sq, t, with_ratio=False)
-    assert count == want_count
-    assert count_only == (want_count, None)
-    assert isinstance(ratio, mpmath.mpf)
-    assert ratio._mpf_ == want_ratio._mpf_
+        assert tridiag_mod.count_below(diag, off_sq, t) == count_below_reference(diag, off_sq, t)
 
 
 # ---------------------------------------------------------------------------
