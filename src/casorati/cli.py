@@ -1,7 +1,11 @@
-"""Command-line entry point: suite orchestration, reports, replay.
+"""Command-line entry point: parse, run, print.
 
-Subcommands: identities | oqm | idqm | rdqm | all.  Runs are reproducible
-from their configuration alone; the JSON report echoes it.  Exit codes:
+Subcommands: identities | oqm | idqm | rdqm | all.  Each ``run_<lab>``
+validates its flags, builds the lab's model and calls the lab's checks; the
+identity suite, the lab modules and ``identities.idqm_trial`` write every
+report and witness, and ``--replay`` re-runs a witness through the check
+registry.  Runs are reproducible from their configuration alone; the JSON
+report echoes it, and ``rdqm --csv`` exports the spectrum.  Exit codes:
 0 every check passed, 1 at least one failure, 2 configuration error (an
 rdQM residual gate missed or a sign premise violated among them),
 3 inconclusive-only issues (sign samples, truncation sensitivity).
@@ -22,15 +26,8 @@ from typing import Callable
 import mpmath
 
 from . import __version__
-from .gridfn import grid_csv_rows
-from .identities import replay_witness, run_identity_suite
-from .idqm import (
-    check_potential_product_identity,
-    check_prefactor_gg,
-    two_path_compare_idqm,
-)
-from .oqm import build_harmonic_model, degree_census, two_path_compare
-from .poly import RationalFn
+from .identities import idqm_trial, replay_witness, run_identity_suite
+from .oqm import census_check, harmonic_model_for, two_path_compare
 from .rdqm import (
     NegativeRadicandError,
     ResidualGateError,
@@ -38,11 +35,11 @@ from .rdqm import (
     build_meixner_model,
     darboux_chain_replay,
     sign_conjecture_check,
-    spectrum_check,
+    spectrum_report,
     two_path_compare_rdqm,
 )
 from .report import CheckReport, sort_reports, summarize
-from .sampling import SamplerConfig, random_poly, trial_rng
+from .sampling import SamplerConfig
 from .scalars import DEFAULT_PRECISION_BITS, rational
 
 SCHEMA_VERSION = 1
@@ -164,10 +161,9 @@ def apply_config_file(argv, args: argparse.Namespace) -> argparse.Namespace:
 # ---------------------------------------------------------------------------
 
 def run_identities(args) -> list[CheckReport]:
-    config = SamplerConfig(trials=args.trials, master_seed=args.seed,
-                           max_degree=args.max_degree,
-                           coefficient_bound=args.coeff_bound)
-    return run_identity_suite(config)
+    return run_identity_suite(SamplerConfig(trials=args.trials, master_seed=args.seed,
+                                            max_degree=args.max_degree,
+                                            coefficient_bound=args.coeff_bound))
 
 
 def run_oqm(args) -> list[CheckReport]:
@@ -177,48 +173,16 @@ def run_oqm(args) -> list[CheckReport]:
         for label in labels:
             if label < 0:
                 raise ValueError(f"{flag} {label} is negative")
-    model = build_harmonic_model(max([args.n_max, args.n + 1, *(e + 1 for e in d_e)]),
-                                 max([args.v_max, *(v + 1 for v in d_v)]))
-    reports = [two_path_compare(model, d_v, d_e, args.n)]
-    census_one = degree_census(model, d_v, d_e, args.n_max)
-    census_two = degree_census(model, d_v, d_e, args.n_max, staged=True)
-    reports.append(CheckReport(
-        identity_id="oqm.degree-census",
-        passed=census_one == census_two,
-        lhs=str(census_one), rhs=str(census_two),
-        params={"d_v": d_v, "d_e": d_e,
-                "missing": list(census_one.missing),
-                "classification": census_one.classification}))
-    return reports
+    model = harmonic_model_for(d_v, d_e, max(args.n_max, args.n + 1), args.v_max)
+    return [two_path_compare(model, d_v, d_e, args.n),
+            census_check(model, d_v, d_e, args.n_max)]
 
 
 def run_idqm(args) -> list[CheckReport]:
     gamma = rational(args.gamma)
-    reports = []
-    for trial in range(args.trials):
-        rng = trial_rng(SamplerConfig(trials=max(args.trials, 1), master_seed=args.seed),
-                        "idqm.sweep", trial)
-        v = RationalFn(random_poly(rng, args.max_degree, 5, nonzero=True))
-        l_count = rng.randint(0, args.l_max)
-        m_count = rng.randint(1, args.m_max)
-        for attempt in range(20):
-            try:
-                dv = [random_poly(rng, 3, 5, nonzero=True) for _ in range(l_count)]
-                de = [random_poly(rng, 3, 5, nonzero=True) for _ in range(m_count)]
-                v_state = random_poly(rng, 3, 5, nonzero=True)
-                mu = random_poly(rng, 2, 5, nonzero=True)
-                r1 = check_prefactor_gg(v, gamma, l_count, m_count)
-                r2 = check_potential_product_identity(v, dv, gamma, m_count, mu)
-                r3 = two_path_compare_idqm(v, dv, de, v_state, gamma, mu)
-                break
-            except ZeroDivisionError:
-                continue
-        else:
-            raise RuntimeError("could not draw a nondegenerate idqm instance")
-        for rep in (r1, r2, r3):
-            rep.params["trial"] = trial
-            reports.append(rep)
-    return reports
+    return [report for trial in range(args.trials)
+            for report in idqm_trial(args.seed, trial, gamma, args.l_max, args.m_max,
+                                     args.max_degree)]
 
 
 def run_rdqm(args) -> list[CheckReport]:
@@ -235,39 +199,22 @@ def run_rdqm(args) -> list[CheckReport]:
                                 x_max=args.window, precision_bits=args.precision_bits)
     for energy in dv:       # a seed that misses its residual gate fails before any check
         model.seed(energy)
-    reports = []
-    for n in levels:
-        reports.append(two_path_compare_rdqm(model, dv, de, n, args.tolerance,
-                                             compare_up_to=compare_up_to))
+    reports = [two_path_compare_rdqm(model, dv, de, n, args.tolerance,
+                                     compare_up_to=compare_up_to) for n in levels]
     for n in levels:
         reports += darboux_chain_replay(model, dv, de, n, args.tolerance, compare_up_to)
-    sign_ok = sign_conjecture_check(model, dv, de)
-    reports.append(CheckReport(identity_id="rdqm.sign-conjecture", passed=True,
-                               lhs="sgn W_C[seeds]", rhs="epsilon_D",
-                               params={"holds_on_window": sign_ok},
-                               inconclusive=not sign_ok,
-                               note="" if sign_ok else
-                               "sign conjecture violated on window (reported, not failed)"))
-    spectrum = spectrum_check(model, dv, de, args.truncation, args.eigen_count,
-                              mpmath.mpf(10) ** -8, mpmath.mpf(10) ** -9)
-    reports.append(CheckReport(
-        identity_id="rdqm.spectrum", passed=spectrum["matched"] or spectrum["inconclusive"],
-        lhs=str(spectrum["eigenvalues"]), rhs=str(spectrum["expected"]),
-        params={k: spectrum[k] for k in ("deviations", "sensitivity", "truncation",
-                                         "second_truncation", "positivity")},
-        inconclusive=spectrum["inconclusive"],
-        note="truncation-sensitive" if spectrum["inconclusive"] else ""))
+    reports.append(sign_conjecture_check(model, dv, de))
+    report, spectrum = spectrum_report(model, dv, de, args.truncation, args.eigen_count)
+    reports.append(report)
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow([f"spectrum (bits={args.precision_bits})"])
-            writer.writerow(["index", "eigenvalue"])
-            for idx, value in enumerate(spectrum["eigenvalues"]):
-                writer.writerow([idx, value])
+            writer.writerows([[f"spectrum (bits={args.precision_bits})"],
+                              ["index", "eigenvalue"], *enumerate(spectrum["eigenvalues"])])
             for label, grid in [("phi_0", model.eigen(0)), ("ground", model.ground)]:
-                writer.writerow([])
-                for row in grid_csv_rows(label, grid, args.precision_bits):
-                    writer.writerow(row)
+                writer.writerows([[], ["x", f"{label} (bits={args.precision_bits})"],
+                                  *([str(x), mpmath.nstr(v, 30)]
+                                    for x, v in enumerate(grid.values))])
     return reports
 
 
@@ -314,17 +261,12 @@ def emit(args, reports: list[CheckReport], started: float, config_echo: dict) ->
 
 def exit_status(summary: dict) -> int:
     """1 if any check failed, else 3 if any was inconclusive, else 0."""
-    if summary["failed"]:
-        return 1
-    if summary["inconclusive"]:
-        return 3
-    return 0
+    return 1 if summary["failed"] else 3 if summary["inconclusive"] else 0
 
 
 def config_echo_from(args) -> dict:
-    skip = {"command", "config", "out", "replay"}
     return {key: value for key, value in sorted(vars(args).items())
-            if key not in skip}
+            if key not in {"command", "config", "out", "replay"}}
 
 
 def run_replay(args) -> int:

@@ -7,10 +7,7 @@ loudly.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
-
-import mpmath
 
 
 class WindowError(ValueError):
@@ -53,16 +50,3 @@ class GridFn:
         tail = ", ..." if len(self.values) > 4 else ""
         return f"GridFn([{head}{tail}], x_max={self.x_max})"
 
-
-def grid_csv_rows(name: str, grid: GridFn, precision_bits: int | None = None):
-    """Rows for CSV export: header then (x, value) pairs."""
-    header = [f"x", f"{name}"]
-    if precision_bits is not None:
-        header[1] += f" (bits={precision_bits})"
-    rows = [header]
-    for x, v in enumerate(grid.values):
-        if isinstance(v, Fraction):
-            rows.append([str(x), f"{v.numerator}/{v.denominator}"])
-        else:
-            rows.append([str(x), mpmath.nstr(v, 30)])
-    return rows

@@ -18,9 +18,12 @@ how a seeded trial draws its inputs, how inputs are encoded into a witness,
 and how a witness is decoded and re-run.  The 18 identity rows come from two
 tables, ``FAMILIES`` (algebra, element drawer, element codec, whether gamma
 is drawn) and ``KINDS`` (the shape's argument names); witness keys are the
-checkers' parameter names.  The lab rows (oqm, idqm, rdqm) decode witnesses
-that their lab modules write.  ``run_identity_suite`` drives seeded sweeps
-over the identity rows, and ``replay_witness`` is the one replay entry point.
+checkers' parameter names.  The 11 lab rows (oqm, idqm, rdqm) replay the
+witnesses that their lab modules write, each naming its checker's arguments
+as witness keys that ``LAB_INPUTS`` decodes.  ``run_identity_suite`` drives
+seeded sweeps over the identity rows and ``idqm_trial`` draws idQM's; both
+redraw a degenerate draw in one loop.  ``replay_witness`` is the one replay
+entry point.
 """
 
 from __future__ import annotations
@@ -490,7 +493,7 @@ KINDS = {
 @dataclass(frozen=True)
 class Check:
     """Registry row of one check id.  Lab rows only replay: their lab
-    modules write their witnesses and their CLI runners draw their inputs."""
+    modules write their witnesses."""
 
     replay: Callable[[dict], CheckReport]         # witness inputs -> report
     run: Callable[[dict], CheckReport] | None = None  # checker inputs -> report
@@ -564,49 +567,39 @@ def _draw_classical_limit(rng, cfg: SamplerConfig) -> dict:
     return dict(fs=fs, gamma0=Fraction(1), halvings=4)
 
 
-def _polys(data) -> list[Poly]:
-    return [Poly.deserialize(d) for d in data]
+def _polys(key: str) -> Callable[[dict], list[Poly]]:
+    return lambda d: [Poly.deserialize(p) for p in d[key]]
 
 
-def _potential(d: dict) -> RationalFn:
-    return RationalFn(Poly.deserialize(d["v_num"]), Poly.deserialize(d["v_den"]))
+def _poly(key: str) -> Callable[[dict], Poly]:
+    return lambda d: Poly.deserialize(d[key])
 
 
-def _replay_oqm_two_path(d: dict) -> CheckReport:
-    model = oqm.build_harmonic_model(max(d["d_e"] + [d["n"]]) + 2, max(d["d_v"] + [0]) + 1)
-    return oqm.two_path_compare(model, d["d_v"], d["d_e"], d["n"])
+# Decoders of lab witness inputs, by argument name; a witness key without
+# one is passed as it reads.  A model is rebuilt from the witness, the
+# harmonic one by the run's sizing rule.
+LAB_INPUTS: dict[str, Callable[[dict], object]] = {
+    "v": lambda d: RationalFn(Poly.deserialize(d["v_num"]), Poly.deserialize(d["v_den"])),
+    "gamma": lambda d: rational(d["gamma"]),
+    "dv": _polys("dv"), "de": _polys("de"), "seeds": _polys("seeds"),
+    "v_state": _poly("v_state"), "mu": _poly("mu"),
+    "harmonic model": lambda d: oqm.harmonic_model_for(
+        d["d_v"], d["d_e"], max(d.get("n_max", 0), d.get("n", -1) + 1), 0),
+    "meixner model": lambda d: rdqm.build_meixner_model(
+        d["beta"], d["c"], n_max=d["n_max"], x_max=d["window"],
+        precision_bits=d["precision_bits"]),
+}
+RDQM_RUN = ("meixner model", "dv_energies", "de_labels")
 
 
-def _replay_idqm_two_path(d: dict) -> CheckReport:
-    return idqm.two_path_compare_idqm(_potential(d), _polys(d["dv"]), _polys(d["de"]),
-                                      Poly.deserialize(d["v_state"]), rational(d["gamma"]),
-                                      Poly.deserialize(d["mu"]))
+def _lab_args(d: dict, args: Sequence[str]) -> list:
+    return [LAB_INPUTS[a](d) if a in LAB_INPUTS else d[a] for a in args]
 
 
-def _replay_idqm_prefactor(d: dict) -> CheckReport:
-    return idqm.check_prefactor_gg(_potential(d), rational(d["gamma"]), d["l"], d["m"])
-
-
-def _replay_idqm_potential(d: dict) -> CheckReport:
-    return idqm.check_potential_product_identity(_potential(d), _polys(d["seeds"]),
-                                                 rational(d["gamma"]), d["m"],
-                                                 Poly.deserialize(d["mu"]))
-
-
-def _meixner_model(d: dict) -> rdqm.RdqmModel:
-    return rdqm.build_meixner_model(d["beta"], d["c"], n_max=d["n_max"], x_max=d["window"],
-                                    precision_bits=d["precision_bits"])
-
-
-def _replay_rdqm_two_path(d: dict) -> CheckReport:
-    return rdqm.two_path_compare_rdqm(_meixner_model(d), d["dv_energies"], d["de_labels"],
-                                      d["n"], d["tolerance"], compare_up_to=d["compare_up_to"])
-
-
-def _replay_rdqm_step(d: dict) -> CheckReport:
-    return rdqm.darboux_step_replay(_meixner_model(d), d["dv_energies"], d["de_labels"],
-                                    d["n"], d["s"], d["tolerance"],
-                                    compare_up_to=d["compare_up_to"])
+def _lab_row(lab, checker: str, *args: str) -> Check:
+    """Row of a lab checker; ``args`` name its arguments in call order.  The
+    checker is looked up at call time, so a patched one is the one that runs."""
+    return Check(lambda d: getattr(lab, checker)(*_lab_args(d, args)))
 
 
 def _identity_row(family: str, kind: str) -> Check:
@@ -624,12 +617,21 @@ CHECKS: dict[str, Check] = {
 CHECKS.update({
     "cas-imag.classical-limit": _checker_row("check_classical_limit", Poly, _draw_classical_limit),
     "cas-imag.sum-formula": _checker_row("check_sum_formula"),
-    "oqm.two-path": Check(_replay_oqm_two_path),
-    "idqm.two-path": Check(_replay_idqm_two_path),
-    "idqm.prefactor-gg": Check(_replay_idqm_prefactor),
-    "idqm.potential-product": Check(_replay_idqm_potential),
-    "rdqm.two-path": Check(_replay_rdqm_two_path),
-    "rdqm.step-replay": Check(_replay_rdqm_step),
+    "oqm.two-path": _lab_row(oqm, "two_path_compare", "harmonic model", "d_v", "d_e", "n"),
+    "oqm.degree-census": _lab_row(oqm, "census_check", "harmonic model", "d_v", "d_e",
+                                  "n_max"),
+    "idqm.two-path": _lab_row(idqm, "two_path_compare_idqm", "v", "dv", "de", "v_state",
+                              "gamma", "mu"),
+    "idqm.prefactor-gg": _lab_row(idqm, "check_prefactor_gg", "v", "gamma", "l", "m"),
+    "idqm.potential-product": _lab_row(idqm, "check_potential_product_identity", "v", "seeds",
+                                       "gamma", "m", "mu"),
+    "rdqm.two-path": _lab_row(rdqm, "two_path_compare_rdqm", *RDQM_RUN, "n", "tolerance",
+                              "compare_up_to"),
+    "rdqm.step-replay": _lab_row(rdqm, "darboux_step_replay", *RDQM_RUN, "n", "s",
+                                 "tolerance", "compare_up_to"),
+    "rdqm.sign-conjecture": _lab_row(rdqm, "sign_conjecture_check", *RDQM_RUN),
+    "rdqm.spectrum": Check(lambda d: rdqm.spectrum_report(
+        *_lab_args(d, RDQM_RUN + ("truncation", "eigen_count")))[0]),
 })
 
 IDENTITY_IDS = tuple(sorted(f"{family}.{kind}" for family in FAMILIES for kind in KINDS))
@@ -653,18 +655,50 @@ def replay_witness(witness) -> CheckReport:
         raise ValueError(f"witness inputs lack or misname {exc}") from None
 
 
-def draw_trial(identity_id: str, config: SamplerConfig, trial: int) -> tuple[dict, CheckReport]:
-    """Inputs and report of one seeded trial; degenerate draws (zero Wronskian
-    denominators) are redrawn from the same stream a bounded number of times."""
-    check = CHECKS[identity_id]
-    rng = trial_rng(config, identity_id, trial)
+def _redrawn(draw: Callable[[], dict], run: Callable[[dict], object], what: str):
+    """(inputs, run(inputs)) of the first of at most 20 draws whose run
+    divides by no zero (a degenerate Wronskian denominator)."""
     for _ in range(20):
-        inputs = check.draw(rng, config)
+        inputs = draw()
         try:
-            return inputs, check.run(inputs)
+            return inputs, run(inputs)
         except ZeroDivisionError:
             continue
-    raise RuntimeError(f"could not draw a nondegenerate instance for {identity_id}")
+    raise RuntimeError(f"could not draw a nondegenerate instance for {what}")
+
+
+def draw_trial(identity_id: str, config: SamplerConfig, trial: int) -> tuple[dict, CheckReport]:
+    """Inputs and report of one seeded trial; degenerate draws are redrawn
+    from the same stream."""
+    check = CHECKS[identity_id]
+    rng = trial_rng(config, identity_id, trial)
+    return _redrawn(lambda: check.draw(rng, config), check.run, identity_id)
+
+
+def idqm_trial(master_seed: int, trial: int, gamma: Fraction, l_max: int, m_max: int,
+               max_degree: int) -> list[CheckReport]:
+    """The three idQM checks of one seeded trial, tagged with its index.  V, l
+    and m are drawn once; seeds, state and mu are redrawn while degenerate."""
+    rng = trial_rng(SamplerConfig(master_seed=master_seed), "idqm.sweep", trial)
+    v = RationalFn(random_poly(rng, max_degree, 5, nonzero=True))
+    l_count = rng.randint(0, l_max)
+    m_count = rng.randint(1, m_max)
+
+    def draw() -> dict:
+        return dict(dv=[random_poly(rng, 3, 5, nonzero=True) for _ in range(l_count)],
+                    de=[random_poly(rng, 3, 5, nonzero=True) for _ in range(m_count)],
+                    v_state=random_poly(rng, 3, 5, nonzero=True),
+                    mu=random_poly(rng, 2, 5, nonzero=True))
+
+    def run(d: dict) -> list[CheckReport]:
+        return [idqm.check_prefactor_gg(v, gamma, l_count, m_count),
+                idqm.check_potential_product_identity(v, d["dv"], gamma, m_count, d["mu"]),
+                idqm.two_path_compare_idqm(v, d["dv"], d["de"], d["v_state"], gamma, d["mu"])]
+
+    reports = _redrawn(draw, run, "idqm.sweep")[1]
+    for report in reports:
+        report.params["trial"] = trial
+    return reports
 
 
 def run_single_trial(identity_id: str, config: SamplerConfig, trial: int) -> CheckReport:

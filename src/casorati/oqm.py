@@ -127,6 +127,14 @@ def build_harmonic_model(n_max: int, v_max: int) -> OqmModel:
                     levels=tuple(levels), aux=tuple(aux))
 
 
+def harmonic_model_for(d_v: Sequence[int], d_e: Sequence[int], n_max: int,
+                       v_max: int) -> OqmModel:
+    """The model of a run or a replay: levels 0..n_max and aux states
+    0..v_max, each grown past the largest seed label that uses it."""
+    return build_harmonic_model(max([n_max, *(e + 1 for e in d_e)]),
+                                max([v_max, *(v + 1 for v in d_v)]))
+
+
 def deformed_potential(model: OqmModel, seeds: Sequence[ExpPoly]) -> RationalFn:
     """U_D = U - 2 (log W[seeds])'' as an exact rational function.
 
@@ -221,17 +229,14 @@ def two_path_compare(model: OqmModel, d_v: Sequence[int], d_e: Sequence[int],
     same = (one_shot.pair == staged.pair
             and one_shot.q.num == staged.q.num
             and one_shot.q.den == staged.q.den)
-    witness = None
-    if not same:
-        witness = {"identityId": "oqm.two-path",
-                   "inputs": {"d_v": list(d_v), "d_e": list(d_e), "n": n}}
     pole_suspect = _denominator_real_root_probe(one_shot.q.den)
+    inputs = {"d_v": list(d_v), "d_e": list(d_e), "n": n}
     return CheckReport(
         identity_id="oqm.two-path",
-        params={"d_v": list(d_v), "d_e": list(d_e), "n": n,
-                "krein_adler": krein_adler_check(d_e),
+        params={**inputs, "krein_adler": krein_adler_check(d_e),
                 "denominator_sign_change": pole_suspect},
-        lhs=str(one_shot), rhs=str(staged), passed=same, witness=witness)
+        lhs=str(one_shot), rhs=str(staged), passed=same,
+        witness=None if same else {"identityId": "oqm.two-path", "inputs": inputs})
 
 
 @dataclass(frozen=True)
@@ -267,3 +272,18 @@ def degree_census(model: OqmModel, d_v: Sequence[int], d_e: Sequence[int],
     prefix = missing == tuple(range(len(missing)))
     return CensusResult(degrees=tuple(degrees), missing=missing,
                         classification="case-1" if prefix else "case-2")
+
+
+def census_check(model: OqmModel, d_v: Sequence[int], d_e: Sequence[int],
+                 n_max: int) -> CheckReport:
+    """The degree census of levels 0..n_max by both paths, which must agree."""
+    one_shot = degree_census(model, d_v, d_e, n_max)
+    staged = degree_census(model, d_v, d_e, n_max, staged=True)
+    same = one_shot == staged
+    inputs = {"d_v": list(d_v), "d_e": list(d_e)}
+    return CheckReport(
+        identity_id="oqm.degree-census", passed=same, lhs=str(one_shot), rhs=str(staged),
+        params={**inputs, "missing": list(one_shot.missing),
+                "classification": one_shot.classification},
+        witness=None if same else {"identityId": "oqm.degree-census",
+                                   "inputs": {**inputs, "n_max": n_max}})

@@ -10,9 +10,9 @@ facts that the source treats as numerically supported conjectures
 Casoratians) are checked per instance and reported, never assumed.
 
 Each check takes the model, the virtual seed energies and the deleted
-eigenstate labels, and writes its whole witness: its own inputs and the
-run's model and comparison settings, so that a witness from the CLI or from
-a library call replays alone.  One run computes each big-float quantity
+eigenstate labels, and returns its whole report; its witness holds the
+model, the seeds and the check's own inputs, so that a witness from the CLI
+or from a library call replays alone.  One run computes each big-float quantity
 once: the checks of a run take their virtual seeds, seed Casoratians and the
 first stage of the staged path from the model's ``RunMemo``, at the model's
 working precision, and the memo is freed with the model.
@@ -58,11 +58,7 @@ class ResidualGateError(ArithmeticError):
 
 
 def _sign(value) -> int:
-    if value > 0:
-        return 1
-    if value < 0:
-        return -1
-    return 0
+    return (value > 0) - (value < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -383,32 +379,35 @@ def deformed_eigenfunctions(b_grid: GridFn, d_grid: GridFn,
         return GridFn(values)
 
 
-def sign_conjecture_check(model: RdqmModel, dv_energies: Sequence,
-                          de_labels: Sequence[int]) -> bool:
-    """sgn W_C[seeds](x) == eps everywhere on the window, at the model's
-    working precision."""
-    seeds, energies = seed_set(model, dv_energies, de_labels)
-    if not seeds:
-        return True
-    epsilon = sign_factor(energies)
-    with working_precision(model.precision_bits):
-        wc = _casoratian(seeds, 0, model.memo)
-    return all(_sign(v) == epsilon for v in wc.values)
-
-
-def _witness(identity_id: str, inputs: dict, model: RdqmModel, dv_energies: Sequence,
-             de_labels: Sequence[int], n: int, tolerance, compare_up_to) -> dict:
-    """The witness of an rdQM check: its own inputs, then the model and the
-    comparison settings of the run, so that it replays alone.  A tolerance
-    given as text is recorded as that text."""
+def _witness(identity_id: str, model: RdqmModel, dv_energies: Sequence,
+             de_labels: Sequence[int], **inputs) -> dict:
+    """The witness of an rdQM check: the model, the seeds and the check's
+    other inputs, so that it replays alone."""
     return {"identityId": identity_id,
-            "inputs": {**inputs, "beta": format_rational(model.beta),
-                       "c": format_rational(model.c), "n_max": model.n_max,
-                       "window": model.x_max, "precision_bits": model.precision_bits,
-                       "tolerance": tolerance if isinstance(tolerance, str) else str(tolerance),
-                       "compare_up_to": compare_up_to,
+            "inputs": {"beta": format_rational(model.beta), "c": format_rational(model.c),
+                       "n_max": model.n_max, "window": model.x_max,
+                       "precision_bits": model.precision_bits,
                        "dv_energies": [str(rational(e)) for e in dv_energies],
-                       "de_labels": list(de_labels), "n": n}}
+                       "de_labels": list(de_labels), **inputs}}
+
+
+def sign_conjecture_check(model: RdqmModel, dv_energies: Sequence,
+                          de_labels: Sequence[int]) -> CheckReport:
+    """sgn W_C[seeds](x) == eps everywhere on the window, at the model's
+    working precision.  A violation is reported inconclusive, not failed."""
+    seeds, energies = seed_set(model, dv_energies, de_labels)
+    holds = True
+    if seeds:
+        epsilon = sign_factor(energies)
+        with working_precision(model.precision_bits):
+            wc = _casoratian(seeds, 0, model.memo)
+        holds = all(_sign(v) == epsilon for v in wc.values)
+    return CheckReport(
+        identity_id="rdqm.sign-conjecture", passed=True, lhs="sgn W_C[seeds]",
+        rhs="epsilon_D", params={"holds_on_window": holds}, inconclusive=not holds,
+        note="" if holds else "sign conjecture violated on window (reported, not failed)",
+        witness=None if holds else _witness("rdqm.sign-conjecture", model, dv_energies,
+                                            de_labels))
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +440,7 @@ def darboux_step_replay(model: RdqmModel, dv_energies: Sequence, de_labels: Sequ
     if not 0 <= s < len(seeds):
         raise ValueError("need 0 <= s < number of seeds")
     bound = mpmath.mpf(tolerance)
-    run = (model, dv_energies, de_labels, n, tolerance, compare_up_to)
+    run = dict(n=n, tolerance=str(tolerance), compare_up_to=compare_up_to)
     memo = model.memo
     with working_precision(model.precision_bits):
         phi = model.eigen(n)
@@ -466,7 +465,8 @@ def darboux_step_replay(model: RdqmModel, dv_energies: Sequence, de_labels: Sequ
                     params={"s": s, "assumption_violated": f"level {name}", "n": n},
                     lhs="", rhs="", inconclusive=True,
                     note="sgn W_C anchor at x=0,1 undefined or inconsistent",
-                    witness=_witness("rdqm.step-replay", {"s": s, "violated": name}, *run))
+                    witness=_witness("rdqm.step-replay", model, dv_energies, de_labels,
+                                     s=s, violated=name, **run))
             sigmas[name] = sig0
         sigma_s, sigma_s1 = sigmas["s"], sigmas["s1"]
 
@@ -499,7 +499,8 @@ def darboux_step_replay(model: RdqmModel, dv_energies: Sequence, de_labels: Sequ
                     "sigma_s": sigma_s, "sigma_s1": sigma_s1,
                     "emergent_sign_ok": bool(emergent_ok),
                     "eps_next_combinatorial": eps_s1, "n": n},
-            witness=None if passed else _witness("rdqm.step-replay", {"s": s}, *run))
+            witness=None if passed else _witness("rdqm.step-replay", model, dv_energies,
+                                                de_labels, s=s, **run))
 
 
 def darboux_chain_replay(model: RdqmModel, dv_energies: Sequence, de_labels: Sequence[int],
@@ -598,8 +599,8 @@ def two_path_compare_rdqm(model: RdqmModel, dv_energies: Sequence,
                     "krein_adler": krein_adler_check(de_labels),
                     "stage1_positivity": dict(stage1_positivity)},
             witness=None if passed else _witness(
-                "rdqm.two-path", {}, model, dv_energies, de_labels, n, tolerance,
-                compare_up_to))
+                "rdqm.two-path", model, dv_energies, de_labels, n=n,
+                tolerance=str(tolerance), compare_up_to=compare_up_to))
 
 
 def spectrum_check(model: RdqmModel, dv_energies: Sequence, de_labels: Sequence[int],
@@ -656,3 +657,23 @@ def spectrum_check(model: RdqmModel, dv_energies: Sequence, de_labels: Sequence[
             "sensitivity": mpmath.nstr(sensitivity, 8),
             "positivity": positivity,
         }
+
+
+def spectrum_report(model: RdqmModel, dv_energies: Sequence, de_labels: Sequence[int],
+                    n_trunc: int, k: int) -> tuple[CheckReport, dict]:
+    """The rdqm.spectrum report and the ``spectrum_check`` dict it is built
+    from, at deviation bound 1e-8 and sensitivity bound 1e-9 (both at mpmath's
+    ambient precision).  A truncation-sensitive spectrum is inconclusive, and passes."""
+    spectrum = spectrum_check(model, dv_energies, de_labels, n_trunc, k,
+                              mpmath.mpf(10) ** -8, mpmath.mpf(10) ** -9)
+    inconclusive = spectrum["inconclusive"]
+    report = CheckReport(
+        identity_id="rdqm.spectrum", passed=spectrum["matched"] or inconclusive,
+        lhs=str(spectrum["eigenvalues"]), rhs=str(spectrum["expected"]),
+        params={key: spectrum[key] for key in ("deviations", "sensitivity", "truncation",
+                                               "second_truncation", "positivity")},
+        inconclusive=inconclusive, note="truncation-sensitive" if inconclusive else "",
+        witness=None if spectrum["matched"] else _witness(
+            "rdqm.spectrum", model, dv_energies, de_labels, truncation=n_trunc,
+            eigen_count=k))
+    return report, spectrum

@@ -44,14 +44,9 @@ class CheckReport:
 
 
 def summarize(reports: list[CheckReport]) -> dict:
-    failed = sum(1 for r in reports if not r.passed)
-    inconclusive = sum(1 for r in reports if r.inconclusive)
-    return {
-        "total": len(reports),
-        "passed": sum(1 for r in reports if r.passed),
-        "failed": failed,
-        "inconclusive": inconclusive,
-    }
+    passed = sum(1 for r in reports if r.passed)
+    return {"total": len(reports), "passed": passed, "failed": len(reports) - passed,
+            "inconclusive": sum(1 for r in reports if r.inconclusive)}
 
 
 def sort_reports(reports: list[CheckReport]) -> list[CheckReport]:

@@ -221,7 +221,8 @@ def lowest_eigenvalues(diag: Sequence, off: Sequence, k: int,
                        tol=None) -> list:
     """The k smallest eigenvalues, each bisected to tol (default ~quarter
     of the working precision); shared brackets and counts placed by the
-    hints spare all but about two Sturm counts per eigenvalue."""
+    hints spare all but about two Sturm counts per eigenvalue.  A tol that
+    the working precision cannot resolve near an eigenvalue raises ValueError."""
     n = len(diag)
     if len(off) != n - 1:
         raise ValueError("off-diagonal length must be n - 1")
@@ -309,6 +310,9 @@ def lowest_eigenvalues(diag: Sequence, off: Sequence, k: int,
             mid = total >> 1
             if lower[j] < mid < upper[j]:
                 sturm(mid)
+            if mid == (b if mid >= upper[j] else a):   # no step after this one moves
+                raise ValueError(f"tol {mpmath.nstr(make_mpf(tol), 5)} is below the "
+                                 f"spacing of {prec}-bit numbers near eigenvalue {j}")
             if mid >= upper[j]:
                 b = mid
             else:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from casorati import cli
+from casorati import cli, oqm
 from casorati.cli import main, parse_list, read_config_file
 from casorati.scalars import rational
 
@@ -237,6 +237,11 @@ PINNED_REPORTS = [
      "dee2057d888fc94c3b56e06de313f650f55d4bab5c41c2df8271f3d1193c6036"),
 ]
 
+SPECTRUM_REPRODUCER = ["rdqm", "--dv=-0.6", "--n", "0,2", "--precision-bits", "192",
+                       "--window", "60", "--truncation", "40"]
+# Its report as recorded before rdqm.spectrum carried a witness.
+SPECTRUM_UNWITNESSED = "47d740c0186e447c5b3dd1a5daad42a5c1c771f9db0d57f044fd9f74e7c43da0"
+
 # Runs whose reports carry witnesses: (argv, exit code, witnesses, sha256 as
 # above), recorded before the idQM and rdQM witness writers were folded.
 PINNED_WITNESS_REPORTS = [
@@ -244,6 +249,10 @@ PINNED_WITNESS_REPORTS = [
      "49266d0fdfb9035331e25fa07eaf162c2a9a1231a0408cd9104488940abf232e"),
     (["rdqm", "--de=1,2", "--n", "0"], 1, 2,
      "5f98852cae819a15b9ed61bb37aadda42029cf686a72ba90970a78bbad0241d1"),
+    # a truncation-sensitive spectrum (its digest without the witness is
+    # SPECTRUM_UNWITNESSED)
+    (SPECTRUM_REPRODUCER, 3, 1,
+     "fec0372b626d0235684ab066b1dfd67dcd7ae5f5c1e56037c1e764618809693b"),
 ]
 
 # Runs that end in a configuration error: (argv, stderr), all exit 2.
@@ -318,6 +327,23 @@ def test_replay_idqm_inconclusive_witness_exits_3(tmp_path, capsys):
     assert code == 3
     for key in ("pass", "inconclusive", "lhs", "rhs", "note"):
         assert replayed[key] == check[key]
+
+
+def test_replay_spectrum_reproducer_exits_3(tmp_path, capsys):
+    """The truncation-sensitive spectrum's witness replays through the CLI
+    to the same inconclusive report; without the witness, the report is the
+    one recorded before the spectrum had one."""
+    payload = pinned_run(tmp_path, SPECTRUM_REPRODUCER)[1]
+    check = next(c for c in payload["checks"] if "witness" in c)
+    assert check["identityId"] == "rdqm.spectrum"
+    witness = check.pop("witness")
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == SPECTRUM_UNWITNESSED
+    check["witness"] = witness
+    assert check["witness"]["inputs"] == {
+        "beta": "2", "c": "1/3", "n_max": 8, "window": 60, "precision_bits": 192,
+        "dv_energies": ["-3/5"], "de_labels": [], "truncation": 40, "eigen_count": 5}
+    assert replay_check(tmp_path, capsys, "rdqm", check) == (3, check)
 
 
 def test_replay_rdqm_witness_carries_its_config(tmp_path, capsys):
@@ -398,6 +424,6 @@ def test_oqm_negative_label_exit_2(monkeypatch, capsys, argv, message):
     def no_model(*args, **kwargs):
         raise AssertionError("model built for an invalid configuration")
 
-    monkeypatch.setattr(cli, "build_harmonic_model", no_model)
+    monkeypatch.setattr(oqm, "build_harmonic_model", no_model)
     assert main(["oqm", *argv]) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"

@@ -179,7 +179,9 @@ def test_deformed_eigenfunction_residual(model):
 def test_sign_conjecture_and_negative_radicand(model):
     seeds = [solve_seed_at_energy(model, Fraction(-3, 5)),
              solve_seed_at_energy(model, Fraction(-17, 10))]
-    assert sign_conjecture_check(model, [Fraction(-3, 5), Fraction(-17, 10)], [])
+    report = sign_conjecture_check(model, [Fraction(-3, 5), Fraction(-17, 10)], [])
+    assert report.params == {"holds_on_window": True}
+    assert report.passed and not report.inconclusive and report.witness is None
     # an intermediate seed set violating admissibility trips the real-root guard
     with working_precision(BITS):
         bad = [seeds[0], seeds[1], model.eigen(1)]
@@ -390,6 +392,32 @@ def test_eigenvalues_reducible_repeated():
         tol = mpmath.mpf(2) ** -96
         for got, want in zip(values, [0, 1, 1, 2, 2, 3, 3, 4]):
             assert abs(got - want) <= tol * (1 + 2 * want)
+
+
+def test_eigenvalues_tol_below_working_spacing_raises(monkeypatch):
+    """A tol finer than the spacing of working-precision numbers near an
+    eigenvalue rounds a midpoint onto an end of the bracket; that step moves
+    nothing, so the bisection raises instead of looping.  The step bound
+    turns a loop that never ends into a failure of this test."""
+    rounded = tridiag_mod._rounded
+    calls = []
+
+    def bounded(x, prec):
+        calls.append(x)
+        if len(calls) > 10_000:
+            raise AssertionError("bisection did not end within 10,000 midpoints")
+        return rounded(x, prec)
+
+    monkeypatch.setattr(tridiag_mod, "_rounded", bounded)
+    diag = [mpmath.mpf(4) / 3, mpmath.mpf(3)]
+    off = [mpmath.mpf(1) / 7]
+    with working_precision(53):
+        with pytest.raises(ValueError, match=r"tol 8\.4703e-22 is below the spacing of "
+                                             r"53-bit numbers near eigenvalue 0"):
+            lowest_eigenvalues(diag, off, 1, tol=mpmath.mpf(2) ** -70)
+        calls.clear()
+        # at a tol that 53 bits resolve, the same matrix still bisects as before
+        assert_matches_bisection(diag, off, 2, mpmath.mpf(2) ** -50)
 
 
 # Entries: small integers and fractions, optionally moved by 2^-70, which

@@ -1,6 +1,7 @@
 """The check registry: every check id encodes its inputs into a witness that
 replays, on its own, to the same report."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -49,8 +50,19 @@ def test_registry_covers_every_witness_kind():
     assert set(IDENTITY_IDS) < set(CHECKS)
     assert set(CHECKS) - set(IDENTITY_IDS) == {
         "cas-imag.classical-limit", "cas-imag.sum-formula", "oqm.two-path",
-        "idqm.two-path", "idqm.prefactor-gg", "idqm.potential-product",
-        "rdqm.two-path", "rdqm.step-replay"}
+        "oqm.degree-census", "idqm.two-path", "idqm.prefactor-gg",
+        "idqm.potential-product", "rdqm.two-path", "rdqm.step-replay",
+        "rdqm.sign-conjecture", "rdqm.spectrum"}
+    assert len(CHECKS) == 29
+
+
+def test_every_check_of_a_full_run_is_registered(tmp_path):
+    """Every check id that `casorati all` emits has a registry row, so any
+    of its witnesses can be replayed."""
+    out = tmp_path / "report.json"
+    main(["all", "--trials", "1", "--out", str(out)])
+    emitted = {check["identityId"] for check in json.loads(out.read_text())["checks"]}
+    assert emitted == set(CHECKS)
 
 
 @pytest.mark.parametrize("master_seed", [1, 2, 3])
@@ -194,3 +206,65 @@ def test_rdqm_step_replay_library_witness(monkeypatch, tmp_path, dv, flip_parity
                                               compare_up_to=40)
         assert report.witness == check["witness"]
         assert replay_json(report.witness).to_dict() == report.to_dict()
+
+
+def _census_disagrees(monkeypatch):
+    """The staged degree census gains a degree the one-shot one lacks."""
+    census = oqm_mod.degree_census
+
+    def disagreeing(model, d_v, d_e, n_max, staged=False):
+        result = census(model, d_v, d_e, n_max, staged)
+        return dataclasses.replace(result, degrees=result.degrees + (99,)) if staged else result
+
+    monkeypatch.setattr(oqm_mod, "degree_census", disagreeing)
+
+
+def _sign_conjecture_false(monkeypatch):
+    true_sign = rdqm_mod.sign_factor
+    monkeypatch.setattr(rdqm_mod, "sign_factor", lambda energies: -true_sign(energies))
+
+
+def _spectrum_truncation_sensitive(monkeypatch):
+    """The second, larger truncation's eigenvalues move by 1e-6; the first's stay."""
+    eigenvalues = rdqm_mod.lowest_eigenvalues
+
+    def moved(diag, off, k):
+        values = eigenvalues(diag, off, k)
+        return values if len(diag) <= TRUNCATION else [v + mpmath.mpf(10) ** -6 for v in values]
+
+    monkeypatch.setattr(rdqm_mod, "lowest_eigenvalues", moved)
+
+
+TRUNCATION = 20
+SMALL_RDQM = ["--window", "40", "--truncation", str(TRUNCATION), "--precision-bits", "128",
+              "--tolerance", "1e-20"]
+
+
+@pytest.mark.parametrize("identity_id, argv, corrupt, note", [
+    ("oqm.degree-census", ["oqm", "--dv", "0", "--de", "1,2", "--n", "0"],
+     _census_disagrees, None),
+    ("rdqm.sign-conjecture", ["rdqm", "--dv=-0.6", "--n", "0", *SMALL_RDQM],
+     _sign_conjecture_false, "sign conjecture violated on window (reported, not failed)"),
+    ("rdqm.spectrum", ["rdqm", "--dv=-0.6,-1.7", "--de=1,2", "--n", "0", *SMALL_RDQM],
+     _spectrum_truncation_sensitive, "truncation-sensitive"),
+])
+def test_cli_checks_replay_under_negative_control(monkeypatch, tmp_path, capsys,
+                                                 identity_id, argv, corrupt, note):
+    """A corruption makes the census fail, or the sign conjecture or the
+    spectrum inconclusive; the report then carries a witness, which replays,
+    under the same corruption, to the same report through replay_witness and
+    through `casorati <lab> --replay`."""
+    corrupt(monkeypatch)
+    out = tmp_path / "report.json"
+    main([*argv, "--out", str(out)])
+    (check,) = [c for c in json.loads(out.read_text())["checks"]
+                if c["identityId"] == identity_id]
+    assert (not check["pass"]) if note is None else (check["inconclusive"] and
+                                                      check["note"] == note)
+    assert check["witness"]["identityId"] == identity_id
+    assert replay_json(check["witness"]).to_dict() == check
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(check["witness"]))
+    capsys.readouterr()
+    assert main([argv[0], "--replay", str(path)]) == (3 if check["pass"] else 1)
+    assert json.loads(capsys.readouterr().out) == check
