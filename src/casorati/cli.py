@@ -7,7 +7,7 @@ report and witness, and ``--replay`` re-runs a witness through the check
 registry.  Runs are reproducible from their configuration alone; the JSON
 report echoes it, and ``rdqm --csv`` exports the spectrum.  Exit codes:
 0 every check passed, 1 at least one failure, 2 configuration error (an
-rdQM residual gate missed or a sign premise violated among them),
+inadmissible witness, a residual gate missed, a sign premise violated),
 3 inconclusive-only issues (sign samples, truncation sensitivity).
 """
 
@@ -29,15 +29,8 @@ from . import __version__
 from .identities import idqm_trial, replay_witness, run_identity_suite
 from .oqm import census_check, harmonic_model_for, two_path_compare
 from .rdqm import (
-    NegativeRadicandError,
-    ResidualGateError,
-    SingularDeformationError,
-    build_meixner_model,
-    darboux_chain_replay,
-    sign_conjecture_check,
-    spectrum_report,
-    two_path_compare_rdqm,
-)
+    NegativeRadicandError, ResidualGateError, SingularDeformationError, build_meixner_model,
+    darboux_chain_replay, sign_conjecture_check, spectrum_report, two_path_compare_rdqm)
 from .report import CheckReport, sort_reports, summarize
 from .sampling import SamplerConfig
 from .scalars import DEFAULT_PRECISION_BITS, rational
@@ -180,6 +173,9 @@ def run_oqm(args) -> list[CheckReport]:
 
 def run_idqm(args) -> list[CheckReport]:
     gamma = rational(args.gamma)
+    if args.l_max + args.m_max > 4:
+        raise ValueError(f"--l-max {args.l_max} + --m-max {args.m_max} is above 4: five or "
+                         f"more seeds of degree <= 3 have a vanishing Casoratian")
     return [report for trial in range(args.trials)
             for report in idqm_trial(args.seed, trial, gamma, args.l_max, args.m_max,
                                      args.max_degree)]
@@ -272,8 +268,7 @@ def config_echo_from(args) -> dict:
 def run_replay(args) -> int:
     """Re-run the check of a witness file; exit as ``emit`` would for it."""
     with open(args.replay) as fh:
-        witness = json.load(fh)
-    report = replay_witness(witness)
+        report = replay_witness(json.load(fh))
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return exit_status(summarize([report]))
 

@@ -13,26 +13,22 @@ its unit, and the row points with evaluation at a point; so are the direct
 sides of the theorem at m = 2 (``two_column_identity``).  The corollaries
 stay per family; the two Casoratian ones share the squared form.
 
-``CHECKS`` maps every check id that can emit a witness to its registry row:
-how a seeded trial draws its inputs, how inputs are encoded into a witness,
-and how a witness is decoded and re-run.  The 18 identity rows come from two
-tables, ``FAMILIES`` (algebra, element drawer, element codec, whether gamma
-is drawn) and ``KINDS`` (the shape's argument names); witness keys are the
-checkers' parameter names.  The 11 lab rows (oqm, idqm, rdqm) replay the
-witnesses that their lab modules write, each naming its checker's arguments
-as witness keys that ``LAB_INPUTS`` decodes.  ``run_identity_suite`` drives
-seeded sweeps over the identity rows and ``idqm_trial`` draws idQM's; both
-redraw a degenerate draw in one loop.  ``replay_witness`` is the one replay
-entry point.
+``CHECKS`` holds the row of each of the 29 check ids: its checker, its
+arguments as witness keys and, for the identity rows, a seeded draw.
+``report.check_report`` writes every witness; ``replay_witness`` decodes one
+by ``DECODERS``, which check each key's JSON type, and re-runs it.
+``run_identity_suite`` drives seeded sweeps over the identity rows and
+``idqm_trial`` draws idQM's; both redraw a degenerate draw in one loop.
 """
 
 from __future__ import annotations
 
-import inspect
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from functools import partial
+from typing import Callable, NamedTuple, Sequence
 
 from . import idqm, oqm, rdqm
 from .determinants import (
@@ -46,7 +42,7 @@ from .determinants import (
     wronskian_operator,
 )
 from .poly import ExpPoly, Poly, RationalFn, poly_products_equal
-from .report import CheckReport, sort_reports
+from .report import CheckReport, check_report, encode, sort_reports
 from .sampling import (
     SamplerConfig,
     random_exp_poly,
@@ -57,18 +53,6 @@ from .sampling import (
 from .scalars import format_rational, i_power, imaginary, rational
 
 HALF = Fraction(1, 2)
-
-
-def _report(identity_id, passed, lhs, rhs, params, inputs,
-            inconclusive=False, note="") -> CheckReport:
-    """A checker's report; ``inputs`` (its arguments by parameter name) are
-    encoded into a witness when the check fails or is inconclusive."""
-    witness = None
-    if not passed or inconclusive:
-        witness = {"identityId": identity_id, "inputs": CHECKS[identity_id].encode(inputs)}
-    return CheckReport(identity_id=identity_id, params=params, lhs=str(lhs),
-                       rhs=str(rhs), passed=passed, witness=witness,
-                       inconclusive=inconclusive, note=note)
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +66,7 @@ def _d_imag(f: Poly, gamma: Fraction) -> Poly:
 
 @dataclass(frozen=True)
 class Family:
-    """One determinant family: how its inputs are drawn and encoded, and the
+    """One determinant family: how its inputs are drawn and decoded, and the
     algebra the shape checkers are written in.
 
     Row points are offsets from x.  The Wronskian is the gamma -> 0 limit of
@@ -93,7 +77,7 @@ class Family:
     """
 
     draw: Callable            # element drawer: random_exp_poly or random_poly
-    element: type             # element codec: ExpPoly or Poly (serialize / deserialize)
+    element: type             # ExpPoly or Poly: its one() and the decoder of its witness values
     gamma: bool               # whether a shift gamma is drawn
     det: Callable             # (fs, gamma) -> W[f_1, ..., f_n]
     reduce: Callable          # (f, gamma) -> Df in W[1, f..] == c_n W[Df..]
@@ -148,7 +132,7 @@ def _shape_report(family: str, kind: str, passed: bool, lhs, rhs, params: dict,
                   inputs: dict, gamma) -> CheckReport:
     if gamma is not None:
         params["gamma"] = format_rational(gamma)
-    return _report(f"{family}.{kind}", passed, lhs, rhs, params, dict(inputs, gamma=gamma))
+    return check_report(f"{family}.{kind}", passed, lhs, rhs, params, dict(inputs, gamma=gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +252,11 @@ def check_wronskian_corollary(fs: Sequence[ExpPoly], us: Sequence[ExpPoly],
     ok2 = poly_products_equal([(lhs2_num, 1), (rhs_num, 1), (w0, k2 - k1)],
                               [(w_all, 1), (rhs2_num, 1)])
 
-    return _report("wronskian.corollary", ok1 and ok2,
-                   "cross-multiplied quotient LHS", "cross-multiplied quotient RHS",
-                   {"l": len(fs), "m": m,
-                    "degrees": [f.p.degree for f in list(fs) + list(us) + [v]]},
-                   dict(fs=fs, us=us, v=v), note="" if ok1 else "corollary-form failed")
+    return check_report("wronskian.corollary", ok1 and ok2,
+                        "cross-multiplied quotient LHS", "cross-multiplied quotient RHS",
+                        {"l": len(fs), "m": m,
+                         "degrees": [f.p.degree for f in list(fs) + list(us) + [v]]},
+                        dict(fs=fs, us=us, v=v), note="" if ok1 else "corollary-form failed")
 
 
 def _squared_corollary(family: str, fs: Sequence[Poly], us: Sequence[Poly], gamma):
@@ -303,11 +287,11 @@ def check_cas_imag_corollary(fs: Sequence[Poly], us: Sequence[Poly], gamma) -> C
     """The squared corollary A^2 P == C^2 B of the imaginary-shift theorem."""
     gamma = rational(gamma)
     passed = _squared_corollary("cas-imag", fs, us, gamma)[0]
-    return _report("cas-imag.corollary", passed,
-                   "A^2 P (cross-multiplied)", "C^2 B (cross-multiplied)",
-                   {"l": len(fs), "m": len(us), "gamma": format_rational(gamma),
-                    "degrees": [f.degree for f in list(fs) + list(us)]},
-                   dict(fs=fs, us=us, gamma=gamma))
+    return check_report("cas-imag.corollary", passed,
+                        "A^2 P (cross-multiplied)", "C^2 B (cross-multiplied)",
+                        {"l": len(fs), "m": len(us), "gamma": format_rational(gamma),
+                         "degrees": [f.degree for f in list(fs) + list(us)]},
+                        dict(fs=fs, us=us, gamma=gamma))
 
 
 def _real_sign_at(p: Poly, x: int) -> int:
@@ -333,7 +317,6 @@ def check_cas_real_corollary(fs: Sequence[Poly], us: Sequence[Poly],
     ok_squared, (w0, a, gs, c, w2, p_parts) = _squared_corollary("cas-real", fs, us, None)
 
     ok_signed = True
-    inconclusive = False
     note = ""
     if v is not None:
         g_v = casoratian_real(list(fs) + [v])
@@ -379,12 +362,12 @@ def check_cas_real_corollary(fs: Sequence[Poly], us: Sequence[Poly],
                 note = "sign sample skipped (W_C[f] not sign-definite)"
 
     passed = ok_squared and ok_signed
-    return _report("cas-real.corollary", passed,
-                   "squared/4th-power cross-multiplied LHS",
-                   "squared/4th-power cross-multiplied RHS",
-                   {"l": len(fs), "m": m,
-                    "degrees": [f.degree for f in list(fs) + list(us)]},
-                   dict(fs=fs, us=us, v=v), inconclusive=inconclusive, note=note)
+    return check_report("cas-real.corollary", passed,
+                        "squared/4th-power cross-multiplied LHS",
+                        "squared/4th-power cross-multiplied RHS",
+                        {"l": len(fs), "m": m,
+                         "degrees": [f.degree for f in list(fs) + list(us)]},
+                        dict(fs=fs, us=us, v=v), note=note)
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +404,9 @@ def check_sum_formula(j_max: int) -> CheckReport:
             if total != expected:
                 failures.append({"j": j, "s": s, "got": format_rational(total),
                                  "expected": format_rational(expected)})
-    return _report("cas-imag.sum-formula", not failures,
-                   "binomial sums", "factorial deltas",
-                   {"j_max": j_max, "failures": failures}, dict(j_max=j_max))
+    return check_report("cas-imag.sum-formula", not failures,
+                        "binomial sums", "factorial deltas",
+                        {"j_max": j_max, "failures": failures}, dict(j_max=j_max))
 
 
 def check_classical_limit(fs: Sequence[Poly], gamma0, halvings: int) -> CheckReport:
@@ -470,13 +453,13 @@ def check_classical_limit(fs: Sequence[Poly], gamma0, halvings: int) -> CheckRep
               "degrees": [f.degree for f in fs]}
     if worst:
         params["violation"] = worst
-    return _report("cas-imag.classical-limit", ok,
-                   "scaled Casoratian errors", "first-order-or-faster decay",
-                   params, dict(fs=fs, gamma0=gamma0, halvings=halvings))
+    return check_report("cas-imag.classical-limit", ok,
+                        "scaled Casoratian errors", "first-order-or-faster decay",
+                        params, dict(fs=fs, gamma0=gamma0, halvings=halvings))
 
 
 # ---------------------------------------------------------------------------
-# Check registry: how each check id is drawn, encoded and replayed
+# Check registry: how each check id is drawn, run and replayed
 # ---------------------------------------------------------------------------
 
 # The element arguments of each identity shape, in checker call order.
@@ -490,55 +473,113 @@ KINDS = {
 }
 
 
+def _json(kind: type, value):
+    """``value``, if its JSON type is ``kind`` (a bool is no int)."""
+    if type(value) is not kind:
+        raise ValueError(f"{value!r} is not a JSON {kind.__name__}")
+    return value
+
+
+def _count(value) -> int:
+    """A count or a label: a non-negative int."""
+    if _json(int, value) < 0:
+        raise ValueError(f"{value} is negative")
+    return value
+
+
+def _list(decode: Callable) -> Callable:
+    return lambda value: [decode(item) for item in _json(list, value)]
+
+
+def _rational(value) -> Fraction:
+    return rational(_json(str, value))
+
+
+def _poly(value) -> Poly:
+    return Poly.deserialize([_json(str, item) for item in _json(list, value)])
+
+
+def _exp_poly(value) -> ExpPoly:
+    if sorted(_json(dict, value)) != ["a", "b", "p"]:
+        raise ValueError(f"{value!r} is not an object of p, a and b")
+    return ExpPoly(_poly(value["p"]), _rational(value["a"]), _rational(value["b"]))
+
+
+def _decoders(element: Callable) -> dict[str, Callable]:
+    """Witness key -> decoder of its JSON value; the identity checkers'
+    elements (f, g, v, fs, us) are decoded by ``element``."""
+    counts, polys, elements = _list(_count), _list(_poly), _list(element)
+    text = partial(_json, str)
+    return {"f": element, "g": element, "v": element, "fs": elements, "us": elements,
+            "gamma": _rational, "gamma0": _rational, "halvings": _count, "j_max": _count,
+            "d_v": counts, "d_e": counts, "n": _count, "n_max": _count, "l": _count,
+            "m": _count, "v_num": _poly, "v_den": _poly, "v_state": _poly, "mu": _poly,
+            "seeds": polys, "dv": polys, "de": polys, "beta": _rational, "c": _rational,
+            "window": _count, "precision_bits": _count, "dv_energies": _list(_rational),
+            "de_labels": counts, "s": _count, "tolerance": text, "violated": text,
+            "compare_up_to": _count, "truncation": _count, "eigen_count": _count}
+
+
+DECODERS = {Poly: _decoders(_poly), ExpPoly: _decoders(_exp_poly)}
+
+
+class Built(NamedTuple):
+    """A checker argument built from decoded witness inputs: a model or idQM's V."""
+
+    name: str
+    keys: tuple[str, ...]
+    build: Callable[[dict], object]
+
+
+HARMONIC_MODEL = Built("model", ("d_v", "d_e"), lambda d: oqm.harmonic_model_for(
+    d["d_v"], d["d_e"], max(d.get("n_max", 0), d.get("n", -1) + 1), 0))
+MEIXNER_MODEL = Built("model", ("beta", "c", "n_max", "window", "precision_bits"),
+                      lambda d: rdqm.build_meixner_model(
+                          d["beta"], d["c"], n_max=d["n_max"], x_max=d["window"],
+                          precision_bits=d["precision_bits"]))
+IDQM_V = Built("v", ("v_num", "v_den"), lambda d: RationalFn(d["v_num"], d["v_den"]))
+
+
 @dataclass(frozen=True)
 class Check:
-    """Registry row of one check id.  Lab rows only replay: their lab
-    modules write their witnesses."""
+    """Registry row of one check id.  Its checker is looked up in ``module``
+    at call time, so a patched one is the one that runs, and is called with
+    ``bound`` and then ``args`` by name, each a witness key or ``Built``.  A
+    witness holds exactly the keys the row reads, bar ``optional`` ones."""
 
-    replay: Callable[[dict], CheckReport]         # witness inputs -> report
-    run: Callable[[dict], CheckReport] | None = None  # checker inputs -> report
-    encode: Callable[[dict], dict] | None = None  # checker inputs -> witness inputs
-    draw: Callable | None = None                  # (rng, config) -> checker inputs
+    module: object
+    checker: str
+    args: tuple
+    optional: tuple[str, ...] = ()     # a None input, or only recorded
+    bound: tuple = ()
+    element: type = Poly               # decodes f, g, v, fs and us
+    draw: Callable | None = None       # (rng, config) -> checker inputs
+    encode = staticmethod(encode)
 
+    def run(self, inputs: dict) -> CheckReport:
+        args = {getattr(arg, "name", arg): arg.build(inputs) if isinstance(arg, Built)
+                else inputs.get(arg) for arg in self.args}
+        return getattr(self.module, self.checker)(*self.bound, **args)
 
-def _codecs(element: type) -> dict[str, tuple[Callable, Callable]]:
-    """Witness key -> (encode, decode) for the inputs of this module's checkers."""
-    one = (element.serialize, element.deserialize)
-    many = (lambda xs: [x.serialize() for x in xs],
-            lambda ds: [element.deserialize(d) for d in ds])
-    number = (format_rational, rational)
-    count = (int, int)
-    return {"f": one, "g": one, "v": one, "fs": many, "us": many,
-            "gamma": number, "gamma0": number, "halvings": count, "j_max": count}
-
-
-def _checker_row(checker: str, element: type = Poly, draw: Callable | None = None,
-                 family: str | None = None) -> Check:
-    """Row of a checker in this module; its witness keys are its parameter
-    names.  A shape checker's row passes it the family name first."""
-    codecs = _codecs(element)
-    bound = (family,) if family else ()
-
-    def run(inputs: dict) -> CheckReport:
-        # Looked up at call time, so a patched checker is the one that runs.
-        return globals()[checker](*bound, **inputs)
-
-    def encode(inputs: dict) -> dict:
-        return {key: codecs[key][0](value) for key, value in inputs.items()
-                if value is not None}
-
-    def replay(data: dict) -> CheckReport:
+    def replay(self, data: dict) -> CheckReport:
+        """Decode witness inputs and run them; keys not the row's, a value of
+        another JSON type and a degenerate instance raise ValueError."""
+        keys = {key for arg in self.args for key in getattr(arg, "keys", (arg,))}
+        if not keys - set(self.optional) <= set(data) <= keys | set(self.optional):
+            raise ValueError(f"witness inputs {sorted(data)} are not the keys {sorted(keys)}")
+        inputs = {}
+        for key, value in data.items():
+            try:
+                inputs[key] = DECODERS[self.element][key](value)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"witness input {key}: {exc}") from None
         try:
-            inputs = {key: codecs[key][1](value) for key, value in data.items()}
-            inspect.signature(globals()[checker]).bind(*bound, **inputs)
-        except TypeError as exc:
-            raise ValueError(f"malformed witness inputs: {exc}") from None
-        return run(inputs)
-
-    return Check(replay, run, encode, draw)
+            return self.run(inputs)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"degenerate witness inputs: {exc}") from None
 
 
-def _family_draw(family: Family, args: tuple[str, ...]) -> Callable:
+def _family_draw(family: Family, keys: tuple[str, ...]) -> Callable:
     """Seeded draw in a fixed order: n, m, gamma (if drawn), fs (the first
     nonzero), g (nonzero), us, then f or v when the shape takes one."""
     def draw(rng, cfg: SamplerConfig) -> dict:
@@ -551,15 +592,10 @@ def _family_draw(family: Family, args: tuple[str, ...]) -> Callable:
         drawn["g"] = element(nonzero=True)
         drawn["us"] = [element() for _ in range(m)]
         for last in ("f", "v"):
-            if last in args:
+            if last in keys:
                 drawn[last] = element()
-        return {key: drawn[key] for key in args + ("gamma",) * family.gamma}
+        return {key: drawn[key] for key in keys}
     return draw
-
-
-def _shape_args(family: str, kind: str) -> tuple[str, ...]:
-    # The imaginary-shift corollary has no two-path ratio, hence no v.
-    return KINDS[kind][:2] if (family, kind) == ("cas-imag", "corollary") else KINDS[kind]
 
 
 def _draw_classical_limit(rng, cfg: SamplerConfig) -> dict:
@@ -567,92 +603,66 @@ def _draw_classical_limit(rng, cfg: SamplerConfig) -> dict:
     return dict(fs=fs, gamma0=Fraction(1), halvings=4)
 
 
-def _polys(key: str) -> Callable[[dict], list[Poly]]:
-    return lambda d: [Poly.deserialize(p) for p in d[key]]
-
-
-def _poly(key: str) -> Callable[[dict], Poly]:
-    return lambda d: Poly.deserialize(d[key])
-
-
-# Decoders of lab witness inputs, by argument name; a witness key without
-# one is passed as it reads.  A model is rebuilt from the witness, the
-# harmonic one by the run's sizing rule.
-LAB_INPUTS: dict[str, Callable[[dict], object]] = {
-    "v": lambda d: RationalFn(Poly.deserialize(d["v_num"]), Poly.deserialize(d["v_den"])),
-    "gamma": lambda d: rational(d["gamma"]),
-    "dv": _polys("dv"), "de": _polys("de"), "seeds": _polys("seeds"),
-    "v_state": _poly("v_state"), "mu": _poly("mu"),
-    "harmonic model": lambda d: oqm.harmonic_model_for(
-        d["d_v"], d["d_e"], max(d.get("n_max", 0), d.get("n", -1) + 1), 0),
-    "meixner model": lambda d: rdqm.build_meixner_model(
-        d["beta"], d["c"], n_max=d["n_max"], x_max=d["window"],
-        precision_bits=d["precision_bits"]),
-}
-RDQM_RUN = ("meixner model", "dv_energies", "de_labels")
-
-
-def _lab_args(d: dict, args: Sequence[str]) -> list:
-    return [LAB_INPUTS[a](d) if a in LAB_INPUTS else d[a] for a in args]
-
-
-def _lab_row(lab, checker: str, *args: str) -> Check:
-    """Row of a lab checker; ``args`` name its arguments in call order.  The
-    checker is looked up at call time, so a patched one is the one that runs."""
-    return Check(lambda d: getattr(lab, checker)(*_lab_args(d, args)))
-
-
 def _identity_row(family: str, kind: str) -> Check:
-    """A shape checker bound to the family, or the family's own corollary."""
+    """A shape checker bound to the family, or the family's own corollary:
+    the imaginary-shift one has no two-path ratio, hence no v, and the
+    real-shift one's v is optional."""
     row = FAMILIES[family]
-    draw = _family_draw(row, _shape_args(family, kind))
-    if kind == "corollary":
-        return _checker_row(f"check_{family}_corollary".replace("-", "_"), row.element, draw)
-    return _checker_row(f"check_{kind}".replace("-", "_"), row.element, draw, family)
+    keys = KINDS[kind][:2] if (family, kind) == ("cas-imag", "corollary") else KINDS[kind]
+    keys += ("gamma",) * row.gamma
+    checker, bound = ((f"check_{family}_corollary", ()) if kind == "corollary"
+                      else (f"check_{kind}", (family,)))
+    return Check(_MODULE, checker.replace("-", "_"), keys,
+                 ("v",) * ((family, kind) == ("cas-real", "corollary")), bound, row.element,
+                 _family_draw(row, keys))
 
 
+def _spectrum(**args) -> CheckReport:
+    """The rdqm.spectrum report, without the spectrum that ``--csv`` writes."""
+    return rdqm.spectrum_report(**args)[0]
+
+
+_MODULE = sys.modules[__name__]
 CHECKS: dict[str, Check] = {
     f"{family}.{kind}": _identity_row(family, kind) for family in FAMILIES for kind in KINDS
 }
 CHECKS.update({
-    "cas-imag.classical-limit": _checker_row("check_classical_limit", Poly, _draw_classical_limit),
-    "cas-imag.sum-formula": _checker_row("check_sum_formula"),
-    "oqm.two-path": _lab_row(oqm, "two_path_compare", "harmonic model", "d_v", "d_e", "n"),
-    "oqm.degree-census": _lab_row(oqm, "census_check", "harmonic model", "d_v", "d_e",
-                                  "n_max"),
-    "idqm.two-path": _lab_row(idqm, "two_path_compare_idqm", "v", "dv", "de", "v_state",
-                              "gamma", "mu"),
-    "idqm.prefactor-gg": _lab_row(idqm, "check_prefactor_gg", "v", "gamma", "l", "m"),
-    "idqm.potential-product": _lab_row(idqm, "check_potential_product_identity", "v", "seeds",
-                                       "gamma", "m", "mu"),
-    "rdqm.two-path": _lab_row(rdqm, "two_path_compare_rdqm", *RDQM_RUN, "n", "tolerance",
-                              "compare_up_to"),
-    "rdqm.step-replay": _lab_row(rdqm, "darboux_step_replay", *RDQM_RUN, "n", "s",
-                                 "tolerance", "compare_up_to"),
-    "rdqm.sign-conjecture": _lab_row(rdqm, "sign_conjecture_check", *RDQM_RUN),
-    "rdqm.spectrum": Check(lambda d: rdqm.spectrum_report(
-        *_lab_args(d, RDQM_RUN + ("truncation", "eigen_count")))[0]),
+    "cas-imag.classical-limit": Check(_MODULE, "check_classical_limit",
+                                      ("fs", "gamma0", "halvings"), draw=_draw_classical_limit),
+    "cas-imag.sum-formula": Check(_MODULE, "check_sum_formula", ("j_max",)),
+    "oqm.two-path": Check(oqm, "two_path_compare", (HARMONIC_MODEL, "d_v", "d_e", "n")),
+    "oqm.degree-census": Check(oqm, "census_check", (HARMONIC_MODEL, "d_v", "d_e", "n_max")),
+    "idqm.two-path": Check(idqm, "two_path_compare_idqm",
+                           (IDQM_V, "dv", "de", "v_state", "gamma", "mu")),
+    "idqm.prefactor-gg": Check(idqm, "check_prefactor_gg", (IDQM_V, "gamma", "l", "m")),
+    "idqm.potential-product": Check(idqm, "check_potential_product_identity",
+                                    (IDQM_V, "seeds", "gamma", "m", "mu")),
+    "rdqm.two-path": Check(rdqm, "two_path_compare_rdqm",
+                           (MEIXNER_MODEL, "dv_energies", "de_labels", "n", "tolerance",
+                            "compare_up_to"), ("compare_up_to",)),
+    "rdqm.step-replay": Check(rdqm, "darboux_step_replay",
+                              (MEIXNER_MODEL, "dv_energies", "de_labels", "n", "s", "tolerance",
+                               "compare_up_to"), ("compare_up_to", "violated")),
+    "rdqm.sign-conjecture": Check(rdqm, "sign_conjecture_check",
+                                  (MEIXNER_MODEL, "dv_energies", "de_labels")),
+    "rdqm.spectrum": Check(_MODULE, "_spectrum", (MEIXNER_MODEL, "dv_energies", "de_labels",
+                                                  "truncation", "eigen_count")),
 })
 
 IDENTITY_IDS = tuple(sorted(f"{family}.{kind}" for family in FAMILIES for kind in KINDS))
 
 
 def replay_witness(witness) -> CheckReport:
-    """Re-run the check a witness records: registry lookup, decode, call.
-
-    A witness that is not an object with ``identityId`` and ``inputs``, names
-    no registered check or lacks an input raises ValueError.
-    """
-    if not (isinstance(witness, dict) and "identityId" in witness
+    """Re-run the check a witness records: registry lookup, decode, call.  A
+    witness that is not an object with a text ``identityId`` and an object
+    ``inputs``, or that its row does not decode, raises ValueError."""
+    if not (isinstance(witness, dict) and isinstance(witness.get("identityId"), str)
             and isinstance(witness.get("inputs"), dict)):
         raise ValueError("a witness is a JSON object with identityId and inputs")
     check = CHECKS.get(witness["identityId"])
     if check is None:
-        raise ValueError(f"cannot replay witness kind: {witness['identityId']}")
-    try:
-        return check.replay(witness["inputs"])
-    except KeyError as exc:
-        raise ValueError(f"witness inputs lack or misname {exc}") from None
+        raise ValueError(f"cannot replay witness kind: {witness['identityId']!r}")
+    return check.replay(witness["inputs"])
 
 
 def _redrawn(draw: Callable[[], dict], run: Callable[[dict], object], what: str):

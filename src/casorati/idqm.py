@@ -9,7 +9,8 @@ eigenfunction a longer product.  Every comparison is made on a power that
 clears the radicals (the square for the potential product, the 8th power for
 the eigenfunctions; an exact rational-function identity), plus, for the
 eigenfunctions, a sign check at admissible real sample points, where all
-tracked radicands are strictly positive.
+tracked radicands are strictly positive.  Each check hands its inputs to
+``report.check_report`` by their witness keys, V as ``v_num`` and ``v_den``.
 """
 
 from __future__ import annotations
@@ -19,17 +20,10 @@ from typing import Sequence
 
 from .determinants import casoratian_imag, imag_shift_points
 from .poly import Poly, RationalFn, as_rational_fn
-from .report import CheckReport
+from .report import CheckReport, check_report
 from .scalars import format_rational, imaginary, rational
 
 HALF = Fraction(1, 2)
-
-
-def _witness(identity_id: str, v: RationalFn, gamma: Fraction, **inputs) -> dict:
-    """The witness of an idQM check: V, gamma and the check's other inputs."""
-    return {"identityId": identity_id,
-            "inputs": {"v_num": v.num.serialize(), "v_den": v.den.serialize(),
-                       "gamma": format_rational(gamma), **inputs}}
 
 
 def star(fn: RationalFn | Poly) -> RationalFn:
@@ -196,17 +190,15 @@ def check_prefactor_gg(v: RationalFn, gamma, l: int, m: int) -> CheckReport:
                        * g4.shift(delta + imaginary(gamma * HALF)))
     rhs8 = (vv_product(v, gamma, l + m, 0, l - 1)
             * vv_product(v, gamma, l + m, m, l + m - 1))
-    passed = lhs8 == rhs8
-    return CheckReport(
-        identity_id="idqm.prefactor-gg", passed=passed,
-        lhs="G-product to the 8th power", rhs="V-product to the 8th power",
-        params={"l": l, "m": m, "gamma": format_rational(gamma),
-                "deg_v": v.reduce().num.degree},
-        witness=None if passed else _witness("idqm.prefactor-gg", v, gamma, l=l, m=m))
+    return check_report("idqm.prefactor-gg", lhs8 == rhs8,
+                        "G-product to the 8th power", "V-product to the 8th power",
+                        {"l": l, "m": m, "gamma": format_rational(gamma),
+                         "deg_v": v.reduce().num.degree},
+                        dict(v_num=v.num, v_den=v.den, gamma=gamma, l=l, m=m))
 
 
 def check_potential_product_identity(v: RationalFn, seeds: Sequence[Poly], gamma,
-                                     m: int, mu_state: Poly | None = None) -> CheckReport:
+                                     m: int, mu: Poly | None = None) -> CheckReport:
     """Squared form of the staged-potential product collapse.
 
     prod_{j=0}^{m-1} V_Dv(x+i(m/2-j)g) V_Dv*(x-i(m/2-j)g) equals a square
@@ -218,8 +210,8 @@ def check_potential_product_identity(v: RationalFn, seeds: Sequence[Poly], gamma
         raise ValueError("need m >= 1")
     _require_nonzero_potential(v)
     l = len(seeds)
-    mu_state = Poly.one() if mu_state is None else mu_state
-    lhs = conjugate_pair_product(deformed_potential_vd(v, seeds, gamma, mu_state), m, gamma)
+    mu = Poly.one() if mu is None else mu
+    lhs = conjugate_pair_product(deformed_potential_vd(v, seeds, gamma, mu), m, gamma)
 
     w = casoratian_imag(seeds, gamma)
     shifted = [w.shift(imaginary(k * gamma * HALF)) for k in (-(m + 1), -(m - 1), m + 1, m - 1)]
@@ -227,14 +219,11 @@ def check_potential_product_identity(v: RationalFn, seeds: Sequence[Poly], gamma
     rhs = (PowerProduct().times(four_point, 1)
            .times(vv_product(v, gamma, l + m, 0, m - 1)
                   * vv_product(v, gamma, l + m, l, l + m - 1), HALF))
-    passed = lhs.equals_power(rhs, 2)
-    return CheckReport(
-        identity_id="idqm.potential-product", passed=passed,
-        lhs="squared staged-potential product", rhs="squared V-product times Casoratian ratio",
-        params={"l": l, "m": m, "gamma": format_rational(gamma)},
-        witness=None if passed else _witness(
-            "idqm.potential-product", v, gamma, seeds=[s.serialize() for s in seeds],
-            mu=mu_state.serialize(), m=m))
+    return check_report("idqm.potential-product", lhs.equals_power(rhs, 2),
+                        "squared staged-potential product",
+                        "squared V-product times Casoratian ratio",
+                        {"l": l, "m": m, "gamma": format_rational(gamma)},
+                        dict(v_num=v.num, v_den=v.den, gamma=gamma, seeds=seeds, mu=mu, m=m))
 
 
 DEFAULT_SAMPLES = (Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2),
@@ -259,7 +248,7 @@ def one_shot_idqm(v: RationalFn, seeds: Sequence[Poly], v_state: Poly,
 
 
 def staged_idqm(v: RationalFn, dv_seeds: Sequence[Poly], de_seeds: Sequence[Poly],
-                v_state: Poly, gamma, mu_state: Poly | None = None) -> PowerProduct:
+                v_state: Poly, gamma, mu_state: Poly) -> PowerProduct:
     """Radical-tracked staged route: virtual stand-ins first, then the
     eigen stand-ins of the intermediate system.
 
@@ -282,8 +271,7 @@ def staged_idqm(v: RationalFn, dv_seeds: Sequence[Poly], de_seeds: Sequence[Poly
     # Fractional-exponent factors are assembled as conjugate-symmetric real
     # units so that each tracked radicand is |...|^2-shaped at real points.
     # prefactor: (prod_j V_Dv(x+i(m/2-j)g) V_Dv*(x-i(m/2-j)g))^{1/4}
-    v_dv = deformed_potential_vd(v, dv_seeds, gamma,
-                                 Poly.one() if mu_state is None else mu_state)
+    v_dv = deformed_potential_vd(v, dv_seeds, gamma, mu_state)
     for fn, exponent in conjugate_pair_product(v_dv, m, gamma).factors:
         out = out.times(fn, exponent / 4)
     # second-stage numerator Casoratian: rows factor (G/w)(x_j^{(m+1)})
@@ -312,9 +300,8 @@ def staged_idqm(v: RationalFn, dv_seeds: Sequence[Poly], de_seeds: Sequence[Poly
     return out
 
 
-def two_path_compare_idqm(v: RationalFn, dv_seeds: Sequence[Poly],
-                          de_seeds: Sequence[Poly], v_state: Poly, gamma,
-                          mu_state: Poly | None = None) -> CheckReport:
+def two_path_compare_idqm(v: RationalFn, dv: Sequence[Poly], de: Sequence[Poly],
+                          v_state: Poly, gamma, mu: Poly | None = None) -> CheckReport:
     """One-shot versus staged eigenfunction in radical-tracked form.
 
     Passes iff the 8th powers agree exactly (zero tolerance) and the signs
@@ -324,9 +311,9 @@ def two_path_compare_idqm(v: RationalFn, dv_seeds: Sequence[Poly],
     """
     gamma = rational(gamma)
     _require_nonzero_potential(v)
-    mu_state = Poly.one() if mu_state is None else mu_state
-    path_one = one_shot_idqm(v, list(dv_seeds) + list(de_seeds), v_state, gamma)
-    path_two = staged_idqm(v, dv_seeds, de_seeds, v_state, gamma, mu_state)
+    mu = Poly.one() if mu is None else mu
+    path_one = one_shot_idqm(v, list(dv) + list(de), v_state, gamma)
+    path_two = staged_idqm(v, dv, de, v_state, gamma, mu)
     exact = path_one.equals_power(path_two, 8)
     sign_note = ""
     inconclusive = False
@@ -336,7 +323,7 @@ def two_path_compare_idqm(v: RationalFn, dv_seeds: Sequence[Poly],
         # corollary: the first-stage seed Casoratian must be positive at the
         # real sample (virtual-state Casoratians are sign-definite in the
         # physical setting), in addition to every tracked radicand.
-        w_first = casoratian_imag(dv_seeds, gamma)
+        w_first = casoratian_imag(dv, gamma)
         for sample in DEFAULT_SAMPLES:
             anchor = w_first(sample)
             if not anchor.is_real() or anchor.re <= 0:
@@ -351,17 +338,10 @@ def two_path_compare_idqm(v: RationalFn, dv_seeds: Sequence[Poly],
         else:
             inconclusive = True
             sign_note = "no admissible sample point (inconclusive sign)"
-    passed = exact and signs_agree
-    witness = None
-    if not passed or inconclusive:
-        witness = _witness("idqm.two-path", v, gamma,
-                           dv=[s.serialize() for s in dv_seeds],
-                           de=[s.serialize() for s in de_seeds],
-                           v_state=v_state.serialize(), mu=mu_state.serialize())
-    return CheckReport(
-        identity_id="idqm.two-path", passed=passed,
-        lhs="one-shot radical-tracked eigenfunction (8th power)",
-        rhs="staged radical-tracked eigenfunction (8th power)",
-        params={"l": len(dv_seeds), "m": len(de_seeds),
-                "gamma": format_rational(gamma)},
-        witness=witness, inconclusive=inconclusive, note=sign_note)
+    return check_report("idqm.two-path", exact and signs_agree,
+                        "one-shot radical-tracked eigenfunction (8th power)",
+                        "staged radical-tracked eigenfunction (8th power)",
+                        {"l": len(dv), "m": len(de), "gamma": format_rational(gamma)},
+                        dict(v_num=v.num, v_den=v.den, gamma=gamma, dv=dv, de=de,
+                             v_state=v_state, mu=mu),
+                        inconclusive, sign_note)

@@ -24,7 +24,7 @@ from typing import Sequence
 from .determinants import (
     RunMemo, WronskianOperator, over_base_operator, wronskian, wronskian_operator)
 from .poly import ExpPoly, ExpRatio, Poly, RationalFn, rational_reduce
-from .report import CheckReport
+from .report import CheckReport, check_report
 from .scalars import rational
 from .seeds import krein_adler_check
 
@@ -229,14 +229,11 @@ def two_path_compare(model: OqmModel, d_v: Sequence[int], d_e: Sequence[int],
     same = (one_shot.pair == staged.pair
             and one_shot.q.num == staged.q.num
             and one_shot.q.den == staged.q.den)
-    pole_suspect = _denominator_real_root_probe(one_shot.q.den)
-    inputs = {"d_v": list(d_v), "d_e": list(d_e), "n": n}
-    return CheckReport(
-        identity_id="oqm.two-path",
-        params={**inputs, "krein_adler": krein_adler_check(d_e),
-                "denominator_sign_change": pole_suspect},
-        lhs=str(one_shot), rhs=str(staged), passed=same,
-        witness=None if same else {"identityId": "oqm.two-path", "inputs": inputs})
+    return check_report("oqm.two-path", same, one_shot, staged,
+                        {"d_v": list(d_v), "d_e": list(d_e), "n": n,
+                         "krein_adler": krein_adler_check(d_e),
+                         "denominator_sign_change": _denominator_real_root_probe(one_shot.q.den)},
+                        dict(d_v=d_v, d_e=d_e, n=n))
 
 
 @dataclass(frozen=True)
@@ -279,11 +276,7 @@ def census_check(model: OqmModel, d_v: Sequence[int], d_e: Sequence[int],
     """The degree census of levels 0..n_max by both paths, which must agree."""
     one_shot = degree_census(model, d_v, d_e, n_max)
     staged = degree_census(model, d_v, d_e, n_max, staged=True)
-    same = one_shot == staged
-    inputs = {"d_v": list(d_v), "d_e": list(d_e)}
-    return CheckReport(
-        identity_id="oqm.degree-census", passed=same, lhs=str(one_shot), rhs=str(staged),
-        params={**inputs, "missing": list(one_shot.missing),
-                "classification": one_shot.classification},
-        witness=None if same else {"identityId": "oqm.degree-census",
-                                   "inputs": {**inputs, "n_max": n_max}})
+    return check_report("oqm.degree-census", one_shot == staged, one_shot, staged,
+                        {"d_v": list(d_v), "d_e": list(d_e), "missing": list(one_shot.missing),
+                         "classification": one_shot.classification},
+                        dict(d_v=d_v, d_e=d_e, n_max=n_max))

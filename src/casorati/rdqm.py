@@ -32,10 +32,9 @@ from mpmath.libmp import (
 from .determinants import RunMemo, casoratian_real_grid
 from .gridfn import GridFn, WindowError
 from .poly import Poly
-from .report import CheckReport
+from .report import CheckReport, check_report
 from .scalars import (
     DEFAULT_PRECISION_BITS,
-    format_rational,
     mpf_from_rational,
     rational,
     working_precision,
@@ -107,6 +106,8 @@ class RdqmModel:
         return len(self.energies) - 1
 
     def eigen(self, n: int) -> GridFn:
+        if not 0 <= n <= self.n_max:
+            raise ValueError(f"level {n} is outside the model's 0..{self.n_max}")
         return self.eigenfunctions[n]
 
     def eigen_energy(self, n: int) -> Fraction:
@@ -379,16 +380,11 @@ def deformed_eigenfunctions(b_grid: GridFn, d_grid: GridFn,
         return GridFn(values)
 
 
-def _witness(identity_id: str, model: RdqmModel, dv_energies: Sequence,
-             de_labels: Sequence[int], **inputs) -> dict:
-    """The witness of an rdQM check: the model, the seeds and the check's
-    other inputs, so that it replays alone."""
-    return {"identityId": identity_id,
-            "inputs": {"beta": format_rational(model.beta), "c": format_rational(model.c),
-                       "n_max": model.n_max, "window": model.x_max,
-                       "precision_bits": model.precision_bits,
-                       "dv_energies": [str(rational(e)) for e in dv_energies],
-                       "de_labels": list(de_labels), **inputs}}
+def _inputs(model: RdqmModel, dv_energies: Sequence, de_labels: Sequence[int], **inputs):
+    """An rdQM check's inputs, with its model and seeds, so that it replays alone."""
+    return dict(beta=model.beta, c=model.c, n_max=model.n_max, window=model.x_max,
+                precision_bits=model.precision_bits,
+                dv_energies=[rational(e) for e in dv_energies], de_labels=de_labels, **inputs)
 
 
 def sign_conjecture_check(model: RdqmModel, dv_energies: Sequence,
@@ -402,12 +398,10 @@ def sign_conjecture_check(model: RdqmModel, dv_energies: Sequence,
         with working_precision(model.precision_bits):
             wc = _casoratian(seeds, 0, model.memo)
         holds = all(_sign(v) == epsilon for v in wc.values)
-    return CheckReport(
-        identity_id="rdqm.sign-conjecture", passed=True, lhs="sgn W_C[seeds]",
-        rhs="epsilon_D", params={"holds_on_window": holds}, inconclusive=not holds,
-        note="" if holds else "sign conjecture violated on window (reported, not failed)",
-        witness=None if holds else _witness("rdqm.sign-conjecture", model, dv_energies,
-                                            de_labels))
+    return check_report("rdqm.sign-conjecture", True, "sgn W_C[seeds]", "epsilon_D",
+                        {"holds_on_window": holds}, _inputs(model, dv_energies, de_labels),
+                        not holds, "" if holds else
+                        "sign conjecture violated on window (reported, not failed)")
 
 
 # ---------------------------------------------------------------------------
@@ -460,13 +454,11 @@ def darboux_step_replay(model: RdqmModel, dv_energies: Sequence, de_labels: Sequ
         for name, grid in (("s", w_s), ("s1", w_s1)):
             sig0, sig1 = _sign(grid(0)), _sign(grid(1))
             if sig0 == 0 or sig0 != sig1:
-                return CheckReport(
-                    identity_id="rdqm.step-replay", passed=False,
-                    params={"s": s, "assumption_violated": f"level {name}", "n": n},
-                    lhs="", rhs="", inconclusive=True,
-                    note="sgn W_C anchor at x=0,1 undefined or inconsistent",
-                    witness=_witness("rdqm.step-replay", model, dv_energies, de_labels,
-                                     s=s, violated=name, **run))
+                return check_report(
+                    "rdqm.step-replay", False, "", "",
+                    {"s": s, "assumption_violated": f"level {name}", "n": n},
+                    _inputs(model, dv_energies, de_labels, s=s, violated=name, **run), True,
+                    "sgn W_C anchor at x=0,1 undefined or inconsistent")
             sigmas[name] = sig0
         sigma_s, sigma_s1 = sigmas["s"], sigmas["s1"]
 
@@ -489,18 +481,14 @@ def darboux_step_replay(model: RdqmModel, dv_energies: Sequence, de_labels: Sequ
             targets.append(((-1) ** (s + 1) * eps_s1) * wn_s1(x_pt))
         rel_dev = _relative_deviation(targets, advanced)
         emergent_ok = sigma_s * sigma_s1 * eps_s == eps_s1
-        passed = bool(merged_ok and emergent_ok and rel_dev <= bound)
-        return CheckReport(
-            identity_id="rdqm.step-replay", passed=passed,
-            lhs="tracked-radical step application (sign * plain part)",
-            rhs="closed form at the next level (sign * plain part)",
-            params={"s": s, "max_relative_deviation": mpmath.nstr(rel_dev, 8),
-                    "quarter_merge_ok": bool(merged_ok),
-                    "sigma_s": sigma_s, "sigma_s1": sigma_s1,
-                    "emergent_sign_ok": bool(emergent_ok),
-                    "eps_next_combinatorial": eps_s1, "n": n},
-            witness=None if passed else _witness("rdqm.step-replay", model, dv_energies,
-                                                de_labels, s=s, **run))
+        return check_report(
+            "rdqm.step-replay", bool(merged_ok and emergent_ok and rel_dev <= bound),
+            "tracked-radical step application (sign * plain part)",
+            "closed form at the next level (sign * plain part)",
+            {"s": s, "max_relative_deviation": mpmath.nstr(rel_dev, 8),
+             "quarter_merge_ok": bool(merged_ok), "sigma_s": sigma_s, "sigma_s1": sigma_s1,
+             "emergent_sign_ok": bool(emergent_ok), "eps_next_combinatorial": eps_s1, "n": n},
+            _inputs(model, dv_energies, de_labels, s=s, **run))
 
 
 def darboux_chain_replay(model: RdqmModel, dv_energies: Sequence, de_labels: Sequence[int],
@@ -585,35 +573,30 @@ def two_path_compare_rdqm(model: RdqmModel, dv_energies: Sequence,
             limit = min(limit, compare_up_to)
         rel_dev = _relative_deviation(one_shot.values[:limit + 1], staged.values[:limit + 1])
         sign_ok = sign_identity_sweep(dv_energies, e_energies)
-        passed = bool(rel_dev <= bound and sign_ok)
-        return CheckReport(
-            identity_id="rdqm.two-path", passed=passed,
-            lhs="one-shot deformed eigenfunction",
-            rhs="staged deformed eigenfunction",
-            params={"dv_energies": [str(e) for e in dv_energies],
-                    "de_labels": list(de_labels), "n": n,
-                    "max_relative_deviation": mpmath.nstr(rel_dev, 8),
-                    "compared_up_to_x": limit,
-                    "sign_identity_all_orderings": sign_ok,
-                    "epsilon": sign_factor(dv_energies + e_energies),
-                    "krein_adler": krein_adler_check(de_labels),
-                    "stage1_positivity": dict(stage1_positivity)},
-            witness=None if passed else _witness(
-                "rdqm.two-path", model, dv_energies, de_labels, n=n,
-                tolerance=str(tolerance), compare_up_to=compare_up_to))
+        return check_report(
+            "rdqm.two-path", bool(rel_dev <= bound and sign_ok),
+            "one-shot deformed eigenfunction", "staged deformed eigenfunction",
+            {"dv_energies": [str(e) for e in dv_energies], "de_labels": list(de_labels), "n": n,
+             "max_relative_deviation": mpmath.nstr(rel_dev, 8), "compared_up_to_x": limit,
+             "sign_identity_all_orderings": sign_ok,
+             "epsilon": sign_factor(dv_energies + e_energies),
+             "krein_adler": krein_adler_check(de_labels),
+             "stage1_positivity": dict(stage1_positivity)},
+            _inputs(model, dv_energies, de_labels, n=n, tolerance=str(tolerance),
+                    compare_up_to=compare_up_to))
 
 
 def spectrum_check(model: RdqmModel, dv_energies: Sequence, de_labels: Sequence[int],
-                   n_trunc: int, k: int, match_tolerance,
+                   truncation: int, eigen_count: int, match_tolerance,
                    sensitivity_threshold) -> dict:
-    """Lowest k eigenvalues of the truncated deformed Hamiltonian.
+    """Lowest eigen_count eigenvalues of the truncated deformed Hamiltonian.
 
     Each eigenvalue is plain Sturm bisection, with about two big-float
     counts placed either side of it by binary64 and fixed-point Newton hints
     (tridiag.lowest_eigenvalues); the deformed spectrum must sit at the
     surviving original levels (the constant term in the deformed Hamiltonian
     realigns it).  Truncation sensitivity compares against the largest
-    usable second truncation (2N when the window allows).
+    usable second truncation (twice the first when the window allows).
     """
     with working_precision(model.precision_bits):
         seeds, _ = seed_set(model, dv_energies, de_labels)
@@ -627,10 +610,10 @@ def spectrum_check(model: RdqmModel, dv_energies: Sequence, de_labels: Sequence[
         e_mu = mpmath.mpf(mu)
 
         max_usable = b_d.x_max + 1
-        if n_trunc > max_usable:
-            raise WindowError(f"truncation {n_trunc} exceeds usable window {max_usable}")
+        if truncation > max_usable:
+            raise WindowError(f"truncation {truncation} exceeds usable window {max_usable}")
         # Both truncations are leading blocks of the second, larger one.
-        second_size = min(2 * n_trunc, max_usable)
+        second_size = min(2 * truncation, max_usable)
         diag = [b_d(x) + d_d(x) + e_mu for x in range(second_size)]
         off = []
         for x_pt in range(second_size - 1):
@@ -638,11 +621,11 @@ def spectrum_check(model: RdqmModel, dv_energies: Sequence, de_labels: Sequence[
             if radicand < 0:
                 raise NegativeRadicandError(f"B_D D_D < 0 at x = {x_pt}")
             off.append(-mpmath.sqrt(radicand))
-        primary = lowest_eigenvalues(diag[:n_trunc], off[:n_trunc - 1], k)
-        secondary = lowest_eigenvalues(diag, off, k)
+        primary = lowest_eigenvalues(diag[:truncation], off[:truncation - 1], eigen_count)
+        secondary = lowest_eigenvalues(diag, off, eigen_count)
         sensitivity = max(abs(a - b) for a, b in zip(primary, secondary))
 
-        survivors = [e for e in range(model.n_max + 1) if e not in deleted][:k]
+        survivors = [e for e in range(model.n_max + 1) if e not in deleted][:eigen_count]
         deviations = [abs(primary[i] - survivors[i]) for i in range(len(survivors))]
         matched = all(dev <= match_tolerance for dev in deviations)
         inconclusive = sensitivity > sensitivity_threshold
@@ -652,7 +635,7 @@ def spectrum_check(model: RdqmModel, dv_energies: Sequence, de_labels: Sequence[
             "deviations": [mpmath.nstr(d, 8) for d in deviations],
             "matched": bool(matched and not inconclusive),
             "inconclusive": bool(inconclusive),
-            "truncation": n_trunc,
+            "truncation": truncation,
             "second_truncation": second_size,
             "sensitivity": mpmath.nstr(sensitivity, 8),
             "positivity": positivity,
@@ -660,20 +643,18 @@ def spectrum_check(model: RdqmModel, dv_energies: Sequence, de_labels: Sequence[
 
 
 def spectrum_report(model: RdqmModel, dv_energies: Sequence, de_labels: Sequence[int],
-                    n_trunc: int, k: int) -> tuple[CheckReport, dict]:
+                    truncation: int, eigen_count: int) -> tuple[CheckReport, dict]:
     """The rdqm.spectrum report and the ``spectrum_check`` dict it is built
     from, at deviation bound 1e-8 and sensitivity bound 1e-9 (both at mpmath's
     ambient precision).  A truncation-sensitive spectrum is inconclusive, and passes."""
-    spectrum = spectrum_check(model, dv_energies, de_labels, n_trunc, k,
+    spectrum = spectrum_check(model, dv_energies, de_labels, truncation, eigen_count,
                               mpmath.mpf(10) ** -8, mpmath.mpf(10) ** -9)
     inconclusive = spectrum["inconclusive"]
-    report = CheckReport(
-        identity_id="rdqm.spectrum", passed=spectrum["matched"] or inconclusive,
-        lhs=str(spectrum["eigenvalues"]), rhs=str(spectrum["expected"]),
-        params={key: spectrum[key] for key in ("deviations", "sensitivity", "truncation",
-                                               "second_truncation", "positivity")},
-        inconclusive=inconclusive, note="truncation-sensitive" if inconclusive else "",
-        witness=None if spectrum["matched"] else _witness(
-            "rdqm.spectrum", model, dv_energies, de_labels, truncation=n_trunc,
-            eigen_count=k))
+    report = check_report(
+        "rdqm.spectrum", spectrum["matched"] or inconclusive, spectrum["eigenvalues"],
+        spectrum["expected"],
+        {key: spectrum[key] for key in ("deviations", "sensitivity", "truncation",
+                                        "second_truncation", "positivity")},
+        _inputs(model, dv_energies, de_labels, truncation=truncation, eigen_count=eigen_count),
+        inconclusive, "truncation-sensitive" if inconclusive else "")
     return report, spectrum

@@ -387,6 +387,61 @@ def test_replay_malformed_witness_exit_2(tmp_path, capsys, text):
     assert capsys.readouterr().err.count("\n") == 1
 
 
+SMALL_MODEL = {"beta": "2", "c": "1/3", "n_max": 8, "window": 40, "precision_bits": 128}
+
+
+@pytest.mark.parametrize("identity_id, inputs, message", [
+    # a label outside the model, a negative label, a label as text
+    ("rdqm.sign-conjecture", {**SMALL_MODEL, "dv_energies": ["-3/5"], "de_labels": [20]},
+     "level 20 is outside the model's 0..8"),
+    ("rdqm.sign-conjecture", {**SMALL_MODEL, "dv_energies": ["-3/5"], "de_labels": [-1]},
+     "witness input de_labels: -1 is negative"),
+    ("oqm.two-path", {"d_v": [-1], "d_e": [], "n": 0}, "witness input d_v: -1 is negative"),
+    ("oqm.two-path", {"d_v": [0], "d_e": [], "n": "0"},
+     "witness input n: '0' is not a JSON int"),
+    ("oqm.two-path", {"d_v": [0], "d_e": [], "n": True},
+     "witness input n: True is not a JSON int"),
+    ("idqm.prefactor-gg", {"v_num": ["1"], "v_den": ["1"], "gamma": "1", "l": "1", "m": 1},
+     "witness input l: '1' is not a JSON int"),
+    # an element that is not a list of text, a list that is text
+    ("cas-real.gauge", {"fs": [[1]], "g": ["1"]}, "witness input fs: 1 is not a JSON str"),
+    ("cas-real.gauge", {"fs": "12", "g": ["1"]}, "witness input fs: '12' is not a JSON list"),
+    # a key that no row reads, for every row
+    ("rdqm.two-path", {**SMALL_MODEL, "dv_energies": ["-3/5"], "de_labels": [], "n": 0,
+                       "tolerance": "1e-20", "compare_up_to": 20, "bogus": 1},
+     "witness inputs ['beta', 'bogus', 'c', 'compare_up_to', 'de_labels', 'dv_energies', "
+     "'n', 'n_max', 'precision_bits', 'tolerance', 'window'] are not the keys "),
+    ("cas-real.gauge", {"fs": [["1"]], "g": ["1"], "bogus": 1},
+     "witness inputs ['bogus', 'fs', 'g'] are not the keys ['fs', 'g']"),
+    # v is optional only where the checker takes v = None
+    ("wronskian.corollary", {"fs": [{"p": ["1"], "a": "0", "b": "0"}], "us": []},
+     "witness inputs ['fs', 'us'] are not the keys ['fs', 'us', 'v']"),
+    # a degenerate instance, which a sweep would redraw
+    ("idqm.prefactor-gg", {"v_num": ["1"], "v_den": [], "gamma": "1", "l": 1, "m": 1},
+     "degenerate witness inputs: RationalFn with zero denominator"),
+])
+def test_replay_inadmissible_witness_exit_2(tmp_path, capsys, identity_id, inputs, message):
+    """Each input is decoded by its JSON type before any check runs, so an
+    inadmissible witness is one configuration-error line, never a traceback
+    and never a replay of some other instance."""
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps({"identityId": identity_id, "inputs": inputs}))
+    assert main(["identities", "--replay", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {message}") and err.count("\n") == 1
+
+
+def test_idqm_seed_counts_above_four_exit_2(capsys):
+    """Five or more seeds of degree <= 3 have a vanishing Casoratian, so no
+    trial that draws them could be run; the flags are rejected up front."""
+    assert main(["idqm", "--trials", "40", "--gamma", "2", "--l-max", "3", "--m-max", "3"]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: --l-max 3 + --m-max 3 is above 4: five or more seeds of "
+        "degree <= 3 have a vanishing Casoratian\n")
+    assert main(["idqm", "--trials", "40", "--gamma", "2", "--l-max", "3", "--m-max", "1",
+                 "--out", os.devnull]) == 3
+
+
 def test_rdqm_duplicate_eigenstate_labels_exit_2(capsys):
     assert main(["rdqm", "--de=1,1", "--n", "0"]) == 2
     assert capsys.readouterr().err == (

@@ -233,6 +233,20 @@ def test_two_path_requires_monotone_energies(model):
         two_path_compare_rdqm(model, [Fraction(-17, 10), Fraction(-3, 5)], [1], 0, TOL)
 
 
+@pytest.mark.parametrize("check", [
+    lambda model: model.eigen(9),
+    lambda model: model.eigen(-1),
+    lambda model: two_path_compare_rdqm(model, [Fraction(-3, 5)], [], 9, TOL),
+    lambda model: sign_conjecture_check(model, [Fraction(-3, 5)], [20]),
+    lambda model: darboux_step_replay(model, [], [-1], 0, 0, TOL),
+])
+def test_labels_outside_the_model_raise_value_error(model, check):
+    """A level or a deleted label outside 0..n_max is inadmissible, not an
+    IndexError, and not a negative index into the model's levels."""
+    with pytest.raises(ValueError, match="outside the model's 0..8"):
+        check(model)
+
+
 def test_sign_identity_sweep():
     assert sign_identity_sweep([Fraction(-3, 5), Fraction(-17, 10)], [1, 2])
     assert sign_identity_sweep([Fraction(-1)], [Fraction(1)])

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import casorati.identities as identities_mod
 import casorati.idqm as idqm_mod
@@ -268,3 +269,86 @@ def test_cli_checks_replay_under_negative_control(monkeypatch, tmp_path, capsys,
     capsys.readouterr()
     assert main([argv[0], "--replay", str(path)]) == (3 if check["pass"] else 1)
     assert json.loads(capsys.readouterr().out) == check
+
+
+def test_cas_real_corollary_witness_without_v_replays():
+    """check_cas_real_corollary takes v = None, which its witness leaves out."""
+    inputs, _ = draw_trial("cas-real.corollary", SamplerConfig(trials=1), 0)
+    report = CHECKS["cas-real.corollary"].run({**inputs, "v": None})
+    witness = {"identityId": "cas-real.corollary",
+               "inputs": CHECKS["cas-real.corollary"].encode({**inputs, "v": None})}
+    assert "v" not in witness["inputs"]
+    assert replay_json(witness).to_dict() == report.to_dict()
+
+
+def test_rdqm_library_witness_without_compare_up_to_replays(monkeypatch):
+    """A None input is left out of the witness; the replay reads the absent
+    compare_up_to as None again."""
+    true_sign = rdqm_mod.sign_factor
+    monkeypatch.setattr(rdqm_mod, "sign_factor", lambda energies: -true_sign(energies))
+    model = rdqm_mod.build_meixner_model(Fraction(2), Fraction(1, 3), n_max=4, x_max=24,
+                                         precision_bits=128)
+    report = rdqm_mod.two_path_compare_rdqm(model, [Fraction(-3, 5), Fraction(-17, 10)],
+                                            [1, 2], 0, "1e-20")
+    assert not report.passed and "compare_up_to" not in report.witness["inputs"]
+    assert replay_json(report.witness).to_dict() == report.to_dict()
+
+
+SMALL_RDQM_MODEL = {"beta": "2", "c": "1/3", "n_max": 4, "window": 24, "precision_bits": 128,
+                    "dv_energies": ["-3/5"], "de_labels": []}
+IDQM_V = {"v_num": ["3", "1"], "v_den": ["1"], "gamma": "1"}
+LAB_WITNESS_INPUTS = {
+    "oqm.two-path": {"d_v": [0], "d_e": [1, 2], "n": 0},
+    "oqm.degree-census": {"d_v": [0], "d_e": [1, 2], "n_max": 4},
+    "idqm.prefactor-gg": {**IDQM_V, "l": 1, "m": 1},
+    "idqm.potential-product": {**IDQM_V, "seeds": [["1", "1"]], "mu": ["-2", "1"], "m": 1},
+    "idqm.two-path": {**IDQM_V, "dv": [["0", "1"]], "de": [["1", "1"]],
+                      "v_state": ["0", "0", "1"], "mu": ["1"]},
+    "rdqm.two-path": {**SMALL_RDQM_MODEL, "n": 0, "tolerance": "1e-20", "compare_up_to": 10},
+    "rdqm.step-replay": {**SMALL_RDQM_MODEL, "n": 0, "s": 0, "tolerance": "1e-20",
+                         "compare_up_to": 10},
+    "rdqm.sign-conjecture": SMALL_RDQM_MODEL,
+    "rdqm.spectrum": {**SMALL_RDQM_MODEL, "truncation": 10, "eigen_count": 3},
+    "cas-imag.sum-formula": {"j_max": 3},
+}
+
+
+def valid_witness_inputs(identity_id: str) -> dict:
+    """Inputs of a witness that replays without error: a seeded draw for the
+    identity rows, a small instance for the others."""
+    if identity_id in LAB_WITNESS_INPUTS:
+        return LAB_WITNESS_INPUTS[identity_id]
+    config = SamplerConfig(trials=1, master_seed=1, max_degree=2)
+    return CHECKS[identity_id].encode(draw_trial(identity_id, config, 0)[0])
+
+
+# Any JSON value, kept small: replay inputs have no upper bounds yet, and a
+# large count (j_max = 10**11, say) would run for hours.
+SCALARS = (st.integers(-3, 12) | st.booleans() | st.floats(allow_nan=False, allow_infinity=False)
+           | st.text(max_size=4) | st.none())
+JSON_VALUES = (SCALARS | st.lists(SCALARS | st.lists(st.text(max_size=3), max_size=2), max_size=3)
+               | st.dictionaries(st.text(max_size=3), SCALARS, max_size=2))
+
+
+@pytest.mark.parametrize("identity_id", sorted(CHECKS))
+def test_replay_of_any_one_drawn_value_exits_cleanly(identity_id, tmp_path, capsys):
+    """One key of a valid witness takes any small JSON value: the replay
+    passes, fails, is inconclusive or is one configuration-error line, and
+    never raises out of main."""
+    inputs = valid_witness_inputs(identity_id)
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps({"identityId": identity_id, "inputs": inputs}))
+    assert main(["identities", "--replay", str(path)]) in (0, 1, 3)
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(key=st.sampled_from(sorted(inputs)), value=JSON_VALUES)
+    def replay_with(key, value):
+        path.write_text(json.dumps({"identityId": identity_id,
+                                    "inputs": {**inputs, key: value}}))
+        capsys.readouterr()
+        code = main(["identities", "--replay", str(path)])
+        assert code in (0, 1, 2, 3)
+        if code == 2:
+            assert capsys.readouterr().err.count("\n") == 1
+
+    replay_with()
