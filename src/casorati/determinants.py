@@ -11,6 +11,7 @@ the minors of their fixed columns once and apply f -> W[fixed, f] by
 cofactors, over a base in ``over_base_operator``, whose seed part is the
 Wronskian of quotients over it.  Both shift Casoratians are one body, and
 ``cofactor_det`` is the test oracle only.  Empty input gives 1 everywhere.
+The big-float grid LU (``det_float_scalar``) runs on rows sliced from ``GridFn.raw``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from math import lcm, prod
 from typing import Sequence
 
 import mpmath
-from mpmath.libmp import fzero, mpf_abs, mpf_div, mpf_gt, mpf_mul, mpf_mul_int, mpf_neg, mpf_sub
+from mpmath.libmp import (
+    fone, fzero, mpf_abs, mpf_div, mpf_gt, mpf_mul, mpf_mul_int, mpf_neg, mpf_sub)
 
 from .gridfn import GridFn, WindowError
 from .poly import ExpPoly, Poly, _canonical, as_poly
@@ -246,20 +248,20 @@ def cofactor_det(matrix: Sequence[Sequence]):
     return total
 
 
-def det_float_scalar(matrix) -> object:
-    """LU determinant with partial pivoting for big-float (mpf) entries.
+def det_float_scalar(rows: list) -> tuple:
+    """LU determinant with partial pivoting of raw ``_mpf_`` entries, as a
+    raw tuple (1 for no rows); the rows are eliminated in place.
 
-    The elimination runs on the raw ``_mpf_`` tuples with the
-    ``mpmath.libmp`` calls that mpf's operators make, at the working
-    precision and rounding read once, so every value is bit for bit the
-    operator result.  The pivot is the first row of largest |entry| in its
-    column (as ``max(..., key=abs)`` picks it); a zero pivot column gives 0.
+    The elimination makes the ``mpmath.libmp`` calls that mpf's operators
+    make, at the working precision and rounding read once, so every value is
+    bit for bit the operator result.  The pivot is the first row of largest
+    |entry| in its column (as ``max(..., key=abs)`` picks it); a zero pivot
+    column gives 0.
     """
-    n = len(matrix)
+    n = len(rows)
     if n == 0:
-        return 1
+        return fone
     prec, rnd = mpmath.mp._prec_rounding
-    rows = [[x._mpf_ for x in row] for row in matrix]
     det = None
     negate = False
     for k in range(n):
@@ -270,7 +272,7 @@ def det_float_scalar(matrix) -> object:
             if mpf_gt(size, largest):
                 pivot_row, largest = r, size
         if rows[pivot_row][k] == fzero:
-            return mpmath.mp.make_mpf(mpf_mul_int(rows[0][0], 0, prec, rnd))
+            return mpf_mul_int(rows[0][0], 0, prec, rnd)
         if pivot_row != k:
             rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
             negate = not negate
@@ -282,7 +284,7 @@ def det_float_scalar(matrix) -> object:
             factor = mpf_div(row_i[k], pivot, prec, rnd)
             for j in range(k + 1, n):
                 row_i[j] = mpf_sub(row_i[j], mpf_mul(factor, row_k[j], prec, rnd), prec, rnd)
-    return mpmath.mp.make_mpf(mpf_neg(det, prec, rnd) if negate else det)
+    return mpf_neg(det, prec, rnd) if negate else det
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +444,8 @@ def casoratian_real_grid(fs: Sequence[GridFn]) -> GridFn:
     """Grid-backend W_C: result lives on the window shrunk by n - 1.
 
     Exact (Fraction) grids go through the fraction-free kernel as constant
-    polynomials; big-float grids through pivoted LU."""
+    polynomials; big-float grids through pivoted LU (``det_float_scalar``) on
+    rows sliced from each column's raw tuples, read once."""
     n = len(fs)
     if n == 0:
         raise ValueError("casoratian_real_grid needs at least one function; "
@@ -452,10 +455,10 @@ def casoratian_real_grid(fs: Sequence[GridFn]) -> GridFn:
     if out_max < 0:
         raise WindowError(
             f"window too small for a {n}-function Casoratian: need x_max >= {n - 1}")
-    exact = all(isinstance(f(0), Fraction) for f in fs)
-    values = []
-    for x in range(out_max + 1):
-        matrix = [[fs[k](x + j) for k in range(n)] for j in range(n)]
-        values.append(fraction_free_det(matrix).coefficient(0).re if exact
-                      else det_float_scalar(matrix))
-    return GridFn(values)
+    if all(isinstance(f(0), Fraction) for f in fs):
+        return GridFn([fraction_free_det([[f(x + j) for f in fs] for j in range(n)])
+                       .coefficient(0).re for x in range(out_max + 1)])
+    columns = [f.raw for f in fs]
+    return GridFn(mpmath.mp.make_mpf(det_float_scalar([[column[x + j] for column in columns]
+                                                       for j in range(n)]))
+                  for x in range(out_max + 1))

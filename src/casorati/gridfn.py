@@ -2,7 +2,8 @@
 
 Values are either exact Fractions or mpmath floats.  Any access beyond the
 stored window raises instead of padding, so shrinking windows surface
-loudly.
+loudly.  ``raw`` holds the values' raw ``_mpf_`` tuples (None for an exact
+value), read once when the grid is made, for loops on ``mpmath.libmp`` calls.
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ class WindowError(ValueError):
 class GridFn:
     """Values on {0, ..., x_max}; an rdQM seed's energy travels beside it."""
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "raw")
 
     def __init__(self, values: Sequence):
         object.__setattr__(self, "values", tuple(values))
         if not self.values:
             raise WindowError("GridFn needs at least one point")
+        object.__setattr__(self, "raw", tuple(getattr(v, "_mpf_", None) for v in self.values))
 
     def __setattr__(self, name, value):
         raise AttributeError("GridFn is immutable")

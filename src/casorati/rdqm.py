@@ -13,9 +13,12 @@ Each check takes the model, the virtual seed energies and the deleted
 eigenstate labels, and returns its whole report; its witness holds the
 model, the seeds and the check's own inputs, so that a witness from the CLI
 or from a library call replays alone.  One run computes each big-float quantity
-once: the checks of a run take their virtual seeds, seed Casoratians and the
-first stage of the staged path from the model's ``RunMemo``, at the model's
-working precision, and the memo is freed with the model.
+once: the checks of a run take their virtual seeds, seed Casoratians, the first
+stage of the staged path and the two roots of every deformed eigenfunction from
+the model's ``RunMemo``, at the model's working precision, and the memo is
+freed with the model.  Per-point loops run on raw ``_mpf_`` tuples (``GridFn.raw``)
+by the libmp calls of the mpf operators, so every value is theirs bit for bit;
+mpf objects are made for a grid's public values, a report, the CSV or an error.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from typing import Sequence
 
 import mpmath
 from mpmath.libmp import (
-    fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_neg, mpf_sub)
+    fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_neg,
+    mpf_nthroot, mpf_sqrt, mpf_sub)
 
 from .determinants import RunMemo, casoratian_real_grid
 from .gridfn import GridFn, WindowError
@@ -37,6 +41,7 @@ from .scalars import (
     DEFAULT_PRECISION_BITS,
     mpf_from_rational,
     rational,
+    raw_rational,
     working_precision,
 )
 from .seeds import krein_adler_check, sign_factor
@@ -84,9 +89,10 @@ class RdqmModel:
 
     ``off_roots[x]`` is sqrt(B(x)D(x+1)), the negated off-diagonal of H.
     ``memo`` holds the run's shared results: each virtual seed
-    (``seed``), each grid Casoratian and the first stage of the staged
-    path.  The CLI and the witness replays build one model per run, so the
-    memo lives exactly as long as the run.
+    (``seed``), each grid Casoratian, the first stage of the staged path,
+    (prod B D)^{1/4} per grid pair and M and sqrt(W_C W_C(+1)) per seed
+    Casoratian.  The CLI and the witness replays build one model per run, so
+    the memo lives exactly as long as the run.
     """
 
     beta: Fraction
@@ -119,12 +125,17 @@ class RdqmModel:
         return self.memo.once(("seed", e_tilde), solve_seed_at_energy, self, e_tilde)
 
 
+# Upper bounds of a model's inputs: above them a run or a witness would take hours.
+MAX_X_MAX, MAX_N_MAX, MAX_PRECISION_BITS = 1000, 60, 8192
+
+
 def build_meixner_model(beta, c, n_max: int, x_max: int,
                         precision_bits: int = DEFAULT_PRECISION_BITS) -> RdqmModel:
     """B(x) = c(x+beta)/(1-c), D(x) = x/(1-c); E_n = n; phi_n = phi_0 P_n.
 
     Every eigenpair is verified against the tri-diagonal matrix action to
-    relative 10^{-precision_bits/4} before the model is returned.
+    relative 10^{-precision_bits/4} before the model is returned.  x_max, n_max
+    and precision_bits above MAX_X_MAX, MAX_N_MAX and MAX_PRECISION_BITS raise ValueError.
     """
     beta = rational(beta)
     c = rational(c)
@@ -132,47 +143,47 @@ def build_meixner_model(beta, c, n_max: int, x_max: int,
         raise ValueError("need beta > 0")
     if not 0 < c < 1:
         raise ValueError("need 0 < c < 1")
+    for name, value, bound in (("window x_max", x_max, MAX_X_MAX), ("n_max", n_max, MAX_N_MAX),
+                               ("precision_bits", precision_bits, MAX_PRECISION_BITS)):
+        if value > bound:
+            raise ValueError(f"{name} {value} is above its bound {bound}")
     with working_precision(precision_bits):
+        prec, rnd = mpmath.mp._prec_rounding
         b_grid = GridFn([mpf_from_rational(c * (k + beta) / (1 - c)) for k in range(x_max + 1)])
         d_grid = GridFn([mpf_from_rational(k / (1 - c)) for k in range(x_max + 1)])
         off_roots = []
         for x_pt in range(x_max):
-            value = b_grid(x_pt) * d_grid(x_pt + 1)
-            if value <= 0:
+            value = mpf_mul(b_grid.raw[x_pt], d_grid.raw[x_pt + 1], prec, rnd)
+            if mpf_le(value, fzero):
                 raise SingularDeformationError(
                     f"off-diagonal sqrt(B({x_pt})D({x_pt + 1})) vanishes")
-            off_roots.append(mpmath.sqrt(value))
+            off_roots.append(mpmath.mp.make_mpf(mpf_sqrt(value, prec, rnd)))
         # ground factor phi_0(x) = sqrt(c^x (beta)_x / x!)
         radicands = [Fraction(1)]
         for k in range(1, x_max + 1):
             radicands.append(radicands[-1] * c * (beta + k - 1) / k)
         ground = GridFn([mpmath.sqrt(mpf_from_rational(r)) for r in radicands])
         tolerance = mpmath.mpf(10) ** (-(precision_bits // 4))
-        energies = []
         eigenfunctions = []
         for n in range(n_max + 1):
             p_n = meixner_polynomial(n, beta, c)
-            values = [ground(k) * mpf_from_rational(_real_at(p_n, k)) for k in range(x_max + 1)]
-            phi_n = GridFn(values)
+            numerators = [0] * (x_max + 1)        # den * P_n(k), by integer Horner
+            for coefficient in reversed(p_n.re):
+                numerators = [value * k + coefficient for k, value in enumerate(numerators)]
+            phi_n = GridFn(mpmath.mp.make_mpf(mpf_mul(
+                root, raw_rational(Fraction(value, p_n.den), prec, rnd), prec, rnd))
+                for root, value in zip(ground.raw, numerators))
             res = _relative_residual(b_grid, d_grid, phi_n, mpmath.mpf(n), off_roots)
             if res > tolerance:
                 raise ResidualGateError(
                     f"eigenpair {n} residual {res} above 1e-{precision_bits // 4}")
-            energies.append(Fraction(n))
             eigenfunctions.append(phi_n)
     if not all(phi(0) == 1 for phi in eigenfunctions):
         raise ArithmeticError("eigenfunction normalization phi_n(0) = 1 failed")
-    return RdqmModel(beta=beta, c=c, energies=tuple(energies), eigenfunctions=tuple(eigenfunctions),
-                     ground=ground,
-                     b_grid=b_grid, d_grid=d_grid, x_max=x_max,
-                     precision_bits=precision_bits, off_roots=tuple(off_roots))
-
-
-def _real_at(fn: Poly, k: int) -> Fraction:
-    value = fn(k)
-    if not value.is_real():
-        raise ValueError("expected a real value")
-    return value.re
+    return RdqmModel(beta=beta, c=c, energies=tuple(map(Fraction, range(n_max + 1))),
+                     eigenfunctions=tuple(eigenfunctions), ground=ground, b_grid=b_grid,
+                     d_grid=d_grid, x_max=x_max, precision_bits=precision_bits,
+                     off_roots=tuple(off_roots))
 
 
 # ---------------------------------------------------------------------------
@@ -190,20 +201,17 @@ def apply_hamiltonian(b_grid: GridFn, d_grid: GridFn, psi: GridFn,
     makes, so every value is bit for bit the operator result.
     """
     prec, rnd = mpmath.mp._prec_rounding
-    make_mpf = mpmath.mp.make_mpf
-    n = min(psi.x_max, b_grid.x_max, d_grid.x_max)
-    b_vals, d_vals, psi_vals = b_grid.values, d_grid.values, psi.values
+    b_vals, d_vals, psi_vals = b_grid.raw, d_grid.raw, psi.raw
     values = []
-    for x_pt in range(n):
-        up = mpf_mul(mpf_neg(roots[x_pt]._mpf_, prec, rnd), psi_vals[x_pt + 1]._mpf_,
-                     prec, rnd)
-        level = mpf_add(b_vals[x_pt]._mpf_, d_vals[x_pt]._mpf_, prec, rnd)
-        total = mpf_add(up, mpf_mul(level, psi_vals[x_pt]._mpf_, prec, rnd), prec, rnd)
+    for x_pt in range(min(psi.x_max, b_grid.x_max, d_grid.x_max)):
+        up = mpf_mul(mpf_neg(roots[x_pt]._mpf_, prec, rnd), psi_vals[x_pt + 1], prec, rnd)
+        level = mpf_add(b_vals[x_pt], d_vals[x_pt], prec, rnd)
+        total = mpf_add(up, mpf_mul(level, psi_vals[x_pt], prec, rnd), prec, rnd)
         if x_pt >= 1:
-            total = mpf_sub(total, mpf_mul(roots[x_pt - 1]._mpf_, psi_vals[x_pt - 1]._mpf_,
+            total = mpf_sub(total, mpf_mul(roots[x_pt - 1]._mpf_, psi_vals[x_pt - 1],
                                            prec, rnd), prec, rnd)
-        values.append(make_mpf(total))
-    return GridFn(values)
+        values.append(total)
+    return GridFn(map(mpmath.mp.make_mpf, values))
 
 
 def _relative_residual(b_grid: GridFn, d_grid: GridFn, psi: GridFn,
@@ -214,9 +222,8 @@ def _relative_residual(b_grid: GridFn, d_grid: GridFn, psi: GridFn,
     h_psi = apply_hamiltonian(b_grid, d_grid, psi, roots)
     energy = getattr(energy, "_mpf_", None) or mpmath.mpf(energy)._mpf_
     top = bottom = fzero
-    for h_value, psi_value in zip(h_psi.values, psi.values):
-        psi_value = psi_value._mpf_
-        gap = mpf_abs(mpf_sub(h_value._mpf_, mpf_mul(energy, psi_value, prec, rnd), prec, rnd),
+    for h_value, psi_value in zip(h_psi.raw, psi.raw):
+        gap = mpf_abs(mpf_sub(h_value, mpf_mul(energy, psi_value, prec, rnd), prec, rnd),
                       prec, rnd)
         if mpf_gt(gap, top):
             top = gap
@@ -295,54 +302,66 @@ def _casoratian(columns: Sequence[GridFn], x_max: int, memo: RunMemo) -> GridFn:
 
 
 def _require_nonzero(grid: GridFn, what: str) -> None:
-    for x_pt, value in enumerate(grid.values):
-        if value == 0:
+    for x_pt, value in enumerate(grid.raw):
+        if value == fzero:
             raise SingularDeformationError(f"{what} vanishes at x = {x_pt}")
 
 
-def deformed_potentials_bd(b_grid: GridFn, d_grid: GridFn,
-                           seeds: Sequence[GridFn], mu_state: GridFn,
-                           precision_bits: int, memo: RunMemo):
-    """Deformed potential pair (B_D, D_D) plus a positivity report.
+def deformed_potentials_bd(model: RdqmModel, seeds: Sequence[GridFn], mu_state: GridFn):
+    """The model's deformed potential pair (B_D, D_D) plus a positivity report.
 
     B_D(x) = sqrt(B(x+M)D(x+M+1)) W_C[s](x)/W_C[s](x+1) W_C[s,mu](x+1)/W_C[s,mu](x)
     D_D(x) = sqrt(B(x-1)D(x))    W_C[s](x+1)/W_C[s](x) W_C[s,mu](x-1)/W_C[s,mu](x)
-    with D_D(0) = 0 (the prefactor vanishes there since D(0) = 0).
+    with D_D(0) = 0 (the prefactor vanishes there since D(0) = 0).  Both
+    square roots are the model's ``off_roots``, at x + M and x - 1.
     """
-    with working_precision(precision_bits):
+    with working_precision(model.precision_bits):
+        prec, rnd = mpmath.mp._prec_rounding
         m_count = len(seeds)
-        x_max = min(b_grid.x_max, d_grid.x_max, mu_state.x_max, *(s.x_max for s in seeds))
-        wc = _casoratian(seeds, x_max, memo)
-        wc_mu = _casoratian(list(seeds) + [mu_state], x_max, memo)
+        x_max = min(model.x_max, mu_state.x_max, *(s.x_max for s in seeds))
+        wc = _casoratian(seeds, x_max, model.memo)
+        wc_mu = _casoratian(list(seeds) + [mu_state], x_max, model.memo)
         _require_nonzero(wc, f"W_C[{m_count} seeds]")
         _require_nonzero(wc_mu, f"W_C[{m_count} seeds, mu]")
         out_max = x_max - m_count - 1
         if out_max < 0:
             raise WindowError("window too small for the deformed potentials")
-        b_values = []
-        d_values = [mpmath.mpf(0)]
-        for x_pt in range(out_max + 1):
-            radicand = b_grid(x_pt + m_count) * d_grid(x_pt + m_count + 1)
-            if radicand < 0:
-                raise NegativeRadicandError(f"B(x+M)D(x+M+1) < 0 at x = {x_pt}")
-            b_values.append(mpmath.sqrt(radicand)
-                            * wc(x_pt) / wc(x_pt + 1)
-                            * wc_mu(x_pt + 1) / wc_mu(x_pt))
-            if x_pt >= 1:
-                radicand = b_grid(x_pt - 1) * d_grid(x_pt)
-                if radicand < 0:
-                    raise NegativeRadicandError(f"B(x-1)D(x) < 0 at x = {x_pt}")
-                d_values.append(mpmath.sqrt(radicand)
-                                * wc(x_pt + 1) / wc(x_pt)
-                                * wc_mu(x_pt - 1) / wc_mu(x_pt))
-        b_d = GridFn(b_values)
-        d_d = GridFn(d_values[:out_max + 1])
+        roots = [root._mpf_ for root in model.off_roots]
+        w, w_mu = wc.raw, wc_mu.raw
+        def quotient(root, w_up, w_down, mu_up, mu_down):   # left to right, as written
+            value = mpf_div(mpf_mul(root, w_up, prec, rnd), w_down, prec, rnd)
+            return mpf_div(mpf_mul(value, mu_up, prec, rnd), mu_down, prec, rnd)
+        b_values = [quotient(roots[x + m_count], w[x], w[x + 1], w_mu[x + 1], w_mu[x])
+                    for x in range(out_max + 1)]
+        d_values = [fzero] + [quotient(roots[x - 1], w[x + 1], w[x], w_mu[x - 1], w_mu[x])
+                              for x in range(1, out_max + 1)]
         positivity = {
-            "b_positive": all(v > 0 for v in b_d.values),
-            "d_positive_interior": all(v > 0 for v in d_d.values[1:]),
-            "d_zero_at_origin": d_d(0) == 0,
+            "b_positive": all(mpf_gt(v, fzero) for v in b_values),
+            "d_positive_interior": all(mpf_gt(v, fzero) for v in d_values[1:]),
+            "d_zero_at_origin": d_values[0] == fzero,
         }
-        return b_d, d_d, positivity
+        return (GridFn(map(mpmath.mp.make_mpf, b_values)),
+                GridFn(map(mpmath.mp.make_mpf, d_values)), positivity)
+
+
+def _quarter_roots(b_grid: GridFn, d_grid: GridFn, m_count: int) -> list:
+    """(prod_{j=1}^M B(x+j-1) D(x+j))^{1/4} as raw tuples, None where negative."""
+    prec, rnd = mpmath.mp._prec_rounding
+    products = [mpf_mul(b, d, prec, rnd) for b, d in zip(b_grid.raw, d_grid.raw[1:])]
+    roots = []
+    for x_pt in range(len(products) - m_count + 1):
+        quarters = fone
+        for product in products[x_pt:x_pt + m_count]:
+            quarters = mpf_mul(quarters, product, prec, rnd)
+        roots.append(None if mpf_lt(quarters, fzero) else mpf_nthroot(quarters, 4, prec, rnd))
+    return roots
+
+
+def _pair_roots(wc: GridFn) -> list:
+    """sqrt(W_C(x) W_C(x+1)) as raw tuples, None where not positive."""
+    prec, rnd = mpmath.mp._prec_rounding
+    pairs = [mpf_mul(left, right, prec, rnd) for left, right in zip(wc.raw, wc.raw[1:])]
+    return [None if mpf_le(pair, fzero) else mpf_sqrt(pair, prec, rnd) for pair in pairs]
 
 
 def deformed_eigenfunctions(b_grid: GridFn, d_grid: GridFn,
@@ -354,6 +373,7 @@ def deformed_eigenfunctions(b_grid: GridFn, d_grid: GridFn,
     the window) raises NegativeRadicandError rather than going complex.
     """
     with working_precision(precision_bits):
+        prec, rnd = mpmath.mp._prec_rounding
         m_count = len(seeds)
         if m_count == 0:
             return phi
@@ -364,20 +384,22 @@ def deformed_eigenfunctions(b_grid: GridFn, d_grid: GridFn,
         out_max = min(wc_n.x_max, wc.x_max - 1, x_max - m_count)
         if out_max < 0:
             raise WindowError("window too small for the deformed eigenfunction")
+        quarter_roots = memo.once(("(prod BD)^1/4", prec, b_grid, d_grid, m_count),
+                                  _quarter_roots, b_grid, d_grid, m_count)
+        pair_roots = memo.once(("sqrt W_C W_C(+1)", prec, wc), _pair_roots, wc)
+        negate = (-1) ** m_count * epsilon < 0
         values = []
-        for x_pt in range(out_max + 1):
-            quarters = mpmath.mpf(1)
-            for j in range(1, m_count + 1):
-                quarters *= b_grid(x_pt + j - 1) * d_grid(x_pt + j)
-            if quarters < 0:
+        for x_pt, w_n in enumerate(wc_n.raw[:out_max + 1]):
+            root, pair = quarter_roots[x_pt], pair_roots[x_pt]
+            if root is None:
                 raise NegativeRadicandError(f"prod B D < 0 at x = {x_pt}")
-            w_pair = wc(x_pt) * wc(x_pt + 1)
-            if w_pair <= 0:
+            if pair is None:
                 raise NegativeRadicandError(
                     f"W_C(x)W_C(x+1) not positive at x = {x_pt} (sign premise violated)")
-            values.append((-1) ** m_count * epsilon * mpmath.root(quarters, 4)
-                          * wc_n(x_pt) / mpmath.sqrt(w_pair))
-        return GridFn(values)
+            # the sign is exact: negating a working-precision root rounds nothing
+            values.append(mpf_div(mpf_mul(mpf_neg(root) if negate else root, w_n, prec, rnd),
+                                  pair, prec, rnd))
+        return GridFn(map(mpmath.mp.make_mpf, values))
 
 
 def _inputs(model: RdqmModel, dv_energies: Sequence, de_labels: Sequence[int], **inputs):
@@ -524,8 +546,7 @@ def _first_stage(model: RdqmModel, seeds_v: list, dv_energies: list,
     potentials the virtual seeds deform to, their positivity report, and
     the deleted eigenstates deformed by the virtual seeds."""
     mu_stage1 = model.eigen(0)   # no eigenstates deleted yet at stage 1
-    b_dv, d_dv, positivity = deformed_potentials_bd(
-        model.b_grid, model.d_grid, seeds_v, mu_stage1, model.precision_bits, model.memo)
+    b_dv, d_dv, positivity = deformed_potentials_bd(model, seeds_v, mu_stage1)
     stage2_seeds = [deformed_eigenfunctions(model.b_grid, model.d_grid, seeds_v,
                                             dv_energies, model.eigen(k),
                                             model.precision_bits, model.memo)
@@ -604,23 +625,25 @@ def spectrum_check(model: RdqmModel, dv_energies: Sequence, de_labels: Sequence[
         mu = 0
         while mu in deleted:
             mu += 1
-        b_d, d_d, positivity = deformed_potentials_bd(
-            model.b_grid, model.d_grid, seeds, model.eigen(mu), model.precision_bits,
-            model.memo)
-        e_mu = mpmath.mpf(mu)
+        prec, rnd = mpmath.mp._prec_rounding
+        make_mpf = mpmath.mp.make_mpf
+        b_d, d_d, positivity = deformed_potentials_bd(model, seeds, model.eigen(mu))
+        e_mu = mpmath.mpf(mu)._mpf_
 
         max_usable = b_d.x_max + 1
         if truncation > max_usable:
             raise WindowError(f"truncation {truncation} exceeds usable window {max_usable}")
         # Both truncations are leading blocks of the second, larger one.
         second_size = min(2 * truncation, max_usable)
-        diag = [b_d(x) + d_d(x) + e_mu for x in range(second_size)]
+        b, d = b_d.raw, d_d.raw
+        diag = [make_mpf(mpf_add(mpf_add(b[x], d[x], prec, rnd), e_mu, prec, rnd))
+                for x in range(second_size)]
         off = []
         for x_pt in range(second_size - 1):
-            radicand = b_d(x_pt) * d_d(x_pt + 1)
-            if radicand < 0:
+            radicand = mpf_mul(b[x_pt], d[x_pt + 1], prec, rnd)
+            if mpf_lt(radicand, fzero):
                 raise NegativeRadicandError(f"B_D D_D < 0 at x = {x_pt}")
-            off.append(-mpmath.sqrt(radicand))
+            off.append(make_mpf(mpf_neg(mpf_sqrt(radicand, prec, rnd), prec, rnd)))
         primary = lowest_eigenvalues(diag[:truncation], off[:truncation - 1], eigen_count)
         secondary = lowest_eigenvalues(diag, off, eigen_count)
         sensitivity = max(abs(a - b) for a, b in zip(primary, secondary))

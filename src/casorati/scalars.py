@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Union
 
 import mpmath
+from mpmath.libmp import from_int, mpf_div, mpf_pos
 
 DEFAULT_PRECISION_BITS = 256
 
@@ -196,7 +197,12 @@ def parse_gaussian(text: str) -> GaussianRational:
 
 
 def mpf_from_rational(q: Fraction) -> mpmath.mpf:
-    return mpmath.mpf(q.numerator) / q.denominator
+    return mpmath.mp.make_mpf(raw_rational(q, *mpmath.mp._prec_rounding))
+
+
+def raw_rational(q: Fraction, prec: int, rnd: str) -> tuple:
+    """mpf(numerator) / denominator as a raw tuple, the numerator rounded first."""
+    return mpf_div(mpf_pos(from_int(q.numerator), prec, rnd), from_int(q.denominator), prec, rnd)
 
 
 def working_precision(bits: int):

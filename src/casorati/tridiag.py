@@ -1,7 +1,9 @@
 """Lowest eigenvalues of symmetric tridiagonal matrices: plain bisection on
 Sturm counts, with the counts placed by hints that cost no big-float work.
 
-Works at the caller's mpmath precision.  The negative count of the standard
+Works at the caller's mpmath precision; the Gershgorin bounds and the squared
+off-diagonal are formed once a call on raw ``_mpf_`` tuples, by the libmp
+calls of the mpf operators.  The negative count of the standard
 Sturm-sequence recurrence d_1 = a_1 - t, d_i = a_i - t - b_{i-1}^2 / d_{i-1}
 equals the number of eigenvalues below t, and the computed count is
 monotone in t (Kahan).  Each eigenvalue is bisected from the Gershgorin
@@ -43,6 +45,7 @@ from mpmath.libmp import (
     mpf_add,
     mpf_div,
     mpf_gt,
+    mpf_lt,
     mpf_mul,
     mpf_neg,
     mpf_pow_int,
@@ -230,20 +233,23 @@ def lowest_eigenvalues(diag: Sequence, off: Sequence, k: int,
         raise ValueError("need 1 <= k <= n")
     if tol is None:
         tol = mpmath.mpf(2) ** (-(mpmath.mp.prec * 3) // 4)
-    off_sq = [b * b for b in off]
-    lo = diag[0]
-    hi = diag[0]
-    for i in range(n):
-        radius = (abs(off[i - 1]) if i > 0 else 0) + (abs(off[i]) if i < n - 1 else 0)
-        lo = min(lo, diag[i] - radius)
-        hi = max(hi, diag[i] + radius)
     prec, rnd = mpmath.mp._prec_rounding
     make_mpf = mpmath.mp.make_mpf
-    tol, lo, hi = tol._mpf_, lo._mpf_, hi._mpf_
+    raw_diag = [a._mpf_ for a in diag]
+    sizes = [mpf_abs(b._mpf_, prec, rnd) for b in off] + [fzero]
+    raw_off_sq = [mpf_mul(b._mpf_, b._mpf_, prec, rnd) for b in off]
+    off_sq = [make_mpf(b) for b in raw_off_sq]
+    lo = hi = raw_diag[0]
+    for i, a in enumerate(raw_diag):
+        radius = mpf_add(sizes[i - 1] if i else fzero, sizes[i], prec, rnd)
+        low, high = mpf_sub(a, radius, prec, rnd), mpf_add(a, radius, prec, rnd)
+        lo = low if mpf_lt(low, lo) else lo
+        hi = high if mpf_gt(high, hi) else hi
+    tol = tol._mpf_
     tol_mag = tol[2] + tol[3]                 # |tol| < 2^tol_mag
     starts = [None] * k
-    float_diag = [to_float(a._mpf_) for a in diag]
-    float_off_sq = [to_float(b._mpf_) for b in off_sq]
+    float_diag = [to_float(a) for a in raw_diag]
+    float_off_sq = [to_float(b) for b in raw_off_sq]
     float_lo, float_hi = to_float(lo), to_float(hi)
     if all(map(math.isfinite, float_diag + float_off_sq + [float_lo, float_hi])):
         starts = _binary64_starts(float_diag, float_off_sq, k, float_lo, float_hi)
@@ -251,8 +257,8 @@ def lowest_eigenvalues(diag: Sequence, off: Sequence, k: int,
     # replay's scale starts there (or at the Gershgorin ends' grid) and only
     # grows, so hints and bracket ends carry over by a left shift.
     fine = max(_GUARD_BITS - tol_mag, 0)
-    fixed_diag = [_fixed(a._mpf_, fine) for a in diag]
-    fixed_off_sq = [_fixed(b._mpf_, fine) for b in off_sq]
+    fixed_diag = [_fixed(a, fine) for a in raw_diag]
+    fixed_off_sq = [_fixed(b, fine) for b in raw_off_sq]
     fixed_tol = _fixed(tol, fine)
     scale = max(fine, -lo[2], -hi[2])
     lo, hi = _fixed(lo, scale), _fixed(hi, scale)

@@ -235,6 +235,12 @@ PINNED_REPORTS = [
      "f0bf0ccea9577a99d2f1d7bef3d0971f1ffb80672974fb1339ac0e0fb746c1b5"),
     (["oqm", "--dv", "3", "--n", "0"],
      "dee2057d888fc94c3b56e06de313f650f55d4bab5c41c2df8271f3d1193c6036"),
+    # recorded from the code before the rdQM layer ran on raw mpf tuples:
+    # five seeds (6-column Casoratians) at two levels, and 512 bits
+    (["rdqm", "--dv=-0.6,-1.2,-1.7", "--de=1,2", "--n", "0,3"],
+     "a8dbfc0ad1e66535e990de2125b749fd1e3322bcc0f13540d3a5c014e854f32c"),
+    (["rdqm", "--precision-bits", "512", "--dv=-0.6,-1.7", "--de=1,2", "--n", "0,3"],
+     "2311891f3049125b8ab6d7f8e77330e339d83201b59f30301bf5b9585af6bc00"),
 ]
 
 SPECTRUM_REPRODUCER = ["rdqm", "--dv=-0.6", "--n", "0,2", "--precision-bits", "192",
@@ -253,7 +259,19 @@ PINNED_WITNESS_REPORTS = [
     # SPECTRUM_UNWITNESSED)
     (SPECTRUM_REPRODUCER, 3, 1,
      "fec0372b626d0235684ab066b1dfd67dcd7ae5f5c1e56037c1e764618809693b"),
+    # recorded from the code before the rdQM layer ran on raw mpf tuples: a
+    # pair deletion with no virtual seed, and another model at 128 bits
+    (["rdqm", "--de=2,3", "--n", "0"], 1, 2,
+     "e609b76fa9edc2e15e6ceac6b7a7b7a5dace58a524749b6c5969bff884eca6c2"),
+    (["rdqm", "--beta", "3", "--c", "1/2", "--precision-bits", "128", "--dv=-0.6,-1.7",
+      "--n", "0,2"], 3, 1,
+     "a02f7a50530ac484597541507db564040d8fcf1068bbca9293bae276dd8785a5"),
 ]
+
+# An rdqm --csv export, byte for byte (sha256), recorded with the pins above.
+PINNED_CSV = (["rdqm", "--dv=-0.6,-1.7", "--de=1,2", "--n", "0", "--window", "40",
+               "--truncation", "20", "--precision-bits", "192"], 3,
+              "74ffae78a1bd5860b2d56e525f747a603814fe9c3549bc923a63e302f71ea662")
 
 # Runs that end in a configuration error: (argv, stderr), all exit 2.
 PINNED_ERRORS = [
@@ -266,6 +284,9 @@ PINNED_ERRORS = [
      "configuration error: seed residual 1.9227119016e-10 above tolerance\n"),
     (["rdqm", "--de=1", "--n", "0"], "configuration error: W_C(x)W_C(x+1) not positive "
      "at x = 0 (sign premise violated)\n"),
+    # a model input above its upper bound, rejected before any big-float work
+    (["rdqm", "--dv=-0.6", "--n", "0", "--window", "1001"],
+     "configuration error: window x_max 1001 is above its bound 1000\n"),
 ]
 
 
@@ -291,6 +312,13 @@ def test_witness_report_bytes_pinned(tmp_path, argv, code, witnesses, digest):
     got_code, payload, got_digest = pinned_run(tmp_path, argv)
     assert (got_code, got_digest) == (code, digest)
     assert sum("witness" in check for check in payload["checks"]) == witnesses
+
+
+def test_csv_bytes_pinned(tmp_path):
+    argv, code, digest = PINNED_CSV
+    path = tmp_path / "spectra.csv"
+    assert main([*argv, "--out", os.devnull, "--csv", str(path)]) == code
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv,stderr", PINNED_ERRORS)
@@ -419,6 +447,12 @@ SMALL_MODEL = {"beta": "2", "c": "1/3", "n_max": 8, "window": 40, "precision_bit
     # a degenerate instance, which a sweep would redraw
     ("idqm.prefactor-gg", {"v_num": ["1"], "v_den": [], "gamma": "1", "l": 1, "m": 1},
      "degenerate witness inputs: RationalFn with zero denominator"),
+    # a model input above its upper bound
+    ("rdqm.sign-conjecture", {**SMALL_MODEL, "n_max": 61, "dv_energies": ["-3/5"],
+                              "de_labels": []}, "n_max 61 is above its bound 60"),
+    ("rdqm.spectrum", {**SMALL_MODEL, "precision_bits": 10 ** 6, "dv_energies": [],
+                       "de_labels": [], "truncation": 20, "eigen_count": 5},
+     "precision_bits 1000000 is above its bound 8192"),
 ])
 def test_replay_inadmissible_witness_exit_2(tmp_path, capsys, identity_id, inputs, message):
     """Each input is decoded by its JSON type before any check runs, so an

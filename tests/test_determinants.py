@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from mpmath.libmp import fone, fzero
 from hypothesis import assume, example, given, settings, strategies as st
 
 import casorati.determinants as det_mod
@@ -534,14 +535,45 @@ def test_det_float_scalar_matches_operator_lu(drawn):
     with working_precision(entry_bits):
         matrix = [[_mpf_entry(v) for v in row] for row in spec]
     with working_precision(bits):
-        got = det_float_scalar(matrix)
+        got = det_float_scalar([[x._mpf_ for x in row] for row in matrix])
         want = det_float_reference(matrix)
-    assert isinstance(got, mpmath.mpf)
-    assert got._mpf_ == want._mpf_
+    assert got == want._mpf_
+
+
+@st.composite
+def float_grids(draw):
+    """(entry bits, working bits, column specs): 1 to 5 columns on a common
+    window, a column at times zero or repeated."""
+    n = draw(st.integers(1, 5))
+    length = draw(st.integers(n, n + 5))
+    spec = [[draw(float_entries) for _ in range(length)] for _ in range(n)]
+    shape = draw(st.sampled_from(["plain", "zero column", "repeated column"]))
+    if shape == "zero column":
+        spec[draw(st.integers(0, n - 1))] = [0] * length
+    elif shape == "repeated column" and n > 1:
+        spec[n - 1] = list(spec[0])
+    return draw(st.sampled_from([53, 128, 256])), draw(st.sampled_from([53, 128, 256])), spec
+
+
+@given(float_grids())
+@settings(max_examples=100, deadline=None)
+@example((256, 53, [[1, 2, (1, 3), -2], [(2, 3), 0, 3, 1], [-1, (5, 7), 2, 0]]))
+def test_casoratian_real_grid_matches_operator_lu(drawn):
+    """Rows sliced from the columns' raw tuples give, at every x, the tuple
+    of the operator LU on the matrix f_k(x + j) built from the grid values."""
+    entry_bits, bits, spec = drawn
+    with working_precision(entry_bits):
+        fs = [GridFn([_mpf_entry(v) for v in column]) for column in spec]
+    n = len(fs)
+    with working_precision(bits):
+        got = casoratian_real_grid(fs)
+        want = [det_float_reference([[fs[k](x + j) for k in range(n)] for j in range(n)])
+                for x in range(fs[0].x_max - n + 2)]
+    assert got.raw == tuple(v._mpf_ for v in got.values) == tuple(v._mpf_ for v in want)
 
 
 def test_det_float_scalar_zero_column_and_empty():
     with working_precision(128):
-        zero = [[mpmath.mpf(1), mpmath.mpf(0)], [mpmath.mpf(2), mpmath.mpf(0)]]
-        assert det_float_scalar(zero) == 0 and isinstance(det_float_scalar(zero), mpmath.mpf)
-        assert det_float_scalar([]) == 1
+        zero = [[mpmath.mpf(1)._mpf_, fzero], [mpmath.mpf(2)._mpf_, fzero]]
+        assert det_float_scalar(zero) == fzero
+        assert det_float_scalar([]) == fone

@@ -5,7 +5,7 @@ import pytest
 from mpmath.libmp import from_man_exp, ftwo, mpf_add, mpf_div, mpf_neg, round_nearest
 from hypothesis import example, given, settings, strategies as st
 
-from casorati.determinants import RunMemo, casoratian_real_grid
+from casorati.determinants import casoratian_real_grid
 from casorati.gridfn import GridFn, WindowError
 from casorati.rdqm import (
     NegativeRadicandError,
@@ -112,14 +112,11 @@ def test_sign_factor_examples():
 
 def test_deformed_potentials_trivial_and_single(model):
     with working_precision(BITS):
-        b0, d0, pos = deformed_potentials_bd(model.b_grid, model.d_grid, [],
-                                             model.eigen(0), BITS, model.memo)
+        b0, d0, pos = deformed_potentials_bd(model, [], model.eigen(0))
         for x_pt in range(0, 20):
             assert abs(b0(x_pt) - model.b_grid(x_pt)) < mpmath.mpf(10) ** -40
             assert abs(d0(x_pt) - model.d_grid(x_pt)) < mpmath.mpf(10) ** -40
-        b1, d1, pos1 = deformed_potentials_bd(model.b_grid, model.d_grid,
-                                              [model.eigen(0)], model.eigen(1), BITS,
-                                              model.memo)
+        b1, d1, pos1 = deformed_potentials_bd(model, [model.eigen(0)], model.eigen(1))
         assert d1(0) == 0
         assert pos1["b_positive"] and pos1["d_positive_interior"]
 
@@ -161,9 +158,7 @@ def test_hamiltonian_and_residual_match_operator_form(bits):
 
 def test_deformed_eigenfunction_residual(model):
     with working_precision(BITS):
-        b1, d1, _ = deformed_potentials_bd(model.b_grid, model.d_grid,
-                                           [model.eigen(0)], model.eigen(1), BITS,
-                                           model.memo)
+        b1, d1, _ = deformed_potentials_bd(model, [model.eigen(0)], model.eigen(1))
         phi = deformed_eigenfunctions(model.b_grid, model.d_grid,
                                       [model.eigen(0)], [Fraction(0)],
                                       model.eigen(1), BITS, model.memo)
@@ -348,8 +343,7 @@ def deformed_truncation():
     seeds = ([solve_seed_at_energy(big, e) for e in (Fraction(-3, 5), Fraction(-17, 10))]
              + [big.eigen(1), big.eigen(2)])
     with working_precision(bits):
-        b_d, d_d, _ = deformed_potentials_bd(big.b_grid, big.d_grid, seeds,
-                                             big.eigen(0), bits, big.memo)
+        b_d, d_d, _ = deformed_potentials_bd(big, seeds, big.eigen(0))
         diag = [b_d(x) + d_d(x) for x in range(60)]
         off = [-mpmath.sqrt(b_d(x) * d_d(x + 1)) for x in range(59)]
     return bits, diag, off
@@ -620,7 +614,7 @@ def test_window_errors(model):
     tiny = GridFn([mpmath.mpf(1), mpmath.mpf(2)])
     other = GridFn([mpmath.mpf(1), mpmath.mpf(1)])
     with pytest.raises(WindowError):
-        deformed_potentials_bd(tiny, tiny, [tiny], other, BITS, RunMemo())
+        deformed_potentials_bd(model, [tiny], other)
 
 
 def test_model_parameter_validation():
@@ -638,8 +632,7 @@ def test_singular_deformation_names_location(model):
     with working_precision(BITS):
         # phi_1 vanishes at x = 1, so the 1-seed Casoratian is zero there
         with pytest.raises(SingularDeformationError, match="x = 1"):
-            deformed_potentials_bd(model.b_grid, model.d_grid,
-                                   [model.eigen(1)], model.eigen(0), BITS, model.memo)
+            deformed_potentials_bd(model, [model.eigen(1)], model.eigen(0))
 
 
 def test_deformed_potentials_seed_order_invariant(model):
@@ -648,10 +641,8 @@ def test_deformed_potentials_seed_order_invariant(model):
     s1 = solve_seed_at_energy(model, Fraction(-3, 5))
     s2 = solve_seed_at_energy(model, Fraction(-17, 10))
     with working_precision(BITS):
-        b_a, d_a, _ = deformed_potentials_bd(model.b_grid, model.d_grid,
-                                             [s1, s2], model.eigen(0), BITS, model.memo)
-        b_b, d_b, _ = deformed_potentials_bd(model.b_grid, model.d_grid,
-                                             [s2, s1], model.eigen(0), BITS, model.memo)
+        b_a, d_a, _ = deformed_potentials_bd(model, [s1, s2], model.eigen(0))
+        b_b, d_b, _ = deformed_potentials_bd(model, [s2, s1], model.eigen(0))
         for x_pt in range(min(b_a.x_max, b_b.x_max) + 1):
             assert abs(b_a(x_pt) - b_b(x_pt)) <= mpmath.mpf(10) ** -40 * (1 + abs(b_a(x_pt)))
             assert abs(d_a(x_pt) - d_b(x_pt)) <= mpmath.mpf(10) ** -40 * (1 + abs(d_a(x_pt)))
