@@ -11,7 +11,7 @@ the minors of their fixed columns once and apply f -> W[fixed, f] by
 cofactors, over a base in ``over_base_operator``, whose seed part is the
 Wronskian of quotients over it.  Both shift Casoratians are one body, and
 ``cofactor_det`` is the test oracle only.  Empty input gives 1 everywhere.
-The big-float grid LU (``det_float_scalar``) runs on rows sliced from ``GridFn.raw``.
+The big-float grid LU (``det_float_scalar``) reads and writes ``GridFn.raw`` tuples.
 """
 
 from __future__ import annotations
@@ -445,7 +445,7 @@ def casoratian_real_grid(fs: Sequence[GridFn]) -> GridFn:
 
     Exact (Fraction) grids go through the fraction-free kernel as constant
     polynomials; big-float grids through pivoted LU (``det_float_scalar``) on
-    rows sliced from each column's raw tuples, read once."""
+    rows sliced from each column's raw tuples, whose raw results the grid stores."""
     n = len(fs)
     if n == 0:
         raise ValueError("casoratian_real_grid needs at least one function; "
@@ -455,10 +455,9 @@ def casoratian_real_grid(fs: Sequence[GridFn]) -> GridFn:
     if out_max < 0:
         raise WindowError(
             f"window too small for a {n}-function Casoratian: need x_max >= {n - 1}")
-    if all(isinstance(f(0), Fraction) for f in fs):
-        return GridFn([fraction_free_det([[f(x + j) for f in fs] for j in range(n)])
-                       .coefficient(0).re for x in range(out_max + 1)])
     columns = [f.raw for f in fs]
-    return GridFn(mpmath.mp.make_mpf(det_float_scalar([[column[x + j] for column in columns]
-                                                       for j in range(n)]))
-                  for x in range(out_max + 1))
+    matrices = ([[column[x + j] for column in columns] for j in range(n)]
+                for x in range(out_max + 1))
+    if all(isinstance(column[0], Fraction) for column in columns):
+        return GridFn([fraction_free_det(rows).coefficient(0).re for rows in matrices])
+    return GridFn(map(det_float_scalar, matrices))

@@ -50,7 +50,7 @@ from .sampling import (
     random_poly,
     trial_rng,
 )
-from .scalars import format_rational, i_power, imaginary, rational
+from .scalars import format_rational, i_power, imaginary, rational, require_at_most
 
 HALF = Fraction(1, 2)
 
@@ -390,10 +390,17 @@ def two_column_identity(family: str, fs, g, h, gamma=None) -> tuple:
 # The imaginary-shift extras: sum formula and classical limit
 # ---------------------------------------------------------------------------
 
+# Upper bounds of the two checkers' sizes: j_max = 40 takes 0.4 s, and the work grows
+# as about j_max^3; 32 halvings take gamma0 down to gamma0 / 2^32 (the suite takes 4).
+MAX_J_MAX, MAX_HALVINGS = 40, 32
+
+
 def check_sum_formula(j_max: int) -> CheckReport:
-    """sum_r (-1)^r C(j-1, r) (r - (j-1)/2)^s == (-1)^{j-1} (j-1)! delta_{s,j-1}."""
+    """sum_r (-1)^r C(j-1, r) (r - (j-1)/2)^s == (-1)^{j-1} (j-1)! delta_{s,j-1},
+    for j = 1..j_max; j_max above MAX_J_MAX raises ValueError."""
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
+    require_at_most("j_max", j_max, MAX_J_MAX)
     failures = []
     for j in range(1, j_max + 1):
         for s in range(j):
@@ -414,11 +421,13 @@ def check_classical_limit(fs: Sequence[Poly], gamma0, halvings: int) -> CheckRep
 
     Errors are tracked coefficientwise as exact squared magnitudes; each
     nonzero error must shrink by at least 3/2 per halving (ratio^2 >= 9/4),
-    with exact zeros allowed at any stage.
+    with exact zeros allowed at any stage.  halvings above MAX_HALVINGS
+    raises ValueError.
     """
     gamma0 = rational(gamma0)
     if gamma0 <= 0:
         raise ValueError("gamma0 must be positive")
+    require_at_most("halvings", halvings, MAX_HALVINGS)
     n = len(fs)
     target = wronskian([ExpPoly(f) for f in fs]).p
     scale_power = (n * (n - 1)) // 2

@@ -21,9 +21,13 @@ from typing import Sequence
 from .determinants import casoratian_imag, imag_shift_points
 from .poly import Poly, RationalFn, as_rational_fn
 from .report import CheckReport, check_report
-from .scalars import format_rational, imaginary, rational
+from .scalars import format_rational, imaginary, rational, require_at_most
 
 HALF = Fraction(1, 2)
+
+# Upper bound of check_prefactor_gg's l and m: the degree of its 8th powers grows
+# with l + m, and l = m = 6 takes 0.5 s on a quadratic V, l = m = 8 2.3 s.
+MAX_SEED_COUNT = 6
 
 
 def star(fn: RationalFn | Poly) -> RationalFn:
@@ -174,11 +178,14 @@ def check_prefactor_gg(v: RationalFn, gamma, l: int, m: int) -> CheckReport:
 
     G(x) = (prod_{j=0}^{l-1} V(x+i(l/2-j)g) V*(x-i(l/2-j)g))^{1/4};
     the claim rewrites prod G(x_j^{(m+1)}) / sqrt(prod G(x_j - ig/2) G(x_j + ig/2))
-    as an eighth root of explicit V-products.
+    as an eighth root of explicit V-products.  l or m above MAX_SEED_COUNT
+    raises ValueError.
     """
     gamma = rational(gamma)
     if l < 0 or m < 1:
         raise ValueError("need l >= 0 and m >= 1")
+    require_at_most("l", l, MAX_SEED_COUNT)
+    require_at_most("m", m, MAX_SEED_COUNT)
     _require_nonzero_potential(v)
     g4 = vv_product(v, gamma, l, 0, l - 1)
     lhs8 = RationalFn.one()

@@ -25,7 +25,7 @@ from .determinants import (
     RunMemo, WronskianOperator, over_base_operator, wronskian, wronskian_operator)
 from .poly import ExpPoly, ExpRatio, Poly, RationalFn, rational_reduce
 from .report import CheckReport, check_report
-from .scalars import rational
+from .scalars import rational, require_at_most
 from .seeds import krein_adler_check
 
 
@@ -97,14 +97,22 @@ class OqmModel:
         return self.memo.once(("operator", seeds), wronskian_operator, seeds)
 
 
+# Upper bound of a model's n_max and v_max, and so of every label a run or a
+# witness may use: deleting levels 40 and 41 already takes 4.5 s.
+MAX_LEVEL_COUNT = 40
+
+
 def build_harmonic_model(n_max: int, v_max: int) -> OqmModel:
     """U = x^2; E_n = 2n and E_v = -2v-2 after shifting the ground level to 0.
 
     Every stored pair is re-verified against the raw equation before the
     model becomes usable; a verification failure aborts construction.
+    n_max or v_max above MAX_LEVEL_COUNT raises ValueError.
     """
     if n_max < 0 or v_max < 0:
         raise ValueError("n_max and v_max must be >= 0")
+    require_at_most("n_max", n_max, MAX_LEVEL_COUNT)
+    require_at_most("v_max", v_max, MAX_LEVEL_COUNT)
     potential = Poly([0, 0, 1])
     offset = Fraction(1)  # raw ground energy of -d^2/dx^2 + x^2
     levels = []

@@ -16,9 +16,9 @@ or from a library call replays alone.  One run computes each big-float quantity
 once: the checks of a run take their virtual seeds, seed Casoratians, the first
 stage of the staged path and the two roots of every deformed eigenfunction from
 the model's ``RunMemo``, at the model's working precision, and the memo is
-freed with the model.  Per-point loops run on raw ``_mpf_`` tuples (``GridFn.raw``)
-by the libmp calls of the mpf operators, so every value is theirs bit for bit;
-mpf objects are made for a grid's public values, a report, the CSV or an error.
+freed with the model.  Grids hold raw ``_mpf_`` tuples (``GridFn.raw``), which the
+per-point loops read and write by the mpf operators' libmp calls, bit for bit; an
+mpf is made only for a report, the CSV, an error or a loop left in operator form.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from typing import Sequence
 
 import mpmath
 from mpmath.libmp import (
-    fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_neg,
-    mpf_nthroot, mpf_sqrt, mpf_sub)
+    fone, from_int, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le, mpf_lt, mpf_mul,
+    mpf_neg, mpf_nthroot, mpf_sign, mpf_sqrt, mpf_sub)
 
 from .determinants import RunMemo, casoratian_real_grid
 from .gridfn import GridFn, WindowError
@@ -39,9 +39,9 @@ from .poly import Poly
 from .report import CheckReport, check_report
 from .scalars import (
     DEFAULT_PRECISION_BITS,
-    mpf_from_rational,
     rational,
     raw_rational,
+    require_at_most,
     working_precision,
 )
 from .seeds import krein_adler_check, sign_factor
@@ -59,10 +59,6 @@ class NegativeRadicandError(ArithmeticError):
 class ResidualGateError(ArithmeticError):
     """A model eigenpair or a seed missed its residual gate: the working
     precision is too low for the window."""
-
-
-def _sign(value) -> int:
-    return (value > 0) - (value < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +83,7 @@ def meixner_polynomial(n: int, beta: Fraction, c: Fraction) -> Poly:
 class RdqmModel:
     """Semi-infinite Meixner lattice model, truncated to {0, ..., x_max}.
 
-    ``off_roots[x]`` is sqrt(B(x)D(x+1)), the negated off-diagonal of H.
+    ``off_roots(x)`` is sqrt(B(x)D(x+1)), the negated off-diagonal of H.
     ``memo`` holds the run's shared results: each virtual seed
     (``seed``), each grid Casoratian, the first stage of the staged path,
     (prod B D)^{1/4} per grid pair and M and sqrt(W_C W_C(+1)) per seed
@@ -104,7 +100,7 @@ class RdqmModel:
     d_grid: GridFn
     x_max: int
     precision_bits: int
-    off_roots: tuple
+    off_roots: GridFn
     memo: RunMemo = field(default_factory=RunMemo, init=False, compare=False, repr=False)
 
     @property
@@ -145,24 +141,23 @@ def build_meixner_model(beta, c, n_max: int, x_max: int,
         raise ValueError("need 0 < c < 1")
     for name, value, bound in (("window x_max", x_max, MAX_X_MAX), ("n_max", n_max, MAX_N_MAX),
                                ("precision_bits", precision_bits, MAX_PRECISION_BITS)):
-        if value > bound:
-            raise ValueError(f"{name} {value} is above its bound {bound}")
+        require_at_most(name, value, bound)
     with working_precision(precision_bits):
         prec, rnd = mpmath.mp._prec_rounding
-        b_grid = GridFn([mpf_from_rational(c * (k + beta) / (1 - c)) for k in range(x_max + 1)])
-        d_grid = GridFn([mpf_from_rational(k / (1 - c)) for k in range(x_max + 1)])
-        off_roots = []
-        for x_pt in range(x_max):
-            value = mpf_mul(b_grid.raw[x_pt], d_grid.raw[x_pt + 1], prec, rnd)
+        b_grid = GridFn([raw_rational(c * (k + beta) / (1 - c), prec, rnd)
+                         for k in range(x_max + 1)])
+        d_grid = GridFn([raw_rational(k / (1 - c), prec, rnd) for k in range(x_max + 1)])
+        products = [mpf_mul(b, d, prec, rnd) for b, d in zip(b_grid.raw, d_grid.raw[1:])]
+        for x_pt, value in enumerate(products):
             if mpf_le(value, fzero):
                 raise SingularDeformationError(
                     f"off-diagonal sqrt(B({x_pt})D({x_pt + 1})) vanishes")
-            off_roots.append(mpmath.mp.make_mpf(mpf_sqrt(value, prec, rnd)))
+        off_roots = GridFn(mpf_sqrt(value, prec, rnd) for value in products)
         # ground factor phi_0(x) = sqrt(c^x (beta)_x / x!)
         radicands = [Fraction(1)]
         for k in range(1, x_max + 1):
             radicands.append(radicands[-1] * c * (beta + k - 1) / k)
-        ground = GridFn([mpmath.sqrt(mpf_from_rational(r)) for r in radicands])
+        ground = GridFn([mpf_sqrt(raw_rational(r, prec, rnd), prec, rnd) for r in radicands])
         tolerance = mpmath.mpf(10) ** (-(precision_bits // 4))
         eigenfunctions = []
         for n in range(n_max + 1):
@@ -170,20 +165,19 @@ def build_meixner_model(beta, c, n_max: int, x_max: int,
             numerators = [0] * (x_max + 1)        # den * P_n(k), by integer Horner
             for coefficient in reversed(p_n.re):
                 numerators = [value * k + coefficient for k, value in enumerate(numerators)]
-            phi_n = GridFn(mpmath.mp.make_mpf(mpf_mul(
-                root, raw_rational(Fraction(value, p_n.den), prec, rnd), prec, rnd))
-                for root, value in zip(ground.raw, numerators))
-            res = _relative_residual(b_grid, d_grid, phi_n, mpmath.mpf(n), off_roots)
+            phi_n = GridFn(mpf_mul(root, raw_rational(Fraction(value, p_n.den), prec, rnd),
+                                   prec, rnd) for root, value in zip(ground.raw, numerators))
+            res = _relative_residual(b_grid, d_grid, phi_n, from_int(n, prec, rnd), off_roots)
             if res > tolerance:
                 raise ResidualGateError(
                     f"eigenpair {n} residual {res} above 1e-{precision_bits // 4}")
             eigenfunctions.append(phi_n)
-    if not all(phi(0) == 1 for phi in eigenfunctions):
+    if not all(phi.raw[0] == fone for phi in eigenfunctions):
         raise ArithmeticError("eigenfunction normalization phi_n(0) = 1 failed")
     return RdqmModel(beta=beta, c=c, energies=tuple(map(Fraction, range(n_max + 1))),
                      eigenfunctions=tuple(eigenfunctions), ground=ground, b_grid=b_grid,
                      d_grid=d_grid, x_max=x_max, precision_bits=precision_bits,
-                     off_roots=tuple(off_roots))
+                     off_roots=off_roots)
 
 
 # ---------------------------------------------------------------------------
@@ -191,36 +185,35 @@ def build_meixner_model(beta, c, n_max: int, x_max: int,
 # ---------------------------------------------------------------------------
 
 def apply_hamiltonian(b_grid: GridFn, d_grid: GridFn, psi: GridFn,
-                      roots: Sequence) -> GridFn:
+                      roots: GridFn) -> GridFn:
     """(H psi)(x) on the interior window {0, ..., x_max - 1}.
 
     H = -sqrt(B(x)D(x+1)) e^+ - sqrt(B(x-1)D(x)) e^- + (B + D), with
-    ``roots[x]`` = sqrt(B(x)D(x+1)) (a model's ``off_roots``); the down term
+    ``roots(x)`` = sqrt(B(x)D(x+1)) (a model's ``off_roots``); the down term
     vanishes at x = 0 because D(0) = 0.  The rows run on raw ``_mpf_``
     tuples with the ``mpmath.libmp`` calls that the mpf operator form of H
     makes, so every value is bit for bit the operator result.
     """
     prec, rnd = mpmath.mp._prec_rounding
-    b_vals, d_vals, psi_vals = b_grid.raw, d_grid.raw, psi.raw
+    b_vals, d_vals, psi_vals, root_vals = b_grid.raw, d_grid.raw, psi.raw, roots.raw
     values = []
     for x_pt in range(min(psi.x_max, b_grid.x_max, d_grid.x_max)):
-        up = mpf_mul(mpf_neg(roots[x_pt]._mpf_, prec, rnd), psi_vals[x_pt + 1], prec, rnd)
+        up = mpf_mul(mpf_neg(root_vals[x_pt], prec, rnd), psi_vals[x_pt + 1], prec, rnd)
         level = mpf_add(b_vals[x_pt], d_vals[x_pt], prec, rnd)
         total = mpf_add(up, mpf_mul(level, psi_vals[x_pt], prec, rnd), prec, rnd)
         if x_pt >= 1:
-            total = mpf_sub(total, mpf_mul(roots[x_pt - 1]._mpf_, psi_vals[x_pt - 1],
+            total = mpf_sub(total, mpf_mul(root_vals[x_pt - 1], psi_vals[x_pt - 1],
                                            prec, rnd), prec, rnd)
         values.append(total)
-    return GridFn(map(mpmath.mp.make_mpf, values))
+    return GridFn(values)
 
 
 def _relative_residual(b_grid: GridFn, d_grid: GridFn, psi: GridFn,
-                       energy, roots: Sequence) -> mpmath.mpf:
-    """max |H psi - E psi| / max |psi| over the interior window; the residual
-    gate of every model build and seed solve, on raw tuples."""
+                       energy: tuple, roots: GridFn) -> mpmath.mpf:
+    """max |H psi - E psi| / max |psi| over the interior window, for a raw
+    energy; the residual gate of every model build and seed solve."""
     prec, rnd = mpmath.mp._prec_rounding
     h_psi = apply_hamiltonian(b_grid, d_grid, psi, roots)
-    energy = getattr(energy, "_mpf_", None) or mpmath.mpf(energy)._mpf_
     top = bottom = fzero
     for h_value, psi_value in zip(h_psi.raw, psi.raw):
         gap = mpf_abs(mpf_sub(h_value, mpf_mul(energy, psi_value, prec, rnd), prec, rnd),
@@ -235,6 +228,7 @@ def _relative_residual(b_grid: GridFn, d_grid: GridFn, psi: GridFn,
 
 def residual(model: RdqmModel, psi: GridFn, energy) -> mpmath.mpf:
     with working_precision(model.precision_bits):
+        energy = getattr(energy, "_mpf_", None) or mpmath.mpf(energy)._mpf_
         return _relative_residual(model.b_grid, model.d_grid, psi, energy, model.off_roots)
 
 
@@ -246,18 +240,19 @@ def solve_seed_at_energy(model: RdqmModel, e_tilde) -> GridFn:
     asks ``model.seed`` instead, which solves each energy once.
     """
     with working_precision(model.precision_bits):
-        energy = mpf_from_rational(rational(e_tilde))
-        if energy >= 0:
+        raw_energy = raw_rational(rational(e_tilde), *mpmath.mp._prec_rounding)
+        if mpf_sign(raw_energy) >= 0:
             raise ValueError("seed energy must be negative (virtual-candidate range)")
         b, d, off = model.b_grid, model.d_grid, model.off_roots
-        psi = [mpmath.mpf(1), (b(0) - energy) / off[0]]
+        energy = mpmath.mp.make_mpf(raw_energy)     # the recurrence runs on mpf operators
+        psi = [mpmath.mpf(1), (b(0) - energy) / off(0)]
         for x_pt in range(1, model.x_max):
             nxt = ((b(x_pt) + d(x_pt) - energy) * psi[x_pt]
-                   - (off[x_pt - 1] * psi[x_pt - 1])) / off[x_pt]
+                   - (off(x_pt - 1) * psi[x_pt - 1])) / off(x_pt)
             psi.append(nxt)
         grid = GridFn(psi)
         tolerance = mpmath.mpf(10) ** (-(model.precision_bits // 4))
-        res = _relative_residual(b, d, grid, energy, off)
+        res = _relative_residual(b, d, grid, raw_energy, off)
         if res > tolerance:
             raise ResidualGateError(f"seed residual {res} above tolerance")
         return grid
@@ -281,7 +276,7 @@ def _relative_deviation(reference: Sequence, other: Sequence) -> mpmath.mpf:
 
 
 def check_definite_sign(psi: GridFn) -> bool:
-    signs = {_sign(v) for v in psi.values}
+    signs = set(map(mpf_sign, psi.raw))
     return len(signs) == 1 and 0 not in signs
 
 
@@ -297,7 +292,7 @@ def _casoratian(columns: Sequence[GridFn], x_max: int, memo: RunMemo) -> GridFn:
     is immutable and compares by identity, and a key holds its grids, so no
     id is reused while the memo lives."""
     if not columns:
-        return GridFn([mpmath.mpf(1)] * (x_max + 1))
+        return GridFn([fone] * (x_max + 1))
     return memo.once(("W_C", mpmath.mp.prec, *columns), casoratian_real_grid, list(columns))
 
 
@@ -326,8 +321,7 @@ def deformed_potentials_bd(model: RdqmModel, seeds: Sequence[GridFn], mu_state: 
         out_max = x_max - m_count - 1
         if out_max < 0:
             raise WindowError("window too small for the deformed potentials")
-        roots = [root._mpf_ for root in model.off_roots]
-        w, w_mu = wc.raw, wc_mu.raw
+        roots, w, w_mu = model.off_roots.raw, wc.raw, wc_mu.raw
         def quotient(root, w_up, w_down, mu_up, mu_down):   # left to right, as written
             value = mpf_div(mpf_mul(root, w_up, prec, rnd), w_down, prec, rnd)
             return mpf_div(mpf_mul(value, mu_up, prec, rnd), mu_down, prec, rnd)
@@ -340,8 +334,7 @@ def deformed_potentials_bd(model: RdqmModel, seeds: Sequence[GridFn], mu_state: 
             "d_positive_interior": all(mpf_gt(v, fzero) for v in d_values[1:]),
             "d_zero_at_origin": d_values[0] == fzero,
         }
-        return (GridFn(map(mpmath.mp.make_mpf, b_values)),
-                GridFn(map(mpmath.mp.make_mpf, d_values)), positivity)
+        return GridFn(b_values), GridFn(d_values), positivity
 
 
 def _quarter_roots(b_grid: GridFn, d_grid: GridFn, m_count: int) -> list:
@@ -399,7 +392,7 @@ def deformed_eigenfunctions(b_grid: GridFn, d_grid: GridFn,
             # the sign is exact: negating a working-precision root rounds nothing
             values.append(mpf_div(mpf_mul(mpf_neg(root) if negate else root, w_n, prec, rnd),
                                   pair, prec, rnd))
-        return GridFn(map(mpmath.mp.make_mpf, values))
+        return GridFn(values)
 
 
 def _inputs(model: RdqmModel, dv_energies: Sequence, de_labels: Sequence[int], **inputs):
@@ -419,7 +412,7 @@ def sign_conjecture_check(model: RdqmModel, dv_energies: Sequence,
         epsilon = sign_factor(energies)
         with working_precision(model.precision_bits):
             wc = _casoratian(seeds, 0, model.memo)
-        holds = all(_sign(v) == epsilon for v in wc.values)
+        holds = all(mpf_sign(v) == epsilon for v in wc.raw)
     return check_report("rdqm.sign-conjecture", True, "sgn W_C[seeds]", "epsilon_D",
                         {"holds_on_window": holds}, _inputs(model, dv_energies, de_labels),
                         not holds, "" if holds else
@@ -474,7 +467,7 @@ def darboux_step_replay(model: RdqmModel, dv_energies: Sequence, de_labels: Sequ
         # for the running and the extended seed set (the stated assumption).
         sigmas = {}
         for name, grid in (("s", w_s), ("s1", w_s1)):
-            sig0, sig1 = _sign(grid(0)), _sign(grid(1))
+            sig0, sig1 = mpf_sign(grid.raw[0]), mpf_sign(grid.raw[1])
             if sig0 == 0 or sig0 != sig1:
                 return check_report(
                     "rdqm.step-replay", False, "", "",
@@ -626,9 +619,8 @@ def spectrum_check(model: RdqmModel, dv_energies: Sequence, de_labels: Sequence[
         while mu in deleted:
             mu += 1
         prec, rnd = mpmath.mp._prec_rounding
-        make_mpf = mpmath.mp.make_mpf
         b_d, d_d, positivity = deformed_potentials_bd(model, seeds, model.eigen(mu))
-        e_mu = mpmath.mpf(mu)._mpf_
+        e_mu = from_int(mu, prec, rnd)
 
         max_usable = b_d.x_max + 1
         if truncation > max_usable:
@@ -636,14 +628,14 @@ def spectrum_check(model: RdqmModel, dv_energies: Sequence, de_labels: Sequence[
         # Both truncations are leading blocks of the second, larger one.
         second_size = min(2 * truncation, max_usable)
         b, d = b_d.raw, d_d.raw
-        diag = [make_mpf(mpf_add(mpf_add(b[x], d[x], prec, rnd), e_mu, prec, rnd))
+        diag = [mpf_add(mpf_add(b[x], d[x], prec, rnd), e_mu, prec, rnd)
                 for x in range(second_size)]
         off = []
         for x_pt in range(second_size - 1):
             radicand = mpf_mul(b[x_pt], d[x_pt + 1], prec, rnd)
             if mpf_lt(radicand, fzero):
                 raise NegativeRadicandError(f"B_D D_D < 0 at x = {x_pt}")
-            off.append(make_mpf(mpf_neg(mpf_sqrt(radicand, prec, rnd), prec, rnd)))
+            off.append(mpf_neg(mpf_sqrt(radicand, prec, rnd), prec, rnd))
         primary = lowest_eigenvalues(diag[:truncation], off[:truncation - 1], eigen_count)
         secondary = lowest_eigenvalues(diag, off, eigen_count)
         sensitivity = max(abs(a - b) for a, b in zip(primary, secondary))

@@ -9,6 +9,7 @@ binary precision chosen per run (default 256 bits).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -21,15 +22,34 @@ _F0 = Fraction(0)
 
 RationalLike = Union[int, str, Fraction]
 
+# Upper bound of a rational text's digit count and of its decimal exponent's
+# size: Fraction("1e999999999") would build the whole power of ten.
+MAX_RATIONAL_DIGITS = 1000
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)$")
+
+
+def require_at_most(name: str, value: int, bound: int) -> None:
+    """The one rule for an input that sizes the work: above its bound, ValueError."""
+    if value > bound:
+        raise ValueError(f"{name} {value} is above its bound {bound}")
+
 
 def rational(value: RationalLike) -> Fraction:
-    """Coerce ints, Fractions or "p/q" strings to an exact Fraction."""
+    """Coerce ints, Fractions or "p/q" strings to an exact Fraction; a text
+    with more than MAX_RATIONAL_DIGITS digits, or a larger exponent, raises
+    ValueError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        text = value.strip()
+        exponent = _EXPONENT.search(text)
+        require_at_most("rational text digit count", sum(map(str.isdigit, text)),
+                        MAX_RATIONAL_DIGITS)      # so that int() below is cheap
+        require_at_most("rational text exponent size",
+                        abs(int(exponent[1])) if exponent else 0, MAX_RATIONAL_DIGITS)
+        return Fraction(text)
     raise TypeError(f"not a rational: {value!r}")
 
 
@@ -194,10 +214,6 @@ def parse_gaussian(text: str) -> GaussianRational:
                                         rational(body[pos:].replace("+", "", 1)))
         return GaussianRational(0, rational(body))
     return GaussianRational(rational(s))
-
-
-def mpf_from_rational(q: Fraction) -> mpmath.mpf:
-    return mpmath.mp.make_mpf(raw_rational(q, *mpmath.mp._prec_rounding))
 
 
 def raw_rational(q: Fraction, prec: int, rnd: str) -> tuple:

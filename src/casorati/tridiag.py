@@ -1,9 +1,10 @@
 """Lowest eigenvalues of symmetric tridiagonal matrices: plain bisection on
 Sturm counts, with the counts placed by hints that cost no big-float work.
 
-Works at the caller's mpmath precision; the Gershgorin bounds and the squared
-off-diagonal are formed once a call on raw ``_mpf_`` tuples, by the libmp
-calls of the mpf operators.  The negative count of the standard
+Works at the caller's mpmath precision on raw ``_mpf_`` tuples: the entries
+come in raw, the Gershgorin bounds and the squared off-diagonal are formed
+once a call by the libmp calls of the mpf operators, and only the returned
+eigenvalues are mpf.  The negative count of the standard
 Sturm-sequence recurrence d_1 = a_1 - t, d_i = a_i - t - b_{i-1}^2 / d_{i-1}
 equals the number of eigenvalues below t, and the computed count is
 monotone in t (Kahan).  Each eigenvalue is bisected from the Gershgorin
@@ -64,21 +65,20 @@ def count_below(diag: Sequence, off_sq: Sequence, t) -> int:
     """The number of eigenvalues strictly below t, where off_sq holds the
     squared off-diagonal entries.
 
-    The entries and t are mpf.  The recurrence runs on their raw ``_mpf_``
-    tuples with the ``mpmath.libmp`` calls that mpf's operators make, at the
-    working precision and rounding read once, so every value is bit for bit
-    the operator result; a d_i that is exactly 0 becomes
-    -2^-prec (1 + |t|), and the sign of d_i is read from its tuple.
+    The entries and t are raw ``_mpf_`` tuples.  The recurrence makes the
+    ``mpmath.libmp`` calls that mpf's operators make, at the working
+    precision and rounding read once, so every value is bit for bit the
+    operator result; a d_i that is exactly 0 becomes -2^-prec (1 + |t|), and
+    the sign of d_i is read from its tuple.
     """
     prec, rnd = mpmath.mp._prec_rounding
-    t = t._mpf_
     neg_tiny = None
     count = 0
-    d = mpf_sub(diag[0]._mpf_, t, prec, rnd)
+    d = mpf_sub(diag[0], t, prec, rnd)
     for i in range(len(diag)):
         if i:
-            d = mpf_sub(mpf_sub(diag[i]._mpf_, t, prec, rnd),
-                        mpf_div(off_sq[i - 1]._mpf_, d, prec, rnd), prec, rnd)
+            d = mpf_sub(mpf_sub(diag[i], t, prec, rnd),
+                        mpf_div(off_sq[i - 1], d, prec, rnd), prec, rnd)
         if d == fzero:
             if neg_tiny is None:
                 neg_tiny = _neg_tiny(t, prec, rnd)
@@ -222,34 +222,31 @@ def _newton_hint(diag: list, off_sq: list, t: int, scale: int, tol: int) -> tupl
 
 def lowest_eigenvalues(diag: Sequence, off: Sequence, k: int,
                        tol=None) -> list:
-    """The k smallest eigenvalues, each bisected to tol (default ~quarter
-    of the working precision); shared brackets and counts placed by the
-    hints spare all but about two Sturm counts per eigenvalue.  A tol that
-    the working precision cannot resolve near an eigenvalue raises ValueError."""
+    """The k smallest eigenvalues as mpf, each bisected to tol (default
+    2^-(3/4 of the working precision)); shared brackets and counts placed by
+    the hints spare all but about two Sturm counts per eigenvalue.  diag, off
+    and tol are raw ``_mpf_`` tuples.  A tol that the working precision
+    cannot resolve near an eigenvalue raises ValueError."""
     n = len(diag)
     if len(off) != n - 1:
         raise ValueError("off-diagonal length must be n - 1")
     if k < 1 or k > n:
         raise ValueError("need 1 <= k <= n")
-    if tol is None:
-        tol = mpmath.mpf(2) ** (-(mpmath.mp.prec * 3) // 4)
     prec, rnd = mpmath.mp._prec_rounding
-    make_mpf = mpmath.mp.make_mpf
-    raw_diag = [a._mpf_ for a in diag]
-    sizes = [mpf_abs(b._mpf_, prec, rnd) for b in off] + [fzero]
-    raw_off_sq = [mpf_mul(b._mpf_, b._mpf_, prec, rnd) for b in off]
-    off_sq = [make_mpf(b) for b in raw_off_sq]
-    lo = hi = raw_diag[0]
-    for i, a in enumerate(raw_diag):
+    if tol is None:
+        tol = from_man_exp(1, -(prec * 3) // 4)
+    sizes = [mpf_abs(b, prec, rnd) for b in off] + [fzero]
+    off_sq = [mpf_mul(b, b, prec, rnd) for b in off]
+    lo = hi = diag[0]
+    for i, a in enumerate(diag):
         radius = mpf_add(sizes[i - 1] if i else fzero, sizes[i], prec, rnd)
         low, high = mpf_sub(a, radius, prec, rnd), mpf_add(a, radius, prec, rnd)
         lo = low if mpf_lt(low, lo) else lo
         hi = high if mpf_gt(high, hi) else hi
-    tol = tol._mpf_
     tol_mag = tol[2] + tol[3]                 # |tol| < 2^tol_mag
     starts = [None] * k
-    float_diag = [to_float(a) for a in raw_diag]
-    float_off_sq = [to_float(b) for b in raw_off_sq]
+    float_diag = [to_float(a) for a in diag]
+    float_off_sq = [to_float(b) for b in off_sq]
     float_lo, float_hi = to_float(lo), to_float(hi)
     if all(map(math.isfinite, float_diag + float_off_sq + [float_lo, float_hi])):
         starts = _binary64_starts(float_diag, float_off_sq, k, float_lo, float_hi)
@@ -257,8 +254,8 @@ def lowest_eigenvalues(diag: Sequence, off: Sequence, k: int,
     # replay's scale starts there (or at the Gershgorin ends' grid) and only
     # grows, so hints and bracket ends carry over by a left shift.
     fine = max(_GUARD_BITS - tol_mag, 0)
-    fixed_diag = [_fixed(a, fine) for a in raw_diag]
-    fixed_off_sq = [_fixed(b, fine) for b in raw_off_sq]
+    fixed_diag = [_fixed(a, fine) for a in diag]
+    fixed_off_sq = [_fixed(b, fine) for b in off_sq]
     fixed_tol = _fixed(tol, fine)
     scale = max(fine, -lo[2], -hi[2])
     lo, hi = _fixed(lo, scale), _fixed(hi, scale)
@@ -287,7 +284,7 @@ def lowest_eigenvalues(diag: Sequence, off: Sequence, k: int,
 
     def sturm(t):
         """Count at t, recorded in every bracket."""
-        count = count_below(diag, off_sq, make_mpf(mpf_at(t)))
+        count = count_below(diag, off_sq, mpf_at(t))
         for i in range(min(count, k)):
             if t < upper[i]:
                 upper[i] = t
@@ -317,11 +314,11 @@ def lowest_eigenvalues(diag: Sequence, off: Sequence, k: int,
             if lower[j] < mid < upper[j]:
                 sturm(mid)
             if mid == (b if mid >= upper[j] else a):   # no step after this one moves
-                raise ValueError(f"tol {mpmath.nstr(make_mpf(tol), 5)} is below the "
+                raise ValueError(f"tol {mpmath.nstr(mpmath.mp.make_mpf(tol), 5)} is below the "
                                  f"spacing of {prec}-bit numbers near eigenvalue {j}")
             if mid >= upper[j]:
                 b = mid
             else:
                 a = mid
-        values.append(make_mpf(from_man_exp(_rounded(a + b, prec), -scale - 1)))
+        values.append(mpmath.mp.make_mpf(from_man_exp(_rounded(a + b, prec), -scale - 1)))
     return values

@@ -453,6 +453,22 @@ SMALL_MODEL = {"beta": "2", "c": "1/3", "n_max": 8, "window": 40, "precision_bit
     ("rdqm.spectrum", {**SMALL_MODEL, "precision_bits": 10 ** 6, "dv_energies": [],
                        "de_labels": [], "truncation": 20, "eigen_count": 5},
      "precision_bits 1000000 is above its bound 8192"),
+    # a checker's size, an oQM label or a rational text just above its upper bound
+    ("cas-imag.sum-formula", {"j_max": 41}, "j_max 41 is above its bound 40"),
+    ("cas-imag.classical-limit", {"fs": [["1"], ["0", "1"]], "gamma0": "1", "halvings": 33},
+     "halvings 33 is above its bound 32"),
+    ("idqm.prefactor-gg", {"v_num": ["1"], "v_den": ["1"], "gamma": "1", "l": 7, "m": 1},
+     "l 7 is above its bound 6"),
+    ("idqm.prefactor-gg", {"v_num": ["1"], "v_den": ["1"], "gamma": "1", "l": 0, "m": 7},
+     "m 7 is above its bound 6"),
+    ("oqm.two-path", {"d_v": [0], "d_e": [], "n": 40}, "n_max 41 is above its bound 40"),
+    ("oqm.two-path", {"d_v": [40], "d_e": [], "n": 0}, "v_max 41 is above its bound 40"),
+    ("cas-real.gauge", {"fs": [["1" * 1001]], "g": ["1"]},
+     "witness input fs: rational text digit count 1001 is above its bound 1000"),
+    ("cas-real.gauge", {"fs": [["1e1001"]], "g": ["1"]},
+     "witness input fs: rational text exponent size 1001 is above its bound 1000"),
+    ("cas-real.gauge", {"fs": [["1"]], "g": ["3/2e-1001"]},
+     "witness input g: rational text exponent size 1001 is above its bound 1000"),
 ])
 def test_replay_inadmissible_witness_exit_2(tmp_path, capsys, identity_id, inputs, message):
     """Each input is decoded by its JSON type before any check runs, so an
@@ -463,6 +479,17 @@ def test_replay_inadmissible_witness_exit_2(tmp_path, capsys, identity_id, input
     assert main(["identities", "--replay", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["oqm", "--n-max", "41"], "n_max 41 is above its bound 40"),
+    (["oqm", "--dv", "0", "--v-max", "41"], "v_max 41 is above its bound 40"),
+    (["idqm", "--gamma", "1e1001", "--trials", "0"],
+     "rational text exponent size 1001 is above its bound 1000"),
+])
+def test_flags_above_their_bounds_exit_2(capsys, argv, message):
+    assert main([*argv, "--out", os.devnull]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 
 def test_idqm_seed_counts_above_four_exit_2(capsys):

@@ -20,7 +20,6 @@ from casorati.scalars import (
     GR_ZERO,
     GaussianRational,
     as_gaussian,
-    mpf_from_rational,
     working_precision,
 )
 
@@ -83,6 +82,10 @@ def test_exp_poly_closure():
     assert df.p == Poly.one() + Poly([f.b / 2, f.a]) * x
     g = ExpPoly(x + 1, a=Fraction(-1, 2), b=Fraction(2))
     assert (f * g).pair == (Fraction(0), Fraction(1))
+
+
+def mpf_from_rational(q: Fraction):
+    return mpmath.mpf(q.numerator) / q.denominator
 
 
 def exp_poly_value(f: ExpPoly, x0) -> mpmath.mpc:

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from mpmath.libmp import from_man_exp, ftwo, mpf_add, mpf_div, mpf_neg, round_nearest
+from mpmath.libmp import from_int, from_man_exp, ftwo, mpf_add, mpf_div, mpf_neg, round_nearest
 from hypothesis import example, given, settings, strategies as st
 
 from casorati.determinants import casoratian_real_grid
@@ -26,13 +26,18 @@ from casorati.rdqm import (
     spectrum_check,
     two_path_compare_rdqm,
 )
-from casorati.scalars import mpf_from_rational, working_precision
+from casorati.scalars import working_precision
 from casorati.seeds import sign_factor
 import casorati.tridiag as tridiag_mod
 from casorati.tridiag import lowest_eigenvalues
 
 BITS = 192
 TOL = mpmath.mpf(10) ** -20
+
+
+def raw(values):
+    """The raw ``_mpf_`` tuples of mpf values, the form tridiag takes."""
+    return [v._mpf_ for v in values]
 
 
 @pytest.fixture(scope="module")
@@ -142,17 +147,18 @@ def test_hamiltonian_and_residual_match_operator_form(bits):
     made = build_meixner_model(Fraction(2), Fraction(1, 3), n_max=4, x_max=30,
                                precision_bits=192)
     with working_precision(192):
-        seed_energy = mpf_from_rational(Fraction(-3, 5))
+        seed_energy = mpmath.mpf(-3) / 5
     with working_precision(bits):
         b, d, roots = made.b_grid, made.d_grid, made.off_roots
         seed = solve_seed_at_energy(made, Fraction(-3, 5))
-        for psi, energy in [(made.eigen(n), n) for n in range(5)] + [(seed, seed_energy)]:
+        for psi, energy, raw_energy in ([(made.eigen(n), n, from_int(n)) for n in range(5)]
+                                        + [(seed, seed_energy, seed_energy._mpf_)]):
             got = apply_hamiltonian(b, d, psi, roots)
-            want = apply_hamiltonian_reference(b, d, psi, roots=roots)
+            want = apply_hamiltonian_reference(b, d, psi, roots=roots.values)
             assert [v._mpf_ for v in got.values] == [v._mpf_ for v in want]
             top = max(abs(h - energy * psi(x)) for x, h in enumerate(want))
             bottom = max(abs(v) for v in psi.values[:len(want)])
-            res = _relative_residual(b, d, psi, energy, roots)
+            res = _relative_residual(b, d, psi, raw_energy, roots)
             assert res._mpf_ == (top / bottom)._mpf_
 
 
@@ -269,8 +275,7 @@ def test_spectrum_against_scipy_oracle(model):
         diag = [float(model.b_grid(x) + model.d_grid(x)) for x in range(size)]
         off = [float(-mpmath.sqrt(model.b_grid(x) * model.d_grid(x + 1)))
                for x in range(size - 1)]
-        mine = lowest_eigenvalues([mpmath.mpf(v) for v in diag],
-                                  [mpmath.mpf(v) for v in off], 4)
+        mine = lowest_eigenvalues(raw(map(mpmath.mpf, diag)), raw(map(mpmath.mpf, off)), 4)
     theirs = scipy_linalg.eigh_tridiagonal(diag, off, eigvals_only=True)
     for a, b in zip(mine, sorted(theirs)[:4]):
         assert abs(float(a) - b) < 1e-8
@@ -323,7 +328,7 @@ def assert_matches_bisection(diag, off, k, tol=None):
     the reference's bisection steps would make."""
     if tol is None:
         tol = mpmath.mpf(2) ** (-(mpmath.mp.prec * 3) // 4)
-    mine = lowest_eigenvalues(diag, off, k, tol)
+    mine = lowest_eigenvalues(raw(diag), raw(off), k, tol._mpf_)
     reference = bisection_eigenvalues(diag, off, k, tol)
     assert len(mine) == k
     for got, want in zip(mine, reference):
@@ -370,7 +375,7 @@ def test_eigenvalues_take_few_sturm_counts(deformed_truncation, monkeypatch):
 
     monkeypatch.setattr(tridiag_mod, "count_below", counted)
     with working_precision(bits):
-        values = lowest_eigenvalues(diag, off, 5)
+        values = lowest_eigenvalues(raw(diag), raw(off), 5)
     assert len(counts) <= 2 * 5 + 2
     assert all(type(count) is int for count in counts)
     assert [int(mpmath.nint(v)) for v in values] == [0, 3, 4, 5, 6]
@@ -422,7 +427,7 @@ def test_eigenvalues_tol_below_working_spacing_raises(monkeypatch):
     with working_precision(53):
         with pytest.raises(ValueError, match=r"tol 8\.4703e-22 is below the spacing of "
                                              r"53-bit numbers near eigenvalue 0"):
-            lowest_eigenvalues(diag, off, 1, tol=mpmath.mpf(2) ** -70)
+            lowest_eigenvalues(raw(diag), raw(off), 1, tol=(mpmath.mpf(2) ** -70)._mpf_)
         calls.clear()
         # at a tol that 53 bits resolve, the same matrix still bisects as before
         assert_matches_bisection(diag, off, 2, mpmath.mpf(2) ** -50)
@@ -485,7 +490,7 @@ def test_binary64_start_decides_no_value(deformed_truncation, monkeypatch):
         reference = bisection_eigenvalues(diag[:24], off[:23], 3)
         for liar in liars:
             monkeypatch.setattr(tridiag_mod, "_float_count", liar)
-            assert lowest_eigenvalues(diag[:24], off[:23], 3) == reference
+            assert lowest_eigenvalues(raw(diag[:24]), raw(off[:23]), 3) == reference
 
 
 def test_fixed_point_newton_decides_no_value(deformed_truncation, monkeypatch):
@@ -501,7 +506,7 @@ def test_fixed_point_newton_decides_no_value(deformed_truncation, monkeypatch):
         reference = bisection_eigenvalues(diag[:24], off[:23], 3)
         for liar in liars:
             monkeypatch.setattr(tridiag_mod, "_newton_step", liar)
-            assert lowest_eigenvalues(diag[:24], off[:23], 3) == reference
+            assert lowest_eigenvalues(raw(diag[:24]), raw(off[:23]), 3) == reference
 
 
 # Raw mpf operands of the replay's midpoint: prec-bit mantissas; sums that
@@ -706,7 +711,8 @@ def test_count_below_matches_operator_recurrence(drawn):
         diag = [_mpf_value(v) for v in diag]
         off_sq = [abs(_mpf_value(v)) for v in off_sq]
         t = _mpf_value(t)
-        assert tridiag_mod.count_below(diag, off_sq, t) == count_below_reference(diag, off_sq, t)
+        assert (tridiag_mod.count_below(raw(diag), raw(off_sq), t._mpf_)
+                == count_below_reference(diag, off_sq, t))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import casorati.rdqm as rdqm_mod
 import casorati.tridiag as tridiag_mod
-from casorati.determinants import RunMemo
+from casorati.determinants import RunMemo, casoratian_real_grid
 from casorati.gridfn import GridFn, WindowError
 from casorati.rdqm import (
     MAX_N_MAX,
@@ -22,15 +22,16 @@ from casorati.rdqm import (
     ResidualGateError,
     SingularDeformationError,
     _casoratian,
+    apply_hamiltonian,
     build_meixner_model,
     deformed_eigenfunctions,
     deformed_potentials_bd,
     meixner_polynomial,
     spectrum_check,
 )
-from casorati.scalars import mpf_from_rational, raw_rational, working_precision
+from casorati.scalars import raw_rational, working_precision
 from casorati.seeds import sign_factor
-from casorati.tridiag import lowest_eigenvalues
+from casorati.tridiag import count_below, lowest_eigenvalues
 
 BITS = [53, 128, 256]
 
@@ -108,9 +109,7 @@ models = st.tuples(st.sampled_from([Fraction(2), Fraction(1, 2)]),
 @example(Fraction(65123568434557763297, 65), 53)     # rounding the numerator first matters
 def test_raw_rational_matches_operator_form(q, bits):
     with working_precision(bits):
-        want = mpf_from_rational_reference(q)._mpf_
-        assert raw_rational(q, *mpmath.mp._prec_rounding) == want
-        assert mpf_from_rational(q)._mpf_ == want
+        assert raw_rational(q, *mpmath.mp._prec_rounding) == mpf_from_rational_reference(q)._mpf_
 
 
 @given(st.fractions(min_value=Fraction(1, 10), max_value=5, max_denominator=12),
@@ -127,7 +126,7 @@ def test_model_build_matches_operator_form(beta, c, bits, x_max):
         assume(False)
     with working_precision(bits):
         b, d, ground = model.b_grid, model.d_grid, model.ground
-        assert [r._mpf_ for r in model.off_roots] == [
+        assert list(model.off_roots.raw) == [
             mpmath.sqrt(b(x) * d(x + 1))._mpf_ for x in range(x_max)]
         for n in range(5):
             p_n = meixner_polynomial(n, beta, c)
@@ -147,6 +146,25 @@ def test_model_inputs_above_their_bounds_raise():
             build_meixner_model(2, Fraction(1, 3), **{**dict(n_max=2, x_max=10,
                                                              precision_bits=64), **kwargs})
     assert build_meixner_model(2, Fraction(1, 3), n_max=2, x_max=10, precision_bits=64)
+
+
+def test_raw_layer_makes_no_mpf(monkeypatch):
+    """Grids store raw tuples, so the raw-tuple loops take and give them as
+    they are: not one mpmath.mp.make_mpf call inside them on a small model."""
+    model = small_model(Fraction(2), Fraction(1, 3), 128)
+    energies = [Fraction(-3, 5), Fraction(-17, 10)]
+    seeds = [model.seed(e) for e in energies]
+    diag, off_sq = model.b_grid.raw, model.d_grid.raw[1:]
+    made, make_mpf = [], mpmath.mp.make_mpf
+    monkeypatch.setattr(mpmath.mp, "make_mpf", lambda v: made.append(v) or make_mpf(v))
+    with working_precision(128):
+        casoratian_real_grid(seeds)
+        apply_hamiltonian(model.b_grid, model.d_grid, model.eigen(2), model.off_roots)
+        deformed_potentials_bd(model, seeds, model.eigen(0))
+        deformed_eigenfunctions(model.b_grid, model.d_grid, seeds, energies, model.eigen(2),
+                                128, RunMemo())
+        count_below(diag, off_sq, model.b_grid.raw[3])
+    assert made == []
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +346,7 @@ def test_spectrum_entries_match_operator_form(drawn):
     length, mu = len(b_spec), len(de_labels)
 
     def capture(diag, off, k):
-        raise _Captured(tuple(v._mpf_ for v in diag), tuple(v._mpf_ for v in off))
+        raise _Captured(tuple(diag), tuple(off))
 
     with pytest.MonkeyPatch.context() as patcher:
         patcher.setattr(rdqm_mod, "deformed_potentials_bd", lambda *args: (b_d, d_d, {}))
@@ -383,7 +401,7 @@ def test_gershgorin_bounds_and_off_sq_match_operator_form(drawn):
     with pytest.MonkeyPatch.context() as patcher:
         patcher.setattr(tridiag_mod, "to_float", lambda x: seen.append(x) or to_float(x))
         with working_precision(bits):
-            lowest_eigenvalues(diag, off, 1)
+            lowest_eigenvalues([a._mpf_ for a in diag], [b._mpf_ for b in off], 1)
     with working_precision(bits):
         lo = hi = diag[0]
         for i in range(n):
