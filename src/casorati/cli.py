@@ -32,8 +32,8 @@ from .rdqm import (
     NegativeRadicandError, ResidualGateError, SingularDeformationError, build_meixner_model,
     darboux_chain_replay, sign_conjecture_check, spectrum_report, two_path_compare_rdqm)
 from .report import CheckReport, sort_reports, summarize
-from .sampling import SamplerConfig
-from .scalars import DEFAULT_PRECISION_BITS, rational
+from .sampling import MAX_DEGREE, MAX_TRIALS, SamplerConfig
+from .scalars import DEFAULT_PRECISION_BITS, rational, require_at_most
 
 SCHEMA_VERSION = 1
 
@@ -173,6 +173,8 @@ def run_oqm(args) -> list[CheckReport]:
 
 def run_idqm(args) -> list[CheckReport]:
     gamma = rational(args.gamma)
+    require_at_most("trials", args.trials, MAX_TRIALS)
+    require_at_most("max_degree", args.max_degree, MAX_DEGREE)
     if args.l_max + args.m_max > 4:
         raise ValueError(f"--l-max {args.l_max} + --m-max {args.m_max} is above 4: five or "
                          f"more seeds of degree <= 3 have a vanishing Casoratian")
@@ -186,7 +188,10 @@ def run_rdqm(args) -> list[CheckReport]:
     de = parse_list(args.de, int)
     levels = parse_list(args.n, int)
     compare_up_to = min(40, args.window // 2)
-    mpmath.mpf(args.tolerance)   # a malformed tolerance fails before any work
+    try:                         # a malformed tolerance fails before any work
+        mpmath.mpf(args.tolerance)
+    except ZeroDivisionError:
+        raise ValueError(f"--tolerance {args.tolerance} has a zero denominator") from None
     for flag, labels in (("--n level", levels), ("--de label", de)):
         for label in labels:
             if not 0 <= label <= args.n_max:

@@ -11,7 +11,9 @@ the minors of their fixed columns once and apply f -> W[fixed, f] by
 cofactors, over a base in ``over_base_operator``, whose seed part is the
 Wronskian of quotients over it.  Both shift Casoratians are one body, and
 ``cofactor_det`` is the test oracle only.  Empty input gives 1 everywhere.
-The big-float grid LU (``det_float_scalar``) reads and writes ``GridFn.raw`` tuples.
+Big-float grids take a left-looking pivoted LU on ``GridFn.raw`` tuples
+(``_lu_states``), one column at a time; a run's memo keeps each column
+prefix's states, so its grid Casoratians eliminate a shared prefix once.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Sequence
 
 import mpmath
 from mpmath.libmp import (
-    fone, fzero, mpf_abs, mpf_div, mpf_gt, mpf_mul, mpf_mul_int, mpf_neg, mpf_sub)
+    fzero, mpf_abs, mpf_div, mpf_gt, mpf_mul, mpf_neg, mpf_sub)
 
 from .gridfn import GridFn, WindowError
 from .poly import ExpPoly, Poly, _canonical, as_poly
@@ -248,45 +250,6 @@ def cofactor_det(matrix: Sequence[Sequence]):
     return total
 
 
-def det_float_scalar(rows: list) -> tuple:
-    """LU determinant with partial pivoting of raw ``_mpf_`` entries, as a
-    raw tuple (1 for no rows); the rows are eliminated in place.
-
-    The elimination makes the ``mpmath.libmp`` calls that mpf's operators
-    make, at the working precision and rounding read once, so every value is
-    bit for bit the operator result.  The pivot is the first row of largest
-    |entry| in its column (as ``max(..., key=abs)`` picks it); a zero pivot
-    column gives 0.
-    """
-    n = len(rows)
-    if n == 0:
-        return fone
-    prec, rnd = mpmath.mp._prec_rounding
-    det = None
-    negate = False
-    for k in range(n):
-        pivot_row = k
-        largest = mpf_abs(rows[k][k], prec, rnd)
-        for r in range(k + 1, n):
-            size = mpf_abs(rows[r][k], prec, rnd)
-            if mpf_gt(size, largest):
-                pivot_row, largest = r, size
-        if rows[pivot_row][k] == fzero:
-            return mpf_mul_int(rows[0][0], 0, prec, rnd)
-        if pivot_row != k:
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-            negate = not negate
-        row_k = rows[k]
-        pivot = row_k[k]
-        det = pivot if det is None else mpf_mul(det, pivot, prec, rnd)
-        for i in range(k + 1, n):
-            row_i = rows[i]
-            factor = mpf_div(row_i[k], pivot, prec, rnd)
-            for j in range(k + 1, n):
-                row_i[j] = mpf_sub(row_i[j], mpf_mul(factor, row_k[j], prec, rnd), prec, rnd)
-    return mpf_neg(det, prec, rnd) if negate else det
-
-
 # ---------------------------------------------------------------------------
 # Wronskian
 # ---------------------------------------------------------------------------
@@ -440,12 +403,63 @@ def casoratian_real(fs: Sequence[Poly]) -> Poly:
     return _shifted_det(fs, real_shift_points(len(fs)))
 
 
-def casoratian_real_grid(fs: Sequence[GridFn]) -> GridFn:
+def _lu_states(columns: list, n: int, memo: RunMemo) -> list:
+    """The pivoted LU of the n-row windows f_k(x + j) of ``columns``, at each
+    x, left-looking: the previous columns' state, from the memo, extended
+    by the last column.  A state is (steps, det, negate), a step being the
+    pivot row and the multipliers below it; None marks a zero pivot column.
+
+    The last column gets each recorded row swap and the update
+    e - factor * top of each step, in order, then its pivot: the first row
+    of largest |entry|, the running det times it.  These are the libmp calls
+    and the order of a right-looking LU of each whole matrix, so every value
+    is bit for bit the same.  The window of a prefix's states is the prefix's
+    own; an extension reads as many as its last column's window holds.
+    """
+    prec, rnd = mpmath.mp._prec_rounding
+    *prefix, column = columns
+    raw = column.raw
+    states = (memo.once(("LU", prec, n, *prefix), _lu_states, prefix, n, memo) if prefix
+              else [((), None, False)] * (len(raw) - n + 1))
+    out = []
+    for x, state in zip(range(len(raw) - n + 1), states):
+        if state is None:
+            out.append(None)
+            continue
+        steps, det, negate = state
+        c = list(raw[x:x + n])
+        for k, (pivot_row, factors) in enumerate(steps):
+            c[k], c[pivot_row] = c[pivot_row], c[k]
+            top = c[k]
+            for i, factor in enumerate(factors, k + 1):
+                c[i] = mpf_sub(c[i], mpf_mul(factor, top, prec, rnd), prec, rnd)
+        k = pivot_row = len(steps)
+        largest = mpf_abs(c[k], prec, rnd)
+        for r in range(k + 1, n):
+            size = mpf_abs(c[r], prec, rnd)
+            if mpf_gt(size, largest):
+                pivot_row, largest = r, size
+        pivot = c[pivot_row]
+        if pivot == fzero:
+            out.append(None)
+            continue
+        c[pivot_row] = c[k]
+        factors = tuple(mpf_div(e, pivot, prec, rnd) for e in c[k + 1:])
+        out.append((steps + ((pivot_row, factors),),
+                    pivot if det is None else mpf_mul(det, pivot, prec, rnd),
+                    negate != (pivot_row != k)))
+    return out
+
+
+def casoratian_real_grid(fs: Sequence[GridFn], memo: RunMemo | None = None) -> GridFn:
     """Grid-backend W_C: result lives on the window shrunk by n - 1.
 
     Exact (Fraction) grids go through the fraction-free kernel as constant
-    polynomials; big-float grids through pivoted LU (``det_float_scalar``) on
-    rows sliced from each column's raw tuples, whose raw results the grid stores."""
+    polynomials.  Big-float grids go through the left-looking pivoted LU
+    (``_lu_states``) on the columns' raw tuples; the states of every column
+    prefix are kept in ``memo`` (a fresh one by default) by precision, row
+    count and the prefix's grids, so the Casoratians of one run that share a
+    prefix eliminate it once.  The last column's extension is the result."""
     n = len(fs)
     if n == 0:
         raise ValueError("casoratian_real_grid needs at least one function; "
@@ -456,8 +470,11 @@ def casoratian_real_grid(fs: Sequence[GridFn]) -> GridFn:
         raise WindowError(
             f"window too small for a {n}-function Casoratian: need x_max >= {n - 1}")
     columns = [f.raw for f in fs]
-    matrices = ([[column[x + j] for column in columns] for j in range(n)]
-                for x in range(out_max + 1))
     if all(isinstance(column[0], Fraction) for column in columns):
-        return GridFn([fraction_free_det(rows).coefficient(0).re for rows in matrices])
-    return GridFn(map(det_float_scalar, matrices))
+        return GridFn([fraction_free_det([[column[x + j] for column in columns]
+                                          for j in range(n)]).coefficient(0).re
+                       for x in range(out_max + 1)])
+    prec, rnd = mpmath.mp._prec_rounding
+    return GridFn(fzero if state is None else mpf_neg(state[1], prec, rnd) if state[2]
+                  else state[1]
+                  for state in _lu_states(list(fs), n, RunMemo() if memo is None else memo))

@@ -13,12 +13,13 @@ Each check takes the model, the virtual seed energies and the deleted
 eigenstate labels, and returns its whole report; its witness holds the
 model, the seeds and the check's own inputs, so that a witness from the CLI
 or from a library call replays alone.  One run computes each big-float quantity
-once: the checks of a run take their virtual seeds, seed Casoratians, the first
-stage of the staged path and the two roots of every deformed eigenfunction from
-the model's ``RunMemo``, at the model's working precision, and the memo is
-freed with the model.  Grids hold raw ``_mpf_`` tuples (``GridFn.raw``), which the
-per-point loops read and write by the mpf operators' libmp calls, bit for bit; an
-mpf is made only for a report, the CSV, an error or a loop left in operator form.
+once: the checks of a run take their virtual seeds, seed Casoratians (and the LU
+states of their column prefixes), the first stage of the staged path and the two
+roots of every deformed eigenfunction from the model's ``RunMemo``, at the model's
+working precision, and the memo is freed with the model.  Grids hold raw ``_mpf_``
+tuples (``GridFn.raw``), which the per-point loops read and write by the mpf
+operators' libmp calls, bit for bit; an mpf is made only for a report, the CSV,
+an error or the seed recurrence, left in operator form.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Sequence
 import mpmath
 from mpmath.libmp import (
     fone, from_int, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le, mpf_lt, mpf_mul,
-    mpf_neg, mpf_nthroot, mpf_sign, mpf_sqrt, mpf_sub)
+    mpf_mul_int, mpf_neg, mpf_nthroot, mpf_sign, mpf_sqrt, mpf_sub)
 
 from .determinants import RunMemo, casoratian_real_grid
 from .gridfn import GridFn, WindowError
@@ -85,7 +86,8 @@ class RdqmModel:
 
     ``off_roots(x)`` is sqrt(B(x)D(x+1)), the negated off-diagonal of H.
     ``memo`` holds the run's shared results: each virtual seed
-    (``seed``), each grid Casoratian, the first stage of the staged path,
+    (``seed``), each grid Casoratian and the LU states of its column
+    prefixes (``casoratian_real_grid``), the first stage of the staged path,
     (prod B D)^{1/4} per grid pair and M and sqrt(W_C W_C(+1)) per seed
     Casoratian.  The CLI and the witness replays build one model per run, so
     the memo lives exactly as long as the run.
@@ -267,12 +269,19 @@ def seed_set(model: RdqmModel, dv_energies: Sequence, de_labels: Sequence[int]):
 
 def _relative_deviation(reference: Sequence, other: Sequence) -> mpmath.mpf:
     """max |reference - other| / max |reference|, or the deviation alone
-    when the reference vanishes."""
-    deviation = norm = mpmath.mpf(0)
+    when the reference vanishes, of raw tuples, by the libmp calls of the
+    mpf operator form (``max`` keeps the first of equal values)."""
+    prec, rnd = mpmath.mp._prec_rounding
+    deviation = norm = fzero
     for ref, value in zip(reference, other):
-        deviation = max(deviation, abs(ref - value))
-        norm = max(norm, abs(ref))
-    return deviation / norm if norm > 0 else deviation
+        gap = mpf_abs(mpf_sub(ref, value, prec, rnd), prec, rnd)
+        if mpf_gt(gap, deviation):
+            deviation = gap
+        size = mpf_abs(ref, prec, rnd)
+        if mpf_gt(size, norm):
+            norm = size
+    return mpmath.mp.make_mpf(mpf_div(deviation, norm, prec, rnd) if mpf_gt(norm, fzero)
+                              else deviation)
 
 
 def check_definite_sign(psi: GridFn) -> bool:
@@ -293,7 +302,8 @@ def _casoratian(columns: Sequence[GridFn], x_max: int, memo: RunMemo) -> GridFn:
     id is reused while the memo lives."""
     if not columns:
         return GridFn([fone] * (x_max + 1))
-    return memo.once(("W_C", mpmath.mp.prec, *columns), casoratian_real_grid, list(columns))
+    return memo.once(("W_C", mpmath.mp.prec, *columns), casoratian_real_grid, list(columns),
+                     memo)
 
 
 def _require_nonzero(grid: GridFn, what: str) -> None:
@@ -489,11 +499,9 @@ def darboux_step_replay(model: RdqmModel, dv_energies: Sequence, de_labels: Sequ
         out_max = min(wn_s.x_max - 1, w_s1.x_max - 1, wn_s1.x_max, w_s.x_max - 1,
                       x_max - s - 1)
         replay_sign = -sigma_s * sigma_s1          # joins (-1)^s eps_s
-        targets, advanced = [], []
-        for x_pt in range(out_max + 1):
-            bracket = (w_s1(x_pt) * wn_s(x_pt + 1) - w_s1(x_pt + 1) * wn_s(x_pt))
-            advanced.append(((-1) ** s * eps_s) * replay_sign * bracket / w_s(x_pt + 1))
-            targets.append(((-1) ** (s + 1) * eps_s1) * wn_s1(x_pt))
+        targets, advanced = _step_plain_parts(w_s, w_s1, wn_s, wn_s1, out_max,
+                                              (-1) ** s * eps_s * replay_sign,
+                                              (-1) ** (s + 1) * eps_s1)
         rel_dev = _relative_deviation(targets, advanced)
         emergent_ok = sigma_s * sigma_s1 * eps_s == eps_s1
         return check_report(
@@ -504,6 +512,23 @@ def darboux_step_replay(model: RdqmModel, dv_energies: Sequence, de_labels: Sequ
              "quarter_merge_ok": bool(merged_ok), "sigma_s": sigma_s, "sigma_s1": sigma_s1,
              "emergent_sign_ok": bool(emergent_ok), "eps_next_combinatorial": eps_s1, "n": n},
             _inputs(model, dv_energies, de_labels, s=s, **run))
+
+
+def _step_plain_parts(w_s: GridFn, w_s1: GridFn, wn_s: GridFn, wn_s1: GridFn, out_max: int,
+                      advance_sign: int, target_sign: int) -> tuple[list, list]:
+    """The direct plain parts target_sign * Wn_{s+1}(x) and the replayed ones
+    advance_sign * (W_{s+1}(x) Wn_s(x+1) - W_{s+1}(x+1) Wn_s(x)) / W_s(x+1)
+    for x = 0..out_max, as raw tuples, by the libmp calls of the operator form."""
+    prec, rnd = mpmath.mp._prec_rounding
+    w0, w1, wn, wn1 = w_s.raw, w_s1.raw, wn_s.raw, wn_s1.raw
+    targets, advanced = [], []
+    for x_pt in range(out_max + 1):
+        bracket = mpf_sub(mpf_mul(w1[x_pt], wn[x_pt + 1], prec, rnd),
+                          mpf_mul(w1[x_pt + 1], wn[x_pt], prec, rnd), prec, rnd)
+        advanced.append(mpf_div(mpf_mul_int(bracket, advance_sign, prec, rnd), w0[x_pt + 1],
+                                prec, rnd))
+        targets.append(mpf_mul_int(wn1[x_pt], target_sign, prec, rnd))
+    return targets, advanced
 
 
 def darboux_chain_replay(model: RdqmModel, dv_energies: Sequence, de_labels: Sequence[int],
@@ -585,7 +610,7 @@ def two_path_compare_rdqm(model: RdqmModel, dv_energies: Sequence,
         limit = min(one_shot.x_max, staged.x_max)
         if compare_up_to is not None:
             limit = min(limit, compare_up_to)
-        rel_dev = _relative_deviation(one_shot.values[:limit + 1], staged.values[:limit + 1])
+        rel_dev = _relative_deviation(one_shot.raw[:limit + 1], staged.raw[:limit + 1])
         sign_ok = sign_identity_sweep(dv_energies, e_energies)
         return check_report(
             "rdqm.two-path", bool(rel_dev <= bound and sign_ok),

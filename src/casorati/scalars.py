@@ -36,8 +36,8 @@ def require_at_most(name: str, value: int, bound: int) -> None:
 
 def rational(value: RationalLike) -> Fraction:
     """Coerce ints, Fractions or "p/q" strings to an exact Fraction; a text
-    with more than MAX_RATIONAL_DIGITS digits, or a larger exponent, raises
-    ValueError."""
+    with more than MAX_RATIONAL_DIGITS digits, a larger exponent or a zero
+    denominator raises ValueError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -49,7 +49,10 @@ def rational(value: RationalLike) -> Fraction:
                         MAX_RATIONAL_DIGITS)      # so that int() below is cheap
         require_at_most("rational text exponent size",
                         abs(int(exponent[1])) if exponent else 0, MAX_RATIONAL_DIGITS)
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"rational text {text!r} has a zero denominator") from None
     raise TypeError(f"not a rational: {value!r}")
 
 

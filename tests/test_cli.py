@@ -287,6 +287,16 @@ PINNED_ERRORS = [
     # a model input above its upper bound, rejected before any big-float work
     (["rdqm", "--dv=-0.6", "--n", "0", "--window", "1001"],
      "configuration error: window x_max 1001 is above its bound 1000\n"),
+    # a zero denominator in a rational flag, and in the tolerance
+    (["idqm", "--trials", "1", "--gamma", "1/0"],
+     "configuration error: rational text '1/0' has a zero denominator\n"),
+    (["rdqm", "--tolerance", "1/0"],
+     "configuration error: --tolerance 1/0 has a zero denominator\n"),
+    # a trial count and a degree just above their bounds
+    (["identities", "--trials", "2001"],
+     "configuration error: trials 2001 is above its bound 2000\n"),
+    (["idqm", "--trials", "1", "--max-degree", "21"],
+     "configuration error: max_degree 21 is above its bound 20\n"),
 ]
 
 
@@ -486,6 +496,12 @@ def test_replay_inadmissible_witness_exit_2(tmp_path, capsys, identity_id, input
     (["oqm", "--dv", "0", "--v-max", "41"], "v_max 41 is above its bound 40"),
     (["idqm", "--gamma", "1e1001", "--trials", "0"],
      "rational text exponent size 1001 is above its bound 1000"),
+    (["identities", "--trials", "1", "--max-degree", "21"], "max_degree 21 is above its bound 20"),
+    (["idqm", "--trials", "2001"], "trials 2001 is above its bound 2000"),
+    (["all", "--trials", "2001"], "trials 2001 is above its bound 2000"),
+    (["rdqm", "--beta", "1/0"], "rational text '1/0' has a zero denominator"),
+    (["rdqm", "--dv=1/0"], "rational text '1/0' has a zero denominator"),
+    (["rdqm", "--c", "0/0"], "rational text '0/0' has a zero denominator"),
 ])
 def test_flags_above_their_bounds_exit_2(capsys, argv, message):
     assert main([*argv, "--out", os.devnull]) == 2

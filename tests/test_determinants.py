@@ -13,8 +13,8 @@ from casorati.determinants import (
     casoratian_imag,
     casoratian_real,
     casoratian_real_grid,
+    RunMemo,
     cofactor_det,
-    det_float_scalar,
     fraction_free_det,
     over_base_operator,
     over_base_power,
@@ -465,7 +465,7 @@ def test_wronskian_over_base_matches_direct_ratio():
 
 
 # ---------------------------------------------------------------------------
-# det_float_scalar against the operator-based LU it replaces
+# The big-float grid LU against the operator-based LU it replaces
 # ---------------------------------------------------------------------------
 
 def det_float_reference(matrix):
@@ -522,12 +522,19 @@ def _mpf_entry(value):
     return mpmath.mpf(value)
 
 
+def one_point_grid(matrix) -> GridFn:
+    """W_C of an n x n matrix's n columns on one-point windows: column k is
+    f_k(j) = matrix[j][k], so the grid's one value is det(matrix)."""
+    return casoratian_real_grid([GridFn([row[k] for row in matrix])
+                                 for k in range(len(matrix))])
+
+
 @given(float_matrices())
 @settings(max_examples=150, deadline=None)
 @example((128, 128, [[0, 1, 2], [0, 3, 1], [0, -1, 1]]))
 @example((256, 53, [[1, 2, 3], [2, (1, 3), 1], [1, 2, 3]]))
 @example((53, 53, [[3, (2, 3), (1, 3)], [-3, -2, -1], [(5, 7), -1, (-1, 3)]]))
-def test_det_float_scalar_matches_operator_lu(drawn):
+def test_one_point_grid_matches_operator_lu(drawn):
     """Same _mpf_ tuple as the operator LU, for entries made at one
     precision and eliminated at another.  In the last example rows 0 and 1
     tie at |3|; taking the later one as pivot rounds the result differently."""
@@ -535,9 +542,9 @@ def test_det_float_scalar_matches_operator_lu(drawn):
     with working_precision(entry_bits):
         matrix = [[_mpf_entry(v) for v in row] for row in spec]
     with working_precision(bits):
-        got = det_float_scalar([[x._mpf_ for x in row] for row in matrix])
+        got = one_point_grid(matrix)
         want = det_float_reference(matrix)
-    assert got == want._mpf_
+    assert got.raw == (want._mpf_,)
 
 
 @st.composite
@@ -572,8 +579,57 @@ def test_casoratian_real_grid_matches_operator_lu(drawn):
     assert got.raw == tuple(v._mpf_ for v in got.values) == tuple(v._mpf_ for v in want)
 
 
-def test_det_float_scalar_zero_column_and_empty():
+def test_one_point_grid_zero_column_and_empty():
+    """A zero pivot column gives 0; no columns is the rdQM layer's constant 1."""
+    from casorati.rdqm import _casoratian
     with working_precision(128):
-        zero = [[mpmath.mpf(1)._mpf_, fzero], [mpmath.mpf(2)._mpf_, fzero]]
-        assert det_float_scalar(zero) == fzero
-        assert det_float_scalar([]) == fone
+        assert one_point_grid([[mpmath.mpf(1), fzero], [mpmath.mpf(2), fzero]]).raw == (fzero,)
+        with pytest.raises(ValueError, match="at least one function"):
+            casoratian_real_grid([])
+        assert _casoratian([], 0, RunMemo()).raw == (fone,)
+
+
+@st.composite
+def prefix_families(draw):
+    """(entry bits, working bits, column specs, families): up to 5 columns of
+    5 to 8 points (a zero or a repeated one at times), and 1 to 6 families,
+    in drawn order, each a prefix of one drawn index list plus at times one
+    more column, so that families share prefixes; an index may repeat."""
+    count = draw(st.integers(1, 5))
+    spec = [[draw(float_entries) for _ in range(draw(st.integers(5, 8)))]
+            for _ in range(count)]
+    shape = draw(st.sampled_from(["plain", "zero column", "repeated column"]))
+    if shape == "zero column":
+        spec[-1] = [0] * len(spec[-1])
+    elif shape == "repeated column" and count > 1:
+        spec[-1] = list(spec[0])
+    base = draw(st.lists(st.integers(0, count - 1), min_size=1, max_size=4))
+    families = draw(st.lists(
+        st.tuples(st.integers(1, len(base)), st.none() | st.integers(0, count - 1))
+        .map(lambda drawn: base[:drawn[0]] + ([] if drawn[1] is None else [drawn[1]])),
+        min_size=1, max_size=6))
+    bits = st.sampled_from([53, 128, 256])
+    return draw(bits), draw(bits), spec, families
+
+
+@given(prefix_families())
+@settings(max_examples=100, deadline=None)
+@example((128, 128, [[1, 2, 3, 4, 5], [0, 0, 0, 0, 0], [2, (1, 3), -1, 0, 7, 1]],
+          [[0, 2], [0, 1], [0, 2, 1], [0], [0, 0]]))
+@example((53, 256, [[3, -3, (5, 7), 2, 1], [(2, 3), -2, -1, 0, 2, 3, 1]],
+          [[0, 1], [0], [0, 1, 0], [1, 0]]))
+def test_casoratians_sharing_prefixes_match_operator_lu(drawn):
+    """Casoratians computed in drawn order through one memo, each reusing
+    the eliminations of the prefixes before it, are each the operator LU's
+    tuples at every x, whatever was computed first."""
+    entry_bits, bits, spec, families = drawn
+    with working_precision(entry_bits):
+        columns = [GridFn([_mpf_entry(v) for v in column]) for column in spec]
+    memo = RunMemo()
+    with working_precision(bits):
+        for family in families:
+            fs = [columns[k] for k in family]
+            n = len(fs)
+            want = [det_float_reference([[f(x + j) for f in fs] for j in range(n)])
+                    for x in range(min(f.x_max for f in fs) - n + 2)]
+            assert casoratian_real_grid(fs, memo).raw == tuple(v._mpf_ for v in want)

@@ -730,9 +730,9 @@ def counted_rdqm_run(monkeypatch, tmp_path, argv):
     grid_calls, seed_calls = [], []
     grid, solve = rdqm_mod.casoratian_real_grid, rdqm_mod.solve_seed_at_energy
 
-    def counted_grid(columns):
+    def counted_grid(columns, memo):
         grid_calls.append((mpmath.mp.prec, tuple(tuple(f.values) for f in columns)))
-        return grid(columns)
+        return grid(columns, memo)
 
     def counted_solve(model, e_tilde):
         seed_calls.append(e_tilde)
@@ -752,6 +752,23 @@ def test_rdqm_run_computes_each_casoratian_once(monkeypatch, tmp_path):
     assert sorted(seed_calls) == [Fraction(-17, 10), Fraction(-3, 5)]
 
 
+def test_rdqm_run_eliminates_each_prefix_once(monkeypatch, tmp_path):
+    """The grid Casoratians of a run share their column prefixes' LU states:
+    no (precision, row count, columns) is eliminated twice, and prefixes are
+    shared, so there are fewer eliminations than columns over all of them."""
+    import casorati.determinants as det_mod
+    eliminations, lu_states = [], det_mod._lu_states
+
+    def counted(columns, n, memo):
+        eliminations.append((mpmath.mp.prec, n, tuple(f.raw for f in columns)))
+        return lu_states(columns, n, memo)
+
+    monkeypatch.setattr(det_mod, "_lu_states", counted)
+    grid_calls, _ = counted_rdqm_run(monkeypatch, tmp_path, RDQM_ARGV)
+    assert len(eliminations) == len(set(eliminations))
+    assert len(eliminations) < sum(len(columns) for _, columns in grid_calls)
+
+
 def test_rdqm_run_casoratians_at_model_precision(monkeypatch, tmp_path):
     """Every grid Casoratian of a run, the sign-conjecture check's included,
     runs at the model's working precision, never at mpmath's ambient one."""
@@ -761,7 +778,8 @@ def test_rdqm_run_casoratians_at_model_precision(monkeypatch, tmp_path):
 
 
 def test_memo_keys_on_precision():
-    """The same model grids at two precisions get two entries."""
+    """The same model grids at two precisions get two entries each: the
+    grid, and the LU state of its one-column prefix."""
     small = build_meixner_model(Fraction(2), Fraction(1, 3), n_max=2, x_max=12,
                                 precision_bits=128)
     columns = [small.eigen(0), small.eigen(1)]
@@ -771,7 +789,7 @@ def test_memo_keys_on_precision():
     with working_precision(128):
         high = _casoratian(columns, small.x_max, small.memo)
         assert high.values == casoratian_real_grid(columns).values
-    assert len(small.memo) == 2 and high is not low
+    assert len(small.memo) == 4 and high is not low
     assert high.values != low.values
 
 

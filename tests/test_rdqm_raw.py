@@ -22,6 +22,8 @@ from casorati.rdqm import (
     ResidualGateError,
     SingularDeformationError,
     _casoratian,
+    _relative_deviation,
+    _step_plain_parts,
     apply_hamiltonian,
     build_meixner_model,
     deformed_eigenfunctions,
@@ -57,10 +59,14 @@ grid_entries = st.one_of(
     st.tuples(st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6)))
 
 
-def make_grid(spec, bits):
+def mpf_values(spec, bits):
     with working_precision(bits):
-        return GridFn([mpmath.mpf(v[0]) / v[1] if isinstance(v, tuple) else mpmath.mpf(v)
-                       for v in spec])
+        return [mpmath.mpf(v[0]) / v[1] if isinstance(v, tuple) else mpmath.mpf(v)
+                for v in spec]
+
+
+def make_grid(spec, bits):
+    return GridFn(mpf_values(spec, bits))
 
 
 def grids(length, count):
@@ -410,6 +416,69 @@ def test_gershgorin_bounds_and_off_sq_match_operator_form(drawn):
             hi = max(hi, diag[i] + radius)
         off_sq = [b * b for b in off]
     assert seen[n:2 * n + 1] == [b._mpf_ for b in off_sq] + [lo._mpf_, hi._mpf_]
+
+
+# ---------------------------------------------------------------------------
+# The step replay's plain parts and the relative deviation
+# ---------------------------------------------------------------------------
+
+def step_plain_parts_reference(w_s, w_s1, wn_s, wn_s1, out_max, s, eps_s, eps_s1,
+                               replay_sign):
+    """darboux_step_replay's per-point loop in its mpf operator form."""
+    targets, advanced = [], []
+    for x_pt in range(out_max + 1):
+        bracket = (w_s1(x_pt) * wn_s(x_pt + 1) - w_s1(x_pt + 1) * wn_s(x_pt))
+        advanced.append(((-1) ** s * eps_s) * replay_sign * bracket / w_s(x_pt + 1))
+        targets.append(((-1) ** (s + 1) * eps_s1) * wn_s1(x_pt))
+    return [targets, advanced]
+
+
+signs = st.sampled_from([1, -1])
+
+
+@given(st.sampled_from(BITS), st.sampled_from(BITS), st.integers(0, 4), signs, signs, signs,
+       st.lists(st.lists(grid_entries, min_size=2, max_size=9), min_size=4, max_size=4))
+@settings(max_examples=100, deadline=None)
+@example(53, 256, 1, 1, -1, -1, [[1, (1, 3), 2], [2, -2, (5, 7)], [(2, 3), 3, 1], [1, 2, 3]])
+@example(128, 128, 0, 1, 1, 1, [[1, 0, 2], [1, 2, 3], [1, 2, 3], [1, 2]])   # W_s(1) = 0
+def test_step_plain_parts_match_operator_form(entry_bits, bits, s, eps_s, eps_s1,
+                                              replay_sign, specs):
+    """Targets and replayed plain parts on drawn grids of different windows
+    are the operator form's tuples, or the same division by zero."""
+    w_s, w_s1, wn_s, wn_s1 = [make_grid(spec, entry_bits) for spec in specs]
+    out_max = min(wn_s.x_max - 1, w_s1.x_max - 1, wn_s1.x_max, w_s.x_max - 1)
+    with working_precision(bits):
+        want = outcome(lambda: step_plain_parts_reference(
+            w_s, w_s1, wn_s, wn_s1, out_max, s, eps_s, eps_s1, replay_sign))
+        signs_in = ((-1) ** s * eps_s * replay_sign, (-1) ** (s + 1) * eps_s1)
+        got = outcome(lambda: [map(mpmath.mp.make_mpf, part) for part in
+                               _step_plain_parts(w_s, w_s1, wn_s, wn_s1, out_max, *signs_in)])
+    assert got == want
+
+
+def relative_deviation_reference(reference, other):
+    """_relative_deviation in its mpf operator form."""
+    deviation = norm = mpmath.mpf(0)
+    for ref, value in zip(reference, other):
+        deviation = max(deviation, abs(ref - value))
+        norm = max(norm, abs(ref))
+    return deviation / norm if norm > 0 else deviation
+
+
+@given(st.sampled_from(BITS), st.sampled_from(BITS),
+       st.lists(grid_entries, max_size=9), st.lists(grid_entries, max_size=9))
+@settings(max_examples=150, deadline=None)
+@example(256, 53, [0, 0, 0], [1, (1, 3), -2])              # the reference vanishes
+@example(53, 128, [(1, 3), -2, 2], [(1, 3), 2, -2])        # equal gaps and sizes tie
+@example(128, 53, [(947049, 483407), 3], [(367814, 595282), (1, 3), 5])   # other is longer
+def test_relative_deviation_matches_operator_form(entry_bits, bits, reference, other):
+    """The same tuple as the operator form, on raw tuples made at one
+    precision and compared at another."""
+    reference, other = mpf_values(reference, entry_bits), mpf_values(other, entry_bits)
+    with working_precision(bits):
+        want = relative_deviation_reference(reference, other)
+        got = _relative_deviation([v._mpf_ for v in reference], [v._mpf_ for v in other])
+    assert got._mpf_ == want._mpf_
 
 
 # ---------------------------------------------------------------------------

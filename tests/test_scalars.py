@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from casorati.scalars import (
     GR_I,
@@ -50,9 +50,32 @@ def test_i_arithmetic():
     assert i_power(-1) == -GR_I
 
 
-@given(gaussians)
+@given(gaussians | st.builds(GaussianRational, st.fractions(), st.fractions()))
 def test_format_parse_roundtrip(z):
     assert parse_gaussian(str(z)) == z
+
+
+rational_texts = st.one_of(
+    st.text(max_size=12),
+    st.text(alphabet="0123456789+-/._eE *i", max_size=12),
+    st.builds("{}/{}".format, st.integers(), st.integers(-2, 2)),
+    st.builds("{}e{}".format, st.integers(-99, 99), st.integers(-1200, 1200)))
+
+
+@given(rational_texts)
+@example("1/0")
+@example("0/0")
+@example(" -3/-0 ")
+@example("1/2-1/0*i")
+def test_rational_text_is_a_fraction_or_value_error(text):
+    """Any text gives a Fraction (a GaussianRational) or ValueError, never
+    another exception, so a flag or a witness input exits 2 with one line."""
+    for parse, kind in ((rational, Fraction), (parse_gaussian, GaussianRational)):
+        try:
+            value = parse(text)
+        except ValueError:
+            continue
+        assert isinstance(value, kind)
 
 
 def test_rational_parsing():
