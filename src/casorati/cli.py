@@ -30,7 +30,8 @@ from .identities import idqm_trial, replay_witness, run_identity_suite
 from .oqm import census_check, harmonic_model_for, two_path_compare
 from .rdqm import (
     NegativeRadicandError, ResidualGateError, SingularDeformationError, build_meixner_model,
-    darboux_chain_replay, sign_conjecture_check, spectrum_report, two_path_compare_rdqm)
+    darboux_chain_replay, sign_conjecture_check, spectrum_report, tolerance_text,
+    two_path_compare_rdqm)
 from .report import CheckReport, sort_reports, summarize
 from .sampling import MAX_DEGREE, MAX_TRIALS, SamplerConfig
 from .scalars import DEFAULT_PRECISION_BITS, rational, require_at_most
@@ -188,10 +189,7 @@ def run_rdqm(args) -> list[CheckReport]:
     de = parse_list(args.de, int)
     levels = parse_list(args.n, int)
     compare_up_to = min(40, args.window // 2)
-    try:                         # a malformed tolerance fails before any work
-        mpmath.mpf(args.tolerance)
-    except ZeroDivisionError:
-        raise ValueError(f"--tolerance {args.tolerance} has a zero denominator") from None
+    tolerance_text(args.tolerance, "--tolerance")   # a malformed one fails before any work
     for flag, labels in (("--n level", levels), ("--de label", de)):
         for label in labels:
             if not 0 <= label <= args.n_max:

@@ -525,7 +525,8 @@ def _decoders(element: Callable) -> dict[str, Callable]:
             "m": _count, "v_num": _poly, "v_den": _poly, "v_state": _poly, "mu": _poly,
             "seeds": polys, "dv": polys, "de": polys, "beta": _rational, "c": _rational,
             "window": _count, "precision_bits": _count, "dv_energies": _list(_rational),
-            "de_labels": counts, "s": _count, "tolerance": text, "violated": text,
+            "de_labels": counts, "s": _count, "violated": text,
+            "tolerance": lambda value: rdqm.tolerance_text(text(value), "tolerance"),
             "compare_up_to": _count, "truncation": _count, "eigen_count": _count}
 
 

@@ -18,8 +18,9 @@ states of their column prefixes), the first stage of the staged path and the two
 roots of every deformed eigenfunction from the model's ``RunMemo``, at the model's
 working precision, and the memo is freed with the model.  Grids hold raw ``_mpf_``
 tuples (``GridFn.raw``), which the per-point loops read and write by the mpf
-operators' libmp calls, bit for bit; an mpf is made only for a report, the CSV,
-an error or the seed recurrence, left in operator form.
+operators' libmp calls, bit for bit; an mpf is made only for a report, the CSV
+or an error.  The model build measures an eigenpair's residual only where it
+cannot certify it exactly (``build_meixner_model``); every seed is measured.
 """
 
 from __future__ import annotations
@@ -131,9 +132,16 @@ def build_meixner_model(beta, c, n_max: int, x_max: int,
                         precision_bits: int = DEFAULT_PRECISION_BITS) -> RdqmModel:
     """B(x) = c(x+beta)/(1-c), D(x) = x/(1-c); E_n = n; phi_n = phi_0 P_n.
 
-    Every eigenpair is verified against the tri-diagonal matrix action to
-    relative 10^{-precision_bits/4} before the model is returned.  x_max, n_max
-    and precision_bits above MAX_X_MAX, MAX_N_MAX and MAX_PRECISION_BITS raise ValueError.
+    Every eigenpair passes the residual gate, relative 10^{-precision_bits/4}
+    against the tri-diagonal matrix action, before the model is returned.  A
+    level is certified rather than measured where P_n solves the gauge
+    equation B(x)(P_n(x) - P_n(x+1)) + D(x)(P_n(x) - P_n(x-1)) = n P_n(x) as
+    an exact polynomial identity (phi_0's radicands step by B(x)/D(x+1) by
+    construction), |phi_n| does not rise at the window's end, and
+    ``_gate_bound`` puts the computed gate at most half the tolerance;
+    elsewhere the gate is computed, so the outcome is the computed gate's.
+    x_max, n_max and precision_bits above MAX_X_MAX, MAX_N_MAX and
+    MAX_PRECISION_BITS raise ValueError.
     """
     beta = rational(beta)
     c = rational(c)
@@ -144,23 +152,28 @@ def build_meixner_model(beta, c, n_max: int, x_max: int,
     for name, value, bound in (("window x_max", x_max, MAX_X_MAX), ("n_max", n_max, MAX_N_MAX),
                                ("precision_bits", precision_bits, MAX_PRECISION_BITS)):
         require_at_most(name, value, bound)
+    b_poly, d_poly = Poly([c * beta / (1 - c), c / (1 - c)]), Poly([0, 1 / (1 - c)])
+    b_exact = [c * (k + beta) / (1 - c) for k in range(x_max + 1)]
+    d_exact = [k / (1 - c) for k in range(x_max + 1)]
     with working_precision(precision_bits):
         prec, rnd = mpmath.mp._prec_rounding
-        b_grid = GridFn([raw_rational(c * (k + beta) / (1 - c), prec, rnd)
-                         for k in range(x_max + 1)])
-        d_grid = GridFn([raw_rational(k / (1 - c), prec, rnd) for k in range(x_max + 1)])
+        b_grid = GridFn([raw_rational(value, prec, rnd) for value in b_exact])
+        d_grid = GridFn([raw_rational(value, prec, rnd) for value in d_exact])
         products = [mpf_mul(b, d, prec, rnd) for b, d in zip(b_grid.raw, d_grid.raw[1:])]
         for x_pt, value in enumerate(products):
             if mpf_le(value, fzero):
                 raise SingularDeformationError(
                     f"off-diagonal sqrt(B({x_pt})D({x_pt + 1})) vanishes")
         off_roots = GridFn(mpf_sqrt(value, prec, rnd) for value in products)
-        # ground factor phi_0(x) = sqrt(c^x (beta)_x / x!)
+        # ground factor phi_0(x) = sqrt(c^x (beta)_x / x!), whose radicands
+        # step by B(x)/D(x+1) exactly, as the gauge equation of P_n needs
         radicands = [Fraction(1)]
-        for k in range(1, x_max + 1):
-            radicands.append(radicands[-1] * c * (beta + k - 1) / k)
+        for b, d in zip(b_exact, d_exact[1:]):
+            radicands.append(radicands[-1] * b / d)
         ground = GridFn([mpf_sqrt(raw_rational(r, prec, rnd), prec, rnd) for r in radicands])
         tolerance = mpmath.mpf(10) ** (-(precision_bits // 4))
+        bound = _gate_bound(b_exact, d_exact, n_max, prec)
+        certified = bound is not None and bound <= Fraction(1, 2 * 10 ** (precision_bits // 4))
         eigenfunctions = []
         for n in range(n_max + 1):
             p_n = meixner_polynomial(n, beta, c)
@@ -169,10 +182,16 @@ def build_meixner_model(beta, c, n_max: int, x_max: int,
                 numerators = [value * k + coefficient for k, value in enumerate(numerators)]
             phi_n = GridFn(mpf_mul(root, raw_rational(Fraction(value, p_n.den), prec, rnd),
                                    prec, rnd) for root, value in zip(ground.raw, numerators))
-            res = _relative_residual(b_grid, d_grid, phi_n, from_int(n, prec, rnd), off_roots)
-            if res > tolerance:
-                raise ResidualGateError(
-                    f"eigenpair {n} residual {res} above 1e-{precision_bits // 4}")
+            exact = (certified and b_exact[x_max - 1] * numerators[x_max] ** 2
+                     <= d_exact[x_max] * numerators[x_max - 1] ** 2      # |phi_n| ends falling
+                     and b_poly * (p_n - p_n.shift(1)) + d_poly * (p_n - p_n.shift(-1))
+                     == p_n * n)
+            if not exact:
+                res = _relative_residual(b_grid, d_grid, phi_n, from_int(n, prec, rnd),
+                                         off_roots)
+                if res > tolerance:
+                    raise ResidualGateError(
+                        f"eigenpair {n} residual {res} above 1e-{precision_bits // 4}")
             eigenfunctions.append(phi_n)
     if not all(phi.raw[0] == fone for phi in eigenfunctions):
         raise ArithmeticError("eigenfunction normalization phi_n(0) = 1 failed")
@@ -180,6 +199,29 @@ def build_meixner_model(beta, c, n_max: int, x_max: int,
                      eigenfunctions=tuple(eigenfunctions), ground=ground, b_grid=b_grid,
                      d_grid=d_grid, x_max=x_max, precision_bits=precision_bits,
                      off_roots=off_roots)
+
+
+def _gate_bound(b_exact: Sequence, d_exact: Sequence, n_max: int, prec: int):
+    """An upper bound on the gate value ``_relative_residual`` computes at prec
+    bits for phi_n, n <= n_max, where P_n is exact and |phi_n(x_max)| <=
+    |phi_n(x_max - 1)|; None where 13u >= 1, u = 2^-prec.
+
+    Each libmp call rounds to nearest with relative error <= u, and mpf
+    exponents do not underflow (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., 2.2).  B and D round twice, sqrt(BD) four times,
+    phi_n five times and E = n once, so row x of H phi_n - E phi_n is
+    sum T_i (1 + e_i), |e_i| <= gamma_13 = 13u/(1 - 13u), over four exact
+    terms that sum to 0 (Higham 3.1).  By AM-GM sqrt(B(x)D(x+1)) <= (B(x) +
+    D(x+1))/2, and B + D and B(x) + D(x+1) grow with x, so the last interior
+    row bounds each row's sum of |T_i| / max|phi_n|; the computed max |phi_n|
+    is at least (1 - u)^5 times the exact one, and the quotient rounds once.
+    """
+    u = Fraction(1, 2 ** prec)
+    if 13 * u >= 1:
+        return None
+    last = len(b_exact) - 2
+    rows = 2 * b_exact[last] + d_exact[last] + d_exact[last + 1] + n_max
+    return 13 * u / (1 - 13 * u) * rows * (1 + u) / (1 - u) ** 5
 
 
 # ---------------------------------------------------------------------------
@@ -238,23 +280,26 @@ def solve_seed_at_energy(model: RdqmModel, e_tilde) -> GridFn:
     """Unique grid solution of (H - E)psi = 0 with psi(0) = 1, E < 0.
 
     Row 0 fixes psi(1) because D(0) = 0; the upward three-term recurrence
-    does the rest.  The residual is re-verified before returning.  A run
-    asks ``model.seed`` instead, which solves each energy once.
+    does the rest, on raw tuples with the libmp calls of its mpf operator
+    form, bit for bit.  An upward recurrence can amplify its rounding, so
+    the residual gate is computed before returning.  A run asks
+    ``model.seed`` instead, which solves each energy once.
     """
     with working_precision(model.precision_bits):
-        raw_energy = raw_rational(rational(e_tilde), *mpmath.mp._prec_rounding)
-        if mpf_sign(raw_energy) >= 0:
+        prec, rnd = mpmath.mp._prec_rounding
+        energy = raw_rational(rational(e_tilde), prec, rnd)
+        if mpf_sign(energy) >= 0:
             raise ValueError("seed energy must be negative (virtual-candidate range)")
-        b, d, off = model.b_grid, model.d_grid, model.off_roots
-        energy = mpmath.mp.make_mpf(raw_energy)     # the recurrence runs on mpf operators
-        psi = [mpmath.mpf(1), (b(0) - energy) / off(0)]
+        b, d, off = model.b_grid.raw, model.d_grid.raw, model.off_roots.raw
+        psi = [fone, mpf_div(mpf_sub(b[0], energy, prec, rnd), off[0], prec, rnd)]
         for x_pt in range(1, model.x_max):
-            nxt = ((b(x_pt) + d(x_pt) - energy) * psi[x_pt]
-                   - (off(x_pt - 1) * psi[x_pt - 1])) / off(x_pt)
-            psi.append(nxt)
+            level = mpf_sub(mpf_add(b[x_pt], d[x_pt], prec, rnd), energy, prec, rnd)
+            psi.append(mpf_div(mpf_sub(mpf_mul(level, psi[x_pt], prec, rnd),
+                                       mpf_mul(off[x_pt - 1], psi[x_pt - 1], prec, rnd),
+                                       prec, rnd), off[x_pt], prec, rnd))
         grid = GridFn(psi)
         tolerance = mpmath.mpf(10) ** (-(model.precision_bits // 4))
-        res = _relative_residual(b, d, grid, raw_energy, off)
+        res = _relative_residual(model.b_grid, model.d_grid, grid, energy, model.off_roots)
         if res > tolerance:
             raise ResidualGateError(f"seed residual {res} above tolerance")
         return grid
@@ -410,6 +455,16 @@ def _inputs(model: RdqmModel, dv_energies: Sequence, de_labels: Sequence[int], *
     return dict(beta=model.beta, c=model.c, n_max=model.n_max, window=model.x_max,
                 precision_bits=model.precision_bits,
                 dv_energies=[rational(e) for e in dv_energies], de_labels=de_labels, **inputs)
+
+
+def tolerance_text(text: str, name: str) -> str:
+    """``text``, once mpmath reads it as a check's ``tolerance``; a zero
+    denominator raises ValueError naming ``name`` (the flag or witness key)."""
+    try:
+        mpmath.mpf(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{name} {text} has a zero denominator") from None
+    return text
 
 
 def sign_conjecture_check(model: RdqmModel, dv_energies: Sequence,

@@ -1,14 +1,19 @@
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
-from mpmath.libmp import from_int, from_man_exp, ftwo, mpf_add, mpf_div, mpf_neg, round_nearest
+from mpmath.libmp import (
+    from_int, from_man_exp, ftwo, mpf_add, mpf_div, mpf_neg, mpf_sign, round_nearest,
+    to_rational)
 from hypothesis import example, given, settings, strategies as st
 
 from casorati.determinants import casoratian_real_grid
 from casorati.gridfn import GridFn, WindowError
+import casorati.rdqm as rdqm_mod
 from casorati.rdqm import (
     NegativeRadicandError,
+    ResidualGateError,
     _casoratian,
     _relative_residual,
     apply_hamiltonian,
@@ -57,6 +62,88 @@ def test_model_residuals(model):
     tolerance = mpmath.mpf(10) ** -(BITS // 4)
     for n in range(9):
         assert residual(model, model.eigen(n), n) <= tolerance
+
+
+# ---------------------------------------------------------------------------
+# The model build certifies its exact eigenpairs instead of measuring them
+# ---------------------------------------------------------------------------
+
+@given(st.fractions(min_value=Fraction(1, 10), max_value=5, max_denominator=12),
+       st.fractions(min_value=Fraction(1, 20), max_value=Fraction(19, 20), max_denominator=20),
+       st.integers(1, 60), st.integers(0, 8), st.sampled_from([8, 40, 53, 64, 128, 256]))
+@settings(max_examples=60, deadline=None)
+@example(Fraction(2), Fraction(1, 3), 80, 8, 256)          # the CLI's model
+@example(Fraction(2), Fraction(1, 3), 80, 8, 8)            # the pinned 8-bit error's
+@example(Fraction(1, 10), Fraction(19, 20), 60, 8, 128)    # |phi_n| rising at the end
+@example(Fraction(5), Fraction(1, 20), 1, 0, 53)
+def test_gate_bound_bounds_the_computed_gate(beta, c, x_max, n_max, bits):
+    """Wherever an eigenpair meets the bound's premises (an exact P_n, and
+    |phi_n(x_max)| <= |phi_n(x_max - 1)|), the gate value _relative_residual
+    computes is at most _gate_bound, so a skip where the bound certifies
+    (at most half of 10^-(bits//4)) never skips a gate that would fail."""
+    b_exact = [c * (k + beta) / (1 - c) for k in range(x_max + 1)]
+    d_exact = [k / (1 - c) for k in range(x_max + 1)]
+    bound = rdqm_mod._gate_bound(b_exact, d_exact, n_max, bits)
+    with mock.patch.object(rdqm_mod, "_relative_residual", lambda *args: mpmath.mpf(0)):
+        small = build_meixner_model(beta, c, n_max=n_max, x_max=x_max, precision_bits=bits)
+    for n in range(n_max + 1):
+        p_n = meixner_polynomial(n, beta, c)
+        end_falls = (b_exact[x_max - 1] * p_n(x_max).re ** 2
+                     <= d_exact[x_max] * p_n(x_max - 1).re ** 2)
+        if end_falls:
+            assert Fraction(*to_rational(residual(small, small.eigen(n), n)._mpf_)) <= bound
+    if bound <= Fraction(1, 2 * 10 ** (bits // 4)):
+        assert build_meixner_model(beta, c, n_max=n_max, x_max=x_max, precision_bits=bits)
+
+
+def counted_gates(monkeypatch) -> list:
+    """Record the sign of the energy of every computed residual gate: +1 or
+    0 for a model eigenpair, -1 for a virtual seed."""
+    signs, gate = [], rdqm_mod._relative_residual
+
+    def counted(b_grid, d_grid, psi, energy, roots):
+        signs.append(mpf_sign(energy))
+        return gate(b_grid, d_grid, psi, energy, roots)
+
+    monkeypatch.setattr(rdqm_mod, "_relative_residual", counted)
+    return signs
+
+
+def test_model_gates_certified_at_defaults_computed_at_40_bits(monkeypatch, tmp_path):
+    """A default run computes no model eigenpair gate and one gate per
+    virtual seed; at 40 bits the bound does not certify, and all nine model
+    gates are computed (and pass); where |phi_n| rises at the window's end,
+    its gate is computed too."""
+    from casorati import cli
+    signs = counted_gates(monkeypatch)
+    assert cli.main([*RDQM_ARGV, "--out", str(tmp_path / "r.json")]) == 0
+    assert signs == [-1, -1]
+    signs.clear()
+    assert cli.main(["rdqm", "--precision-bits", "40", "--out", str(tmp_path / "r.json")]) == 3
+    assert len(signs) == 9 and -1 not in signs
+    signs.clear()      # a certifying precision, but |phi_n| rises at the end of this window
+    beta, c = Fraction(1, 10), Fraction(19, 20)
+    rising = [n for n in range(9) if meixner_polynomial(n, beta, c)(60).re ** 2 * c * (59 + beta)
+              > meixner_polynomial(n, beta, c)(59).re ** 2 * 60]
+    build_meixner_model(beta, c, n_max=8, x_max=60, precision_bits=128)
+    assert rising and len(signs) == len(rising)
+
+
+def test_perturbed_eigenpolynomial_is_measured_and_fails(monkeypatch):
+    """Negative control: a P_3 with one perturbed coefficient fails the
+    exact identity, so its gate is computed and raises; the levels below it
+    are still certified."""
+    from casorati.poly import Poly
+    signs, meixner = counted_gates(monkeypatch), rdqm_mod.meixner_polynomial
+
+    def perturbed(n, beta, c):
+        p_n = meixner(n, beta, c)
+        return p_n + Poly([0, 0, 0, Fraction(1, 10 ** 20)]) if n == 3 else p_n
+
+    monkeypatch.setattr(rdqm_mod, "meixner_polynomial", perturbed)
+    with pytest.raises(ResidualGateError, match="^eigenpair 3 residual "):
+        build_meixner_model(Fraction(2), Fraction(1, 3), n_max=8, x_max=80)
+    assert len(signs) == 1
 
 
 def test_seed_row0_identity(model):

@@ -23,12 +23,14 @@ from casorati.rdqm import (
     SingularDeformationError,
     _casoratian,
     _relative_deviation,
+    _relative_residual,
     _step_plain_parts,
     apply_hamiltonian,
     build_meixner_model,
     deformed_eigenfunctions,
     deformed_potentials_bd,
     meixner_polynomial,
+    solve_seed_at_energy,
     spectrum_check,
 )
 from casorati.scalars import raw_rational, working_precision
@@ -171,6 +173,60 @@ def test_raw_layer_makes_no_mpf(monkeypatch):
                                 128, RunMemo())
         count_below(diag, off_sq, model.b_grid.raw[3])
     assert made == []
+
+
+# ---------------------------------------------------------------------------
+# Virtual seeds
+# ---------------------------------------------------------------------------
+
+def solve_seed_reference(model, e_tilde):
+    """The seed recurrence in mpf operator form, then its residual gate."""
+    with working_precision(model.precision_bits):
+        b, d, off = model.b_grid, model.d_grid, model.off_roots
+        energy = mpf_from_rational_reference(e_tilde)
+        psi = [mpmath.mpf(1), (b(0) - energy) / off(0)]
+        for x_pt in range(1, model.x_max):
+            nxt = ((b(x_pt) + d(x_pt) - energy) * psi[x_pt]
+                   - (off(x_pt - 1) * psi[x_pt - 1])) / off(x_pt)
+            psi.append(nxt)
+        grid = GridFn(psi)
+        res = _relative_residual(b, d, grid, energy._mpf_, off)
+        if res > mpmath.mpf(10) ** (-(model.precision_bits // 4)):
+            raise ResidualGateError(f"seed residual {res} above tolerance")
+        return grid
+
+
+_SEED_MODELS = {}
+
+
+def seed_model(beta, c, bits, x_max):
+    key = (beta, c, bits, x_max)
+    if key not in _SEED_MODELS:
+        _SEED_MODELS[key] = build_meixner_model(beta, c, n_max=2, x_max=x_max,
+                                                precision_bits=bits)
+    return _SEED_MODELS[key]
+
+
+@given(st.sampled_from([Fraction(2), Fraction(1, 2), Fraction(1, 3)]),     # B, D round at 2/7
+       st.sampled_from([Fraction(1, 3), Fraction(3, 4), Fraction(2, 7)]), st.sampled_from(BITS),
+       st.sampled_from([1, 2, 12, 40, 80]),
+       st.fractions(max_value=Fraction(-1, 10 ** 6), min_value=-40, max_denominator=10 ** 9))
+@settings(max_examples=100, deadline=None)
+@example(Fraction(2), Fraction(1, 3), 256, 80, Fraction(-3, 5))
+@example(Fraction(2), Fraction(3, 4), 53, 80, Fraction(-1, 10))      # the gate raises
+@example(Fraction(1, 2), Fraction(3, 4), 128, 1, Fraction(-947049, 483407))
+def test_seed_solve_matches_operator_form(beta, c, bits, x_max, e_tilde):
+    """The raw-tuple recurrence gives the operator form's tuples, or the
+    same gate error with the same message."""
+    model = seed_model(beta, c, bits, x_max)
+
+    def result(solve):
+        try:
+            return "ok", solve(model, e_tilde).raw
+        except ResidualGateError as exc:
+            return "raised", str(exc)
+
+    assert result(solve_seed_at_energy) == result(solve_seed_reference)
 
 
 # ---------------------------------------------------------------------------
