@@ -454,13 +454,6 @@ SMALL_MODEL = {"beta": "2", "c": "1/3", "n_max": 8, "window": 40, "precision_bit
     # v is optional only where the checker takes v = None
     ("wronskian.corollary", {"fs": [{"p": ["1"], "a": "0", "b": "0"}], "us": []},
      "witness inputs ['fs', 'us'] are not the keys ['fs', 'us', 'v']"),
-    # a tolerance that the run's --tolerance check rejects, decoded by that check
-    ("rdqm.step-replay", {**SMALL_MODEL, "dv_energies": ["-3/5"], "de_labels": [], "n": 0,
-                          "s": 0, "tolerance": "1/0"},
-     "witness input tolerance: tolerance 1/0 has a zero denominator"),
-    ("rdqm.two-path", {**SMALL_MODEL, "dv_energies": ["-3/5"], "de_labels": [], "n": 0,
-                       "tolerance": "0/0", "compare_up_to": 20},
-     "witness input tolerance: tolerance 0/0 has a zero denominator"),
     # a degenerate instance, which a sweep would redraw
     ("idqm.prefactor-gg", {"v_num": ["1"], "v_den": [], "gamma": "1", "l": 1, "m": 1},
      "degenerate witness inputs: RationalFn with zero denominator"),
@@ -486,6 +479,13 @@ SMALL_MODEL = {"beta": "2", "c": "1/3", "n_max": 8, "window": 40, "precision_bit
      "witness input fs: rational text exponent size 1001 is above its bound 1000"),
     ("cas-real.gauge", {"fs": [["1"]], "g": ["3/2e-1001"]},
      "witness input g: rational text exponent size 1001 is above its bound 1000"),
+    # a tolerance that the run's --tolerance check rejects, decoded by that check
+    ("rdqm.step-replay", {**SMALL_MODEL, "dv_energies": ["-3/5"], "de_labels": [], "n": 0,
+                          "s": 0, "tolerance": "1/0"},
+     "witness input tolerance: tolerance 1/0 has a zero denominator"),
+    ("rdqm.two-path", {**SMALL_MODEL, "dv_energies": ["-3/5"], "de_labels": [], "n": 0,
+                       "tolerance": "0/0", "compare_up_to": 20},
+     "witness input tolerance: tolerance 0/0 has a zero denominator"),
 ])
 def test_replay_inadmissible_witness_exit_2(tmp_path, capsys, identity_id, inputs, message):
     """Each input is decoded by its JSON type before any check runs, so an
