@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .determinants import casoratian_imag, imag_shift_points
-from .poly import Poly, RationalFn, as_rational_fn
+from .poly import Poly, RationalFn, as_rational_fn, poly_products_equal
 from .report import CheckReport, check_report
 from .scalars import format_rational, imaginary, rational, require_at_most
 
@@ -80,27 +80,31 @@ class PowerProduct:
         """The *-operation on every factor (exponents are real)."""
         return PowerProduct((fn.star(), e) for fn, e in self.factors)
 
-    def power(self, k: int) -> tuple[Poly, Poly]:
-        """Numerator and denominator of the k-th power; ValueError if some
-        exponent times k is not an integer."""
-        num = den = Poly.one()
+    def power(self, k: int) -> tuple[list, list]:
+        """The k-th power as two factor lists of (Poly, exponent >= 0), its
+        numerator's and its denominator's, unexpanded; ValueError if some
+        exponent times k is not an integer.  A factor with a negative
+        exponent puts its numerator in the denominator's list."""
+        tops, bottoms = [], []
         for fn, exponent in self.factors:
             ek = exponent * k
             if ek.denominator != 1:
                 raise ValueError(f"exponent {exponent} times {k} is not an integer")
             top, bottom = (fn.num, fn.den) if ek > 0 else (fn.den, fn.num)
-            num = num * top ** abs(int(ek))
-            den = den * bottom ** abs(int(ek))
-        return num, den
+            tops.append((top, abs(int(ek))))
+            bottoms.append((bottom, abs(int(ek))))
+        return tops, bottoms
 
     def equals_power(self, other: "PowerProduct", k: int) -> bool:
-        """Exact equality of the k-th powers, cross-multiplied.  A factor
-        that vanishes identically under a negative exponent leaves a zero
-        denominator, which the cross-multiplication compares like any other
-        polynomial."""
-        num, den = self.power(k)
-        other_num, other_den = other.power(k)
-        return num * other_den == other_num * den
+        """Exact equality of the k-th powers, cross-multiplied:
+        num * other_den == other_num * den, with both sides handed to
+        ``poly_products_equal`` as factor lists, so factors common to both
+        sides cancel unexpanded.  A factor that vanishes identically under a
+        negative exponent leaves a zero denominator, which the comparison
+        treats like any other zero factor."""
+        tops, bottoms = self.power(k)
+        other_tops, other_bottoms = other.power(k)
+        return poly_products_equal(tops + other_bottoms, other_tops + bottoms)
 
     def sign_at(self, sample) -> int | None:
         """Sign at a real sample; None when it cannot be fixed there.

@@ -11,8 +11,10 @@ Deformations delete or preserve levels depending on the seed mix; the module
 verifies the deformed equation exactly and compares the one-shot deformation
 against the staged (virtual-first) deformation, which must agree exactly.
 Every W[seeds, f] is the seeds' Darboux-Crum operator applied to f, and the
-model's memo holds each operator, the staged path's first stage and each
-level's reduced quotients, so one run computes each Wronskian once.
+model's memo holds each operator, the staged path's first stage (with its
+n-independent denominator) and each level's unreduced numerators, so one run
+computes each Wronskian once.  The degree census reads the unreduced
+quotients; only the level the two paths compare is gcd-reduced.
 """
 
 from __future__ import annotations
@@ -160,9 +162,9 @@ def deformed_potential(model: OqmModel, seeds: Sequence[ExpPoly]) -> RationalFn:
 
 def deformed_eigenfunction(model: OqmModel, seeds: Sequence[ExpPoly],
                            n: int) -> ExpRatio:
-    """phi_{D n} = W[seeds, phi_n] / W[seeds], reduced; exact, verified by
+    """phi_{D n} = W[seeds, phi_n] / W[seeds], unreduced; exact, verified by
     the caller.  The numerator is the seeds' Darboux-Crum operator applied
-    to phi_n, and each level is computed once per model."""
+    to phi_n, and each level's numerator is computed once per model."""
     phi_n = model.eigen(n)
     if any(s == phi_n for s in seeds):
         raise StateDeletedError(f"level {n} is deleted by the seed set")
@@ -170,14 +172,15 @@ def deformed_eigenfunction(model: OqmModel, seeds: Sequence[ExpPoly],
     den = op.seed_wronskian
     if den.is_zero():
         raise SeedDependenceError("seed Wronskian vanishes identically")
-    return model.memo.once(("one-shot", tuple(seeds), n),
-                           lambda: ExpRatio.from_exp_polys(op(phi_n), den).reduce())
+    num = model.memo.once(("one-shot", tuple(seeds), n), op, phi_n)
+    return ExpRatio.from_exp_polys(num, den)
 
 
 def _first_stage(model: OqmModel, d_v: tuple, d_e: tuple):
-    """The n-independent half of the staged path: the virtual-seed operator,
-    and the operator over its base W[virtual seeds] of the intermediate
-    eigenstate numerators, whose seed part is their Wronskian over it."""
+    """The n-independent part of the staged path: the virtual-seed operator,
+    the operator over its base W[virtual seeds] of the intermediate
+    eigenstate numerators, whose seed part is their Wronskian over it, and
+    the levels' common denominator."""
     virtual = model.operator(model.seed_list(d_v, ()))
     base = virtual.seed_wronskian
     if base.is_zero():
@@ -185,7 +188,8 @@ def _first_stage(model: OqmModel, d_v: tuple, d_e: tuple):
     outer = over_base_operator([virtual(model.eigen(e)) for e in d_e], base)
     if outer.seed_wronskian.is_zero():
         raise SeedDependenceError("intermediate eigenstate Wronskian vanishes")
-    return virtual, outer
+    # a level's top is over base^K(m + 1), the seed part over base^K(m): K differs by 1 + m
+    return virtual, outer, outer.seed_wronskian * (base ** (1 + len(d_e)))
 
 
 def staged_eigenfunction(model: OqmModel, d_v: Sequence[int], d_e: Sequence[int],
@@ -194,19 +198,15 @@ def staged_eigenfunction(model: OqmModel, d_v: Sequence[int], d_e: Sequence[int]
     the intermediate system.  Intermediate levels are quotients over the
     common base W[virtual seeds]; the outer Wronskian collapses onto a single
     base power, and each level is one application of the operator over that
-    base.  Returns the reduced quotient, computed once per model."""
+    base.  Returns the unreduced quotient; each level's numerator is
+    computed once per model."""
     if n in d_e:
         raise StateDeletedError(f"level {n} is deleted by the seed set")
     d_v, d_e = tuple(d_v), tuple(d_e)
-    virtual, outer = model.memo.once(("stage", d_v, d_e), _first_stage, model, d_v, d_e)
-
-    def level():
-        # top over base^K(m + 1), the seed part over base^K(m): K differs by 1 + m
-        top = outer(virtual(model.eigen(n)))
-        den = outer.seed_wronskian * (outer.base ** (1 + len(d_e)))
-        return ExpRatio.from_exp_polys(top, den).reduce()
-
-    return model.memo.once(("staged", d_v, d_e, n), level)
+    virtual, outer, den = model.memo.once(("stage", d_v, d_e), _first_stage, model, d_v, d_e)
+    top = model.memo.once(("staged", d_v, d_e, n),
+                          lambda: outer(virtual(model.eigen(n))))
+    return ExpRatio.from_exp_polys(top, den)
 
 
 def _denominator_real_root_probe(den: Poly, span: int = 5, steps: int = 40) -> bool:
@@ -229,11 +229,11 @@ def two_path_compare(model: OqmModel, d_v: Sequence[int], d_e: Sequence[int],
                      n: int) -> CheckReport:
     """One-shot versus staged deformation; exact equality of reduced quotients.
 
-    Both quotients come reduced from their own path: the one-shot one from
-    the operator of all seeds, the staged one from the virtual-seed operator
-    and the operator over its base."""
-    one_shot = deformed_eigenfunction(model, model.seed_list(d_v, d_e), n)
-    staged = staged_eigenfunction(model, d_v, d_e, n)
+    Each quotient comes from its own path, the one-shot one from the
+    operator of all seeds, the staged one from the virtual-seed operator and
+    the operator over its base, and is reduced here."""
+    one_shot = deformed_eigenfunction(model, model.seed_list(d_v, d_e), n).reduce()
+    staged = staged_eigenfunction(model, d_v, d_e, n).reduce()
     same = (one_shot.pair == staged.pair
             and one_shot.q.num == staged.q.num
             and one_shot.q.den == staged.q.den)
@@ -255,9 +255,11 @@ def degree_census(model: OqmModel, d_v: Sequence[int], d_e: Sequence[int],
                   n_max: int, staged: bool = False) -> CensusResult:
     """Polynomial-part degrees of the surviving deformed levels.
 
-    The census degree of level n is deg num - deg den of the reduced quotient
-    plus the seed-Wronskian polynomial degree (an n-independent constant), so
-    both construction paths census identically.
+    The census degree of level n is deg num - deg den of its quotient plus
+    the seed-Wronskian polynomial degree (an n-independent constant), so
+    both construction paths census identically.  The quotients are read
+    unreduced: cancelling a common factor leaves deg num - deg den as it
+    is, and a zero numerator already has the denominator 1.
     """
     seeds = model.seed_list(d_v, d_e)
     anchor = model.operator(seeds).seed_wronskian

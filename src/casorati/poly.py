@@ -19,6 +19,7 @@ eigenfunction, with no arithmetic of its own.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -428,17 +429,37 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 def poly_products_equal(lhs: Sequence[tuple[Poly | ExpPoly, int]],
                         rhs: Sequence[tuple[Poly | ExpPoly, int]]) -> bool:
-    """Exact equality of prod p_i^{e_i} == prod q_j^{f_j}: both products
-    expanded and compared.  ExpPoly factors add their exponent pairs, and a
-    zero product equals any zero product, whatever its pair."""
-    def expand(side):
-        out = _P_ONE
+    """Exact equality of prod p_i^{e_i} == prod q_j^{f_j}, the exact layer's
+    one product comparison.  A side is zero iff it has a zero factor with a
+    positive exponent, and zero sides are decided before anything cancels.
+    Otherwise the factors common to both sides (by canonical form) cancel,
+    as f*A == f*B iff A == B for f != 0 in Q(i)[x] (an ExpPoly factor has the
+    same pair on both sides), and only the rest is expanded.  A side with an
+    ExpPoly factor is an ExpPoly, even when it cancels to empty, and never
+    equals a Poly; ExpPolys add their pairs, and a zero product equals any
+    zero product of its kind.  An exponent of 0 drops its factor; a negative
+    one raises ValueError."""
+    sides = []
+    for side in (lhs, rhs):
+        counts, exp_kind = Counter(), False
         for p, e in side:
             if e < 0:
                 raise ValueError("negative exponent in product comparison")
+            exp_kind = exp_kind or isinstance(p, ExpPoly)
+            if e:
+                counts[p] += e
+        sides.append((counts, exp_kind, any(p.is_zero() for p in counts)))
+    (l_counts, l_exp, l_zero), (r_counts, r_exp, r_zero) = sides
+    if l_zero or r_zero:
+        return l_zero and r_zero and l_exp == r_exp
+    common = l_counts & r_counts
+
+    def expand(counts, exp_kind):
+        out = ExpPoly.one() if exp_kind else _P_ONE
+        for p, e in (counts - common).items():
             out = out * p ** e
         return out
-    return expand(lhs) == expand(rhs)
+    return expand(l_counts, l_exp) == expand(r_counts, r_exp)
 
 
 class RationalFn:

@@ -124,8 +124,9 @@ class RdqmModel:
         return self.memo.once(("seed", e_tilde), solve_seed_at_energy, self, e_tilde)
 
 
-# Upper bounds of a model's inputs: above them a run or a witness would take hours.
-MAX_X_MAX, MAX_N_MAX, MAX_PRECISION_BITS = 1000, 60, 8192
+# Bounds of a model's inputs: above them a run or a witness would take hours, and
+# below 4 bits the gates' tolerance 10^-(precision_bits // 4) is not below 1.
+MAX_X_MAX, MAX_N_MAX, MAX_PRECISION_BITS, MIN_PRECISION_BITS = 1000, 60, 8192, 4
 
 
 def build_meixner_model(beta, c, n_max: int, x_max: int,
@@ -141,7 +142,8 @@ def build_meixner_model(beta, c, n_max: int, x_max: int,
     ``_gate_bound`` puts the computed gate at most half the tolerance;
     elsewhere the gate is computed, so the outcome is the computed gate's.
     x_max, n_max and precision_bits above MAX_X_MAX, MAX_N_MAX and
-    MAX_PRECISION_BITS raise ValueError.
+    MAX_PRECISION_BITS, or precision_bits below MIN_PRECISION_BITS, raise
+    ValueError.
     """
     beta = rational(beta)
     c = rational(c)
@@ -152,6 +154,8 @@ def build_meixner_model(beta, c, n_max: int, x_max: int,
     for name, value, bound in (("window x_max", x_max, MAX_X_MAX), ("n_max", n_max, MAX_N_MAX),
                                ("precision_bits", precision_bits, MAX_PRECISION_BITS)):
         require_at_most(name, value, bound)
+    if precision_bits < MIN_PRECISION_BITS:
+        raise ValueError(f"precision_bits {precision_bits} is below its bound {MIN_PRECISION_BITS}")
     b_poly, d_poly = Poly([c * beta / (1 - c), c / (1 - c)]), Poly([0, 1 / (1 - c)])
     b_exact = [c * (k + beta) / (1 - c) for k in range(x_max + 1)]
     d_exact = [k / (1 - c) for k in range(x_max + 1)]

@@ -297,6 +297,13 @@ PINNED_ERRORS = [
      "configuration error: trials 2001 is above its bound 2000\n"),
     (["idqm", "--trials", "1", "--max-degree", "21"],
      "configuration error: max_degree 21 is above its bound 20\n"),
+    # a precision below its lower bound, where the gates' tolerance is not below 1
+    (["rdqm", "--dv=-0.6", "--n", "0", "--precision-bits", "-5"],
+     "configuration error: precision_bits -5 is below its bound 4\n"),
+    (["rdqm", "--dv=-0.6", "--n", "0", "--precision-bits", "0"],
+     "configuration error: precision_bits 0 is below its bound 4\n"),
+    (["rdqm", "--dv=-0.6", "--n", "0", "--precision-bits", "3"],
+     "configuration error: precision_bits 3 is below its bound 4\n"),
 ]
 
 
@@ -486,6 +493,10 @@ SMALL_MODEL = {"beta": "2", "c": "1/3", "n_max": 8, "window": 40, "precision_bit
     ("rdqm.two-path", {**SMALL_MODEL, "dv_energies": ["-3/5"], "de_labels": [], "n": 0,
                        "tolerance": "0/0", "compare_up_to": 20},
      "witness input tolerance: tolerance 0/0 has a zero denominator"),
+    # a model precision below its lower bound
+    ("rdqm.spectrum", {**SMALL_MODEL, "precision_bits": 3, "dv_energies": [],
+                       "de_labels": [], "truncation": 20, "eigen_count": 5},
+     "precision_bits 3 is below its bound 4"),
 ])
 def test_replay_inadmissible_witness_exit_2(tmp_path, capsys, identity_id, inputs, message):
     """Each input is decoded by its JSON type before any check runs, so an

@@ -21,6 +21,16 @@ from casorati.scalars import GaussianRational
 x = Poly.x()
 
 
+def expanded(power) -> tuple[Poly, Poly]:
+    """A ``PowerProduct.power`` pair of factor lists, multiplied out."""
+    def product(factors):
+        out = Poly.one()
+        for p, e in factors:
+            out = out * p ** e
+        return out
+    return tuple(product(side) for side in power)
+
+
 def test_star_examples():
     f = RationalFn(Poly([GaussianRational(0, 1), 1]))   # x + i
     assert star(f) == RationalFn(Poly([GaussianRational(0, -1), 1]))
@@ -74,12 +84,12 @@ def test_power_product_shift_and_star():
 
 def test_power_product_powers_and_sign():
     a = PowerProduct().times(RationalFn(x), 1).times(RationalFn(x + 1), HALF)
-    assert a.power(2) == (x * x * (x + 1), Poly.one())
+    assert expanded(a.power(2)) == (x * x * (x + 1), Poly.one())
     assert a.times(2, 1).times(RationalFn(x + 1), HALF).equals_power(
         PowerProduct().times(4 * x * x * (x + 1) ** 2, HALF), 2)
     assert a.equals_power(PowerProduct().times(RationalFn(x * x * (x + 1)), HALF), 2)
     assert not a.equals_power(PowerProduct().times(RationalFn(-x * x * (x + 1)), HALF), 2)
-    assert PowerProduct().times(RationalFn(x + 1, x), Fraction(-3, 8)).power(8) == (
+    assert expanded(PowerProduct().times(RationalFn(x + 1, x), Fraction(-3, 8)).power(8)) == (
         x ** 3, (x + 1) ** 3)
     with pytest.raises(ValueError):
         a.power(1)            # (x + 1)^(1/2) is no rational function
@@ -88,6 +98,60 @@ def test_power_product_powers_and_sign():
     assert a.sign_at(Fraction(-3)) is None   # radicand negative there
     assert a.sign_at(Fraction(-1)) is None   # radicand zero there
     assert a.sign_at(Fraction(0)) is None    # integer-exponent factor zero there
+
+
+
+def test_power_product_power_lists():
+    """power(k) lists each factor once, its numerator on top for a positive
+    exponent and below for a negative one; with exponent 0 it is listed at 0."""
+    fn = RationalFn(x + 1, x - 2)
+    tops, bottoms = (PowerProduct().times(fn, HALF).times(fn, Fraction(-1, 8))
+                     .times(RationalFn(x), 0).power(8))
+    assert tops == [(x + 1, 4), (x - 2, 1), (Poly.one(), 0)]
+    assert bottoms == [(x - 2, 4), (x + 1, 1), (x, 0)]
+
+
+def reference_equals_power(a: PowerProduct, b: PowerProduct, k: int) -> bool:
+    """equals_power with both k-th powers expanded and cross-multiplied."""
+    num, den = expanded(a.power(k))
+    other_num, other_den = expanded(b.power(k))
+    return num * other_den == other_num * den
+
+
+def test_equals_power_cancels_shared_factors():
+    i = GaussianRational(0, 1)
+    v = RationalFn(x * x + i, x + 3)
+    w = RationalFn(x - 2, x * x + 1)
+    a = PowerProduct().times(v, HALF).times(w, Fraction(-3, 8)).times(x + 1, 1)
+    # the same factors in another order, one of them split in two
+    b = (PowerProduct().times(x + 1, 1).times(w, Fraction(-1, 4)).times(v, HALF)
+         .times(w, Fraction(-1, 8)))
+    assert a.equals_power(b, 8) and b.equals_power(a, 8)
+    # a factor moved from the top of one side to the bottom of the other
+    assert a.times(w, 1).equals_power(b.times(RationalFn(w.den, w.num), -1), 8)
+    # negative controls: one coefficient of one copy of a shared factor, a scalar
+    v_bent = RationalFn(x * x + i + Fraction(1, 10 ** 9), x + 3)
+    assert not a.equals_power(PowerProduct(((v_bent, HALF),) + b.factors[:2]
+                                           + b.factors[3:]), 8)
+    assert not a.equals_power(b.times(2, Fraction(1, 8)), 8)
+    zero = RationalFn(Poly.zero())
+    cases = [
+        (a, b), (a.times(v, 1), b), (a, b.times(x, 0)),
+        # zero numerators, zero denominators (a zero factor under a negative
+        # exponent), on one side and on both
+        (a.times(zero, 1), b.times(zero, HALF)), (a.times(zero, 1), b),
+        (a.times(zero, -1), b.times(zero, Fraction(-1, 8))), (a.times(zero, -1), b),
+        (a.times(zero, 1), b.times(zero, -1)), (a.times(zero, 0), b),
+        (PowerProduct(), PowerProduct()), (PowerProduct(), PowerProduct().times(1, 1)),
+        (PowerProduct().times(v, 1), PowerProduct().times(v, 1)),
+    ]
+    for lhs, rhs in cases:
+        assert lhs.equals_power(rhs, 8) == reference_equals_power(lhs, rhs, 8), (lhs, rhs)
+    assert a.times(zero, 1).equals_power(b.times(zero, HALF), 8)
+    assert not a.times(zero, -1).equals_power(b, 8)
+    assert a.times(zero, 0).equals_power(b, 8)
+    with pytest.raises(ValueError):
+        a.equals_power(b.times(w, Fraction(1, 8)), 4)
 
 
 def test_prefactor_gg_cases():
@@ -178,7 +242,7 @@ def test_star_compatibility_real_values():
     real points."""
     v = RationalFn(x * x + 1, x + 2)
     vd = deformed_potential_vd(v, [x + 1], Fraction(1), Poly.one())
-    square = RationalFn(*vd.power(2))
+    square = RationalFn(*expanded(vd.power(2)))
     for sample in (Fraction(0), Fraction(1), Fraction(5, 2)):
         value = (square * square.star())(sample)
         assert value.is_real()

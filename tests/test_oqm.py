@@ -10,6 +10,7 @@ from casorati.cli import main
 from casorati.determinants import WronskianOperator, wronskian
 from casorati.identities import replay_witness
 from casorati.oqm import (
+    CensusResult,
     OqmModel,
     SeedDependenceError,
     StateDeletedError,
@@ -134,6 +135,62 @@ def test_degree_census_path_independent(model):
         one = degree_census(model, d_v, d_e, 6)
         two = degree_census(model, d_v, d_e, 6, staged=True)
         assert one == two, (d_v, d_e)
+
+
+def reduced_census_reference(model, d_v, d_e, n_max, staged=False) -> CensusResult:
+    """degree_census read from gcd-reduced quotients, as it was computed
+    before the census read them unreduced."""
+    seeds = model.seed_list(d_v, d_e)
+    k_anchor = wronskian(seeds).p.degree
+    degrees = []
+    for n in range(n_max + 1):
+        if n in d_e:
+            continue
+        ratio = (staged_eigenfunction(model, d_v, d_e, n) if staged
+                 else deformed_eigenfunction(model, seeds, n)).reduce()
+        degrees.append(ratio.q.num.degree - ratio.q.den.degree + k_anchor)
+    top = max(degrees, default=-1)
+    missing = tuple(sorted(set(range(top + 1)) - set(degrees)))
+    return CensusResult(tuple(degrees), missing,
+                        "case-1" if missing == tuple(range(len(missing))) else "case-2")
+
+
+def test_census_of_unreduced_quotients_matches_reduced_reference(model):
+    """Every admissible {k, k+1} deletion with k <= 3 (and none), 0-3
+    virtual labels from {0..3} and n_max <= 6: both paths' census equals
+    the reduced-quotient reference."""
+    deletions = [()] + [(k, k + 1) for k in range(4)]
+    labels = [c for r in range(4) for c in itertools.combinations(range(4), r)]
+    classes = set()
+    for d_e, d_v in itertools.product(deletions, labels):
+        assert krein_adler_check(d_e)
+        for n_max in range(7):
+            for staged in (False, True):
+                got = degree_census(model, d_v, d_e, n_max, staged)
+                assert got == reduced_census_reference(model, d_v, d_e, n_max, staged), (
+                    d_v, d_e, n_max, staged)
+                classes.add(got.classification)
+    assert classes == {"case-1", "case-2"}
+
+
+def test_oqm_run_reduces_only_its_compared_quotients(monkeypatch, tmp_path):
+    """`oqm --dv 0 --de 1,2 --n 0` gcd-reduces the two quotients its
+    two-path check compares and nothing else: its census of levels 0..6
+    reads the unreduced ones."""
+    reduce = RationalFn.reduce
+    reduced = []
+
+    def counted(self):
+        if not self.reduced:
+            reduced.append(self)
+        return reduce(self)
+
+    monkeypatch.setattr(RationalFn, "reduce", counted)
+    out = tmp_path / "oqm.json"
+    assert main(["oqm", "--dv", "0", "--de", "1,2", "--n", "0", "--out", str(out)]) == 0
+    assert len(reduced) == 2
+    checks = {c["identityId"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["oqm.degree-census"]["lhs"] == checks["oqm.degree-census"]["rhs"]
 
 
 def test_staged_deletion_guard(model):

@@ -165,6 +165,109 @@ def test_poly_products_equal():
                                [(ExpPoly(x - 1, -1, 1), 2), (ExpPoly(Poly.zero()), 1)])
 
 
+
+def reference_products_equal(lhs, rhs) -> bool:
+    """Both products expanded and compared: the comparison that
+    poly_products_equal replaced, kept as its reference."""
+    def expand(side):
+        out = Poly.one()
+        for p, e in side:
+            if e < 0:
+                raise ValueError("negative exponent in product comparison")
+            out = out * p ** e
+        return out
+    return expand(lhs) == expand(rhs)
+
+
+small_gaussians = st.builds(GaussianRational,
+                            st.fractions(min_value=-3, max_value=3, max_denominator=3),
+                            st.fractions(min_value=-3, max_value=3, max_denominator=3))
+factor_polys = st.lists(small_gaussians, min_size=1, max_size=3).map(Poly)
+factor_pairs = st.sampled_from([(0, 0), (1, 0), (-1, 2), (Fraction(1, 2), -1)])
+exp_factors = st.builds(lambda p, pair: ExpPoly(p, *pair), factor_polys, factor_pairs)
+exponents = st.integers(min_value=0, max_value=3)
+
+
+@st.composite
+def product_sides(draw):
+    """Two factor lists, of Polys, of ExpPolys or of both, built from factors
+    shared across the sides (each side with its own exponent, equal ones
+    cancel to empty), factors on one side only, factors split into two on
+    the other side, and zero factors on neither side, one or both."""
+    kind = draw(st.sampled_from(["poly", "exp", "mixed"]))
+    factor = {"poly": factor_polys, "exp": exp_factors,
+              "mixed": st.one_of(factor_polys, exp_factors)}[kind]
+    lhs, rhs = [], []
+    for f, e_l, e_r, same in draw(st.lists(st.tuples(factor, exponents, exponents,
+                                                     st.booleans()), max_size=3)):
+        lhs.append((f, e_l))
+        rhs.append((f, e_l if same else e_r))
+    for f, g, e in draw(st.lists(st.tuples(factor, factor, exponents), max_size=2)):
+        lhs.append((f * g, e))
+        rhs += [(f, e), (g, e)]
+    lhs += draw(st.lists(st.tuples(factor, exponents), max_size=2))
+    rhs += draw(st.lists(st.tuples(factor, exponents), max_size=2))
+    zero = Poly.zero() if kind == "poly" else ExpPoly(Poly.zero(), 1)
+    for side in (lhs, rhs):
+        if draw(st.integers(min_value=0, max_value=3)) == 0:
+            side.append((zero, draw(exponents)))
+    return draw(st.permutations(lhs)), draw(st.permutations(rhs))
+
+
+@given(product_sides())
+@settings(max_examples=150, deadline=None)
+def test_poly_products_equal_matches_expansion(sides):
+    lhs, rhs = sides
+    assert poly_products_equal(lhs, rhs) == reference_products_equal(lhs, rhs)
+    assert poly_products_equal(rhs, lhs) == reference_products_equal(lhs, rhs)
+
+
+@given(st.lists(st.tuples(exp_factors, exponents), min_size=1, max_size=4), st.data())
+@settings(max_examples=100, deadline=None)
+def test_poly_products_equal_perturbed_shared_factor_flips(shared, data):
+    """Negative control: equal sides that share every factor compare equal,
+    and bending one coefficient of one copy of a nonzero shared factor with
+    a positive exponent flips the verdict.  The bend, 1/997, is no
+    (root of unity - 1) multiple of a coefficient with denominator at most 3,
+    so the bent factor's power differs from the original's."""
+    lhs = [(f, e) for f, e in shared if not f.is_zero()]
+    rhs = data.draw(st.permutations(lhs))
+    assert poly_products_equal(lhs, rhs) and reference_products_equal(lhs, rhs)
+    bendable = [j for j, (_, e) in enumerate(lhs) if e > 0]
+    if not bendable:
+        return
+    j = data.draw(st.sampled_from(bendable))
+    f, e = lhs[j]
+    k = data.draw(st.integers(min_value=0, max_value=f.degree))
+    bent = ExpPoly(f.p + Poly([0] * k + [Fraction(1, 997)]), f.a, f.b)
+    lhs[j] = (bent, e)
+    assert not poly_products_equal(lhs, rhs)
+    assert not reference_products_equal(lhs, rhs)
+
+
+def test_poly_products_equal_edge_cases():
+    """Zero sides are decided before cancelling, an exponent 0 drops its
+    factor, a side that cancels to empty expands as its kind, and a
+    negative exponent raises."""
+    z, e = ExpPoly(Poly.zero(), 1), ExpPoly(x + 1, -1)
+    for lhs, rhs, equal in [
+        ([(Poly.zero(), 1), (x, 1)], [(Poly.zero(), 2), (x + 1, 1)], True),
+        ([(Poly.zero(), 0), (x, 1)], [(x, 1)], True),
+        ([(Poly.zero(), 1)], [(Poly.zero(), 0)], False),
+        ([(e, 2)], [(e, 2)], True),
+        ([(e, 2)], [(e, 2), (ExpPoly.one(), 1)], True),
+        ([(e, 2)], [(e, 2), (ExpPoly(Poly.one(), 1), 1)], False),
+        ([(z, 1), (e, 1)], [(z, 1), (ExpPoly(x), 3)], True),
+        ([(z, 1)], [(Poly.zero(), 1)], False),      # a Poly is never an ExpPoly
+        ([(x, 1)], [(ExpPoly(x), 1)], False),
+        ([], [(ExpPoly.one(), 1)], False),
+        ([], [(Poly.one(), 2), (x, 0)], True),
+    ]:
+        assert poly_products_equal(lhs, rhs) == reference_products_equal(lhs, rhs) == equal
+    with pytest.raises(ValueError):
+        poly_products_equal([(x, 1)], [(x, 1), (x + 1, -1)])
+
+
 rationals = st.fractions(max_denominator=10 ** 12)
 gaussian_polys = st.lists(st.builds(GaussianRational, rationals, rationals),
                           max_size=7).map(Poly)
