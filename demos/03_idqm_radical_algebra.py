@@ -9,6 +9,7 @@ every tracked radicand is positive.
 
 from fractions import Fraction
 
+from casorati.determinants import casoratian_imag
 from casorati.idqm import (
     check_potential_product_identity,
     check_prefactor_gg,
@@ -32,7 +33,7 @@ print("star(x + 2) == x + 2 (real V):", star(V) == V)
 # The deformed potential function: a rational cofactor times the square
 # root of a shifted V V* product, the factors cof^1 and rad^(1/2).
 # ---------------------------------------------------------------------------
-vd = deformed_potential_vd(V, [x * x], gamma, Poly.one())
+vd = deformed_potential_vd(V, [x * x], gamma, Poly.one(), casoratian_imag([x * x], gamma))
 (cof, _), (rad, _) = vd.factors
 print("V_D cofactor:", cof.reduce())
 print("V_D radicand:", rad.reduce())

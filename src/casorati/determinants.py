@@ -2,12 +2,19 @@
 Casoratians, over exact polynomial entries (plus a grid backend for the
 real-shift family).
 
-Every exact determinant is Bareiss elimination on packed big integers
-(``fraction_free_det``): rows are cleared of denominators once, each entry is
-packed once as its value at x = 2^width (Kronecker substitution), and each
-exact division is certified.  Wronskian columns (``_drift_column``) are built
-on Poly, so the exponent pairs factor out.  The Darboux-Crum operators take
-the minors of their fixed columns once and apply f -> W[fixed, f] by
+Every exact determinant goes through one entry, ``maximal_minors``, and one
+packing step, ``_Rows``: rows are cleared of denominators once, with the
+bound B on every minor's coefficients, and each entry is packed once as its
+value at x = 2^width (Kronecker substitution); a shifted entry f(x + delta)
+is f evaluated at 2^width + delta, so no shifted Poly is built.  Up to
+n = EXPANSION_MAX_N the minors come from a division-free shared minor
+expansion (``_expand``) at width bitlen(B) + 1, which holds every
+coefficient; past it, or when B passes COEFF_BIT_BUDGET, from Bareiss
+elimination (``fraction_free_det``) at about twice that width, which its
+certified exact divisions need, and which screens each entry against the
+budget.  Wronskian columns (``_drift_column``) are built on Poly, so the
+exponent pairs factor out.  The Darboux-Crum operators take the k + 1 minors
+of their fixed columns from one expansion and apply f -> W[fixed, f] by
 cofactors, over a base in ``over_base_operator``, whose seed part is the
 Wronskian of quotients over it.  Both shift Casoratians are one body, and
 ``cofactor_det`` is the test oracle only.  Empty input gives 1 everywhere.
@@ -19,7 +26,10 @@ prefix's states, so its grid Casoratians eliminate a shared prefix once.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from itertools import combinations
 from math import lcm, prod
+from operator import mul
 from typing import Sequence
 
 import mpmath
@@ -27,7 +37,7 @@ from mpmath.libmp import (
     fzero, mpf_abs, mpf_div, mpf_gt, mpf_mul, mpf_neg, mpf_sub)
 
 from .gridfn import GridFn, WindowError
-from .poly import ExpPoly, Poly, _canonical, as_poly
+from .poly import ExpPoly, Poly, _canonical, _parts, as_poly
 from .scalars import GaussianRational, i_power, rational
 
 # Abort knob for runaway exact computations; see DeterminantBudgetError.
@@ -66,8 +76,122 @@ def _check_budget(p: Poly) -> None:
             f"coefficient size exceeded {COEFF_BIT_BUDGET} bits")
 
 
+def _pack(values: list, width: int) -> int:
+    """The coefficient list ``values`` evaluated at 2^width."""
+    packed = 0
+    for v in reversed(values):
+        packed = (packed << width) + v
+    return packed
+
+
+def _unpack(entry, width: int) -> tuple[list, list]:
+    """The balanced base-2^width digits, low first, of a packed entry (an int,
+    or an (re, im) pair): its re and im coefficients, of equal length."""
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    parts = []
+    for packed in (entry, 0) if isinstance(entry, int) else entry:
+        digits = []
+        while packed:
+            d = packed & mask
+            packed >>= width
+            if d >= half:
+                d -= mask + 1
+                packed += 1
+            digits.append(d)
+        parts.append(digits)
+    re, im = parts
+    size = max(len(re), len(im))
+    return re + [0] * (size - len(re)), im + [0] * (size - len(im))
+
+
+class _Rows:
+    """The one packing step of both eliminations: a matrix's rows cleared of
+    denominators, with the bound B on its minors, packed at x = 2^width.
+
+    Row r's entries are Polys read at x + delta_r, with delta_r = u/d (u a
+    Gaussian integer) from ``points`` (0 without).  An entry (re + i im)/den
+    of degree k is P(x)/(den d^k), P(x) = sum_j c_j d^(k-j) (d x + u)^j with
+    c_j = re_j + i im_j; as |.|_1 (|re| + |im|, summed over coefficients)
+    is submultiplicative, P's coefficients are at most
+    sum_j |c_j|_1 (d + |u|_1)^j d^(k-j) in |.|_1.  Row r is scaled by L_r,
+    the lcm of its den d^k, so every minor of the scaled rows has
+    coefficients at most B = prod_r max(1, sum_c |entry r, c|_1) in |.|_1.
+    ``pack`` evaluates each scaled P at 2^width by integer Horner and builds
+    no Poly; at delta = 0 that is P's coefficients as base-2^width digits.
+    ``length`` is 1 plus the sum of the rows' largest degrees.
+    """
+
+    __slots__ = ("rows", "shifts", "multipliers", "scales", "bound", "length", "gaussian")
+
+    def __init__(self, rows: Sequence[Sequence], points: Sequence | None = None):
+        self.rows = rows = [[as_poly(e) for e in row] for row in rows]
+        self.shifts = shifts = ([(0, 0, 1)] * len(rows) if points is None
+                                else [_parts(p) for p in points])
+        self.gaussian = (any(ui for _, ui, _ in shifts)
+                         or any(any(e.im) for row in rows for e in row))
+        self.multipliers, self.scales = [], []
+        bound = length = 1
+        for row, (ur, ui, d) in zip(rows, shifts):
+            if d == 1 and not ur and not ui:
+                dens = [e.den for e in row]
+                sizes = [sum(map(abs, e.re)) + sum(map(abs, e.im)) for e in row]
+            else:
+                reach = d + abs(ur) + abs(ui)
+                dens = [e.den * d ** max(len(e.re) - 1, 0) for e in row]
+                sizes = [_shift_size(e, reach, d) for e in row]
+            scale = lcm(*dens)
+            multipliers = [scale // den for den in dens]
+            bound *= max(1, sum(map(mul, sizes, multipliers)))
+            length += max(1, *[len(e.re) for e in row]) - 1
+            self.multipliers.append(multipliers)
+            self.scales.append(scale)
+        self.bound, self.length = bound, length
+
+    def pack(self, width: int) -> list[list]:
+        """The scaled entries at 2^width: ints, or (re, im) pairs when any
+        entry or point is not real."""
+        gaussian, out = self.gaussian, []
+        for row, shift, multipliers in zip(self.rows, self.shifts, self.multipliers):
+            if shift == (0, 0, 1):
+                out.append([(_pack(e.re, width) * k, _pack(e.im, width) * k) if gaussian
+                            else _pack(e.re, width) * k for e, k in zip(row, multipliers)])
+            else:
+                out.append([_horner(e.re, e.im, shift, width, k) if gaussian
+                            else _horner(e.re, e.im, shift, width, k)[0]
+                            for e, k in zip(row, multipliers)])
+        return out
+
+
+def _shift_size(p: Poly, reach: int, d: int) -> int:
+    """sum_j |c_j|_1 reach^j d^(k-j) over the coefficients c_j of p (degree k)."""
+    total, w = 0, 1
+    for r, m in zip(reversed(p.re), reversed(p.im)):
+        total = total * reach + (abs(r) + abs(m)) * w
+        w *= d
+    return total
+
+
+def _horner(re: list, im, shift: tuple, width: int, w: int) -> tuple[int, int]:
+    """w d^k p(2^width + (ur + i ui)/d) for shift = (ur, ui, d) and p of
+    degree k with coefficients re + i im (im empty for a real p), by integer
+    Horner: sum_j w c_j (d 2^width + ur + i ui)^j d^(k-j), as (re, im)."""
+    ur, ui, d = shift
+    ar = ai = 0
+    if ui or any(im):
+        for r, m in zip(reversed(re), reversed(im)):
+            ar, ai = ((ar * d << width) + ar * ur - ai * ui + r * w,
+                      (ai * d << width) + ai * ur + ar * ui + m * w)
+            w *= d
+        return ar, ai
+    for r in reversed(re):
+        ar = (ar * d << width) + ar * ur + r * w
+        w *= d
+    return ar, 0
+
+
 class _Packing:
-    """Kronecker substitution x = 2^width for the entries of one determinant.
+    """Bareiss's width for the entries of one determinant, and its certified
+    exact divisions.
 
     An entry is a Gaussian-integer polynomial with at most ``length``
     coefficients, each below ``bound`` in size, packed as its value at
@@ -90,31 +214,10 @@ class _Packing:
         self.high = ~(((2 << s) - 1) * ones)
 
     def pack(self, values: list) -> int:
-        """The coefficient list ``values`` evaluated at 2^width."""
-        packed = 0
-        for v in reversed(values):
-            packed = (packed << self.width) + v
-        return packed
+        return _pack(values, self.width)
 
     def digits(self, entry) -> tuple[list, list]:
-        """The balanced base-2^width digits, low first, of a packed entry (an
-        int, or an (re, im) pair): its re and im coefficients, equal length."""
-        width = self.width
-        half, mask = 1 << (width - 1), (1 << width) - 1
-        parts = []
-        for packed in (entry, 0) if isinstance(entry, int) else entry:
-            digits = []
-            while packed:
-                d = packed & mask
-                packed >>= width
-                if d >= half:
-                    d -= mask + 1
-                    packed += 1
-                digits.append(d)
-            parts.append(digits)
-        re, im = parts
-        size = max(len(re), len(im))
-        return re + [0] * (size - len(re)), im + [0] * (size - len(im))
+        return _unpack(entry, self.width)
 
     def quotient(self, num: int, den: int) -> int:
         """num / den for packed real entries; raises unless certified."""
@@ -134,18 +237,24 @@ class _Packing:
         return qr, qi
 
 
-def fraction_free_det(matrix: Sequence[Sequence[Poly]]) -> Poly:
-    """Exact determinant of a square Poly matrix by Bareiss elimination.
+def fraction_free_det(matrix: Sequence[Sequence[Poly]], points: Sequence | None = None) -> Poly:
+    """Exact determinant of a square Poly matrix by Bareiss elimination; with
+    ``points``, row r is read at x + points[r].  ``maximal_minors`` runs it
+    for n > EXPANSION_MAX_N, where the shared expansion's n 2^(n-1) products
+    lose, and for the matrices whose bound passes COEFF_BIT_BUDGET, whose
+    entries it screens; below, the division-free expansion needs only width
+    bitlen(B) + 1.
 
-    Row r is scaled by L_r, the lcm of its denominators, and the result is
-    the last entry over prod L_r.  Every entry is then a minor, so its
-    coefficients are below B = prod_r max(1, sum_c |a_rc|_1) (|.|_1 sums
-    |re| + |im| over them) and its degree is at most the sum of the rows'.
-    The entries are packed once (``_Packing``), the updates
-    (pivot*a - lead*b) / prev run on ints, or (re, im) pairs when an entry
-    is not real (a Gaussian division multiplies by conj(prev) over its
-    norm), and only the last entry is unpacked.  Each division is exact by
-    Sylvester's identity and certified, else ``ValueError``.  A zero pivot
+    The rows are cleared of denominators and packed by ``_Rows``, so every
+    entry is a minor with coefficients below its bound B, and the result is
+    the last entry over prod L_r.  The width is 2 bitlen(B) +
+    log2(12 length) (``_Packing``): a false quotient must leave a digit of
+    2^width, past what numerator - quotient * divisor can reach, so that
+    every exact division is certified by its remainder and a digit bound.
+    The updates (pivot*a - lead*b) / prev run on ints, or (re, im) pairs when
+    an entry is not real (a Gaussian division multiplies by conj(prev) over
+    its norm), and only the last entry is unpacked.  Each division is exact
+    by Sylvester's identity and certified, else ``ValueError``.  A zero pivot
     is cured by the first row below with a nonzero entry in its column (a
     sign flip); when there is none, the determinant is zero.
 
@@ -157,25 +266,18 @@ def fraction_free_det(matrix: Sequence[Sequence[Poly]]) -> Poly:
     n = len(matrix)
     if n == 0:
         return Poly.one()
-    rows = [[as_poly(e) for e in row] for row in matrix]
-    if any(len(row) != n for row in rows):
+    rows = _Rows(matrix, points)
+    if any(len(row) != n for row in rows.rows):
         raise ValueError("matrix is not square")
     if n == 1:
-        return rows[0][0]
-    scales = [lcm(*[e.den for e in row]) for row in rows]
-    gaussian = any(any(e.im) for row in rows for e in row)
-    bound = length = 1
-    for row, s in zip(rows, scales):
-        bound *= max(1, sum([sum(map(abs, e.re + e.im if gaussian else e.re)) * (s // e.den)
-                             for e in row]))
-        length += max(1, *[len(e.re) for e in row]) - 1
-    packing = _Packing(bound, length)
-    pack = packing.pack
-    ints = [[(pack(e.re) * (s // e.den), pack(e.im) * (s // e.den)) if gaussian
-             else pack(e.re) * (s // e.den) for e in row] for row, s in zip(rows, scales)]
+        entry = rows.rows[0][0]
+        return entry if points is None else entry.shift(points[0])
+    scales, gaussian = list(rows.scales), rows.gaussian
+    packing = _Packing(rows.bound, rows.length)
+    ints = rows.pack(packing.width)
     zero = (0, 0) if gaussian else 0
     budget = COEFF_BIT_BUDGET
-    screen = bound.bit_length() > budget or prod(scales).bit_length() > budget
+    screen = rows.bound.bit_length() > budget or prod(scales).bit_length() > budget
     sign = 1
     prev = None
     pivot_scale = 1
@@ -224,11 +326,103 @@ def fraction_free_det(matrix: Sequence[Sequence[Poly]]) -> Poly:
     return result if sign > 0 else -result
 
 
+# The largest minor size the shared expansion takes, from a measurement
+# against Bareiss on a 2-core x86_64 host: at n = 8 the expansion's n 2^(n-1)
+# half-width products won on oQM Wronskians (5.6x), drawn quadratics (2.0x)
+# and real-shift Casoratians of drawn cubics (1.2x); at n = 10 they lost on
+# the Casoratians (0.88x), and on integer constants they lose from n = 6.
+EXPANSION_MAX_N = 8
+
+
+@cache
+def _expansion_plan(size: int) -> tuple:
+    """For each column j >= 1 of a matrix of ``size`` rows, the masks of the
+    (j + 1)-row subsets, each with its terms along column j: row r of the
+    subset, the subset without r, and whether the term is negated."""
+    return tuple(tuple((mask, tuple((r, mask ^ 1 << r, (t + j) % 2 == 1)
+                                    for t, r in enumerate(members)))
+                       for members in combinations(range(size), j + 1)
+                       for mask in [sum(1 << r for r in members)])
+                 for j in range(1, size))
+
+
+def _expand(ints: list, columns: int, gaussian: bool) -> list:
+    """The minors on the first ``columns`` columns of every row subset of as
+    many rows, by mask: column by column, each j x j minor is the signed sum
+    of column j's entries times the (j - 1) x (j - 1) minors (Rote 2001).
+    Division-free, so the entries stay as packed."""
+    minors = [None] * (1 << len(ints))
+    for r, row in enumerate(ints):
+        minors[1 << r] = row[0]
+    for j, level in zip(range(1, columns), _expansion_plan(len(ints))):
+        for mask, terms in level:
+            if gaussian:
+                tr = ti = 0
+                for r, sub, negative in terms:
+                    (ar, ai), (mr, mi) = ints[r][j], minors[sub]
+                    pr, pi = ar * mr - ai * mi, ar * mi + ai * mr
+                    if negative:
+                        tr, ti = tr - pr, ti - pi
+                    else:
+                        tr, ti = tr + pr, ti + pi
+                minors[mask] = tr, ti
+            else:
+                total = 0
+                for r, sub, negative in terms:
+                    a, m = ints[r][j], minors[sub]
+                    if a and m:
+                        total = total - a * m if negative else total + a * m
+                minors[mask] = total
+    return minors
+
+
+def maximal_minors(matrix: Sequence[Sequence], points: Sequence | None = None) -> list[Poly]:
+    """The n x n minors of an R x n Poly matrix, R = n or n + 1: minor j
+    drops row j, and a square matrix's one minor is its determinant.  With
+    ``points``, row r is read at x + points[r].  The kernel's one entry.
+
+    Up to n = EXPANSION_MAX_N all minors come from one shared expansion
+    (``_expand``) of the rows packed once by ``_Rows``, at width
+    bitlen(B) + 1: with no division to certify, every value packed is a
+    polynomial's value at 2^width, and each minor unpacked has coefficients
+    of size at most B < 2^(width - 1), so its balanced digits are exact.
+    Past that size, or when bitlen(B) or bitlen(prod L_r) passes
+    COEFF_BIT_BUDGET, each minor is ``fraction_free_det``'s, which screens
+    its entries against the budget.
+    """
+    size = len(matrix)
+    n = len(matrix[0]) if matrix else 0
+    if any(len(row) != n for row in matrix) or size - n not in (0, 1):
+        raise ValueError("matrix is not square")
+    if n == 0:
+        return [Poly.one()] * max(size, 1)
+    if n == 1:
+        entries = [as_poly(row[0]) for row in matrix]
+        if points is not None:
+            entries = [e.shift(p) for e, p in zip(entries, points)]
+        return entries[::-1]
+    rows = None if n > EXPANSION_MAX_N else _Rows(matrix, points)
+    if (rows is None or rows.bound.bit_length() > COEFF_BIT_BUDGET
+            or prod(rows.scales).bit_length() > COEFF_BIT_BUDGET):
+        if size == n:
+            return [fraction_free_det(matrix, points)]
+        return [fraction_free_det(matrix[:j] + matrix[j + 1:],
+                                  None if points is None else [*points[:j], *points[j + 1:]])
+                for j in range(size)]
+    width = rows.bound.bit_length() + 1
+    minors = _expand(rows.pack(width), n, rows.gaussian)
+    full, scale = (1 << size) - 1, prod(rows.scales)
+    if size == n:
+        return [_canonical(*_unpack(minors[full], width), scale)]
+    return [_canonical(*_unpack(minors[full ^ 1 << j], width), scale // s)
+            for j, s in enumerate(rows.scales)]
+
+
 def cofactor_det(matrix: Sequence[Sequence]):
     """Determinant by first-row cofactor expansion (generic ring elements).
 
     Exponential in n, and called by nothing in the package: it is the
-    independent oracle that the tests hold ``fraction_free_det`` and the
+    independent oracle that the tests hold both eliminations and the
     over-base operator to, and the benchmark's tracer still wraps it by
     name.  It recurses on its first-row minors as a module function: a
     recursive closure would refer to itself through its cell, and that
@@ -287,14 +481,14 @@ def _pair(fs: Sequence[ExpPoly], base: ExpPoly | None, times: int) -> tuple:
 def wronskian(fs: Sequence[ExpPoly]) -> ExpPoly:
     """W[f_1, ..., f_n]: determinant of successive derivatives; W[.] = 1.
 
-    Row j's exponential prefactor factors out, leaving one fraction-free
+    Row j's exponential prefactor factors out, leaving one exact
     determinant of the columns' Poly parts."""
     fs = [f if isinstance(f, ExpPoly) else ExpPoly(f) for f in fs]
     n = len(fs)
     if n == 0:
         return ExpPoly.one()
     columns = [_drift_column(f, n) for f in fs]
-    det = fraction_free_det([[col[j] for col in columns] for j in range(n)])
+    det, = maximal_minors([[col[j] for col in columns] for j in range(n)])
     return ExpPoly(det, *_pair(fs, None, 0))
 
 
@@ -328,8 +522,8 @@ class WronskianOperator:
 
 def wronskian_operator(seeds: Sequence[ExpPoly],
                        base: ExpPoly | None = None) -> WronskianOperator:
-    """W[seeds, .] from the k + 1 size-k minors of the seeds' columns, each
-    taken once by ``fraction_free_det``; over a base, the operator of the
+    """W[seeds, .] from the k + 1 size-k minors of the seeds' columns, all
+    from one ``maximal_minors`` call; over a base, the operator of the
     quotients over it (``over_base_operator``, which checks the base).
 
     The minor that drops the last row is exactly ``wronskian(seeds)``'s
@@ -340,11 +534,8 @@ def wronskian_operator(seeds: Sequence[ExpPoly],
     if k == 0:
         return WronskianOperator([Poly.one()], ExpPoly.one(), base)
     columns = [_drift_column(s, k + 1, base) for s in seeds]
-    rows = [[col[j] for col in columns] for j in range(k + 1)]
-    cofactors = []
-    for j in range(k + 1):
-        minor = fraction_free_det(rows[:j] + rows[j + 1:])
-        cofactors.append(minor if (k + j) % 2 == 0 else -minor)
+    minors = maximal_minors([[col[j] for col in columns] for j in range(k + 1)])
+    cofactors = [minor if (k + j) % 2 == 0 else -minor for j, minor in enumerate(minors)]
     seed_wronskian = ExpPoly(cofactors[k], *_pair(seeds, base, k * (k - 1) // 2))
     return WronskianOperator(cofactors, seed_wronskian, base)
 
@@ -375,9 +566,11 @@ def imag_shift_points(n: int, gamma: Fraction) -> list[GaussianRational]:
 
 
 def _shifted_det(fs: Sequence[Poly], points: Sequence) -> Poly:
-    """det f_k(x + point_j), with rows j over the points; 1 for no fs."""
+    """det f_k(x + point_j), with rows j over the points, each entry packed
+    by evaluation (``_Rows``); 1 for no fs."""
     fs = [as_poly(f) for f in fs]
-    return fraction_free_det([[f.shift(delta) for f in fs] for delta in points])
+    det, = maximal_minors([fs] * len(points), list(points))
+    return det
 
 
 def casoratian_imag(fs: Sequence[Poly], gamma) -> Poly:
@@ -454,7 +647,7 @@ def _lu_states(columns: list, n: int, memo: RunMemo) -> list:
 def casoratian_real_grid(fs: Sequence[GridFn], memo: RunMemo | None = None) -> GridFn:
     """Grid-backend W_C: result lives on the window shrunk by n - 1.
 
-    Exact (Fraction) grids go through the fraction-free kernel as constant
+    Exact (Fraction) grids go through the exact kernel as constant
     polynomials.  Big-float grids go through the left-looking pivoted LU
     (``_lu_states``) on the columns' raw tuples; the states of every column
     prefix are kept in ``memo`` (a fresh one by default) by precision, row
@@ -471,8 +664,8 @@ def casoratian_real_grid(fs: Sequence[GridFn], memo: RunMemo | None = None) -> G
             f"window too small for a {n}-function Casoratian: need x_max >= {n - 1}")
     columns = [f.raw for f in fs]
     if all(isinstance(column[0], Fraction) for column in columns):
-        return GridFn([fraction_free_det([[column[x + j] for column in columns]
-                                          for j in range(n)]).coefficient(0).re
+        return GridFn([maximal_minors([[column[x + j] for column in columns]
+                                       for j in range(n)])[0].coefficient(0).re
                        for x in range(out_max + 1)])
     prec, rnd = mpmath.mp._prec_rounding
     return GridFn(fzero if state is None else mpf_neg(state[1], prec, rnd) if state[2]

@@ -135,9 +135,9 @@ class PowerProduct:
 
 
 def deformed_potential_vd(v: RationalFn, seeds: Sequence[Poly], gamma,
-                          mu_state: Poly) -> PowerProduct:
+                          mu_state: Poly, w: Poly) -> PowerProduct:
     """The deformed potential function of the imaginary-shift system,
-    cof * rad^(1/2):
+    cof * rad^(1/2), with w = W_g[seeds] from the caller:
 
     rad  = V(x - i M gamma/2) V*(x - i (M+2) gamma/2)
     cof  = [W_g[seeds](x + i g/2) / W_g[seeds](x - i g/2)]
@@ -145,7 +145,6 @@ def deformed_potential_vd(v: RationalFn, seeds: Sequence[Poly], gamma,
     """
     gamma = rational(gamma)
     m_total = len(seeds)
-    w = casoratian_imag(seeds, gamma)
     w_mu = casoratian_imag(list(seeds) + [mu_state], gamma)
     if w.is_zero() or w_mu.is_zero():
         raise ZeroDivisionError("seed Casoratian vanishes identically")
@@ -222,9 +221,8 @@ def check_potential_product_identity(v: RationalFn, seeds: Sequence[Poly], gamma
     _require_nonzero_potential(v)
     l = len(seeds)
     mu = Poly.one() if mu is None else mu
-    lhs = conjugate_pair_product(deformed_potential_vd(v, seeds, gamma, mu), m, gamma)
-
     w = casoratian_imag(seeds, gamma)
+    lhs = conjugate_pair_product(deformed_potential_vd(v, seeds, gamma, mu, w), m, gamma)
     shifted = [w.shift(imaginary(k * gamma * HALF)) for k in (-(m + 1), -(m - 1), m + 1, m - 1)]
     four_point = RationalFn(*shifted[:2]) * RationalFn(*shifted[2:])
     rhs = (PowerProduct().times(four_point, 1)
@@ -259,9 +257,10 @@ def one_shot_idqm(v: RationalFn, seeds: Sequence[Poly], v_state: Poly,
 
 
 def staged_idqm(v: RationalFn, dv_seeds: Sequence[Poly], de_seeds: Sequence[Poly],
-                v_state: Poly, gamma, mu_state: Poly) -> PowerProduct:
+                v_state: Poly, gamma, mu_state: Poly, w0: Poly) -> PowerProduct:
     """Radical-tracked staged route: virtual stand-ins first, then the
-    eigen stand-ins of the intermediate system.
+    eigen stand-ins of the intermediate system; w0 = W_g[dv_seeds], from the
+    caller.
 
     Intermediate levels are G * W_g[f, u] / w; rows of the second-stage
     Casoratians factor out (G/w) at the shifted arguments by multilinearity,
@@ -271,7 +270,6 @@ def staged_idqm(v: RationalFn, dv_seeds: Sequence[Poly], de_seeds: Sequence[Poly
     l = len(dv_seeds)
     m = len(de_seeds)
     g4 = vv_product(v, gamma, l, 0, l - 1)
-    w0 = casoratian_imag(dv_seeds, gamma)
     if w0.is_zero():
         raise ZeroDivisionError("virtual-seed Casoratian vanishes identically")
     w2 = RationalFn(w0.shift(imaginary(-gamma * HALF)) * w0.shift(imaginary(gamma * HALF)))
@@ -282,7 +280,7 @@ def staged_idqm(v: RationalFn, dv_seeds: Sequence[Poly], de_seeds: Sequence[Poly
     # Fractional-exponent factors are assembled as conjugate-symmetric real
     # units so that each tracked radicand is |...|^2-shaped at real points.
     # prefactor: (prod_j V_Dv(x+i(m/2-j)g) V_Dv*(x-i(m/2-j)g))^{1/4}
-    v_dv = deformed_potential_vd(v, dv_seeds, gamma, mu_state)
+    v_dv = deformed_potential_vd(v, dv_seeds, gamma, mu_state, w0)
     for fn, exponent in conjugate_pair_product(v_dv, m, gamma).factors:
         out = out.times(fn, exponent / 4)
     # second-stage numerator Casoratian: rows factor (G/w)(x_j^{(m+1)})
@@ -324,7 +322,8 @@ def two_path_compare_idqm(v: RationalFn, dv: Sequence[Poly], de: Sequence[Poly],
     _require_nonzero_potential(v)
     mu = Poly.one() if mu is None else mu
     path_one = one_shot_idqm(v, list(dv) + list(de), v_state, gamma)
-    path_two = staged_idqm(v, dv, de, v_state, gamma, mu)
+    w_first = casoratian_imag(dv, gamma)
+    path_two = staged_idqm(v, dv, de, v_state, gamma, mu, w_first)
     exact = path_one.equals_power(path_two, 8)
     sign_note = ""
     inconclusive = False
@@ -334,7 +333,6 @@ def two_path_compare_idqm(v: RationalFn, dv: Sequence[Poly], de: Sequence[Poly],
         # corollary: the first-stage seed Casoratian must be positive at the
         # real sample (virtual-state Casoratians are sign-definite in the
         # physical setting), in addition to every tracked radicand.
-        w_first = casoratian_imag(dv, gamma)
         for sample in DEFAULT_SAMPLES:
             anchor = w_first(sample)
             if not anchor.is_real() or anchor.re <= 0:

@@ -49,6 +49,12 @@ def _parts(value) -> tuple[int, int, int]:
     return a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den
 
 
+def _ratio(q: int, den: int) -> str:
+    """q/den in lowest terms, as ``format_rational`` prints it: one gcd."""
+    g = gcd(q, den)
+    return str(q // g) if g == den else f"{q // g}/{den // g}"
+
+
 def _gaussian(re: int, im: int, den: int) -> GaussianRational:
     return GaussianRational(Fraction(re, den), Fraction(im, den))
 
@@ -380,15 +386,22 @@ class Poly:
         return f"Poly([{', '.join(str(c) for c in self.coeffs)}])"
 
     def __str__(self) -> str:
+        """Terms from the top degree down, each coefficient as ``str`` of its
+        GaussianRational would print it, formatted from the integers."""
         if self.is_zero():
             return "0"
         parts = []
-        coeffs = self.coeffs
+        den = self.den
         for k in range(self.degree, -1, -1):
-            c = coeffs[k]
-            if c.is_zero():
-                continue
-            term = f"({c})" if not c.is_real() or c.re < 0 else str(c)
+            r, m = self.re[k], self.im[k]
+            if not m:
+                if not r:
+                    continue
+                term = f"({_ratio(r, den)})" if r < 0 else _ratio(r, den)
+            elif not r:
+                term = f"({_ratio(m, den)}*i)"
+            else:
+                term = f"({_ratio(r, den)}{'+' if m > 0 else '-'}{_ratio(abs(m), den)}*i)"
             if k == 0:
                 parts.append(term)
             elif k == 1:

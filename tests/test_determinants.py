@@ -16,6 +16,8 @@ from casorati.determinants import (
     RunMemo,
     cofactor_det,
     fraction_free_det,
+    imag_shift_points,
+    maximal_minors,
     over_base_operator,
     over_base_power,
     wronskian,
@@ -24,7 +26,7 @@ from casorati.determinants import (
 from casorati.gridfn import GridFn, WindowError
 from casorati.poly import ExpPoly, Poly
 from casorati.sampling import random_poly
-from casorati.scalars import GaussianRational, working_precision
+from casorati.scalars import GaussianRational, i_power, working_precision
 
 x = Poly.x()
 
@@ -76,6 +78,7 @@ def test_cofactor_oracle_empty_and_non_square():
 
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+gi = GaussianRational
 
 
 @st.composite
@@ -119,8 +122,21 @@ def bareiss_matrices(draw):
           [x * x * Fraction(1, 5), Poly([GaussianRational(Fraction(2, 7), -1), 0, GaussianRational(0, 3)])]])
 @example([[Poly([2 ** 64, -2 ** 64, 2 ** 64]), Poly.zero()],   # |det|_1 is the bound B
           [Poly.zero(), Poly([-2 ** 64, 0, 0, 2 ** 64])]])
+@example([[Poly([gi(0, 2 ** 64), gi(0, -2 ** 64), gi(0, 2 ** 64)]), Poly.zero()],  # its
+          [Poly.zero(), Poly([gi(0, -2 ** 64), 0, 0, gi(0, 2 ** 64)])]])         # Gaussian twin
+@example([[random_poly(random.Random(8 * r + c), 1, 5) for c in range(8)]   # the largest
+          for r in range(8)])                                               # expansion, n = 8
 def test_fraction_free_matches_cofactor_property(matrix):
-    assert fraction_free_det(matrix) == cofactor_det(matrix)
+    """Both eliminations, Bareiss and the shared expansion, give the
+    oracle's determinant, and on the matrix without its last column the
+    expansion's n maximal minors are the Bareiss determinants of the rows
+    left when one is dropped."""
+    det = cofactor_det(matrix)
+    assert fraction_free_det(matrix) == det
+    assert maximal_minors(matrix) == [det]
+    narrow = [row[:-1] for row in matrix]
+    assert maximal_minors(narrow) == [fraction_free_det(narrow[:j] + narrow[j + 1:])
+                                      for j in range(len(matrix))]
 
 
 def packing_for(*polys):
@@ -150,9 +166,6 @@ def test_real_quotient_rejects_inexact(num, d):
     packing = packing_for(num, d)
     with pytest.raises(ValueError, match="division is not exact"):
         packing.quotient(packing.pack(num.re), packing.pack(d.re))
-
-
-gi = GaussianRational
 
 
 def gaussian_quotient(packing, num, d):
@@ -217,6 +230,54 @@ def test_slot_width_leaves_no_false_quotient(bound, length):
     q, d = -(1 << s), 2
     assert packing.quotient(packing.pack([(1 << width) + q * d, -1]), d) == q
     assert 2 ** width > 12 * length * 4 ** s
+
+
+@pytest.mark.parametrize("units", [(gi(1), gi(1)), (gi(0, 1), gi(0, -1))])
+def test_expansion_width_holds_a_coefficient_of_size_b(units):
+    """Why the expansion's width is bitlen(B) + 1.  With no division, each
+    packed minor is a polynomial's value at 2^width, and its balanced digits,
+    in [-2^(width-1), 2^(width-1)), are its coefficients when each is at
+    most B < 2^bitlen(B) in size.  Here det = B x^3, from real entries and
+    from Gaussian ones: at bitlen(B) + 1 it unpacks exactly, one bit
+    narrower its digit B reads as -B."""
+    a, b = units
+    matrix = [[a * 2 ** 64 * x, Poly.zero()], [Poly.zero(), b * 2 ** 64 * x * x]]
+    rows = det_mod._Rows(matrix)
+    width = rows.bound.bit_length() + 1
+    assert rows.bound == 2 ** 128 and rows.gaussian == (a != 1)
+    det, = maximal_minors(matrix)
+    assert det == cofactor_det(matrix) == 2 ** 128 * x ** 3
+    coefficients = (det.re, det.im)
+
+    def unpacked(w):
+        full = det_mod._expand(rows.pack(w), 2, rows.gaussian)[0b11]
+        return det_mod._unpack(full, w)
+    assert unpacked(width) == coefficients
+    assert unpacked(width - 1) != coefficients
+
+
+def test_minors_past_the_expansion_or_the_budget_take_bareiss(monkeypatch):
+    """Above EXPANSION_MAX_N, and where the gcd-free bound passes
+    COEFF_BIT_BUDGET, the kernel's minors are Bareiss determinants, which
+    screen each entry: the budget raises or accepts as on Bareiss alone."""
+    calls = []
+    bareiss = det_mod.fraction_free_det
+    monkeypatch.setattr(det_mod, "fraction_free_det",
+                        lambda m, points=None: calls.append(len(m)) or bareiss(m, points))
+    n = det_mod.EXPANSION_MAX_N + 1
+    rng = random.Random(9)
+    matrix = [[random_poly(rng, 1, 5) for _ in range(n)] for _ in range(n + 1)]
+    minors = maximal_minors(matrix)
+    assert calls == [n] * (n + 1)
+    monkeypatch.setattr(det_mod, "EXPANSION_MAX_N", n)
+    assert maximal_minors(matrix) == minors and calls == [n] * (n + 1)
+    monkeypatch.setattr(det_mod, "COEFF_BIT_BUDGET", 8)
+    top = [x * Fraction(1, 3), Fraction(1, 2 ** 30)]
+    fits = [[*top], [Poly.constant(Fraction(2 ** 30, 5)), x * Fraction(3, 5)]]
+    assert maximal_minors(fits) == [(x * x - 1) * Fraction(1, 5)]
+    with pytest.raises(DeterminantBudgetError):
+        maximal_minors([[*top], [Poly.constant(Fraction(2 ** 39, 5)), x * Fraction(3, 5)]])
+    assert calls[-2:] == [2, 2]
 
 
 def test_budget_guard():
@@ -299,6 +360,28 @@ def test_casoratian_real_examples():
     assert casoratian_real([x, x * x]) == x * (x + 1)
     f = x ** 3 - 2
     assert casoratian_real([f]) == f
+
+
+shift_coeffs = st.one_of(small_fractions, st.builds(GaussianRational, small_fractions,
+                                                    small_fractions))
+
+
+@given(st.lists(st.lists(shift_coeffs, max_size=5).map(Poly), max_size=5),
+       st.sampled_from([None, Fraction(1, 2), Fraction(1), Fraction(2)]))
+@settings(max_examples=100, deadline=None)
+def test_shift_casoratians_packed_by_evaluation_match_poly_shift(fs, gamma):
+    """Both shift Casoratians pack each f_k(x + delta_j) by evaluating f_k
+    at 2^width + delta_j; they equal the determinant of the Poly.shift
+    entries, at the imaginary points of gamma (None: the integer points)."""
+    points = (list(range(len(fs))) if gamma is None
+              else imag_shift_points(len(fs), gamma))
+    shifted = [[f.shift(delta) for f in fs] for delta in points]
+    got = casoratian_real(fs) if gamma is None else casoratian_imag(fs, gamma)
+    expected = fraction_free_det(shifted)
+    if gamma is not None:
+        expected = expected * i_power(len(fs) * (len(fs) - 1) // 2)
+    assert got == expected
+    assert maximal_minors([fs] * len(fs), points) == maximal_minors(shifted)
 
 
 @pytest.mark.parametrize("family", ["wronskian", "imag", "real"])

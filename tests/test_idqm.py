@@ -14,6 +14,7 @@ from casorati.idqm import (
     two_path_compare_idqm,
     vv_product,
 )
+from casorati.determinants import casoratian_imag
 from casorati.poly import Poly, RationalFn
 from casorati.sampling import random_poly
 from casorati.scalars import GaussianRational
@@ -51,7 +52,7 @@ def test_vv_product_is_star_invariant():
 
 
 def test_deformed_potential_vd_m0(model_v=RationalFn(x + 2)):
-    vd = deformed_potential_vd(model_v, [], Fraction(1), Poly.one())
+    vd = deformed_potential_vd(model_v, [], Fraction(1), Poly.one(), Poly.one())
     (cof, cof_exponent), (rad, rad_exponent) = vd.factors
     assert (cof_exponent, rad_exponent) == (1, HALF)
     assert cof == RationalFn.one()
@@ -59,7 +60,8 @@ def test_deformed_potential_vd_m0(model_v=RationalFn(x + 2)):
 
 
 def test_deformed_potential_vd_trivial_v():
-    vd = deformed_potential_vd(RationalFn(Poly.one()), [x * x], Fraction(1), Poly.one())
+    vd = deformed_potential_vd(RationalFn(Poly.one()), [x * x], Fraction(1), Poly.one(),
+                               casoratian_imag([x * x], 1))
     (cof, _), (rad, _) = vd.factors
     assert rad == RationalFn.one()
     # pure Casoratian ratio survives
@@ -241,7 +243,7 @@ def test_star_compatibility_real_values():
     """Real-coefficient inputs: every squared identity object is real at
     real points."""
     v = RationalFn(x * x + 1, x + 2)
-    vd = deformed_potential_vd(v, [x + 1], Fraction(1), Poly.one())
+    vd = deformed_potential_vd(v, [x + 1], Fraction(1), Poly.one(), casoratian_imag([x + 1], 1))
     square = RationalFn(*expanded(vd.power(2)))
     for sample in (Fraction(0), Fraction(1), Fraction(5, 2)):
         value = (square * square.star())(sample)

@@ -234,28 +234,35 @@ def test_verify_schrodinger_rejects_wrong_energy_on_deformed_levels(model, d_v):
 
 def counted_oqm_run(monkeypatch, tmp_path):
     """`oqm --dv 0,1 --de 1,2 --n 0` through the CLI, recording the size of
-    each exact determinant, Bareiss and cofactor: (exit code, Bareiss
-    sizes, cofactor sizes, report)."""
-    sizes = {"fraction_free_det": [], "cofactor_det": []}
-    for name, calls in sizes.items():
-        routine = getattr(det_mod, name)
+    each exact determinant: each minor that the kernel's entry point
+    (``maximal_minors``) returns, whichever elimination takes it, and each
+    cofactor expansion: (exit code, kernel sizes, cofactor sizes, report)."""
+    kernel_sizes, cofactor_sizes = [], []
+    minors, cofactor = det_mod.maximal_minors, det_mod.cofactor_det
 
-        def counted(matrix, routine=routine, calls=calls):
-            calls.append(len(matrix))
-            return routine(matrix)
+    def counted_minors(matrix, points=None):
+        out = minors(matrix, points)
+        kernel_sizes.extend([len(matrix[0]) if matrix else 0] * len(out))
+        return out
 
-        monkeypatch.setattr(det_mod, name, counted)
+    def counted_cofactor(matrix):
+        cofactor_sizes.append(len(matrix))
+        return cofactor(matrix)
+
+    monkeypatch.setattr(det_mod, "maximal_minors", counted_minors)
+    monkeypatch.setattr(det_mod, "cofactor_det", counted_cofactor)
     out = tmp_path / "oqm.json"
     code = main(["oqm", "--dv", "0,1", "--de", "1,2", "--n", "0", "--out", str(out)])
-    return code, sizes["fraction_free_det"], sizes["cofactor_det"], json.loads(out.read_text())
+    return code, kernel_sizes, cofactor_sizes, json.loads(out.read_text())
 
 
 def test_oqm_run_takes_few_bareiss_calls(monkeypatch, tmp_path):
-    """Each Wronskian of a run is computed once, and all of them by Bareiss:
-    the k + 1 minors of the four-seed operator, of the two-virtual-seed
-    operator and of the operator over its base.  One Bareiss determinant per
-    Wronskian and per level took 38, six at size 5; the over-base Wronskians
-    took 6 cofactor expansions besides 8 Bareiss calls."""
+    """Each Wronskian of a run is computed once, as minors of the kernel's
+    entry point: the k + 1 minors of the four-seed operator, of the
+    two-virtual-seed operator and of the operator over its base, each set
+    from one shared expansion.  One determinant per Wronskian and per level
+    took 38, six at size 5; the over-base Wronskians took 6 cofactor
+    expansions besides 8 Bareiss calls."""
     code, sizes, cofactor_sizes, _ = counted_oqm_run(monkeypatch, tmp_path)
     assert code == 0
     assert cofactor_sizes == []

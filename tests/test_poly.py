@@ -286,6 +286,38 @@ def test_exp_poly_serialize_round_trip(p, a, b):
     assert (back.p, back.a, back.b) == (f.p, f.a, f.b)
 
 
+def reference_str(p: Poly) -> str:
+    """``Poly.__str__`` as it was written on GaussianRational coefficients,
+    the reference for the formatter on the integer parts."""
+    if p.is_zero():
+        return "0"
+    parts = []
+    coeffs = p.coeffs
+    for k in range(p.degree, -1, -1):
+        c = coeffs[k]
+        if c.is_zero():
+            continue
+        term = f"({c})" if not c.is_real() or c.re < 0 else str(c)
+        if k == 0:
+            parts.append(term)
+        elif k == 1:
+            parts.append(f"{term}*x" if term != "1" else "x")
+        else:
+            parts.append(f"{term}*x^{k}" if term != "1" else f"x^{k}")
+    return " + ".join(parts)
+
+
+@given(st.one_of(gaussian_polys, polys,
+                 st.lists(st.sampled_from([GaussianRational(0), GaussianRational(1),
+                                           GaussianRational(-1), GaussianRational(0, 1),
+                                           GaussianRational(0, -1), GaussianRational(1, -1),
+                                           GaussianRational(Fraction(-1, 2), Fraction(3, 4))]),
+                          max_size=5).map(Poly)))
+@settings(max_examples=200)
+def test_str_matches_reference_formatter(p):
+    assert str(p) == reference_str(p)
+
+
 def test_zero_poly_round_trip():
     assert Poly.zero().serialize() == []
     assert Poly.deserialize([]) == Poly.zero()
