@@ -259,7 +259,9 @@ def test_expansion_width_holds_a_coefficient_of_size_b(units):
 def test_minors_past_the_expansion_or_the_budget_take_bareiss(monkeypatch):
     """Above EXPANSION_MAX_N, and where the gcd-free bound passes
     COEFF_BIT_BUDGET, the kernel's minors are Bareiss determinants, which
-    screen each entry: the budget raises or accepts as on Bareiss alone."""
+    screen each entry: the budget raises or accepts as on Bareiss alone.
+    Past the cutoff a shift Casoratian's Bareiss reads the entries packed
+    by evaluation, and equals Bareiss on the Poly.shift entries."""
     calls = []
     bareiss = det_mod.fraction_free_det
     monkeypatch.setattr(det_mod, "fraction_free_det",
@@ -269,8 +271,14 @@ def test_minors_past_the_expansion_or_the_budget_take_bareiss(monkeypatch):
     matrix = [[random_poly(rng, 1, 5) for _ in range(n)] for _ in range(n + 1)]
     minors = maximal_minors(matrix)
     assert calls == [n] * (n + 1)
+    fs = matrix[0]
+    for gamma in (None, Fraction(1, 2)):     # Bareiss on entries packed by evaluation
+        points = list(range(n)) if gamma is None else imag_shift_points(n, gamma)
+        shifted = [[f.shift(delta) for f in fs] for delta in points]
+        assert maximal_minors([fs] * n, points) == [bareiss(shifted)]
+    assert calls == [n] * (n + 3)
     monkeypatch.setattr(det_mod, "EXPANSION_MAX_N", n)
-    assert maximal_minors(matrix) == minors and calls == [n] * (n + 1)
+    assert maximal_minors(matrix) == minors and calls == [n] * (n + 3)
     monkeypatch.setattr(det_mod, "COEFF_BIT_BUDGET", 8)
     top = [x * Fraction(1, 3), Fraction(1, 2 ** 30)]
     fits = [[*top], [Poly.constant(Fraction(2 ** 30, 5)), x * Fraction(3, 5)]]
@@ -382,6 +390,24 @@ def test_shift_casoratians_packed_by_evaluation_match_poly_shift(fs, gamma):
         expected = expected * i_power(len(fs) * (len(fs) - 1) // 2)
     assert got == expected
     assert maximal_minors([fs] * len(fs), points) == maximal_minors(shifted)
+
+
+@pytest.mark.parametrize("f, delta, tight", [(x ** 3 + 2 * x + 5, Fraction(3, 2), True),
+                                             (x ** 3 - 2 * x + 5, Fraction(3, 2), False),
+                                             (Poly([gi(1, -2), gi(0, 3), 1]), gi(Fraction(1, 3), -2),
+                                              False),
+                                             (7 * x ** 4, 3, True)])
+def test_shift_size_bounds_the_shifted_coefficients(f, delta, tight):
+    """The bound of a shifted entry f(x + u/d) of degree k,
+    sum_j |c_j|_1 (d + |u|_1)^j d^(k-j), holds the |.|_1 sum of the
+    coefficients of d^k f(x + u/d), with equality for positive coefficients
+    and a positive shift."""
+    ur, ui, d = det_mod._parts(delta)
+    scaled = f.shift(delta) * d ** f.degree
+    assert scaled.den == 1
+    size = sum(abs(r) + abs(m) for r, m in zip(scaled.re, scaled.im))
+    bound = det_mod._shift_size(f, d + abs(ur) + abs(ui), d)
+    assert size == bound if tight else size < bound
 
 
 @pytest.mark.parametrize("family", ["wronskian", "imag", "real"])
