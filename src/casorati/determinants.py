@@ -12,11 +12,12 @@ expansion (``_expand``) at width bitlen(B) + 1, which holds every
 coefficient; past it, or when B passes COEFF_BIT_BUDGET, from Bareiss
 elimination (``fraction_free_det``) at about twice that width, which its
 certified exact divisions need, and which screens each entry against the
-budget.  Wronskian columns (``_drift_column``) are built on Poly, so the
-exponent pairs factor out.  The Darboux-Crum operators take the k + 1 minors
-of their fixed columns from one expansion and apply f -> W[fixed, f] by
-cofactors, over a base in ``over_base_operator``, whose seed part is the
-Wronskian of quotients over it.  Both shift Casoratians are one body, and
+budget.  Wronskian columns (``_drift_column``) are integer vectors over one
+denominator, each row canonicalized once, so the exponent pairs factor out.
+The Darboux-Crum operators take the k + 1 minors of their fixed columns from
+one expansion and apply f -> W[fixed, f] as one integer cofactor sum, over a
+base in ``over_base_operator``, whose seed part is the Wronskian of
+quotients over it.  Both shift Casoratians are one body, and
 ``cofactor_det`` is the test oracle only.  Empty input gives 1 everywhere.
 Big-float grids take a left-looking pivoted LU on ``GridFn.raw`` tuples
 (``_lu_states``), one column at a time; a run's memo keeps each column
@@ -37,7 +38,7 @@ from mpmath.libmp import (
     fzero, mpf_abs, mpf_div, mpf_gt, mpf_mul, mpf_neg, mpf_sub)
 
 from .gridfn import GridFn, WindowError
-from .poly import ExpPoly, Poly, _canonical, _parts, as_poly
+from .poly import ExpPoly, Poly, _canonical, _mul_into, _parts, as_poly
 from .scalars import GaussianRational, i_power, rational
 
 # Abort knob for runaway exact computations; see DeterminantBudgetError.
@@ -448,26 +449,59 @@ def cofactor_det(matrix: Sequence[Sequence]):
 # Wronskian
 # ---------------------------------------------------------------------------
 
+def _drift(a: Fraction, b: Fraction) -> tuple[int, int, int]:
+    """(L, A, B) with L the lcm of the denominators of a and b/2, so that
+    L*(a*x + b/2) = A*x + B."""
+    h = b / 2
+    L = lcm(a.denominator, h.denominator)
+    return L, a.numerator * (L // a.denominator), h.numerator * (L // h.denominator)
+
+
+def _drift_step(q: list, scale: int, A: int, B: int) -> list:
+    """scale*q' + (A*x + B)*q on an integer vector, with no top term when A = 0."""
+    dq = [scale * k * c for k, c in enumerate(q)][1:] + [0, 0]
+    out = [u + B * c + A * v for u, c, v in zip(dq, q + [0], [0] + q)]
+    return out if A else out[:-1]
+
+
 def _drift_column(f: ExpPoly, length: int, base: ExpPoly | None = None) -> list[Poly]:
-    """The polynomial parts of the first ``length`` rows of f's column.
+    """The polynomial parts of the first ``length`` rows of f's column,
+    each one canonical Poly computed on integer vectors.
 
     Row j + 1 is the drift derivative P' + (a*x + b/2)*P of row j, with
-    (a, b) the pair of row j.  Over a base B*exp(.) the rows are those of
-    the quotient f / base: row j is the numerator of its j-th derivative
-    over base^(1 + j), and carries f's pair plus j times the base's, so with
-    G the polynomial part of base' the quotient rule gives
-    P_{j+1} = P_j'*B + P_j*(drift_j*B - (1 + j)*G)."""
-    col = [f.p]
+    (a, b) f's pair.  With L*(a*x + b/2) = A*x + B (``_drift``) and f's
+    part Q_0/den, row j is Q_j/(den*L^j), Q_{j+1} = L*Q_j' + (A*x + B)*Q_j,
+    with the Q_j carried unreduced.  Over a base B*exp(.) the rows are those
+    of the quotient f / base: row j is the numerator of its j-th derivative
+    over base^(1 + j).  The base's drift cancels from the quotient rule, so
+    P_{j+1} = P_j'*B + P_j*((a*x + b/2)*B - (1 + j)*B') with (a, b) f's pair
+    minus the base's: two integer convolutions from the canonical row j over
+    den*bden*L, so that the base's denominators do not compound."""
+    p = f.p
+    col = [p]
     if base is None:
-        drift = Poly([f.b / 2, f.a])
+        L, A, B = _drift(f.a, f.b)
+        re, im, den = p.re, p.im, p.den
+        real = not any(im)
         for _ in range(length - 1):
-            col.append(col[-1].derivative() + drift * col[-1])
+            re = _drift_step(re, L, A, B)
+            im = [0] * len(re) if real else _drift_step(im, L, A, B)
+            den *= L
+            col.append(_canonical(re, im, den))
         return col
-    b_part, g_part = base.p, base.derivative().p
+    L, A, B = _drift(f.a - base.a, f.b - base.b)
+    b_re, b_im, b_den = base.p.re, base.p.im, base.p.den
     for j in range(length - 1):
-        drift = Poly([(f.b + j * base.b) / 2, f.a + j * base.a])
-        p = col[-1]
-        col.append(p.derivative() * b_part + p * (drift * b_part - (1 + j) * g_part))
+        re, im = p.re, p.im
+        h_re = _drift_step(b_re, -(1 + j) * L, A, B)
+        h_im = _drift_step(b_im, -(1 + j) * L, A, B)
+        size = len(re) + len(h_re) - 1
+        out_re, out_im = [0] * size, [0] * size
+        _mul_into(out_re, out_im, [L * k * c for k, c in enumerate(re)][1:],
+                  [L * k * c for k, c in enumerate(im)][1:], b_re, b_im)
+        _mul_into(out_re, out_im, re, im, h_re, h_im)
+        p = _canonical(out_re, out_im, p.den * b_den * L)
+        col.append(p)
     return col
 
 
@@ -498,9 +532,11 @@ class WronskianOperator:
     W[seeds, f] expanded along its last column is sum_j c_j * P_j times
     exp of the summed exponent pairs, where P_j are the rows of f's column
     (``_drift_column``) and c_j the signed k x k minors of the seeds'
-    columns (rows 0..k, row j dropped).  ``seed_wronskian`` is W[seeds]:
-    the minor that drops row k, with the seeds' pair.  Over a base, the
-    seeds and f are quotients over the base (``over_base_operator``).
+    columns (rows 0..k, row j dropped); the sum is taken on one integer
+    vector over lcm_j(den c_j * den P_j) and canonicalized once.
+    ``seed_wronskian`` is W[seeds]: the minor that drops row k, with the
+    seeds' pair.  Over a base, the seeds and f are quotients over the base
+    (``over_base_operator``).
     """
 
     __slots__ = ("cofactors", "seed_wronskian", "base")
@@ -513,11 +549,14 @@ class WronskianOperator:
 
     def __call__(self, f: ExpPoly) -> ExpPoly:
         k = len(self.cofactors) - 1
-        col = _drift_column(f, k + 1, self.base)
-        total = self.cofactors[0] * col[0]
-        for c, p in zip(self.cofactors[1:], col[1:]):
-            total = total + c * p
-        return ExpPoly(total, *_pair([self.seed_wronskian, f], self.base, k))
+        terms = list(zip(self.cofactors, _drift_column(f, k + 1, self.base)))
+        den = lcm(*[c.den * p.den for c, p in terms])
+        size = max(len(c.re) + len(p.re) for c, p in terms) - 1
+        re, im = [0] * size, [0] * size
+        for c, p in terms:
+            s = den // (c.den * p.den)
+            _mul_into(re, im, c.re, c.im, [s * r for r in p.re], [s * m for m in p.im])
+        return ExpPoly(_canonical(re, im, den), *_pair([self.seed_wronskian, f], self.base, k))
 
 
 def wronskian_operator(seeds: Sequence[ExpPoly],

@@ -84,6 +84,25 @@ def _canonical(re: list, im: list, den: int) -> "Poly":
     return _raw(re, im, den)
 
 
+def _mul_into(out_re: list, out_im: list, re1: list, im1: list, re2: list, im2: list) -> None:
+    """In place: add the product of the integer vectors re1 + i*im1 and
+    re2 + i*im2 to out_re + i*out_im, which are long enough to hold it; a
+    real-only loop when neither factor has an imaginary part."""
+    if any(im1) or any(im2):
+        for i, (ra, ia) in enumerate(zip(re1, im1)):
+            if ra == 0 and ia == 0:
+                continue
+            for j, (rb, ib) in enumerate(zip(re2, im2), i):
+                out_re[j] += ra * rb - ia * ib
+                out_im[j] += ra * ib + ia * rb
+    else:
+        for i, ra in enumerate(re1):
+            if ra == 0:
+                continue
+            for j, rb in enumerate(re2, i):
+                out_re[j] += ra * rb
+
+
 def _taylor_shift(re: list, im: list, ur: int, ui: int) -> None:
     """In place: the integer vector re + i*im becomes its Taylor shift by ur + i*ui."""
     n = len(re) - 1
@@ -215,25 +234,11 @@ class Poly:
                               self.den * zd)
         if not isinstance(other, Poly):
             return NotImplemented
-        re1, im1, re2, im2 = self.re, self.im, other.re, other.im
-        if not re1 or not re2:
+        if not self.re or not other.re:
             return _P_ZERO
-        size = len(re1) + len(re2) - 1
-        out_re = [0] * size
-        out_im = [0] * size
-        if any(im1) or any(im2):
-            for i, (ra, ia) in enumerate(zip(re1, im1)):
-                if ra == 0 and ia == 0:
-                    continue
-                for j, (rb, ib) in enumerate(zip(re2, im2), i):
-                    out_re[j] += ra * rb - ia * ib
-                    out_im[j] += ra * ib + ia * rb
-        else:
-            for i, ra in enumerate(re1):
-                if ra == 0:
-                    continue
-                for j, rb in enumerate(re2, i):
-                    out_re[j] += ra * rb
+        size = len(self.re) + len(other.re) - 1
+        out_re, out_im = [0] * size, [0] * size
+        _mul_into(out_re, out_im, self.re, self.im, other.re, other.im)
         return _canonical(out_re, out_im, self.den * other.den)
 
     __rmul__ = __mul__

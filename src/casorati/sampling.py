@@ -10,8 +10,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .poly import ExpPoly, Poly
+from .poly import ExpPoly, Poly, _canonical
 from .scalars import require_at_most
 
 GAMMA_CHOICES = (Fraction(1), Fraction(1, 2), Fraction(2))
@@ -45,15 +46,16 @@ def trial_rng(config: SamplerConfig, identity_id: str, trial: int) -> random.Ran
     return random.Random(f"{config.master_seed}:{identity_id}:{trial}")
 
 
-def random_rational(rng: random.Random, bound: int) -> Fraction:
-    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-
-
 def random_poly(rng: random.Random, max_degree: int, bound: int,
                 nonzero: bool = False) -> Poly:
+    """A degree in [0, max_degree], then each coefficient as a numerator in
+    [-bound, bound] over a denominator in [1, bound], drawn in that order;
+    redrawn whole while zero when ``nonzero``."""
     while True:
         degree = rng.randint(0, max_degree)
-        p = Poly([random_rational(rng, bound) for _ in range(degree + 1)])
+        pairs = [(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(degree + 1)]
+        den = lcm(*[d for _, d in pairs])
+        p = _canonical([q * (den // d) for q, d in pairs], [0] * len(pairs), den)
         if not nonzero or not p.is_zero():
             return p
 

@@ -430,10 +430,57 @@ def test_antisymmetry(family):
 gaussian_coeffs = st.builds(GaussianRational,
                             st.fractions(min_value=-4, max_value=4, max_denominator=3),
                             st.fractions(min_value=-4, max_value=4, max_denominator=3))
-exp_pairs = st.tuples(st.sampled_from([0, 1, -1, Fraction(1, 2)]),
-                      st.fractions(min_value=-2, max_value=2, max_denominator=2))
+# a and b draw denominators up to 5, so that L*(a*x + b/2) needs L > 2
+exp_pairs = st.tuples(st.one_of(st.sampled_from([0, 1, -1, Fraction(1, 2)]),
+                                st.fractions(min_value=-2, max_value=2, max_denominator=5)),
+                      st.fractions(min_value=-2, max_value=2, max_denominator=5))
 exp_polys = st.builds(lambda coeffs, pair: ExpPoly(Poly(coeffs), *pair),
                       st.lists(gaussian_coeffs, min_size=1, max_size=3), exp_pairs)
+
+
+def drift_column_reference(f, length, base=None):
+    """The Poly-form column: row j + 1 is row j's drift derivative, over a
+    base by the quotient rule P_j'*B + P_j*(drift_j*B - (1 + j)*G), with
+    drift_j from f's pair plus j times the base's and G the polynomial part
+    of base'."""
+    col = [f.p]
+    if base is None:
+        drift = Poly([f.b / 2, f.a])
+        for _ in range(length - 1):
+            col.append(col[-1].derivative() + drift * col[-1])
+        return col
+    b_part, g_part = base.p, base.derivative().p
+    for j in range(length - 1):
+        drift = Poly([(f.b + j * base.b) / 2, f.a + j * base.a])
+        p = col[-1]
+        col.append(p.derivative() * b_part + p * (drift * b_part - (1 + j) * g_part))
+    return col
+
+
+def operator_sum_reference(op, f):
+    """sum_j c_j * P_j by Poly products and sums."""
+    col = drift_column_reference(f, len(op.cofactors), op.base)
+    total = Poly.zero()
+    for c, p in zip(op.cofactors, col):
+        total = total + c * p
+    return total
+
+
+@given(exp_polys, st.one_of(st.none(), exp_polys), st.integers(1, 6))
+@settings(max_examples=200, deadline=None)
+@example(ExpPoly(Poly.zero(), Fraction(2, 5), Fraction(-3, 4)), None, 4)       # zero f
+@example(ExpPoly(Poly.zero(), 1, 1), ExpPoly(x + gi(0, 1), Fraction(1, 3)), 5)
+@example(ExpPoly(Poly.constant(Fraction(-7, 3))), None, 3)                     # constant, (0, 0)
+@example(ExpPoly(Poly.constant(Fraction(-7, 3))), ExpPoly(x * x + 1), 6)
+@example(ExpPoly(x * gi(1, 2) - 1, -1, Fraction(1, 5)),                        # Gaussian f and base
+         ExpPoly(Poly([gi(Fraction(1, 2), -1), gi(0, 3)]), Fraction(2, 3), 1), 6)
+@example(ExpPoly(x * x - Fraction(1, 2), Fraction(3, 5), Fraction(4, 5)),      # real, L = 5 and 10
+         ExpPoly(x + 3, Fraction(-1, 4), Fraction(1, 3)), 6)
+def test_drift_column_matches_poly_reference(f, base, length):
+    """The integer-vector column is the Poly-form column, row by row, plain
+    and over a base, real and Gaussian."""
+    assume(base is None or not base.is_zero())
+    assert det_mod._drift_column(f, length, base) == drift_column_reference(f, length, base)
 
 
 @st.composite
@@ -450,13 +497,16 @@ def operator_instances(draw):
 @settings(max_examples=100, deadline=None)
 @example(([], ExpPoly(x + 1, -1, 2)))
 @example(([ExpPoly(x, 1), ExpPoly(x * x - 1, -1)], ExpPoly(x, 1)))
+@example(([ExpPoly(x, 1), ExpPoly(x * x - 1, -1)], ExpPoly(Poly.zero(), Fraction(1, 5))))  # zero f
 def test_wronskian_operator_matches_wronskian(drawn):
     """W[seeds, .] applied to f is W[seeds, f], pair included, and the
-    operator's seed Wronskian is W[seeds]; a seed gives 0."""
+    Poly-form cofactor sum; the operator's seed Wronskian is W[seeds]; a
+    seed gives 0."""
     seeds, f = drawn
     op = wronskian_operator(seeds)
     got, want = op(f), wronskian([*seeds, f])
     assert (got.p, got.pair) == (want.p, want.pair)
+    assert got.p == operator_sum_reference(op, f)
     base = wronskian(seeds)
     assert (op.seed_wronskian.p, op.seed_wronskian.pair) == (base.p, base.pair)
     if f in seeds:
@@ -490,15 +540,20 @@ def over_base_matrix(nums, base):
 @example(([], ExpPoly(x + 1, 1), ExpPoly(x * x, -1, 1)))
 @example(([ExpPoly(x, 1), ExpPoly(x * x - 1, -1)], ExpPoly(x + 2, Fraction(1, 2), 1),
           ExpPoly(x * x - 1, -1)))
+@example(([ExpPoly(x, 1)], ExpPoly(x + 2, Fraction(1, 2), 1), ExpPoly(Poly.zero(), -1)))  # zero f
+@example(([ExpPoly(x * gi(0, 1) + 1, Fraction(1, 3)), ExpPoly(x * x, -1)],   # Gaussian base
+          ExpPoly(Poly([gi(1, -2), gi(Fraction(1, 2), 1)]), Fraction(-2, 5), Fraction(3, 4)),
+          ExpPoly(x - 1, 1, Fraction(1, 5))))
 def test_over_base_operator_matches_cofactor_oracle(drawn):
     """The operator over a base, applied to f, is the cofactor expansion of
-    the ExpPoly matrix of [nums, f], pair included; its seed part is that
-    of nums, over the base power ``over_base_power`` gives.  A column equal
-    to a fixed one gives zero."""
+    the ExpPoly matrix of [nums, f], pair included, and the Poly-form
+    cofactor sum; its seed part is that of nums, over the base power
+    ``over_base_power`` gives.  A column equal to a fixed one gives zero."""
     nums, base, f = drawn
     op = over_base_operator(nums, base)
     got, want = op(f), cofactor_det(over_base_matrix([*nums, f], base))
     assert (got.p, got.pair) == (want.p, want.pair)
+    assert got.p == operator_sum_reference(op, f)
     if nums:
         want = cofactor_det(over_base_matrix(nums, base))
     else:

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from casorati.identities import (
     two_column_identity,
 )
 from casorati.poly import ExpPoly, Poly
-from casorati.sampling import SamplerConfig
+from casorati.sampling import SamplerConfig, random_poly
 
 x = Poly.x()
 E = ExpPoly
@@ -197,6 +198,30 @@ def test_classical_limit_hand_cases():
     assert check_classical_limit([x, x * x], Fraction(1), 4).passed
     rep = check_classical_limit([x, x * x, x ** 3 + x], Fraction(1), 4)
     assert rep.passed
+
+
+def random_poly_reference(rng, max_degree, bound, nonzero=False):
+    """The sampler by one Fraction per coefficient."""
+    while True:
+        degree = rng.randint(0, max_degree)
+        p = Poly([Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+                  for _ in range(degree + 1)])
+        if not nonzero or not p.is_zero():
+            return p
+
+
+@pytest.mark.parametrize("max_degree, bound", [(1, 1), (3, 2), (5, 9), (8, 30)])
+def test_random_poly_matches_fraction_reference(max_degree, bound):
+    """The sampler's Poly and its rng state after each draw are those of the
+    Fraction-based reference, nonzero redraws included (bound 1 and 2 draw
+    zero polynomials often)."""
+    for seed in range(60):
+        for nonzero in (False, True):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                assert random_poly(ours, max_degree, bound, nonzero) == \
+                    random_poly_reference(theirs, max_degree, bound, nonzero)
+                assert ours.getstate() == theirs.getstate()
 
 
 def test_suite_runner_deterministic():

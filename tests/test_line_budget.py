@@ -5,7 +5,7 @@ from pathlib import Path
 # Lines of src/casorati/*.py, as `wc -l` counts them, and of cli.py alone:
 # the CLI parses flags, runs the labs' checks and prints their reports, and
 # builds no check of its own.
-LINE_BUDGET = 4724
+LINE_BUDGET = 4770
 CLI_LINE_BUDGET = 299
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "casorati"
@@ -19,7 +19,7 @@ def test_package_within_line_budget():
         f"src/casorati/*.py has {total} lines, over the budget of {LINE_BUDGET} "
         f"(per module: {counts}).  A change that adds lines raises LINE_BUDGET "
         f"in tests/test_line_budget.py and states its delta, with what it "
-        f"removed, in CHANGES.md (ROADMAP item 9).")
+        f"removed, in CHANGES.md (ROADMAP item 7).")
 
 
 def test_cli_within_line_budget():
