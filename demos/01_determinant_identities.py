@@ -11,8 +11,8 @@ from casorati.identities import (
     check_cas_real_corollary,
     check_classical_limit,
     check_sum_formula,
+    check_theorem,
     run_identity_suite,
-    two_column_identity,
 )
 from casorati.sampling import SamplerConfig
 
@@ -28,19 +28,20 @@ print("W_g[x, x^2], g=2   =", casoratian_imag([x, x * x], 2))
 print("W_C[x, x^2]        =", casoratian_real([x, x * x]))
 
 # ---------------------------------------------------------------------------
-# The two-column identities (the m = 2 rows of the three theorems).
-# Note the x+1 shift on the real-shift right-hand factor: it is the
-# signature difference between the lattice family and the other two.
+# The two-column identities: the m = 2 rows of the three theorems, checked
+# by check_theorem with us = [g, h].  Note the x+1 shift on the real-shift
+# right-hand factor: it is the signature difference between the lattice
+# family and the other two.
 # ---------------------------------------------------------------------------
 fs = [x, x * x + 1]
 g, h = x + 2, x ** 3
-for name, (lhs, rhs) in [
-    ("differential ", two_column_identity("wronskian", [ExpPoly(f, a=-1) for f in fs],
-                                          ExpPoly(g, a=-1), ExpPoly(h, a=-1))),
-    ("imag shift   ", two_column_identity("cas-imag", fs, g, h, Fraction(1, 2))),
-    ("real shift   ", two_column_identity("cas-real", fs, g, h)),
+for name, report in [
+    ("differential ", check_theorem("wronskian", [ExpPoly(f, a=-1) for f in fs],
+                                    [ExpPoly(g, a=-1), ExpPoly(h, a=-1)])),
+    ("imag shift   ", check_theorem("cas-imag", fs, [g, h], Fraction(1, 2))),
+    ("real shift   ", check_theorem("cas-real", fs, [g, h])),
 ]:
-    print(f"two-column {name}: lhs == rhs -> {lhs == rhs}")
+    print(f"two-column {name}: lhs == rhs -> {report.passed}")
 
 # ---------------------------------------------------------------------------
 # The corollaries are verified radical-free: both sides squared (and to the

@@ -14,7 +14,6 @@ from casorati.idqm import (
     check_potential_product_identity,
     check_prefactor_gg,
     deformed_potential_vd,
-    star,
     two_path_compare_idqm,
 )
 from casorati.poly import Poly, RationalFn
@@ -27,7 +26,7 @@ gamma = Fraction(1)
 # The *-operation conjugates coefficients; V V* products at conjugate
 # arguments are |.|^2-shaped, which is what keeps radicands real.
 # ---------------------------------------------------------------------------
-print("star(x + 2) == x + 2 (real V):", star(V) == V)
+print("star(x + 2) == x + 2 (real V):", V.star() == V)
 
 # ---------------------------------------------------------------------------
 # The deformed potential function: a rational cofactor times the square

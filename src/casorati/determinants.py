@@ -9,9 +9,10 @@ value at x = 2^width (Kronecker substitution); a shifted entry f(x + delta)
 is f evaluated at 2^width + delta, so no shifted Poly is built.  Up to
 n = EXPANSION_MAX_N the minors come from a division-free shared minor
 expansion (``_expand``) at width bitlen(B) + 1, which holds every
-coefficient; past it, or when B passes COEFF_BIT_BUDGET, from Bareiss
-elimination (``fraction_free_det``) at about twice that width, which its
-certified exact divisions need, and which screens each entry against the
+coefficient, on plain ints when every entry and point is real; past it, or
+when B passes COEFF_BIT_BUDGET, from Bareiss elimination
+(``fraction_free_det``) on (re, im) pairs at about twice that width, which
+its certified exact divisions need, and which screens each entry against the
 budget.  Wronskian columns (``_drift_column``) are integer vectors over one
 denominator, each row canonicalized once, so the exponent pairs factor out.
 The Darboux-Crum operators take the k + 1 minors of their fixed columns from
@@ -192,17 +193,20 @@ def _horner(re: list, im, shift: tuple, width: int, w: int) -> tuple[int, int]:
 
 class _Packing:
     """Bareiss's width for the entries of one determinant, and its certified
-    exact divisions.
+    exact division.
 
     An entry is a Gaussian-integer polynomial with at most ``length``
     coefficients, each below ``bound`` in size, packed as its value at
-    2^width with balanced digits: an int, or an (re, im) pair of ints.  A
-    quotient is certified by a zero remainder and a digit bound: at most
-    ``length`` digits, each in [-2^s, 2^s) with s = bitlen(bound), tested
-    by one add and one mask.  Then numerator - quotient * divisor has
-    digits below 12 * length * 4^s < 2^width, and a nonzero polynomial
-    vanishing at 2^width has a digit of at least 2^width, so the integer
-    division is the division in Z[i][x].
+    2^width with balanced digits: an (re, im) pair of ints, with im = 0 for
+    a real entry.  A quotient is certified by a zero remainder and a digit
+    bound: at most ``length`` digits, each in [-2^s, 2^s) with
+    s = bitlen(bound), tested by one add and one mask.  Then numerator -
+    quotient * divisor has digits below 12 * length * 4^s < 2^width, and a
+    nonzero polynomial vanishing at 2^width has a digit of at least 2^width,
+    so the integer division is the division in Z[i][x].  The one
+    ``quotient`` serves both kinds of divisor: a real one, (d, 0), is its
+    own norm and skips the conjugate, so real rows need no quotient, and no
+    loop, of their own.
     """
 
     __slots__ = ("width", "offset", "high")
@@ -214,24 +218,14 @@ class _Packing:
         self.offset = ones << s
         self.high = ~(((2 << s) - 1) * ones)
 
-    def pack(self, values: list) -> int:
-        return _pack(values, self.width)
-
-    def digits(self, entry) -> tuple[list, list]:
-        return _unpack(entry, self.width)
-
-    def quotient(self, num: int, den: int) -> int:
-        """num / den for packed real entries; raises unless certified."""
-        q, r = divmod(num, den)
-        if r or (q + self.offset) & self.high:
-            raise ValueError("division is not exact")
-        return q
-
-    def gaussian_quotient(self, nr: int, ni: int, dr: int, di: int, norm: int) -> tuple:
-        """(nr + i ni) / (dr + i di), with norm = dr^2 + di^2: the numerator
-        times the conjugate over the norm; raises unless certified."""
-        qr, r1 = divmod(nr * dr + ni * di, norm)
-        qi, r2 = divmod(ni * dr - nr * di, norm)
+    def quotient(self, nr: int, ni: int, dr: int, di: int, norm: int) -> tuple[int, int]:
+        """(nr + i ni) / (dr + i di), with norm = dr^2 + di^2, or dr itself
+        when di = 0: the numerator, times conj(dr + i di) when di is nonzero,
+        with both parts over the norm; raises unless certified."""
+        if di:
+            nr, ni = nr * dr + ni * di, ni * dr - nr * di
+        qr, r1 = divmod(nr, norm)
+        qi, r2 = divmod(ni, norm)
         offset, high = self.offset, self.high
         if r1 or r2 or (qr + offset) & high or (qi + offset) & high:
             raise ValueError("division is not exact")
@@ -252,10 +246,12 @@ def fraction_free_det(matrix: Sequence[Sequence[Poly]], points: Sequence | None 
     log2(12 length) (``_Packing``): a false quotient must leave a digit of
     2^width, past what numerator - quotient * divisor can reach, so that
     every exact division is certified by its remainder and a digit bound.
-    The updates (pivot*a - lead*b) / prev run on ints, or (re, im) pairs when
-    an entry is not real (a Gaussian division multiplies by conj(prev) over
-    its norm), and only the last entry is unpacked.  Each division is exact
-    by Sylvester's identity and certified, else ``ValueError``.  A zero pivot
+    The updates (pivot*a - lead*b) / prev run in one loop on (re, im) pairs,
+    a real entry entering as (v, 0): no benchmark workload or corpus run
+    reaches this fallback, so a faster loop for real matrices alone would
+    be code that no measured run calls.  Only the last entry is unpacked,
+    and a 1 x 1 matrix is its packed entry.  Each division is exact by
+    Sylvester's identity and certified, else ``ValueError``.  A zero pivot
     is cured by the first row below with a nonzero entry in its column (a
     sign flip); when there is none, the determinant is zero.
 
@@ -270,22 +266,20 @@ def fraction_free_det(matrix: Sequence[Sequence[Poly]], points: Sequence | None 
     rows = _Rows(matrix, points)
     if any(len(row) != n for row in rows.rows):
         raise ValueError("matrix is not square")
-    if n == 1:
-        entry = rows.rows[0][0]
-        return entry if points is None else entry.shift(points[0])
-    scales, gaussian = list(rows.scales), rows.gaussian
+    scales = list(rows.scales)
     packing = _Packing(rows.bound, rows.length)
-    ints = rows.pack(packing.width)
-    zero = (0, 0) if gaussian else 0
+    width, quotient = packing.width, packing.quotient
+    ints = rows.pack(width)
+    if not rows.gaussian:
+        ints = [[(v, 0) for v in row] for row in ints]
     budget = COEFF_BIT_BUDGET
     screen = rows.bound.bit_length() > budget or prod(scales).bit_length() > budget
-    sign = 1
+    sign = pivot_scale = 1
     prev = None
-    pivot_scale = 1
     for k in range(n - 1):
-        if ints[k][k] == zero:
+        if ints[k][k] == (0, 0):
             for r in range(k + 1, n):
-                if ints[r][k] != zero:
+                if ints[r][k] != (0, 0):
                     ints[k], ints[r] = ints[r], ints[k]
                     scales[k], scales[r] = scales[r], scales[k]
                     sign = -sign
@@ -293,45 +287,34 @@ def fraction_free_det(matrix: Sequence[Sequence[Poly]], points: Sequence | None 
             else:
                 return Poly.zero()
         row_k = ints[k]
-        pivot = row_k[k]
+        pr, pi = row_k[k]
         pivot_scale *= scales[k]
-        if gaussian:
-            pr, pi = pivot
-            if prev is not None:
-                dr, di = prev
-                norm = dr * dr + di * di
         for i in range(k + 1, n):
             row_i = ints[i]
-            if gaussian:
-                lr, li = row_i[k]
-                for j in range(k + 1, n):
-                    (ar, ai), (br, bi) = row_i[j], row_k[j]
-                    nr = pr * ar - pi * ai - lr * br + li * bi
-                    ni = pr * ai + pi * ar - lr * bi - li * br
-                    row_i[j] = ((nr, ni) if prev is None
-                                else packing.gaussian_quotient(nr, ni, dr, di, norm))
-            else:
-                lead = row_i[k]
-                for j in range(k + 1, n):
-                    num = pivot * row_i[j] - lead * row_k[j]
-                    row_i[j] = num if prev is None else packing.quotient(num, prev)
+            lr, li = row_i[k]
+            for j in range(k + 1, n):
+                (ar, ai), (br, bi) = row_i[j], row_k[j]
+                nr = pr * ar - pi * ai - lr * br + li * bi
+                ni = pr * ai + pi * ar - lr * bi - li * br
+                row_i[j] = (nr, ni) if prev is None else quotient(nr, ni, *prev)
             if screen:
                 den = pivot_scale * scales[i]
                 den_over = den.bit_length() > budget
                 for entry in row_i[k + 1:]:
-                    re, im = packing.digits(entry)
+                    re, im = _unpack(entry, width)
                     if den_over or max(map(int.bit_length, re + im), default=0) > budget:
                         _check_budget(_canonical(re, im, den))
-        prev = pivot
-    result = _canonical(*packing.digits(ints[n - 1][n - 1]), pivot_scale * scales[n - 1])
+        prev = pr, pi, pr * pr + pi * pi if pi else pr
+    result = _canonical(*_unpack(ints[n - 1][n - 1], width), pivot_scale * scales[n - 1])
     return result if sign > 0 else -result
 
 
 # The largest minor size the shared expansion takes, from a measurement
-# against Bareiss on a 2-core x86_64 host: at n = 8 the expansion's n 2^(n-1)
-# half-width products won on oQM Wronskians (5.6x), drawn quadratics (2.0x)
-# and real-shift Casoratians of drawn cubics (1.2x); at n = 10 they lost on
-# the Casoratians (0.88x), and on integer constants they lose from n = 6.
+# against Bareiss on a 2-core x86_64 host, when Bareiss still had a loop of
+# its own for real matrices: at n = 8 the expansion's n 2^(n-1) half-width
+# products won on oQM Wronskians (5.6x), drawn quadratics (2.0x) and
+# real-shift Casoratians of drawn cubics (1.2x); at n = 10 they lost on the
+# Casoratians (0.88x), and on integer constants they lose from n = 6.
 EXPANSION_MAX_N = 8
 
 

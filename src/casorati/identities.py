@@ -9,9 +9,10 @@ The three families share one structure, so quotient, one-reduction, gauge,
 nesting and theorem are written once each (``check_quotient`` ...
 ``check_theorem``, each taking a family name) over the algebra a
 ``FAMILIES`` row holds: the determinant, the one-reduction operator D and
-its unit, and the row points with evaluation at a point; so are the direct
-sides of the theorem at m = 2 (``two_column_identity``).  The corollaries
-stay per family; the two Casoratian ones share the squared form.
+its unit, and the row points with evaluation at a point.  The theorem at
+m = 2 is the paper's two-column identity, so ``check_theorem`` with two us
+checks it.  The corollaries stay per family; the two Casoratian ones share
+the squared form.
 
 ``CHECKS`` holds the row of each of the 29 check ids: its checker, its
 arguments as witness keys and, for the identity rows, a seeded draw.
@@ -42,7 +43,7 @@ from .determinants import (
     wronskian_operator,
 )
 from .poly import ExpPoly, Poly, RationalFn, poly_products_equal
-from .report import CheckReport, check_report, encode, sort_reports
+from .report import CheckReport, check_report, sort_reports
 from .sampling import (
     SamplerConfig,
     random_exp_poly,
@@ -371,22 +372,6 @@ def check_cas_real_corollary(fs: Sequence[Poly], us: Sequence[Poly],
 
 
 # ---------------------------------------------------------------------------
-# The two-column identities (the m = 2 rows of the three theorems)
-# ---------------------------------------------------------------------------
-
-def two_column_identity(family: str, fs, g, h, gamma=None) -> tuple:
-    """Direct both sides of D[D[f..,g], D[f..,h]] == D[f..](y_1) D[f..,g,h],
-    the theorem at m = 2, with y_1 the family's one theorem point: x for the
-    Wronskian and the imaginary shift, x+1 for the real shift, which is the
-    lattice family's distinctive feature."""
-    row, gamma = _family(family, gamma)
-    (point,) = row.theorem_points(2, gamma)
-    lhs = row.det([row.det(list(fs) + [g], gamma), row.det(list(fs) + [h], gamma)], gamma)
-    rhs = row.at(row.det(fs, gamma), point) * row.det(list(fs) + [g, h], gamma)
-    return lhs, rhs
-
-
-# ---------------------------------------------------------------------------
 # The imaginary-shift extras: sum formula and classical limit
 # ---------------------------------------------------------------------------
 
@@ -564,7 +549,6 @@ class Check:
     bound: tuple = ()
     element: type = Poly               # decodes f, g, v, fs and us
     draw: Callable | None = None       # (rng, config) -> checker inputs
-    encode = staticmethod(encode)
 
     def run(self, inputs: dict) -> CheckReport:
         args = {getattr(arg, "name", arg): arg.build(inputs) if isinstance(arg, Built)

@@ -30,11 +30,6 @@ HALF = Fraction(1, 2)
 MAX_SEED_COUNT = 6
 
 
-def star(fn: RationalFn | Poly) -> RationalFn:
-    """The *-operation: conjugate every coefficient (an involution)."""
-    return as_rational_fn(fn).star()
-
-
 def vv_product(v: RationalFn, gamma, total, j_lo: int, j_hi: int) -> RationalFn:
     """prod_{j=j_lo}^{j_hi} V(x + i(total/2 - j) gamma) V*(x - i(total/2 - j) gamma)."""
     gamma = rational(gamma)

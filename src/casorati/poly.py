@@ -118,7 +118,8 @@ class Poly:
 
     ``re`` and ``im`` are equal-length lists of ints indexed by degree and
     ``den`` is a positive int; none of them changes after construction.  The
-    form is canonical, so ``==`` and ``hash`` compare the integers directly.
+    form is canonical, so ``==`` and ``hash`` compare the integers directly;
+    a constant hashes as the scalar it equals.
     ``coeffs`` builds the list of ``GaussianRational`` coefficients on each
     read.
 
@@ -385,6 +386,9 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
+        if len(self.re) < 2:            # as GaussianRational.__hash__, with no instance
+            re, im = (Fraction(v[0] if v else 0, self.den) for v in (self.re, self.im))
+            return hash((re, im) if im else re)
         return hash((tuple(self.re), tuple(self.im), self.den))
 
     def __repr__(self) -> str:
@@ -506,10 +510,6 @@ class RationalFn:
     def one() -> "RationalFn":
         return RationalFn(_P_ONE)
 
-    @staticmethod
-    def zero() -> "RationalFn":
-        return RationalFn(_P_ZERO)
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -604,7 +604,7 @@ class RationalFn:
 
     def __hash__(self):
         r = self.reduce()
-        return hash((r.num, r.den))
+        return hash(r.num) if r.den == _P_ONE else hash((r.num, r.den))
 
     def __repr__(self) -> str:
         return f"RationalFn({self.num!r}, {self.den!r})"
@@ -704,7 +704,7 @@ class ExpPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.p, self.a, self.b))
+        return hash(self.p) if self.p.is_zero() else hash((self.p, self.a, self.b))
 
     def __repr__(self) -> str:
         return f"ExpPoly({self.p!r}, a={self.a}, b={self.b})"
@@ -718,10 +718,6 @@ class ExpPoly:
         return {"p": self.p.serialize(),
                 "a": format_rational(self.a),
                 "b": format_rational(self.b)}
-
-    @staticmethod
-    def deserialize(data: dict) -> "ExpPoly":
-        return ExpPoly(Poly.deserialize(data["p"]), rational(data["a"]), rational(data["b"]))
 
 
 def format_pair(a: Fraction, b: Fraction) -> str:

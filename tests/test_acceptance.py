@@ -17,10 +17,10 @@ from casorati.identities import (
     IDENTITY_IDS,
     check_classical_limit,
     check_sum_formula,
+    check_theorem,
     replay_witness,
     run_identity_suite,
     run_single_trial,
-    two_column_identity,
 )
 from casorati.idqm import (
     check_potential_product_identity,
@@ -78,20 +78,18 @@ def test_criterion_2_m2_specializations():
         n = rng.randint(0, 3)
         fs = [random_poly(rng, 4, 9, nonzero=(i == 0)) for i in range(n)]
         g, h = random_poly(rng, 4, 9), random_poly(rng, 4, 9)
-        lhs, rhs = two_column_identity(
-            "wronskian", [ExpPoly(f, a=-1) for f in fs], ExpPoly(g, a=-1), ExpPoly(h, a=-1))
-        ok &= lhs == rhs
+        ok &= check_theorem("wronskian", [ExpPoly(f, a=-1) for f in fs],
+                            [ExpPoly(g, a=-1), ExpPoly(h, a=-1)]).passed
         gamma = rng.choice([Fraction(1), Fraction(1, 2), Fraction(2)])
-        lhs, rhs = two_column_identity("cas-imag", fs, g, h, gamma)
-        ok &= lhs == rhs
-        lhs, rhs = two_column_identity("cas-real", fs, g, h)
-        ok &= lhs == rhs
+        ok &= check_theorem("cas-imag", fs, [g, h], gamma).passed
+        report = check_theorem("cas-real", fs, [g, h])
+        ok &= report.passed
         # the x+1 shift is load-bearing wherever it is observable
         w0 = casoratian_real(fs)
         big = casoratian_real(fs + [g, h])
-        ok &= (lhs == w0.shift(1) * big)
+        ok &= report.rhs == str(w0.shift(1) * big)
         if w0 != w0.shift(1) and not big.is_zero():
-            ok &= (lhs != w0 * big)
+            ok &= report.rhs != str(w0 * big)
     _announce(2, ok, "Eqs of the two-column form match the theorems exactly")
 
 
@@ -242,25 +240,21 @@ def test_criterion_8_negative_controls(monkeypatch, meixner_acceptance):
         w0 = casoratian_real(fs)
         if w0 != w0.shift(1) and not casoratian_real(fs + [g, h]).is_zero():
             break
-    lhs, _ = two_column_identity("cas-real", fs, g, h)
+    lhs = check_theorem("cas-real", fs, [g, h]).rhs
     unshifted = casoratian_real(fs) * casoratian_real(fs + [g, h])
     shift_report = CheckReport(
         identity_id="cas-real.two-column-shift",
-        passed=lhs == unshifted,
-        lhs=str(lhs), rhs=str(unshifted),
+        passed=lhs == str(unshifted),
+        lhs=lhs, rhs=str(unshifted),
         witness={"identityId": "cas-real.two-column-shift",
                  "inputs": {"fs": [f.serialize() for f in fs],
                             "g": g.serialize(), "h": h.serialize()}})
     replay_fs = [Poly.deserialize(d) for d in shift_report.witness["inputs"]["fs"]]
-    replay_lhs, _ = two_column_identity(
-        "cas-real", replay_fs, Poly.deserialize(shift_report.witness["inputs"]["g"]),
-        Poly.deserialize(shift_report.witness["inputs"]["h"]))
-    replay_unshifted = (casoratian_real(replay_fs)
-                        * casoratian_real(replay_fs
-                                          + [Poly.deserialize(shift_report.witness["inputs"]["g"]),
-                                             Poly.deserialize(shift_report.witness["inputs"]["h"])]))
+    replay_gh = [Poly.deserialize(shift_report.witness["inputs"][key]) for key in "gh"]
+    replay_lhs = check_theorem("cas-real", replay_fs, replay_gh).rhs
+    replay_unshifted = casoratian_real(replay_fs) * casoratian_real(replay_fs + replay_gh)
     outcomes.append(("x+1-shift", not shift_report.passed
-                     and (replay_lhs == replay_unshifted) == shift_report.passed))
+                     and (replay_lhs == str(replay_unshifted)) == shift_report.passed))
 
     ok = all(flag for _, flag in outcomes)
     _announce(8, ok, "; ".join(f"{name}: {'caught' if flag else 'MISSED'}"

@@ -126,13 +126,22 @@ def bareiss_matrices(draw):
           [Poly.zero(), Poly([gi(0, -2 ** 64), 0, 0, gi(0, 2 ** 64)])]])         # Gaussian twin
 @example([[random_poly(random.Random(8 * r + c), 1, 5) for c in range(8)]   # the largest
           for r in range(8)])                                               # expansion, n = 8
+@example([[Poly.zero(), x - 2, Poly.constant(Fraction(1, 3))],     # real, zero first pivot
+          [x * x + 1, Poly.constant(-2), x * Fraction(1, 2)],
+          [Poly.constant(3), x + 1, Poly.zero()]])
+@example([[Poly([Fraction(-1, 4), 2, Fraction(1, 3)])]])           # a 1 x 1 entry, shifted
 def test_fraction_free_matches_cofactor_property(matrix):
     """Both eliminations, Bareiss and the shared expansion, give the
     oracle's determinant, and on the matrix without its last column the
     expansion's n maximal minors are the Bareiss determinants of the rows
-    left when one is dropped."""
+    left when one is dropped.  With row r read at x + (r + 1)/2 - i r/3,
+    Bareiss on the entries packed by evaluation is the oracle's determinant
+    of the shifted entries."""
     det = cofactor_det(matrix)
     assert fraction_free_det(matrix) == det
+    points = [gi(Fraction(r + 1, 2), Fraction(-r, 3)) for r in range(len(matrix))]
+    shifted = [[e.shift(p) for e in row] for row, p in zip(matrix, points)]
+    assert fraction_free_det(matrix, points) == cofactor_det(shifted)
     assert maximal_minors(matrix) == [det]
     narrow = [row[:-1] for row in matrix]
     assert maximal_minors(narrow) == [fraction_free_det(narrow[:j] + narrow[j + 1:])
@@ -146,15 +155,23 @@ def packing_for(*polys):
     return det_mod._Packing(bound, max(len(p.re) for p in polys))
 
 
+def packed_quotient(packing, num, d):
+    """num / d by the packed division, with the kernel's norm (d itself for
+    a real d), unpacked."""
+    width = packing.width
+    dr, di = det_mod._pack(d.re, width), det_mod._pack(d.im, width)
+    got = packing.quotient(det_mod._pack(num.re, width), det_mod._pack(num.im, width),
+                           dr, di, dr * dr + di * di if di else dr)
+    return det_mod._unpack(got, width)
+
+
 @pytest.mark.parametrize("num, d, q", [([-1, 0, 1], [1, 1], [-1, 1]),
                                        ([6, -9], [3], [2, -3]),
                                        ([0, 0, 4], [0, 2], [0, 2])])
 def test_real_quotient_exact(num, d, q):
-    """The packed real division unpacks to the quotient in Z[x]."""
+    """The packed division by a real divisor unpacks to the quotient in Z[x]."""
     num, d, q = Poly(num), Poly(d), Poly(q)
-    packing = packing_for(num, d, q)
-    got = packing.quotient(packing.pack(num.re), packing.pack(d.re))
-    assert packing.digits(got) == (q.re, q.im)
+    assert packed_quotient(packing_for(num, d, q), num, d) == (q.re, q.im)
 
 
 @pytest.mark.parametrize("num, d", [([1, 0, 1], [1, 1]),     # polynomial remainder 2
@@ -163,17 +180,8 @@ def test_real_quotient_exact(num, d, q):
                                     ([0, 3], [0, 2])])
 def test_real_quotient_rejects_inexact(num, d):
     num, d = Poly(num), Poly(d)
-    packing = packing_for(num, d)
     with pytest.raises(ValueError, match="division is not exact"):
-        packing.quotient(packing.pack(num.re), packing.pack(d.re))
-
-
-def gaussian_quotient(packing, num, d):
-    """num / d by the packed Gaussian division, unpacked."""
-    dr, di = packing.pack(d.re), packing.pack(d.im)
-    got = packing.gaussian_quotient(packing.pack(num.re), packing.pack(num.im),
-                                    dr, di, dr * dr + di * di)
-    return packing.digits(got)
+        packed_quotient(packing_for(num, d), num, d)
 
 
 @pytest.mark.parametrize("q, d", [(x + gi(0, 1), x - gi(2, -3)),
@@ -183,7 +191,7 @@ def gaussian_quotient(packing, num, d):
 def test_gaussian_quotient_exact(q, d):
     """The packed Gaussian division unpacks to the quotient in Z[i][x]."""
     num = q * d
-    assert gaussian_quotient(packing_for(num, d, q), num, d) == (q.re, q.im)
+    assert packed_quotient(packing_for(num, d, q), num, d) == (q.re, q.im)
 
 
 @pytest.mark.parametrize("num, d", [((x + gi(0, 1)) * (x - 2) + 1, x - 2),
@@ -193,7 +201,7 @@ def test_gaussian_quotient_exact(q, d):
                                     (Poly([gi(0, 1)]), x + 1)])
 def test_gaussian_quotient_rejects_inexact(num, d):
     with pytest.raises(ValueError, match="division is not exact"):
-        gaussian_quotient(packing_for(num, d), num, d)
+        packed_quotient(packing_for(num, d), num, d)
 
 
 @pytest.mark.parametrize("num, d", [(x, Poly.constant(2)),
@@ -202,17 +210,17 @@ def test_gaussian_quotient_rejects_inexact(num, d):
 def test_packed_quotient_digit_bound_alone_rejects(num, d):
     """x / 2 is not in Z[x], yet 2^w / 2 = 2^(w-1) is an exact integer
     division: the remainder test passes, and only the digit bound on the
-    quotient (a digit 2^(w-1), past 2^s) rejects it."""
+    quotient (a digit 2^(w-1), past 2^s) rejects it.  For a real d, the
+    remainders of num * conj(d) by |d|^2 vanish just when d divides num's
+    parts, as the quotient tests them."""
     packing = packing_for(num, d)
-    dr, di = packing.pack(d.re), packing.pack(d.im)
-    nr, ni = packing.pack(num.re), packing.pack(num.im)
+    width = packing.width
+    dr, di = det_mod._pack(d.re, width), det_mod._pack(d.im, width)
+    nr, ni = det_mod._pack(num.re, width), det_mod._pack(num.im, width)
     norm = dr * dr + di * di
     assert (nr * dr + ni * di) % norm == 0 and (ni * dr - nr * di) % norm == 0
     with pytest.raises(ValueError, match="division is not exact"):
-        if num.is_real() and d.is_real():
-            packing.quotient(nr, dr)
-        else:
-            packing.gaussian_quotient(nr, ni, dr, di, norm)
+        packed_quotient(packing, num, d)
 
 
 @pytest.mark.parametrize("bound, length", [(1, 1), (9, 3), (2 ** 64, 8), (3 ** 50, 30)])
@@ -228,7 +236,8 @@ def test_slot_width_leaves_no_false_quotient(bound, length):
     packing = det_mod._Packing(bound, length)
     s, width = bound.bit_length(), packing.width
     q, d = -(1 << s), 2
-    assert packing.quotient(packing.pack([(1 << width) + q * d, -1]), d) == q
+    num = det_mod._pack([(1 << width) + q * d, -1], width)
+    assert packing.quotient(num, 0, d, 0, d) == (q, 0)
     assert 2 ** width > 12 * length * 4 ** s
 
 

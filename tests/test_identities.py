@@ -22,9 +22,9 @@ from casorati.identities import (
     replay_witness,
     run_identity_suite,
     run_single_trial,
-    two_column_identity,
 )
 from casorati.poly import ExpPoly, Poly
+from casorati.report import encode
 from casorati.sampling import SamplerConfig, random_poly
 
 x = Poly.x()
@@ -154,37 +154,35 @@ def test_cas_real_corollary_sign_is_exact_at_any_size(scale, eps, m):
 
 
 def test_m2_specializations_match_theorem_byte_identically():
-    """The two-column identities are the m = 2 rows of the theorems."""
+    """The two-column identities are the m = 2 rows of the theorems: with
+    us = [g, h] the theorem's sides are D[f..](y_1) D[f..,g,h] and
+    D[D[f..,g], D[f..,h]]."""
     fs = [x, x * x + 1]
     g, h = x + 2, x ** 3
-    lhs, rhs = two_column_identity("wronskian", [E(f, a=-1) for f in fs], E(g, a=-1),
-                                   E(h, a=-1))
-    assert lhs == rhs
-    # byte-identical to the theorem's m=2 sides
-    w0 = wronskian([E(f, a=-1) for f in fs])
-    theorem_lhs = w0 * wronskian([E(f, a=-1) for f in fs] + [E(g, a=-1), E(h, a=-1)])
-    assert str(lhs) == str(wronskian([wronskian([E(fs[0], a=-1), E(fs[1], a=-1), E(g, a=-1)]),
-                                      wronskian([E(fs[0], a=-1), E(fs[1], a=-1), E(h, a=-1)])]))
-    assert str(rhs) == str(theorem_lhs)
+    es, eg, eh = [E(f, a=-1) for f in fs], E(g, a=-1), E(h, a=-1)
+    rep = check_theorem("wronskian", es, [eg, eh])
+    assert rep.passed
+    assert rep.rhs == str(wronskian([wronskian(es + [eg]), wronskian(es + [eh])]))
+    assert rep.lhs == str(wronskian(es) * wronskian(es + [eg, eh]))
 
     for gamma in (Fraction(1), Fraction(1, 2), Fraction(2)):
-        lhs, rhs = two_column_identity("cas-imag", fs, g, h, gamma)
-        assert lhs == rhs
-        assert str(rhs) == str(casoratian_imag(fs, gamma) * casoratian_imag(fs + [g, h], gamma))
+        rep = check_theorem("cas-imag", fs, [g, h], gamma)
+        assert rep.passed
+        assert rep.lhs == str(casoratian_imag(fs, gamma) * casoratian_imag(fs + [g, h], gamma))
 
-    lhs, rhs = two_column_identity("cas-real", fs, g, h)
-    assert lhs == rhs
+    rep = check_theorem("cas-real", fs, [g, h])
+    assert rep.passed
     # the distinctive x+1 shift on the right factor
-    assert str(rhs) == str(casoratian_real(fs).shift(1) * casoratian_real(fs + [g, h]))
+    assert rep.lhs == str(casoratian_real(fs).shift(1) * casoratian_real(fs + [g, h]))
 
 
 def test_m2_real_shift_is_load_bearing():
     """Replacing the x+1 shift by no shift must break the identity."""
     fs = [x, x * x + 1]
     g, h = x + 2, x ** 3
-    lhs, _ = two_column_identity("cas-real", fs, g, h)
+    rep = check_theorem("cas-real", fs, [g, h])
     wrong = casoratian_real(fs) * casoratian_real(fs + [g, h])
-    assert lhs != wrong
+    assert rep.passed and rep.rhs != str(wrong)
 
 
 def test_sum_formula():
@@ -271,7 +269,7 @@ def test_replay_covers_all_identity_kinds():
         # passing reports carry no witness: encode the trial's inputs into one
         inputs, drawn = draw_trial(identity_id, cfg, 0)
         assert (drawn.lhs, drawn.rhs) == (report.lhs, report.rhs)
-        witness = {"identityId": identity_id, "inputs": CHECKS[identity_id].encode(inputs)}
+        witness = {"identityId": identity_id, "inputs": encode(inputs)}
         replayed = replay_witness(json.loads(json.dumps(witness)))
         assert (replayed.passed, replayed.lhs, replayed.rhs, replayed.note) == \
                (report.passed, report.lhs, report.rhs, report.note), identity_id

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from casorati.identities import DECODERS
 from casorati.poly import (
     ExpPoly,
     ExpRatio,
@@ -282,7 +283,7 @@ def test_poly_serialize_round_trip(p):
 @given(gaussian_polys, rationals, rationals)
 def test_exp_poly_serialize_round_trip(p, a, b):
     f = ExpPoly(p, a, b)
-    back = ExpPoly.deserialize(json.loads(json.dumps(f.serialize())))
+    back = DECODERS[ExpPoly]["f"](json.loads(json.dumps(f.serialize())))
     assert (back.p, back.a, back.b) == (f.p, f.a, f.b)
 
 
@@ -321,7 +322,7 @@ def test_str_matches_reference_formatter(p):
 def test_zero_poly_round_trip():
     assert Poly.zero().serialize() == []
     assert Poly.deserialize([]) == Poly.zero()
-    zero = ExpPoly.deserialize(ExpPoly(Poly.zero(), -1, 1).serialize())
+    zero = DECODERS[ExpPoly]["f"](ExpPoly(Poly.zero(), -1, 1).serialize())
     assert zero.p.is_zero() and zero.pair == (-1, 1)
 
 
@@ -516,3 +517,44 @@ def test_equal_polys_hash_equal(a, b, z):
                  Poly.deserialize(p.serialize())):
         assert_canonical(same)
         assert same == p and hash(same) == hash(p)
+
+
+small_parts = st.sampled_from([Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 2)])
+
+
+@st.composite
+def hashables(draw):
+    """An int, Fraction, GaussianRational, Poly, RationalFn or ExpPoly from
+    a small pool, so that equal values of different types, zero included,
+    are frequent: a scalar c in each type that holds it, p = c or c + k x,
+    p as an unreduced quotient, and p with an exponent pair."""
+    re, im = draw(small_parts), draw(st.sampled_from([Fraction(0), Fraction(3)]))
+    c = GaussianRational(re, im)
+    p = Poly([c, draw(small_parts)] if draw(st.booleans()) else [c])
+    q = Poly(draw(st.sampled_from([[1], [2], [1, 1], [Fraction(1, 2), -1]])))
+    candidates = [c, p, RationalFn(p * q, q), ExpPoly(p, draw(small_parts), draw(small_parts))]
+    if not im:
+        candidates.append(re)
+        if re.denominator == 1:
+            candidates.append(int(re))
+    return draw(st.sampled_from(candidates))
+
+
+@given(st.lists(hashables(), min_size=2, max_size=6))
+@settings(max_examples=200)
+@example([ExpPoly(Poly.zero(), 1, 0), ExpPoly(Poly.zero(), 2, 3)])
+@example([Poly([3]), 3, Fraction(3), GaussianRational(3), RationalFn(Poly([6]), Poly([2]))])
+@example([Poly.zero(), 0, RationalFn(Poly.zero(), x + 1), GR_ZERO, Fraction(0)])
+@example([RationalFn(x * x - 1, x - 1), x + 1, RationalFn(2 * x + 2, Poly([2]))])
+def test_equal_values_hash_equal(values):
+    """Equal values hash equal across the scalar and polynomial types, so a
+    set or a Counter holds one key per value."""
+    for a in values:
+        for b in values:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+    distinct = []
+    for v in values:
+        if not any(v == u for u in distinct):
+            distinct.append(v)
+    assert len(set(values)) == len(distinct)

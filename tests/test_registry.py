@@ -22,6 +22,7 @@ from casorati.identities import (
     run_single_trial,
 )
 from casorati.poly import ExpRatio, Poly, RationalFn
+from casorati.report import encode
 from casorati.sampling import SamplerConfig
 
 COMPARED = ("pass", "inconclusive", "lhs", "rhs", "note")
@@ -71,7 +72,7 @@ def test_every_check_of_a_full_run_is_registered(tmp_path):
 def test_seeded_draw_replays_from_its_witness(identity_id, master_seed):
     config = SamplerConfig(trials=1, master_seed=master_seed, max_degree=3)
     inputs, report = draw_trial(identity_id, config, 0)
-    witness = {"identityId": identity_id, "inputs": CHECKS[identity_id].encode(inputs)}
+    witness = {"identityId": identity_id, "inputs": encode(inputs)}
     assert_same_report(replay_json(witness), report)
 
 
@@ -89,7 +90,7 @@ def test_checkers_are_looked_up_at_call_time(monkeypatch):
     inputs, _ = draw_trial("cas-real.theorem", SamplerConfig(trials=1), 0)
     run_single_trial("cas-real.theorem", SamplerConfig(trials=1), 0)
     replay_witness({"identityId": "cas-real.theorem",
-                    "inputs": CHECKS["cas-real.theorem"].encode(inputs)})
+                    "inputs": encode(inputs)})
     assert calls == [("cas-real",)] * 3
 
 
@@ -110,7 +111,7 @@ def test_every_checker_is_reachable(monkeypatch):
 def test_sum_formula_replays_from_its_witness():
     report = CHECKS["cas-imag.sum-formula"].run({"j_max": 6})
     witness = {"identityId": "cas-imag.sum-formula",
-               "inputs": CHECKS["cas-imag.sum-formula"].encode({"j_max": 6})}
+               "inputs": encode({"j_max": 6})}
     assert_same_report(replay_json(witness), report)
 
 
@@ -276,7 +277,7 @@ def test_cas_real_corollary_witness_without_v_replays():
     inputs, _ = draw_trial("cas-real.corollary", SamplerConfig(trials=1), 0)
     report = CHECKS["cas-real.corollary"].run({**inputs, "v": None})
     witness = {"identityId": "cas-real.corollary",
-               "inputs": CHECKS["cas-real.corollary"].encode({**inputs, "v": None})}
+               "inputs": encode({**inputs, "v": None})}
     assert "v" not in witness["inputs"]
     assert replay_json(witness).to_dict() == report.to_dict()
 
@@ -319,7 +320,7 @@ def valid_witness_inputs(identity_id: str) -> dict:
     if identity_id in LAB_WITNESS_INPUTS:
         return LAB_WITNESS_INPUTS[identity_id]
     config = SamplerConfig(trials=1, master_seed=1, max_degree=2)
-    return CHECKS[identity_id].encode(draw_trial(identity_id, config, 0)[0])
+    return encode(draw_trial(identity_id, config, 0)[0])
 
 
 # Any JSON value, kept small: replay inputs have no upper bounds yet, and a
