@@ -16,7 +16,7 @@ from casorati.identities import (
 )
 from casorati.sampling import SamplerConfig
 
-x = Poly.x()
+x = Poly([0, 1])
 
 # ---------------------------------------------------------------------------
 # The three families on tiny inputs

@@ -17,7 +17,7 @@ from casorati.seeds import krein_adler_check
 
 model = build_harmonic_model(n_max=6, v_max=3)
 print("levels:", [str(model.eigen_energy(n)) for n in range(5)])
-print("negative-energy seeds:", [str(model.aux_energy(v)) for v in range(3)])
+print("negative-energy seeds:", [str(energy) for energy, _ in model.aux[:3]])
 
 # ---------------------------------------------------------------------------
 # One virtual-type seed: the potential picks up a constant, nothing is

@@ -18,7 +18,7 @@ from casorati.idqm import (
 )
 from casorati.poly import Poly, RationalFn
 
-x = Poly.x()
+x = Poly([0, 1])
 V = RationalFn(x + 2)
 gamma = Fraction(1)
 

@@ -7,8 +7,8 @@ report and witness, and ``--replay`` re-runs a witness through the check
 registry.  Runs are reproducible from their configuration alone; the JSON
 report echoes it, and ``rdqm --csv`` exports the spectrum.  Exit codes:
 0 every check passed, 1 at least one failure, 2 configuration error (an
-inadmissible witness, a residual gate missed, a sign premise violated),
-3 inconclusive-only issues (sign samples, truncation sensitivity).
+inadmissible witness, a missed residual gate or bit budget, a violated sign
+premise), 3 inconclusive-only issues (sign samples, truncation sensitivity).
 """
 
 from __future__ import annotations
@@ -26,12 +26,12 @@ from typing import Callable
 import mpmath
 
 from . import __version__
+from .determinants import DeterminantBudgetError
 from .identities import idqm_trial, replay_witness, run_identity_suite
 from .oqm import census_check, harmonic_model_for, two_path_compare
-from .rdqm import (
-    NegativeRadicandError, ResidualGateError, SingularDeformationError, build_meixner_model,
-    darboux_chain_replay, sign_conjecture_check, spectrum_report, tolerance_text,
-    two_path_compare_rdqm)
+from .rdqm import (NegativeRadicandError, ResidualGateError, SingularDeformationError,
+                   build_meixner_model, darboux_chain_replay, sign_conjecture_check,
+                   spectrum_report, tolerance_text, two_path_compare_rdqm)
 from .report import CheckReport, sort_reports, summarize
 from .sampling import MAX_DEGREE, MAX_TRIALS, SamplerConfig
 from .scalars import DEFAULT_PRECISION_BITS, rational, require_at_most
@@ -288,8 +288,8 @@ def main(argv=None) -> int:
             return run_replay(args)
         # run_<command> is looked up at call time, so a patched runner runs
         reports = globals()[f"run_{args.command}"](args)
-    except (ValueError, OSError, json.JSONDecodeError, ResidualGateError,
-            NegativeRadicandError, SingularDeformationError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, DeterminantBudgetError,
+            ResidualGateError, NegativeRadicandError, SingularDeformationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     return emit(args, reports, started, config_echo_from(args))

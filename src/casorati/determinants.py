@@ -58,9 +58,6 @@ class RunMemo:
     def __init__(self):
         self._entries = {}
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def once(self, key: tuple, compute, *args):
         """compute(*args), computed on the first call with this key only."""
         if key not in self._entries:
@@ -608,14 +605,9 @@ def casoratian_imag(fs: Sequence[Poly], gamma) -> Poly:
 # Real-shift Casoratian
 # ---------------------------------------------------------------------------
 
-def real_shift_points(n: int) -> range:
-    """The n row arguments x_j = x + j - 1, j = 1..n, as offsets from x."""
-    return range(n)
-
-
 def casoratian_real(fs: Sequence[Poly]) -> Poly:
     """W_C[f_1, ..., f_n]: det f_k(x + j - 1); W_C[.] = 1."""
-    return _shifted_det(fs, real_shift_points(len(fs)))
+    return _shifted_det(fs, range(len(fs)))
 
 
 def _lu_states(columns: list, n: int, memo: RunMemo) -> list:
@@ -686,9 +678,9 @@ def casoratian_real_grid(fs: Sequence[GridFn], memo: RunMemo | None = None) -> G
             f"window too small for a {n}-function Casoratian: need x_max >= {n - 1}")
     columns = [f.raw for f in fs]
     if all(isinstance(column[0], Fraction) for column in columns):
-        return GridFn([maximal_minors([[column[x + j] for column in columns]
-                                       for j in range(n)])[0].coefficient(0).re
-                       for x in range(out_max + 1)])
+        dets = (maximal_minors([[column[x + j] for column in columns] for j in range(n)])[0]
+                for x in range(out_max + 1))
+        return GridFn([Fraction((d.re or [0])[0], d.den) for d in dets])
     prec, rnd = mpmath.mp._prec_rounding
     return GridFn(fzero if state is None else mpf_neg(state[1], prec, rnd) if state[2]
                   else state[1]

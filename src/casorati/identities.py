@@ -12,7 +12,8 @@ nesting and theorem are written once each (``check_quotient`` ...
 its unit, and the row points with evaluation at a point.  The theorem at
 m = 2 is the paper's two-column identity, so ``check_theorem`` with two us
 checks it.  The corollaries stay per family; the two Casoratian ones share
-the squared form.
+the squared form, and the real-shift one reads its sign samples by
+``Poly.sign_at``.
 
 ``CHECKS`` holds the row of each of the 29 check ids: its checker, its
 arguments as witness keys and, for the identity rows, a seeded draw.
@@ -38,7 +39,6 @@ from .determinants import (
     imag_shift_points,
     over_base_operator,
     over_base_power,
-    real_shift_points,
     wronskian,
     wronskian_operator,
 )
@@ -114,7 +114,7 @@ FAMILIES = {
         det=lambda fs, gamma: casoratian_real(fs),
         reduce=lambda f, gamma: f.shift(1) - f,
         unit=lambda n: 1,
-        points=lambda n, gamma: real_shift_points(n),
+        points=lambda n, gamma: range(n),
         at=lambda f, point: f.shift(point),
         theorem_points=lambda m, gamma: range(1, m)),
 }
@@ -295,13 +295,6 @@ def check_cas_imag_corollary(fs: Sequence[Poly], us: Sequence[Poly], gamma) -> C
                         dict(fs=fs, us=us, gamma=gamma))
 
 
-def _real_sign_at(p: Poly, x: int) -> int:
-    v = p(x)
-    if not v.is_real():
-        return 0
-    return (v.re > 0) - (v.re < 0)
-
-
 def check_cas_real_corollary(fs: Sequence[Poly], us: Sequence[Poly],
                              v: Poly | None = None) -> CheckReport:
     """Squared corollary, plus the signed two-path ratio when v is given.
@@ -333,17 +326,14 @@ def check_cas_real_corollary(fs: Sequence[Poly], us: Sequence[Poly],
         if ok_signed:
             sign_checked = False
             for x0 in range(7):
-                w_signs = {_real_sign_at(w0, x0 + k) for k in range(m + 2)}
-                if len(w_signs) != 1 or 0 in w_signs:
+                w_signs = {w0.sign_at(x0 + k) for k in range(m + 2)}
+                if w_signs not in ({1}, {-1}):
                     continue  # premise: definite sign on every used argument
                 eps = w_signs.pop()
-                vals = {
-                    "a_v": a_v(x0), "a0": a(x0), "a1": a(x0 + 1),
-                    "c_v": c_v(x0), "c0": c(x0), "c1": c(x0 + 1),
-                }
-                if any(not z.is_real() for z in vals.values()):
+                sgn = {"a_v": a_v.sign_at(x0), "a0": a.sign_at(x0), "a1": a.sign_at(x0 + 1),
+                       "c_v": c_v.sign_at(x0), "c0": c.sign_at(x0), "c1": c.sign_at(x0 + 1)}
+                if None in sgn.values():
                     continue
-                sgn = {k: (z.re > 0) - (z.re < 0) for k, z in vals.items()}
                 if sgn["a0"] * sgn["a1"] <= 0 or sgn["c0"] * sgn["c1"] <= 0:
                     continue
                 # The w_signs premise makes w2(x0+j) (j = 0..m), qn(x0) =
@@ -422,7 +412,7 @@ def check_classical_limit(fs: Sequence[Poly], gamma0, halvings: int) -> CheckRep
     for _ in range(halvings + 1):
         scaled = casoratian_imag(fs, gamma) * (Fraction(1) / gamma ** scale_power)
         diff = scaled - target
-        row = [c.magnitude_squared() for c in diff.coeffs]
+        row = [Fraction(r * r + m * m, diff.den ** 2) for r, m in zip(diff.re, diff.im)]
         errors.append(row)
         max_len = max(max_len, len(row))
         gamma = gamma / 2

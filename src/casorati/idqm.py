@@ -9,7 +9,8 @@ eigenfunction a longer product.  Every comparison is made on a power that
 clears the radicals (the square for the potential product, the 8th power for
 the eigenfunctions; an exact rational-function identity), plus, for the
 eigenfunctions, a sign check at admissible real sample points, where all
-tracked radicands are strictly positive.  Each check hands its inputs to
+tracked radicands are strictly positive, each factor's sign read by
+``RationalFn.sign_at``.  Each check hands its inputs to
 ``report.check_report`` by their witness keys, V as ``v_num`` and ``v_den``.
 """
 
@@ -112,20 +113,11 @@ class PowerProduct:
         """
         sign = 1
         for fn, exponent in self.factors:
-            try:
-                value = fn(sample)
-            except ZeroDivisionError:
-                return None
-            if not value.is_real():
-                return None
-            if exponent.denominator == 1:
-                if value.re == 0:
-                    return None
-                if value.re < 0 and int(exponent) % 2 == 1:
-                    sign = -sign
-            else:
-                if value.re <= 0:
-                    return None
+            factor_sign = fn.sign_at(sample)
+            if not factor_sign or (factor_sign < 0 and exponent.denominator != 1):
+                return None     # a pole, a zero or non-real value, a negative radicand
+            if factor_sign < 0 and exponent.numerator % 2:
+                sign = -sign
         return sign
 
 
@@ -329,8 +321,7 @@ def two_path_compare_idqm(v: RationalFn, dv: Sequence[Poly], de: Sequence[Poly],
         # real sample (virtual-state Casoratians are sign-definite in the
         # physical setting), in addition to every tracked radicand.
         for sample in DEFAULT_SAMPLES:
-            anchor = w_first(sample)
-            if not anchor.is_real() or anchor.re <= 0:
+            if w_first.sign_at(sample) != 1:
                 continue
             s1 = path_one.sign_at(sample)
             s2 = path_two.sign_at(sample)

@@ -6,8 +6,9 @@ vectors ``re`` and ``im`` (index = degree) over one common denominator
 zero polynomial has ``den == 1``).  Every operation works on Python ints and
 normalizes once; exact division is pseudo-division.  ``GaussianRational``
 coefficients appear only at the boundary: the ``coeffs`` view, built on each
-read (printing, serialization), ``leading()`` and
-``coefficient(k)``.
+read (printing, serialization), ``leading()`` and a value ``p(x)``.  The
+checks read a sign at a point by ``sign_at``, off the integers of the same
+Horner loop, a RationalFn's as that of num(x) * conj(den(x)).
 ``RationalFn`` is a quotient of two Polys; arithmetic keeps the pair
 unreduced (equality cross-multiplies), ``reduce()``/``canonical()`` produce
 the gcd-reduced monic-denominator representative on demand.
@@ -26,7 +27,6 @@ from typing import Iterable, Sequence
 
 from .scalars import (
     GR_ONE,
-    GR_ZERO,
     GaussianRational,
     as_gaussian,
     format_rational,
@@ -158,10 +158,6 @@ class Poly:
         return _P_ONE
 
     @staticmethod
-    def x() -> "Poly":
-        return _P_X
-
-    @staticmethod
     def constant(c) -> "Poly":
         return Poly([c])
 
@@ -175,18 +171,10 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.re
 
-    def is_real(self) -> bool:
-        return not any(self.im)
-
     def leading(self) -> GaussianRational:
         if not self.re:
             raise ValueError("zero polynomial has no leading coefficient")
         return _gaussian(self.re[-1], self.im[-1], self.den)
-
-    def coefficient(self, k: int) -> GaussianRational:
-        if 0 <= k < len(self.re):
-            return _gaussian(self.re[k], self.im[k], self.den)
-        return GR_ZERO
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -341,18 +329,28 @@ class Poly:
                 im[j] *= w
         return _canonical(re, im, self.den * d ** n)
 
-    def __call__(self, x) -> GaussianRational:
-        """p(x) by integer Horner: with x = (xr + i*xi)/xd and n the degree,
+    def _at(self, x) -> tuple[int, int, int]:
+        """p(x) as (re, im, den) with den > 0, by integer Horner: with
+        x = (xr + i*xi)/xd and n the degree,
         den * xd^n * p(x) = sum_k (r_k + i*m_k) (xr + i*xi)^k xd^(n-k)."""
         if not self.re:
-            return GR_ZERO
+            return 0, 0, 1
         xr, xi, xd = _parts(x)
         ar = ai = 0
         w = 1
         for r, m in zip(reversed(self.re), reversed(self.im)):
             ar, ai = ar * xr - ai * xi + r * w, ar * xi + ai * xr + m * w
             w *= xd
-        return _gaussian(ar, ai, self.den * w // xd)
+        return ar, ai, self.den * w // xd
+
+    def __call__(self, x) -> GaussianRational:
+        return _gaussian(*self._at(x))
+
+    def sign_at(self, x) -> int | None:
+        """The sign of p(x), -1, 0 or 1, read off the integers; None where
+        p(x) is not real."""
+        re, im, _ = self._at(x)
+        return None if im else (re > 0) - (re < 0)
 
     def conjugate_coeffs(self) -> "Poly":
         """The *-operation: conjugate every coefficient."""
@@ -429,7 +427,6 @@ class Poly:
 
 _P_ZERO = _raw([], [], 1)
 _P_ONE = Poly((1,))
-_P_X = Poly((0, 1))
 
 
 def as_poly(value) -> Poly:
@@ -570,14 +567,6 @@ class RationalFn:
             raise ZeroDivisionError("division by zero RationalFn")
         return RationalFn(self.num * other.den, self.den * other.num)
 
-    def __rtruediv__(self, other) -> "RationalFn":
-        return as_rational_fn(other) / self
-
-    def __pow__(self, n: int) -> "RationalFn":
-        if n < 0:
-            return RationalFn(self.den, self.num) ** (-n)
-        return RationalFn(self.num ** n, self.den ** n)
-
     def derivative(self) -> "RationalFn":
         return RationalFn(self.num.derivative() * self.den - self.num * self.den.derivative(),
                           self.den * self.den)
@@ -589,11 +578,16 @@ class RationalFn:
         """Coefficientwise conjugation of numerator and denominator."""
         return RationalFn(self.num.conjugate_coeffs(), self.den.conjugate_coeffs())
 
-    def __call__(self, x) -> GaussianRational:
-        d = self.den(x)
-        if d.is_zero():
-            raise ZeroDivisionError(f"RationalFn pole at {x}")
-        return self.num(x) / d
+    def sign_at(self, x) -> int | None:
+        """The sign of num(x)/den(x) = num(x) conj(den(x)) / |den(x)|^2, read
+        off the integers of both Horner loops: -1, 0 or 1; None at a pole of
+        the pair or where the value is not real."""
+        nr, ni, _ = self.num._at(x)
+        dr, di, _ = self.den._at(x)
+        if (dr == 0 and di == 0) or ni * dr != nr * di:
+            return None
+        re = nr * dr + ni * di
+        return (re > 0) - (re < 0)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, GaussianRational, Poly)):

@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import mpmath
 from mpmath.libmp import (
@@ -262,22 +262,8 @@ def _relative_residual(b_grid: GridFn, d_grid: GridFn, psi: GridFn,
     energy; the residual gate of every model build and seed solve."""
     prec, rnd = mpmath.mp._prec_rounding
     h_psi = apply_hamiltonian(b_grid, d_grid, psi, roots)
-    top = bottom = fzero
-    for h_value, psi_value in zip(h_psi.raw, psi.raw):
-        gap = mpf_abs(mpf_sub(h_value, mpf_mul(energy, psi_value, prec, rnd), prec, rnd),
-                      prec, rnd)
-        if mpf_gt(gap, top):
-            top = gap
-        size = mpf_abs(psi_value, prec, rnd)
-        if mpf_gt(size, bottom):
-            bottom = size
-    return mpmath.mp.make_mpf(mpf_div(top, bottom, prec, rnd))
-
-
-def residual(model: RdqmModel, psi: GridFn, energy) -> mpmath.mpf:
-    with working_precision(model.precision_bits):
-        energy = getattr(energy, "_mpf_", None) or mpmath.mpf(energy)._mpf_
-        return _relative_residual(model.b_grid, model.d_grid, psi, energy, model.off_roots)
+    return _max_abs_ratio((mpf_sub(h_value, mpf_mul(energy, psi_value, prec, rnd), prec, rnd)
+                           for h_value, psi_value in zip(h_psi.raw, psi.raw)), psi.raw)
 
 
 def solve_seed_at_energy(model: RdqmModel, e_tilde) -> GridFn:
@@ -316,26 +302,29 @@ def seed_set(model: RdqmModel, dv_energies: Sequence, de_labels: Sequence[int]):
             dv + [model.eigen_energy(k) for k in de_labels])
 
 
+def _max_abs_ratio(gaps: Iterable, sizes: Iterable) -> mpmath.mpf:
+    """max |gap| / max |size| over raw tuples taken in pairs until ``gaps``
+    ends, or max |gap| alone when every size vanishes, by the libmp calls of
+    the mpf operator form (``max`` keeps the first of equal values)."""
+    prec, rnd = mpmath.mp._prec_rounding
+    top = bottom = fzero
+    for gap, size in zip(gaps, sizes):
+        gap = mpf_abs(gap, prec, rnd)
+        if mpf_gt(gap, top):
+            top = gap
+        size = mpf_abs(size, prec, rnd)
+        if mpf_gt(size, bottom):
+            bottom = size
+    return mpmath.mp.make_mpf(mpf_div(top, bottom, prec, rnd) if mpf_gt(bottom, fzero)
+                              else top)
+
+
 def _relative_deviation(reference: Sequence, other: Sequence) -> mpmath.mpf:
     """max |reference - other| / max |reference|, or the deviation alone
-    when the reference vanishes, of raw tuples, by the libmp calls of the
-    mpf operator form (``max`` keeps the first of equal values)."""
+    when the reference vanishes, of raw tuples."""
     prec, rnd = mpmath.mp._prec_rounding
-    deviation = norm = fzero
-    for ref, value in zip(reference, other):
-        gap = mpf_abs(mpf_sub(ref, value, prec, rnd), prec, rnd)
-        if mpf_gt(gap, deviation):
-            deviation = gap
-        size = mpf_abs(ref, prec, rnd)
-        if mpf_gt(size, norm):
-            norm = size
-    return mpmath.mp.make_mpf(mpf_div(deviation, norm, prec, rnd) if mpf_gt(norm, fzero)
-                              else deviation)
-
-
-def check_definite_sign(psi: GridFn) -> bool:
-    signs = set(map(mpf_sign, psi.raw))
-    return len(signs) == 1 and 0 not in signs
+    gaps = (mpf_sub(ref, value, prec, rnd) for ref, value in zip(reference, other))
+    return _max_abs_ratio(gaps, reference)
 
 
 # ---------------------------------------------------------------------------

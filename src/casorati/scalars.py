@@ -143,9 +143,6 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
-    def magnitude_squared(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
     # -- comparison / hashing -----------------------------------------------
 
     def __eq__(self, other) -> bool:

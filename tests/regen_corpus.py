@@ -1,7 +1,10 @@
 """Regenerate or check ``tests/corpus.json``, the report corpus.
 
-Each entry is a CLI argv, its exit code, the sha256 of its JSON report and,
-on exit 2, its one stderr line.  A report is hashed as ``json.dumps(report,
+Each entry is a CLI argv, the input files it names (``files``, name ->
+text, only where it reads one), its exit code, the sha256 of its JSON report
+and, on exit 2, its one stderr line.  A run's working directory is a fresh
+temporary one that holds its files.  A report is the ``--out`` file, or for
+``--replay`` the report it prints; it is hashed as ``json.dumps(report,
 indent=2, sort_keys=True)`` without its ``timestamp`` and
 ``wall_clock_seconds`` fields (the digest of ``bench/workloads.report_digest``
 and of the pinned reports), and without every key named by
@@ -11,6 +14,10 @@ The argvs are the first jobs of the seed-42 ``meixner-lattice`` and
 ``exact-darboux`` benchmark job lists (``bench/workloads.py``), short
 ``identities`` runs at three seeds, the ROADMAP reproducers, rdQM runs at
 other models, windows and precisions, and every ``PINNED_ERRORS`` argv.
+After them come ``all`` at two seeds, one ``--config`` run per command (the
+flags of a ``CONFIG_TWINS`` row moved to a file, which must give the twin's
+digest), one ``--replay`` per check id, an ``rdqm --csv`` run and the oQM
+run that reaches Bareiss (ten determinants of 9 columns).
 
     PYTHONPATH=src python tests/regen_corpus.py            # rewrite the file
     PYTHONPATH=src python tests/regen_corpus.py --check    # list moved entries, exit 1
@@ -31,6 +38,7 @@ import json
 import os
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -62,13 +70,83 @@ RDQM_VARIANTS = [
      "--precision-bits", "320"],
 ]
 
+ALL_RUNS = [["all", "--trials", "2", "--seed", str(seed)] for seed in (42, 7)]
+# One row of each command whose flags a config file repeats.
+CONFIG_TWINS = [
+    ["identities", "--trials", "20", "--seed", "7"],
+    ["oqm", "--dv", "0", "--de", "", "--n", "5"],
+    ["idqm", "--trials", "1", "--seed", "168972004"],
+    ["rdqm", "--dv=-0.6", "--n", "0", "--precision-bits", "53"],
+    ALL_RUNS[1],
+]
+CSV_RUN = ["rdqm", "--dv=-0.6", "--n", "0", "--window", "30", "--truncation", "14",
+           "--csv", "spectrum.csv"]
+BAREISS_RUN = ["oqm", "--dv", "0,1,2,3,4", "--de", "1,2,3,4", "--n", "0"]
+# The small rdQM model and seeds of the rdqm witnesses.
+RDQM_INPUTS = {"beta": Fraction(2), "c": Fraction(1, 3), "n_max": 4, "window": 60,
+               "precision_bits": 64, "dv_energies": [Fraction(-3, 5)], "de_labels": [1, 2]}
 
-def corpus_argvs() -> list[list[str]]:
-    """Every argv of the corpus, in a fixed order."""
+
+def as_config(argv: list[str]) -> tuple[list[str], dict[str, str]]:
+    """The run of ``argv`` with its flags moved to a config file: the argv
+    and its files."""
+    command, *flags = argv
+    lines = []
+    while flags:
+        flag = flags.pop(0)[2:]
+        key, value = flag.split("=", 1) if "=" in flag else (flag, flags.pop(0))
+        lines.append(f"{key} = {value}\n")
+    return [command, "--config", "run.cfg"], {"run.cfg": "".join(lines)}
+
+
+def witness_inputs(check_id: str) -> dict:
+    """The inputs of the replayed witness of ``check_id``: a seeded draw for
+    the identity rows and idQM, small fixed inputs for oQM, rdQM and the sum
+    formula."""
+    from casorati.identities import CHECKS, draw_trial
+    from casorati.sampling import SamplerConfig, random_poly, trial_rng
+
+    config = SamplerConfig(trials=1)
+    if CHECKS[check_id].draw is not None:
+        return draw_trial(check_id, config, 0)[0]
+    rng = trial_rng(config, check_id, 0)
+    draw = lambda count, degree=3: [random_poly(rng, degree, 5, nonzero=True)
+                                    for _ in range(count)]
+    v = dict(zip(("v_num", "v_den"), draw(2, 2)))
+    return {"cas-imag.sum-formula": lambda: {"j_max": 6},
+            "oqm.two-path": lambda: {"d_v": [0], "d_e": [1, 2], "n": 0},
+            "oqm.degree-census": lambda: {"d_v": [0], "d_e": [1, 2], "n_max": 6},
+            "idqm.prefactor-gg": lambda: {**v, "gamma": Fraction(1), "l": 1, "m": 2},
+            "idqm.potential-product": lambda: {**v, "seeds": draw(1), "gamma": Fraction(1),
+                                               "m": 1, "mu": draw(1)[0]},
+            "idqm.two-path": lambda: {**v, "dv": draw(1), "de": draw(1), "v_state": draw(1)[0],
+                                      "gamma": Fraction(1), "mu": draw(1)[0]},
+            "rdqm.two-path": lambda: {**RDQM_INPUTS, "n": 0, "tolerance": "1e-10",
+                                      "compare_up_to": 15},
+            "rdqm.step-replay": lambda: {**RDQM_INPUTS, "n": 0, "s": 0, "tolerance": "1e-10",
+                                         "compare_up_to": 15},
+            "rdqm.sign-conjecture": lambda: RDQM_INPUTS,
+            "rdqm.spectrum": lambda: {**RDQM_INPUTS, "truncation": 50, "eigen_count": 3},
+            }[check_id]()
+
+
+def replay_row(check_id: str) -> tuple[list[str], dict[str, str]]:
+    from casorati.report import encode
+
+    """A ``--replay`` run of the witness of ``check_id``, under its lab's command."""
+    witness = {"identityId": check_id, "inputs": encode(witness_inputs(check_id))}
+    lab = check_id.split(".")[0]
+    command = lab if lab in ("oqm", "idqm", "rdqm") else "identities"
+    return [command, "--replay", "witness.json"], {"witness.json": json.dumps(witness)}
+
+
+def corpus_rows() -> list[tuple[list[str], dict[str, str]]]:
+    """Every (argv, files) of the corpus, in a fixed order."""
     sys.path.insert(0, str(TESTS.parent / "bench"))
     sys.path.insert(0, str(TESTS))
     import casorati.seeds
     import workloads
+    from casorati.identities import CHECKS
     from test_cli import PINNED_ERRORS
 
     argvs = [workloads.job_argv(job)
@@ -77,7 +155,11 @@ def corpus_argvs() -> list[list[str]]:
         argvs += [workloads.job_argv(run) for run in job["runs"]]
     argvs += [["identities", "--trials", "20", "--seed", str(seed)] for seed in (1, 7, 42)]
     argvs += REPRODUCERS + RDQM_VARIANTS + [argv for argv, _ in PINNED_ERRORS]
-    return [argv for i, argv in enumerate(argvs) if argv not in argvs[:i]]
+    rows = [(argv, {}) for i, argv in enumerate(argvs) if argv not in argvs[:i]]
+    rows += [(argv, {}) for argv in ALL_RUNS]
+    rows += [as_config(argv) for argv in CONFIG_TWINS]
+    rows += [replay_row(check_id) for check_id in CHECKS]
+    return rows + [(CSV_RUN, {}), (BAREISS_RUN, {})]
 
 
 def dropped(value, keys: frozenset):
@@ -89,21 +171,25 @@ def dropped(value, keys: frozenset):
     return value
 
 
-def run_entry(argv: list[str], drop_fields=()) -> dict:
-    """Run the CLI in process on argv: its exit code, report digest and,
-    on exit 2, its stderr line."""
+def run_entry(argv: list[str], drop_fields=(), files=None) -> dict:
+    """Run the CLI in process on argv, in a temporary directory that holds
+    ``files``: its exit code, report digest and, on exit 2, its stderr line."""
     from casorati import cli
 
     keys = frozenset(ALWAYS_DROPPED) | frozenset(drop_fields)
-    with tempfile.TemporaryDirectory() as workdir:
-        out = os.path.join(workdir, "report.json")
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = cli.main([*argv, "--out", out])
-        entry = {"argv": argv, "exit": code, "sha256": None}
-        if os.path.exists(out):
-            with open(out) as fh:
-                text = json.dumps(dropped(json.load(fh), keys), indent=2, sort_keys=True)
+    with tempfile.TemporaryDirectory() as workdir, contextlib.chdir(workdir):
+        for name, text in (files or {}).items():
+            Path(name).write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([*argv, "--out", "report.json"])
+        entry = {"argv": argv, **({"files": files} if files else {}), "exit": code,
+                 "sha256": None}
+        report = (out.getvalue() if "--replay" in argv and code != 2
+                  else Path("report.json").read_text() if os.path.exists("report.json")
+                  else None)
+        if report is not None:
+            text = json.dumps(dropped(json.loads(report), keys), indent=2, sort_keys=True)
             entry["sha256"] = hashlib.sha256(text.encode()).hexdigest()
     if code == 2:
         entry["stderr"] = err.getvalue()
@@ -125,12 +211,12 @@ def main(argv=None) -> int:
     drop = [key for key in args.drop_fields.split(",") if key]
     if args.check:
         moved = [entry["argv"] for entry in load_corpus()
-                 if run_entry(entry["argv"], drop) != entry]
+                 if run_entry(entry["argv"], drop, entry.get("files")) != entry]
         for moved_argv in moved:
             print("moved:", " ".join(moved_argv))
         print(f"{len(moved)} moved")
         return 1 if moved else 0
-    entries = [run_entry(item, drop) for item in corpus_argvs()]
+    entries = [run_entry(argv, drop, files) for argv, files in corpus_rows()]
     CORPUS.write_text("[\n" + ",\n".join(map(json.dumps, entries)) + "\n]\n")
     print(f"wrote {len(entries)} entries to {CORPUS}")
     return 0

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import casorati.determinants as det_mod
 from casorati import cli, oqm
 from casorati.cli import main, parse_list, read_config_file
 from casorati.scalars import rational
@@ -159,7 +160,7 @@ def test_replay_reproduces_failure(tmp_path):
     from casorati.identities import check_theorem, replay_witness
     from casorati.poly import Poly
     
-    x = Poly.x()
+    x = Poly([0, 1])
     good = check_theorem("cas-real", [x], [Poly.one(), x * x])
     assert good.passed
     # build a witness whose recorded inputs cannot satisfy the identity by
@@ -344,6 +345,21 @@ def test_error_runs_pinned(tmp_path, capsys, argv, stderr):
     assert main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err == stderr
     assert not out.exists()
+
+
+def test_determinant_over_budget_exits_2(tmp_path, capsys, monkeypatch):
+    """A determinant over COEFF_BIT_BUDGET leaves main as one configuration
+    error line and exit 2, from a run and from a replay, with no report."""
+    monkeypatch.setattr(det_mod, "COEFF_BIT_BUDGET", 8)
+    witness = tmp_path / "witness.json"
+    witness.write_text(json.dumps({"identityId": "cas-real.quotient", "inputs": {
+        "f": ["1/9", "-5", "2", "2/7"], "g": ["-3/2", "3/7"]}}))
+    out = tmp_path / "report.json"
+    for argv in (["identities", "--trials", "1"], ["identities", "--replay", str(witness)]):
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "configuration error: coefficient size exceeded 8 bits\n"
+        assert not captured.out and not out.exists()
 
 
 def test_main_twice_in_one_process_same_digest(tmp_path):

@@ -28,7 +28,7 @@ from casorati.poly import ExpPoly, Poly
 from casorati.sampling import random_poly
 from casorati.scalars import GaussianRational, i_power, working_precision
 
-x = Poly.x()
+x = Poly([0, 1])
 
 
 def rng_polys(seed, count, deg=2, bound=9):
@@ -595,7 +595,7 @@ def test_reality_of_imag_casoratian():
         n = rng.randint(1, 4)
         fs = [random_poly(rng, 4, 9) for _ in range(n)]
         out = casoratian_imag(fs, Fraction(1, 2))
-        assert out.is_real()
+        assert out.conjugate_coeffs() == out
 
 
 def sample_poly_exact(poly: Poly, x_max: int) -> GridFn:

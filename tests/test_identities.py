@@ -27,7 +27,7 @@ from casorati.poly import ExpPoly, Poly
 from casorati.report import encode
 from casorati.sampling import SamplerConfig, random_poly
 
-x = Poly.x()
+x = Poly([0, 1])
 E = ExpPoly
 
 

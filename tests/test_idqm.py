@@ -18,7 +18,7 @@ from casorati.poly import Poly, RationalFn
 from casorati.sampling import random_poly
 from casorati.scalars import GaussianRational
 
-x = Poly.x()
+x = Poly([0, 1])
 
 
 def expanded(power) -> tuple[Poly, Poly]:
@@ -245,5 +245,4 @@ def test_star_compatibility_real_values():
     vd = deformed_potential_vd(v, [x + 1], Fraction(1), Poly.one(), casoratian_imag([x + 1], 1))
     square = RationalFn(*expanded(vd.power(2)))
     for sample in (Fraction(0), Fraction(1), Fraction(5, 2)):
-        value = (square * square.star())(sample)
-        assert value.is_real()
+        assert (square * square.star()).sign_at(sample) is not None

@@ -24,7 +24,7 @@ from casorati.scalars import (
     working_precision,
 )
 
-x = Poly.x()
+x = Poly([0, 1])
 
 coeffs = st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=9), max_size=6)
 polys = st.builds(Poly, coeffs)
@@ -497,8 +497,6 @@ def test_unary_ops_match_reference(a):
     if not p.is_zero():
         assert_matches(p.monic(), ref.monic())
         assert p.leading() == ref.coeffs[-1]
-    for k in range(-1, len(a) + 1):
-        assert p.coefficient(k) == (ref.coeffs[k] if 0 <= k < len(ref.coeffs) else 0)
 
 
 @given(coeff_lists, st.one_of(gaussians, st.integers(-9, 9)))
@@ -558,3 +556,82 @@ def test_equal_values_hash_equal(values):
         if not any(v == u for u in distinct):
             distinct.append(v)
     assert len(set(values)) == len(distinct)
+
+
+# ---------------------------------------------------------------------------
+# The exact sign reader against the value path
+# ---------------------------------------------------------------------------
+
+sample_points = st.one_of(st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                          small_gaussians)
+
+
+def value_sign(value: GaussianRational):
+    """The sign of an exact value read off its parts; None off the reals."""
+    return (value.re > 0) - (value.re < 0) if value.is_real() else None
+
+
+@st.composite
+def valued_polys(draw, x0):
+    """A Gaussian polynomial that is zero, vanishes at x0, is real at x0
+    (b(x) (x - x0) + r with r rational), or is drawn as it comes."""
+    p = draw(factor_polys)
+    kind = draw(st.sampled_from(["zero", "root", "real", "any"]))
+    if kind == "zero":
+        return Poly.zero()
+    if kind == "any":
+        return p
+    r = 0 if kind == "root" else draw(st.fractions(min_value=-3, max_value=3, max_denominator=3))
+    return p * Poly([-as_gaussian(x0), 1]) + r
+
+
+@given(st.data())
+@settings(max_examples=300)
+def test_sign_at_agrees_with_the_value_path(data):
+    """Poly.sign_at and RationalFn.sign_at give the sign of the value that
+    evaluation builds: None where it is not real or at a pole, and 0 for a
+    zero numerator, whose RationalFn keeps the denominator 1."""
+    x0 = data.draw(sample_points)
+    p = data.draw(valued_polys(x0))
+    assert p.sign_at(x0) == value_sign(p(x0))
+    fn = RationalFn(data.draw(valued_polys(x0)),
+                    data.draw(valued_polys(x0).filter(lambda q: not q.is_zero())))
+    pole = fn.den(x0).is_zero()
+    assert fn.sign_at(x0) == (None if pole else value_sign(fn.num(x0) / fn.den(x0)))
+
+
+def test_sign_at_cases():
+    i = GaussianRational(0, 1)
+    assert [(x - 2).sign_at(t) for t in (3, 2, Fraction(3, 2))] == [1, 0, -1]
+    assert (x * x).sign_at(i) == -1                          # real at a Gaussian point
+    assert (x + i).sign_at(1) is None and Poly.zero().sign_at(i) == 0
+    assert RationalFn(x, x - 1).sign_at(1) is None           # a pole
+    assert RationalFn(x - 1, x - 1).sign_at(1) is None       # 0/0, unreduced
+    assert RationalFn(Poly.zero(), x - 1).sign_at(1) == 0    # den 1
+    assert RationalFn(1, x + i).sign_at(0) is None           # 1/i = -i
+    assert RationalFn(i, x + i).sign_at(0) == 1              # i/i
+    assert RationalFn(x, 1 - x).sign_at(2) == -1
+    assert RationalFn(x + i, x - i).sign_at(i) is None       # 2i/0
+    assert RationalFn(x - i, x + i).sign_at(i) == 0
+
+
+def test_values_are_immutable_and_print_their_parts():
+    """Every exact value and grid refuses assignment, since values are
+    hashed and memo keys hold them, and its repr names its parts."""
+    from casorati.gridfn import GridFn
+    from casorati.idqm import PowerProduct
+
+    values = {
+        "Poly([1, 1/2-1*i])": Poly([1, GaussianRational(Fraction(1, 2), -1)]),
+        "RationalFn(Poly([0, 1]), Poly([1, 1]))": RationalFn(x, x + 1),
+        "ExpPoly(Poly([0, 1]), a=-1, b=0)": ExpPoly(x, -1),
+        "ExpRatio(RationalFn(Poly([0, 1]), Poly([1, 1])), a=1, b=2)":
+            ExpRatio(RationalFn(x, x + 1), 1, 2),
+        "GaussianRational(Fraction(1, 2), Fraction(3, 1))": GaussianRational(Fraction(1, 2), 3),
+        "GridFn([1, 2, 3, 4, ...], x_max=4)": GridFn([1, 2, 3, 4, 5]),
+    }
+    for text, value in values.items():
+        assert repr(value) == text
+    for value in [*values.values(), PowerProduct()]:
+        with pytest.raises(AttributeError, match="immutable"):
+            value.re = 0

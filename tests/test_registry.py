@@ -142,7 +142,7 @@ def test_lab_witnesses_replay(identity_id, lab_witnessed_checks):
 def test_lab_checks_that_never_fail_still_replay(monkeypatch):
     """A corrupted helper makes each check fail; its witness then replays,
     under the same corruption, to the same failure."""
-    x = Poly.x()
+    x = Poly([0, 1])
     v = RationalFn(x * x + 2, x + 3)
     staged = oqm_mod.staged_eigenfunction
 
