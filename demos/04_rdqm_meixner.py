@@ -11,9 +11,9 @@ from fractions import Fraction
 import mpmath
 
 from casorati.rdqm import (
-    apply_hamiltonian,
     build_meixner_model,
     darboux_chain_replay,
+    residual,
     solve_seed_at_energy,
     spectrum_check,
     two_path_compare_rdqm,
@@ -21,13 +21,7 @@ from casorati.rdqm import (
 
 model = build_meixner_model(Fraction(2), Fraction(1, 3), n_max=8, x_max=80,
                             precision_bits=256)
-# max |H phi_3 - 3 phi_3| / max |phi_3| on the interior window, at the model's precision
-with mpmath.workprec(model.precision_bits):
-    phi = model.eigen(3)
-    h_phi = apply_hamiltonian(model.b_grid, model.d_grid, phi, model.off_roots).values
-    res = (max(abs(h - 3 * p) for h, p in zip(h_phi, phi.values))
-           / max(abs(p) for p in phi.values[:len(h_phi)]))
-print("eigenpair residual at n=3:", mpmath.nstr(res, 5))
+print("eigenpair residual at n=3:", mpmath.nstr(residual(model, model.eigen(3), 3), 5))
 
 # ---------------------------------------------------------------------------
 # Seeds at generic negative energies, marched by the three-term recurrence;

@@ -262,8 +262,15 @@ def _relative_residual(b_grid: GridFn, d_grid: GridFn, psi: GridFn,
     energy; the residual gate of every model build and seed solve."""
     prec, rnd = mpmath.mp._prec_rounding
     h_psi = apply_hamiltonian(b_grid, d_grid, psi, roots)
-    return _max_abs_ratio((mpf_sub(h_value, mpf_mul(energy, psi_value, prec, rnd), prec, rnd)
-                           for h_value, psi_value in zip(h_psi.raw, psi.raw)), psi.raw)
+    top, bottom = _max_abs((mpf_sub(h_value, mpf_mul(energy, psi_value, prec, rnd), prec, rnd)
+                            for h_value, psi_value in zip(h_psi.raw, psi.raw)), psi.raw)
+    return mpmath.mp.make_mpf(mpf_div(top, bottom, prec, rnd))
+
+
+def residual(model: RdqmModel, psi: GridFn, energy) -> mpmath.mpf:
+    with working_precision(model.precision_bits):
+        energy = getattr(energy, "_mpf_", None) or mpmath.mpf(energy)._mpf_
+        return _relative_residual(model.b_grid, model.d_grid, psi, energy, model.off_roots)
 
 
 def solve_seed_at_energy(model: RdqmModel, e_tilde) -> GridFn:
@@ -302,10 +309,10 @@ def seed_set(model: RdqmModel, dv_energies: Sequence, de_labels: Sequence[int]):
             dv + [model.eigen_energy(k) for k in de_labels])
 
 
-def _max_abs_ratio(gaps: Iterable, sizes: Iterable) -> mpmath.mpf:
-    """max |gap| / max |size| over raw tuples taken in pairs until ``gaps``
-    ends, or max |gap| alone when every size vanishes, by the libmp calls of
-    the mpf operator form (``max`` keeps the first of equal values)."""
+def _max_abs(gaps: Iterable, sizes: Iterable) -> tuple:
+    """(max |gap|, max |size|) of raw tuples taken in pairs until ``gaps``
+    ends, by the libmp calls of the mpf operator form (``max`` keeps the
+    first of equal values)."""
     prec, rnd = mpmath.mp._prec_rounding
     top = bottom = fzero
     for gap, size in zip(gaps, sizes):
@@ -315,16 +322,17 @@ def _max_abs_ratio(gaps: Iterable, sizes: Iterable) -> mpmath.mpf:
         size = mpf_abs(size, prec, rnd)
         if mpf_gt(size, bottom):
             bottom = size
-    return mpmath.mp.make_mpf(mpf_div(top, bottom, prec, rnd) if mpf_gt(bottom, fzero)
-                              else top)
+    return top, bottom
 
 
 def _relative_deviation(reference: Sequence, other: Sequence) -> mpmath.mpf:
     """max |reference - other| / max |reference|, or the deviation alone
     when the reference vanishes, of raw tuples."""
     prec, rnd = mpmath.mp._prec_rounding
-    gaps = (mpf_sub(ref, value, prec, rnd) for ref, value in zip(reference, other))
-    return _max_abs_ratio(gaps, reference)
+    top, bottom = _max_abs((mpf_sub(ref, value, prec, rnd)
+                            for ref, value in zip(reference, other)), reference)
+    return mpmath.mp.make_mpf(mpf_div(top, bottom, prec, rnd) if mpf_gt(bottom, fzero)
+                              else top)
 
 
 # ---------------------------------------------------------------------------

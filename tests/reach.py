@@ -7,13 +7,11 @@ modules (nested ones included) whose code no run entered, with its line
 count, then the totals.  A function that only the import of a module calls
 counts as reached.
 
-    PYTHONPATH=src python tests/reach.py              # every corpus row
-    PYTHONPATH=src python tests/reach.py --rows 114   # the first 114 rows
+    PYTHONPATH=src python tests/reach.py
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import importlib.util
 import os
@@ -43,10 +41,7 @@ def defined_functions(package: Path) -> dict[tuple[str, int], tuple[str, int]]:
     return found
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--rows", type=int, help="run only the first ROWS corpus rows")
-    args = parser.parse_args(argv)
+def main() -> int:
     package = Path(importlib.util.find_spec("casorati").origin).parent
     functions = defined_functions(package)
     entered = set()
@@ -58,7 +53,7 @@ def main(argv=None) -> int:
     sys.setprofile(hook)
     try:
         from regen_corpus import load_corpus, run_entry
-        rows = load_corpus()[:args.rows]
+        rows = load_corpus()
         for entry in rows:
             run_entry(entry["argv"], files=entry.get("files"))
     finally:

@@ -131,9 +131,9 @@ def witness_inputs(check_id: str) -> dict:
 
 
 def replay_row(check_id: str) -> tuple[list[str], dict[str, str]]:
+    """A ``--replay`` run of the witness of ``check_id``, under its lab's command."""
     from casorati.report import encode
 
-    """A ``--replay`` run of the witness of ``check_id``, under its lab's command."""
     witness = {"identityId": check_id, "inputs": encode(witness_inputs(check_id))}
     lab = check_id.split(".")[0]
     command = lab if lab in ("oqm", "idqm", "rdqm") else "identities"
@@ -177,20 +177,25 @@ def run_entry(argv: list[str], drop_fields=(), files=None) -> dict:
     from casorati import cli
 
     keys = frozenset(ALWAYS_DROPPED) | frozenset(drop_fields)
-    with tempfile.TemporaryDirectory() as workdir, contextlib.chdir(workdir):
-        for name, text in (files or {}).items():
-            Path(name).write_text(text)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main([*argv, "--out", "report.json"])
-        entry = {"argv": argv, **({"files": files} if files else {}), "exit": code,
-                 "sha256": None}
-        report = (out.getvalue() if "--replay" in argv and code != 2
-                  else Path("report.json").read_text() if os.path.exists("report.json")
-                  else None)
-        if report is not None:
-            text = json.dumps(dropped(json.loads(report), keys), indent=2, sort_keys=True)
-            entry["sha256"] = hashlib.sha256(text.encode()).hexdigest()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)
+        try:
+            for name, text in (files or {}).items():
+                Path(name).write_text(text)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main([*argv, "--out", "report.json"])
+            report = (out.getvalue() if "--replay" in argv and code != 2
+                      else Path("report.json").read_text() if os.path.exists("report.json")
+                      else None)
+        finally:
+            os.chdir(cwd)
+    entry = {"argv": argv, **({"files": files} if files else {}), "exit": code,
+             "sha256": None}
+    if report is not None:
+        text = json.dumps(dropped(json.loads(report), keys), indent=2, sort_keys=True)
+        entry["sha256"] = hashlib.sha256(text.encode()).hexdigest()
     if code == 2:
         entry["stderr"] = err.getvalue()
     return entry

@@ -39,13 +39,12 @@ from casorati.poly import ExpPoly, Poly, RationalFn
 from casorati.report import CheckReport
 from casorati.sampling import SamplerConfig, random_poly, trial_rng
 from casorati.rdqm import (
-    _relative_residual,
     build_meixner_model,
     darboux_chain_replay,
+    residual,
     spectrum_check,
     two_path_compare_rdqm,
 )
-from casorati.scalars import working_precision
 
 x = Poly([0, 1])
 
@@ -147,10 +146,7 @@ def test_criterion_6_rdqm_pipeline(meixner_acceptance):
     dv = [Fraction(-3, 5), Fraction(-17, 10)]
     de = [1, 2]
 
-    with working_precision(model.precision_bits):
-        worst = max(_relative_residual(model.b_grid, model.d_grid, model.eigen(n),
-                                       mpmath.mpf(n)._mpf_, model.off_roots)
-                    for n in range(model.n_max + 1))
+    worst = max(residual(model, model.eigen(n), n) for n in range(model.n_max + 1))
     part_a = worst <= mpmath.mpf(10) ** -30
 
     part_b = True

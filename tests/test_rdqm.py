@@ -23,6 +23,7 @@ from casorati.rdqm import (
     deformed_eigenfunctions,
     deformed_potentials_bd,
     meixner_polynomial,
+    residual,
     sign_conjecture_check,
     sign_identity_sweep,
     solve_seed_at_energy,
@@ -41,13 +42,6 @@ TOL = mpmath.mpf(10) ** -20
 def raw(values):
     """The raw ``_mpf_`` tuples of mpf values, the form tridiag takes."""
     return [v._mpf_ for v in values]
-
-
-def residual(model, psi, energy):
-    """The residual gate of (psi, energy) on the model, at its precision."""
-    with working_precision(model.precision_bits):
-        return _relative_residual(model.b_grid, model.d_grid, psi, mpmath.mpf(energy)._mpf_,
-                                  model.off_roots)
 
 
 @pytest.fixture(scope="module")
