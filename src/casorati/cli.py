@@ -236,7 +236,7 @@ def run_all(args) -> list[CheckReport]:
 def emit(args, reports: list[CheckReport], started: float, config_echo: dict) -> int:
     reports = sort_reports(reports)
     summary = summarize(reports)
-    payload = {
+    write_report(args, {
         "schema": SCHEMA_VERSION,
         "version": __version__,
         "command": args.command,
@@ -245,17 +245,17 @@ def emit(args, reports: list[CheckReport], started: float, config_echo: dict) ->
         "summary": summary,
         "wall_clock_seconds": round(time.time() - started, 3),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    })
     for rep in reports:
         if not rep.passed:
             print(f"FAIL {rep.identity_id} {rep.params}", file=sys.stderr)
     return exit_status(summary)
+
+
+def write_report(args, payload: dict) -> None:
+    """``payload`` as indented JSON to the --out file, or to stdout without one."""
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        print(json.dumps(payload, indent=2, sort_keys=True), file=fh)
 
 
 def exit_status(summary: dict) -> int:
@@ -269,10 +269,10 @@ def config_echo_from(args) -> dict:
 
 
 def run_replay(args) -> int:
-    """Re-run the check of a witness file; exit as ``emit`` would for it."""
+    """Re-run the check of a witness file; write and exit as ``emit`` would."""
     with open(args.replay) as fh:
         report = replay_witness(json.load(fh))
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    write_report(args, report.to_dict())
     return exit_status(summarize([report]))
 
 
@@ -288,7 +288,7 @@ def main(argv=None) -> int:
             return run_replay(args)
         # run_<command> is looked up at call time, so a patched runner runs
         reports = globals()[f"run_{args.command}"](args)
-    except (ValueError, OSError, json.JSONDecodeError, DeterminantBudgetError,
+    except (ValueError, OSError, DeterminantBudgetError,
             ResidualGateError, NegativeRadicandError, SingularDeformationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

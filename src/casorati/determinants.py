@@ -6,7 +6,7 @@ Every exact determinant goes through one entry, ``maximal_minors``, and one
 packing step, ``_Rows``: rows are cleared of denominators once, with the
 bound B on every minor's coefficients, and each entry is packed once as its
 value at x = 2^width (Kronecker substitution); a shifted entry f(x + delta)
-is f evaluated at 2^width + delta, so no shifted Poly is built.  Up to
+is f at 2^width + delta by ``poly._horner``, so no shifted Poly is built.  Up to
 n = EXPANSION_MAX_N the minors come from a division-free shared minor
 expansion (``_expand``) at width bitlen(B) + 1, which holds every
 coefficient, on plain ints when every entry and point is real; past it, or
@@ -16,9 +16,9 @@ its certified exact divisions need, and which screens each entry against the
 budget.  Wronskian columns (``_drift_column``) are integer vectors over one
 denominator, each row canonicalized once, so the exponent pairs factor out.
 The Darboux-Crum operators take the k + 1 minors of their fixed columns from
-one expansion and apply f -> W[fixed, f] as one integer cofactor sum, over a
-base in ``over_base_operator``, whose seed part is the Wronskian of
-quotients over it.  Both shift Casoratians are one body, and
+one expansion and apply f -> W[fixed, f] as one integer cofactor sum, also
+over a base, whose seed part is then the Wronskian of quotients over it.
+Both shift Casoratians are ``maximal_minors`` at their row points, and
 ``cofactor_det`` is the test oracle only.  Empty input gives 1 everywhere.
 Big-float grids take a left-looking pivoted LU on ``GridFn.raw`` tuples
 (``_lu_states``), one column at a time; a run's memo keeps each column
@@ -39,7 +39,7 @@ from mpmath.libmp import (
     fzero, mpf_abs, mpf_div, mpf_gt, mpf_mul, mpf_neg, mpf_sub)
 
 from .gridfn import GridFn, WindowError
-from .poly import ExpPoly, Poly, _canonical, _mul_into, _parts, as_poly
+from .poly import ExpPoly, Poly, _canonical, _horner, _mul_into, _parts, as_poly
 from .scalars import GaussianRational, i_power, rational
 
 # Abort knob for runaway exact computations; see DeterminantBudgetError.
@@ -115,8 +115,8 @@ class _Rows:
     sum_j |c_j|_1 (d + |u|_1)^j d^(k-j) in |.|_1.  Row r is scaled by L_r,
     the lcm of its den d^k, so every minor of the scaled rows has
     coefficients at most B = prod_r max(1, sum_c |entry r, c|_1) in |.|_1.
-    ``pack`` evaluates each scaled P at 2^width by integer Horner and builds
-    no Poly; at delta = 0 that is P's coefficients as base-2^width digits.
+    ``pack`` evaluates each scaled P at 2^width by ``poly._horner`` and
+    builds no Poly; at delta = 0 that is P's coefficients as base-2^width digits.
     ``length`` is 1 plus the sum of the rows' largest degrees.
     """
 
@@ -168,24 +168,6 @@ def _shift_size(p: Poly, reach: int, d: int) -> int:
         total = total * reach + (abs(r) + abs(m)) * w
         w *= d
     return total
-
-
-def _horner(re: list, im, shift: tuple, width: int, w: int) -> tuple[int, int]:
-    """w d^k p(2^width + (ur + i ui)/d) for shift = (ur, ui, d) and p of
-    degree k with coefficients re + i im (im empty for a real p), by integer
-    Horner: sum_j w c_j (d 2^width + ur + i ui)^j d^(k-j), as (re, im)."""
-    ur, ui, d = shift
-    ar = ai = 0
-    if ui or any(im):
-        for r, m in zip(reversed(re), reversed(im)):
-            ar, ai = ((ar * d << width) + ar * ur - ai * ui + r * w,
-                      (ai * d << width) + ai * ur + ar * ui + m * w)
-            w *= d
-        return ar, ai
-    for r in reversed(re):
-        ar = (ar * d << width) + ar * ur + r * w
-        w *= d
-    return ar, 0
 
 
 class _Packing:
@@ -516,7 +498,7 @@ class WronskianOperator:
     vector over lcm_j(den c_j * den P_j) and canonicalized once.
     ``seed_wronskian`` is W[seeds]: the minor that drops row k, with the
     seeds' pair.  Over a base, the seeds and f are quotients over the base
-    (``over_base_operator``).
+    (see ``wronskian_operator``).
     """
 
     __slots__ = ("cofactors", "seed_wronskian", "base")
@@ -542,13 +524,17 @@ class WronskianOperator:
 def wronskian_operator(seeds: Sequence[ExpPoly],
                        base: ExpPoly | None = None) -> WronskianOperator:
     """W[seeds, .] from the k + 1 size-k minors of the seeds' columns, all
-    from one ``maximal_minors`` call; over a base, the operator of the
-    quotients over it (``over_base_operator``, which checks the base).
+    from one ``maximal_minors`` call; over a nonzero base (ZeroDivisionError
+    on a zero one), f -> the numerator of W[seeds/base, f/base] over
+    base^K(k + 1), whose seed part is that of W[seeds/base] over base^K(k),
+    K = ``over_base_power``.
 
     The minor that drops the last row is exactly ``wronskian(seeds)``'s
     determinant, so W[seeds] comes with the operator at no extra cost.  No
     seeds give the identity, with W[] = 1.
     """
+    if base is not None and base.is_zero():
+        raise ZeroDivisionError("wronskian_operator with zero base")
     k = len(seeds)
     if k == 0:
         return WronskianOperator([Poly.one()], ExpPoly.one(), base)
@@ -565,15 +551,6 @@ def over_base_power(m: int) -> int:
     return m * (m + 1) // 2
 
 
-def over_base_operator(nums: Sequence[ExpPoly], base: ExpPoly) -> WronskianOperator:
-    """f -> the numerator of W[nums/base, f/base] over base^K(m + 1); its
-    seed part is the numerator of W[nums/base] over base^K(m), with
-    K = ``over_base_power``."""
-    if base.is_zero():
-        raise ZeroDivisionError("over_base_operator with zero base")
-    return wronskian_operator(nums, base)
-
-
 # ---------------------------------------------------------------------------
 # Imaginary-shift Casoratian
 # ---------------------------------------------------------------------------
@@ -584,21 +561,13 @@ def imag_shift_points(n: int, gamma: Fraction) -> list[GaussianRational]:
     return [GaussianRational(0, (Fraction(n + 1, 2) - j) * g) for j in range(1, n + 1)]
 
 
-def _shifted_det(fs: Sequence[Poly], points: Sequence) -> Poly:
-    """det f_k(x + point_j), with rows j over the points, each entry packed
-    by evaluation (``_Rows``); 1 for no fs."""
-    fs = [as_poly(f) for f in fs]
-    det, = maximal_minors([fs] * len(points), list(points))
-    return det
-
-
 def casoratian_imag(fs: Sequence[Poly], gamma) -> Poly:
     """W_gamma[f_1, ..., f_n]: i^{n(n-1)/2} det f_k(x + i((n+1)/2 - j) gamma)."""
     g = rational(gamma)
     if g == 0:
         raise ValueError("casoratian_imag needs nonzero gamma")
     n = len(fs)
-    return _shifted_det(fs, imag_shift_points(n, g)) * i_power((n * (n - 1)) // 2)
+    return maximal_minors([fs] * n, imag_shift_points(n, g))[0] * i_power(n * (n - 1) // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +576,7 @@ def casoratian_imag(fs: Sequence[Poly], gamma) -> Poly:
 
 def casoratian_real(fs: Sequence[Poly]) -> Poly:
     """W_C[f_1, ..., f_n]: det f_k(x + j - 1); W_C[.] = 1."""
-    return _shifted_det(fs, range(len(fs)))
+    return maximal_minors([fs] * len(fs), range(len(fs)))[0]
 
 
 def _lu_states(columns: list, n: int, memo: RunMemo) -> list:

@@ -37,7 +37,6 @@ from .determinants import (
     casoratian_imag,
     casoratian_real,
     imag_shift_points,
-    over_base_operator,
     over_base_power,
     wronskian,
     wronskian_operator,
@@ -45,6 +44,8 @@ from .determinants import (
 from .poly import ExpPoly, Poly, RationalFn, poly_products_equal
 from .report import CheckReport, check_report, sort_reports
 from .sampling import (
+    M_RANGE,
+    N_RANGE,
     SamplerConfig,
     random_exp_poly,
     random_gamma,
@@ -238,7 +239,7 @@ def check_wronskian_corollary(fs: Sequence[ExpPoly], us: Sequence[ExpPoly],
     nums = [ops(u) for u in us]
     num_v = ops(v)
 
-    outer = over_base_operator(nums, w0)
+    outer = wronskian_operator(nums, w0)
     rhs_num, k1 = outer.seed_wronskian, over_base_power(m)
     lhs_num = wronskian(list(fs) + list(us))
     # lhs_num/w0 == rhs_num/w0^k1
@@ -569,8 +570,8 @@ def _family_draw(family: Family, keys: tuple[str, ...]) -> Callable:
     def draw(rng, cfg: SamplerConfig) -> dict:
         def element(nonzero=False):
             return family.draw(rng, cfg.max_degree, cfg.coefficient_bound, nonzero)
-        n = rng.randint(*cfg.n_range)
-        m = rng.randint(*cfg.m_range)
+        n = rng.randint(*N_RANGE)
+        m = rng.randint(*M_RANGE)
         drawn = {"gamma": random_gamma(rng)} if family.gamma else {}
         drawn["fs"] = [element(i == 0) for i in range(n)]
         drawn["g"] = element(nonzero=True)
@@ -703,16 +704,16 @@ def run_single_trial(identity_id: str, config: SamplerConfig, trial: int) -> Che
     return report
 
 
-def run_identity_suite(config: SamplerConfig, include_extras: bool = True) -> list[CheckReport]:
-    """All checkers, config.trials seeded trials each, canonically ordered."""
+def run_identity_suite(config: SamplerConfig) -> list[CheckReport]:
+    """All checkers, config.trials seeded trials each, the sum formula and up
+    to 50 classical-limit trials, canonically ordered."""
     reports = []
     for identity_id in IDENTITY_IDS:
         for trial in range(config.trials):
             reports.append(run_single_trial(identity_id, config, trial))
-    if include_extras:
-        reports.append(check_sum_formula(10))
-        for trial in range(min(config.trials, 50)):
-            rep = draw_trial("cas-imag.classical-limit", config, trial)[1]
-            rep.params["trial"] = trial
-            reports.append(rep)
+    reports.append(check_sum_formula(10))
+    for trial in range(min(config.trials, 50)):
+        rep = draw_trial("cas-imag.classical-limit", config, trial)[1]
+        rep.params["trial"] = trial
+        reports.append(rep)
     return sort_reports(reports)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .determinants import (
-    RunMemo, WronskianOperator, over_base_operator, wronskian, wronskian_operator)
+    RunMemo, WronskianOperator, wronskian, wronskian_operator)
 from .poly import ExpPoly, ExpRatio, Poly, RationalFn, rational_reduce
 from .report import CheckReport, check_report
 from .scalars import rational, require_at_most
@@ -185,7 +185,7 @@ def _first_stage(model: OqmModel, d_v: tuple, d_e: tuple):
     base = virtual.seed_wronskian
     if base.is_zero():
         raise SeedDependenceError("virtual-seed Wronskian vanishes identically")
-    outer = over_base_operator([virtual(model.eigen(e)) for e in d_e], base)
+    outer = wronskian_operator([virtual(model.eigen(e)) for e in d_e], base)
     if outer.seed_wronskian.is_zero():
         raise SeedDependenceError("intermediate eigenstate Wronskian vanishes")
     # a level's top is over base^K(m + 1), the seed part over base^K(m): K differs by 1 + m

@@ -6,9 +6,10 @@ vectors ``re`` and ``im`` (index = degree) over one common denominator
 zero polynomial has ``den == 1``).  Every operation works on Python ints and
 normalizes once; exact division is pseudo-division.  ``GaussianRational``
 coefficients appear only at the boundary: the ``coeffs`` view, built on each
-read (printing, serialization), ``leading()`` and a value ``p(x)``.  The
-checks read a sign at a point by ``sign_at``, off the integers of the same
-Horner loop, a RationalFn's as that of num(x) * conj(den(x)).
+read (printing, serialization) and a value ``p(x)``.  One integer Horner
+loop, ``_horner``, serves values, ``sign_at`` (a RationalFn's read off
+num(x) * conj(den(x))) and the determinant kernel's packing; one scalar
+product, ``_scale``, serves ``*`` by a scalar, ``monic`` and ``reduce``.
 ``RationalFn`` is a quotient of two Polys; arithmetic keeps the pair
 unreduced (equality cross-multiplies), ``reduce()``/``canonical()`` produce
 the gcd-reduced monic-denominator representative on demand.
@@ -26,7 +27,6 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .scalars import (
-    GR_ONE,
     GaussianRational,
     as_gaussian,
     format_rational,
@@ -103,6 +103,30 @@ def _mul_into(out_re: list, out_im: list, re1: list, im1: list, re2: list, im2: 
                 out_re[j] += ra * rb
 
 
+def _horner(re: list, im, shift: tuple, width: int, w: int) -> tuple[int, int]:
+    """w d^k p(2^width + (ur + i ui)/d) for shift = (ur, ui, d) and p of
+    degree k with coefficients re + i im (im empty for a real p), by integer
+    Horner: sum_j w c_j (d 2^width + ur + i ui)^j d^(k-j), as (re, im)."""
+    ur, ui, d = shift
+    ar = ai = 0
+    if ui or any(im):
+        for r, m in zip(reversed(re), reversed(im)):
+            ar, ai = ((ar * d << width) + ar * ur - ai * ui + r * w,
+                      (ai * d << width) + ai * ur + ar * ui + m * w)
+            w *= d
+        return ar, ai
+    for r in reversed(re):
+        ar = (ar * d << width) + ar * ur + r * w
+        w *= d
+    return ar, 0
+
+
+def _scale(p: "Poly", zr: int, zi: int, den: int) -> "Poly":
+    """p's integer vector times the Gaussian integer zr + i*zi, over den."""
+    return _canonical([r * zr - m * zi for r, m in zip(p.re, p.im)],
+                      [r * zi + m * zr for r, m in zip(p.re, p.im)], den)
+
+
 def _taylor_shift(re: list, im: list, ur: int, ui: int) -> None:
     """In place: the integer vector re + i*im becomes its Taylor shift by ur + i*ui."""
     n = len(re) - 1
@@ -171,11 +195,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.re
 
-    def leading(self) -> GaussianRational:
-        if not self.re:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return _gaussian(self.re[-1], self.im[-1], self.den)
-
     # -- arithmetic -------------------------------------------------------------
 
     def _combine(self, other: "Poly", sign: int) -> "Poly":
@@ -216,11 +235,7 @@ class Poly:
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction, GaussianRational)):
             zr, zi, zd = _parts(other)
-            if not self.re or (zr == 0 and zi == 0):
-                return _P_ZERO
-            return _canonical([r * zr - m * zi for r, m in zip(self.re, self.im)],
-                              [r * zi + m * zr for r, m in zip(self.re, self.im)],
-                              self.den * zd)
+            return _scale(self, zr, zi, self.den * zd)
         if not isinstance(other, Poly):
             return NotImplemented
         if not self.re or not other.re:
@@ -330,18 +345,14 @@ class Poly:
         return _canonical(re, im, self.den * d ** n)
 
     def _at(self, x) -> tuple[int, int, int]:
-        """p(x) as (re, im, den) with den > 0, by integer Horner: with
-        x = (xr + i*xi)/xd and n the degree,
-        den * xd^n * p(x) = sum_k (r_k + i*m_k) (xr + i*xi)^k xd^(n-k)."""
+        """p(x) as (re, im, den) with den > 0: for x = (xr + i*xi)/xd, which
+        is 1 + (xr - xd + i*xi)/xd, ``_horner`` at width 0 gives
+        den * xd^k * p(x), k the degree."""
         if not self.re:
             return 0, 0, 1
         xr, xi, xd = _parts(x)
-        ar = ai = 0
-        w = 1
-        for r, m in zip(reversed(self.re), reversed(self.im)):
-            ar, ai = ar * xr - ai * xi + r * w, ar * xi + ai * xr + m * w
-            w *= xd
-        return ar, ai, self.den * w // xd
+        return (*_horner(self.re, self.im, (xr - xd, xi, xd), 0, 1),
+                self.den * xd ** (len(self.re) - 1))
 
     def __call__(self, x) -> GaussianRational:
         return _gaussian(*self._at(x))
@@ -361,9 +372,7 @@ class Poly:
         if self.is_zero():
             return self
         lr, li = self.re[-1], self.im[-1]
-        return _canonical([r * lr + m * li for r, m in zip(self.re, self.im)],
-                          [m * lr - r * li for r, m in zip(self.re, self.im)],
-                          lr * lr + li * li)
+        return _scale(self, lr, -li, lr * lr + li * li)
 
     def max_coeff_bits(self) -> int:
         """Largest bit length of a reduced numerator or denominator of a coefficient."""
@@ -520,9 +529,9 @@ class RationalFn:
             if g.degree > 0:
                 num = num.exact_div(g)
                 den = den.exact_div(g)
-            lead = den.leading()
-            num = num * (GR_ONE / lead)
-            den = den * (GR_ONE / lead)
+            lr, li = den.re[-1], den.im[-1]     # den's lead is (lr + i*li)/den.den
+            num = _scale(num, den.den * lr, -den.den * li, num.den * (lr * lr + li * li))
+            den = den.monic()
         out = RationalFn(num, den)
         object.__setattr__(out, "reduced", True)
         return out

@@ -15,6 +15,8 @@ from math import lcm
 from .poly import ExpPoly, Poly, _canonical
 from .scalars import require_at_most
 
+# The ranges of a drawn identity's n (its fs) and m (its us), both inclusive.
+N_RANGE, M_RANGE = (0, 3), (1, 3)
 GAMMA_CHOICES = (Fraction(1), Fraction(1, 2), Fraction(2))
 EXP_PAIR_CHOICES = (Fraction(-1), Fraction(0), Fraction(1))
 # Upper bounds of --trials and --max-degree (identities and idqm): on a 2-core
@@ -25,8 +27,6 @@ MAX_TRIALS, MAX_DEGREE = 2000, 20
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    n_range: tuple[int, int] = (0, 3)
-    m_range: tuple[int, int] = (1, 3)
     max_degree: int = 5
     coefficient_bound: int = 9
     trials: int = 200

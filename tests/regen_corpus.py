@@ -3,12 +3,11 @@
 Each entry is a CLI argv, the input files it names (``files``, name ->
 text, only where it reads one), its exit code, the sha256 of its JSON report
 and, on exit 2, its one stderr line.  A run's working directory is a fresh
-temporary one that holds its files.  A report is the ``--out`` file, or for
-``--replay`` the report it prints; it is hashed as ``json.dumps(report,
-indent=2, sort_keys=True)`` without its ``timestamp`` and
-``wall_clock_seconds`` fields (the digest of ``bench/workloads.report_digest``
-and of the pinned reports), and without every key named by
-``--drop-fields`` at any depth.
+temporary one that holds its files.  A report is the ``--out`` file, a
+``--replay`` run's too; it is hashed as ``json.dumps(report, indent=2,
+sort_keys=True)`` without its ``timestamp`` and ``wall_clock_seconds``
+fields (the digest of ``bench/workloads.report_digest`` and of the pinned
+reports), and without every key named by ``--drop-fields`` at any depth.
 
 The argvs are the first jobs of the seed-42 ``meixner-lattice`` and
 ``exact-darboux`` benchmark job lists (``bench/workloads.py``), short
@@ -183,12 +182,10 @@ def run_entry(argv: list[str], drop_fields=(), files=None) -> dict:
         try:
             for name, text in (files or {}).items():
                 Path(name).write_text(text)
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = cli.main([*argv, "--out", "report.json"])
-            report = (out.getvalue() if "--replay" in argv and code != 2
-                      else Path("report.json").read_text() if os.path.exists("report.json")
-                      else None)
+            report = Path("report.json").read_text() if os.path.exists("report.json") else None
         finally:
             os.chdir(cwd)
     entry = {"argv": argv, **({"files": files} if files else {}), "exit": code,

@@ -378,6 +378,21 @@ def replay_check(tmp_path, capsys, command, check):
     return code, json.loads(capsys.readouterr().out)
 
 
+def test_replay_writes_its_report_to_out(tmp_path, capsys):
+    """With --out, a replay writes the report it prints without one, and
+    prints nothing."""
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps({"identityId": "cas-real.theorem",
+                                "inputs": {"fs": [["0", "1"]], "us": [["1"], ["0", "0", "1"]]}}))
+    capsys.readouterr()
+    assert main(["identities", "--replay", str(path)]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "report.json"
+    assert main(["identities", "--replay", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == printed and json.loads(printed)["pass"]
+
+
 def test_replay_idqm_inconclusive_witness_exits_3(tmp_path, capsys):
     out = tmp_path / "idqm.json"
     assert main(["idqm", "--trials", "24", "--gamma", "1/2", "--out", str(out)]) == 3
@@ -440,6 +455,7 @@ def test_replay_rdqm_witness_carries_its_config(tmp_path, capsys):
     '{"identityId": "idqm.two-path", "inputs": {"v_num": [], "v_den": ["1"],'
     ' "dv": [["0", "1"]], "de": [["1", "1"]], "v_state": ["0", "0", "1"], "mu": ["1"],'
     ' "gamma": "1"}}',
+    '{"identityId": ',
 ])
 def test_replay_malformed_witness_exit_2(tmp_path, capsys, text):
     path = tmp_path / "witness.json"

@@ -18,7 +18,6 @@ from casorati.determinants import (
     fraction_free_det,
     imag_shift_points,
     maximal_minors,
-    over_base_operator,
     over_base_power,
     wronskian,
     wronskian_operator,
@@ -559,7 +558,7 @@ def test_over_base_operator_matches_cofactor_oracle(drawn):
     cofactor sum; its seed part is that of nums, over the base power
     ``over_base_power`` gives.  A column equal to a fixed one gives zero."""
     nums, base, f = drawn
-    op = over_base_operator(nums, base)
+    op = wronskian_operator(nums, base)
     got, want = op(f), cofactor_det(over_base_matrix([*nums, f], base))
     assert (got.p, got.pair) == (want.p, want.pair)
     assert got.p == operator_sum_reference(op, f)
@@ -628,13 +627,19 @@ def test_wronskian_over_base_matches_direct_ratio():
     rng = random.Random(23)
     base = ExpPoly(random_poly(rng, 2, 5, nonzero=True), a=1)
     nums = [ExpPoly(random_poly(rng, 3, 5, nonzero=True), a=-1) for _ in range(2)]
-    det, power = over_base_operator(nums, base).seed_wronskian, over_base_power(len(nums))
+    det, power = wronskian_operator(nums, base).seed_wronskian, over_base_power(len(nums))
     # oracle: 2x2 quotient-rule determinant cleared over base^3
     n1, n2 = nums
     direct = (n1 * (n2.derivative() * base - n2 * base.derivative())
               - n2 * (n1.derivative() * base - n1 * base.derivative()))
     assert power == 3
     assert det == direct
+
+
+def test_wronskian_operator_rejects_a_zero_base():
+    """The operator refuses a zero base itself: its callers check theirs first."""
+    with pytest.raises(ZeroDivisionError, match="zero base"):
+        wronskian_operator([ExpPoly(x + 1, 1)], ExpPoly(Poly.zero(), -1))
 
 
 # ---------------------------------------------------------------------------

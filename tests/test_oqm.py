@@ -271,13 +271,13 @@ def test_oqm_run_takes_few_bareiss_calls(monkeypatch, tmp_path):
 
 
 def test_flipped_operator_cofactor_fails_and_replays(monkeypatch, tmp_path):
-    """Negative control: one cofactor of each operator with sign flipped
+    """Negative control: one cofactor of each operator with no base flipped
     fails the run, and the two-path witness replays to the same failure."""
     operator = oqm_mod.wronskian_operator
 
-    def flipped(seeds):
-        op = operator(seeds)
-        if len(op.cofactors) == 1:
+    def flipped(seeds, base=None):
+        op = operator(seeds, base)
+        if base is not None or len(op.cofactors) == 1:
             return op
         return WronskianOperator((-op.cofactors[0],) + op.cofactors[1:], op.seed_wronskian)
 
