@@ -672,12 +672,14 @@ def draw_trial(identity_id: str, config: SamplerConfig, trial: int) -> tuple[dic
 
 def idqm_trial(master_seed: int, trial: int, gamma: Fraction, l_max: int, m_max: int,
                max_degree: int) -> list[CheckReport]:
-    """The three idQM checks of one seeded trial, tagged with its index.  V, l
-    and m are drawn once; seeds, state and mu are redrawn while degenerate."""
+    """The three idQM checks of one seeded trial, tagged with its index: V, l, m, the
+    G-products and the prefactor check once, one stage per draw of seeds, state and mu."""
     rng = trial_rng(SamplerConfig(master_seed=master_seed), "idqm.sweep", trial)
     v = RationalFn(random_poly(rng, max_degree, 5, nonzero=True))
     l_count = rng.randint(0, l_max)
     m_count = rng.randint(1, m_max)
+    g4 = idqm.row_col_products(idqm.vv_product(v, gamma, l_count, 0, l_count - 1), m_count, gamma)
+    prefactor = idqm.check_prefactor_gg(v, gamma, l_count, m_count, g4)
 
     def draw() -> dict:
         return dict(dv=[random_poly(rng, 3, 5, nonzero=True) for _ in range(l_count)],
@@ -686,9 +688,10 @@ def idqm_trial(master_seed: int, trial: int, gamma: Fraction, l_max: int, m_max:
                     mu=random_poly(rng, 2, 5, nonzero=True))
 
     def run(d: dict) -> list[CheckReport]:
-        return [idqm.check_prefactor_gg(v, gamma, l_count, m_count),
-                idqm.check_potential_product_identity(v, d["dv"], gamma, m_count, d["mu"]),
-                idqm.two_path_compare_idqm(v, d["dv"], d["de"], d["v_state"], gamma, d["mu"])]
+        stage = idqm.draw_stage(v, gamma=gamma, **d)
+        return [prefactor,
+                idqm.check_potential_product_identity(v, d["dv"], gamma, m_count, d["mu"], stage),
+                idqm.two_path_compare_idqm(v, gamma=gamma, stage=stage, g4=g4, **d)]
 
     reports = _redrawn(draw, run, "idqm.sweep")[1]
     for report in reports:

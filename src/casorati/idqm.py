@@ -12,12 +12,15 @@ eigenfunctions, a sign check at admissible real sample points, where all
 tracked radicands are strictly positive, each factor's sign read by
 ``RationalFn.sign_at``.  Each check hands its inputs to
 ``report.check_report`` by their witness keys, V as ``v_num`` and ``v_den``.
+A seeded trial builds the G-products (``row_col_products``) and the prefactor
+check once, and per draw one ``draw_stage`` that the other two checks share;
+a check called without them, as a replay is, builds its own.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .determinants import casoratian_imag, imag_shift_points
 from .poly import Poly, RationalFn, as_rational_fn, poly_products_equal
@@ -163,13 +166,67 @@ def _require_nonzero_potential(v: RationalFn) -> None:
         raise ValueError("V vanishes identically")
 
 
-def check_prefactor_gg(v: RationalFn, gamma, l: int, m: int) -> CheckReport:
+def _half_shift_pair(p: Poly, gamma) -> RationalFn:
+    """p(x - ig/2) p(x + ig/2)."""
+    return RationalFn(p.shift(imaginary(-gamma * HALF)) * p.shift(imaginary(gamma * HALF)))
+
+
+def row_col_products(fn: RationalFn, m: int, gamma) -> tuple[RationalFn, RationalFn]:
+    """fn multiplied over the m + 1 row points x_j^{(m+1)}, and over the 2m column
+    points x_j^{(m)} -+ ig/2: for fn = G^4 = vv_product(v, gamma, l, 0, l - 1), a trial's."""
+    rows = cols = RationalFn.one()
+    for delta in imag_shift_points(m + 1, gamma):
+        rows = rows * fn.shift(delta)
+    for y_off in (imaginary(-gamma * HALF), imaginary(gamma * HALF)):
+        for delta in imag_shift_points(m, gamma):
+            cols = cols * fn.shift(delta + y_off)
+    return rows, cols
+
+
+class Stage(NamedTuple):
+    """What a draw's potential-product and two-path checks share."""
+
+    w: Poly                         # W_g[dv]
+    pairs: PowerProduct             # conjugate_pair_product(V_Dv, len(de), gamma)
+    one_shot: tuple[Poly, Poly]     # W_g[dv, de], W_g[dv, de, v_state]
+    staged: tuple[Poly, Poly]       # the second stage's numerator, denominator
+
+
+def draw_stage(v: RationalFn, dv: Sequence[Poly], de: Sequence[Poly], v_state: Poly,
+               gamma, mu: Poly) -> Stage:
+    """Each Casoratian of one draw, computed once by the identity of its seeds
+    and with W_g[f] = f (so with no virtual seed the staged Casoratians are the
+    one-shot ones); a vanishing one raises ZeroDivisionError before any product."""
+    gamma = rational(gamma)
+    done = {}
+
+    def cas(seeds: list) -> Poly:
+        key = tuple(map(id, seeds))
+        if key not in done:
+            done[key] = seeds[0] if len(seeds) == 1 else casoratian_imag(seeds, gamma)
+        return done[key]
+
+    dv, de = list(dv), list(de)
+    w_all = cas(dv + de)
+    if w_all.is_zero():
+        raise ZeroDivisionError("seed Casoratian vanishes identically")
+    inner = [cas(dv + [u]) for u in de]
+    if cas(inner).is_zero():
+        raise ZeroDivisionError("intermediate Casoratian vanishes identically")
+    v_dv = deformed_potential_vd(v, dv, gamma, mu, cas(dv))
+    return Stage(cas(dv), conjugate_pair_product(v_dv, len(de), gamma),
+                 (w_all, cas(dv + de + [v_state])),
+                 (cas(inner + [cas(dv + [v_state])]), cas(inner)))
+
+
+def check_prefactor_gg(v: RationalFn, gamma, l: int, m: int,
+                       g4: tuple[RationalFn, RationalFn] | None = None) -> CheckReport:
     """Prefactor collapse for the staged route, verified to the 8th power.
 
     G(x) = (prod_{j=0}^{l-1} V(x+i(l/2-j)g) V*(x-i(l/2-j)g))^{1/4};
     the claim rewrites prod G(x_j^{(m+1)}) / sqrt(prod G(x_j - ig/2) G(x_j + ig/2))
-    as an eighth root of explicit V-products.  l or m above MAX_SEED_COUNT
-    raises ValueError.
+    as an eighth root of explicit V-products; the left side's 8th power is
+    rows^2 / cols of ``row_col_products``.  l or m above MAX_SEED_COUNT raises ValueError.
     """
     gamma = rational(gamma)
     if l < 0 or m < 1:
@@ -177,17 +234,10 @@ def check_prefactor_gg(v: RationalFn, gamma, l: int, m: int) -> CheckReport:
     require_at_most("l", l, MAX_SEED_COUNT)
     require_at_most("m", m, MAX_SEED_COUNT)
     _require_nonzero_potential(v)
-    g4 = vv_product(v, gamma, l, 0, l - 1)
-    lhs8 = RationalFn.one()
-    for delta in imag_shift_points(m + 1, gamma):
-        shifted = g4.shift(delta)
-        lhs8 = lhs8 * shifted * shifted
-    for delta in imag_shift_points(m, gamma):
-        lhs8 = lhs8 / (g4.shift(delta + imaginary(-gamma * HALF))
-                       * g4.shift(delta + imaginary(gamma * HALF)))
+    rows, cols = g4 or row_col_products(vv_product(v, gamma, l, 0, l - 1), m, gamma)
     rhs8 = (vv_product(v, gamma, l + m, 0, l - 1)
             * vv_product(v, gamma, l + m, m, l + m - 1))
-    return check_report("idqm.prefactor-gg", lhs8 == rhs8,
+    return check_report("idqm.prefactor-gg", rows * rows / cols == rhs8,
                         "G-product to the 8th power", "V-product to the 8th power",
                         {"l": l, "m": m, "gamma": format_rational(gamma),
                          "deg_v": v.reduce().num.degree},
@@ -195,7 +245,8 @@ def check_prefactor_gg(v: RationalFn, gamma, l: int, m: int) -> CheckReport:
 
 
 def check_potential_product_identity(v: RationalFn, seeds: Sequence[Poly], gamma,
-                                     m: int, mu: Poly | None = None) -> CheckReport:
+                                     m: int, mu: Poly | None = None,
+                                     stage: Stage | None = None) -> CheckReport:
     """Squared form of the staged-potential product collapse.
 
     prod_{j=0}^{m-1} V_Dv(x+i(m/2-j)g) V_Dv*(x-i(m/2-j)g) equals a square
@@ -208,8 +259,9 @@ def check_potential_product_identity(v: RationalFn, seeds: Sequence[Poly], gamma
     _require_nonzero_potential(v)
     l = len(seeds)
     mu = Poly.one() if mu is None else mu
-    w = casoratian_imag(seeds, gamma)
-    lhs = conjugate_pair_product(deformed_potential_vd(v, seeds, gamma, mu, w), m, gamma)
+    w = stage.w if stage else casoratian_imag(seeds, gamma)
+    lhs = (stage.pairs if stage
+           else conjugate_pair_product(deformed_potential_vd(v, seeds, gamma, mu, w), m, gamma))
     shifted = [w.shift(imaginary(k * gamma * HALF)) for k in (-(m + 1), -(m - 1), m + 1, m - 1)]
     four_point = RationalFn(*shifted[:2]) * RationalFn(*shifted[2:])
     rhs = (PowerProduct().times(four_point, 1)
@@ -226,78 +278,42 @@ DEFAULT_SAMPLES = (Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2),
                    Fraction(3), Fraction(-1), Fraction(5), Fraction(-3))
 
 
-def one_shot_idqm(v: RationalFn, seeds: Sequence[Poly], v_state: Poly,
-                  gamma) -> PowerProduct:
-    """Radical-tracked deformed eigenfunction, all seeds at once:
-    (V-products)^{1/4} W_g[seeds, v](x) / sqrt(W_g[seeds](x-ig/2) W_g[seeds](x+ig/2))."""
-    gamma = rational(gamma)
-    m_total = len(seeds)
-    w = casoratian_imag(seeds, gamma)
-    w_v = casoratian_imag(list(seeds) + [v_state], gamma)
-    if w.is_zero():
-        raise ZeroDivisionError("seed Casoratian vanishes identically")
+def one_shot_idqm(v: RationalFn, gamma, seed_count: int, w: Poly, w_v: Poly) -> PowerProduct:
+    """Radical-tracked deformed eigenfunction, all seeds at once, from w = W_g[seeds]
+    and w_v = W_g[seeds, v]: (V-products)^{1/4} w_v(x) / sqrt(w(x-ig/2) w(x+ig/2))."""
     return (PowerProduct()
-            .times(vv_product(v, gamma, m_total, 0, m_total - 1), Fraction(1, 4))
+            .times(vv_product(v, gamma, seed_count, 0, seed_count - 1), Fraction(1, 4))
             .times(RationalFn(w_v), 1)
-            .times(RationalFn(w.shift(imaginary(-gamma * HALF)) * w.shift(imaginary(gamma * HALF))),
-                   Fraction(-1, 2)))
+            .times(_half_shift_pair(w, gamma), Fraction(-1, 2)))
 
 
-def staged_idqm(v: RationalFn, dv_seeds: Sequence[Poly], de_seeds: Sequence[Poly],
-                v_state: Poly, gamma, mu_state: Poly, w0: Poly) -> PowerProduct:
-    """Radical-tracked staged route: virtual stand-ins first, then the
-    eigen stand-ins of the intermediate system; w0 = W_g[dv_seeds], from the
-    caller.
+def staged_idqm(gamma, m: int, g4: tuple[RationalFn, RationalFn], stage: Stage) -> PowerProduct:
+    """Radical-tracked staged route from a draw's stage and its trial's G-products:
+    virtual stand-ins first, then the eigen stand-ins of the intermediate system.
 
     Intermediate levels are G * W_g[f, u] / w; rows of the second-stage
     Casoratians factor out (G/w) at the shifted arguments by multilinearity,
     leaving Casoratians of the inner determinants.
     """
-    gamma = rational(gamma)
-    l = len(dv_seeds)
-    m = len(de_seeds)
-    g4 = vv_product(v, gamma, l, 0, l - 1)
-    if w0.is_zero():
-        raise ZeroDivisionError("virtual-seed Casoratian vanishes identically")
-    w2 = RationalFn(w0.shift(imaginary(-gamma * HALF)) * w0.shift(imaginary(gamma * HALF)))
-    inner = [casoratian_imag(list(dv_seeds) + [u], gamma) for u in de_seeds]
-    inner_v = casoratian_imag(list(dv_seeds) + [v_state], gamma)
-
-    out = PowerProduct()
+    w2_rows, w2_cols = row_col_products(_half_shift_pair(stage.w, gamma), m, gamma)
+    (g4_rows, g4_cols), (num_det, den_det) = g4, stage.staged
     # Fractional-exponent factors are assembled as conjugate-symmetric real
     # units so that each tracked radicand is |...|^2-shaped at real points.
     # prefactor: (prod_j V_Dv(x+i(m/2-j)g) V_Dv*(x-i(m/2-j)g))^{1/4}
-    v_dv = deformed_potential_vd(v, dv_seeds, gamma, mu_state, w0)
-    for fn, exponent in conjugate_pair_product(v_dv, m, gamma).factors:
-        out = out.times(fn, exponent / 4)
+    out = PowerProduct((fn, exponent / 4) for fn, exponent in stage.pairs.factors)
     # second-stage numerator Casoratian: rows factor (G/w)(x_j^{(m+1)})
-    g4_rows = RationalFn.one()
-    w2_rows = RationalFn.one()
-    for delta in imag_shift_points(m + 1, gamma):
-        g4_rows = g4_rows * g4.shift(delta)
-        w2_rows = w2_rows * w2.shift(delta)
-    out = out.times(g4_rows, Fraction(1, 4)).times(w2_rows, Fraction(-1, 2))
-    num_det = casoratian_imag(inner + [inner_v], gamma)
-    out = out.times(RationalFn(num_det), 1)
-    # second-stage denominator: sqrt(W[phi_e..](x-ig/2) W[phi_e..](x+ig/2))
-    den_det = casoratian_imag(inner, gamma)
-    if den_det.is_zero():
-        raise ZeroDivisionError("intermediate Casoratian vanishes identically")
-    out = out.times(RationalFn(den_det.shift(imaginary(-gamma * HALF))
-                               * den_det.shift(imaginary(gamma * HALF))),
-                    Fraction(-1, 2))
-    g4_cols = RationalFn.one()
-    w2_cols = RationalFn.one()
-    for y_off in (imaginary(-gamma * HALF), imaginary(gamma * HALF)):
-        for delta in imag_shift_points(m, gamma):
-            g4_cols = g4_cols * g4.shift(delta + y_off)
-            w2_cols = w2_cols * w2.shift(delta + y_off)
-    out = out.times(g4_cols, Fraction(-1, 8)).times(w2_cols, Fraction(1, 4))
-    return out
+    out = (out.times(g4_rows, Fraction(1, 4)).times(w2_rows, Fraction(-1, 2))
+           .times(RationalFn(num_det), 1))
+    # second-stage denominator: sqrt(W[phi_e..](x-ig/2) W[phi_e..](x+ig/2)),
+    # its columns factoring (G/w) at x_j^{(m)} -+ ig/2
+    return (out.times(_half_shift_pair(den_det, gamma), Fraction(-1, 2))
+            .times(g4_cols, Fraction(-1, 8)).times(w2_cols, Fraction(1, 4)))
 
 
 def two_path_compare_idqm(v: RationalFn, dv: Sequence[Poly], de: Sequence[Poly],
-                          v_state: Poly, gamma, mu: Poly | None = None) -> CheckReport:
+                          v_state: Poly, gamma, mu: Poly | None = None,
+                          stage: Stage | None = None,
+                          g4: tuple[RationalFn, RationalFn] | None = None) -> CheckReport:
     """One-shot versus staged eigenfunction in radical-tracked form.
 
     Passes iff the 8th powers agree exactly (zero tolerance) and the signs
@@ -308,9 +324,10 @@ def two_path_compare_idqm(v: RationalFn, dv: Sequence[Poly], de: Sequence[Poly],
     gamma = rational(gamma)
     _require_nonzero_potential(v)
     mu = Poly.one() if mu is None else mu
-    path_one = one_shot_idqm(v, list(dv) + list(de), v_state, gamma)
-    w_first = casoratian_imag(dv, gamma)
-    path_two = staged_idqm(v, dv, de, v_state, gamma, mu, w_first)
+    stage = stage or draw_stage(v, dv, de, v_state, gamma, mu)
+    g4 = g4 or row_col_products(vv_product(v, gamma, len(dv), 0, len(dv) - 1), len(de), gamma)
+    path_one = one_shot_idqm(v, gamma, len(dv) + len(de), *stage.one_shot)
+    path_two = staged_idqm(gamma, len(de), g4, stage)
     exact = path_one.equals_power(path_two, 8)
     sign_note = ""
     inconclusive = False
@@ -321,7 +338,7 @@ def two_path_compare_idqm(v: RationalFn, dv: Sequence[Poly], de: Sequence[Poly],
         # real sample (virtual-state Casoratians are sign-definite in the
         # physical setting), in addition to every tracked radicand.
         for sample in DEFAULT_SAMPLES:
-            if w_first.sign_at(sample) != 1:
+            if stage.w.sign_at(sample) != 1:
                 continue
             s1 = path_one.sign_at(sample)
             s2 = path_two.sign_at(sample)

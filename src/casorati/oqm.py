@@ -129,8 +129,6 @@ def build_harmonic_model(n_max: int, v_max: int) -> OqmModel:
         psi = ExpPoly(q, a=Fraction(1))
         if not verify_schrodinger(potential, psi, energy + offset):
             raise ArithmeticError(f"negative-energy solution {v} failed the load-time check")
-        if energy >= 0:
-            raise ArithmeticError("negative-energy solution with nonnegative energy")
         aux.append((energy, psi))
     return OqmModel(potential=potential, energy_offset=offset,
                     levels=tuple(levels), aux=tuple(aux))

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import casorati.cli as cli_mod
+import casorati.identities as identities_mod
 import casorati.idqm as idqm_mod
 from casorati.idqm import (
     HALF,
@@ -246,3 +248,72 @@ def test_star_compatibility_real_values():
     square = RationalFn(*expanded(vd.power(2)))
     for sample in (Fraction(0), Fraction(1), Fraction(5, 2)):
         assert (square * square.star()).sign_at(sample) is not None
+
+
+def test_idqm_run_builds_each_shared_object_once(monkeypatch, tmp_path):
+    """`casorati idqm --trials 10 --seed 42`: within a trial no nonempty
+    (seeds, gamma) Casoratian is computed twice, the prefactor check runs
+    once, and a draw whose Casoratian vanishes reaches no 8th-power or
+    squared comparison before it is redrawn."""
+    log = []
+
+    def logged(event, fn, key=lambda *a: None):
+        def wrapper(*args, **kwargs):
+            log.append((event, key(*args)))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli_mod, "idqm_trial", logged("trial", cli_mod.idqm_trial))
+    monkeypatch.setattr(idqm_mod, "casoratian_imag",
+                        logged("cas", idqm_mod.casoratian_imag,
+                               lambda fs, gamma: (tuple(fs), Fraction(gamma))))
+    monkeypatch.setattr(idqm_mod, "check_prefactor_gg",
+                        logged("prefactor", idqm_mod.check_prefactor_gg))
+    monkeypatch.setattr(PowerProduct, "equals_power",
+                        logged("compare", PowerProduct.equals_power))
+    redrawn = identities_mod._redrawn
+
+    def marked_redrawn(draw, run, what):
+        def marked_run(inputs):
+            log.append(("draw", None))
+            try:
+                return run(inputs)
+            except ZeroDivisionError:
+                log.append(("degenerate", None))
+                raise
+        return redrawn(draw, marked_run, what)
+
+    monkeypatch.setattr(identities_mod, "_redrawn", marked_redrawn)
+    assert cli_mod.main(["idqm", "--trials", "10", "--seed", "42",
+                         "--out", str(tmp_path / "r.json")]) in (0, 3)
+    trials, draws = [], []
+    for event, key in log:
+        if event == "trial":
+            trials.append([])
+        if event == "draw":
+            draws.append([])
+        trials[-1].append((event, key))
+        if draws:
+            draws[-1].append(event)
+    assert len(trials) == 10
+    for events in trials:
+        computed = [key for event, key in events if event == "cas" and key[0]]
+        assert len(computed) == len(set(computed))
+        assert sum(event == "prefactor" for event, _ in events) == 1
+    degenerate = [events for events in draws if "degenerate" in events]
+    assert degenerate and len(draws) > 10
+    assert all("compare" not in events for events in degenerate)
+
+
+def test_vanishing_seed_casoratian_raises_before_any_comparison(monkeypatch):
+    """Linearly dependent virtual seeds (W_g[dv] = 0) raise out of both draw
+    checks before any product is compared."""
+    compared = []
+    monkeypatch.setattr(PowerProduct, "equals_power", lambda *a: compared.append(a))
+    v, dv = RationalFn(x + 2), [x + 1, 2 * x + 2]
+    assert casoratian_imag(dv, 1).is_zero()
+    with pytest.raises(ZeroDivisionError):
+        check_potential_product_identity(v, dv, Fraction(1), 1, x)
+    with pytest.raises(ZeroDivisionError):
+        two_path_compare_idqm(v, dv, [x * x], x ** 3, Fraction(1), x)
+    assert not compared

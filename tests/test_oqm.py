@@ -217,6 +217,34 @@ def test_verify_schrodinger_poly_path_matches_ratio_path(model):
             assert fast == slow == (trial == energy), (phi, trial)
 
 
+@pytest.mark.parametrize("sign, label", [(-1, "eigenstate 3"), (1, "negative-energy solution 3")])
+def test_perturbed_hermite_state_fails_the_load_time_check(monkeypatch, sign, label):
+    """One coefficient of one stored polynomial off by 1/7 makes the
+    Schrodinger check reject the state at model build."""
+    hermite = oqm_mod.hermite_polynomials
+
+    def perturbed(n_max, s):
+        polys = hermite(n_max, s)
+        if s == sign:
+            polys[3] = polys[3] + Poly([0, Fraction(1, 7)])
+        return polys
+
+    monkeypatch.setattr(oqm_mod, "hermite_polynomials", perturbed)
+    with pytest.raises(ArithmeticError, match=f"{label} failed the load-time check"):
+        build_harmonic_model(6, 4)
+
+
+@pytest.mark.parametrize("d_v, d_e, n", [((0,), (1, 2), 0), ((0, 1), (1, 2), 0),
+                                         ((1,), (3, 4), 2), ((), (1,), 0)])
+def test_two_path_quotients_reduce_to_their_value(model, d_v, d_e, n):
+    """Both quotients ``oqm.two-path`` reduces equal their reduced forms,
+    cross-multiplied: the two paths share ``reduce``, so only this
+    comparison sees a reduce that changes a quotient's value."""
+    for ratio in (deformed_eigenfunction(model, model.seed_list(d_v, d_e), n),
+                  staged_eigenfunction(model, d_v, d_e, n)):
+        assert ratio.q.reduce() == ratio.q
+
+
 @pytest.mark.parametrize("d_v", [(), (0,), (1,), (0, 1)])
 def test_verify_schrodinger_rejects_wrong_energy_on_deformed_levels(model, d_v):
     """Acceptance criterion 5's deformed levels solve the deformed equation

@@ -134,6 +134,30 @@ def test_rational_fn_lazy_equality():
     assert (a - b).is_zero()
 
 
+def test_reduce_keeps_the_value_of_gaussian_quotients():
+    """reduce() divides out the gcd and scales by conj(lead)/|lead|^2 of the
+    denominator over its common denominator: the result equals the quotient
+    it came from, cross-multiplied, for drawn Gaussian numerators and
+    denominators with fractional coefficients and a shared factor."""
+    rng = random.Random(28)
+    i = GaussianRational(0, 1)
+
+    def gaussian_poly(degree, nonzero=False):
+        while True:
+            p = Poly([GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                                       Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+                      for _ in range(rng.randint(0, degree) + 1)])
+            if not nonzero or not p.is_zero():
+                return p
+
+    for _ in range(40):
+        shared = gaussian_poly(2, nonzero=True)
+        q = RationalFn(gaussian_poly(3) * shared, gaussian_poly(3, nonzero=True) * shared)
+        r = q.reduce()
+        assert r == q and r.den.re[-1] == r.den.den and r.den.im[-1] == 0   # monic
+    assert RationalFn(i * x, (2 + i) * x * x).reduce() == RationalFn(i * x, (2 + i) * x * x)
+
+
 def test_reduced_rational_fn_prints_without_a_gcd(monkeypatch):
     """reduce() marks its result, so reducing or printing it again takes no
     gcd; the text is that of the unreduced quotient."""

@@ -164,6 +164,20 @@ def test_lab_checks_that_never_fail_still_replay(monkeypatch):
         assert_same_report(replay_json(report.witness), report)
 
 
+def test_corrupted_deformed_potential_fails_through_the_trial_path(monkeypatch):
+    """A seeded idQM trial hands its checks one shared stage; the stage is
+    built through the module's helpers, so a corrupted V_Dv fails the
+    potential-product and two-path checks of the trial, and each witness
+    replays, under the same corruption, to the same failure."""
+    vd = idqm_mod.deformed_potential_vd
+    monkeypatch.setattr(idqm_mod, "deformed_potential_vd", lambda *a: vd(*a).times(2, 1))
+    prefactor, potential, two_path = identities_mod.idqm_trial(42, 0, Fraction(1), 2, 2, 2)
+    assert prefactor.passed
+    for report in (potential, two_path):
+        assert not report.passed and report.witness is not None
+        assert_same_report(replay_json(report.witness), report)
+
+
 def test_rdqm_two_path_library_witness_replays(monkeypatch):
     """Acceptance criterion 8's epsilon-parity control calls
     two_path_compare_rdqm as a library function; its witness carries the
