@@ -6,7 +6,8 @@ Every exact determinant goes through one entry, ``maximal_minors``, and one
 packing step, ``_Rows``: rows are cleared of denominators once, with the
 bound B on every minor's coefficients, and each entry is packed once as its
 value at x = 2^width (Kronecker substitution); a shifted entry f(x + delta)
-is f at 2^width + delta by ``poly._horner``, so no shifted Poly is built.  Up to
+is f at 2^width + delta by ``poly._horner``, as ``Poly.shift`` computes it,
+so no shifted Poly is built; ``imag_shift`` is f(x + i k gamma/2).  Up to
 n = EXPANSION_MAX_N the minors come from a division-free shared minor
 expansion (``_expand``) at width bitlen(B) + 1, which holds every
 coefficient, on plain ints when every entry and point is real; past it, or
@@ -39,7 +40,8 @@ from mpmath.libmp import (
     fzero, mpf_abs, mpf_div, mpf_gt, mpf_mul, mpf_neg, mpf_sub)
 
 from .gridfn import GridFn, WindowError
-from .poly import ExpPoly, Poly, _canonical, _horner, _mul_into, _parts, as_poly
+from .poly import (
+    ExpPoly, Poly, _canonical, _horner, _mul_into, _pack, _parts, _shift_size, _unpack, as_poly)
 from .scalars import GaussianRational, i_power, rational
 
 # Abort knob for runaway exact computations; see DeterminantBudgetError.
@@ -73,34 +75,6 @@ def _check_budget(p: Poly) -> None:
     if p.max_coeff_bits() > COEFF_BIT_BUDGET:
         raise DeterminantBudgetError(
             f"coefficient size exceeded {COEFF_BIT_BUDGET} bits")
-
-
-def _pack(values: list, width: int) -> int:
-    """The coefficient list ``values`` evaluated at 2^width."""
-    packed = 0
-    for v in reversed(values):
-        packed = (packed << width) + v
-    return packed
-
-
-def _unpack(entry, width: int) -> tuple[list, list]:
-    """The balanced base-2^width digits, low first, of a packed entry (an int,
-    or an (re, im) pair): its re and im coefficients, of equal length."""
-    half, mask = 1 << (width - 1), (1 << width) - 1
-    parts = []
-    for packed in (entry, 0) if isinstance(entry, int) else entry:
-        digits = []
-        while packed:
-            d = packed & mask
-            packed >>= width
-            if d >= half:
-                d -= mask + 1
-                packed += 1
-            digits.append(d)
-        parts.append(digits)
-    re, im = parts
-    size = max(len(re), len(im))
-    return re + [0] * (size - len(re)), im + [0] * (size - len(im))
 
 
 class _Rows:
@@ -159,15 +133,6 @@ class _Rows:
                             else _horner(e.re, e.im, shift, width, k)[0]
                             for e, k in zip(row, multipliers)])
         return out
-
-
-def _shift_size(p: Poly, reach: int, d: int) -> int:
-    """sum_j |c_j|_1 reach^j d^(k-j) over the coefficients c_j of p (degree k)."""
-    total, w = 0, 1
-    for r, m in zip(reversed(p.re), reversed(p.im)):
-        total = total * reach + (abs(r) + abs(m)) * w
-        w *= d
-    return total
 
 
 class _Packing:
@@ -559,6 +524,12 @@ def imag_shift_points(n: int, gamma: Fraction) -> list[GaussianRational]:
     """The n shifted arguments x_j = x + i*((n+1)/2 - j)*gamma, j = 1..n."""
     g = rational(gamma)
     return [GaussianRational(0, (Fraction(n + 1, 2) - j) * g) for j in range(1, n + 1)]
+
+
+def imag_shift(f, k: int, gamma):
+    """f(x + i k gamma/2): a whole number k of half steps i gamma/2, for any f
+    with a ``shift`` (a Poly, a RationalFn or a PowerProduct)."""
+    return f.shift(GaussianRational(0, Fraction(k, 2) * rational(gamma)))
 
 
 def casoratian_imag(fs: Sequence[Poly], gamma) -> Poly:

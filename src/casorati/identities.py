@@ -36,6 +36,7 @@ from . import idqm, oqm, rdqm
 from .determinants import (
     casoratian_imag,
     casoratian_real,
+    imag_shift,
     imag_shift_points,
     over_base_power,
     wronskian,
@@ -52,9 +53,7 @@ from .sampling import (
     random_poly,
     trial_rng,
 )
-from .scalars import format_rational, i_power, imaginary, rational, require_at_most
-
-HALF = Fraction(1, 2)
+from .scalars import format_rational, i_power, rational, require_at_most
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +62,7 @@ HALF = Fraction(1, 2)
 
 def _d_imag(f: Poly, gamma: Fraction) -> Poly:
     """Df(x) = f(x - i gamma/2) - f(x + i gamma/2)."""
-    return f.shift(imaginary(-gamma * HALF)) - f.shift(imaginary(gamma * HALF))
+    return imag_shift(f, -1, gamma) - imag_shift(f, 1, gamma)
 
 
 @dataclass(frozen=True)

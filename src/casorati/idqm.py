@@ -12,9 +12,12 @@ eigenfunctions, a sign check at admissible real sample points, where all
 tracked radicands are strictly positive, each factor's sign read by
 ``RationalFn.sign_at``.  Each check hands its inputs to
 ``report.check_report`` by their witness keys, V as ``v_num`` and ``v_den``.
-A seeded trial builds the G-products (``row_col_products``) and the prefactor
-check once, and per draw one ``draw_stage`` that the other two checks share;
-a check called without them, as a replay is, builds its own.
+Every shift is a whole number k of half steps, f(x + i k gamma/2) by
+``imag_shift``, and a conjugate pair f(x + i delta) f*(x - i delta) is
+s * s.star() of one shift s.  A seeded trial builds the G-products
+(``row_col_products``) and the prefactor check once, and per draw one
+``draw_stage`` that the other two checks share; a check called without them,
+as a replay is, builds its own.
 """
 
 from __future__ import annotations
@@ -22,10 +25,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .determinants import casoratian_imag, imag_shift_points
+from .determinants import casoratian_imag, imag_shift
 from .poly import Poly, RationalFn, as_rational_fn, poly_products_equal
 from .report import CheckReport, check_report
-from .scalars import format_rational, imaginary, rational, require_at_most
+from .scalars import format_rational, rational, require_at_most
 
 HALF = Fraction(1, 2)
 
@@ -34,15 +37,13 @@ HALF = Fraction(1, 2)
 MAX_SEED_COUNT = 6
 
 
-def vv_product(v: RationalFn, gamma, total, j_lo: int, j_hi: int) -> RationalFn:
-    """prod_{j=j_lo}^{j_hi} V(x + i(total/2 - j) gamma) V*(x - i(total/2 - j) gamma)."""
-    gamma = rational(gamma)
-    total = rational(total)
+def vv_product(v: RationalFn, gamma, total: int, j_lo: int, j_hi: int) -> RationalFn:
+    """prod_{j=j_lo}^{j_hi} V(x + i(total/2 - j) gamma) V*(x - i(total/2 - j) gamma),
+    each pair s * s.star() of one shift s, as V*(x - i delta) = star(V(x + i delta))."""
     out = RationalFn.one()
-    v_star = v.star()
     for j in range(j_lo, j_hi + 1):
-        delta = (total * HALF - j) * gamma
-        out = out * v.shift(imaginary(delta)) * v_star.shift(imaginary(-delta))
+        s = imag_shift(v, total - 2 * j, gamma)
+        out = out * s * s.star()
     return out
 
 
@@ -74,10 +75,6 @@ class PowerProduct:
 
     def shift(self, delta) -> "PowerProduct":
         return PowerProduct((fn.shift(delta), e) for fn, e in self.factors)
-
-    def star(self) -> "PowerProduct":
-        """The *-operation on every factor (exponents are real)."""
-        return PowerProduct((fn.star(), e) for fn, e in self.factors)
 
     def power(self, k: int) -> tuple[list, list]:
         """The k-th power as two factor lists of (Poly, exponent >= 0), its
@@ -138,25 +135,20 @@ def deformed_potential_vd(v: RationalFn, seeds: Sequence[Poly], gamma,
     w_mu = casoratian_imag(list(seeds) + [mu_state], gamma)
     if w.is_zero() or w_mu.is_zero():
         raise ZeroDivisionError("seed Casoratian vanishes identically")
-    rad = (v.shift(imaginary(-m_total * gamma * HALF))
-           * v.star().shift(imaginary(-(m_total + 2) * gamma * HALF)))
-    cof = (RationalFn(w.shift(imaginary(gamma * HALF)), w.shift(imaginary(-gamma * HALF)))
-           * RationalFn(w_mu.shift(imaginary(-gamma)), w_mu))
+    rad = imag_shift(v, -m_total, gamma) * imag_shift(v, m_total + 2, gamma).star()
+    cof = (RationalFn(imag_shift(w, 1, gamma), imag_shift(w, -1, gamma))
+           * RationalFn(imag_shift(w_mu, -2, gamma), w_mu))
     return PowerProduct().times(cof, 1).times(rad, HALF)
 
 
 def conjugate_pair_product(v_dv: PowerProduct, m: int, gamma) -> PowerProduct:
     """prod_{j=0}^{m-1} V_Dv(x+i(m/2-j)g) V_Dv*(x-i(m/2-j)g), multiplied
     factor by factor: each factor is a conjugate-symmetric product with real
-    coefficients, |...|^2-shaped at real points."""
-    v_dv_star = v_dv.star()
+    coefficients, |...|^2-shaped at real points, s * s.star() of one shift s."""
     out = PowerProduct()
     for j in range(m):
-        delta = (Fraction(m, 2) - j) * gamma
-        plus = v_dv.shift(imaginary(delta))
-        minus = v_dv_star.shift(imaginary(-delta))
-        for (fn_plus, exponent), (fn_minus, _) in zip(plus.factors, minus.factors):
-            out = out.times(fn_plus * fn_minus, exponent)
+        for fn, exponent in imag_shift(v_dv, m - 2 * j, gamma).factors:
+            out = out.times(fn * fn.star(), exponent)
     return out
 
 
@@ -168,18 +160,19 @@ def _require_nonzero_potential(v: RationalFn) -> None:
 
 def _half_shift_pair(p: Poly, gamma) -> RationalFn:
     """p(x - ig/2) p(x + ig/2)."""
-    return RationalFn(p.shift(imaginary(-gamma * HALF)) * p.shift(imaginary(gamma * HALF)))
+    return RationalFn(imag_shift(p, -1, gamma) * imag_shift(p, 1, gamma))
 
 
 def row_col_products(fn: RationalFn, m: int, gamma) -> tuple[RationalFn, RationalFn]:
     """fn multiplied over the m + 1 row points x_j^{(m+1)}, and over the 2m column
-    points x_j^{(m)} -+ ig/2: for fn = G^4 = vv_product(v, gamma, l, 0, l - 1), a trial's."""
+    points x_j^{(m)} -+ ig/2: for fn = G^4 = vv_product(v, gamma, l, 0, l - 1), a trial's.
+    In half steps i g/2 the rows are m, m - 2, ..., -m and the columns
+    m - 2, ..., -m (the - ig/2 side) and m, ..., 2 - m (the + ig/2 side)."""
     rows = cols = RationalFn.one()
-    for delta in imag_shift_points(m + 1, gamma):
-        rows = rows * fn.shift(delta)
-    for y_off in (imaginary(-gamma * HALF), imaginary(gamma * HALF)):
-        for delta in imag_shift_points(m, gamma):
-            cols = cols * fn.shift(delta + y_off)
+    for k in range(m, -m - 1, -2):
+        rows = rows * imag_shift(fn, k, gamma)
+    for k in [*range(m - 2, -m - 1, -2), *range(m, 1 - m, -2)]:
+        cols = cols * imag_shift(fn, k, gamma)
     return rows, cols
 
 
@@ -262,7 +255,7 @@ def check_potential_product_identity(v: RationalFn, seeds: Sequence[Poly], gamma
     w = stage.w if stage else casoratian_imag(seeds, gamma)
     lhs = (stage.pairs if stage
            else conjugate_pair_product(deformed_potential_vd(v, seeds, gamma, mu, w), m, gamma))
-    shifted = [w.shift(imaginary(k * gamma * HALF)) for k in (-(m + 1), -(m - 1), m + 1, m - 1)]
+    shifted = [imag_shift(w, k, gamma) for k in (-(m + 1), -(m - 1), m + 1, m - 1)]
     four_point = RationalFn(*shifted[:2]) * RationalFn(*shifted[2:])
     rhs = (PowerProduct().times(four_point, 1)
            .times(vv_product(v, gamma, l + m, 0, m - 1)

@@ -8,8 +8,11 @@ normalizes once; exact division is pseudo-division.  ``GaussianRational``
 coefficients appear only at the boundary: the ``coeffs`` view, built on each
 read (printing, serialization) and a value ``p(x)``.  One integer Horner
 loop, ``_horner``, serves values, ``sign_at`` (a RationalFn's read off
-num(x) * conj(den(x))) and the determinant kernel's packing; one scalar
-product, ``_scale``, serves ``*`` by a scalar, ``monic`` and ``reduce``.
+num(x) * conj(den(x))), ``shift`` (p(x + delta) read back from its value at
+2^width + delta) and the determinant kernel's packing; the packed form's
+helpers, ``_pack``, ``_unpack`` and the width bound ``_shift_size``, live
+beside it.  One scalar product, ``_scale``, serves ``*`` by a scalar,
+``monic`` and ``reduce``.
 ``RationalFn`` is a quotient of two Polys; arithmetic keeps the pair
 unreduced (equality cross-multiplies), ``reduce()``/``canonical()`` produce
 the gcd-reduced monic-denominator representative on demand.
@@ -121,20 +124,47 @@ def _horner(re: list, im, shift: tuple, width: int, w: int) -> tuple[int, int]:
     return ar, 0
 
 
+def _pack(values: list, width: int) -> int:
+    """The coefficient list ``values`` evaluated at 2^width."""
+    packed = 0
+    for v in reversed(values):
+        packed = (packed << width) + v
+    return packed
+
+
+def _unpack(entry, width: int) -> tuple[list, list]:
+    """The balanced base-2^width digits, low first, of a packed entry (an int,
+    or an (re, im) pair): its re and im coefficients, of equal length."""
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    parts = []
+    for packed in (entry, 0) if isinstance(entry, int) else entry:
+        digits = []
+        while packed:
+            d = packed & mask
+            packed >>= width
+            if d >= half:
+                d -= mask + 1
+                packed += 1
+            digits.append(d)
+        parts.append(digits)
+    re, im = parts
+    size = max(len(re), len(im))
+    return re + [0] * (size - len(re)), im + [0] * (size - len(im))
+
+
+def _shift_size(p: "Poly", reach: int, d: int) -> int:
+    """sum_j |c_j|_1 reach^j d^(k-j) over the coefficients c_j of p (degree k)."""
+    total, w = 0, 1
+    for r, m in zip(reversed(p.re), reversed(p.im)):
+        total = total * reach + (abs(r) + abs(m)) * w
+        w *= d
+    return total
+
+
 def _scale(p: "Poly", zr: int, zi: int, den: int) -> "Poly":
     """p's integer vector times the Gaussian integer zr + i*zi, over den."""
     return _canonical([r * zr - m * zi for r, m in zip(p.re, p.im)],
                       [r * zi + m * zr for r, m in zip(p.re, p.im)], den)
-
-
-def _taylor_shift(re: list, im: list, ur: int, ui: int) -> None:
-    """In place: the integer vector re + i*im becomes its Taylor shift by ur + i*ui."""
-    n = len(re) - 1
-    for i in range(n):
-        for j in range(n - 1, i - 1, -1):
-            a, b = re[j + 1], im[j + 1]
-            re[j] += ur * a - ui * b
-            im[j] += ur * b + ui * a
 
 
 class Poly:
@@ -321,28 +351,16 @@ class Poly:
                           [k * m for k, m in enumerate(self.im)][1:], self.den)
 
     def shift(self, delta) -> "Poly":
-        """p(x + delta), exact.
-
-        With delta = u/d (u a Gaussian integer): scale c_k by d^(n-k), Taylor
-        shift by u, scale term j by d^j, and multiply the denominator by d^n.
-        """
+        """p(x + delta), exact: for delta = u/d (u a Gaussian integer) and p
+        of degree k, d^k num(x + delta) has coefficients of size at most
+        S = ``_shift_size``(p, d + |u|_1, d), so ``_horner`` evaluates it at
+        2^width, width = bitlen(S) + 1, and ``_unpack`` reads them back."""
         ur, ui, d = _parts(delta)
         if (ur == 0 and ui == 0) or not self.re:
             return self
-        re, im = list(self.re), list(self.im)
-        n = len(re) - 1
-        if d != 1:
-            for k in range(n):
-                w = d ** (n - k)
-                re[k] *= w
-                im[k] *= w
-        _taylor_shift(re, im, ur, ui)
-        if d != 1:
-            for j in range(1, n + 1):
-                w = d ** j
-                re[j] *= w
-                im[j] *= w
-        return _canonical(re, im, self.den * d ** n)
+        width = _shift_size(self, d + abs(ur) + abs(ui), d).bit_length() + 1
+        return _canonical(*_unpack(_horner(self.re, self.im, (ur, ui, d), width, 1), width),
+                          self.den * d ** (len(self.re) - 1))
 
     def _at(self, x) -> tuple[int, int, int]:
         """p(x) as (re, im, den) with den > 0: for x = (xr + i*xi)/xd, which

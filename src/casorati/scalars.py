@@ -18,8 +18,6 @@ from mpmath.libmp import from_int, mpf_div, mpf_pos
 
 DEFAULT_PRECISION_BITS = 256
 
-_F0 = Fraction(0)
-
 RationalLike = Union[int, str, Fraction]
 
 # Upper bound of a rational text's digit count and of its decimal exponent's
@@ -84,61 +82,52 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return self.re.numerator == 0 and self.im.numerator == 0
 
-    def is_real(self) -> bool:
-        return self.im.numerator == 0
-
     # -- arithmetic ---------------------------------------------------------
 
-    # An operand that as_gaussian cannot coerce gets NotImplemented, so the
-    # other type's reflected method (e.g. Poly.__radd__) has its turn.
+    # An operand of a type as_gaussian does not coerce gets NotImplemented, so
+    # the other type's reflected method (e.g. Poly.__radd__) has its turn.
 
     def __add__(self, other) -> "GaussianRational":
-        other = _operand(other)
-        if other is None:
+        if not isinstance(other, _OPERANDS):
             return NotImplemented
+        other = as_gaussian(other)
         return GaussianRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "GaussianRational":
-        other = _operand(other)
-        if other is None:
+        if not isinstance(other, _OPERANDS):
             return NotImplemented
+        other = as_gaussian(other)
         return GaussianRational(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other) -> "GaussianRational":
-        other = _operand(other)
-        return NotImplemented if other is None else other.__sub__(self)
+        return as_gaussian(other) - self if isinstance(other, _OPERANDS) else NotImplemented
 
     def __neg__(self) -> "GaussianRational":
         return GaussianRational(-self.re, -self.im)
 
     def __mul__(self, other) -> "GaussianRational":
-        other = _operand(other)
-        if other is None:
+        if not isinstance(other, _OPERANDS):
             return NotImplemented
+        other = as_gaussian(other)
         a, b, c, d = self.re, self.im, other.re, other.im
-        if b.numerator == 0 and d.numerator == 0:
-            return GaussianRational(a * c, _F0)
         return GaussianRational(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "GaussianRational":
-        other = _operand(other)
-        if other is None:
+        if not isinstance(other, _OPERANDS):
             return NotImplemented
+        other = as_gaussian(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero GaussianRational")
         a, b, c, d = self.re, self.im, other.re, other.im
-        if b.numerator == 0 and d.numerator == 0:
-            return GaussianRational(a / c, _F0)
         norm = c * c + d * d
         return GaussianRational((a * c + b * d) / norm, (b * c - a * d) / norm)
 
     def __rtruediv__(self, other) -> "GaussianRational":
-        other = _operand(other)
-        return NotImplemented if other is None else other.__truediv__(self)
+        return as_gaussian(other) / self if isinstance(other, _OPERANDS) else NotImplemented
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
@@ -169,6 +158,9 @@ class GaussianRational:
         return f"{format_rational(self.re)}{sign}{format_rational(abs(self.im))}*i"
 
 
+# What as_gaussian coerces: the operands of GaussianRational's arithmetic.
+_OPERANDS = (GaussianRational, int, Fraction, str)
+
 GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
 GR_I = GaussianRational(0, 1)
@@ -182,19 +174,6 @@ def as_gaussian(value) -> GaussianRational:
     if isinstance(value, str):
         return GaussianRational(rational(value))
     raise TypeError(f"cannot coerce {value!r} to GaussianRational")
-
-
-def _operand(value) -> GaussianRational | None:
-    """as_gaussian(value), or None where it would raise TypeError."""
-    try:
-        return as_gaussian(value)
-    except TypeError:
-        return None
-
-
-def imaginary(value: RationalLike) -> GaussianRational:
-    """The pure imaginary number value*i."""
-    return GaussianRational(_F0, value)
 
 
 def i_power(k: int) -> GaussianRational:

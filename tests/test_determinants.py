@@ -600,7 +600,7 @@ def test_reality_of_imag_casoratian():
 def sample_poly_exact(poly: Poly, x_max: int) -> GridFn:
     """The exact rational values of a real polynomial on {0, ..., x_max}."""
     values = [poly(x_pt) for x_pt in range(x_max + 1)]
-    assert all(v.is_real() for v in values)
+    assert all(v.im == 0 for v in values)
     return GridFn([v.re for v in values])
 
 

@@ -322,7 +322,7 @@ def reference_str(p: Poly) -> str:
         c = coeffs[k]
         if c.is_zero():
             continue
-        term = f"({c})" if not c.is_real() or c.re < 0 else str(c)
+        term = f"({c})" if c.im != 0 or c.re < 0 else str(c)
         if k == 0:
             parts.append(term)
         elif k == 1:
@@ -506,8 +506,19 @@ def test_exact_division_matches_reference(a, b):
     assert_matches(product.exact_div(Poly(b)), divmod(RefPoly(a) * RefPoly(b), RefPoly(b))[0])
 
 
-@given(coeff_lists, gaussians)
-@settings(max_examples=60)
+# Shifted polynomials: degrees up to 30, and constants and one-term
+# polynomials c*x^k, whose shifts come closest to the packing width's bound;
+# shifts with small denominators as well as the coefficients' own.
+shift_lists = st.one_of(coeff_lists, st.lists(gaussians, max_size=31),
+                        st.builds(lambda c, k: [0] * k + [c], gaussians, st.integers(0, 30)))
+small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+shift_deltas = st.one_of(gaussians, st.builds(GaussianRational, small_fractions, small_fractions))
+
+
+@given(shift_lists, shift_deltas)
+@example([GaussianRational(Fraction(3, 2))], GaussianRational(1))
+@example([GaussianRational(1), GaussianRational(1)], GaussianRational(1))
+@settings(max_examples=150)
 def test_shift_matches_reference(a, delta):
     assert_matches(Poly(a).shift(delta), RefPoly(a).shift(delta))
 
@@ -591,7 +602,7 @@ sample_points = st.one_of(st.fractions(min_value=-3, max_value=3, max_denominato
 
 def value_sign(value: GaussianRational):
     """The sign of an exact value read off its parts; None off the reals."""
-    return (value.re > 0) - (value.re < 0) if value.is_real() else None
+    return (value.re > 0) - (value.re < 0) if value.im == 0 else None
 
 
 @st.composite

@@ -151,8 +151,8 @@ def test_lab_checks_that_never_fail_still_replay(monkeypatch):
         return ExpRatio(phi.q * 2, *phi.pair)
 
     monkeypatch.setattr(oqm_mod, "staged_eigenfunction", doubled)
-    points = idqm_mod.imag_shift_points
-    monkeypatch.setattr(idqm_mod, "imag_shift_points", lambda n, g: points(n + 1, g))
+    half_steps = idqm_mod.imag_shift
+    monkeypatch.setattr(idqm_mod, "imag_shift", lambda f, k, g: half_steps(f, k + 1, g))
     vd = idqm_mod.deformed_potential_vd
     monkeypatch.setattr(idqm_mod, "deformed_potential_vd", lambda *a: vd(*a).times(2, 1))
     model = oqm_mod.build_harmonic_model(4, 2)
