@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from casorati.determinants import casoratian_imag
 from casorati.idqm import (
+    Shifted,
     check_potential_product_identity,
     check_prefactor_gg,
     deformed_potential_vd,
@@ -26,16 +27,18 @@ gamma = Fraction(1)
 # The *-operation conjugates coefficients; V V* products at conjugate
 # arguments are |.|^2-shaped, which is what keeps radicands real.
 # ---------------------------------------------------------------------------
-print("star(x + 2) == x + 2 (real V):", V.star() == V)
+v = Shifted.of(V)
+print("star(x + 2) == x + 2 (real V):", v.star() == v)
 
 # ---------------------------------------------------------------------------
 # The deformed potential function: a rational cofactor times the square
-# root of a shifted V V* product, the factors cof^1 and rad^(1/2).
+# root of a shifted V V* product, the factors cof^1 and rad^(1/2), each kept
+# as shifted atoms and multiplied out here only to print it.
 # ---------------------------------------------------------------------------
 vd = deformed_potential_vd(V, [x * x], gamma, Poly.one(), casoratian_imag([x * x], gamma))
 (cof, _), (rad, _) = vd.factors
-print("V_D cofactor:", cof.reduce())
-print("V_D radicand:", rad.reduce())
+print("V_D cofactor:", cof.expand().reduce())
+print("V_D radicand:", rad.expand().reduce())
 
 # ---------------------------------------------------------------------------
 # The two prefactor-collapse identities that make the staged route close.

@@ -520,15 +520,17 @@ def over_base_power(m: int) -> int:
 # Imaginary-shift Casoratian
 # ---------------------------------------------------------------------------
 
-def imag_shift_points(n: int, gamma: Fraction) -> list[GaussianRational]:
-    """The n shifted arguments x_j = x + i*((n+1)/2 - j)*gamma, j = 1..n."""
+@cache
+def imag_shift_points(n: int, gamma: Fraction) -> tuple[GaussianRational, ...]:
+    """The n shifted arguments x_j = x + i*((n+1)/2 - j)*gamma, j = 1..n, built
+    once per (n, gamma)."""
     g = rational(gamma)
-    return [GaussianRational(0, (Fraction(n + 1, 2) - j) * g) for j in range(1, n + 1)]
+    return tuple(GaussianRational(0, (Fraction(n + 1, 2) - j) * g) for j in range(1, n + 1))
 
 
-def imag_shift(f, k: int, gamma):
-    """f(x + i k gamma/2): a whole number k of half steps i gamma/2, for any f
-    with a ``shift`` (a Poly, a RationalFn or a PowerProduct)."""
+def imag_shift(f: Poly, k: int, gamma) -> Poly:
+    """f(x + i k gamma/2) for a Poly f: a whole number k of half steps
+    i gamma/2.  (idQM's own ``imag_shift`` moves atom indices instead.)"""
     return f.shift(GaussianRational(0, Fraction(k, 2) * rational(gamma)))
 
 

@@ -5,30 +5,36 @@ actually provable with exact arithmetic: polynomial stand-ins for the
 wavefunctions and a rational potential function V.  Square roots never get
 evaluated.  They ride along as the factors of one container, PowerProduct,
 with exponents in (1/8)Z: a deformed potential is cof * rad^(1/2), a deformed
-eigenfunction a longer product.  Every comparison is made on a power that
-clears the radicals (the square for the potential product, the 8th power for
-the eigenfunctions; an exact rational-function identity), plus, for the
-eigenfunctions, a sign check at admissible real sample points, where all
-tracked radicands are strictly positive, each factor's sign read by
-``RationalFn.sign_at``.  Each check hands its inputs to
+eigenfunction a longer product.  A factor is a ``Shifted``, a quotient of
+atom products kept unexpanded, an ``Atom`` being a Poly at x + i k gamma/2,
+its coefficients conjugated when starred.  Every shift is a whole number k
+of half steps, made by ``imag_shift``, and it and ``star`` rewrite atom
+indices only: star(f(x + i delta)) = f*(x - i delta), so a conjugate pair
+f(x + i delta) f*(x - i delta) is s * s.star() of one shift s.  Every
+comparison is made on a power that clears the radicals (the square for the
+potential product, the 8th power for the eigenfunctions; an exact
+rational-function identity): the atoms both sides share cancel by index, and
+only the rest is shifted, once, and compared by ``poly_products_equal``.  The
+eigenfunctions add a sign check at admissible real sample points, where all
+tracked radicands are strictly positive, each factor's sign read off its
+atoms' exact values there.  Each check hands its inputs to
 ``report.check_report`` by their witness keys, V as ``v_num`` and ``v_den``.
-Every shift is a whole number k of half steps, f(x + i k gamma/2) by
-``imag_shift``, and a conjugate pair f(x + i delta) f*(x - i delta) is
-s * s.star() of one shift s.  A seeded trial builds the G-products
-(``row_col_products``) and the prefactor check once, and per draw one
-``draw_stage`` that the other two checks share; a check called without them,
-as a replay is, builds its own.
+A seeded trial builds the G-products (``row_col_products``) and the prefactor
+check once, and per draw one ``draw_stage`` that the other two checks share;
+a check called without them, as a replay is, builds its own.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from math import prod
 from typing import NamedTuple, Sequence
 
-from .determinants import casoratian_imag, imag_shift
-from .poly import Poly, RationalFn, as_rational_fn, poly_products_equal
+from .determinants import casoratian_imag
+from .poly import Poly, RationalFn, _horner, as_rational_fn, poly_products_equal
 from .report import CheckReport, check_report
-from .scalars import format_rational, rational, require_at_most
+from .scalars import GaussianRational, format_rational, rational, require_at_most
 
 HALF = Fraction(1, 2)
 
@@ -37,10 +43,129 @@ HALF = Fraction(1, 2)
 MAX_SEED_COUNT = 6
 
 
-def vv_product(v: RationalFn, gamma, total: int, j_lo: int, j_hi: int) -> RationalFn:
+class Atom(NamedTuple):
+    """base(x + i k gamma/2), base's coefficients conjugated when ``star``.
+
+    Equal atoms are equal polynomials: a real base is never starred, and an
+    unshifted atom (k = 0, as a constant always is) has gamma 0."""
+
+    base: Poly
+    star: bool
+    k: int
+    gamma: Fraction | int
+
+    def shifted(self, k: int, gamma) -> "Atom":
+        """The atom k half steps i gamma/2 further along."""
+        if len(self.base.re) < 2:
+            return self
+        if self.k and self.gamma != gamma:
+            raise ValueError("one atom shifted by half steps of two gammas")
+        k += self.k
+        return Atom(self.base, self.star, k, gamma if k else 0)
+
+    def starred(self) -> "Atom":
+        return Atom(self.base, self.star != any(self.base.im), -self.k, self.gamma)
+
+    def __hash__(self):
+        return hash((len(self.base.re), self.star, self.k))
+
+    def poly(self) -> Poly:
+        """The atom multiplied out: its base, conjugated if starred, shifted once."""
+        base = self.base.conjugate_coeffs() if self.star else self.base
+        return base.shift(GaussianRational(0, Fraction(self.k, 2) * self.gamma))
+
+    def value_at(self, sample) -> tuple[int, int]:
+        """A positive multiple of the value at a real sample p/q, as a
+        Gaussian integer: ``poly._horner`` at x = (xr + i xi)/xd, which is
+        1 + (xr - xd + i xi)/xd as ``Poly._at`` reads it, on the base at
+        sample + i k gamma/2, or conjugated at sample - i k gamma/2 if starred."""
+        (p, q), (gn, gd) = ((n.numerator, n.denominator) for n in (sample, self.gamma))
+        xd, xi = 2 * q * gd, (-self.k if self.star else self.k) * gn * q
+        re, im = _horner(self.base.re, self.base.im, (2 * p * gd - xd, xi, xd), 0, 1)
+        return (re, -im) if self.star else (re, im)
+
+
+def _products_equal(lhs: Counter, rhs: Counter) -> bool:
+    """prod lhs == prod rhs over atom -> exponent counts.  The atoms both
+    sides share cancel by index; only the rest is shifted, once, and handed to
+    ``poly_products_equal``, which decides zero sides first, so an atom of the
+    zero Poly never cancels."""
+    common = Counter({atom: e for atom, e in (lhs & rhs).items() if atom.base.re})
+    return poly_products_equal([(atom.poly(), e) for atom, e in (lhs - common).items()],
+                               [(atom.poly(), e) for atom, e in (rhs - common).items()])
+
+
+class Shifted:
+    """A quotient of two atom products, num / den, never multiplied out:
+    ``*`` and ``/`` concatenate the atom tuples, ``imag_shift`` and ``star``
+    rewrite the atoms, ``==`` cross-multiplies and cancels by index, and
+    ``expand`` gives the RationalFn.  ``of`` takes a scalar, a Poly or a
+    RationalFn as unshifted atoms, a factor 1 as none."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: tuple = (), den: tuple = ()):
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Shifted is immutable")
+
+    @staticmethod
+    def of(fn) -> "Shifted":
+        if isinstance(fn, Shifted):
+            return fn
+        fn = as_rational_fn(fn)
+        return Shifted(*[() if p == Poly.one() else (Atom(p, False, 0, 0),)
+                         for p in (fn.num, fn.den)])
+
+    def __mul__(self, other) -> "Shifted":
+        other = Shifted.of(other)
+        return Shifted(self.num + other.num, self.den + other.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "Shifted":
+        other = Shifted.of(other)
+        return Shifted(self.num + other.den, self.den + other.num)
+
+    def __eq__(self, other) -> bool:
+        other = Shifted.of(other)
+        return _products_equal(Counter(self.num + other.den), Counter(other.num + self.den))
+
+    def star(self) -> "Shifted":
+        return Shifted(tuple(a.starred() for a in self.num), tuple(a.starred() for a in self.den))
+
+    def expand(self) -> RationalFn:
+        return RationalFn(*[prod((a.poly() for a in atoms), start=Poly.one())
+                            for atoms in (self.num, self.den)])
+
+    def sign_at(self, sample) -> int | None:
+        """The sign at a real sample, read off num * conj(den) there, a
+        positive multiple of the value: -1, 0 or 1; None at a pole of the
+        pair or where the value is not real."""
+        dens = [atom.value_at(sample) for atom in self.den]
+        if (0, 0) in dens:
+            return None
+        re, im = 1, 0
+        for ar, ai in [atom.value_at(sample) for atom in self.num] + [(r, -m) for r, m in dens]:
+            re, im = re * ar - im * ai, re * ai + im * ar
+        return None if im else (re > 0) - (re < 0)
+
+
+def imag_shift(f, k: int, gamma) -> Shifted:
+    """f(x + i k gamma/2), for f a Shifted or anything ``Shifted.of`` takes:
+    every atom moves k half steps, and nothing is shifted or multiplied.
+    Every half step of the lab goes through this name."""
+    f = Shifted.of(f)
+    return Shifted(tuple(a.shifted(k, gamma) for a in f.num),
+                   tuple(a.shifted(k, gamma) for a in f.den))
+
+
+def vv_product(v: RationalFn, gamma, total: int, j_lo: int, j_hi: int) -> Shifted:
     """prod_{j=j_lo}^{j_hi} V(x + i(total/2 - j) gamma) V*(x - i(total/2 - j) gamma),
-    each pair s * s.star() of one shift s, as V*(x - i delta) = star(V(x + i delta))."""
-    out = RationalFn.one()
+    each pair s * s.star() of one shift s."""
+    v, out = Shifted.of(v), Shifted()
     for j in range(j_lo, j_hi + 1):
         s = imag_shift(v, total - 2 * j, gamma)
         out = out * s * s.star()
@@ -48,20 +173,20 @@ def vv_product(v: RationalFn, gamma, total: int, j_lo: int, j_hi: int) -> Ration
 
 
 class PowerProduct:
-    """Product of RationalFn factors raised to exponents in (1/8)Z.
+    """Product of Shifted factors raised to exponents in (1/8)Z.
 
     The one radical-tracking container of the imaginary-shift lab: a deformed
     potential is cof^1 * rad^(1/2), a deformed eigenfunction a product of
     V-product and Casoratian factors.  The k-th power is a plain rational
     function once every exponent times k is an integer; it is compared
-    exactly, and the sign at a real sample point is the product of
-    integer-exponent factor signs once every fractional-exponent radicand
-    checks out strictly positive there.
+    exactly, atoms cancelled by index, and the sign at a real sample point is
+    the product of integer-exponent factor signs once every
+    fractional-exponent radicand checks out strictly positive there.
     """
 
     __slots__ = ("factors",)
 
-    def __init__(self, factors: Sequence[tuple[RationalFn, Fraction]] = ()):
+    def __init__(self, factors: Sequence[tuple[Shifted, Fraction]] = ()):
         object.__setattr__(self, "factors", tuple(factors))
 
     def __setattr__(self, name, value):
@@ -71,36 +196,33 @@ class PowerProduct:
         exponent = rational(exponent)
         if (exponent * 8).denominator != 1:
             raise ValueError("exponents must be multiples of 1/8")
-        return PowerProduct(self.factors + ((as_rational_fn(fn), exponent),))
+        return PowerProduct(self.factors + ((Shifted.of(fn), exponent),))
 
-    def shift(self, delta) -> "PowerProduct":
-        return PowerProduct((fn.shift(delta), e) for fn, e in self.factors)
-
-    def power(self, k: int) -> tuple[list, list]:
-        """The k-th power as two factor lists of (Poly, exponent >= 0), its
-        numerator's and its denominator's, unexpanded; ValueError if some
-        exponent times k is not an integer.  A factor with a negative
-        exponent puts its numerator in the denominator's list."""
-        tops, bottoms = [], []
+    def power(self, k: int) -> tuple[Counter, Counter]:
+        """The k-th power's numerator and denominator, unexpanded, as
+        atom -> exponent counts; ValueError if some exponent times k is not
+        an integer.  A factor with a negative exponent puts its numerator's
+        atoms in the denominator's count."""
+        tops, bottoms = Counter(), Counter()
         for fn, exponent in self.factors:
-            ek = exponent * k
-            if ek.denominator != 1:
+            ek, rest = divmod(exponent.numerator * k, exponent.denominator)
+            if rest:
                 raise ValueError(f"exponent {exponent} times {k} is not an integer")
             top, bottom = (fn.num, fn.den) if ek > 0 else (fn.den, fn.num)
-            tops.append((top, abs(int(ek))))
-            bottoms.append((bottom, abs(int(ek))))
+            for atoms, counts in ((top, tops), (bottom, bottoms)):
+                for atom in atoms:
+                    counts[atom] += abs(ek)
         return tops, bottoms
 
     def equals_power(self, other: "PowerProduct", k: int) -> bool:
         """Exact equality of the k-th powers, cross-multiplied:
-        num * other_den == other_num * den, with both sides handed to
-        ``poly_products_equal`` as factor lists, so factors common to both
-        sides cancel unexpanded.  A factor that vanishes identically under a
+        num * other_den == other_num * den, the atoms both sides share
+        cancelled by index.  A factor that vanishes identically under a
         negative exponent leaves a zero denominator, which the comparison
         treats like any other zero factor."""
         tops, bottoms = self.power(k)
         other_tops, other_bottoms = other.power(k)
-        return poly_products_equal(tops + other_bottoms, other_tops + bottoms)
+        return _products_equal(tops + other_bottoms, other_tops + bottoms)
 
     def sign_at(self, sample) -> int | None:
         """Sign at a real sample; None when it cannot be fixed there.
@@ -136,8 +258,8 @@ def deformed_potential_vd(v: RationalFn, seeds: Sequence[Poly], gamma,
     if w.is_zero() or w_mu.is_zero():
         raise ZeroDivisionError("seed Casoratian vanishes identically")
     rad = imag_shift(v, -m_total, gamma) * imag_shift(v, m_total + 2, gamma).star()
-    cof = (RationalFn(imag_shift(w, 1, gamma), imag_shift(w, -1, gamma))
-           * RationalFn(imag_shift(w_mu, -2, gamma), w_mu))
+    cof = (imag_shift(w, 1, gamma) / imag_shift(w, -1, gamma)
+           * (imag_shift(w_mu, -2, gamma) / w_mu))
     return PowerProduct().times(cof, 1).times(rad, HALF)
 
 
@@ -147,8 +269,9 @@ def conjugate_pair_product(v_dv: PowerProduct, m: int, gamma) -> PowerProduct:
     coefficients, |...|^2-shaped at real points, s * s.star() of one shift s."""
     out = PowerProduct()
     for j in range(m):
-        for fn, exponent in imag_shift(v_dv, m - 2 * j, gamma).factors:
-            out = out.times(fn * fn.star(), exponent)
+        for fn, exponent in v_dv.factors:
+            s = imag_shift(fn, m - 2 * j, gamma)
+            out = out.times(s * s.star(), exponent)
     return out
 
 
@@ -158,17 +281,17 @@ def _require_nonzero_potential(v: RationalFn) -> None:
         raise ValueError("V vanishes identically")
 
 
-def _half_shift_pair(p: Poly, gamma) -> RationalFn:
+def _half_shift_pair(p: Poly, gamma) -> Shifted:
     """p(x - ig/2) p(x + ig/2)."""
-    return RationalFn(imag_shift(p, -1, gamma) * imag_shift(p, 1, gamma))
+    return imag_shift(p, -1, gamma) * imag_shift(p, 1, gamma)
 
 
-def row_col_products(fn: RationalFn, m: int, gamma) -> tuple[RationalFn, RationalFn]:
+def row_col_products(fn: Shifted, m: int, gamma) -> tuple[Shifted, Shifted]:
     """fn multiplied over the m + 1 row points x_j^{(m+1)}, and over the 2m column
     points x_j^{(m)} -+ ig/2: for fn = G^4 = vv_product(v, gamma, l, 0, l - 1), a trial's.
     In half steps i g/2 the rows are m, m - 2, ..., -m and the columns
     m - 2, ..., -m (the - ig/2 side) and m, ..., 2 - m (the + ig/2 side)."""
-    rows = cols = RationalFn.one()
+    rows = cols = Shifted()
     for k in range(m, -m - 1, -2):
         rows = rows * imag_shift(fn, k, gamma)
     for k in [*range(m - 2, -m - 1, -2), *range(m, 1 - m, -2)]:
@@ -213,7 +336,7 @@ def draw_stage(v: RationalFn, dv: Sequence[Poly], de: Sequence[Poly], v_state: P
 
 
 def check_prefactor_gg(v: RationalFn, gamma, l: int, m: int,
-                       g4: tuple[RationalFn, RationalFn] | None = None) -> CheckReport:
+                       g4: tuple[Shifted, Shifted] | None = None) -> CheckReport:
     """Prefactor collapse for the staged route, verified to the 8th power.
 
     G(x) = (prod_{j=0}^{l-1} V(x+i(l/2-j)g) V*(x-i(l/2-j)g))^{1/4};
@@ -256,7 +379,7 @@ def check_potential_product_identity(v: RationalFn, seeds: Sequence[Poly], gamma
     lhs = (stage.pairs if stage
            else conjugate_pair_product(deformed_potential_vd(v, seeds, gamma, mu, w), m, gamma))
     shifted = [imag_shift(w, k, gamma) for k in (-(m + 1), -(m - 1), m + 1, m - 1)]
-    four_point = RationalFn(*shifted[:2]) * RationalFn(*shifted[2:])
+    four_point = shifted[0] / shifted[1] * (shifted[2] / shifted[3])
     rhs = (PowerProduct().times(four_point, 1)
            .times(vv_product(v, gamma, l + m, 0, m - 1)
                   * vv_product(v, gamma, l + m, l, l + m - 1), HALF))
@@ -276,11 +399,11 @@ def one_shot_idqm(v: RationalFn, gamma, seed_count: int, w: Poly, w_v: Poly) -> 
     and w_v = W_g[seeds, v]: (V-products)^{1/4} w_v(x) / sqrt(w(x-ig/2) w(x+ig/2))."""
     return (PowerProduct()
             .times(vv_product(v, gamma, seed_count, 0, seed_count - 1), Fraction(1, 4))
-            .times(RationalFn(w_v), 1)
+            .times(w_v, 1)
             .times(_half_shift_pair(w, gamma), Fraction(-1, 2)))
 
 
-def staged_idqm(gamma, m: int, g4: tuple[RationalFn, RationalFn], stage: Stage) -> PowerProduct:
+def staged_idqm(gamma, m: int, g4: tuple[Shifted, Shifted], stage: Stage) -> PowerProduct:
     """Radical-tracked staged route from a draw's stage and its trial's G-products:
     virtual stand-ins first, then the eigen stand-ins of the intermediate system.
 
@@ -296,7 +419,7 @@ def staged_idqm(gamma, m: int, g4: tuple[RationalFn, RationalFn], stage: Stage) 
     out = PowerProduct((fn, exponent / 4) for fn, exponent in stage.pairs.factors)
     # second-stage numerator Casoratian: rows factor (G/w)(x_j^{(m+1)})
     out = (out.times(g4_rows, Fraction(1, 4)).times(w2_rows, Fraction(-1, 2))
-           .times(RationalFn(num_det), 1))
+           .times(num_det, 1))
     # second-stage denominator: sqrt(W[phi_e..](x-ig/2) W[phi_e..](x+ig/2)),
     # its columns factoring (G/w) at x_j^{(m)} -+ ig/2
     return (out.times(_half_shift_pair(den_det, gamma), Fraction(-1, 2))
@@ -306,7 +429,7 @@ def staged_idqm(gamma, m: int, g4: tuple[RationalFn, RationalFn], stage: Stage) 
 def two_path_compare_idqm(v: RationalFn, dv: Sequence[Poly], de: Sequence[Poly],
                           v_state: Poly, gamma, mu: Poly | None = None,
                           stage: Stage | None = None,
-                          g4: tuple[RationalFn, RationalFn] | None = None) -> CheckReport:
+                          g4: tuple[Shifted, Shifted] | None = None) -> CheckReport:
     """One-shot versus staged eigenfunction in radical-tracked form.
 
     Passes iff the 8th powers agree exactly (zero tolerance) and the signs

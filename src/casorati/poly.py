@@ -7,15 +7,15 @@ zero polynomial has ``den == 1``).  Every operation works on Python ints and
 normalizes once; exact division is pseudo-division.  ``GaussianRational``
 coefficients appear only at the boundary: the ``coeffs`` view, built on each
 read (printing, serialization) and a value ``p(x)``.  One integer Horner
-loop, ``_horner``, serves values, ``sign_at`` (a RationalFn's read off
-num(x) * conj(den(x))), ``shift`` (p(x + delta) read back from its value at
-2^width + delta) and the determinant kernel's packing; the packed form's
+loop, ``_horner``, serves values, ``sign_at``, idQM's atom values,
+``shift`` (p(x + delta) read back from its value at 2^width + delta) and the
+determinant kernel's packing; the packed form's
 helpers, ``_pack``, ``_unpack`` and the width bound ``_shift_size``, live
 beside it.  One scalar product, ``_scale``, serves ``*`` by a scalar,
 ``monic`` and ``reduce``.
-``RationalFn`` is a quotient of two Polys; arithmetic keeps the pair
-unreduced (equality cross-multiplies), ``reduce()``/``canonical()`` produce
-the gcd-reduced monic-denominator representative on demand.
+``RationalFn`` is a quotient of two Polys; arithmetic (+, -, *) keeps the
+pair unreduced (equality cross-multiplies), ``reduce()`` produces the
+gcd-reduced monic-denominator representative on demand.
 ``ExpPoly`` is p(x) * exp((a*x^2 + b*x)/2) with rational a, b; the class is
 closed under differentiation and products.  ``ExpRatio`` is a quotient
 q(x) * exp((a*x^2 + b*x)/2) with q a RationalFn: the value of a deformed
@@ -530,10 +530,6 @@ class RationalFn:
     def __setattr__(self, name, value):
         raise AttributeError("RationalFn is immutable")
 
-    @staticmethod
-    def one() -> "RationalFn":
-        return RationalFn(_P_ONE)
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -586,35 +582,9 @@ class RationalFn:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "RationalFn":
-        if not isinstance(other, (RationalFn,) + RationalFn._COERCIBLE):
-            return NotImplemented
-        other = as_rational_fn(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero RationalFn")
-        return RationalFn(self.num * other.den, self.den * other.num)
-
     def derivative(self) -> "RationalFn":
         return RationalFn(self.num.derivative() * self.den - self.num * self.den.derivative(),
                           self.den * self.den)
-
-    def shift(self, delta) -> "RationalFn":
-        return RationalFn(self.num.shift(delta), self.den.shift(delta))
-
-    def star(self) -> "RationalFn":
-        """Coefficientwise conjugation of numerator and denominator."""
-        return RationalFn(self.num.conjugate_coeffs(), self.den.conjugate_coeffs())
-
-    def sign_at(self, x) -> int | None:
-        """The sign of num(x)/den(x) = num(x) conj(den(x)) / |den(x)|^2, read
-        off the integers of both Horner loops: -1, 0 or 1; None at a pole of
-        the pair or where the value is not real."""
-        nr, ni, _ = self.num._at(x)
-        dr, di, _ = self.den._at(x)
-        if (dr == 0 and di == 0) or ni * dr != nr * di:
-            return None
-        re = nr * dr + ni * di
-        return (re > 0) - (re < 0)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, GaussianRational, Poly)):

@@ -370,6 +370,15 @@ def test_casoratian_imag_examples():
         casoratian_imag([x], 0)
 
 
+def test_imag_shift_points_are_built_once_per_n_and_gamma():
+    points = imag_shift_points(3, Fraction(1, 2))
+    assert points == (GaussianRational(0, Fraction(1, 2)), GaussianRational(0),
+                      GaussianRational(0, Fraction(-1, 2)))
+    assert imag_shift_points(3, Fraction(1, 2)) is points
+    assert imag_shift_points(2, Fraction(1, 2)) == (GaussianRational(0, Fraction(1, 4)),
+                                                    GaussianRational(0, Fraction(-1, 4)))
+
+
 def test_casoratian_real_examples():
     assert casoratian_real([]) == Poly.one()
     assert casoratian_real([Poly.one(), x]) == Poly.one()
