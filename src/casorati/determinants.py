@@ -10,8 +10,8 @@ is f at 2^width + delta by ``poly._horner``, as ``Poly.shift`` computes it,
 so no shifted Poly is built; ``imag_shift`` is f(x + i k gamma/2).  Up to
 n = EXPANSION_MAX_N the minors come from a division-free shared minor
 expansion (``_expand``) at width bitlen(B) + 1, which holds every
-coefficient, on plain ints when every entry and point is real; past it, or
-when B passes COEFF_BIT_BUDGET, from Bareiss elimination
+coefficient, on ints: real rows, or conjugate ones that ``_Rows`` pairs;
+past it, when B passes COEFF_BIT_BUDGET, or for other rows, from Bareiss
 (``fraction_free_det``) on (re, im) pairs at about twice that width, which
 its certified exact divisions need, and which screens each entry against the
 budget.  Wronskian columns (``_drift_column``) are integer vectors over one
@@ -41,11 +41,13 @@ from mpmath.libmp import (
 
 from .gridfn import GridFn, WindowError
 from .poly import (
-    ExpPoly, Poly, _canonical, _horner, _mul_into, _pack, _parts, _shift_size, _unpack, as_poly)
-from .scalars import GaussianRational, i_power, rational
+    ExpPoly, Poly, _canonical, _horner, _mul_into, _pack, _parts, _raw, _scale, _shift_size,
+    _unpack, as_poly)
+from .scalars import GaussianRational, rational
 
 # Abort knob for runaway exact computations; see DeterminantBudgetError.
 COEFF_BIT_BUDGET = 10 ** 6
+_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))     # i^k as (re, im), by k % 4
 
 
 class DeterminantBudgetError(RuntimeError):
@@ -91,20 +93,26 @@ class _Rows:
     coefficients at most B = prod_r max(1, sum_c |entry r, c|_1) in |.|_1.
     ``pack`` evaluates each scaled P at 2^width by ``poly._horner`` and
     builds no Poly; at delta = 0 that is P's coefficients as base-2^width digits.
-    ``length`` is 1 plus the sum of the rows' largest degrees.
+    ``length`` is 1 plus the sum of the rows' largest degrees.  Equal real
+    rows r and n-1-r of a square matrix at conjugate points (a real middle
+    one), as in W_gamma of real inputs, are ``pairs``: A +- iB pack as A and
+    B, bounded once (|a|, |b| <= |a + ib|_1), and det = (-2i)^pairs det(A, B).
     """
 
-    __slots__ = ("rows", "shifts", "multipliers", "scales", "bound", "length", "gaussian")
+    __slots__ = ("rows", "shifts", "multipliers", "scales", "bound", "length", "gaussian", "pairs")
 
     def __init__(self, rows: Sequence[Sequence], points: Sequence | None = None):
         self.rows = rows = [[as_poly(e) for e in row] for row in rows]
-        self.shifts = shifts = ([(0, 0, 1)] * len(rows) if points is None
-                                else [_parts(p) for p in points])
-        self.gaussian = (any(ui for _, ui, _ in shifts)
-                         or any(any(e.im) for row in rows for e in row))
+        n, real = len(rows), not any(any(e.im) for row in rows for e in row)
+        self.shifts = shifts = ([(0, 0, 1)] * n if points is None else [_parts(p) for p in points])
+        gaussian = not real or any(ui for _, ui, _ in shifts)
+        self.pairs = pairs = n // 2 if gaussian and real and n == len(rows[0]) and all(
+            rows[r] == rows[~r] and shifts[~r] == (ur, -ui, d)
+            for r, (ur, ui, d) in enumerate(shifts[:n - n // 2])) else 0
+        self.gaussian = gaussian and not pairs
         self.multipliers, self.scales = [], []
         bound = length = 1
-        for row, (ur, ui, d) in zip(rows, shifts):
+        for r, (row, (ur, ui, d)) in enumerate(zip(rows[:n - pairs], shifts)):
             if d == 1 and not ur and not ui:
                 dens = [e.den for e in row]
                 sizes = [sum(map(abs, e.re)) + sum(map(abs, e.im)) for e in row]
@@ -114,25 +122,33 @@ class _Rows:
                 sizes = [_shift_size(e, reach, d) for e in row]
             scale = lcm(*dens)
             multipliers = [scale // den for den in dens]
-            bound *= max(1, sum(map(mul, sizes, multipliers)))
-            length += max(1, *[len(e.re) for e in row]) - 1
+            bound *= max(1, sum(map(mul, sizes, multipliers))) ** (1 + (r < pairs))
+            length += (max(1, *[len(e.re) for e in row]) - 1) * (1 + (r < pairs))
             self.multipliers.append(multipliers)
             self.scales.append(scale)
+        self.scales += self.scales[:pairs][::-1]
         self.bound, self.length = bound, length
 
     def pack(self, width: int) -> list[list]:
-        """The scaled entries at 2^width: ints, or (re, im) pairs when any
-        entry or point is not real."""
-        gaussian, out = self.gaussian, []
-        for row, shift, multipliers in zip(self.rows, self.shifts, self.multipliers):
-            if shift == (0, 0, 1):
+        """The scaled entries at 2^width: ints, or (re, im) pairs when ``gaussian``."""
+        gaussian, pairs, out, mirrors = self.gaussian, self.pairs, [], []
+        for r, (row, shift, multipliers) in enumerate(zip(self.rows, self.shifts, self.multipliers)):
+            if shift == (0, 0, 1) and r >= pairs:
                 out.append([(_pack(e.re, width) * k, _pack(e.im, width) * k) if gaussian
                             else _pack(e.re, width) * k for e, k in zip(row, multipliers)])
-            else:
-                out.append([_horner(e.re, e.im, shift, width, k) if gaussian
-                            else _horner(e.re, e.im, shift, width, k)[0]
-                            for e, k in zip(row, multipliers)])
-        return out
+                continue
+            values = [_horner(e.re, e.im, shift, width, k) for e, k in zip(row, multipliers)]
+            out.append(values if gaussian else [a for a, _ in values])
+            if r < pairs:
+                mirrors.append([b for _, b in values])
+        return out + mirrors[::-1]
+
+    def det(self, entry, width: int, den: int) -> Poly:
+        """The packed determinant ``entry`` over ``den``, times (-2i)^pairs."""
+        if not self.pairs:
+            return _canonical(*_unpack(entry, width), den)
+        zr, zi = _I_POWERS[-self.pairs % 4]
+        return _scale(_raw(*_unpack(entry, width), 1), zr << self.pairs, zi << self.pairs, den)
 
 
 class _Packing:
@@ -191,13 +207,14 @@ def fraction_free_det(matrix: Sequence[Sequence[Poly]], points: Sequence | None 
     2^width, past what numerator - quotient * divisor can reach, so that
     every exact division is certified by its remainder and a digit bound.
     The updates (pivot*a - lead*b) / prev run in one loop on (re, im) pairs,
-    a real entry entering as (v, 0): no benchmark workload or corpus run
-    reaches this fallback, so a faster loop for real matrices alone would
-    be code that no measured run calls.  Only the last entry is unpacked,
-    and a 1 x 1 matrix is its packed entry.  Each division is exact by
-    Sylvester's identity and certified, else ``ValueError``.  A zero pivot
-    is cured by the first row below with a nonzero entry in its column (a
-    sign flip); when there is none, the determinant is zero.
+    a real entry entering as (v, 0): the kernel's one Gaussian elimination.
+    No workload reaches it, and of the corpus rows only oQM runs with nine
+    seeds (``oqm --dv 0,1,2,3,4 --de 1,2,3,4 --n 0``, ten 9 x 9 real
+    determinants).  Only the last entry is unpacked, and a 1 x 1 matrix is
+    its packed entry.  Each division is exact by Sylvester's identity and
+    certified, else ``ValueError``.  A zero pivot is cured by the first row
+    below with a nonzero entry in its column (a sign flip); when there is
+    none, the determinant is zero.
 
     When bitlen(B) and bitlen(prod L_r) are within COEFF_BIT_BUDGET, no
     entry can pass it.  Otherwise each new entry is unpacked and screened
@@ -249,7 +266,7 @@ def fraction_free_det(matrix: Sequence[Sequence[Poly]], points: Sequence | None 
                     if den_over or max(map(int.bit_length, re + im), default=0) > budget:
                         _check_budget(_canonical(re, im, den))
         prev = pr, pi, pr * pr + pi * pi if pi else pr
-    result = _canonical(*_unpack(ints[n - 1][n - 1], width), pivot_scale * scales[n - 1])
+    result = rows.det(ints[n - 1][n - 1], width, pivot_scale * scales[n - 1])
     return result if sign > 0 else -result
 
 
@@ -274,33 +291,22 @@ def _expansion_plan(size: int) -> tuple:
                  for j in range(1, size))
 
 
-def _expand(ints: list, columns: int, gaussian: bool) -> list:
+def _expand(ints: list, columns: int) -> list:
     """The minors on the first ``columns`` columns of every row subset of as
     many rows, by mask: column by column, each j x j minor is the signed sum
     of column j's entries times the (j - 1) x (j - 1) minors (Rote 2001).
-    Division-free, so the entries stay as packed."""
+    Division-free, so the entries stay as packed ints."""
     minors = [None] * (1 << len(ints))
     for r, row in enumerate(ints):
         minors[1 << r] = row[0]
     for j, level in zip(range(1, columns), _expansion_plan(len(ints))):
         for mask, terms in level:
-            if gaussian:
-                tr = ti = 0
-                for r, sub, negative in terms:
-                    (ar, ai), (mr, mi) = ints[r][j], minors[sub]
-                    pr, pi = ar * mr - ai * mi, ar * mi + ai * mr
-                    if negative:
-                        tr, ti = tr - pr, ti - pi
-                    else:
-                        tr, ti = tr + pr, ti + pi
-                minors[mask] = tr, ti
-            else:
-                total = 0
-                for r, sub, negative in terms:
-                    a, m = ints[r][j], minors[sub]
-                    if a and m:
-                        total = total - a * m if negative else total + a * m
-                minors[mask] = total
+            total = 0
+            for r, sub, negative in terms:
+                a, m = ints[r][j], minors[sub]
+                if a and m:
+                    total = total - a * m if negative else total + a * m
+            minors[mask] = total
     return minors
 
 
@@ -314,9 +320,9 @@ def maximal_minors(matrix: Sequence[Sequence], points: Sequence | None = None) -
     bitlen(B) + 1: with no division to certify, every value packed is a
     polynomial's value at 2^width, and each minor unpacked has coefficients
     of size at most B < 2^(width - 1), so its balanced digits are exact.
-    Past that size, or when bitlen(B) or bitlen(prod L_r) passes
-    COEFF_BIT_BUDGET, each minor is ``fraction_free_det``'s, which screens
-    its entries against the budget.
+    Past that size, when bitlen(B) or bitlen(prod L_r) passes
+    COEFF_BIT_BUDGET, or for non-real rows that do not pair, each minor is
+    ``fraction_free_det``'s, which screens its entries against the budget.
     """
     size = len(matrix)
     n = len(matrix[0]) if matrix else 0
@@ -330,7 +336,7 @@ def maximal_minors(matrix: Sequence[Sequence], points: Sequence | None = None) -
             entries = [e.shift(p) for e, p in zip(entries, points)]
         return entries[::-1]
     rows = None if n > EXPANSION_MAX_N else _Rows(matrix, points)
-    if (rows is None or rows.bound.bit_length() > COEFF_BIT_BUDGET
+    if (rows is None or rows.gaussian or rows.bound.bit_length() > COEFF_BIT_BUDGET
             or prod(rows.scales).bit_length() > COEFF_BIT_BUDGET):
         if size == n:
             return [fraction_free_det(matrix, points)]
@@ -338,10 +344,10 @@ def maximal_minors(matrix: Sequence[Sequence], points: Sequence | None = None) -
                                   None if points is None else [*points[:j], *points[j + 1:]])
                 for j in range(size)]
     width = rows.bound.bit_length() + 1
-    minors = _expand(rows.pack(width), n, rows.gaussian)
+    minors = _expand(rows.pack(width), n)
     full, scale = (1 << size) - 1, prod(rows.scales)
     if size == n:
-        return [_canonical(*_unpack(minors[full], width), scale)]
+        return [rows.det(minors[full], width, scale)]
     return [_canonical(*_unpack(minors[full ^ 1 << j], width), scale // s)
             for j, s in enumerate(rows.scales)]
 
@@ -535,12 +541,16 @@ def imag_shift(f: Poly, k: int, gamma) -> Poly:
 
 
 def casoratian_imag(fs: Sequence[Poly], gamma) -> Poly:
-    """W_gamma[f_1, ..., f_n]: i^{n(n-1)/2} det f_k(x + i((n+1)/2 - j) gamma)."""
+    """W_gamma[f_1, ..., f_n]: i^{n(n-1)/2} det f_k(x + i((n+1)/2 - j) gamma); its rows
+    pair for real f_k (``_Rows``), and purely imaginary f_k = i g_k give i^n W_gamma[g]."""
     g = rational(gamma)
     if g == 0:
         raise ValueError("casoratian_imag needs nonzero gamma")
-    n = len(fs)
-    return maximal_minors([fs] * n, imag_shift_points(n, g))[0] * i_power(n * (n - 1) // 2)
+    fs, n = [as_poly(f) for f in fs], len(fs)
+    imaginary = not any(any(f.re) for f in fs)
+    det, = maximal_minors([[_raw(f.im, f.re, f.den) for f in fs] if imaginary else fs] * n,
+                          imag_shift_points(n, g))
+    return _scale(det, *_I_POWERS[n * (n + 1 if imaginary else n - 1) // 2 % 4], det.den)
 
 
 # ---------------------------------------------------------------------------

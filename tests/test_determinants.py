@@ -23,7 +23,7 @@ from casorati.determinants import (
     wronskian_operator,
 )
 from casorati.gridfn import GridFn, WindowError
-from casorati.poly import ExpPoly, Poly
+from casorati.poly import ExpPoly, Poly, as_poly
 from casorati.sampling import random_poly
 from casorati.scalars import GaussianRational, i_power, working_precision
 
@@ -135,12 +135,17 @@ def test_fraction_free_matches_cofactor_property(matrix):
     expansion's n maximal minors are the Bareiss determinants of the rows
     left when one is dropped.  With row r read at x + (r + 1)/2 - i r/3,
     Bareiss on the entries packed by evaluation is the oracle's determinant
-    of the shifted entries."""
+    of the shifted entries.  At the conjugate points of an imaginary-shift
+    Casoratian the kernel's determinant is Bareiss's on the shifted entries,
+    whether or not the rows pair."""
     det = cofactor_det(matrix)
     assert fraction_free_det(matrix) == det
     points = [gi(Fraction(r + 1, 2), Fraction(-r, 3)) for r in range(len(matrix))]
     shifted = [[e.shift(p) for e in row] for row, p in zip(matrix, points)]
     assert fraction_free_det(matrix, points) == cofactor_det(shifted)
+    conjugate = imag_shift_points(len(matrix), Fraction(1))
+    assert maximal_minors(matrix, conjugate) == [fraction_free_det(
+        [[e.shift(p) for e in row] for row, p in zip(matrix, conjugate)])]
     assert maximal_minors(matrix) == [det]
     narrow = [row[:-1] for row in matrix]
     assert maximal_minors(narrow) == [fraction_free_det(narrow[:j] + narrow[j + 1:])
@@ -241,24 +246,32 @@ def test_slot_width_leaves_no_false_quotient(bound, length):
 
 
 @pytest.mark.parametrize("units", [(gi(1), gi(1)), (gi(0, 1), gi(0, -1))])
-def test_expansion_width_holds_a_coefficient_of_size_b(units):
+def test_expansion_width_holds_a_coefficient_of_size_b(units, monkeypatch):
     """Why the expansion's width is bitlen(B) + 1.  With no division, each
     packed minor is a polynomial's value at 2^width, and its balanced digits,
     in [-2^(width-1), 2^(width-1)), are its coefficients when each is at
-    most B < 2^bitlen(B) in size.  Here det = B x^3, from real entries and
-    from Gaussian ones: at bitlen(B) + 1 it unpacks exactly, one bit
-    narrower its digit B reads as -B."""
+    most B < 2^bitlen(B) in size.  Here det = B x^3, from real entries: at
+    bitlen(B) + 1 it unpacks exactly, one bit narrower its digit B reads as
+    -B.  Its Gaussian twin packs (re, im) pairs, which only Bareiss takes:
+    the kernel sends it there, and gets the oracle's determinant."""
     a, b = units
     matrix = [[a * 2 ** 64 * x, Poly.zero()], [Poly.zero(), b * 2 ** 64 * x * x]]
     rows = det_mod._Rows(matrix)
     width = rows.bound.bit_length() + 1
     assert rows.bound == 2 ** 128 and rows.gaussian == (a != 1)
+    calls = []
+    bareiss = det_mod.fraction_free_det
+    monkeypatch.setattr(det_mod, "fraction_free_det",
+                        lambda m, points=None: calls.append(len(m)) or bareiss(m, points))
     det, = maximal_minors(matrix)
     assert det == cofactor_det(matrix) == 2 ** 128 * x ** 3
+    assert calls == ([2] if rows.gaussian else [])
+    if rows.gaussian:
+        return
     coefficients = (det.re, det.im)
 
     def unpacked(w):
-        full = det_mod._expand(rows.pack(w), 2, rows.gaussian)[0b11]
+        full = det_mod._expand(rows.pack(w), 2)[0b11]
         return det_mod._unpack(full, w)
     assert unpacked(width) == coefficients
     assert unpacked(width - 1) != coefficients
@@ -389,24 +402,71 @@ def test_casoratian_real_examples():
 
 shift_coeffs = st.one_of(small_fractions, st.builds(GaussianRational, small_fractions,
                                                     small_fractions))
+real_polys = st.lists(small_fractions, max_size=5).map(Poly)
+shift_inputs = st.one_of(
+    st.lists(st.lists(shift_coeffs, max_size=5).map(Poly), max_size=5),          # mixed
+    st.lists(st.one_of(real_polys, st.integers(-9, 9), small_fractions), max_size=8),
+    st.lists(real_polys.map(lambda p: p * gi(0, 1)), max_size=8))               # imaginary
 
 
-@given(st.lists(st.lists(shift_coeffs, max_size=5).map(Poly), max_size=5),
-       st.sampled_from([None, Fraction(1, 2), Fraction(1), Fraction(2)]))
+@given(shift_inputs, st.sampled_from([None, Fraction(1, 2), Fraction(1), Fraction(2)]))
+@example([x, x * x + 1, x ** 3 - 2, 2 * x + 1], Fraction(1))        # real, n even
+@example([x + 2, 3, Fraction(1, 2) * x ** 3], Fraction(1, 2))       # real, a middle row
+@example([gi(0, 1) * x, gi(0, 2) * x ** 3 + gi(0, 1)], Fraction(2))   # purely imaginary
 @settings(max_examples=100, deadline=None)
 def test_shift_casoratians_packed_by_evaluation_match_poly_shift(fs, gamma):
     """Both shift Casoratians pack each f_k(x + delta_j) by evaluating f_k
     at 2^width + delta_j; they equal the determinant of the Poly.shift
-    entries, at the imaginary points of gamma (None: the integer points)."""
-    points = (list(range(len(fs))) if gamma is None
-              else imag_shift_points(len(fs), gamma))
-    shifted = [[f.shift(delta) for f in fs] for delta in points]
+    entries, at the imaginary points of gamma (None: the integer points).
+    Real inputs, some given as int or Fraction constants, take the real
+    form of W_gamma (conjugate rows replaced by their real and imaginary
+    parts), and purely imaginary ones factor out their unit; the oracle is
+    Bareiss on the shifted entries, which are not real and do not pair.
+    Rows at points that are not conjugate, or with a non-real middle point,
+    do not pair either; the middle-row example has a cubic, as below degree
+    3 Im f(x + iy) = y f'(x), and a moved middle row's imaginary part would
+    be a multiple of its neighbour's and drop out of the determinant."""
+    polys, n = [as_poly(f) for f in fs], len(fs)
+    points = list(range(n)) if gamma is None else imag_shift_points(n, gamma)
+    shifted = [[f.shift(delta) for f in polys] for delta in points]
     got = casoratian_real(fs) if gamma is None else casoratian_imag(fs, gamma)
     expected = fraction_free_det(shifted)
     if gamma is not None:
-        expected = expected * i_power(len(fs) * (len(fs) - 1) // 2)
+        expected = expected * i_power(n * (n - 1) // 2)
     assert got == expected
-    assert maximal_minors([fs] * len(fs), points) == maximal_minors(shifted)
+    assert maximal_minors([fs] * n, points) == maximal_minors(shifted)
+    if gamma is not None:
+        for moved in ([p + j for j, p in enumerate(points)],
+                      [p + gi(0, Fraction(2 * j + 1 == n, 3)) for j, p in enumerate(points)]):
+            assert maximal_minors([fs] * n, moved) == [
+                fraction_free_det([[f.shift(delta) for f in polys] for delta in moved])]
+
+
+def test_imaginary_shift_casoratians_of_drawn_checks_stay_on_ints(monkeypatch):
+    """Every imaginary-shift Casoratian of the first 20 seed-42 trials of
+    each cas-imag checker and of 12 seed-42 idQM trials has inputs that are
+    all real or all purely imaginary, so the kernel expands it on ints: no
+    Bareiss call, and no (re, im) pair reaches the expansion."""
+    from casorati import identities
+    from casorati.sampling import SamplerConfig
+    calls, bareiss, expand = [], det_mod.fraction_free_det, det_mod._expand
+
+    def ints_only(ints, columns):
+        assert all(type(v) is int for row in ints for v in row)
+        return expand(ints, columns)
+    monkeypatch.setattr(det_mod, "fraction_free_det",
+                        lambda m, points=None: calls.append(len(m)) or bareiss(m, points))
+    monkeypatch.setattr(det_mod, "_expand", ints_only)
+    config = SamplerConfig(master_seed=42)
+    checkers = [name for name in identities.CHECKS
+                if name.startswith("cas-imag.") and name != "cas-imag.sum-formula"]
+    for name in checkers:
+        for trial in range(20):
+            assert identities.draw_trial(name, config, trial)[1].passed
+    identities.check_sum_formula(10)
+    for trial in range(12):
+        identities.idqm_trial(42, trial, Fraction(1), 2, 2, 2)
+    assert len(checkers) == 7 and calls == []
 
 
 @pytest.mark.parametrize("f, delta, tight", [(x ** 3 + 2 * x + 5, Fraction(3, 2), True),
