@@ -41,8 +41,8 @@ from mpmath.libmp import (
 
 from .gridfn import GridFn, WindowError
 from .poly import (
-    ExpPoly, Poly, _canonical, _horner, _mul_into, _pack, _parts, _raw, _scale, _shift_size,
-    _unpack, as_poly)
+    ExpPoly, Poly, _canonical, _horner, _mul_into, _pack, _pair_sum, _parts, _raw, _scale,
+    _shift_size, _unpack, as_poly)
 from .scalars import GaussianRational, rational
 
 # Abort knob for runaway exact computations; see DeterminantBudgetError.
@@ -384,10 +384,11 @@ def cofactor_det(matrix: Sequence[Sequence]):
 
 def _drift(a: Fraction, b: Fraction) -> tuple[int, int, int]:
     """(L, A, B) with L the lcm of the denominators of a and b/2, so that
-    L*(a*x + b/2) = A*x + B."""
-    h = b / 2
-    L = lcm(a.denominator, h.denominator)
-    return L, a.numerator * (L // a.denominator), h.numerator * (L // h.denominator)
+    L*(a*x + b/2) = A*x + B; b/2 in lowest terms by the parity of b's numerator."""
+    n, d = b.numerator, b.denominator
+    hn, hd = (n // 2, d) if n % 2 == 0 else (n, 2 * d)
+    L = lcm(a.denominator, hd)
+    return L, a.numerator * (L // a.denominator), hn * (L // hd)
 
 
 def _drift_step(q: list, scale: int, A: int, B: int) -> list:
@@ -422,7 +423,7 @@ def _drift_column(f: ExpPoly, length: int, base: ExpPoly | None = None) -> list[
             den *= L
             col.append(_canonical(re, im, den))
         return col
-    L, A, B = _drift(f.a - base.a, f.b - base.b)
+    L, A, B = _drift(*_pair_sum(((1, f), (-1, base))))
     b_re, b_im, b_den = base.p.re, base.p.im, base.p.den
     for j in range(length - 1):
         re, im = p.re, p.im
@@ -440,9 +441,7 @@ def _drift_column(f: ExpPoly, length: int, base: ExpPoly | None = None) -> list[
 
 def _pair(fs: Sequence[ExpPoly], base: ExpPoly | None, times: int) -> tuple:
     """The summed exponent pairs of fs, plus ``times`` times the base's."""
-    a = sum((f.a for f in fs), rational(0))
-    b = sum((f.b for f in fs), rational(0))
-    return (a, b) if base is None else (a + times * base.a, b + times * base.b)
+    return _pair_sum([(1, f) for f in fs] + ([] if base is None else [(times, base)]))
 
 
 def wronskian(fs: Sequence[ExpPoly]) -> ExpPoly:

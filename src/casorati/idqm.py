@@ -194,7 +194,7 @@ class PowerProduct:
 
     def times(self, fn, exponent) -> "PowerProduct":
         exponent = rational(exponent)
-        if (exponent * 8).denominator != 1:
+        if 8 % exponent.denominator:
             raise ValueError("exponents must be multiples of 1/8")
         return PowerProduct(self.factors + ((Shifted.of(fn), exponent),))
 

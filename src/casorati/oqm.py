@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .determinants import (
-    RunMemo, WronskianOperator, wronskian, wronskian_operator)
+    RunMemo, WronskianOperator, _drift_column, wronskian, wronskian_operator)
 from .poly import ExpPoly, ExpRatio, Poly, RationalFn, rational_reduce
 from .report import CheckReport, check_report
 from .scalars import rational, require_at_most
@@ -53,7 +53,8 @@ def hermite_polynomials(n_max: int, sign: int) -> list[Poly]:
 
 def verify_schrodinger(potential: Poly | RationalFn, phi: ExpPoly | ExpRatio,
                        energy) -> bool:
-    """Exact check of -phi'' + potential*phi == energy*phi.
+    """Exact check of -phi'' + potential*phi == energy*phi: the general
+    formula, and the test oracle of ``_on_drift_rows``.
 
     With phi = q * exp((a*x^2 + b*x)/2), q a Poly or a RationalFn, and
     w = a*x + b/2, phi'' = (q'' + 2w*q' + (w^2 + a)*q) * exp(.), so the
@@ -64,6 +65,14 @@ def verify_schrodinger(potential: Poly | RationalFn, phi: ExpPoly | ExpRatio,
     residual = (dq.derivative() + 2 * w * dq
                 + (w * w + Poly.constant(phi.a + rational(energy)) - potential) * q)
     return residual.is_zero()
+
+
+def _on_drift_rows(potential: Poly, phi: ExpPoly, energy) -> bool:
+    """``verify_schrodinger`` for an ExpPoly state and a Poly potential: rows 0
+    and 2 of phi's drift column (``determinants._drift_column``) are the
+    polynomial parts of phi and phi'', so the check is row2 == (U - E) * row0."""
+    p, _, p2 = _drift_column(phi, 3)
+    return p2 == (potential - energy) * p
 
 
 @dataclass(frozen=True)
@@ -101,12 +110,14 @@ class OqmModel:
 # Upper bound of a model's n_max and v_max, and so of every label a run or a
 # witness may use: deleting levels 40 and 41 already takes 4.5 s.
 MAX_LEVEL_COUNT = 40
+_GROUND_ENERGY = Fraction(1)    # raw ground energy of -d^2/dx^2 + x^2, the levels' shift
 
 
 def build_harmonic_model(n_max: int, v_max: int) -> OqmModel:
     """U = x^2; E_n = 2n and E_v = -2v-2 after shifting the ground level to 0.
 
-    Every stored pair is re-verified against the raw equation before the
+    Every stored pair is re-verified exactly against the raw equation, on
+    rows 0 and 2 of the state's drift column (``_on_drift_rows``), before the
     model becomes usable; a verification failure aborts construction.
     n_max or v_max above MAX_LEVEL_COUNT raises ValueError.
     """
@@ -115,22 +126,21 @@ def build_harmonic_model(n_max: int, v_max: int) -> OqmModel:
     require_at_most("n_max", n_max, MAX_LEVEL_COUNT)
     require_at_most("v_max", v_max, MAX_LEVEL_COUNT)
     potential = Poly([0, 0, 1])
-    offset = Fraction(1)  # raw ground energy of -d^2/dx^2 + x^2
     levels = []
     for n, h in enumerate(hermite_polynomials(n_max, -1)):
         energy = Fraction(2 * n)
         phi = ExpPoly(h, a=Fraction(-1))
-        if not verify_schrodinger(potential, phi, energy + offset):
+        if not _on_drift_rows(potential, phi, energy + _GROUND_ENERGY):
             raise ArithmeticError(f"eigenstate {n} failed the load-time check")
         levels.append((energy, phi))
     aux = []
     for v, q in enumerate(hermite_polynomials(v_max, 1)):
         energy = Fraction(-2 * v - 2)
         psi = ExpPoly(q, a=Fraction(1))
-        if not verify_schrodinger(potential, psi, energy + offset):
+        if not _on_drift_rows(potential, psi, energy + _GROUND_ENERGY):
             raise ArithmeticError(f"negative-energy solution {v} failed the load-time check")
         aux.append((energy, psi))
-    return OqmModel(potential=potential, energy_offset=offset,
+    return OqmModel(potential=potential, energy_offset=_GROUND_ENERGY,
                     levels=tuple(levels), aux=tuple(aux))
 
 

@@ -68,6 +68,7 @@ def _raw(re: list, im: list, den: int) -> "Poly":
     _set(p, "re", re)
     _set(p, "im", im)
     _set(p, "den", den)
+    _set(p, "_hash", None)
     return p
 
 
@@ -172,7 +173,8 @@ class Poly:
 
     ``re`` and ``im`` are equal-length lists of ints indexed by degree and
     ``den`` is a positive int; none of them changes after construction.  The
-    form is canonical, so ``==`` and ``hash`` compare the integers directly;
+    form is canonical, so ``==`` compares the integers directly and ``hash``
+    is computed from them once, on its first call, and kept in ``_hash``;
     a constant hashes as the scalar it equals.
     ``coeffs`` builds the list of ``GaussianRational`` coefficients on each
     read.
@@ -184,7 +186,7 @@ class Poly:
     peak memory in long runs.
     """
 
-    __slots__ = ("re", "im", "den")
+    __slots__ = ("re", "im", "den", "_hash")
 
     def __new__(cls, coeffs: Iterable = ()):
         parts = [_parts(c) for c in coeffs]
@@ -411,10 +413,13 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
-        if len(self.re) < 2:            # as GaussianRational.__hash__, with no instance
-            re, im = (Fraction(v[0] if v else 0, self.den) for v in (self.re, self.im))
-            return hash((re, im) if im else re)
-        return hash((tuple(self.re), tuple(self.im), self.den))
+        if self._hash is None:
+            if len(self.re) < 2:        # as GaussianRational.__hash__, with no instance
+                re, im = (Fraction(v[0] if v else 0, self.den) for v in (self.re, self.im))
+                _set(self, "_hash", hash((re, im) if im else re))
+            else:
+                _set(self, "_hash", hash((tuple(self.re), tuple(self.im), self.den)))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Poly([{', '.join(str(c) for c in self.coeffs)}])"
@@ -624,15 +629,16 @@ class ExpPoly:
     """p(x) * exp((a*x^2 + b*x)/2) with rational a, b.
 
     Differentiation maps p -> p' + (a*x + b/2)*p with (a, b) unchanged;
-    products add the exponent pairs.
+    products add the exponent pairs.  ``hash`` is kept after its first call.
     """
 
-    __slots__ = ("p", "a", "b")
+    __slots__ = ("p", "a", "b", "_hash")
 
     def __init__(self, p, a=0, b=0):
-        object.__setattr__(self, "p", as_poly(p))
-        object.__setattr__(self, "a", rational(a))
-        object.__setattr__(self, "b", rational(b))
+        _set(self, "p", as_poly(p))
+        _set(self, "a", rational(a))
+        _set(self, "b", rational(b))
+        _set(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExpPoly is immutable")
@@ -695,7 +701,10 @@ class ExpPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.p) if self.p.is_zero() else hash((self.p, self.a, self.b))
+        if self._hash is None:
+            p = self.p
+            _set(self, "_hash", hash(p) if p.is_zero() else hash((p, self.a, self.b)))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"ExpPoly({self.p!r}, a={self.a}, b={self.b})"
@@ -709,6 +718,18 @@ class ExpPoly:
         return {"p": self.p.serialize(),
                 "a": format_rational(self.a),
                 "b": format_rational(self.b)}
+
+
+def _pair_sum(terms: Sequence[tuple[int, "ExpPoly | ExpRatio"]]) -> tuple[Fraction, Fraction]:
+    """sum_k c_k (a_k, b_k) for integers c_k, each component an integer
+    numerator over the product of its denominators, made a Fraction once."""
+    an = bn = 0
+    ad = bd = 1
+    for c, t in terms:
+        a, b = t.a, t.b
+        an, ad = an * a.denominator + c * a.numerator * ad, ad * a.denominator
+        bn, bd = bn * b.denominator + c * b.numerator * bd, bd * b.denominator
+    return Fraction(an, ad), Fraction(bn, bd)
 
 
 def format_pair(a: Fraction, b: Fraction) -> str:
@@ -737,7 +758,7 @@ class ExpRatio:
     def from_exp_polys(num: ExpPoly, den: ExpPoly) -> "ExpRatio":
         if den.is_zero():
             raise ZeroDivisionError("ExpRatio with zero denominator")
-        return ExpRatio(RationalFn(num.p, den.p), num.a - den.a, num.b - den.b)
+        return ExpRatio(RationalFn(num.p, den.p), *_pair_sum(((1, num), (-1, den))))
 
     @property
     def pair(self) -> tuple[Fraction, Fraction]:

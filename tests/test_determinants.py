@@ -23,7 +23,7 @@ from casorati.determinants import (
     wronskian_operator,
 )
 from casorati.gridfn import GridFn, WindowError
-from casorati.poly import ExpPoly, Poly, as_poly
+from casorati.poly import ExpPoly, ExpRatio, Poly, _pair_sum, as_poly
 from casorati.sampling import random_poly
 from casorati.scalars import GaussianRational, i_power, working_precision
 
@@ -558,6 +558,64 @@ def test_drift_column_matches_poly_reference(f, base, length):
     and over a base, real and Gaussian."""
     assume(base is None or not base.is_zero())
     assert det_mod._drift_column(f, length, base) == drift_column_reference(f, length, base)
+
+
+# Exponent-pair components: zero, small, and large with mismatched
+# denominators; numerators of both parities and signs.
+pair_parts = st.one_of(st.just(Fraction(0)),
+                       st.fractions(min_value=-9, max_value=9, max_denominator=12),
+                       st.builds(Fraction, st.integers(-10 ** 20, 10 ** 20),
+                                 st.sampled_from([1, 2, 3, 4, 2 ** 64, 3 ** 40])))
+pair_states = st.builds(lambda a, b: ExpPoly(x, a, b), pair_parts, pair_parts)
+
+
+def drift_reference(a: Fraction, b: Fraction) -> tuple[int, int, int]:
+    """``_drift`` by Fraction arithmetic: b/2 divided out as a Fraction."""
+    h = b / 2
+    L = math.lcm(a.denominator, h.denominator)
+    return L, a.numerator * (L // a.denominator), h.numerator * (L // h.denominator)
+
+
+@given(pair_parts, pair_parts)
+@settings(max_examples=200)
+@example(Fraction(0), Fraction(0))
+@example(Fraction(1, 3), Fraction(3))             # odd numerator: b/2 = 3/2
+@example(Fraction(-1), Fraction(4, 7))            # even numerator: b/2 = 2/7
+@example(Fraction(2, 5), Fraction(-3, 4))         # odd and negative: b/2 = -3/8
+@example(Fraction(-5, 6), Fraction(-6, 5))        # even and negative: b/2 = -3/5
+def test_drift_matches_fraction_halving(a, b):
+    """L*(a*x + b/2) = A*x + B with b/2 taken by the parity of b's numerator
+    gives the (L, A, B) of Fraction division."""
+    assert det_mod._drift(a, b) == drift_reference(a, b)
+
+
+@given(st.lists(pair_states, max_size=5), st.one_of(st.none(), pair_states), st.integers(0, 6))
+@settings(max_examples=200)
+@example([], None, 0)
+@example([], ExpPoly(x, Fraction(-1, 2), Fraction(3, 4)), 6)
+def test_pair_matches_fraction_sums(fs, base, times):
+    """``_pair`` on integer numerators over the product of the denominators
+    is the Fraction sum of the pairs plus ``times`` times the base's."""
+    a = sum((f.a for f in fs), Fraction(0))
+    b = sum((f.b for f in fs), Fraction(0))
+    if base is not None:
+        a, b = a + times * base.a, b + times * base.b
+    out = det_mod._pair(fs, base, times)
+    assert out == (a, b) and all(type(q) is Fraction for q in out)
+
+
+@given(pair_states, pair_states)
+@settings(max_examples=200)
+@example(ExpPoly(x, 1, 3), ExpPoly(x, 1, 3))
+@example(ExpPoly(x, Fraction(1, 2), Fraction(-1, 3)), ExpPoly(x, Fraction(-1, 3), Fraction(1, 2)))
+def test_pair_differences_match_fraction_subtraction(f, g):
+    """The over-base difference that ``_drift_column`` halves and the pair of
+    ``ExpRatio.from_exp_polys`` are f's pair minus g's, as Fractions."""
+    diff = (f.a - g.a, f.b - g.b)
+    assert _pair_sum(((1, f), (-1, g))) == diff
+    assert det_mod._drift(*_pair_sum(((1, f), (-1, g)))) == drift_reference(*diff)
+    ratio = ExpRatio.from_exp_polys(f, g)
+    assert ratio.pair == diff and all(type(q) is Fraction for q in ratio.pair)
 
 
 @st.composite

@@ -177,6 +177,19 @@ def test_power_product_power_lists():
     assert dict(bottoms) == {atom[x - 2]: 4, atom[x + 1]: 1, atom[x]: 0}
 
 
+def test_power_product_times_takes_eighths_only():
+    """An exponent k/8 (as a Fraction, an int or a text) is taken as it is;
+    k/16 for odd k, and thirds, raise the one ValueError."""
+    fn = RationalFn(x + 1, x - 2)
+    for k in range(-17, 18):
+        for exponent in (Fraction(k, 8), f"{k}/8") + ((k // 8,) if k % 8 == 0 else ()):
+            assert PowerProduct().times(fn, exponent).factors[0][1] == Fraction(k, 8)
+        bad = ([Fraction(k, 3)] if k % 3 else []) + ([Fraction(k, 16), f"{k}/16"] if k % 2 else [])
+        for exponent in bad:
+            with pytest.raises(ValueError, match=r"^exponents must be multiples of 1/8$"):
+                PowerProduct().times(fn, exponent)
+
+
 def reference_equals_power(a: PowerProduct, b: PowerProduct, k: int) -> bool:
     """equals_power with both k-th powers expanded and cross-multiplied."""
     num, den = expanded(a.power(k))

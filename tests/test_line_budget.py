@@ -5,7 +5,7 @@ from pathlib import Path
 # Lines of src/casorati/*.py, as `wc -l` counts them, and of cli.py alone:
 # the CLI parses flags, runs the labs' checks and prints their reports, and
 # builds no check of its own.
-LINE_BUDGET = 4746
+LINE_BUDGET = 4776
 CLI_LINE_BUDGET = 299
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "casorati"

@@ -3,6 +3,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import casorati.determinants as det_mod
 import casorati.oqm as oqm_mod
@@ -14,6 +15,7 @@ from casorati.oqm import (
     OqmModel,
     SeedDependenceError,
     StateDeletedError,
+    _on_drift_rows,
     build_harmonic_model,
     deformed_eigenfunction,
     deformed_potential,
@@ -23,6 +25,7 @@ from casorati.oqm import (
     verify_schrodinger,
 )
 from casorati.poly import ExpPoly, ExpRatio, Poly, RationalFn
+from casorati.scalars import GaussianRational
 from casorati.seeds import krein_adler_check
 
 x = Poly([0, 1])
@@ -206,7 +209,8 @@ def test_regularity_probe_reported(model):
 def test_verify_schrodinger_poly_path_matches_ratio_path(model):
     """A model state checked as an ExpPoly under the Poly potential and as
     an ExpRatio under the RationalFn potential gets the same verdict, at
-    the state's raw energy and at wrong ones."""
+    the state's raw energy and at wrong ones, as does the load-time check
+    on its drift rows."""
     states = ([(phi, model.raw_energy(e)) for e, phi in model.levels]
               + [(psi, model.raw_energy(e)) for e, psi in model.aux])
     as_ratio = RationalFn(model.potential)
@@ -214,7 +218,8 @@ def test_verify_schrodinger_poly_path_matches_ratio_path(model):
         for trial in (energy, energy + 2, energy - Fraction(1, 3)):
             fast = verify_schrodinger(model.potential, phi, trial)
             slow = verify_schrodinger(as_ratio, ExpRatio.from_exp_polys(phi, ExpPoly.one()), trial)
-            assert fast == slow == (trial == energy), (phi, trial)
+            rows = _on_drift_rows(model.potential, phi, trial)
+            assert rows == fast == slow == (trial == energy), (phi, trial)
 
 
 @pytest.mark.parametrize("sign, label", [(-1, "eigenstate 3"), (1, "negative-energy solution 3")])
@@ -232,6 +237,59 @@ def test_perturbed_hermite_state_fails_the_load_time_check(monkeypatch, sign, la
     monkeypatch.setattr(oqm_mod, "hermite_polynomials", perturbed)
     with pytest.raises(ArithmeticError, match=f"{label} failed the load-time check"):
         build_harmonic_model(6, 4)
+
+
+def test_offset_ground_energy_fails_the_load_time_check_at_state_0(monkeypatch):
+    """Negative control: with the raw ground energy off by 1/3, every stored
+    level's energy is wrong, and the build stops at eigenstate 0."""
+    monkeypatch.setattr(oqm_mod, "_GROUND_ENERGY", Fraction(4, 3))
+    with pytest.raises(ArithmeticError, match="^eigenstate 0 failed the load-time check$"):
+        build_harmonic_model(3, 2)
+
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+scales = st.builds(GaussianRational, small_rationals, small_rationals).filter(
+    lambda z: not z.is_zero())
+energy_errors = st.sampled_from([0, 0, Fraction(1, 3), Fraction(-1, 3), 2])
+
+
+@st.composite
+def schrodinger_instances(draw):
+    """(potential, state, energy), often an eigenpair: a scaled oscillator
+    level c H_n(s(x - t)) exp(-s^2 (x - t)^2 / 2) of s^4 (x - t)^2 at
+    s^2 (2n + 1), a constant times exp((a x^2 + b x)/2) under its potential
+    (a x + b/2)^2 + a + E, both with the energy at times off, or a drawn
+    state, potential and energy."""
+    kind = draw(st.sampled_from(["oscillator", "gaussian", "drawn"]))
+    error = draw(energy_errors)
+    if kind == "oscillator":
+        s, t = draw(st.sampled_from([Fraction(1, 2), 1, 2])), draw(small_rationals)
+        n = draw(st.integers(0, 4))
+        y = Poly([-s * t, s])
+        h = [Poly.one(), 2 * y]
+        for k in range(1, n):
+            h.append(2 * y * h[k] - 2 * k * h[k - 1])
+        state = ExpPoly(draw(scales) * h[n], -s * s, 2 * s * s * t)
+        return s ** 4 * (x - t) ** 2, state, s * s * (2 * n + 1) + error
+    a, b, energy = draw(small_rationals), draw(small_rationals), draw(small_rationals)
+    if kind == "gaussian":
+        w = Poly([b / 2, a])
+        return w * w + a + energy, ExpPoly(Poly([draw(scales)]), a, b), energy + error
+    coeffs = st.lists(small_rationals, max_size=4)
+    return Poly(draw(coeffs)), ExpPoly(Poly(draw(coeffs)), a, b), energy
+
+
+@given(schrodinger_instances())
+@settings(max_examples=300, deadline=None)
+@example((x * x, ExpPoly(Poly.one(), -1), 1))                      # harmonic ground state
+@example((x * x, ExpPoly(Poly.one(), -1), Fraction(4, 3)))         # its energy off by 1/3
+@example((x * x, ExpPoly(Poly.zero(), -1, 3), 5))                  # a zero state holds
+def test_drift_row_check_matches_verify_schrodinger(instance):
+    """The load-time check on rows 0 and 2 of the drift column gives the
+    verdict of the general formula, on eigenpairs and off them."""
+    potential, state, energy = instance
+    assert _on_drift_rows(potential, state, energy) == verify_schrodinger(potential, state, energy)
+
 
 
 @pytest.mark.parametrize("d_v, d_e, n", [((0,), (1, 2), 0), ((0, 1), (1, 2), 0),

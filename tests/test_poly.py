@@ -13,6 +13,7 @@ from casorati.poly import (
     ExpRatio,
     Poly,
     RationalFn,
+    _canonical,
     poly_gcd,
     poly_products_equal,
     rational_reduce,
@@ -590,6 +591,99 @@ def test_equal_values_hash_equal(values):
         if not any(v == u for u in distinct):
             distinct.append(v)
     assert len(set(values)) == len(distinct)
+
+
+# ---------------------------------------------------------------------------
+# The kept hash: computed on the first read, from integers that never change
+# ---------------------------------------------------------------------------
+
+def reference_hash(p: Poly) -> int:
+    """``Poly.__hash__`` computed afresh from the coefficients: a constant
+    as the GaussianRational it equals, else the canonical integers."""
+    if p.degree < 1:
+        return hash(p.coeffs[0] if p.coeffs else GR_ZERO)
+    return hash((tuple(p.re), tuple(p.im), p.den))
+
+
+def reference_exp_hash(f: ExpPoly) -> int:
+    """``ExpPoly.__hash__`` computed afresh, on a new Poly equal to f's part."""
+    return reference_hash(f.p) if f.is_zero() else hash((Poly(f.p.coeffs), f.a, f.b))
+
+
+# Real, Gaussian, constant and zero coefficient lists.
+hash_coeffs = st.one_of(st.lists(parts, max_size=6), coeff_lists,
+                        st.lists(gaussians, min_size=1, max_size=1), st.just([]))
+
+
+@given(hash_coeffs, coeff_lists, nonzero)
+@settings(max_examples=150)
+@example([], [GaussianRational(1)], GaussianRational(0, 1))
+@example([Fraction(1, 2)], [], GaussianRational(3))
+def test_poly_hash_is_kept_and_equal_polys_share_it(a, b, z):
+    """A Poly reads the same hash before and after its first computation,
+    the reference value, and an equal Poly built another way (from the
+    coefficients, by ``_canonical`` on a scaled copy of the integers, or as
+    an arithmetic result) hashes the same.  Using p as an operand leaves its
+    integers, and so its kept hash, as they were."""
+    p, q = Poly(a), Poly(b)
+    assert p._hash is None or p is Poly.zero()
+    first = hash(p)
+    assert p._hash == first == hash(p) == reference_hash(p)
+    scaled = _canonical([3 * r for r in p.re], [3 * m for m in p.im], 3 * p.den)
+    for same in (Poly(p.coeffs), scaled, (p + q) - q, (p * z) * (GaussianRational(1) / z),
+                 -(-p), p * Poly.one(), Poly.deserialize(p.serialize())):
+        assert same == p and hash(same) == first
+    hash(q)
+    results = [p + q, p - q, q - p, p * q, -p, p * z, p ** 2, p.derivative(), p.shift(z),
+               p.conjugate_coeffs(), poly_products_equal([(p, 2), (q, 1)], [(q, 1), (p, 2)])]
+    if not q.is_zero():
+        results += [*divmod(p, q), poly_gcd(p, q), RationalFn(p, q).reduce()]
+    if not p.is_zero():
+        results += [p.monic(), p(z), p.sign_at(1), str(p)]
+    assert Poly(a) == p and hash(Poly(a)) == hash(p) == first
+    assert Poly(b) == q and hash(Poly(b)) == hash(q)
+
+
+@given(gaussians)
+@settings(max_examples=100)
+@example(GaussianRational(0))
+@example(GaussianRational(-7))
+@example(GaussianRational(Fraction(5, 3)))
+def test_constant_poly_hashes_as_its_scalar(c):
+    """A constant Poly hashes, on every read, as the int, Fraction or
+    GaussianRational it equals, so a dict keyed by one kind finds the others."""
+    p = Poly([c])
+    scalars = [c]
+    if c.im == 0:
+        scalars.append(c.re)
+        if c.re.denominator == 1:
+            scalars.append(int(c.re))
+    for _ in range(2):
+        assert all(hash(p) == hash(s) for s in scalars)
+    by_scalar = {s: "scalar" for s in scalars}
+    assert by_scalar[p] == "scalar" and {p: "poly"}[scalars[-1]] == "poly"
+
+
+exp_parts = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-9, max_value=9,
+                                                         max_denominator=12))
+
+
+@given(hash_coeffs, exp_parts, exp_parts, exp_parts, exp_parts)
+@settings(max_examples=150)
+@example([], Fraction(-1), Fraction(1, 2), Fraction(3), Fraction(0))
+def test_exp_poly_hash_is_kept_and_a_zero_hashes_as_the_zero_poly(a, ea, eb, ea2, eb2):
+    """An ExpPoly keeps its first hash, equal to the reference value and to
+    that of an equal ExpPoly built another way; a zero one hashes as the zero
+    Poly whatever its pair, as it equals every zero ExpPoly."""
+    f = ExpPoly(Poly(a), ea, eb)
+    assert f._hash is None
+    first = hash(f)
+    assert f._hash == first == hash(f) == reference_exp_hash(f)
+    other = ExpPoly(Poly(f.p.coeffs), ea - ea2, eb - eb2) * ExpPoly(Poly.one(), ea2, eb2)
+    assert other == f and hash(other) == first
+    assert (-(-f)) == f and hash(-(-f)) == first
+    if f.is_zero():
+        assert first == hash(Poly.zero()) == hash(ExpPoly(Poly.zero(), ea2, eb2)) == 0
 
 
 # ---------------------------------------------------------------------------
